@@ -1,9 +1,10 @@
 """Wall-clock hot-path benchmark — emits the perf-regression baseline.
 
 Unlike the figure benchmarks (simulated seconds), this measures *real*
-elapsed time of mirror save/restore, im2col, and full train iterations,
-comparing the seed-era serial configuration against the parallel
-zero-copy pipeline.  Writes ``BENCH_wallclock.json`` at the repo root.
+elapsed time: mirror save/restore at ``crypto_threads`` 1 vs. N, the
+batched vs. per-request inference kernels, and the flight recorder's
+overhead on the mirror hot path.  Writes ``BENCH_wallclock.json`` at the
+repo root.
 
 Usage::
 
@@ -36,12 +37,14 @@ def _print_report(report) -> None:
         f"cpu_count={report.cpu_count}, crypto_threads={report.crypto_threads}"
         + (" [smoke]" if report.smoke else "")
     )
-    print("\nMirror save/restore (serial seed path vs. parallel zero-copy):")
+    print(
+        f"\nMirror save/restore (crypto_threads 1 vs. {report.crypto_threads}):"
+    )
     print(
         format_table(
             [
-                "layers", "model MB", "out serial ms", "out parallel ms",
-                "out x", "in serial ms", "in parallel ms", "in x", "identical",
+                "layers", "model MB", "out 1t ms", "out Nt ms",
+                "out x", "in 1t ms", "in Nt ms", "in x", "identical",
             ],
             [
                 [
@@ -80,28 +83,6 @@ def _print_report(report) -> None:
             ],
         )
     )
-    im = report.im2col
-    ti = report.train_iteration
-    print("\nim2col + train iteration (5-conv MNIST config):")
-    print(
-        format_table(
-            ["metric", "baseline ms", "optimized ms", "speedup"],
-            [
-                [
-                    f"fwd+bwd x{im.iters} (batch {im.batch})",
-                    f"{im.uncached_seconds * 1e3:.1f}",
-                    f"{im.cached_seconds * 1e3:.1f}",
-                    f"{im.speedup:.2f}",
-                ],
-                [
-                    f"train+mirror x{ti.iters}",
-                    f"{ti.baseline_seconds * 1e3:.1f}",
-                    f"{ti.optimized_seconds * 1e3:.1f}",
-                    f"{ti.speedup:.2f}",
-                ],
-            ],
-        )
-    )
     fl = report.flight_overhead
     print("\nFlight-recorder overhead (mirror save+restore cycle):")
     print(
@@ -119,6 +100,13 @@ def _print_report(report) -> None:
     )
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -129,10 +117,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=None,
-        help="crypto worker threads for the parallel configuration "
-        "(default: min(2, cpu_count) or REPRO_CRYPTO_THREADS, floor 2)",
+        help="crypto worker threads for the fanned-out configuration "
+        "(default: cpu_count; floor 2)",
     )
     parser.add_argument(
         "--layers",
@@ -166,12 +154,13 @@ def main(argv=None) -> int:
         criteria = payload["criteria"]
         print(
             "criteria: "
-            f"mirror_out x{criteria['mirror_out_speedup_largest_model']} "
-            f"(target {criteria['mirror_out_speedup_target']}), "
-            f"im2col x{criteria['im2col_speedup']} "
-            f"(target {criteria['im2col_speedup_target']}), "
+            f"mirror_out x{criteria['mirror_out_speedup_largest_model']} / "
+            f"mirror_in x{criteria['mirror_in_speedup_largest_model']} "
+            f"at {report.crypto_threads} threads (no target), "
             f"forward@32 x{criteria['forward_batch32_speedup']} "
             f"(target {criteria['forward_batch32_speedup_target']}), "
+            f"flight {criteria['flight_overhead_pct']}% "
+            f"(target {criteria['flight_overhead_pct_target']}%), "
             f"mirrors identical: {criteria['mirrors_identical']}"
         )
     shutdown_executors()

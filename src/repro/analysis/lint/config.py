@@ -181,8 +181,6 @@ UNTRUSTED_MODULES: Tuple[str, ...] = (
     "repro.cluster.loop",
     "repro.cluster.host",
     "repro.cluster.network",
-    "repro.cluster.link",
-    "repro.cluster.worker",
     "repro.cluster.fabric",
     "repro.cluster.runtime",
     # Federated orchestration is operator-side: the coordinator's round

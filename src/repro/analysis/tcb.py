@@ -142,8 +142,6 @@ UNTRUSTED_MODULES = (
     "repro.cluster.loop",
     "repro.cluster.host",
     "repro.cluster.network",
-    "repro.cluster.link",
-    "repro.cluster.worker",
     "repro.cluster.fabric",
     "repro.cluster.runtime",
     # Federated orchestration: round driving, shard assembly, and the

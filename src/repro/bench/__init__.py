@@ -22,9 +22,7 @@ from repro.bench.serving_load import (
     run_serving_load,
 )
 from repro.bench.wallclock import (
-    Im2colWallclock,
     MirrorWallclock,
-    TrainIterationWallclock,
     WallclockReport,
     load_baseline,
     run_wallclock,
@@ -58,6 +56,4 @@ __all__ = [
     "load_baseline",
     "WallclockReport",
     "MirrorWallclock",
-    "Im2colWallclock",
-    "TrainIterationWallclock",
 ]

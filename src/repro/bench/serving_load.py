@@ -37,7 +37,6 @@ from repro.serving import (
     InferenceGateway,
     ReplicaPool,
 )
-from repro.serving.gateway import LegacyEventQueue
 
 #: Gate enforced by ``benchmarks/check_wallclock_regression.py``:
 #: batching at 16 must win at least this factor over sequential.
@@ -165,7 +164,6 @@ def _run_config(
     max_delay: float,
     n_sessions: int = 2,
     session_base: int = 0,
-    use_legacy_loop: bool = False,
 ) -> ConfigResult:
     """Stand up a fresh deployment and drain one arrival stream.
 
@@ -195,13 +193,11 @@ def _run_config(
         factory,
         n_replicas=replicas,
     )
-    loop = LegacyEventQueue(system.clock) if use_legacy_loop else None
     gateway = InferenceGateway(
         pool,
         system.clock,
         BatchPolicy(max_requests=batch_max, max_delay=max_delay),
         AdmissionPolicy(max_queue_depth=max_queue_depth),
-        loop=loop,
     )
     clients: Dict[int, InferenceClient] = {}
     for sid in range(session_base + 1, session_base + n_sessions + 1):
@@ -256,19 +252,12 @@ def run_serving_load(
     seed: int = 11,
     max_queue_depth: int = 0,
     max_delay: float = 2e-3,
-    use_legacy_loop: bool = False,
 ) -> ServingLoadReport:
     """Run the three-configuration load comparison.
 
     ``max_queue_depth`` of 0 means "never reject" (depth =
     ``n_requests``), so the throughput comparison is over identical
     request sets; pass a small depth to study admission control.
-
-    ``use_legacy_loop`` drives every gateway on the frozen
-    pre-substrate :class:`~repro.serving.gateway.LegacyEventQueue`
-    instead of the cluster :class:`~repro.cluster.loop.EventLoop` — an
-    A/B witness that the substrate changed nothing (same seed must
-    produce identical ``responses_digest`` values either way).
     """
     arrivals = _arrivals(rate, n_requests, seed)
     rng = np.random.default_rng(seed + 1)
@@ -281,7 +270,6 @@ def run_serving_load(
         seed=seed,
         max_queue_depth=depth,
         max_delay=max_delay,
-        use_legacy_loop=use_legacy_loop,
     )
     sequential = _run_config(
         "sequential", replicas=1, batch_max=1, session_base=0, **common

@@ -295,7 +295,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         n_requests=args.requests,
         seed=args.seed,
         max_queue_depth=args.queue_depth,
-        use_legacy_loop=args.legacy_loop,
     )
     payload = report.to_dict()
     if args.out:
@@ -558,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-depth", type=int, default=0,
         help="admission-control queue cap (0: never reject)",
-    )
-    serve.add_argument(
-        "--legacy-loop", action="store_true",
-        help="drive gateways on the frozen pre-substrate event queue "
-        "(A/B check: the responses_digest must match either way)",
     )
     serve.add_argument(
         "--out", metavar="PATH", default=None,

@@ -4,13 +4,12 @@ One deterministic runtime for every multi-component scenario in the
 repo: named hosts owning their own PM/SSD/enclave stacks, a network
 model with per-link latency/bandwidth and first-class partition/heal,
 and a single event loop on the shared sim clock.  The inference
-gateway, the distributed pipeline worker, and the fault explorer's
+gateway, the distributed stage workers, and the fault explorer's
 workloads all run on it — see ``docs/cluster.md``.
 """
 
 from repro.cluster.fabric import ServingFabric
 from repro.cluster.host import Host
-from repro.cluster.link import ClusterLink
 from repro.cluster.loop import EventLoop
 from repro.cluster.network import (
     PARTITION_REPAIR_DELAY,
@@ -23,14 +22,11 @@ from repro.cluster.runtime import (
     install_cluster,
     installed_cluster,
 )
-from repro.cluster.worker import ClusterWorker
 
 __all__ = [
     "PARTITION_REPAIR_DELAY",
     "Cluster",
-    "ClusterLink",
     "ClusterNetwork",
-    "ClusterWorker",
     "EventLoop",
     "Host",
     "NetLink",

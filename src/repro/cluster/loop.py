@@ -2,11 +2,11 @@
 
 Every component of a simulated deployment — the inference gateway, the
 network model, test choreography — schedules onto one priority queue
-ordered by ``(sim time, insertion order)``.  The loop semantics are the
-inference gateway's original private scheduler, extracted verbatim so a
-gateway running on the substrate is event-for-event identical to the
-legacy implementation (``tests/test_cluster_equivalence.py`` proves the
-traces, counters, and response bytes match).
+ordered by ``(sim time, insertion order)``: FIFO within a tick, the
+clock only ever moving forward.  A seeded gateway drain on this loop is
+pinned event for event — clock, batch composition, counters, canonical
+trace report — by the golden fixture in
+``tests/test_cluster_equivalence.py``.
 
 Two dispatch paths exist per popped event:
 
@@ -22,8 +22,8 @@ When the loop belongs to a :class:`~repro.cluster.runtime.Cluster`, the
 handled, so the crash-schedule explorer can kill a host at any point of
 the event schedule.  With no fault plan installed the barrier is the
 same single ``enabled`` flag test every other instrumented site pays —
-zero behavioural cost, which is what keeps substrate runs byte-identical
-to legacy runs.
+zero behavioural cost: a cluster-owned loop and a private one drain the
+same events identically.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ class EventLoop:
 
         The clock only ever advances forward — an event whose time has
         already passed (a reload pushed global time past a pending
-        completion) simply completes "late", exactly as the legacy
-        gateway scheduler behaved.
+        completion) simply completes "late".
         """
         while self._events:
             t, _, kind, payload = heapq.heappop(self._events)

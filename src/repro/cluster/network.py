@@ -10,10 +10,11 @@ drives.
 Two calling conventions cover the substrate's users:
 
 * :meth:`transmit` — synchronous: pays the transit cost on the shared
-  clock and hands the payload straight back.  This is the in-process
-  calling convention of the legacy
-  :class:`~repro.distributed.link.SecureLink`, kept bit-identical so the
-  pipeline-worker differential tests hold.  A partition injected here
+  clock and hands the payload straight back — the in-process calling
+  convention of a sealed tensor link.  Fault-free it is one
+  ``clock.advance(latency + nbytes/bandwidth)``, exactly what a
+  point-to-point link charging its own clock pays.  A partition
+  injected here
   holds the message and heals after a deterministic repair delay; an
   injected delivery drop raises
   :class:`~repro.faults.plan.InjectedLinkDrop` to the caller's
@@ -37,10 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from repro.distributed.link import NIC_BANDWIDTH, NIC_LATENCY
 from repro.faults import plan as faultplan
 from repro.faults.plan import InjectedLinkDrop
 from repro.simtime.clock import SimClock
+
+#: 10 GbE-class interconnect between the secure machines.
+NIC_BANDWIDTH = 1.25 * (1 << 30)  # bytes/second
+NIC_LATENCY = 50e-6  # per message
 
 #: Sim seconds a partition injected at ``cluster.partition`` lasts
 #: before the substrate heals the link (synchronous transmits wait it
@@ -164,15 +168,15 @@ class ClusterNetwork:
                 self._deliver(link, payload, deliver)
 
     # ------------------------------------------------------------------
-    # Synchronous transfer (the legacy SecureLink calling convention)
+    # Synchronous transfer (the sealed-link calling convention)
     # ------------------------------------------------------------------
     def transmit(self, src: str, dst: str, payload: bytes) -> bytes:
         """Send + deliver in one step, advancing the shared clock.
 
         Fault-free this is exactly one ``clock.advance(latency +
-        nbytes/bandwidth)`` — the same float expression the legacy
-        link evaluates, which is what keeps substrate worker runs
-        byte-identical to legacy runs.
+        nbytes/bandwidth)`` — the same float expression a link
+        charging its own clock evaluates, so the wire a link rides
+        never changes its simulated cost.
         """
         link = self.link(src, dst)
         active = faultplan.ACTIVE

@@ -18,40 +18,36 @@ in persistent memory:
 Timing is split into the phases Table Ia reports: encrypt vs. write for
 saves, read vs. decrypt for restores.
 
-Wall-clock hot path
--------------------
-The per-buffer AES-GCM work is independent across buffers, so with
-``crypto_threads > 1`` the module fans sealing/unsealing across a shared
-``ThreadPoolExecutor`` (the OpenSSL backend releases the GIL — the
-paper's Section VIII "better exploit system parallelism" future work).
-IVs are drawn serially in buffer order *before* dispatch, so the sealed
-output is byte-identical to the serial path; all simulated-time charges
-stay on the main thread, with the encrypt/decrypt phase charged as the
-makespan of the per-buffer jobs over ``crypto_threads`` workers
-(:meth:`~repro.simtime.costs.CryptoCostModel.parallel_encrypt_seconds`).
-With ``crypto_threads=1`` the legacy per-buffer accounting is used
-unchanged, so single-threaded simulated totals are bit-identical to the
-pre-pipeline implementation.
-
-With ``zero_copy=True`` (the default) sealing writes ``ciphertext ‖ IV
-‖ MAC`` straight into the buffer's PM slot via
+Sealing pipeline
+----------------
+Every parameter buffer is one independent AES-GCM job.  Sealing writes
+``ciphertext ‖ IV ‖ MAC`` straight into the buffer's PM slot via
 :meth:`~repro.crypto.engine.EncryptionEngine.seal_into` over a
-``region.staging_view`` (no ``bytes`` concatenation, no staging copy —
-the transaction accounts the range with ``write_prefilled``), restores
-decrypt straight from a readonly view of the PM image, and unsealing
-writes directly into the live numpy parameter arrays via
-:meth:`~repro.crypto.engine.EncryptionEngine.unseal_from`.  Neither
-switch changes the mirror bytes, the simulated-time totals, or the
-Romulus single-transaction commit semantics — a crash anywhere still
-recovers to the pre-transaction mirror (in-place-sealed slots are
-volatile until ``write_prefilled`` flushes them).
+``region.staging_view`` (the transaction accounts the range with
+``write_prefilled``; in-place-sealed slots are volatile until that
+flush, so a crash anywhere still recovers to the pre-transaction
+mirror).  Restores decrypt from a readonly view of the PM image
+directly into the live numpy parameter arrays via
+:meth:`~repro.crypto.engine.EncryptionEngine.unseal_from`.
+
+``crypto_threads`` only decides how the jobs are scheduled, never what
+they produce: IVs are drawn in buffer order, so the sealed bytes are
+identical for every thread count, and all simulated-time charges stay
+on the calling thread.  With one worker the jobs run inline, each
+charged as it runs; with more they fan across a shared
+``ThreadPoolExecutor`` (the OpenSSL backend releases the GIL — the
+paper's Section VIII "better exploit system parallelism" future work)
+and the phase is charged as the makespan of the greedy per-buffer
+schedule over ``crypto_threads`` simulated workers
+(:meth:`~repro.simtime.costs.CryptoCostModel.parallel_encrypt_seconds`),
+of which the inline loop is the one-worker case.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -96,26 +92,23 @@ class MirrorError(RuntimeError):
 
 
 @dataclass
-class _SealJob:
-    """One parameter buffer queued for (possibly parallel) sealing."""
+class _BufferJob:
+    """One parameter buffer queued for sealing or unsealing."""
 
     name: str
-    plaintext: object  # bytes (copy path) or memoryview (zero-copy path)
+    #: Plaintext size — what the cost model charges.
     nbytes: int
-    iv: bytes = b""
-    sealed: object = None  # bytes/bytearray once sealed; None if in place
-    dest: Optional[memoryview] = None  # PM slot staging view (zero-copy)
-
-
-@dataclass
-class _UnsealJob:
-    """One sealed blob queued for (possibly parallel) unsealing."""
-
-    layer: object
-    name: str
-    target: np.ndarray
-    blob: object  # bytes (copy path) or readonly memoryview of PM
-    out_view: Optional[memoryview] = None
+    #: Enclave-side bytes: the contiguous source of a seal, or the live
+    #: parameter array an unseal overwrites (``None`` when that array
+    #: is not plainly overwritable in place).
+    plain: Optional[memoryview]
+    #: The buffer's PM slot, or DRAM staging when the slot does not fit.
+    sealed: Union[memoryview, bytearray]
+    in_place: bool = True
+    #: Drawn in buffer order before a fan-out; ``None`` draws at seal.
+    iv: Optional[bytes] = None
+    #: Owner of an unseal target that must go through ``set_parameter``.
+    layer: Any = None
 
 
 class MirrorModule:
@@ -125,13 +118,8 @@ class MirrorModule:
     ----------
     crypto_threads:
         Worker threads for the sealing/unsealing pipeline.  ``1``
-        (default) runs fully serial with legacy per-buffer simulated
-        accounting; higher values fan the AES-GCM work across a shared
-        thread pool.
-    zero_copy:
-        Use the ``seal_into``/``unseal_from`` buffer-reuse fast path.
-        Disable to reproduce the historical allocate-and-concatenate
-        behavior (benchmark baseline).
+        (default) runs the per-buffer jobs inline; higher values fan
+        the AES-GCM work across a shared thread pool.
     """
 
     def __init__(
@@ -142,7 +130,6 @@ class MirrorModule:
         enclave: Enclave,
         profile: ServerProfile,
         crypto_threads: int = 1,
-        zero_copy: bool = True,
     ) -> None:
         if crypto_threads < 1:
             raise ValueError(
@@ -155,7 +142,6 @@ class MirrorModule:
         self.profile = profile
         self.clock = region.device.clock
         self.crypto_threads = min(crypto_threads, MAX_CRYPTO_THREADS)
-        self.zero_copy = zero_copy
 
     # ------------------------------------------------------------------
     # Structure
@@ -293,141 +279,107 @@ class MirrorModule:
             node = nxt
         return num_layers, head, layout
 
-    def _slot_view(self, refs, index: int, sealed_size: int):
-        """Writable PM staging view for buffer ``index``, when it fits.
+    def _seal_jobs(self, network: Network, layout) -> List[List[_BufferJob]]:
+        """One job per parameter buffer, in rows matching ``layout``.
 
-        Returns ``None`` (fall back to staging in DRAM) on any shape
-        mismatch — the write phase then raises the same structural
-        errors as the copy path.
+        A buffer whose PM slot has the expected sealed size is sealed in
+        place through a writable staging view; on any shape mismatch it
+        is staged in DRAM instead and the write phase raises the
+        structural error.
         """
-        if refs is None or index >= len(refs):
-            return None
-        size, offset = refs[index]
-        if size != sealed_size:
-            return None
-        # repro: noqa[PM001] -- zero-copy seal-in-place protocol: the caller
-        # accounts this exact range via tx.write_prefilled before commit
-        return self.region.staging_view(offset, size)
-
-    def _seal_serial(self, network: Network, slots=None) -> List[List[object]]:
-        """Single-threaded sealing with legacy per-buffer accounting.
-
-        ``slots`` (zero-copy mode) holds per-layer PM buffer refs; a
-        buffer sealed directly into its PM slot is reported as ``None``
-        in the result row — the write phase accounts it with
-        ``write_prefilled`` instead of copying.
-        """
-        crypto = self.profile.crypto
-        sealed_layers: List[List[object]] = []
-        row_idx = 0
+        rows: List[List[_BufferJob]] = []
         for layer in network.layers:
             buffers = layer.parameter_buffers()
             if not buffers:
                 continue
-            refs = slots[row_idx] if slots is not None else None
-            row_idx += 1
-            sealed: List[object] = []
-            for i, (name, arr) in enumerate(buffers):
-                contig = np.ascontiguousarray(arr, np.float32)
-                # Reading the model out of (possibly paged) EPC memory.
-                self.enclave.touch(contig.nbytes)
-                self.clock.advance(crypto.encrypt_time(contig.nbytes))
-                if self.zero_copy:
-                    sealed_size = contig.nbytes + SEAL_OVERHEAD
-                    dest = self._slot_view(refs, i, sealed_size)
-                    if dest is None:
-                        dest = bytearray(sealed_size)
-                        marker: object = dest
-                    else:
-                        marker = None  # sealed in place on PM
-                    self.engine.seal_into(
-                        memoryview(contig).cast("B"), dest, aad=name.encode()
-                    )
-                    sealed.append(marker)
-                else:
-                    sealed.append(
-                        self.engine.seal(contig.tobytes(), aad=name.encode())
-                    )
-            sealed_layers.append(sealed)
-        return sealed_layers
-
-    def _seal_parallel(self, network: Network, slots=None) -> List[List[object]]:
-        """Fan per-buffer sealing across the shared crypto thread pool.
-
-        IVs are drawn serially in buffer order (identical to the serial
-        path) before dispatch; the encrypt phase charges the makespan of
-        the per-buffer jobs over ``crypto_threads`` simulated workers.
-        """
-        crypto = self.profile.crypto
-        layer_rows: List[List[_SealJob]] = []
-        jobs: List[_SealJob] = []
-        row_idx = 0
-        for layer in network.layers:
-            buffers = layer.parameter_buffers()
-            if not buffers:
-                continue
-            refs = slots[row_idx] if slots is not None else None
-            row_idx += 1
+            refs = layout[len(rows)]
             row = []
             for i, (name, arr) in enumerate(buffers):
                 contig = np.ascontiguousarray(arr, np.float32)
-                if self.zero_copy:
-                    plaintext: object = memoryview(contig).cast("B")
+                sealed_size = contig.nbytes + SEAL_OVERHEAD
+                in_place = i < len(refs) and refs[i][0] == sealed_size
+                if in_place:
+                    # repro: noqa[PM001] -- seal-in-place protocol: the write
+                    # phase accounts this exact range via tx.write_prefilled
+                    sealed = self.region.staging_view(refs[i][1], sealed_size)
                 else:
-                    plaintext = contig.tobytes()
-                job = _SealJob(name=name, plaintext=plaintext, nbytes=contig.nbytes)
-                if self.zero_copy:
-                    job.dest = self._slot_view(
-                        refs, i, contig.nbytes + SEAL_OVERHEAD
+                    sealed = bytearray(sealed_size)
+                row.append(
+                    _BufferJob(
+                        name=name,
+                        nbytes=contig.nbytes,
+                        plain=memoryview(contig).cast("B"),
+                        sealed=sealed,
+                        in_place=in_place,
                     )
-                row.append(job)
-                jobs.append(job)
-            layer_rows.append(row)
+                )
+            rows.append(row)
+        return rows
 
-        # Deterministic simulated accounting, all on the main thread.
-        for job in jobs:
-            self.enclave.touch(job.nbytes)
+    def _run_job(self, job: _BufferJob, seal: bool) -> None:
+        """Seal one buffer into its slot, or unseal one into its array."""
+        aad = job.name.encode()
+        if job.plain is None:  # unseal target not overwritable in place
+            plaintext = self.engine.unseal(job.sealed, aad=aad)
+            job.layer.set_parameter(
+                job.name, np.frombuffer(plaintext, dtype=np.float32)
+            )
+        elif seal:
+            self.engine.seal_into(job.plain, job.sealed, aad=aad, iv=job.iv)
+        else:
+            self.engine.unseal_from(job.sealed, job.plain, aad=aad)
+
+    def _run_jobs(self, jobs: List[_BufferJob], seal: bool) -> None:
+        """Charge and run the AES-GCM work of one encrypt/decrypt phase.
+
+        All simulated accounting stays on the calling thread.  When
+        traced, a fan-out records one ``crypto.seal``/``crypto.unseal``
+        span per job on the simulated worker lane the greedy schedule
+        assigned it, anchored at the phase start — sim fields stay
+        deterministic even though workers complete in host order.
+        """
+        crypto = self.profile.crypto
+        if seal:
+            span_name, cost = "crypto.seal", crypto.encrypt_time
+            schedule_of = crypto.parallel_encrypt_schedule
+            makespan_of = crypto.parallel_encrypt_seconds
+        else:
+            span_name, cost = "crypto.unseal", crypto.decrypt_time
+            schedule_of = crypto.parallel_decrypt_schedule
+            makespan_of = crypto.parallel_decrypt_seconds
+        threads = self.crypto_threads
+        if threads == 1:
+            for job in jobs:
+                if seal:
+                    # Reading the model out of (possibly paged) EPC memory.
+                    self.enclave.touch(job.nbytes)
+                self.clock.advance(cost(job.nbytes))
+                self._run_job(job, seal)
+            return
+
+        if seal:
+            for job in jobs:
+                self.enclave.touch(job.nbytes)
+            # IV order is part of the sealed output: draw before dispatch.
+            for job in jobs:
+                job.iv = self.engine.new_iv()
         sizes = [job.nbytes for job in jobs]
         rec = self.clock.recorder
         traced = rec.enabled
         if traced:
-            # Per-job worker-lane spans reuse the exact greedy schedule
-            # the makespan charge simulates, anchored at the phase start
-            # (before the advance below) — sim fields stay deterministic
-            # even though workers complete in host-dependent order.
             phase_start = self.clock.now()
-            schedule = crypto.parallel_encrypt_schedule(
-                sizes, self.crypto_threads
-            )
+            schedule = schedule_of(sizes, threads)
             parent = rec.current_span()
-        else:
-            phase_start, schedule, parent = 0.0, None, None
-        self.clock.advance(
-            crypto.parallel_encrypt_seconds(sizes, self.crypto_threads)
-        )
-        # IV order is part of the sealed output: draw before dispatch.
-        for job in jobs:
-            job.iv = self.engine.new_iv()
-
-        zero_copy = self.zero_copy
-        engine = self.engine
+        self.clock.advance(makespan_of(sizes, threads))
 
         def run(idx: int) -> None:
             job = jobs[idx]
             wall0 = rec.wall_now() if traced else 0.0
-            aad = job.name.encode()
-            if zero_copy:
-                dest = job.dest
-                if dest is None:
-                    dest = bytearray(job.nbytes + SEAL_OVERHEAD)
-                    job.sealed = dest
-                engine.seal_into(job.plaintext, dest, aad=aad, iv=job.iv)
-            else:
-                job.sealed = engine.seal(job.plaintext, aad=aad, iv=job.iv)
+            self._run_job(job, seal)
             if traced:
                 worker, start, end = schedule[idx]
                 rec.complete(
-                    "crypto.seal",
+                    span_name,
                     sim_start=phase_start + start,
                     sim_end=phase_start + end,
                     wall_start=wall0,
@@ -438,10 +390,8 @@ class MirrorModule:
                     sim_lane=worker,
                 )
 
-        pool = get_executor(self.crypto_threads)
-        for _ in pool.map(run, range(len(jobs))):
+        for _ in get_executor(threads).map(run, range(len(jobs))):
             pass
-        return [[job.sealed for job in row] for row in layer_rows]
 
     # ------------------------------------------------------------------
     # Algorithm 3: mirror_out / mirror_in
@@ -468,20 +418,17 @@ class MirrorModule:
             else None
         )
         try:
-            # Walk the persistent layer list up front so the zero-copy
-            # path can seal directly into the PM slots; the traversal
+            # Walk the persistent layer list up front so the buffers can
+            # be sealed directly into their PM slots; the traversal
             # reads are storage work and counted into the write phase.
             model = self.region.root(MODEL_ROOT)
             with self.clock.stopwatch("mirror.layout") as layout_span:
                 num_layers, head, layout = self._mirror_layout(model)
 
             # Phase 1 — encrypt in the enclave (Table Ia "Encrypt").
-            slots = layout if self.zero_copy else None
             with self.clock.stopwatch("mirror.encrypt") as encrypt_span:
-                if self.crypto_threads == 1:
-                    sealed_layers = self._seal_serial(network, slots)
-                else:
-                    sealed_layers = self._seal_parallel(network, slots)
+                rows = self._seal_jobs(network, layout)
+                self._run_jobs([job for row in rows for job in row], seal=True)
 
             # Phase 2 — write to PM in one durable transaction ("Write").
             prefilled: List[tuple] = []
@@ -492,23 +439,21 @@ class MirrorModule:
                             model,
                             _MODEL_HEADER.pack(iteration, num_layers, head),
                         )
-                        for refs, sealed in zip(layout, sealed_layers):
-                            if len(refs) != len(sealed):
+                        for refs, row in zip(layout, rows):
+                            if len(refs) != len(row):
                                 raise MirrorError(
                                     f"PM layer node has {len(refs)} buffers, "
-                                    f"enclave layer has {len(sealed)}"
+                                    f"enclave layer has {len(row)}"
                                 )
-                            for (size, offset), blob in zip(refs, sealed):
-                                if blob is None:  # sealed in place on PM
+                            for (size, offset), job in zip(refs, row):
+                                if job.in_place:
                                     prefilled.append((offset, size))
                                     tx.write_prefilled(offset, size)
                                 else:
-                                    if len(blob) != size:
-                                        raise MirrorError(
-                                            f"sealed buffer is {len(blob)} "
-                                            f"bytes, PM slot holds {size}"
-                                        )
-                                    tx.write(offset, blob)
+                                    raise MirrorError(
+                                        f"sealed buffer is {len(job.sealed)} "
+                                        f"bytes, PM slot holds {size}"
+                                    )
                 except BaseException:
                     # The aborting transaction restored every *logged*
                     # range from the back twin, but in-place-sealed slots
@@ -517,11 +462,10 @@ class MirrorModule:
                     # caller that survives the exception sees the old
                     # mirror; a crash/recover wipes them regardless (they
                     # were never flushed).
-                    if self.zero_copy:
-                        try:
-                            self._restore_prefilled_slots(layout, prefilled)
-                        except BaseException:
-                            pass  # second fault: caller must crash+recover
+                    try:
+                        self._restore_prefilled_slots(layout, prefilled)
+                    except BaseException:
+                        pass  # second fault: caller must crash+recover
                     raise
         finally:
             if outer is not None:
@@ -557,36 +501,43 @@ class MirrorModule:
                     size,
                 )
 
-    # ------------------------------------------------------------------
-    # Unsealing pipeline helpers
-    # ------------------------------------------------------------------
-    def _decrypt_target_view(
-        self, arr: np.ndarray, plaintext_size: int
-    ) -> Optional[memoryview]:
-        """A writable byte view over a live parameter array, when safe.
+    def _unseal_jobs(self, network: Network, sealed_layers) -> List[_BufferJob]:
+        """One job per mirrored buffer, paired with its enclave array.
 
-        Returns ``None`` (fall back to the copy path) if the array is
-        not plainly overwritable in place.
+        A float32, C-contiguous, writeable array of the mirrored size is
+        decrypted into directly; anything else goes through ``unseal``
+        + ``set_parameter``.
         """
-        if (
-            arr.dtype == np.float32
-            and arr.flags.c_contiguous
-            and arr.flags.writeable
-            and arr.nbytes == plaintext_size
-        ):
-            return memoryview(arr).cast("B")
-        return None
-
-    def _unseal_into(self, job: _UnsealJob) -> None:
-        """Decrypt one blob into its target parameter array."""
-        aad = job.name.encode()
-        if job.out_view is not None:
-            self.engine.unseal_from(job.blob, job.out_view, aad=aad)
-        else:
-            plaintext = self.engine.unseal(job.blob, aad=aad)
-            job.layer.set_parameter(
-                job.name, np.frombuffer(plaintext, dtype=np.float32)
-            )
+        jobs: List[_BufferJob] = []
+        layer_iter = iter(sealed_layers)
+        for layer in network.layers:
+            buffers = layer.parameter_buffers()
+            if not buffers:
+                continue
+            blobs = next(layer_iter)
+            if len(blobs) != len(buffers):
+                raise MirrorError(
+                    f"layer {layer.kind}: {len(buffers)} buffers "
+                    f"expected, {len(blobs)} mirrored"
+                )
+            for (name, arr), blob in zip(buffers, blobs):
+                nbytes = len(blob) - SEAL_OVERHEAD
+                overwritable = (
+                    arr.dtype == np.float32
+                    and arr.flags.c_contiguous
+                    and arr.flags.writeable
+                    and arr.nbytes == nbytes
+                )
+                jobs.append(
+                    _BufferJob(
+                        name=name,
+                        nbytes=nbytes,
+                        plain=memoryview(arr).cast("B") if overwritable else None,
+                        sealed=blob,
+                        layer=layer,
+                    )
+                )
+        return jobs
 
     def mirror_in(self, network: Network) -> MirrorTiming:
         """Restore the enclave model from its PM mirror (decrypt inside).
@@ -605,7 +556,6 @@ class MirrorModule:
             raise MirrorError(
                 "mirror allocated but never written: no snapshot to restore"
             )
-        crypto = self.profile.crypto
         model = self.region.root(MODEL_ROOT)
         iteration, _, head = _MODEL_HEADER.unpack(
             self.region.read(model, _MODEL_HEADER.size)
@@ -619,7 +569,8 @@ class MirrorModule:
         )
         try:
             # Phase 1 — read sealed buffers from PM into the enclave
-            # ("Read").
+            # ("Read"): readonly views of the PM image, so the decrypt
+            # below needs no host-side copy.
             with self.clock.stopwatch("mirror.read") as read_span:
                 sealed_layers = []
                 node = head
@@ -629,55 +580,16 @@ class MirrorModule:
                     )
                     blobs = []
                     for size, offset in self._buffer_refs(node, nbuf):
-                        if self.zero_copy:
-                            # Zero-copy: decrypt straight from the PM
-                            # image.  Same simulated read cost; no
-                            # host-side copy.
-                            blob: object = self.region.read_view(offset, size)
-                        else:
-                            blob = self.region.read(offset, size)
+                        blobs.append(self.region.read_view(offset, size))
                         self.enclave.copy_in(size)
-                        blobs.append(blob)
                     sealed_layers.append(blobs)
                     node = nxt
 
             # Phase 2 — decrypt into the enclave model ("Decrypt").
             with self.clock.stopwatch("mirror.decrypt") as decrypt_span:
-                layer_iter = iter(sealed_layers)
-                jobs: List[_UnsealJob] = []
-                for layer in network.layers:
-                    buffers = layer.parameter_buffers()
-                    if not buffers:
-                        continue
-                    blobs = next(layer_iter)
-                    if len(blobs) != len(buffers):
-                        raise MirrorError(
-                            f"layer {layer.kind}: {len(buffers)} buffers "
-                            f"expected, {len(blobs)} mirrored"
-                        )
-                    for (name, arr), blob in zip(buffers, blobs):
-                        plaintext_size = len(blob) - SEAL_OVERHEAD
-                        out_view = (
-                            self._decrypt_target_view(arr, plaintext_size)
-                            if self.zero_copy
-                            else None
-                        )
-                        job = _UnsealJob(
-                            layer=layer,
-                            name=name,
-                            target=arr,
-                            blob=blob,
-                            out_view=out_view,
-                        )
-                        if self.crypto_threads == 1:
-                            self.clock.advance(
-                                crypto.decrypt_time(plaintext_size)
-                            )
-                            self._unseal_into(job)
-                        else:
-                            jobs.append(job)
-                if jobs:
-                    self._unseal_parallel(crypto, rec, jobs)
+                self._run_jobs(
+                    self._unseal_jobs(network, sealed_layers), seal=False
+                )
         finally:
             if outer is not None:
                 rec.end(outer, self.clock.now())
@@ -689,49 +601,3 @@ class MirrorModule:
             crypto_seconds=decrypt_span.elapsed,
             storage_seconds=read_span.elapsed,
         )
-
-    def _unseal_parallel(self, crypto, rec, jobs: List[_UnsealJob]) -> None:
-        """Charge the decrypt makespan and fan unsealing across the pool.
-
-        When traced, each job records a ``crypto.unseal`` span on the
-        simulated worker lane the greedy schedule assigned it, parented
-        to the enclosing ``mirror.decrypt`` phase.
-        """
-        sizes = [len(j.blob) - SEAL_OVERHEAD for j in jobs]
-        traced = rec.enabled
-        if traced:
-            phase_start = self.clock.now()
-            schedule = crypto.parallel_decrypt_schedule(
-                sizes, self.crypto_threads
-            )
-            parent = rec.current_span()
-        else:
-            phase_start, schedule, parent = 0.0, None, None
-        self.clock.advance(
-            crypto.parallel_decrypt_seconds(sizes, self.crypto_threads)
-        )
-        pool = get_executor(self.crypto_threads)
-        if not traced:
-            for _ in pool.map(self._unseal_into, jobs):
-                pass
-            return
-
-        def run(idx: int) -> None:
-            job = jobs[idx]
-            wall0 = rec.wall_now()
-            self._unseal_into(job)
-            worker, start, end = schedule[idx]
-            rec.complete(
-                "crypto.unseal",
-                sim_start=phase_start + start,
-                sim_end=phase_start + end,
-                wall_start=wall0,
-                wall_end=rec.wall_now(),
-                category="crypto",
-                args={"buffer": job.name, "bytes": sizes[idx], "index": idx},
-                parent=parent,
-                sim_lane=worker,
-            )
-
-        for _ in pool.map(run, range(len(jobs))):
-            pass

@@ -63,11 +63,9 @@ class PliniusSystem:
         key: bytes,
         seed: int,
         crypto_threads: int = 1,
-        zero_copy: bool = True,
         recorder=None,
     ) -> None:
         self.crypto_threads = crypto_threads
-        self.zero_copy = zero_copy
         self.profile = profile
         self.clock = clock
         # One recorder observes the whole deployment; attaching it to
@@ -101,13 +99,12 @@ class PliniusSystem:
         pm_size: int = _DEFAULT_PM_SIZE,
         key: Optional[bytes] = None,
         crypto_threads: int = 1,
-        zero_copy: bool = True,
         recorder=None,
     ) -> "PliniusSystem":
         """Stand up a fresh deployment on the named server profile.
 
-        ``crypto_threads``/``zero_copy`` configure the mirroring
-        module's sealing pipeline (see :class:`~repro.core.mirror.MirrorModule`).
+        ``crypto_threads`` sizes the mirroring module's sealing
+        pipeline (see :class:`~repro.core.mirror.MirrorModule`).
         ``recorder`` attaches a :class:`~repro.obs.recorder.TraceRecorder`
         to the deployment; ``None`` uses the process default (the null
         recorder unless the ``--trace`` CLI flag or a test installed one
@@ -140,7 +137,6 @@ class PliniusSystem:
             key,
             seed,
             crypto_threads=crypto_threads,
-            zero_copy=zero_copy,
             recorder=recorder if recorder is not None else get_default_recorder(),
         )
 
@@ -166,7 +162,6 @@ class PliniusSystem:
             self.enclave,
             self.profile,
             crypto_threads=self.crypto_threads,
-            zero_copy=self.zero_copy,
         )
         self.pm_data = PmDataModule(
             self.region, self.heap, self.engine, self.enclave, self.profile

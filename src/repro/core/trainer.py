@@ -143,21 +143,6 @@ class PliniusTrainer:
         """Deterministic per-iteration batch sampler."""
         return np.random.default_rng((self.batch_seed, iteration))
 
-    @staticmethod
-    def _sample_im2col_gauges(recorder) -> None:
-        """Publish the im2col patch-index cache stats as trace gauges.
-
-        The ``lru_cache`` is process-global (shared by every system in
-        the process), so these gauges are deliberately *not* part of the
-        deterministic projection — they live beside the counters in the
-        exporter's ``otherData``.
-        """
-        from repro.darknet.im2col import patch_index_cache_info
-
-        info = patch_index_cache_info()
-        recorder.gauge("im2col.cache_hits", info.hits)
-        recorder.gauge("im2col.cache_misses", info.misses)
-
     def train(
         self,
         max_iterations: int,
@@ -259,9 +244,6 @@ class PliniusTrainer:
                 )
             )
             iterations_run += 1
-
-        if recorder.enabled:
-            self._sample_im2col_gauges(recorder)
 
         return TrainResult(
             log=log,

@@ -36,7 +36,6 @@ from repro.crypto.engine import (
 from repro.crypto.gcm import gcm_decrypt, gcm_encrypt, ghash
 from repro.crypto.parallel import (
     MAX_CRYPTO_THREADS,
-    THREADS_ENV_VAR,
     get_executor,
     resolve_crypto_threads,
     shutdown_executors,
@@ -53,7 +52,6 @@ __all__ = [
     "set_default_backend",
     "reset_default_backend",
     "BACKEND_ENV_VAR",
-    "THREADS_ENV_VAR",
     "MAX_CRYPTO_THREADS",
     "get_executor",
     "resolve_crypto_threads",

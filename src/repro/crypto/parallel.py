@@ -10,8 +10,7 @@ system parallelism ... via threads in the untrusted runtime").
 Workers are stateless, so pools are shared process-wide and keyed by
 thread count — a simulation may construct many short-lived
 ``MirrorModule`` instances (one per crash/resume cycle) and must not
-leak a pool per instance.  ``REPRO_CRYPTO_THREADS`` overrides the
-default worker count.
+leak a pool per instance.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
-
-#: Environment variable overriding the default crypto worker count.
-THREADS_ENV_VAR = "REPRO_CRYPTO_THREADS"
 
 #: Upper bound on pooled workers; AES-GCM at OpenSSL speed saturates
 #: memory bandwidth long before this.
@@ -33,15 +29,9 @@ _pools_lock = threading.Lock()
 
 
 def resolve_crypto_threads(requested: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit request > env var > CPU count."""
+    """Resolve a worker count: an explicit request, else the CPU count."""
     if requested is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        try:
-            requested = int(env) if env else None
-        except ValueError:
-            requested = None  # tolerate garbage in the environment
-        if requested is None:
-            requested = os.cpu_count() or 1
+        requested = os.cpu_count() or 1
     if requested < 1:
         raise ValueError(f"crypto_threads must be >= 1, got {requested}")
     return min(requested, MAX_CRYPTO_THREADS)

@@ -6,58 +6,28 @@ numpy.
 
 Hot-path notes
 --------------
-Building the patch-index tensors is O(C·k²·OH·OW) of integer work and
-used to happen on *every* forward and backward call of every conv layer
-— it dominated small-batch training.  Two optimizations apply (both on
-by default, both bit-exact with the original formulation):
+Neither direction builds patch-index tensors:
 
-* ``_patch_indices`` is memoized on ``(channels, h, w, kernel, stride,
-  pad)``; a training run touches a handful of distinct shapes, so every
-  call after the first is a dictionary hit.
-* ``im2col`` takes a strided-view fast path: a
-  ``sliding_window_view`` over the padded images (plus a ``::stride``
-  slice for stride > 1) replaces the fancy-index gather entirely; the
-  only copy is the reshape into the GEMM operand, which the gather had
-  to produce anyway.  This path is bit-identical to the gather.
-* ``col2im`` replaces the (buffered, element-at-a-time) ``np.add.at``
-  scatter with k² vectorized slice additions — within one kernel
-  offset the destination positions are distinct, so ``+=`` is exact.
-  The summation *order* across kernel offsets differs from
-  ``np.add.at``, so results agree to float rounding (not bitwise);
-  both orderings are deterministic.
+* ``im2col`` unrolls through a ``sliding_window_view`` over the padded
+  images (plus a ``::stride`` slice for stride > 1); the only copy is
+  the reshape into the GEMM operand.  Bit-identical to a fancy-index
+  gather over explicit ``(channel, row, col)`` index tensors.
+* ``col2im`` scatters with k² vectorized slice additions — within one
+  kernel offset the destination positions are distinct, so ``+=`` is
+  exact.  The summation *order* across kernel offsets differs from an
+  ``np.add.at`` scatter, so the two agree to float rounding (not
+  bitwise); both orderings are deterministic.
 
-``set_index_cache_enabled(False)`` restores the historical
-rebuild-everything behavior; the wall-clock benchmark uses it as the
-baseline for the cached-vs-uncached comparison.
+The gather / ``np.add.at`` formulations live in
+``tests/test_im2col_cache.py`` as the reference implementations these
+kernels are checked against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-
-_INDEX_CACHE_SIZE = 64
-
-_optimized = True
-
-
-def set_index_cache_enabled(enabled: bool) -> bool:
-    """Toggle the index cache + strided fast path; returns the old value.
-
-    Disabling reproduces the pre-optimization behavior (indices rebuilt
-    on every call, fancy-index gather) — used as the benchmark baseline.
-    """
-    global _optimized
-    previous = _optimized
-    _optimized = bool(enabled)
-    return previous
-
-
-def index_cache_enabled() -> bool:
-    """Whether the cached/strided fast paths are active."""
-    return _optimized
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -65,67 +35,14 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _build_patch_indices(
-    channels: int, height: int, width: int, kernel: int, stride: int, pad: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    out_h = conv_output_size(height, kernel, stride, pad)
-    out_w = conv_output_size(width, kernel, stride, pad)
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
-    return k, i, j
-
-
-@lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _cached_patch_indices(
-    channels: int, height: int, width: int, kernel: int, stride: int, pad: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    k, i, j = _build_patch_indices(channels, height, width, kernel, stride, pad)
-    # Shared across callers: freeze so nobody can corrupt the cache.
-    for arr in (k, i, j):
-        arr.setflags(write=False)
-    return k, i, j
-
-
-def _patch_indices(
-    channels: int, height: int, width: int, kernel: int, stride: int, pad: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if _optimized:
-        return _cached_patch_indices(channels, height, width, kernel, stride, pad)
-    return _build_patch_indices(channels, height, width, kernel, stride, pad)
-
-
-def patch_index_cache_info():
-    """``functools.lru_cache`` statistics for the patch-index cache."""
-    return _cached_patch_indices.cache_info()
-
-
-def clear_patch_index_cache() -> None:
-    """Drop all memoized patch indices (tests / benchmarks)."""
-    _cached_patch_indices.cache_clear()
-
-
-def _im2col_strided(
-    padded: np.ndarray, kernel: int, stride: int
-) -> np.ndarray:
-    """Unroll via ``sliding_window_view`` — no index tensors, one copy."""
+def _patch_windows(padded: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """``(N, C, OH, OW, k, k)`` strided view of every kernel-sized patch."""
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (kernel, kernel), axis=(2, 3)
     )
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]
-    n, c, out_h, out_w = windows.shape[:4]
-    # Row = (channel, kernel_row, kernel_col), column = (out_pos, image):
-    # identical layout to the gather formulation below.
-    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(
-        c * kernel * kernel, out_h * out_w * n
-    )
+    return windows
 
 
 def im2col_batched_into(
@@ -141,11 +58,7 @@ def im2col_batched_into(
     serve path's bitwise-reproducibility requirement).  Allocation-free:
     the only copy is the write into ``cols``.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, kernel), axis=(2, 3)
-    )
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
+    windows = _patch_windows(padded, kernel, stride)
     n, c, out_h, out_w = windows.shape[:4]
     cols6 = cols.reshape(n, c, kernel, kernel, out_h, out_w)
     cols6[...] = windows.transpose(0, 1, 4, 5, 2, 3)
@@ -156,25 +69,25 @@ def im2col(
     images: np.ndarray, kernel: int, stride: int, pad: int
 ) -> np.ndarray:
     """Unroll ``(N, C, H, W)`` images into ``(C*k*k, N*OH*OW)`` columns."""
-    n, c, h, w = images.shape
     padded = np.pad(
         images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
     )
-    if _optimized:
-        return _im2col_strided(padded, kernel, stride)
-    k, i, j = _patch_indices(c, h, w, kernel, stride, pad)
-    cols = padded[:, k, i, j]  # (N, C*k*k, OH*OW)
-    return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
+    windows = _patch_windows(padded, kernel, stride)
+    n, c, out_h, out_w = windows.shape[:4]
+    # Row = (channel, kernel_row, kernel_col), column = (out_pos, image).
+    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(
+        c * kernel * kernel, out_h * out_w * n
+    )
 
 
-def _col2im_strided(
+def col2im(
     cols: np.ndarray,
     images_shape: Tuple[int, int, int, int],
     kernel: int,
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Scatter-add via k² vectorized slice additions (no ``np.add.at``)."""
+    """Scatter-add columns back into image space (gradient of im2col)."""
     n, c, h, w = images_shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
@@ -188,26 +101,6 @@ def _col2im_strided(
                 ki : ki + stride * out_h : stride,
                 kj : kj + stride * out_w : stride,
             ] += cols6[:, ki, kj].transpose(3, 0, 1, 2)
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
-
-
-def col2im(
-    cols: np.ndarray,
-    images_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Scatter-add columns back into image space (gradient of im2col)."""
-    if _optimized:
-        return _col2im_strided(cols, images_shape, kernel, stride, pad)
-    n, c, h, w = images_shape
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    k, i, j = _patch_indices(c, h, w, kernel, stride, pad)
-    reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
-    np.add.at(padded, (slice(None), k, i, j), reshaped)
     if pad == 0:
         return padded
     return padded[:, :, pad:-pad, pad:-pad]

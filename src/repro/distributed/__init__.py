@@ -27,12 +27,13 @@ workers can be killed at any iteration boundary and training resumes
 exactly where it left off.
 """
 
-from repro.distributed.link import SecureLink
+from repro.distributed.link import NetworkLink, SecureLink
 from repro.distributed.worker import StageWorker
 from repro.distributed.pipeline import PipelinePlinius, split_layer_counts
 from repro.distributed.data_parallel import DataParallelPlinius
 
 __all__ = [
+    "NetworkLink",
     "SecureLink",
     "StageWorker",
     "PipelinePlinius",

@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.host import Host
 from repro.core.pm_data import PmDataModule
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
@@ -92,19 +93,15 @@ class DataParallelPlinius:
         self._builder = builder
         self._nonces = [0] * n_workers
 
-        # Workers run concurrently: each gets its own clock.
+        # Workers run concurrently: each host gets its own clock.
         self.workers: List[StageWorker] = []
         self.links: List[SecureLink] = []
         self.pm_data: List[PmDataModule] = []
         shards = _split_shards(data, n_workers)
         for idx in range(n_workers):
+            host = Host(f"replica-{idx}", SimClock(), self.profile)
             worker = StageWorker(
-                name=f"replica-{idx}",
-                profile=self.profile,
-                build_model=self._worker_builder(idx),
-                job_key=job_key,
-                clock=SimClock(),
-                seed=seed,
+                host, self._worker_builder(idx), job_key, seed
             )
             self.workers.append(worker)
             self.links.append(SecureLink(worker.engine, worker.clock))

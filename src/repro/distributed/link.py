@@ -2,23 +2,24 @@
 
 Tensors leaving an enclave for another machine's enclave must be sealed:
 a link pairs an AES-GCM engine (keyed by a job key both enclaves obtained
-via attestation) with a NIC cost model.  The transferred bytes are real
-ciphertext — the tests check tensors are never on the wire in plaintext
-and that tampering in flight fails the MAC.
+via attestation) with a wire.  :class:`SecureLink`'s wire is a
+point-to-point NIC cost charged on the link's clock;
+:class:`NetworkLink`'s is a :class:`~repro.cluster.network.ClusterNetwork`
+edge, which pays the same cost on the shared clock and adds the
+``cluster.partition`` / ``cluster.deliver`` fault coordinates on top of
+the link's own ``link.send`` / ``link.recv`` sites.  The transferred
+bytes are real ciphertext — the tests check tensors are never on the
+wire in plaintext and that tampering in flight fails the MAC.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
 
+from repro.cluster.network import NIC_BANDWIDTH, NIC_LATENCY, ClusterNetwork
 from repro.crypto.engine import EncryptionEngine
 from repro.faults import plan as faultplan
 from repro.simtime.clock import SimClock
-
-#: 10 GbE-class interconnect between the secure machines.
-NIC_BANDWIDTH = 1.25 * (1 << 30)  # bytes/second
-NIC_LATENCY = 50e-6  # per message
 
 
 class SecureLink:
@@ -60,8 +61,7 @@ class SecureLink:
         return sealed
 
     def _transit(self, sealed: bytes) -> None:
-        """Charge the wire cost (``repro.cluster`` links route this
-        through the network substrate instead)."""
+        """Carry one sealed message over the wire."""
         self.clock.advance(self.latency + len(sealed) / self.bandwidth)
 
     def receive_array(self, message: bytes) -> np.ndarray:
@@ -80,3 +80,28 @@ class SecureLink:
     def transfer(self, array: np.ndarray) -> np.ndarray:
         """Send + receive in one step (the common in-process case)."""
         return self.receive_array(self.send_array(array))
+
+
+class NetworkLink(SecureLink):
+    """A sealed channel between two named hosts of a cluster."""
+
+    def __init__(
+        self,
+        engine: EncryptionEngine,
+        network: ClusterNetwork,
+        src: str,
+        dst: str,
+    ) -> None:
+        edge = network.link(src, dst)
+        super().__init__(
+            engine,
+            network.clock,
+            bandwidth=edge.bandwidth,
+            latency=edge.latency,
+        )
+        self.network = network
+        self.src = src
+        self.dst = dst
+
+    def _transit(self, sealed: bytes) -> None:
+        self.network.transmit(self.src, self.dst, sealed)

@@ -1,12 +1,13 @@
 """Pipeline (model-sharded) Plinius: beat the EPC limit with N enclaves.
 
 The model's layer stack is partitioned into contiguous stages, each
-hosted by a :class:`StageWorker` (own enclave, own PM region, own
-encrypted mirror).  A training iteration runs the batch forward stage by
-stage — activations crossing between enclaves as AES-GCM-sealed messages
-— computes the loss in the last stage, and back-propagates sealed deltas
-in reverse.  Every stage mirrors every iteration, so killing *any subset
-of workers* at an iteration boundary is recoverable.
+hosted by a :class:`StageWorker` on its own :class:`Host` (own enclave,
+own PM region, own encrypted mirror).  A training iteration runs the
+batch forward stage by stage — activations crossing between enclaves as
+AES-GCM-sealed messages — computes the loss in the last stage, and
+back-propagates sealed deltas in reverse.  Every stage mirrors every
+iteration, so killing *any subset of workers* at an iteration boundary
+is recoverable.
 
 The EPC argument (paper Section VI, "Training larger models"): a model
 of M bytes in one enclave pages heavily once M + footprint exceeds
@@ -22,6 +23,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.host import Host
 from repro.core.models import cnn_cfg
 from repro.core.pm_data import PmDataModule
 from repro.darknet.cfg import build_network, parse_cfg
@@ -112,16 +114,8 @@ class PipelinePlinius:
             )
             extra = data_bytes if idx == 0 else 0
             pm_size = 2 * (2 * stage_params + extra + (4 << 20)) + 8192
-            worker = StageWorker(
-                name=f"stage-{idx}",
-                profile=self.profile,
-                build_model=builder,
-                job_key=job_key,
-                clock=self.clock,
-                seed=seed,
-                pm_size=pm_size,
-            )
-            self.workers.append(worker)
+            host = Host(f"stage-{idx}", self.clock, self.profile, pm_size)
+            self.workers.append(StageWorker(host, builder, job_key, seed))
         # Stage 0 additionally hosts the training data in its PM.
         w0 = self.workers[0]
         self.pm_data = PmDataModule(

@@ -2,32 +2,34 @@
 
 Both distributed modes are built from these.  A worker owns a slice of
 the model (a whole replica in data-parallel mode, a contiguous run of
-layers in pipeline mode) wrapped in a :class:`~repro.darknet.Network`,
-an enclave whose EPC ledger tracks the slice, a PM device with a Romulus
-region, and a :class:`~repro.core.MirrorModule` for its slice.
+layers in pipeline mode) wrapped in a :class:`~repro.darknet.Network`
+and lives on a :class:`~repro.cluster.host.Host`: the PM device is the
+host's (durable across host death), the enclave is spawned on the host
+(dies with it), and the Romulus region holding the slice's
+:class:`~repro.core.MirrorModule` is attached through the host's
+``format_region`` / ``open_region`` entry points — the recovery seam
+the ``host-reboot-skip-recovery`` mutant breaks.
 
-Workers are individually killable: :meth:`kill` destroys the enclave and
-power-fails the PM device; :meth:`resume` recovers the region, rebuilds
-the stage with fresh random weights and restores them from the mirror.
+Workers are individually killable: :meth:`kill` power-fails the host
+(which is what the ``cluster.host_kill`` fault coordinate injects);
+:meth:`resume` boots it, recovers the region, rebuilds the stage with
+fresh random weights and restores them from the mirror.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from repro.cluster.host import Host
 from repro.core.mirror import MirrorModule
 from repro.crypto.engine import EncryptionEngine
 from repro.faults import plan as faultplan
 from repro.darknet.network import Network
-from repro.hw.pmem import PersistentMemoryDevice
 from repro.romulus.alloc import PersistentHeap
-from repro.romulus.region import HEADER_SIZE, RomulusRegion
-from repro.sgx.enclave import Enclave
+from repro.romulus.region import HEADER_SIZE
 from repro.sgx.rand import SgxRandom
-from repro.simtime.clock import SimClock
-from repro.simtime.profiles import ServerProfile
 
 ModelBuilder = Callable[[], Network]
 
@@ -42,65 +44,34 @@ class StageWorker:
 
     def __init__(
         self,
-        name: str,
-        profile: ServerProfile,
+        host: Host,
         build_model: ModelBuilder,
         job_key: bytes,
-        clock: Optional[SimClock] = None,
-        pm_size: Optional[int] = None,
         seed: int = 7,
-        pm: Optional[PersistentMemoryDevice] = None,
     ) -> None:
-        self.name = name
-        self.profile = profile
+        self.host = host
+        self.name = host.name
+        self.profile = host.profile
+        self.clock = host.clock
         self.build_model = build_model
         self.job_key = job_key
-        self.clock = clock if clock is not None else SimClock()
-        self.rand = SgxRandom(name.encode() + seed.to_bytes(4, "big"))
+        self.rand = SgxRandom(host.name.encode() + seed.to_bytes(4, "big"))
         self.network = build_model()
-        if pm is not None:
-            # A host-owned device (the cluster substrate hands the
-            # worker its host's PM so durable state survives the host).
-            self.pm = pm
-        else:
-            if pm_size is None:
-                pm_size = sized_worker_pm(self.network.param_bytes)
-            self.pm = PersistentMemoryDevice(
-                pm_size,
-                self.clock,
-                profile.pm,
-                clflush_cost=profile.clflush_cost,
-                clflushopt_cost=profile.clflushopt_cost,
-                sfence_cost=profile.sfence_cost,
-                store_cost=profile.store_cost,
-                load_cost=profile.load_cost,
-            )
+        # A host built without PM gets a device sized for this slice.
+        self.pm = host.ensure_pm(sized_worker_pm(self.network.param_bytes))
         self._attach(fresh=True)
         self.mirror.alloc_mirror_model(self.network)
 
-    # ------------------------------------------------------------------
-    # Attachment seams — the cluster substrate's worker overrides these
-    # to route enclave spawn and region attach through its Host, without
-    # changing what happens (same constructors, same recovery).
-    # ------------------------------------------------------------------
-    def _spawn_enclave(self) -> Enclave:
-        return Enclave(self.clock, self.profile.sgx)
-
-    def _format_region(self, main_size: int) -> RomulusRegion:
-        return RomulusRegion(self.pm, main_size).format()
-
-    def _open_region(self) -> RomulusRegion:
-        return RomulusRegion.open(self.pm)
-
     def _attach(self, fresh: bool) -> None:
-        self.enclave = self._spawn_enclave()
+        self.enclave = self.host.spawn_enclave()
         self.enclave.malloc("stage", self.network.param_bytes)
         self.engine = EncryptionEngine(self.job_key, rand=self.rand)
-        main_size = (self.pm.size - HEADER_SIZE) // 2
         if fresh:
-            self.region = self._format_region(main_size)
+            self.region = self.host.format_region(
+                (self.pm.size - HEADER_SIZE) // 2
+            )
         else:
-            self.region = self._open_region()
+            self.region = self.host.open_region()
         self.heap = PersistentHeap(self.region)
         self.mirror = MirrorModule(
             self.region, self.heap, self.engine, self.enclave, self.profile
@@ -178,15 +149,15 @@ class StageWorker:
         self.mirror.mirror_out(self.network, iteration)
 
     def kill(self) -> None:
-        """Crash this worker only: enclave dies, PM power-fails."""
-        self.enclave.destroy()
-        self.pm.crash()
+        """The worker's host dies: enclave destroyed, PM power-fails."""
+        self.host.power_fail()
 
     def resume(self) -> int:
-        """Recover: fresh enclave + fresh weights, restored from PM.
+        """Host reboot: fresh enclave + fresh weights, restored from PM.
 
         Returns the iteration recorded in the mirror.
         """
+        self.host.boot()
         self.network = self.build_model()  # fresh random weights
         self._attach(fresh=False)
         self.mirror.mirror_in(self.network)

@@ -52,7 +52,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.fabric import ServingFabric
-from repro.cluster.link import ClusterLink
 from repro.cluster.runtime import Cluster
 from repro.core.mirror import MirrorModule
 from repro.core.models import build_mnist_cnn
@@ -62,6 +61,8 @@ from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine
 from repro.darknet.data import DataMatrix
 from repro.data.mnist import synthetic_mnist, to_data_matrix
+from repro.distributed.link import NetworkLink
+from repro.distributed.worker import StageWorker
 from repro.faults.plan import (
     BaseFaultPlan,
     CountingPlan,
@@ -414,7 +415,7 @@ class TrainWorkload:
             rand=SgxRandom(b"faults-data-" + self.seed.to_bytes(4, "big")),
             observer=m.recorder,
         )
-        link = ClusterLink(engine, m.cluster.network, "datastore", "trainer")
+        link = NetworkLink(engine, m.cluster.network, "datastore", "trainer")
         for _ in range(MAX_FETCH_ATTEMPTS):
             try:
                 x = link.transfer(matrix.x)
@@ -541,8 +542,6 @@ class _LinkMachine:
     """
 
     def __init__(self, batch: int, seed: int, server: str):
-        from repro.cluster.worker import ClusterWorker
-
         profile = get_profile(server)
         self.clock = SimClock()
         self.recorder = TraceRecorder()
@@ -566,11 +565,11 @@ class _LinkMachine:
             # TrainWorkload._network).
             net.momentum = 0.0
             return net
-        self.worker = ClusterWorker(self.host, builder, job_key, seed=seed)
+        self.worker = StageWorker(self.host, builder, job_key, seed=seed)
         # A valid mirror exists before any fault can fire, so resume is
         # always well-defined.
         self.worker.mirror_out(0)
-        self.link = ClusterLink(
+        self.link = NetworkLink(
             self.worker.engine, self.cluster.network, "w0", "peer"
         )
         self.committed = 0

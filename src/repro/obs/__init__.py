@@ -11,7 +11,7 @@ decrypt.  This package makes that attribution a first-class subsystem:
 * :class:`~repro.obs.metrics.CounterRegistry` — component counters
   (ecalls/ocalls, EPC page swaps, PM bytes read/written/flushed,
   Romulus commits/aborts/recoveries, sealed/unsealed bytes) and gauges
-  (im2col cache hits);
+  (gateway queue depth, serve-arena bytes);
 * exporters — Chrome trace-event JSON (open in Perfetto), a JSONL
   stream, and a human-readable summary.
 

@@ -4,18 +4,16 @@ The registry is a flat, thread-safe ``name -> value`` map shared by every
 instrumented component of one :class:`~repro.obs.recorder.TraceRecorder`.
 Counters are monotonically increasing sums (``pm.bytes_read``,
 ``crypto.seals``, ``romulus.commits``, ...); gauges are
-last-writer-wins samples (``im2col.cache_hits`` read from the process-wide
-``lru_cache`` statistics).
+last-writer-wins samples (``serve.queue_depth`` after each admission,
+``arena.bytes`` after each served batch).
 
 Naming convention: ``<component>.<metric>`` with dot-separated lowercase
 segments; byte quantities end in ``_bytes`` or start with ``bytes_``.
 The canonical names emitted by the built-in instrumentation are listed in
 ``docs/observability.md``.
 
-All counter values are derived from deterministic simulated work, so two
-same-seed runs produce identical snapshots (gauges sampled from
-process-global caches, such as the im2col patch-index cache, are the
-documented exception).
+All counter and gauge values are derived from deterministic simulated
+work, so two same-seed runs produce identical snapshots.
 """
 
 from __future__ import annotations

@@ -31,9 +31,8 @@ batch on the next healthy replica under the same exactly-once rule.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.fabric import ServingFabric
 from repro.cluster.loop import EventLoop
@@ -118,46 +117,6 @@ class GatewayResult:
         return {rid: r.sealed for rid, r in self.responses.items()}
 
 
-class LegacyEventQueue:
-    """The gateway's original private heapq scheduler, frozen.
-
-    This is the pre-substrate event loop kept verbatim: a gateway handed
-    one of these behaves exactly as the gateway did before
-    ``repro.cluster`` existed, which makes it the reference side of the
-    differential equivalence tests
-    (``tests/test_cluster_equivalence.py`` proves the substrate-backed
-    gateway produces byte-identical traces, counters, and sealed
-    responses).  Production code always uses
-    :class:`~repro.cluster.loop.EventLoop`.
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self._events: List[Tuple[float, int, str, object]] = []
-        self._order = 0
-
-    def push(self, at: float, kind: str, payload: object) -> None:
-        heapq.heappush(self._events, (float(at), self._order, kind, payload))
-        self._order += 1
-
-    def pending(self) -> int:
-        return len(self._events)
-
-    def run(
-        self,
-        handler: Callable[[str, object], None],
-        post_event: Optional[Callable[[], None]] = None,
-    ) -> None:
-        while self._events:
-            t, _, kind, payload = heapq.heappop(self._events)
-            now = self.clock.now()
-            if t > now:
-                self.clock.advance(t - now)
-            handler(kind, payload)
-            if post_event is not None:
-                post_event()
-
-
 class InferenceGateway:
     """Batching, replicated, hot-reloading front of the secure service."""
 
@@ -187,8 +146,8 @@ class InferenceGateway:
                 loop = cluster.loop
             else:
                 loop = EventLoop(clock)
-        #: The event scheduler (a cluster EventLoop, or the frozen
-        #: LegacyEventQueue in the differential tests).
+        #: The event scheduler: an ambient or caller-supplied cluster
+        #: EventLoop, else a private one.
         self.loop = loop
         #: Optional host placement: arms the cluster.partition /
         #: cluster.deliver barriers on the dispatch and completion edges.

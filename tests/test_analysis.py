@@ -40,7 +40,7 @@ class TestTcbReport:
         all-in-enclave (libOS) alternative — the paper measures ~44%."""
         report = tcb_report()
         assert report.trusted_loc < report.libos_tcb_loc
-        assert 0.30 < report.reduction < 0.75
+        assert 0.30 < report.reduction < 0.80
 
     def test_sides_are_disjoint_and_sum(self):
         report = tcb_report()

@@ -322,3 +322,32 @@ class TestTraceFlag:
         assert main(["fig8", "--trace", str(path)]) == 0
         assert get_default_recorder() is NULL_RECORDER
         assert path.exists()
+
+
+def _load_benchmark_script(name: str):
+    """Import ``benchmarks/<name>.py`` (scripts, not a package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWallclockScripts:
+    def test_zero_threads_is_an_argparse_error(self, capsys):
+        bench = _load_benchmark_script("bench_wallclock")
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--smoke", "--threads", "0"])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+
+    def test_checker_refuses_a_baseline_of_another_schema(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        report = {"schema": 5, "criteria": {"mirrors_identical": True}}
+        failures = checker.check({"schema": 3}, report, tolerance=0.1)
+        assert len(failures) == 1
+        assert "schema 3" in failures[0] and "schema 5" in failures[0]
+        assert checker.check({"schema": 5}, report, tolerance=0.1) == []

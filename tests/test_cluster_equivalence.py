@@ -1,34 +1,41 @@
-"""Differential tests: the cluster substrate changes *nothing*.
+"""Golden-fixture tests: one code path, the same simulated behaviour.
 
-The ``repro.cluster`` substrate absorbed the inference gateway's private
-heapq scheduler and the distributed pipeline worker's hardware
-ownership.  These tests run the same seeded scenario twice — once on
-the frozen legacy implementation
-(:class:`~repro.serving.gateway.LegacyEventQueue`, plain
-:class:`~repro.distributed.worker.StageWorker` +
-:class:`~repro.distributed.link.SecureLink`) and once on the substrate
-(:class:`~repro.cluster.loop.EventLoop`,
-:class:`~repro.cluster.worker.ClusterWorker` +
-:class:`~repro.cluster.link.ClusterLink`) — and assert byte-identical
-canonical trace reports, equal counter snapshots, equal sim-time span
-views, and identical sealed response/loss bytes.  Any drift between the
-two stacks fails here first.
+The gateway's private heapq scheduler, the host-less stage worker with
+its clock-charged link, and the mirror's allocate-and-copy sealing path
+each lived beside their replacement until the differentials were proven.
+Before they were deleted (commit 2944023), the *legacy* side of every
+differential was run once and its sim-plane observations frozen in
+``tests/fixtures/golden/twins.json``: ``clock.now()``, batch
+composition, counter snapshots and sha256 of the canonical trace report
+and of ``sim_view``.  These tests run the same seeded scenarios on the
+one implementation that remains and compare with ``==`` — floats
+included.  Host-BLAS-dependent values (sealed response bytes, losses,
+parameter digests) are deliberately not frozen; they stay checked
+in-run by ``tests/test_serving_properties.py`` and invariant I3.
+
+Regenerate (only when a PR changes simulated behaviour on purpose)::
+
+    PYTHONPATH=src python -m tests.test_cluster_equivalence \
+        > tests/fixtures/golden/twins.json
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import Cluster, ClusterLink, ClusterWorker, installed_cluster
+from repro.cluster import Cluster, installed_cluster
 from repro.cluster.loop import EventLoop
 from repro.core.models import build_mnist_cnn
 from repro.core.serving import InferenceClient
 from repro.core.system import PliniusSystem
-from repro.distributed.link import SecureLink
+from repro.data import synthetic_mnist, to_data_matrix
+from repro.distributed import DataParallelPlinius, PipelinePlinius
+from repro.distributed.link import NetworkLink
 from repro.distributed.worker import StageWorker
-from repro.faults.workload import params_digest
 from repro.obs import TraceRecorder
 from repro.obs.report import build_report_from_recorder, render_report_json
 from repro.serving import (
@@ -37,13 +44,34 @@ from repro.serving import (
     InferenceGateway,
     ReplicaPool,
 )
-from repro.serving.gateway import LegacyEventQueue
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import get_profile
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden" / "twins.json"
 
 N_CLIENTS = 2
 N_REQUESTS = 10
 SEED = 5
+
+
+def _golden() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def _sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _sim_plane(recorder: TraceRecorder, clock: SimClock) -> dict:
+    report = render_report_json(build_report_from_recorder(recorder))
+    return {
+        "now": clock.now(),
+        "counters": recorder.counters.snapshot(),
+        "sim_view_sha256": _sha(recorder.sim_view()),
+        "report_sha256": _sha(report.encode()),
+    }
 
 
 def _factory(seed: int = SEED):
@@ -64,8 +92,8 @@ def _images(n: int, seed: int = 0) -> np.ndarray:
     )
 
 
-def _deployment(recorder: TraceRecorder, loop=None, fabric_from=None):
-    """Mirror at generation 1, 2-replica pool, gateway on ``loop``."""
+def _deployment(recorder: TraceRecorder):
+    """Mirror at generation 1, 2-replica pool, gateway on its own loop."""
     system = PliniusSystem.create(
         server="emlSGX-PM", seed=SEED, pm_size=4 << 20, recorder=recorder
     )
@@ -81,14 +109,11 @@ def _deployment(recorder: TraceRecorder, loop=None, fabric_from=None):
         factory,
         n_replicas=2,
     )
-    if loop == "legacy":
-        loop = LegacyEventQueue(system.clock)
     gateway = InferenceGateway(
         pool,
         system.clock,
         BatchPolicy(max_requests=4, max_delay=1e-3),
         AdmissionPolicy(max_queue_depth=64),
-        loop=loop,
     )
     clients = {}
     for sid in range(1, N_CLIENTS + 1):
@@ -98,20 +123,18 @@ def _deployment(recorder: TraceRecorder, loop=None, fabric_from=None):
     return system, pool, gateway, clients
 
 
-def _run_scenario(loop) -> dict:
+def _gateway_scenario() -> dict:
     """One full gateway drain: reload mid-run, crash + repair, 10 reqs."""
     recorder = TraceRecorder()
-    system, pool, gateway, clients = _deployment(recorder, loop=loop)
+    system, pool, gateway, clients = _deployment(recorder)
     images = _images(N_REQUESTS)
     base = system.clock.now()
-    labels = {}
     for index in range(N_REQUESTS):
         client = clients[1 + index % N_CLIENTS]
         seq, sealed = client.seal_request_seq(images[index : index + 1])
-        rid = gateway.submit(
+        gateway.submit(
             client.session_id, seq, sealed, 1, at=base + index * 2e-4
         )
-        labels[rid] = index
 
     net2 = _factory(SEED + 1)()
 
@@ -124,39 +147,24 @@ def _run_scenario(loop) -> dict:
     gateway.schedule_repair(base + 5e-3, 0)
     result = gateway.run()
     return {
-        "sealed": {
-            labels[rid]: record.sealed
-            for rid, record in result.responses.items()
-        },
+        "responses": len(result.responses),
         "rejected": list(result.rejected),
         "redispatches": result.redispatches,
         "batches": [
-            (b.replica, b.generation, b.n_requests, b.attempts)
+            [b.replica, b.generation, b.n_requests, b.attempts]
             for b in result.batches
         ],
-        "now": system.clock.now(),
-        "counters": recorder.counters.snapshot(),
-        "sim_view": recorder.sim_view(),
-        "report": render_report_json(build_report_from_recorder(recorder)),
+        **_sim_plane(recorder, system.clock),
     }
 
 
 class TestGatewayEquivalence:
     def test_substrate_loop_matches_legacy_byte_for_byte(self):
-        legacy = _run_scenario("legacy")
-        substrate = _run_scenario(None)  # resolves to a substrate loop
-        assert substrate["sealed"] == legacy["sealed"]
-        assert substrate["rejected"] == legacy["rejected"]
-        assert substrate["redispatches"] == legacy["redispatches"]
-        assert substrate["batches"] == legacy["batches"]
-        assert substrate["now"] == legacy["now"]
-        assert substrate["counters"] == legacy["counters"]
-        assert substrate["sim_view"] == legacy["sim_view"]
-        assert substrate["report"] == legacy["report"]
+        assert _gateway_scenario() == _golden()["gateway"]
 
     def test_default_loop_is_substrate_event_loop(self):
         recorder = TraceRecorder()
-        _, _, gateway, _ = _deployment(recorder, loop=None)
+        _, _, gateway, _ = _deployment(recorder)
         assert isinstance(gateway.loop, EventLoop)
 
     def test_gateway_rides_ambient_cluster_loop(self):
@@ -199,52 +207,9 @@ def _seed_mirror(system) -> bool:
     return True
 
 
-def _worker_steps(worker, link, losses, steps=(0, 1, 2), kill_at=1):
-    """Three training steps with a kill/resume before ``kill_at``."""
-    batch = 4
-    for step in steps:
-        if step == kill_at:
-            worker.kill()
-            resumed = worker.resume()
-            assert resumed == step
-        rng = np.random.default_rng((SEED, step))
-        x = rng.random((batch, 1, 28, 28), dtype=np.float32)
-        y = np.zeros((batch, 10), dtype=np.float32)
-        y[np.arange(batch), rng.integers(0, 10, batch)] = 1.0
-        out = worker.forward(x, train=True)
-        loss, _ = worker.loss_and_backward(y)
-        worker.update()
-        losses[step] = loss
-        worker.mirror_out(step + 1)
-        received = link.transfer(out)
-        assert np.array_equal(received, out)
-
-
-def _legacy_worker_run() -> dict:
-    recorder = TraceRecorder()
-    clock = SimClock()
-    clock.recorder = recorder
-    profile = get_profile("emlSGX-PM")
-    job_key = hashlib.sha256(b"equivalence-job").digest()[:16]
-    worker = StageWorker(
-        "w0", profile, _factory(), job_key, clock=clock, seed=7
-    )
-    worker.mirror_out(0)
-    link = SecureLink(worker.engine, clock)
-    losses: dict = {}
-    _worker_steps(worker, link, losses)
-    return {
-        "losses": losses,
-        "digest": params_digest(worker.network),
-        "stored": worker.mirror.stored_iteration(),
-        "now": clock.now(),
-        "counters": recorder.counters.snapshot(),
-        "sim_view": recorder.sim_view(),
-        "report": render_report_json(build_report_from_recorder(recorder)),
-    }
-
-
-def _substrate_worker_run() -> dict:
+def _worker_scenario() -> dict:
+    """Three training steps with a kill/resume before step 1, each
+    followed by a sealed transfer over the w0 -> peer edge."""
     recorder = TraceRecorder()
     clock = SimClock()
     clock.recorder = recorder
@@ -254,33 +219,74 @@ def _substrate_worker_run() -> dict:
     host = cluster.add_host("w0", profile)
     cluster.add_host("peer", profile)
     cluster.connect("w0", "peer")
-    worker = ClusterWorker(host, _factory(), job_key, seed=7)
+    worker = StageWorker(host, _factory(), job_key, seed=7)
     worker.mirror_out(0)
-    link = ClusterLink(worker.engine, cluster.network, "w0", "peer")
-    losses: dict = {}
-    _worker_steps(worker, link, losses)
+    link = NetworkLink(worker.engine, cluster.network, "w0", "peer")
+    batch = 4
+    for step in (0, 1, 2):
+        if step == 1:
+            worker.kill()
+            assert worker.resume() == step
+        rng = np.random.default_rng((SEED, step))
+        x = rng.random((batch, 1, 28, 28), dtype=np.float32)
+        y = np.zeros((batch, 10), dtype=np.float32)
+        y[np.arange(batch), rng.integers(0, 10, batch)] = 1.0
+        out = worker.forward(x, train=True)
+        worker.loss_and_backward(y)
+        worker.update()
+        worker.mirror_out(step + 1)
+        assert np.array_equal(link.transfer(out), out)
     return {
-        "losses": losses,
-        "digest": params_digest(worker.network),
         "stored": worker.mirror.stored_iteration(),
-        "now": clock.now(),
-        "counters": recorder.counters.snapshot(),
-        "sim_view": recorder.sim_view(),
-        "report": render_report_json(build_report_from_recorder(recorder)),
+        **_sim_plane(recorder, clock),
+    }
+
+
+def _dataset():
+    images, labels, _, _ = synthetic_mnist(256, 1, seed=3)
+    return to_data_matrix(images, labels)
+
+
+def _pipeline_scenario() -> dict:
+    """2 stages x 3 iterations, stage 0 killed and resumed after the first."""
+    pipe = PipelinePlinius(
+        _dataset(), n_conv_layers=4, n_stages=2, filters=4, batch=8, seed=SEED
+    )
+    first = pipe.train(1)
+    pipe.kill_workers([0])
+    pipe.resume_workers([0])
+    rest = pipe.train(3)
+    return {
+        "sim_seconds": [first.sim_seconds, rest.sim_seconds],
+        "final_iteration": rest.final_iteration,
+        "now": pipe.clock.now(),
+    }
+
+
+def _data_parallel_scenario() -> dict:
+    """2 replicas x 3 synchronous steps."""
+    dp = DataParallelPlinius(
+        _dataset(), n_workers=2, n_conv_layers=2, filters=4, batch=8, seed=SEED
+    )
+    result = dp.train(3)
+    return {
+        "sim_seconds": result.sim_seconds,
+        "comm_seconds": result.comm_seconds,
+        "compute_seconds": result.compute_seconds,
+        "worker_now": [w.clock.now() for w in dp.workers],
+        "now": dp.clock.now(),
     }
 
 
 class TestWorkerEquivalence:
     def test_cluster_worker_matches_legacy_byte_for_byte(self):
-        legacy = _legacy_worker_run()
-        substrate = _substrate_worker_run()
-        assert substrate["losses"] == legacy["losses"]
-        assert substrate["digest"] == legacy["digest"]
-        assert substrate["stored"] == legacy["stored"]
-        assert substrate["now"] == legacy["now"]
-        assert substrate["counters"] == legacy["counters"]
-        assert substrate["sim_view"] == legacy["sim_view"]
-        assert substrate["report"] == legacy["report"]
+        assert _worker_scenario() == _golden()["worker"]
+
+    def test_pipeline_sim_time_matches_golden(self):
+        assert _pipeline_scenario() == _golden()["pipeline"]
+
+    def test_data_parallel_sim_time_matches_golden(self):
+        assert _data_parallel_scenario() == _golden()["data_parallel"]
 
 
 class TestConftestGuard:
@@ -298,3 +304,23 @@ class TestConftestGuard:
         leaked = restore_and_diff_process_defaults(before)
         assert any("cluster topology" in item for item in leaked)
         assert get_active_cluster() is original
+
+
+if __name__ == "__main__":
+    from repro.crypto.parallel import shutdown_executors
+    from tests.test_mirror_parallel import THREADS, mirror_sim_totals
+
+    print(
+        json.dumps(
+            {
+                "gateway": _gateway_scenario(),
+                "worker": _worker_scenario(),
+                "pipeline": _pipeline_scenario(),
+                "data_parallel": _data_parallel_scenario(),
+                "mirror": {str(t): mirror_sim_totals(t) for t in THREADS},
+            },
+            indent=2,
+            sort_keys=True,
+        )
+    )
+    shutdown_executors()

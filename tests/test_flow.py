@@ -371,7 +371,7 @@ def test_project_resolves_methods_and_thread_roots():
     # The sealing fan-out's nested worker is a thread root, so the
     # recorder paths it reaches count as concurrent.
     assert any(
-        "._seal_parallel." in root or "._unseal_into" in root
+        "MirrorModule._run_jobs." in root
         for root in engine.graph.thread_roots
     )
 

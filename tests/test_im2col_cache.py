@@ -1,5 +1,6 @@
-"""The im2col hot-path optimizations: strided fast path vs. the original
-gather, the patch-index cache, and the vectorized col2im scatter."""
+"""The im2col/col2im kernels against their reference formulations: the
+strided unroll vs. a fancy-index gather, and the vectorized slice
+scatter vs. ``np.add.at``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.darknet import im2col as m
+from repro.darknet.layers import convolutional
 
 # (n, c, h, w, kernel, stride, pad) — exercises k=1, stride>1,
 # rectangular inputs, and zero/nonzero padding.
@@ -21,13 +23,40 @@ SHAPES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def fresh_state():
-    m.clear_patch_index_cache()
-    previous = m.set_index_cache_enabled(True)
-    yield
-    m.set_index_cache_enabled(previous)
-    m.clear_patch_index_cache()
+def _patch_indices(channels, height, width, kernel, stride, pad):
+    out_h = m.conv_output_size(height, kernel, stride, pad)
+    out_w = m.conv_output_size(width, kernel, stride, pad)
+    i0 = np.tile(np.repeat(np.arange(kernel), kernel), channels)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kernel), kernel * channels)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
+    return k, i, j
+
+
+def gather_im2col(images, kernel, stride, pad):
+    """Reference im2col: gather through explicit patch-index tensors."""
+    n, c, h, w = images.shape
+    padded = np.pad(
+        images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
+    )
+    k, i, j = _patch_indices(c, h, w, kernel, stride, pad)
+    cols = padded[:, k, i, j]  # (N, C*k*k, OH*OW)
+    return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
+
+
+def scatter_col2im(cols, images_shape, kernel, stride, pad):
+    """Reference col2im: buffered ``np.add.at`` scatter."""
+    n, c, h, w = images_shape
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    k, i, j = _patch_indices(c, h, w, kernel, stride, pad)
+    reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
+    np.add.at(padded, (slice(None), k, i, j), reshaped)
+    if pad == 0:
+        return padded
+    return padded[:, :, pad:-pad, pad:-pad]
 
 
 def images_for(shape, seed=0):
@@ -44,12 +73,10 @@ class TestStridedFastPath:
     def test_im2col_bit_identical_to_gather(self, shape):
         n, c, h, w, k, stride, pad = shape
         imgs = images_for(shape)
-        m.set_index_cache_enabled(True)
         fast = m.im2col(imgs, k, stride, pad)
-        m.set_index_cache_enabled(False)
-        legacy = m.im2col(imgs, k, stride, pad)
-        assert fast.shape == legacy.shape
-        assert np.array_equal(fast, legacy)  # bitwise, not approx
+        reference = gather_im2col(imgs, k, stride, pad)
+        assert fast.shape == reference.shape
+        assert np.array_equal(fast, reference)  # bitwise, not approx
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_col2im_matches_scatter_add(self, shape):
@@ -61,13 +88,11 @@ class TestStridedFastPath:
             .normal(size=(c * k * k, out_h * out_w * n))
             .astype(np.float32)
         )
-        m.set_index_cache_enabled(True)
         fast = m.col2im(cols, (n, c, h, w), k, stride, pad)
-        m.set_index_cache_enabled(False)
-        legacy = m.col2im(cols, (n, c, h, w), k, stride, pad)
+        reference = scatter_col2im(cols, (n, c, h, w), k, stride, pad)
         # Summation order across kernel offsets differs — float-rounding
         # level agreement, not bitwise.
-        np.testing.assert_allclose(fast, legacy, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(fast, reference, rtol=1e-5, atol=1e-6)
 
     def test_roundtrip_gradient_shape(self):
         imgs = images_for((2, 3, 8, 8))
@@ -76,63 +101,16 @@ class TestStridedFastPath:
         assert back.shape == imgs.shape
 
 
-class TestIndexCache:
-    def test_cache_hit_on_repeat_shape(self):
-        m.set_index_cache_enabled(False)  # strided path skips indices
-        imgs = images_for((2, 3, 8, 8))
-        m.set_index_cache_enabled(True)
-        before = m.patch_index_cache_info()
-        # Exercise the cached index path directly (the public im2col uses
-        # the strided view; col2im's legacy path and external callers
-        # still consume indices).
-        m._patch_indices(3, 8, 8, 3, 1, 1)
-        m._patch_indices(3, 8, 8, 3, 1, 1)
-        m._patch_indices(3, 8, 8, 3, 1, 1)
-        info = m.patch_index_cache_info()
-        assert info.misses == before.misses + 1
-        assert info.hits >= before.hits + 2
-
-    def test_cached_indices_frozen(self):
-        k, i, j = m._patch_indices(3, 8, 8, 3, 1, 1)
-        for arr in (k, i, j):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
-
-    def test_cache_disabled_rebuilds(self):
-        m.set_index_cache_enabled(False)
-        a = m._patch_indices(3, 8, 8, 3, 1, 1)
-        b = m._patch_indices(3, 8, 8, 3, 1, 1)
-        assert a[0] is not b[0]  # fresh arrays every call
-        assert all(x.flags.writeable for x in a)
-
-    def test_toggle_returns_previous(self):
-        assert m.set_index_cache_enabled(False) is True
-        assert m.index_cache_enabled() is False
-        assert m.set_index_cache_enabled(True) is False
-        assert m.index_cache_enabled() is True
-
-    def test_clear_resets_counts(self):
-        m._patch_indices(3, 8, 8, 3, 1, 1)
-        m.clear_patch_index_cache()
-        info = m.patch_index_cache_info()
-        assert info.currsize == 0
-
-
 class TestConvLayerEquivalence:
-    def test_forward_backward_match_legacy(self):
-        """A conv layer's forward/backward under the optimized lowering
-        agrees with the original formulation."""
-        from repro.darknet.layers.convolutional import ConvolutionalLayer
-
+    def test_forward_backward_match_legacy(self, monkeypatch):
+        """A conv layer's forward/backward agrees with the same layer
+        lowered through the reference formulations."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3, 10, 10)).astype(np.float32)
         delta_seed = rng.normal(size=(4, 8, 10, 10)).astype(np.float32)
 
-        results = {}
-        for enabled in (True, False):
-            m.set_index_cache_enabled(enabled)
-            layer = ConvolutionalLayer(
+        def run():
+            layer = convolutional.ConvolutionalLayer(
                 in_shape=(3, 10, 10),
                 filters=8,
                 kernel=3,
@@ -140,10 +118,11 @@ class TestConvLayerEquivalence:
                 pad=1,
                 rng=np.random.default_rng(7),
             )
-            out = layer.forward(x)
-            dx = layer.backward(delta_seed)
-            results[enabled] = (out, dx)
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_allclose(
-            results[True][1], results[False][1], rtol=1e-5, atol=1e-6
-        )
+            return layer.forward(x), layer.backward(delta_seed)
+
+        out, dx = run()
+        monkeypatch.setattr(convolutional, "im2col", gather_im2col)
+        monkeypatch.setattr(convolutional, "col2im", scatter_col2im)
+        ref_out, ref_dx = run()
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-5, atol=1e-6)

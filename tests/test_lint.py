@@ -232,7 +232,7 @@ def test_cli_tcb_json(capsys):
     assert "repro.obs.recorder" in modules
     assert "repro.analysis.lint.framework" in modules
     assert "repro.sgx.rand" in modules
-    assert 0.30 < payload["reduction"] < 0.75
+    assert 0.30 < payload["reduction"] < 0.80
     sides = {m["module"]: m["side"] for m in payload["modules"]}
     assert sides["repro.sgx.rand"] == "trusted"  # the in-enclave DRNG
     assert sides["repro.obs.recorder"] == "untrusted"

@@ -1,10 +1,12 @@
-"""The parallel sealing pipeline: determinism across configurations,
-simulated-time fidelity, crash atomicity with threads, and the makespan
-cost model."""
+"""The sealing pipeline: determinism across thread counts, the sealed
+format pinned against the reference ``seal``, simulated-time fidelity,
+crash atomicity with threads, and the makespan cost model."""
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,16 @@ from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
-CONFIGS = [(1, False), (1, True), (3, False), (3, True)]
+THREADS = [1, 3]
+
+#: Sim totals recorded from the deleted copy path at commit 2944023
+#: (regenerate: ``python -m tests.test_cluster_equivalence``).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden" / "twins.json").read_text()
+)
 
 
-def make_mirror(crypto_threads: int = 1, zero_copy: bool = True, pm_size=16 << 20):
+def make_mirror(crypto_threads: int = 1, pm_size=16 << 20):
     clock = SimClock()
     device = PersistentMemoryDevice(pm_size, clock, EMLSGX_PM.pm)
     region = RomulusRegion(device, (pm_size - 4096) // 2).format()
@@ -39,7 +47,6 @@ def make_mirror(crypto_threads: int = 1, zero_copy: bool = True, pm_size=16 << 2
         enclave,
         EMLSGX_PM,
         crypto_threads=crypto_threads,
-        zero_copy=zero_copy,
     )
     return device, region, mirror
 
@@ -60,45 +67,72 @@ def pm_digest(device: PersistentMemoryDevice) -> str:
     return hashlib.sha256(bytes(device._data)).hexdigest()
 
 
+def mirror_sim_totals(threads: int) -> dict:
+    """Sim-plane observations of one save + restore (the fixture row)."""
+    _, _, mirror = make_mirror(threads)
+    net = make_model(seed=12)
+    mirror.alloc_mirror_model(net)
+    out = mirror.mirror_out(net, 1)
+    back = mirror.mirror_in(make_model(seed=99))
+    return {
+        "out": [out.crypto_seconds, out.storage_seconds],
+        "in": [back.crypto_seconds, back.storage_seconds],
+        "now": mirror.clock.now(),
+    }
+
+
 class TestDeterminism:
     def test_mirror_bytes_identical_across_configs(self):
         """Sealed PM images (including IVs) must not depend on the number
-        of crypto threads or the copy strategy."""
+        of crypto threads."""
         digests = {}
-        for threads, zero_copy in CONFIGS:
-            device, _, mirror = make_mirror(threads, zero_copy)
+        for threads in THREADS:
+            device, _, mirror = make_mirror(threads)
             net = make_model(seed=12)
             mirror.alloc_mirror_model(net)
             mirror.mirror_out(net, 5)
-            digests[(threads, zero_copy)] = pm_digest(device)
+            digests[threads] = pm_digest(device)
         assert len(set(digests.values())) == 1, digests
 
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_slots_hold_reference_seal_of_each_buffer(self, threads):
+        """The format, pinned from the paper rather than from a twin:
+        every PM slot is ``seal(buffer bytes, aad=buffer name)`` with the
+        IVs drawn in layer/buffer order (the engine draws none elsewhere)."""
+        _, region, mirror = make_mirror(threads)
+        net = make_model(seed=12)
+        mirror.alloc_mirror_model(net)
+        mirror.mirror_out(net, 5)
+        oracle = EncryptionEngine(b"k" * 16, rand=SgxRandom(b"iv"))
+        _, _, layout = mirror._mirror_layout(region.root(0))
+        rows = [
+            layer.parameter_buffers()
+            for layer in net.layers
+            if layer.parameter_buffers()
+        ]
+        assert len(layout) == len(rows)
+        for refs, buffers in zip(layout, rows):
+            assert len(refs) == len(buffers)
+            for (size, offset), (name, arr) in zip(refs, buffers):
+                expected = oracle.seal(arr.tobytes(), aad=name.encode())
+                assert region.read(offset, size) == expected
+
     def test_sim_time_identical_at_one_thread(self):
-        """zero_copy changes wall-clock only: simulated totals at
-        ``crypto_threads=1`` must equal the legacy serial path exactly."""
-        totals = {}
-        for zero_copy in (False, True):
-            device, _, mirror = make_mirror(1, zero_copy)
-            net = make_model(seed=12)
-            mirror.alloc_mirror_model(net)
-            timing = mirror.mirror_out(net, 1)
-            restored = make_model(seed=99)
-            timing_in = mirror.mirror_in(restored)
-            totals[zero_copy] = (
-                timing.crypto_seconds,
-                timing.storage_seconds,
-                timing_in.crypto_seconds,
-                timing_in.storage_seconds,
-                mirror.clock.now(),
-            )
-        assert totals[False] == totals[True]
+        """Phase timings and the final clock at ``crypto_threads=1`` are
+        float-exact against the totals the allocate-and-copy path gave
+        before it was deleted."""
+        assert mirror_sim_totals(1) == GOLDEN["mirror"]["1"]
+
+    def test_sim_time_identical_at_three_threads(self):
+        """Same, for the makespan-charged fan-out."""
+        assert mirror_sim_totals(3) == GOLDEN["mirror"]["3"]
 
     def test_parallel_crypto_time_is_makespan(self):
         """Threads overlap encryption in simulated time too: the crypto
         span shrinks but storage (single PM channel) does not."""
         results = {}
         for threads in (1, 3):
-            _, _, mirror = make_mirror(threads, True)
+            _, _, mirror = make_mirror(threads)
             net = make_model(seed=12)
             mirror.alloc_mirror_model(net)
             results[threads] = mirror.mirror_out(net, 1)
@@ -111,26 +145,25 @@ class TestDeterminism:
 
     def test_parallel_mirror_in_bit_identical_to_serial(self):
         weights = {}
-        for threads, zero_copy in CONFIGS:
-            _, _, mirror = make_mirror(threads, zero_copy)
+        for threads in THREADS:
+            _, _, mirror = make_mirror(threads)
             net = make_model(seed=21)
             mirror.alloc_mirror_model(net)
             mirror.mirror_out(net, 3)
             restored = make_model(seed=77)  # different random init
             mirror.mirror_in(restored)
             restored.iteration = 0
-            weights[(threads, zero_copy)] = save_weights(restored)[16:]
+            weights[threads] = save_weights(restored)[16:]
         assert len(set(weights.values())) == 1
         source = save_weights(make_model(seed=21))[16:]
         assert next(iter(weights.values())) == source
 
 
 class TestCrashAtomicity:
-    @pytest.mark.parametrize("zero_copy", [False, True])
-    def test_crash_mid_parallel_mirror_out_keeps_old_mirror(self, zero_copy):
+    def test_crash_mid_parallel_mirror_out_keeps_old_mirror(self):
         """A crash inside the write transaction with ``crypto_threads>1``
         must recover to the pre-transaction mirror, exactly like serial."""
-        device, region, mirror = make_mirror(3, zero_copy)
+        device, region, mirror = make_mirror(3)
         net = make_model(seed=5)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -165,7 +198,7 @@ class TestCrashAtomicity:
             assert save_weights(restored)[16:] == old[16:]
 
     def test_tamper_detected_on_zero_copy_restore(self):
-        device, _, mirror = make_mirror(3, True)
+        device, _, mirror = make_mirror(3)
         net = make_model(seed=8)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -179,6 +212,45 @@ class TestCrashAtomicity:
 
         with pytest.raises((IntegrityError, MirrorError)):
             mirror.mirror_in(make_model(seed=9))
+
+
+class TestRealInputFallbacks:
+    """Inputs the in-place fast path cannot take still behave."""
+
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_slot_size_mismatch_raises_and_keeps_old_mirror(self, threads):
+        from repro.core.mirror import MirrorError
+
+        _, _, mirror = make_mirror(threads)
+        net = make_model(seed=5)
+        mirror.alloc_mirror_model(net)
+        mirror.mirror_out(net, 1)
+        wider = build_mnist_cnn(
+            n_conv_layers=2, filters=5, batch=8, rng=np.random.default_rng(5)
+        )
+        with pytest.raises(MirrorError, match="PM slot holds"):
+            mirror.mirror_out(wider, 2)
+        restored = make_model(seed=6)
+        mirror.mirror_in(restored)
+        assert restored.iteration == 1
+        restored.iteration = 0
+        assert save_weights(restored)[16:] == save_weights(net)[16:]
+
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_restore_into_non_contiguous_parameter(self, threads):
+        _, _, mirror = make_mirror(threads)
+        net = make_model(seed=5)
+        mirror.alloc_mirror_model(net)
+        mirror.mirror_out(net, 1)
+        restored = make_model(seed=6)
+        conv = next(l for l in restored.layers if l.parameter_buffers())
+        # A Fortran-ordered weight tensor cannot be decrypted into in
+        # place; it goes through unseal + set_parameter.
+        conv.weights = np.asfortranarray(conv.weights)
+        assert not conv.weights.flags.c_contiguous
+        mirror.mirror_in(restored)
+        source = next(l for l in net.layers if l.parameter_buffers())
+        np.testing.assert_array_equal(conv.weights, source.weights)
 
 
 class TestCostModel:
@@ -227,8 +299,8 @@ class TestConfigValidation:
         """End-to-end: a mirrored training iteration restores identically
         regardless of pipeline configuration."""
         outs = set()
-        for threads, zero_copy in CONFIGS:
-            _, _, mirror = make_mirror(threads, zero_copy)
+        for threads in THREADS:
+            _, _, mirror = make_mirror(threads)
             net = make_model(seed=31)
             mirror.alloc_mirror_model(net)
             x = np.random.default_rng(1).normal(

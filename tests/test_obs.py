@@ -45,10 +45,10 @@ class TestCounterRegistry:
 
     def test_gauges(self):
         reg = CounterRegistry()
-        reg.set_gauge("im2col.cache_hits", 5)
-        reg.set_gauge("im2col.cache_hits", 9)
-        assert reg.get_gauge("im2col.cache_hits") == 9
-        assert reg.gauges_snapshot() == {"im2col.cache_hits": 9}
+        reg.set_gauge("serve.queue_depth", 5)
+        reg.set_gauge("serve.queue_depth", 9)
+        assert reg.get_gauge("serve.queue_depth") == 9
+        assert reg.gauges_snapshot() == {"serve.queue_depth": 9}
 
     def test_len_and_clear(self):
         reg = CounterRegistry()
@@ -135,10 +135,10 @@ class TestTraceRecorder:
         rec.instant("romulus.recover", 2.0, args={"found_state": "IDLE"})
         rec.count("sgx.ecalls")
         rec.count("pm.bytes_written", 4096)
-        rec.gauge("im2col.cache_hits", 7)
+        rec.gauge("serve.queue_depth", 7)
         assert rec.find_events("romulus.recover")[0]["sim_time"] == 2.0
         assert rec.counters.get("pm.bytes_written") == 4096
-        assert rec.counters.get_gauge("im2col.cache_hits") == 7
+        assert rec.counters.get_gauge("serve.queue_depth") == 7
 
     def test_sim_view_excludes_host_fields_and_sorts(self):
         rec = TraceRecorder()
@@ -259,7 +259,7 @@ class TestExporters:
         )
         rec.instant("romulus.recover", 0.5, args={"found_state": "IDLE"})
         rec.count("pm.bytes_written", 4096)
-        rec.gauge("im2col.cache_hits", 3)
+        rec.gauge("serve.queue_depth", 3)
         return rec
 
     def test_chrome_trace_structure(self):
@@ -284,7 +284,7 @@ class TestExporters:
         assert encrypt_sim[0]["dur"] == pytest.approx(3.0e6)  # microseconds
         counters = [e for e in events if e["ph"] == "C"]
         assert counters[0]["args"]["value"] == 4096
-        assert doc["otherData"]["gauges"] == {"im2col.cache_hits": 3}
+        assert doc["otherData"]["gauges"] == {"serve.queue_depth": 3}
 
     def test_write_chrome_trace_round_trip(self, tmp_path):
         path = tmp_path / "trace.json"
