@@ -2,14 +2,17 @@
 
 Unlike the figure benchmarks (simulated seconds), this measures *real*
 elapsed time: mirror save/restore at ``crypto_threads`` 1 vs. N, the
-batched vs. per-request inference kernels, and the flight recorder's
-overhead on the mirror hot path.  Writes ``BENCH_wallclock.json`` at the
-repo root.
+batched vs. per-request inference kernels, the flight recorder's
+overhead on the mirror hot path, and one training step (whole and per
+layer).  Writes ``BENCH_wallclock.json`` at the repo root, carrying the
+committed file's append-only ``history`` forward.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py           # full run
     PYTHONPATH=src python benchmarks/bench_wallclock.py --smoke   # CI (<60 s)
+    PYTHONPATH=src python benchmarks/bench_wallclock.py --label "PR 13"
+                                              # full run + a history row
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.bench.results import format_table
 from repro.bench.wallclock import (
     BASELINE_FILENAME,
+    load_baseline,
     run_wallclock,
     write_baseline,
 )
@@ -98,6 +102,26 @@ def _print_report(report) -> None:
             ],
         )
     )
+    for step in report.train_step:
+        print(
+            f"\nTraining step, {step.n_conv_layers} conv x {step.filters} "
+            f"filters at batch {step.batch}: {step.step_ms:.2f} ms "
+            f"(median of {step.iters})"
+        )
+        print(
+            format_table(
+                ["layer", "kind", "forward ms", "backward ms"],
+                [
+                    [
+                        layer.index,
+                        layer.kind,
+                        f"{layer.forward_ms:.3f}",
+                        f"{layer.backward_ms:.3f}",
+                    ]
+                    for layer in step.layers
+                ],
+            )
+        )
 
 
 def _thread_count(text: str) -> int:
@@ -136,7 +160,15 @@ def main(argv=None) -> int:
         help=f"baseline JSON path (default: <repo>/{BASELINE_FILENAME}; "
         "smoke runs skip writing unless set)",
     )
+    parser.add_argument(
+        "--label",
+        default=None,
+        help="append this run to the baseline's history list under this "
+        "label (full runs only)",
+    )
     args = parser.parse_args(argv)
+    if args.label is not None and args.smoke:
+        parser.error("--label records a history row: full runs only")
 
     report = run_wallclock(
         smoke=args.smoke,
@@ -149,8 +181,14 @@ def main(argv=None) -> int:
     if out is None and not args.smoke:
         out = REPO_ROOT / BASELINE_FILENAME
     if out is not None:
-        payload = write_baseline(report, str(out))
-        print(f"\nbaseline written to {out}")
+        committed = load_baseline(str(REPO_ROOT / BASELINE_FILENAME)) or {}
+        payload = write_baseline(
+            report, str(out), committed.get("history", ()), args.label
+        )
+        print(
+            f"\nbaseline written to {out} "
+            f"({len(payload['history'])} history rows)"
+        )
         criteria = payload["criteria"]
         print(
             "criteria: "

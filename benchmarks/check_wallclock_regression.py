@@ -18,11 +18,16 @@ Wall-clock numbers are host-dependent, so two tiers of checks apply:
   1 and N must be byte-identical.  The 1-vs-N mirror *ratio* is
   recorded but not gated: whether a thread fan-out pays depends on the
   cores the host has, so no direction is asserted;
-* **absolute seconds** of the mirror at both thread counts are compared
-  only like-for-like: same host signature (cpu count + crypto backend)
-  and same measurement knobs (smoke flag, repeats).  CI runners differ
-  from the machine that wrote the committed baseline, so this tier
-  usually applies to local runs.
+* **absolute times** — the mirror seconds at both thread counts and the
+  ``train_step`` milliseconds — are compared only like-for-like: same
+  host signature (cpu count + crypto backend) and same measurement
+  knobs (smoke flag, repeats / iters).  CI runners differ from the
+  machine that wrote the committed baseline, so this tier usually
+  applies to local runs.
+
+Every ``train_step`` entry must carry a positive ``step_ms`` and its
+per-layer rows, and the ``history`` list is append-only: a report whose
+history does not start with every row of the baseline's fails.
 
 Usage::
 
@@ -48,6 +53,13 @@ def _load(path: Path) -> dict:
 
 def _mirror_by_layers(payload: dict) -> dict:
     return {entry["layer_count"]: entry for entry in payload.get("mirror", [])}
+
+
+def _train_steps_by_shape(payload: dict) -> dict:
+    return {
+        (e.get("n_conv_layers"), e.get("filters"), e.get("batch")): e
+        for e in payload.get("train_step", [])
+    }
 
 
 def _host_signature(payload: dict) -> tuple:
@@ -118,6 +130,20 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                 "always-on path did not run"
             )
 
+    for entry in report.get("train_step", []):
+        if not entry.get("step_ms", 0.0) > 0.0 or not entry.get("layers"):
+            failures.append(
+                f"train_step[batch {entry.get('batch')}] lacks a positive "
+                "step_ms or its per-layer rows"
+            )
+
+    kept = baseline.get("history", [])
+    if report.get("history", [])[: len(kept)] != kept:
+        failures.append(
+            f"history is append-only: the report does not start with the "
+            f"baseline's {len(kept)} row(s)"
+        )
+
     # Absolute times: only meaningful like-for-like.
     comparable = (
         _host_signature(baseline) == _host_signature(report)
@@ -144,6 +170,17 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                         f"mirror[{layers} layers].{key}: {got * 1e3:.2f} ms > "
                         f"{want * 1e3:.2f} ms * {ceiling:.2f}"
                     )
+        base_steps = _train_steps_by_shape(baseline)
+        for shape, entry in _train_steps_by_shape(report).items():
+            base = base_steps.get(shape)
+            if base is None or base.get("iters") != entry.get("iters"):
+                continue
+            got, want = entry["step_ms"], base["step_ms"]
+            if got > want * ceiling:
+                failures.append(
+                    f"train_step[batch {shape[2]}].step_ms: {got:.2f} ms > "
+                    f"{want:.2f} ms * {ceiling:.2f}"
+                )
     return failures
 
 

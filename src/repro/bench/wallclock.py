@@ -15,8 +15,13 @@ Unlike every other harness in :mod:`repro.bench` (which report
   without arena reuse.
 * the always-on flight recorder vs. the null recorder on the mirror hot
   path.
+* one ``train_batch`` at the benchmark's shape (5 conv x 16 filters,
+  batch 128) and at the federated shape (1 conv x 2 filters, batch 4):
+  absolute median milliseconds, whole step and per layer.
 
-Every section compares two mechanisms that both exist in ``src/``.
+Every ratio compares two mechanisms that both exist in ``src/``; the
+``train_step`` section and the ``history`` list are absolute, compared
+like-for-like only (same host signature, same knobs).
 
 ``benchmarks/bench_wallclock.py`` drives this module and emits
 ``BENCH_wallclock.json`` at the repository root; CI smoke-runs it so the
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from dataclasses import asdict, dataclass, field
 from hashlib import sha256
@@ -57,7 +63,14 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: v5 drops the ``im2col`` and ``train_iteration`` sections and the
 #: ``serial_config``/``parallel_config`` blocks; ``mirror`` compares
 #: ``crypto_threads`` 1 vs. N and carries no speedup target.
-SCHEMA_VERSION = 5
+#: v6 adds the ``train_step`` section (absolute ms per ``train_batch``,
+#: whole step and per layer) and the append-only ``history`` list.
+SCHEMA_VERSION = 6
+
+#: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
+#: section: the e2e benchmark's ``train_mnist`` model and the federated
+#: clients'.  ``--smoke`` runs a fifth of the iterations.
+TRAIN_STEP_SHAPES = ((5, 16, 128, 15), (1, 2, 4, 300))
 
 #: The CI-gated floor: batched forward at batch 32 must beat a loop of
 #: single-sample forwards by at least this factor.
@@ -459,6 +472,99 @@ def measure_flight_overhead_wallclock(
 
 
 # ----------------------------------------------------------------------
+# Training step
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class LayerStepTime:
+    """Median wall milliseconds one layer spends in a training step."""
+
+    index: int
+    kind: str
+    forward_ms: float
+    backward_ms: float
+
+
+@dataclass(frozen=True)
+class TrainStepWallclock:
+    """One ``Network.train_batch`` at one model / batch shape."""
+
+    n_conv_layers: int
+    filters: int
+    batch: int
+    iters: int
+    #: Median over ``iters`` whole ``train_batch`` calls.
+    step_ms: float
+    #: From a separate pass that unrolls the same step over the public
+    #: layer API, so the probes never sit inside ``step_ms``.
+    layers: List[LayerStepTime]
+
+
+def _median_ms(samples: Sequence[float]) -> float:
+    return statistics.median(samples) * 1e3 if samples else 0.0
+
+
+def measure_train_step_wallclock(
+    n_conv_layers: int,
+    filters: int,
+    batch: int,
+    iters: int,
+    seed: int = 9,
+) -> TrainStepWallclock:
+    """Absolute cost of a training step: no twin, no ratio."""
+    network = build_mnist_cnn(
+        n_conv_layers=n_conv_layers,
+        filters=filters,
+        batch=batch,
+        rng=np.random.default_rng(seed),
+    )
+    rng = np.random.default_rng(seed + 1)
+    x = rng.random((batch, 1, 28, 28), dtype=np.float32)
+    y = np.eye(10, dtype=np.float32)[rng.integers(0, 10, batch)]
+    clock = time.perf_counter
+    for _ in range(2):  # first-touch pages, BLAS start-up
+        network.train_batch(x, y)
+
+    steps = []
+    for _ in range(iters):
+        start = clock()
+        network.train_batch(x, y)
+        steps.append(clock() - start)
+
+    layers = network.layers
+    forward: List[List[float]] = [[] for _ in layers]
+    backward: List[List[float]] = [[] for _ in layers]
+    for _ in range(iters):
+        out = x
+        for index, layer in enumerate(layers):
+            start = clock()
+            out = layer.forward(out, train=True)
+            forward[index].append(clock() - start)
+        network.softmax.loss(y)
+        delta = network.softmax.backward()
+        for index in reversed(range(len(layers) - 1)):
+            start = clock()
+            delta = layers[index].backward(delta)
+            backward[index].append(clock() - start)
+        network.update()
+    return TrainStepWallclock(
+        n_conv_layers=n_conv_layers,
+        filters=filters,
+        batch=batch,
+        iters=iters,
+        step_ms=_median_ms(steps),
+        layers=[
+            LayerStepTime(
+                index=index,
+                kind=layer.kind,
+                forward_ms=_median_ms(forward[index]),
+                backward_ms=_median_ms(backward[index]),
+            )
+            for index, layer in enumerate(layers)
+        ],
+    )
+
+
+# ----------------------------------------------------------------------
 # Top-level runner + baseline file
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -472,10 +578,21 @@ class WallclockReport:
     mirror: List[MirrorWallclock]
     forward: ForwardWallclock
     flight_overhead: FlightOverheadWallclock
+    train_step: List[TrainStepWallclock]
 
     @property
     def largest_mirror(self) -> MirrorWallclock:
         return max(self.mirror, key=lambda r: r.model_bytes)
+
+    def history_row(self, label: str) -> dict:
+        """This run as one row of the baseline's ``history`` list."""
+        largest = self.largest_mirror
+        row = {"label": label, "cpu_count": self.cpu_count}
+        for step in self.train_step:
+            row[f"train_step_ms_b{step.batch}"] = round(step.step_ms, 3)
+        row["mirror_out_ms"] = round(largest.serial_out_seconds * 1e3, 3)
+        row["mirror_in_ms"] = round(largest.serial_in_seconds * 1e3, 3)
+        return row
 
     def to_dict(self) -> dict:
         payload = {
@@ -513,6 +630,7 @@ class WallclockReport:
                 **asdict(self.flight_overhead),
                 "overhead_pct": round(self.flight_overhead.overhead_pct, 3),
             },
+            "train_step": [asdict(step) for step in self.train_step],
         }
         largest = self.largest_mirror
         payload["criteria"] = {
@@ -559,6 +677,12 @@ def run_wallclock(
     # runs at full repeats even under --smoke, since a single pair of
     # measurements on a loaded runner wobbles around the 0.5% ceiling.
     flight_overhead = measure_flight_overhead_wallclock()
+    train_step = [
+        measure_train_step_wallclock(
+            conv, filters, batch, iters=iters // 5 if smoke else iters
+        )
+        for conv, filters, batch, iters in TRAIN_STEP_SHAPES
+    ]
     return WallclockReport(
         smoke=smoke,
         cpu_count=os.cpu_count() or 1,
@@ -567,12 +691,26 @@ def run_wallclock(
         mirror=mirror,
         forward=forward,
         flight_overhead=flight_overhead,
+        train_step=train_step,
     )
 
 
-def write_baseline(report: WallclockReport, path: str) -> dict:
-    """Serialize ``report`` to ``path``; returns the written payload."""
+def write_baseline(
+    report: WallclockReport,
+    path: str,
+    history: Sequence[dict] = (),
+    label: Optional[str] = None,
+) -> dict:
+    """Serialize ``report`` to ``path``; returns the written payload.
+
+    ``history`` is the list the previous baseline carried — it is
+    append-only, so it is written back whole — and ``label`` names the
+    row this run adds to it (none without a label).
+    """
     payload = report.to_dict()
+    payload["history"] = list(history)
+    if label is not None:
+        payload["history"].append(report.history_row(label))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -32,7 +32,8 @@ class Activation:
 
     ``gradient`` receives the *activated output* (Darknet convention:
     derivatives are computed from the forward output, which is exact for
-    every activation implemented here).
+    every activation implemented here) and returns a fresh array laid
+    out like it, which the layers multiply their delta into.
     """
 
     name: str
@@ -42,7 +43,11 @@ class Activation:
 
 
 def _leaky_forward(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, 0.1 * x)
+    # max(0.1x, x) is x where x > 0 and 0.1x elsewhere — the value a
+    # select on ``x > 0`` picks, bit for bit (0.1 * ±0 = ±0, NaN stays
+    # NaN) — and, unlike a select, numpy vectorises it.
+    out = 0.1 * x
+    return np.maximum(out, x, out=out)
 
 
 def _leaky_forward_into(x: np.ndarray, ws) -> np.ndarray:
@@ -57,7 +62,10 @@ def _leaky_forward_into(x: np.ndarray, ws) -> np.ndarray:
 
 
 def _leaky_gradient(y: np.ndarray) -> np.ndarray:
-    return np.where(y > 0, 1.0, 0.1).astype(y.dtype)
+    # 1 where y > 0, else 0.1: sign(y) is 1 / ±0 / -1 and the weak
+    # scalar 0.1 rounds to y's dtype exactly as ``astype`` would.
+    slope = np.sign(y)
+    return np.maximum(slope, 0.1, out=slope)
 
 
 def _relu_forward(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ numpy.
 
 Hot-path notes
 --------------
-Neither direction builds patch-index tensors:
+Neither direction builds patch-index tensors, and both work in the
+**sample-minor** layout (memory order C, H, W, N) of the column matrix
+they share, so no copy transposes:
 
 * ``im2col`` unrolls through a ``sliding_window_view`` over the padded
   images (plus a ``::stride`` slice for stride > 1); the only copy is
@@ -14,9 +16,10 @@ Neither direction builds patch-index tensors:
   gather over explicit ``(channel, row, col)`` index tensors.
 * ``col2im`` scatters with k² vectorized slice additions — within one
   kernel offset the destination positions are distinct, so ``+=`` is
-  exact.  The summation *order* across kernel offsets differs from an
-  ``np.add.at`` scatter, so the two agree to float rounding (not
-  bitwise); both orderings are deterministic.
+  exact — and returns the logical ``(N, C, H, W)`` view of its
+  sample-minor accumulator.  The summation *order* across kernel
+  offsets differs from an ``np.add.at`` scatter, so the two agree to
+  float rounding (not bitwise); both orderings are deterministic.
 
 The gather / ``np.add.at`` formulations live in
 ``tests/test_im2col_cache.py`` as the reference implementations these
@@ -69,11 +72,15 @@ def im2col(
     images: np.ndarray, kernel: int, stride: int, pad: int
 ) -> np.ndarray:
     """Unroll ``(N, C, H, W)`` images into ``(C*k*k, N*OH*OW)`` columns."""
-    padded = np.pad(
-        images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
-    )
+    n, c, h, w = images.shape
+    # Pad into a sample-minor buffer — the layout of the columns — so
+    # the k²-fold unroll below copies whole per-sample runs.
+    padded = np.zeros(
+        (c, h + 2 * pad, w + 2 * pad, n), dtype=images.dtype
+    ).transpose(3, 0, 1, 2)
+    padded[:, :, pad : pad + h, pad : pad + w] = images
     windows = _patch_windows(padded, kernel, stride)
-    n, c, out_h, out_w = windows.shape[:4]
+    out_h, out_w = windows.shape[2:4]
     # Row = (channel, kernel_row, kernel_col), column = (out_pos, image).
     return windows.transpose(1, 4, 5, 2, 3, 0).reshape(
         c * kernel * kernel, out_h * out_w * n
@@ -91,16 +98,18 @@ def col2im(
     n, c, h, w = images_shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    # Accumulate sample-minor, the layout ``cols`` already has, so each
+    # of the k² adds is a same-layout slice add; callers get the
+    # logical (N, C, H, W) view of it.
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     cols6 = cols.reshape(c, kernel, kernel, out_h, out_w, n)
     for ki in range(kernel):
         for kj in range(kernel):
             padded[
                 :,
-                :,
                 ki : ki + stride * out_h : stride,
                 kj : kj + stride * out_w : stride,
-            ] += cols6[:, ki, kj].transpose(3, 0, 1, 2)
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
+            ] += cols6[:, ki, kj]
+    if pad:
+        padded = padded[:, pad:-pad, pad:-pad]
+    return padded.transpose(3, 0, 1, 2)

@@ -38,7 +38,17 @@ class Layer(abc.ABC):
 
     @abc.abstractmethod
     def backward(self, delta: np.ndarray) -> np.ndarray:
-        """Back-propagate ``delta``; accumulates parameter gradients."""
+        """Back-propagate ``delta``; accumulates parameter gradients.
+
+        Layout contract: conv, pooling and activation kernels return
+        the same bits — outputs, input deltas, gradient accumulators —
+        whether ``x`` / ``delta`` arrive C-ordered, sample-minor (memory
+        order C, H, W, N: what the batch-fused GEMM emits and training
+        keeps) or as a non-contiguous view; their multi-axis reductions
+        always run on sample-minor buffers.  ``ConnectedLayer`` is
+        exempt (see its docstring), and so is the sign of a max-pool
+        output that is zero over a window holding both ``+0`` and ``-0``.
+        """
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Inference forward using workspace (arena) buffers.

@@ -11,7 +11,13 @@ from repro.darknet.layers.base import Layer, NamedBuffer, ParamPair
 
 
 class ConnectedLayer(Layer):
-    """Dense layer: ``y = act(x W^T + b)``; weights shaped (out, in)."""
+    """Dense layer: ``y = act(x W^T + b)``; weights shaped (out, in).
+
+    Exempt from the layout contract of :meth:`Layer.backward`: the GEMM
+    takes ``x.reshape(N, -1)`` as it arrives — C-contiguous after a
+    pool, a sample-minor view after a conv — and BLAS rounds the two
+    differently in the last bits.
+    """
 
     kind = "connected"
 

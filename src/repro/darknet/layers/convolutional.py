@@ -77,7 +77,6 @@ class ConvolutionalLayer(Layer):
         self._cols: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
         self._bn_cache: Optional[tuple] = None
-        self._pre_activation: Optional[np.ndarray] = None
         self._output: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -90,14 +89,13 @@ class ConvolutionalLayer(Layer):
 
         if self.batch_normalize:
             raw = self._batchnorm_forward(raw, train)
-        raw = raw + self.biases.reshape(1, -1, 1, 1)
+        raw += self.biases.reshape(1, -1, 1, 1)
         out = self.activation.forward(raw)
         if train:
             # Backward caches only exist while training: an inference
             # stream must not pin ever-fresh arrays on the layer.
             self._x_shape = x.shape
             self._cols = cols
-            self._pre_activation = raw
             self._output = out
         return out
 
@@ -147,16 +145,19 @@ class ConvolutionalLayer(Layer):
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
         assert self._cols is not None and self._output is not None
-        delta = delta * self.activation.gradient(self._output)
+        # The gradient is a fresh array laid out like ``_output`` — the
+        # sample-minor view the GEMM emitted — and delta·gradient lands
+        # in it, so every reduction below runs per-channel-contiguous
+        # whatever layout ``delta`` arrived in.
+        d = self.activation.gradient(self._output)
+        np.multiply(delta, d, out=d)
 
         # Bias (or batchnorm beta) gradient.
-        self.bias_updates += delta.sum(axis=(0, 2, 3))
+        self.bias_updates += d.sum(axis=(0, 2, 3))
         if self.batch_normalize:
-            delta = self._batchnorm_backward(delta)
+            d = self._batchnorm_backward(d)
 
-        n = delta.shape[0]
-        f = self.filters
-        d_flat = delta.transpose(1, 2, 3, 0).reshape(f, -1)
+        d_flat = d.transpose(1, 2, 3, 0).reshape(self.filters, -1)
         self.weight_updates += d_flat @ self._cols.T
         d_cols = self.weights.T @ d_flat
         return col2im(
@@ -179,26 +180,35 @@ class ConvolutionalLayer(Layer):
             mean = self.rolling_mean
             var = self.rolling_variance
         inv_std = 1.0 / np.sqrt(var + _BN_EPSILON)
-        x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        x_hat = x - mean.reshape(1, -1, 1, 1)
+        x_hat *= inv_std.reshape(1, -1, 1, 1)
         if train:
             self._bn_cache = (x_hat, inv_std)
         return self.scales.reshape(1, -1, 1, 1) * x_hat
 
     def _batchnorm_backward(self, delta: np.ndarray) -> np.ndarray:
+        """Standard batchnorm gradient, fused form; consumes ``delta``.
+
+        Each ufunc is the one the allocating expression
+        ``inv_std * (d_xhat - sum_d / m - x_hat * sum_dx / m)`` would
+        run, in its order; ``out=`` only names where the result lands.
+        """
         assert self._bn_cache is not None
         x_hat, inv_std = self._bn_cache
         axes = (0, 2, 3)
         m = delta.shape[0] * delta.shape[2] * delta.shape[3]
 
-        self.scale_updates += (delta * x_hat).sum(axis=axes)
-        d_xhat = delta * self.scales.reshape(1, -1, 1, 1)
-        # Standard batchnorm gradient, fused form.
+        scratch = delta * x_hat
+        self.scale_updates += scratch.sum(axis=axes)
+        d_xhat = np.multiply(delta, self.scales.reshape(1, -1, 1, 1), out=delta)
         sum_d = d_xhat.sum(axis=axes).reshape(1, -1, 1, 1)
-        sum_dx = (d_xhat * x_hat).sum(axis=axes).reshape(1, -1, 1, 1)
-        return (
-            inv_std.reshape(1, -1, 1, 1)
-            * (d_xhat - sum_d / m - x_hat * sum_dx / m)
-        )
+        np.multiply(d_xhat, x_hat, out=scratch)
+        sum_dx = scratch.sum(axis=axes).reshape(1, -1, 1, 1)
+        np.multiply(x_hat, sum_dx, out=scratch)
+        np.divide(scratch, m, out=scratch)
+        np.subtract(d_xhat, sum_d / m, out=d_xhat)
+        np.subtract(d_xhat, scratch, out=d_xhat)
+        return np.multiply(inv_std.reshape(1, -1, 1, 1), d_xhat, out=d_xhat)
 
     # ------------------------------------------------------------------
     def trainable(self) -> List[ParamPair]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,31 +29,45 @@ class MaxPoolLayer(Layer):
         self._argmax: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, ...]] = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def _windows(self, x: np.ndarray) -> List[np.ndarray]:
+        """One strided view of ``x`` per window offset, in ``(di, dj)`` order."""
         _, out_h, out_w = self.out_shape
         s, st = self.size, self.stride
+        return [
+            x[:, :, di : di + st * out_h : st, dj : dj + st * out_w : st]
+            for di in range(s)
+            for dj in range(s)
+        ]
 
-        out: Optional[np.ndarray] = None
-        argmax: Optional[np.ndarray] = None
-        for idx in range(s * s):
-            di, dj = divmod(idx, s)
-            window = x[
-                :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
-            ]
-            if out is None:
-                out = window.copy()
-                if train:
-                    argmax = np.zeros(window.shape, dtype=np.int32)
-            else:
-                mask = window > out
-                np.copyto(out, window, where=mask)
-                if train:
-                    np.copyto(argmax, idx, where=mask)
-        assert out is not None
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Keep-first max over the windows, computed in ``x``'s layout.
+
+        ``np.maximum`` returns the bits a strict-``>`` scan selects:
+        equal values are the same bits whichever operand is kept, and
+        the argmax is first-equal, so gradients route keep-first
+        everywhere.  The one exception: when a window's maximum is zero
+        and it holds both ``+0`` and ``-0``, the sign of the result is
+        unspecified (numpy does not say which zero ``maximum`` returns,
+        so it may vary with layout and batch size); ``infer`` has the
+        same carve-out.  The result is returned C-ordered (a copy only
+        when ``x`` is not), the operand a connected layer has always
+        been handed after a pool.
+        """
+        windows = self._windows(x)
+        out = windows[0].copy(order="K")
+        for window in windows[1:]:
+            np.maximum(window, out, out=out)
         if train:
+            # Index of the first window equal to the max = the number of
+            # leading windows that all differ from it.
+            unseen = windows[0] != out
+            argmax = unseen.astype(np.min_scalar_type(len(windows)))
+            for window in windows[1:-1]:
+                unseen &= window != out
+                argmax += unseen
             self._x_shape = x.shape
             self._argmax = argmax
-        return out
+        return np.ascontiguousarray(out)
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Workspace-backed max pooling; elementwise per output cell, so
@@ -106,15 +120,10 @@ class MaxPoolLayer(Layer):
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
         assert self._argmax is not None and self._x_shape is not None
-        _, out_h, out_w = self.out_shape
-        s, st = self.size, self.stride
-        dx = np.zeros(self._x_shape, dtype=delta.dtype)
-        for idx in range(s * s):
-            di, dj = divmod(idx, s)
-            mask = self._argmax == idx
-            dx[
-                :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
-            ] += delta * mask
+        # Laid out like the argmax plane, i.e. like the forward input.
+        dx = np.zeros_like(self._argmax, dtype=delta.dtype, shape=self._x_shape)
+        for idx, window in enumerate(self._windows(dx)):
+            window += delta * (self._argmax == idx)
         return dx
 
 

@@ -169,7 +169,8 @@ class PersistentMemoryDevice:
         self._check_range(addr, len(data))
         if not data:
             return
-        self._data[addr : addr + len(data)] = data
+        # A memoryview target: no hidden temporary (see ``flush``).
+        memoryview(self._data)[addr : addr + len(data)] = data
         self._account_store(addr, len(data))
 
     def write_prefilled(self, addr: int, length: int) -> None:
@@ -272,11 +273,15 @@ class PersistentMemoryDevice:
         nlines = (line_end - line_start) // CACHE_LINE
 
         dirty_bytes = self._dirty.overlap_total(line_start, line_end)
+        # Through memoryviews on both sides: a bytearray slice assigned
+        # from anything but a bytearray copies its source into a
+        # temporary first.
         data_view = memoryview(self._data)
+        durable_view = memoryview(self._durable)
         if torn is not None:
             self._torn_flush(line_start, line_end, dirty_bytes, torn)
         for a, b in self._dirty.overlap(line_start, line_end):
-            self._durable[a:b] = data_view[a:b]
+            durable_view[a:b] = data_view[a:b]
         self._dirty.remove(line_start, line_end)
 
         per_line = (
@@ -310,13 +315,14 @@ class PersistentMemoryDevice:
         budget = int(dirty_bytes * torn.fraction)
         persisted = 0
         data_view = memoryview(self._data)
+        durable_view = memoryview(self._durable)
         for a, b in self._dirty.overlap(line_start, line_end):
             pos = a
             while pos < b:
                 nxt = min(b, (pos // CACHE_LINE + 1) * CACHE_LINE)
                 if persisted + (nxt - pos) > budget:
                     torn.crash()
-                self._durable[pos:nxt] = data_view[pos:nxt]
+                durable_view[pos:nxt] = data_view[pos:nxt]
                 persisted += nxt - pos
                 pos = nxt
         torn.crash()
@@ -380,7 +386,7 @@ class PersistentMemoryDevice:
             raise ValueError(
                 f"image is {len(image)} bytes, device is {self.size}"
             )
-        self._durable[:] = image
-        self._data[:] = image
+        memoryview(self._durable)[:] = image
+        memoryview(self._data)[:] = image
         self._dirty.clear()
         self._hot.clear()

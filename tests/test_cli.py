@@ -351,3 +351,46 @@ class TestWallclockScripts:
         assert len(failures) == 1
         assert "schema 3" in failures[0] and "schema 5" in failures[0]
         assert checker.check({"schema": 5}, report, tolerance=0.1) == []
+
+    def test_checker_knows_train_step_and_refuses_a_shrunk_history(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        step = {
+            "n_conv_layers": 1, "filters": 2, "batch": 4, "iters": 60,
+            "step_ms": 0.6, "layers": [{"index": 0, "kind": "softmax"}],
+        }
+        rows = [{"label": "parent"}, {"label": "this PR"}]
+        host = {"cpu_count": 2, "crypto_backend": "cryptography"}
+        baseline = {
+            "schema": 6, "smoke": True, "host": host,
+            "train_step": [step], "history": rows,
+        }
+        report = {
+            **baseline,
+            "criteria": {"mirrors_identical": True},
+            "history": rows + [{"label": "next"}],
+        }
+        assert checker.check(baseline, report, tolerance=0.1) == []
+
+        shrunk = {**report, "history": rows[:1]}
+        rewritten = {**report, "history": [{"label": "other"}, rows[1]]}
+        for bad in (shrunk, rewritten):
+            failures = checker.check(baseline, bad, tolerance=0.1)
+            assert len(failures) == 1 and "append-only" in failures[0]
+
+        slower = {**report, "train_step": [{**step, "step_ms": 0.7}]}
+        failures = checker.check(baseline, slower, tolerance=0.1)
+        assert len(failures) == 1 and "train_step[batch 4]" in failures[0]
+        # ... but only like-for-like: another host is not comparable.
+        elsewhere = {**slower, "host": {**host, "cpu_count": 64}}
+        assert checker.check(baseline, elsewhere, tolerance=0.1) == []
+
+        hollow = {**report, "train_step": [{**step, "layers": []}]}
+        failures = checker.check(baseline, hollow, tolerance=0.1)
+        assert len(failures) == 1 and "per-layer rows" in failures[0]
+
+    def test_label_is_refused_on_a_smoke_run(self, capsys):
+        bench = _load_benchmark_script("bench_wallclock")
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--smoke", "--label", "x"])
+        assert exc.value.code == 2
+        assert "full runs only" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 
 from repro.darknet import im2col as m
 from repro.darknet.layers import convolutional
+from tests.reference_kernels import sample_minor
 
 # (n, c, h, w, kernel, stride, pad) — exercises k=1, stride>1,
 # rectangular inputs, and zero/nonzero padding.
@@ -77,6 +78,10 @@ class TestStridedFastPath:
         reference = gather_im2col(imgs, k, stride, pad)
         assert fast.shape == reference.shape
         assert np.array_equal(fast, reference)  # bitwise, not approx
+        # The GEMM operand keeps its layout whatever layout ``imgs`` had.
+        assert fast.flags.c_contiguous
+        again = m.im2col(sample_minor(imgs), k, stride, pad)
+        assert again.flags.c_contiguous and np.array_equal(again, reference)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_col2im_matches_scatter_add(self, shape):

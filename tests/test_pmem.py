@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,25 @@ class TestDurability:
         assert dev.dirty_bytes == 100
         dev.flush(0, 100)
         assert dev.dirty_bytes == 0
+
+    def test_store_and_flush_make_no_hidden_copy(self):
+        """A bytearray slice assigned from ``bytes`` or a memoryview
+        first copies its source into a temporary bytearray; the device
+        must move each stored and each flushed byte once."""
+        size = 8 << 20
+        dev = make_device(size)
+        payload = bytes(size)
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            dev.write(0, payload)
+            dev.flush(0, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 1 << 20
+        assert dev.durable_read(0, 16) == payload[:16]
 
     def test_snapshot_is_durable_image(self):
         dev = make_device(256)

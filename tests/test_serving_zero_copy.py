@@ -29,7 +29,7 @@ from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
 TRAIN_CACHES = (
-    "_cols", "_bn_cache", "_pre_activation", "_output",
+    "_cols", "_bn_cache", "_output",
     "_x", "_argmax", "_probs",
 )
 
