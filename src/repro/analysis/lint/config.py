@@ -13,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
+# Modules running *outside* the enclave under the paper's partitioning:
+# the one trust manifest lint, flow and the TCB report all read.  Fixture
+# modules can opt in via the ``# repro: lint-module[...]`` override.
+from repro.analysis.tcb import UNTRUSTED_MODULES
+
 # ----------------------------------------------------------------------
 # PM001 — PM-store discipline
 # ----------------------------------------------------------------------
@@ -94,105 +99,6 @@ ENCLAVE_ONLY_MODULES: Tuple[str, ...] = (
 #: Individual enclave-only symbols (wherever they are imported from).
 ENCLAVE_ONLY_NAMES: FrozenSet[str] = frozenset(
     {"sgx_read_rand", "SgxRandom", "seal_data", "unseal_data", "hkdf_sha256"}
-)
-
-#: Modules running *outside* the enclave under the paper's partitioning.
-#: Kept in sync with ``repro.analysis.tcb.UNTRUSTED_MODULES`` by
-#: ``tests/test_lint.py``; fixture modules can opt in via the
-#: ``# repro: lint-module[...]`` override.
-UNTRUSTED_MODULES: Tuple[str, ...] = (
-    "repro.darknet.cfg",
-    "repro.darknet.data",
-    "repro.data.mnist",
-    "repro.hw.intervals",
-    "repro.hw.pmem",
-    "repro.hw.ssd",
-    "repro.hw.dram",
-    "repro.hw.fio",
-    "repro.sgx.enclave",
-    "repro.sgx.ecall",
-    "repro.sgx.attestation",
-    "repro.romulus.runtime",
-    "repro.romulus.sps",
-    "repro.core.checkpoint",
-    "repro.core.models",
-    "repro.core.system",
-    "repro.core.workflow",
-    "repro.spot.traces",
-    "repro.spot.simulator",
-    "repro.simtime.clock",
-    "repro.simtime.costs",
-    "repro.simtime.profiles",
-    "repro.distributed.link",
-    "repro.distributed.data_parallel",
-    "repro.distributed.pipeline",
-    "repro.gpu.device",
-    "repro.gpu.offload",
-    "repro.obs.recorder",
-    "repro.obs.metrics",
-    "repro.obs.export",
-    "repro.obs.context",
-    "repro.obs.hist",
-    "repro.obs.slo",
-    "repro.obs.flight",
-    "repro.obs.report",
-    "repro.analysis.tcb",
-    "repro.analysis.lint.framework",
-    "repro.analysis.lint.config",
-    "repro.analysis.lint.rules_pm",
-    "repro.analysis.lint.rules_sec",
-    "repro.analysis.lint.rules_det",
-    "repro.analysis.lint.rules_alloc",
-    "repro.analysis.lint.rules_lck",
-    "repro.analysis.lint.rules_flt",
-    "repro.analysis.lint.reporters",
-    "repro.analysis.lint.runner",
-    # The interprocedural flow engine (PR 8) is analysis tooling like
-    # the per-module linter above: it runs at review time, outside any
-    # enclave boundary.
-    "repro.analysis.flow.project",
-    "repro.analysis.flow.callgraph",
-    "repro.analysis.flow.taint",
-    "repro.analysis.flow.durability",
-    "repro.analysis.flow.lockset",
-    "repro.analysis.flow.engine",
-    "repro.cli",
-    # The fault-injection engine is test harness, not enclave code: it
-    # drives the system from outside (the attacker/operator position),
-    # so it sits on the untrusted side of the SEC002/TCB boundary while
-    # staying fully DET-governed (deterministic replay is its contract).
-    "repro.faults.registry",
-    "repro.faults.plan",
-    "repro.faults.invariants",
-    "repro.faults.workload",
-    "repro.faults.explorer",
-    "repro.faults.mutations",
-    # The inference gateway tier sees only sealed requests and sealed
-    # replies; batching, admission, and replica scheduling all run
-    # outside the enclave (see docs/serving.md).
-    "repro.serving.gateway",
-    "repro.serving.batcher",
-    "repro.serving.replica_pool",
-    "repro.serving.admission",
-    # The simulated-cluster substrate models hosts, wires, and the
-    # event loop — operator-side infrastructure around the enclaves,
-    # never code running inside one.  It stays DET-governed: the whole
-    # point of the substrate is deterministic same-seed replay.
-    "repro.cluster.loop",
-    "repro.cluster.host",
-    "repro.cluster.network",
-    "repro.cluster.fabric",
-    "repro.cluster.runtime",
-    # Federated orchestration is operator-side: the coordinator's round
-    # driving, the clients' local-training harness, and session/shard
-    # assembly all handle sealed deltas from outside the enclave.  The
-    # trusted remainder — repro.federated.merkle / aggregate / ledger —
-    # is exactly the commitment and merge math the aggregator enclave
-    # runs over unsealed bytes.
-    "repro.federated.client",
-    "repro.federated.coordinator",
-    "repro.federated.session",
-    "repro.federated.shards",
 )
 
 # ----------------------------------------------------------------------

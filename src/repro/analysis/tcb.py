@@ -36,6 +36,7 @@ TRUSTED_MODULES = (
     "repro.darknet.layers.dropout",
     "repro.darknet.layers.softmax",
     "repro.darknet.network",
+    "repro.darknet.policy",
     "repro.darknet.arena",
     "repro.darknet.train",
     "repro.darknet.inference",
@@ -78,6 +79,9 @@ UNTRUSTED_MODULES = (
     "repro.hw.ssd",
     "repro.hw.dram",
     "repro.hw.fio",
+    # Only the shared thread pools ("threads in the untrusted runtime",
+    # Section VIII); the sealing jobs they run are core.mirror's.
+    "repro.crypto.parallel",
     "repro.sgx.enclave",
     "repro.sgx.ecall",
     "repro.sgx.attestation",
@@ -128,6 +132,7 @@ UNTRUSTED_MODULES = (
     "repro.faults.registry",
     "repro.faults.plan",
     "repro.faults.invariants",
+    "repro.faults.protocol",
     "repro.faults.workload",
     "repro.faults.explorer",
     "repro.faults.mutations",

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.bench import format_table
+from repro.faults.workload import WORKLOADS
 
 
 def _cmd_fig2(args: argparse.Namespace) -> None:
@@ -254,9 +255,7 @@ def _cmd_crashtest(args: argparse.Namespace) -> int:
         exhaustive=args.exhaustive or args.samples is None,
         samples=args.samples if args.samples is not None else 32,
         seed=args.seed,
-        workloads=tuple(
-            args.workload or ("train", "link", "serve", "federated")
-        ),
+        workloads=tuple(args.workload or WORKLOADS),
         flight_dir=args.flight_dir,
     )
     if args.mutate:
@@ -500,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     crashtest.add_argument(
         "--workload",
         action="append",
-        choices=["train", "link", "serve", "federated"],
+        choices=list(WORKLOADS),
         default=None,
         help="restrict to one workload (repeatable; default: all four)",
     )

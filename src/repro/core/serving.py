@@ -6,19 +6,16 @@ in an *inference-as-a-service* interface.  This module provides that
 service shape on top of the Plinius stack:
 
 * the model is loaded into the enclave from its encrypted PM mirror;
-* a client remote-attests the enclave, establishes a secure channel,
-  and submits AES-GCM-sealed inputs;
+* a client remote-attests the enclave, establishes a multiplexed
+  :class:`~repro.sgx.attestation.InferenceSession`, and submits
+  AES-GCM-sealed inputs;
 * predictions return sealed under the same session; the server never
   sees plaintext images or labels.
 
-Two session flavours coexist:
-
-* the original single-service :class:`~repro.sgx.attestation.SecureChannel`
-  path (``connect``/``handle``), kept for one-enclave deployments;
-* multiplexed :class:`~repro.sgx.attestation.InferenceSession` state
-  (``open_session``/``install_session``/``handle_batch``), which the
-  replicated gateway (:mod:`repro.serving`) provisions to every replica
-  so any of them can answer any request with byte-identical output.
+Session state (``open_session``/``install_session``) is what the
+replicated gateway (:mod:`repro.serving`) provisions to every replica,
+so any of them can answer any request (``handle_batch``; one request is
+a batch of one) with byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from repro.obs.context import TraceContext, trace_scope
 from repro.sgx.attestation import (
     InferenceSession,
     QuotingEnclave,
-    SecureChannel,
-    establish_channel,
     establish_mux_session,
 )
 from repro.sgx.enclave import Enclave
@@ -85,7 +80,6 @@ class SecureInferenceService:
         self.mirror = mirror
         self.stats = InferenceStats()
         self._lock = threading.Lock()
-        self._channel: Optional[SecureChannel] = None
         self._sessions: Dict[int, InferenceSession] = {}
         #: Preallocated buffers for the batched serve path: request
         #: staging, the stacked input tensor, every layer activation,
@@ -113,63 +107,18 @@ class SecureInferenceService:
         )
 
     # ------------------------------------------------------------------
-    def _record(self, requests: int, samples: int, batches: int = 0) -> None:
-        """Lock-protected stats mutation, mirrored into ``serve.*``."""
+    def _record(self, requests: int, samples: int) -> None:
+        """Lock-protected stats for one batch, mirrored into ``serve.*``."""
         with self._lock:
             self.stats.requests += requests
             self.stats.samples += samples
-            self.stats.batches += batches
+            self.stats.batches += 1
         recorder = self.enclave.clock.recorder
         if recorder.enabled:
             recorder.count("serve.requests", requests)
             recorder.count("serve.samples", samples)
-            if batches:
-                recorder.count("serve.batches", batches)
+            recorder.count("serve.batches", 1)
 
-    def _decode(self, payload: bytes) -> np.ndarray:
-        """Unpack a request payload into a sample tensor."""
-        n, features = _REQUEST.unpack_from(payload, 0)
-        expected = int(np.prod(self.input_shape))
-        if features != expected:
-            raise ValueError(
-                f"request has {features} features; model expects {expected}"
-            )
-        return np.frombuffer(
-            payload, dtype=np.float32, count=n * features,
-            offset=_REQUEST.size,
-        ).reshape((n,) + tuple(self.input_shape))
-
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        probs = self.network.predict(x)
-        return probs.argmax(axis=1).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Single-channel path (one enclave, one client)
-    # ------------------------------------------------------------------
-    def connect(self, client: "InferenceClient") -> None:
-        """Run attestation + channel establishment with a client."""
-        owner_channel, enclave_channel = establish_channel(
-            self.enclave,
-            self.quoting_enclave,
-            expected_measurement=client.expected_measurement,
-            rand_enclave=SgxRandom(b"svc-" + bytes([self.stats.requests % 256])),
-            rand_owner=client.rand,
-        )
-        self._channel = enclave_channel
-        client.attach(owner_channel)
-
-    def handle(self, sealed_request: bytes) -> bytes:
-        """Classify a sealed batch; returns sealed class indices."""
-        if self._channel is None:
-            raise RuntimeError("no client connected — run connect() first")
-        payload = self._channel.receive(sealed_request)
-        x = self._decode(payload)
-        predictions = self._predict(x)
-        self._record(requests=1, samples=len(x))
-        return self._channel.send(predictions.tobytes())
-
-    # ------------------------------------------------------------------
-    # Multiplexed-session path (the replicated gateway)
     # ------------------------------------------------------------------
     def open_session(
         self, client: "InferenceClient", session_id: int
@@ -350,7 +299,7 @@ class SecureInferenceService:
                     responses.append(session.seal_response(seq, payload.data))
                 offset += n
 
-        self._record(requests=len(items), samples=total, batches=1)
+        self._record(requests=len(items), samples=total)
         if recorder.enabled:
             recorder.count("arena.hit", arena.stats.hits - hits0)
             recorder.count("arena.miss", arena.stats.misses - misses0)
@@ -366,12 +315,8 @@ class InferenceClient:
     ) -> None:
         self.expected_measurement = expected_measurement
         self.rand = SgxRandom(b"client-" + seed.to_bytes(4, "big"))
-        self._channel: Optional[SecureChannel] = None
         self._session: Optional[InferenceSession] = None
         self._next_seq = 0
-
-    def attach(self, channel: SecureChannel) -> None:
-        self._channel = channel
 
     def attach_session(self, session: InferenceSession) -> None:
         self._session = session
@@ -389,27 +334,6 @@ class InferenceClient:
         )
         return _REQUEST.pack(len(flat), flat.shape[1]) + flat.tobytes()
 
-    def seal_request(self, images: np.ndarray) -> bytes:
-        """Seal a batch of images for the service."""
-        if self._channel is None:
-            raise RuntimeError("client not connected")
-        return self._channel.send(self._payload(images))
-
-    def open_response(self, sealed: bytes) -> np.ndarray:
-        """Unseal the predicted class indices."""
-        if self._channel is None:
-            raise RuntimeError("client not connected")
-        return np.frombuffer(self._channel.receive(sealed), dtype=np.int64)
-
-    def classify(
-        self, service: SecureInferenceService, images: np.ndarray
-    ) -> np.ndarray:
-        """Round-trip convenience: seal, submit, unseal."""
-        return self.open_response(service.handle(self.seal_request(images)))
-
-    # ------------------------------------------------------------------
-    # Multiplexed-session path
-    # ------------------------------------------------------------------
     def seal_request_seq(self, images: np.ndarray) -> Tuple[int, bytes]:
         """Seal a request under the mux session; returns ``(seq, bytes)``.
 

@@ -51,14 +51,10 @@ def _leaky_forward(x: np.ndarray) -> np.ndarray:
 
 
 def _leaky_forward_into(x: np.ndarray, ws) -> np.ndarray:
-    # Same arithmetic as np.where(x > 0, x, 0.1 * x): scale everything,
-    # then restore the positive entries verbatim.
-    mask = ws.take("act.mask", x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
+    # The same ufunc chain as ``_leaky_forward``, into an arena buffer.
     out = ws.take("act.out", x.shape, x.dtype)
     np.multiply(x, 0.1, out=out)
-    np.copyto(out, x, where=mask)
-    return out
+    return np.maximum(out, x, out=out)
 
 
 def _leaky_gradient(y: np.ndarray) -> np.ndarray:

@@ -105,17 +105,10 @@ class MaxPoolLayer(Layer):
             for i in range(1, s):
                 np.maximum(out, rows[:, :, :, i, :], out=out)
             return out
-        mask = ws.take("mask", out.shape, np.bool_)
-        for idx in range(s * s):
-            di, dj = divmod(idx, s)
-            window = x[
-                :, :, di : di + st * out_h : st, dj : dj + st * out_w : st
-            ]
-            if idx == 0:
-                np.copyto(out, window)
-            else:
-                np.greater(window, out, out=mask)
-                np.copyto(out, window, where=mask)
+        windows = self._windows(x)
+        np.copyto(out, windows[0])
+        for window in windows[1:]:
+            np.maximum(window, out, out=out)
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:

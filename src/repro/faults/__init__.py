@@ -45,11 +45,12 @@ _LAZY = {
     "explore": "repro.faults.explorer",
     "ExploreConfig": "repro.faults.explorer",
     "ExplorationReport": "repro.faults.explorer",
-    "ReplayOutcome": "repro.faults.explorer",
     "Violation": "repro.faults.explorer",
-    "TrainWorkload": "repro.faults.workload",
-    "LinkWorkload": "repro.faults.workload",
-    "GoldenRun": "repro.faults.workload",
+    "WORKLOADS": "repro.faults.workload",
+    "make_workload": "repro.faults.workload",
+    "Workload": "repro.faults.protocol",
+    "GoldenRun": "repro.faults.protocol",
+    "ReplayOutcome": "repro.faults.protocol",
     "MUTANTS": "repro.faults.mutations",
     "apply_mutant": "repro.faults.mutations",
 }

@@ -25,7 +25,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import ABORT, CRASH, DROP, FLIP, SITES, TORN
-from repro.faults.workload import GoldenRun, ReplayOutcome, make_workload
+from repro.faults.workload import (
+    WORKLOADS,
+    GoldenRun,
+    ReplayOutcome,
+    make_workload,
+)
 
 #: Default bit positions for FLIP points.  ``flip_bit`` reduces the
 #: position modulo the record length, so the large prime lands at an
@@ -45,7 +50,7 @@ class ExploreConfig:
     seed: int = 0
     per_site_cap: int = 6
     flip_bits: Tuple[int, ...] = DEFAULT_FLIP_BITS
-    workloads: Tuple[str, ...] = ("train", "link", "serve", "federated")
+    workloads: Tuple[str, ...] = tuple(WORKLOADS)
     shrink: bool = True
     #: When set, every violation's flight-recorder snapshot is written
     #: to ``<flight_dir>/flight-<workload>-<n>.json`` as a standalone

@@ -1,15 +1,9 @@
-"""Crash-replayable workloads for the schedule explorer.
+"""The crash-replayable scenarios, on the one workload protocol.
 
-A *workload* is a deterministic end-to-end scenario that can be run
-fault-free (the **golden** run, executed under a
-:class:`~repro.faults.plan.CountingPlan` to enumerate every fault-point
-hit) and then replayed under a :class:`~repro.faults.plan.CrashSchedulePlan`
-that injects exactly one fault at a chosen ``(site, hit)`` coordinate.
-After the fault the workload performs whatever recovery the real system
-would (reboot, Romulus recovery, mirror-in, retry) and the replay's
-final state is checked against the golden run's.
-
-Three workloads cover the whole instrumented surface:
+:mod:`repro.faults.protocol` owns the golden run, the single-fault
+replay and the reboot loop; each scenario here supplies only its
+build / boot / on-fault / observe / compare hooks.  Four workloads cover
+the whole instrumented surface:
 
 * :class:`TrainWorkload` — the single-machine Plinius stack: sealed-key
   provisioning over SSD + sgx sealing ecalls, Romulus region format/
@@ -23,8 +17,11 @@ Three workloads cover the whole instrumented surface:
   sealed requests across a mid-run hot model reload.  Exercises the
   ``serve.*`` sites (plus the ``crypto.*``/``pm.*``/``romulus.*`` hits
   of in-band sealing and the generation-2 mirror commit).
+* :class:`FederatedWorkload` — attested clients training FedAvg rounds
+  whose Merkle roots and sealed merged parameters commit to the
+  aggregator's PM.  Exercises the ``fed.*`` sites.
 
-All three machines are deployments on the shared simulated-cluster
+All four machines are deployments on the shared simulated-cluster
 substrate (:mod:`repro.cluster`): durable hardware lives on named
 :class:`~repro.cluster.host.Host` members, region attach goes through
 the hosts' ``open_region``/``format_region`` recovery entry points (the
@@ -33,26 +30,20 @@ tensors cross :class:`~repro.cluster.network.ClusterNetwork` edges, and
 a crash is a host power failure.  That puts the ``cluster.host_kill``,
 ``cluster.partition`` and ``cluster.deliver`` coordinates in every
 workload's golden census, so the explorer can kill a host or cut a wire
-at any instrumented point of all three scenarios.
+at any instrumented point of all four scenarios.
 
-Determinism contract: every run builds a fresh machine from fixed seeds,
-so the n-th arrival at a fault point is the same program state in the
-golden run and in every replay.  Anything nondeterministic (wall-clock,
-``os.urandom``, thread scheduling) is excluded by construction — seeded
-:class:`~repro.sgx.rand.SgxRandom` IVs, per-iteration batch RNGs, and
-serial sealing.
+A new workload is one :class:`~repro.faults.protocol.Workload` subclass
+plus one line in :data:`WORKLOADS`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.fabric import ServingFabric
-from repro.cluster.runtime import Cluster
 from repro.core.mirror import MirrorModule
 from repro.core.models import build_mnist_cnn
 from repro.core.pm_data import PmDataModule
@@ -63,21 +54,17 @@ from repro.darknet.data import DataMatrix
 from repro.data.mnist import synthetic_mnist, to_data_matrix
 from repro.distributed.link import NetworkLink
 from repro.distributed.worker import StageWorker
-from repro.faults.plan import (
-    BaseFaultPlan,
-    CountingPlan,
-    CrashSchedulePlan,
-    FaultSpec,
-    InjectedCrash,
-    InjectedEcallAbort,
-    InjectedLinkDrop,
-    installed,
-)
-from repro.faults.registry import FLIP
 from repro.faults import invariants
-from repro.obs.recorder import TraceRecorder
+from repro.faults.plan import InjectedLinkDrop
+from repro.faults.protocol import (
+    GoldenRun,
+    Machine,
+    ReplayOutcome,
+    Workload,
+    params_digest,
+)
 from repro.romulus.alloc import PersistentHeap
-from repro.romulus.region import HEADER_SIZE, MAGIC
+from repro.romulus.region import HEADER_SIZE
 from repro.sgx.ecall import EnclaveRuntime
 from repro.sgx.enclave import Enclave
 # repro: noqa[SEC002] -- the fault workloads assemble a full secure
@@ -89,79 +76,59 @@ from repro.sgx.sealing import SealedBlob, seal_data, unseal_data
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import get_profile
 
+__all__ = [
+    "WORKLOADS",
+    "make_workload",
+    "TrainWorkload",
+    "LinkWorkload",
+    "ServeWorkload",
+    "FederatedWorkload",
+    "GoldenRun",
+    "ReplayOutcome",
+    "params_digest",
+]
+
 #: SSD file holding the sealed data-encryption key.
 KEY_FILE = "sealed_key.bin"
-
-#: A replay injects exactly one fault, so legitimate runs need at most
-#: one extra boot (plus one more for a fail-stop integrity rejection).
-MAX_REBOOTS = 4
 
 #: Bounded retries for the dataset fetch over the cluster wire
 #: (reliable transport over a lossy link, like the link workload's).
 MAX_FETCH_ATTEMPTS = 4
 
 
-@dataclass
-class GoldenRun:
-    """Everything a replay is compared against."""
-
-    hits: Dict[str, int]
-    losses: Dict[int, float]
-    final_iteration: int
-    stored_iteration: int
-    params_digest: str
-    violations: List[str] = field(default_factory=list)
-    #: Flight-recorder snapshot of the golden run (last-N telemetry
-    #: events); dumped by the explorer when the golden run itself broke.
-    flight: Optional[dict] = None
+def _seeded_key(tag: bytes, seed: int) -> bytes:
+    return hashlib.sha256(tag + seed.to_bytes(4, "big")).digest()[:16]
 
 
-@dataclass
-class ReplayOutcome:
-    """Result of one fault-injected replay (or of the golden run)."""
-
-    spec: Optional[FaultSpec] = None
-    fired: bool = False
-    completed: bool = False
-    reboots: int = 0
-    integrity_rejections: int = 0
-    violations: List[str] = field(default_factory=list)
-    losses: Dict[int, float] = field(default_factory=dict)
-    final_iteration: int = 0
-    stored_iteration: int = 0
-    params_digest: str = ""
-    #: Flight-recorder snapshot of the replay machine: the bounded tail
-    #: of spans/counters/fault events leading up to the final state.
-    #: Always captured (the ring is cheap); the explorer attaches it to
-    #: a :class:`~repro.faults.explorer.Violation` when invariants broke
-    #: so every failure report carries its own black box.
-    flight: Optional[dict] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+def _network(batch: int, rng_seed):
+    """The 1-conv / 2-filter MNIST CNN every scenario trains or serves."""
+    net = build_mnist_cnn(
+        n_conv_layers=1,
+        filters=2,
+        batch=batch,
+        learning_rate=0.1,
+        rng=np.random.default_rng(rng_seed),
+    )
+    # Optimizer state (momentum velocities) is volatile by design —
+    # the mirror persists only the paper's parameter buffers.  With
+    # momentum off, crash+resume is bit-identical to the golden run,
+    # which is the equivalence invariant I3 checks.
+    net.momentum = 0.0
+    return net
 
 
-def _note_fault(machine, spec, event: str) -> None:
-    """Stamp an injected-fault delivery into the machine's flight ring.
-
-    The ring entry names the exact ``(site, hit, kind)`` coordinate (or
-    the exception class for golden runs, where no spec exists), so a
-    violation dump pins which injection preceded the bad state.
-    """
-    label = spec.describe() if spec is not None else event
-    machine.recorder.flight.add("fault", label, machine.clock.now())
-
-
-def params_digest(network) -> str:
-    """Bit-exact digest of every parameter buffer of a network."""
-    h = hashlib.sha256()
-    for _, (_, array) in network.parameter_buffers():
-        h.update(np.ascontiguousarray(array).tobytes())
-    return h.hexdigest()
+def _compare_stored_iteration(
+    golden: ReplayOutcome, outcome: ReplayOutcome, v: List[str]
+) -> None:
+    if outcome.stored_iteration != golden.stored_iteration:
+        v.append(
+            f"I6: final mirror stores iteration "
+            f"{outcome.stored_iteration}, expected "
+            f"{golden.stored_iteration}"
+        )
 
 
-class _TrainMachine:
+class _TrainMachine(Machine):
     """Durable hardware plus the run-level bookkeeping of one replay.
 
     A two-host deployment: the ``trainer`` host owns the PM region and
@@ -170,33 +137,23 @@ class _TrainMachine:
     """
 
     def __init__(self, pm_size: int, server: str, seed: int) -> None:
+        super().__init__()
         self.profile = get_profile(server)
-        self.clock = SimClock()
-        self.recorder = TraceRecorder()
-        self.clock.recorder = self.recorder
-        self.cluster = Cluster(self.clock)
         self.host = self.cluster.add_host(
             "trainer", self.profile, pm_size=pm_size, with_ssd=True
         )
         self.cluster.add_host("datastore", self.profile)
         self.cluster.connect("trainer", "datastore")
-        self.pm = self.host.pm
         self.ssd = self.host.ssd
         self.rand = SgxRandom(b"faults-train-" + seed.to_bytes(4, "big"))
-        self.device_key = hashlib.sha256(
-            b"faults-platform-" + seed.to_bytes(4, "big")
-        ).digest()[:16]
+        self.device_key = _seeded_key(b"faults-platform-", seed)
         # Observed-committed state, for the I6 durability checks.
-        self.format_completed = False
         self.data_load_completed = False
         self.last_committed_mirror = 0
         self.losses: Dict[int, float] = {}
         self.final_iteration = 0
         self.stored_iteration = 0
         self.params_digest = ""
-
-    def power_fail(self) -> None:
-        self.cluster.power_fail()
 
 
 class _TrackedMirror(MirrorModule):
@@ -213,7 +170,7 @@ class _TrackedMirror(MirrorModule):
         return timing
 
 
-class TrainWorkload:
+class TrainWorkload(Workload):
     """Single-machine Plinius training under fault injection."""
 
     name = "train"
@@ -233,7 +190,6 @@ class TrainWorkload:
         self.batch = batch
         self.pm_size = pm_size
         self.seed = seed
-        self._golden: Optional[GoldenRun] = None
         self._data: Optional[DataMatrix] = None
 
     # ------------------------------------------------------------------
@@ -245,157 +201,36 @@ class TrainWorkload:
             self._data = to_data_matrix(images, labels)
         return self._data
 
-    def _network(self):
-        net = build_mnist_cnn(
-            n_conv_layers=1,
-            filters=2,
-            batch=self.batch,
-            learning_rate=0.1,
-            rng=np.random.default_rng(self.seed),
-        )
-        # Optimizer state (momentum velocities) is volatile by design —
-        # the mirror persists only the paper's parameter buffers.  With
-        # momentum off, crash+resume is bit-identical to the golden run,
-        # which is the equivalence invariant I3 checks.
-        net.momentum = 0.0
-        return net
-
     # ------------------------------------------------------------------
-    def golden(self) -> GoldenRun:
-        """Fault-free run under a counting plan; cached."""
-        if self._golden is None:
-            plan = CountingPlan()
-            outcome = self._run(plan)
-            violations = list(outcome.violations)
-            if not outcome.completed:
-                violations.append("golden run failed to complete")
-            if outcome.reboots:
-                violations.append(
-                    f"golden run rebooted {outcome.reboots} times"
-                )
-            dups = plan.duplicate_ivs()
-            if dups:
-                violations.append(
-                    f"I5: {len(dups)} AES-GCM IVs reused within one boot"
-                )
-            self._golden = GoldenRun(
-                hits=dict(plan.hits),
-                losses=dict(outcome.losses),
-                final_iteration=outcome.final_iteration,
-                stored_iteration=outcome.stored_iteration,
-                params_digest=outcome.params_digest,
-                violations=violations,
-                flight=outcome.flight,
-            )
-        return self._golden
+    def build(self) -> _TrainMachine:
+        return _TrainMachine(self.pm_size, self.server, self.seed)
 
-    def replay(self, spec: FaultSpec) -> ReplayOutcome:
-        """Replay with one injected fault; check invariants vs golden."""
-        golden = self.golden()
-        plan = CrashSchedulePlan(spec)
-        outcome = self._run(plan)
-        outcome.spec = spec
-        outcome.fired = plan.fired
-        v = outcome.violations
-        if not plan.fired:
+    def observe(self, m: _TrainMachine, outcome: ReplayOutcome) -> None:
+        outcome.losses = dict(m.losses)
+        outcome.final_iteration = m.final_iteration
+        outcome.stored_iteration = m.stored_iteration
+        outcome.params_digest = m.params_digest
+
+    def compare(
+        self, golden: ReplayOutcome, outcome: ReplayOutcome, v: List[str]
+    ) -> None:
+        for it, loss in outcome.losses.items():
+            if it in golden.losses and golden.losses[it] != loss:
+                v.append(
+                    f"I3: loss at iteration {it} diverged: golden "
+                    f"{golden.losses[it]!r} vs resumed {loss!r}"
+                )
+        if outcome.final_iteration != golden.final_iteration:
             v.append(
-                f"fault {spec.describe()} never fired (golden saw "
-                f"{golden.hits.get(spec.site, 0)} hits at this site)"
+                f"I3: reached iteration {outcome.final_iteration}, "
+                f"golden reached {golden.final_iteration}"
             )
-        dups = plan.duplicate_ivs()
-        if dups:
-            v.append(f"I5: {len(dups)} AES-GCM IVs reused within one boot")
-        if spec.kind == FLIP and plan.fired:
-            if outcome.integrity_rejections == 0:
-                v.append(
-                    "I7: a delivered bit-flip in a sealed record was "
-                    "accepted without an IntegrityError"
-                )
-        if outcome.completed:
-            for it, loss in outcome.losses.items():
-                if it in golden.losses and golden.losses[it] != loss:
-                    v.append(
-                        f"I3: loss at iteration {it} diverged: golden "
-                        f"{golden.losses[it]!r} vs resumed {loss!r}"
-                    )
-            if outcome.final_iteration != golden.final_iteration:
-                v.append(
-                    f"I3: reached iteration {outcome.final_iteration}, "
-                    f"golden reached {golden.final_iteration}"
-                )
-            if outcome.params_digest != golden.params_digest:
-                v.append(
-                    "I3: final model parameters diverged from the "
-                    "uninterrupted run"
-                )
-            if outcome.stored_iteration != golden.stored_iteration:
-                v.append(
-                    f"I6: final mirror stores iteration "
-                    f"{outcome.stored_iteration}, expected "
-                    f"{golden.stored_iteration}"
-                )
-        elif not v:
-            v.append("run did not complete yet no violation was recorded")
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _run(self, plan: BaseFaultPlan) -> ReplayOutcome:
-        machine = _TrainMachine(self.pm_size, self.server, self.seed)
-        outcome = ReplayOutcome()
-        spec = getattr(plan, "spec", None)
-        with installed(plan):
-            while True:
-                plan.mark_boot()
-                try:
-                    self._boot(machine, outcome.violations)
-                    outcome.completed = True
-                    break
-                except InjectedCrash:
-                    _note_fault(machine, spec, "crash")
-                except InjectedEcallAbort:
-                    _note_fault(machine, spec, "ecall-abort")
-                except InjectedLinkDrop:
-                    outcome.violations.append(
-                        "link drop escaped into the train workload"
-                    )
-                    break
-                except IntegrityError as exc:
-                    _note_fault(machine, spec, "integrity-rejection")
-                    outcome.integrity_rejections += 1
-                    expected = (
-                        spec is not None
-                        and spec.kind == FLIP
-                        and outcome.integrity_rejections == 1
-                    )
-                    if not expected:
-                        outcome.violations.append(
-                            "I2: sealed data failed its MAC check after "
-                            f"a {spec.kind if spec else 'golden'} fault: "
-                            f"{exc}"
-                        )
-                        break
-                    # A transient flip is fail-stop: crash and reboot.
-                except Exception as exc:  # noqa: BLE001 — I0 catch-all
-                    outcome.violations.append(
-                        f"I0: unexpected {type(exc).__name__} escaped the "
-                        f"workload: {exc}"
-                    )
-                    break
-                plan.disarm()
-                machine.power_fail()
-                outcome.reboots += 1
-                if outcome.reboots > MAX_REBOOTS:
-                    outcome.violations.append(
-                        f"machine failed to recover within {MAX_REBOOTS} "
-                        "reboots"
-                    )
-                    break
-        outcome.losses = dict(machine.losses)
-        outcome.final_iteration = machine.final_iteration
-        outcome.stored_iteration = machine.stored_iteration
-        outcome.params_digest = machine.params_digest
-        outcome.flight = machine.recorder.flight.snapshot()
-        return outcome
+        if outcome.params_digest != golden.params_digest:
+            v.append(
+                "I3: final model parameters diverged from the "
+                "uninterrupted run"
+            )
+        _compare_stored_iteration(golden, outcome, v)
 
     # ------------------------------------------------------------------
     def _fetch_dataset(self, m: _TrainMachine) -> DataMatrix:
@@ -407,11 +242,8 @@ class TrainWorkload:
         deterministic.
         """
         matrix = self._data_matrix()
-        wire_key = hashlib.sha256(
-            b"faults-data-key-" + self.seed.to_bytes(4, "big")
-        ).digest()[:16]
         engine = EncryptionEngine(
-            wire_key,
+            _seeded_key(b"faults-data-key-", self.seed),
             rand=SgxRandom(b"faults-data-" + self.seed.to_bytes(4, "big")),
             observer=m.recorder,
         )
@@ -427,7 +259,7 @@ class TrainWorkload:
             f"dataset fetch failed after {MAX_FETCH_ATTEMPTS} attempts"
         )
 
-    def _boot(self, m: _TrainMachine, violations: List[str]) -> None:
+    def boot(self, m: _TrainMachine, violations: List[str]) -> None:
         """One boot: provision key, attach region, train to target."""
         m.cluster.boot()
         m.host.barrier()
@@ -463,29 +295,7 @@ class TrainWorkload:
             runtime.ocall("persist_key", blob.measurement + blob.sealed)
         engine = EncryptionEngine(key, rand=m.rand, observer=m.recorder)
 
-        # Region attach: open-and-recover when the magic is durable,
-        # otherwise (re)format.  Formatting is only legal if no prior
-        # format completed (I1: a completed format never loses its magic).
-        main_size = (m.pm.size - HEADER_SIZE) // 2
-        before = m.recorder.counters.get("romulus.recoveries")
-        if m.pm.read(0, 8) == MAGIC:
-            region = m.host.open_region()
-            err = invariants.recovery_count_delta(
-                before, m.recorder.counters.get("romulus.recoveries")
-            )
-            if err:
-                violations.append("I4: " + err)
-            err = invariants.region_idle_and_twinned(region)
-            if err:
-                violations.append("I1: " + err)
-        else:
-            if m.format_completed:
-                violations.append(
-                    "I1: a formatted region lost its magic after a crash"
-                )
-            region = m.host.format_region(main_size)
-            m.format_completed = True
-
+        region = m.attach_region(violations)
         heap = PersistentHeap(region)
         pm_data = PmDataModule(region, heap, engine, enclave, m.profile)
         if pm_data.exists():
@@ -513,7 +323,7 @@ class TrainWorkload:
                 "I6: a committed mirror vanished after a crash"
             )
 
-        network = self._network()
+        network = _network(self.batch, self.seed)
         trainer = PliniusTrainer(
             network,
             mirror,
@@ -533,7 +343,7 @@ class TrainWorkload:
         m.params_digest = params_digest(network)
 
 
-class _LinkMachine:
+class _LinkMachine(Machine):
     """One stage worker plus its secure link (built fault-free).
 
     The worker lives on host ``w0``; the link's far end is the ``peer``
@@ -542,42 +352,33 @@ class _LinkMachine:
     """
 
     def __init__(self, batch: int, seed: int, server: str):
+        super().__init__()
         profile = get_profile(server)
-        self.clock = SimClock()
-        self.recorder = TraceRecorder()
-        self.clock.recorder = self.recorder
-        self.cluster = Cluster(self.clock)
         self.host = self.cluster.add_host("w0", profile)
         self.cluster.add_host("peer", profile)
         self.cluster.connect("w0", "peer")
-        job_key = hashlib.sha256(
-            b"faults-job-" + seed.to_bytes(4, "big")
-        ).digest()[:16]
-        def builder():
-            net = build_mnist_cnn(
-                n_conv_layers=1,
-                filters=2,
-                batch=batch,
-                learning_rate=0.1,
-                rng=np.random.default_rng(seed),
-            )
-            # Momentum off for bit-identical kill/resume (see
-            # TrainWorkload._network).
-            net.momentum = 0.0
-            return net
-        self.worker = StageWorker(self.host, builder, job_key, seed=seed)
+        self.worker = StageWorker(
+            self.host,
+            lambda: _network(batch, seed),
+            _seeded_key(b"faults-job-", seed),
+            seed=seed,
+        )
         # A valid mirror exists before any fault can fire, so resume is
         # always well-defined.
         self.worker.mirror_out(0)
         self.link = NetworkLink(
             self.worker.engine, self.cluster.network, "w0", "peer"
         )
+        self.step = 0
         self.committed = 0
         self.integrity_rejections = 0
         self.losses: Dict[int, float] = {}
 
+    def power_fail(self) -> None:
+        self.worker.kill()
 
-class LinkWorkload:
+
+class LinkWorkload(Workload):
     """Distributed stage worker + secure link under fault injection.
 
     The fault plan is armed only around the steady-state step loop; the
@@ -606,7 +407,6 @@ class LinkWorkload:
         self.steps = steps
         self.batch = batch
         self.seed = seed
-        self._golden: Optional[GoldenRun] = None
 
     # ------------------------------------------------------------------
     def _input(self, step: int) -> np.ndarray:
@@ -620,68 +420,32 @@ class LinkWorkload:
         return y
 
     # ------------------------------------------------------------------
-    def golden(self) -> GoldenRun:
-        if self._golden is None:
-            plan = CountingPlan()
-            outcome = self._run(plan)
-            violations = list(outcome.violations)
-            if not outcome.completed:
-                violations.append("golden run failed to complete")
-            dups = plan.duplicate_ivs()
-            if dups:
-                violations.append(
-                    f"I5: {len(dups)} AES-GCM IVs reused within one boot"
-                )
-            self._golden = GoldenRun(
-                hits=dict(plan.hits),
-                losses=dict(outcome.losses),
-                final_iteration=outcome.final_iteration,
-                stored_iteration=outcome.stored_iteration,
-                params_digest=outcome.params_digest,
-                violations=violations,
-                flight=outcome.flight,
-            )
-        return self._golden
+    def build(self) -> _LinkMachine:
+        return _LinkMachine(self.batch, self.seed, self.server)
 
-    def replay(self, spec: FaultSpec) -> ReplayOutcome:
-        golden = self.golden()
-        plan = CrashSchedulePlan(spec)
-        outcome = self._run(plan)
-        outcome.spec = spec
-        outcome.fired = plan.fired
-        v = outcome.violations
-        if not plan.fired:
-            v.append(
-                f"fault {spec.describe()} never fired (golden saw "
-                f"{golden.hits.get(spec.site, 0)} hits at this site)"
-            )
-        if spec.kind == FLIP and plan.fired:
-            if outcome.integrity_rejections == 0:
-                v.append(
-                    "I7: a delivered bit-flip on the wire was accepted "
-                    "without an IntegrityError"
-                )
+    def observe(self, m: _LinkMachine, outcome: ReplayOutcome) -> None:
+        outcome.integrity_rejections += m.integrity_rejections
+        outcome.losses = dict(m.losses)
+        outcome.final_iteration = m.step
         if outcome.completed:
-            for step, loss in golden.losses.items():
-                if outcome.losses.get(step) != loss:
-                    v.append(
-                        f"I3: loss at step {step} diverged: golden "
-                        f"{loss!r} vs {outcome.losses.get(step)!r}"
-                    )
-            if outcome.params_digest != golden.params_digest:
+            outcome.stored_iteration = m.worker.mirror.stored_iteration()
+            outcome.params_digest = params_digest(m.worker.network)
+
+    def compare(
+        self, golden: ReplayOutcome, outcome: ReplayOutcome, v: List[str]
+    ) -> None:
+        for step, loss in golden.losses.items():
+            if outcome.losses.get(step) != loss:
                 v.append(
-                    "I3: final stage parameters diverged from the "
-                    "uninterrupted run"
+                    f"I3: loss at step {step} diverged: golden "
+                    f"{loss!r} vs {outcome.losses.get(step)!r}"
                 )
-            if outcome.stored_iteration != golden.stored_iteration:
-                v.append(
-                    f"I6: final mirror stores iteration "
-                    f"{outcome.stored_iteration}, expected "
-                    f"{golden.stored_iteration}"
-                )
-        elif not v:
-            v.append("run did not complete yet no violation was recorded")
-        return outcome
+        if outcome.params_digest != golden.params_digest:
+            v.append(
+                "I3: final stage parameters diverged from the "
+                "uninterrupted run"
+            )
+        _compare_stored_iteration(golden, outcome, v)
 
     # ------------------------------------------------------------------
     def _transfer(self, m: _LinkMachine, out, violations) -> Optional[bytes]:
@@ -715,105 +479,36 @@ class LinkWorkload:
         )
         return None
 
-    def _run(self, plan: BaseFaultPlan) -> ReplayOutcome:
-        machine = _LinkMachine(self.batch, self.seed, self.server)
-        outcome = ReplayOutcome()
-        v = outcome.violations
-        spec = getattr(plan, "spec", None)
-        step = 0
-        with installed(plan):
-            plan.mark_boot()
-            while step < self.steps and not v:
-                try:
-                    machine.host.barrier()
-                    x = self._input(step)
-                    out = machine.worker.forward(x, train=True)
-                    loss, _ = machine.worker.loss_and_backward(
-                        self._labels(step)
-                    )
-                    machine.worker.update()
-                    # Record the loss before the commit: if the crash
-                    # lands mid-transfer the worker resumes *past* this
-                    # step and never recomputes it.
-                    machine.losses[step] = loss
-                    machine.worker.mirror_out(step + 1)
-                    machine.committed = step + 1
-                    if self._transfer(machine, out, v) is None:
-                        break
-                    step += 1
-                except InjectedCrash:
-                    _note_fault(machine, spec, "crash")
-                    plan.disarm()
-                    try:
-                        machine.worker.kill()
-                        resumed = machine.worker.resume()
-                    except Exception as exc:  # noqa: BLE001
-                        v.append(
-                            "I0: recovery after a crash failed with "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        break
-                    outcome.reboots += 1
-                    if resumed < machine.committed:
-                        v.append(
-                            f"I6: worker resumed at iteration {resumed} "
-                            f"but iteration {machine.committed} had "
-                            "committed"
-                        )
-                        break
-                    step = resumed
-                    machine.committed = resumed
-                except InjectedLinkDrop:
-                    v.append(
-                        "link drop escaped the transfer retry loop"
-                    )
-                    break
-                except IntegrityError as exc:
-                    _note_fault(machine, spec, "integrity-rejection")
-                    outcome.integrity_rejections += 1
-                    expected = (
-                        spec is not None
-                        and spec.kind == FLIP
-                        and outcome.integrity_rejections == 1
-                    )
-                    if not expected:
-                        v.append(
-                            f"I2: sealed stage state failed its MAC "
-                            f"check: {exc}"
-                        )
-                        break
-                    # fail-stop: crash the worker and resume
-                    plan.disarm()
-                    try:
-                        machine.worker.kill()
-                        step = machine.worker.resume()
-                    except Exception as exc:  # noqa: BLE001
-                        v.append(
-                            "I0: recovery after a fail-stop failed with "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        break
-                    machine.committed = step
-                    outcome.reboots += 1
-                except Exception as exc:  # noqa: BLE001 — I0 catch-all
-                    v.append(
-                        f"I0: unexpected {type(exc).__name__} escaped the "
-                        f"workload: {exc}"
-                    )
-                    break
-            else:
-                outcome.completed = not v
-        outcome.integrity_rejections += machine.integrity_rejections
-        outcome.losses = dict(machine.losses)
-        outcome.final_iteration = step
-        if outcome.completed:
-            outcome.stored_iteration = machine.worker.mirror.stored_iteration()
-            outcome.params_digest = params_digest(machine.worker.network)
-        outcome.flight = machine.recorder.flight.snapshot()
-        return outcome
+    def boot(self, m: _LinkMachine, violations: List[str]) -> None:
+        """One boot: resume a killed worker from PM, step to the end."""
+        if not m.host.alive:
+            resumed = m.worker.resume()
+            if resumed < m.committed:
+                violations.append(
+                    f"I6: worker resumed at iteration {resumed} "
+                    f"but iteration {m.committed} had "
+                    "committed"
+                )
+                return
+            m.step = m.committed = resumed
+        while m.step < self.steps and not violations:
+            m.host.barrier()
+            x = self._input(m.step)
+            out = m.worker.forward(x, train=True)
+            loss, _ = m.worker.loss_and_backward(self._labels(m.step))
+            m.worker.update()
+            # Record the loss before the commit: if the crash
+            # lands mid-transfer the worker resumes *past* this
+            # step and never recomputes it.
+            m.losses[m.step] = loss
+            m.worker.mirror_out(m.step + 1)
+            m.committed = m.step + 1
+            if self._transfer(m, out, violations) is None:
+                return
+            m.step += 1
 
 
-class _ServeMachine:
+class _ServeMachine(Machine):
     """Durable state of one serving deployment across replay reboots.
 
     A cluster of one ``gateway`` host (owning the PM device with the
@@ -827,11 +522,8 @@ class _ServeMachine:
     def __init__(
         self, pm_size: int, server: str, seed: int, n_replicas: int = 2
     ) -> None:
+        super().__init__()
         self.profile = get_profile(server)
-        self.clock = SimClock()
-        self.recorder = TraceRecorder()
-        self.clock.recorder = self.recorder
-        self.cluster = Cluster(self.clock)
         self.host = self.cluster.add_host(
             "gateway", self.profile, pm_size=pm_size
         )
@@ -843,29 +535,20 @@ class _ServeMachine:
         self.fabric = ServingFabric(
             self.cluster, "gateway", tuple(replica_hosts)
         )
-        self.pm = self.host.pm
         self.rand = SgxRandom(b"faults-serve-" + seed.to_bytes(4, "big"))
-        self.engine_key = hashlib.sha256(
-            b"faults-serve-key-" + seed.to_bytes(4, "big")
-        ).digest()[:16]
+        self.engine_key = _seeded_key(b"faults-serve-key-", seed)
         #: Highest model generation observed committed (I6 floor).
         self.last_committed = 0
         #: Delivered sealed responses, keyed by request index.
         self.answered: Dict[int, bytes] = {}
-        #: Generation that served each answered request.
-        self.served_generation: Dict[int, int] = {}
         #: Highest generation each replica index has served (monotone).
         self.max_gen_served: Dict[int, int] = {}
         self.gateway = None
         self.label_of: Dict[int, int] = {}
         self.stored_iteration = 0
-        self.redispatches = 0
-
-    def power_fail(self) -> None:
-        self.cluster.power_fail()
 
 
-class ServeWorkload:
+class ServeWorkload(Workload):
     """The replicated inference gateway under fault injection.
 
     The scenario: a mirror holding model generation 1 is committed
@@ -910,20 +593,11 @@ class ServeWorkload:
         self.server = server
         self.pm_size = pm_size
         self.seed = seed
-        self._golden: Optional[GoldenRun] = None
         self._refs: Optional[Dict[int, Dict[int, bytes]]] = None
 
     # ------------------------------------------------------------------
     def _network(self, generation: int):
-        net = build_mnist_cnn(
-            n_conv_layers=1,
-            filters=2,
-            batch=4,
-            learning_rate=0.1,
-            rng=np.random.default_rng((self.seed, generation)),
-        )
-        net.momentum = 0.0
-        return net
+        return _network(4, (self.seed, generation))
 
     def _image(self, index: int) -> np.ndarray:
         rng = np.random.default_rng((self.seed, 100 + index))
@@ -984,157 +658,12 @@ class ServeWorkload:
         return refs
 
     # ------------------------------------------------------------------
-    def golden(self) -> GoldenRun:
-        if self._golden is None:
-            plan = CountingPlan()
-            outcome = self._run(plan)
-            violations = list(outcome.violations)
-            if not outcome.completed:
-                violations.append("golden run failed to complete")
-            if outcome.reboots:
-                violations.append(
-                    f"golden run rebooted {outcome.reboots} times"
-                )
-            dups = plan.duplicate_ivs()
-            if dups:
-                violations.append(
-                    f"I5: {len(dups)} AES-GCM IVs reused within one boot"
-                )
-            self._golden = GoldenRun(
-                hits=dict(plan.hits),
-                losses=dict(outcome.losses),
-                final_iteration=outcome.final_iteration,
-                stored_iteration=outcome.stored_iteration,
-                params_digest=outcome.params_digest,
-                violations=violations,
-                flight=outcome.flight,
-            )
-        return self._golden
-
-    def replay(self, spec: FaultSpec) -> ReplayOutcome:
-        golden = self.golden()
-        refs = self._references()
-        plan = CrashSchedulePlan(spec)
-        outcome = self._run(plan)
-        outcome.spec = spec
-        outcome.fired = plan.fired
-        v = outcome.violations
-        if not plan.fired:
-            v.append(
-                f"fault {spec.describe()} never fired (golden saw "
-                f"{golden.hits.get(spec.site, 0)} hits at this site)"
-            )
-        dups = plan.duplicate_ivs()
-        if dups:
-            v.append(f"I5: {len(dups)} AES-GCM IVs reused within one boot")
-        if spec.kind == FLIP and plan.fired:
-            if outcome.integrity_rejections == 0:
-                v.append(
-                    "I7: a delivered bit-flip in a sealed record was "
-                    "accepted without an IntegrityError"
-                )
-        if outcome.completed:
-            answered = outcome.losses  # request index -> response slot
-            if outcome.final_iteration != self.N_REQUESTS:
-                v.append(
-                    f"I3: {outcome.final_iteration} of "
-                    f"{self.N_REQUESTS} requests answered"
-                )
-            for index, sealed in answered.items():
-                if sealed not in refs[index].values():
-                    v.append(
-                        f"I3: response to request {index} matches no "
-                        "committed model generation (torn or corrupt "
-                        "serving state)"
-                    )
-            if outcome.stored_iteration != golden.stored_iteration:
-                v.append(
-                    f"I6: final mirror stores iteration "
-                    f"{outcome.stored_iteration}, expected "
-                    f"{golden.stored_iteration}"
-                )
-        elif not v:
-            v.append("run did not complete yet no violation was recorded")
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _run(self, plan: BaseFaultPlan) -> ReplayOutcome:
-        machine = _ServeMachine(
+    def build(self) -> _ServeMachine:
+        """Fault-free: format the region, commit generation 1."""
+        m = _ServeMachine(
             self.pm_size, self.server, self.seed, n_replicas=self.N_REPLICAS
         )
-        outcome = ReplayOutcome()
-        spec = getattr(plan, "spec", None)
-        self._setup(machine)  # fault-free: region + generation-1 mirror
-        with installed(plan):
-            while True:
-                plan.mark_boot()
-                try:
-                    self._boot(machine, outcome.violations)
-                    outcome.completed = not outcome.violations
-                    break
-                except InjectedCrash:
-                    _note_fault(machine, spec, "crash")
-                    self._harvest(machine, outcome.violations)
-                except InjectedEcallAbort:
-                    # An abort the gateway could not absorb: the host
-                    # treats it as fatal and power-cycles.
-                    _note_fault(machine, spec, "ecall-abort")
-                    self._harvest(machine, outcome.violations)
-                except InjectedLinkDrop:
-                    outcome.violations.append(
-                        "link drop escaped into the serve workload"
-                    )
-                    break
-                except IntegrityError as exc:
-                    _note_fault(machine, spec, "integrity-rejection")
-                    outcome.integrity_rejections += 1
-                    expected = (
-                        spec is not None
-                        and spec.kind == FLIP
-                        and outcome.integrity_rejections == 1
-                    )
-                    if not expected:
-                        outcome.violations.append(
-                            "I2: sealed data failed its MAC check after "
-                            f"a {spec.kind if spec else 'golden'} fault: "
-                            f"{exc}"
-                        )
-                        break
-                    # Fail-stop: power-cycle and reboot.
-                    self._harvest(machine, outcome.violations)
-                except Exception as exc:  # noqa: BLE001 — I0 catch-all
-                    outcome.violations.append(
-                        f"I0: unexpected {type(exc).__name__} escaped the "
-                        f"workload: {exc}"
-                    )
-                    break
-                if outcome.completed or outcome.violations:
-                    break
-                plan.disarm()
-                machine.power_fail()
-                outcome.reboots += 1
-                if outcome.reboots > MAX_REBOOTS:
-                    outcome.violations.append(
-                        f"machine failed to recover within {MAX_REBOOTS} "
-                        "reboots"
-                    )
-                    break
-        outcome.losses = dict(machine.answered)
-        outcome.final_iteration = len(machine.answered)
-        outcome.stored_iteration = machine.stored_iteration
-        outcome.flight = machine.recorder.flight.snapshot()
-        if machine.answered:
-            h = hashlib.sha256()
-            for index in sorted(machine.answered):
-                h.update(machine.answered[index])
-            outcome.params_digest = h.hexdigest()
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _setup(self, m: _ServeMachine) -> None:
-        """Fault-free: format the region, commit generation 1."""
-        main_size = (m.pm.size - HEADER_SIZE) // 2
-        region = m.host.format_region(main_size)
+        region = m.host.format_region((m.host.pm.size - HEADER_SIZE) // 2)
         heap = PersistentHeap(region)
         engine = EncryptionEngine(m.engine_key, rand=m.rand)
         enclave = m.host.spawn_enclave()
@@ -1143,7 +672,37 @@ class ServeWorkload:
         mirror.mirror_out(self._network(1), 1)
         m.last_committed = 1
         m.stored_iteration = 1
+        return m
 
+    def observe(self, m: _ServeMachine, outcome: ReplayOutcome) -> None:
+        outcome.losses = dict(m.answered)  # request index -> response slot
+        outcome.final_iteration = len(m.answered)
+        outcome.stored_iteration = m.stored_iteration
+        if m.answered:
+            h = hashlib.sha256()
+            for index in sorted(m.answered):
+                h.update(m.answered[index])
+            outcome.params_digest = h.hexdigest()
+
+    def compare(
+        self, golden: ReplayOutcome, outcome: ReplayOutcome, v: List[str]
+    ) -> None:
+        refs = self._references()
+        if outcome.final_iteration != self.N_REQUESTS:
+            v.append(
+                f"I3: {outcome.final_iteration} of "
+                f"{self.N_REQUESTS} requests answered"
+            )
+        for index, sealed in outcome.losses.items():
+            if sealed not in refs[index].values():
+                v.append(
+                    f"I3: response to request {index} matches no "
+                    "committed model generation (torn or corrupt "
+                    "serving state)"
+                )
+        _compare_stored_iteration(golden, outcome, v)
+
+    # ------------------------------------------------------------------
     def _harvest(self, m: _ServeMachine, violations: List[str]) -> None:
         """Fold one boot's delivered responses into the durable record."""
         if m.gateway is None:
@@ -1158,7 +717,6 @@ class ServeWorkload:
                 )
                 continue
             m.answered[index] = record.sealed
-            m.served_generation[index] = record.generation
         for batch in result.batches:
             floor = m.max_gen_served.get(batch.replica, 0)
             if batch.generation < floor:
@@ -1168,10 +726,11 @@ class ServeWorkload:
                     "(non-monotone hot reload)"
                 )
             m.max_gen_served[batch.replica] = max(floor, batch.generation)
-        m.redispatches += result.redispatches
         m.gateway = None
 
-    def _boot(self, m: _ServeMachine, violations: List[str]) -> None:
+    on_fault = _harvest
+
+    def boot(self, m: _ServeMachine, violations: List[str]) -> None:
         """One boot: rebuild the volatile tier, serve what's unanswered."""
         from repro.core.serving import InferenceClient
         from repro.serving import (
@@ -1274,7 +833,7 @@ class ServeWorkload:
                 )
 
 
-class _FederatedMachine:
+class _FederatedMachine(Machine):
     """Durable state of one federation across replay reboots.
 
     The :class:`~repro.federated.session.FederatedSession` *is* the
@@ -1288,9 +847,10 @@ class _FederatedMachine:
         from repro.federated.session import FederatedSession
 
         self.session = FederatedSession(config)
-        self.clock = self.session.clock
-        self.recorder = TraceRecorder()
-        self.clock.recorder = self.recorder
+        super().__init__(self.session.cluster)
+        self.host = self.session.host
+        self.session.on_note = self.on_note
+        self.session.on_ack = self.on_ack
         #: Highest round any boot acknowledged (the I8 floor).
         self.acked_round = 0
         #: Noted per-step losses, key = round*1000 + client*100 + step.
@@ -1302,7 +862,6 @@ class _FederatedMachine:
         #: Every exclusion any boot recorded (should stay empty under a
         #: single injected fault — invariant I10).
         self.exclusions: set = set()
-        self.format_completed = False
         self.final_round = 0
         self.params_digest = ""
         self.integrity_rejections = 0
@@ -1325,11 +884,8 @@ class _FederatedMachine:
             coordinator.integrity_rejections = 0
             self.exclusions.update(coordinator.evidence)
 
-    def power_fail(self) -> None:
-        self.session.cluster.power_fail()
 
-
-class FederatedWorkload:
+class FederatedWorkload(Workload):
     """Federated secure training under fault injection.
 
     Three attested clients train two FedAvg rounds against the
@@ -1371,184 +927,56 @@ class FederatedWorkload:
             pm_size=pm_size,
             seed=seed,
         )
-        self._golden: Optional[GoldenRun] = None
 
     # ------------------------------------------------------------------
-    def golden(self) -> GoldenRun:
-        if self._golden is None:
-            plan = CountingPlan()
-            outcome = self._run(plan)
-            violations = list(outcome.violations)
-            if not outcome.completed:
-                violations.append("golden run failed to complete")
-            if outcome.reboots:
-                violations.append(
-                    f"golden run rebooted {outcome.reboots} times"
-                )
-            dups = plan.duplicate_ivs()
-            if dups:
-                violations.append(
-                    f"I5: {len(dups)} AES-GCM IVs reused within one boot"
-                )
-            self._golden = GoldenRun(
-                hits=dict(plan.hits),
-                losses=dict(outcome.losses),
-                final_iteration=outcome.final_iteration,
-                stored_iteration=outcome.stored_iteration,
-                params_digest=outcome.params_digest,
-                violations=violations,
-                flight=outcome.flight,
-            )
-        return self._golden
+    def build(self) -> _FederatedMachine:
+        return _FederatedMachine(self.config)
 
-    def replay(self, spec: FaultSpec) -> ReplayOutcome:
-        golden = self.golden()
-        plan = CrashSchedulePlan(spec)
-        outcome = self._run(plan)
-        outcome.spec = spec
-        outcome.fired = plan.fired
-        v = outcome.violations
-        if not plan.fired:
-            v.append(
-                f"fault {spec.describe()} never fired (golden saw "
-                f"{golden.hits.get(spec.site, 0)} hits at this site)"
-            )
-        dups = plan.duplicate_ivs()
-        if dups:
-            v.append(f"I5: {len(dups)} AES-GCM IVs reused within one boot")
-        if spec.kind == FLIP and plan.fired:
-            if outcome.integrity_rejections == 0:
-                v.append(
-                    "I7: a delivered bit-flip in a sealed record was "
-                    "accepted without an IntegrityError"
-                )
-        if outcome.completed:
-            err = invariants.losses_equivalent(golden.losses, outcome.losses)
-            if err:
-                v.append("I9: " + err)
-            if outcome.final_iteration != golden.final_iteration:
-                v.append(
-                    f"I9: finished at committed round "
-                    f"{outcome.final_iteration}, golden committed "
-                    f"{golden.final_iteration}"
-                )
-            if outcome.params_digest != golden.params_digest:
-                v.append(
-                    "I9: merged parameters or round roots diverged from "
-                    "the uninterrupted federation"
-                )
-        elif not v:
-            v.append("run did not complete yet no violation was recorded")
-        return outcome
+    def on_fault(self, m: _FederatedMachine, violations: List[str]) -> None:
+        m.harvest()
 
-    # ------------------------------------------------------------------
-    def _run(self, plan: BaseFaultPlan) -> ReplayOutcome:
-        machine = _FederatedMachine(self.config)
-        machine.session.on_note = machine.on_note
-        machine.session.on_ack = machine.on_ack
-        outcome = ReplayOutcome()
-        spec = getattr(plan, "spec", None)
-        with installed(plan):
-            while True:
-                plan.mark_boot()
-                try:
-                    self._boot(machine, outcome.violations)
-                    machine.harvest()
-                    outcome.completed = not outcome.violations
-                    break
-                except InjectedCrash:
-                    _note_fault(machine, spec, "crash")
-                    machine.harvest()
-                except InjectedEcallAbort:
-                    _note_fault(machine, spec, "ecall-abort")
-                    machine.harvest()
-                except InjectedLinkDrop:
-                    outcome.violations.append(
-                        "link drop escaped the federation's transport "
-                        "retry loops"
-                    )
-                    break
-                except IntegrityError as exc:
-                    _note_fault(machine, spec, "integrity-rejection")
-                    machine.harvest()
-                    machine.integrity_rejections += 1
-                    expected = (
-                        spec is not None
-                        and spec.kind == FLIP
-                        and machine.integrity_rejections == 1
-                    )
-                    if not expected:
-                        outcome.violations.append(
-                            "I2: sealed data failed its MAC check after "
-                            f"a {spec.kind if spec else 'golden'} fault: "
-                            f"{exc}"
-                        )
-                        break
-                    # A transient flip is fail-stop: crash and reboot.
-                except Exception as exc:  # noqa: BLE001 — I0 catch-all
-                    outcome.violations.append(
-                        f"I0: unexpected {type(exc).__name__} escaped the "
-                        f"workload: {exc}"
-                    )
-                    break
-                if outcome.violations:
-                    break
-                plan.disarm()
-                machine.power_fail()
-                outcome.reboots += 1
-                if outcome.reboots > MAX_REBOOTS:
-                    outcome.violations.append(
-                        f"machine failed to recover within {MAX_REBOOTS} "
-                        "reboots"
-                    )
-                    break
-        if machine.exclusions:
+    def observe(self, m: _FederatedMachine, outcome: ReplayOutcome) -> None:
+        m.harvest()
+        if m.exclusions:
             marks = sorted(
-                (e.round_no, e.client_id, e.reason)
-                for e in machine.exclusions
+                (e.round_no, e.client_id, e.reason) for e in m.exclusions
             )
             outcome.violations.append(
                 "I10: honest clients were excluded under a single "
                 f"injected fault: {marks}"
             )
-        outcome.integrity_rejections = machine.integrity_rejections
-        outcome.losses = dict(machine.losses)
-        outcome.final_iteration = machine.final_round
-        outcome.stored_iteration = machine.final_round
-        outcome.params_digest = machine.params_digest
-        outcome.flight = machine.recorder.flight.snapshot()
-        return outcome
+        outcome.integrity_rejections += m.integrity_rejections
+        outcome.losses = dict(m.losses)
+        outcome.final_iteration = m.final_round
+        outcome.stored_iteration = m.final_round
+        outcome.params_digest = m.params_digest
+
+    def compare(
+        self, golden: ReplayOutcome, outcome: ReplayOutcome, v: List[str]
+    ) -> None:
+        err = invariants.losses_equivalent(golden.losses, outcome.losses)
+        if err:
+            v.append("I9: " + err)
+        if outcome.final_iteration != golden.final_iteration:
+            v.append(
+                f"I9: finished at committed round "
+                f"{outcome.final_iteration}, golden committed "
+                f"{golden.final_iteration}"
+            )
+        if outcome.params_digest != golden.params_digest:
+            v.append(
+                "I9: merged parameters or round roots diverged from "
+                "the uninterrupted federation"
+            )
 
     # ------------------------------------------------------------------
-    def _boot(self, m: _FederatedMachine, violations: List[str]) -> None:
+    def boot(self, m: _FederatedMachine, violations: List[str]) -> None:
         """One boot: attach, check I8, resume rounds, audit, finish."""
         session = m.session
         session.cluster.boot()
         session.host.barrier()
 
-        # Region attach with the same I1/I4 discipline as the train
-        # workload: recover when the magic is durable, else first-format.
-        before = m.recorder.counters.get("romulus.recoveries")
-        if session.host.pm.read(0, 8) == MAGIC:
-            region = session.host.open_region()
-            err = invariants.recovery_count_delta(
-                before, m.recorder.counters.get("romulus.recoveries")
-            )
-            if err:
-                violations.append("I4: " + err)
-            err = invariants.region_idle_and_twinned(region)
-            if err:
-                violations.append("I1: " + err)
-        else:
-            if m.format_completed:
-                violations.append(
-                    "I1: a formatted region lost its magic after a crash"
-                )
-            main_size = (session.host.pm.size - HEADER_SIZE) // 2
-            region = session.host.format_region(main_size)
-            m.format_completed = True
-
-        coordinator = session.boot(region=region)
+        coordinator = session.boot(region=m.attach_region(violations))
         committed = coordinator.ledger.committed_round()
         err = invariants.committed_round_monotone(m.acked_round, committed)
         if err:
@@ -1608,17 +1036,19 @@ class FederatedWorkload:
         m.params_digest = digest.hexdigest()
 
 
+#: The one workload registry: the explorer's default, the CLI's
+#: ``--workload`` choices and ``repro.faults``'s lazy exports read it.
+WORKLOADS = {
+    cls.name: cls
+    for cls in (TrainWorkload, LinkWorkload, ServeWorkload, FederatedWorkload)
+}
+
+
 def make_workload(name: str, **kwargs):
     """Workload factory used by the explorer and the CLI."""
-    table = {
-        "train": TrainWorkload,
-        "link": LinkWorkload,
-        "serve": ServeWorkload,
-        "federated": FederatedWorkload,
-    }
     try:
-        return table[name](**kwargs)
+        return WORKLOADS[name](**kwargs)
     except KeyError:
         raise ValueError(
-            f"unknown workload {name!r}; choose from {sorted(table)}"
+            f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
         ) from None

@@ -13,6 +13,10 @@ included.  Host-BLAS-dependent values (sealed response bytes, losses,
 parameter digests) are deliberately not frozen; they stay checked
 in-run by ``tests/test_serving_properties.py`` and invariant I3.
 
+Re-recorded once since: the gateway's ``arena.hit`` / ``arena.miss``
+(30 / 15 -> 28 / 14) and the report hash embedding them, when the arena
+leaky kernel dropped its mask buffer; nothing else moved.
+
 Regenerate (only when a PR changes simulated behaviour on purpose)::
 
     PYTHONPATH=src python -m tests.test_cluster_equivalence \

@@ -8,6 +8,8 @@ by the dedicated CI job / ``pytest -m crashtest``.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.faults.explorer import (
@@ -20,7 +22,7 @@ from repro.faults.explorer import (
 from repro.faults.mutations import MUTANTS, apply_mutant
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import CRASH
-from repro.faults.workload import make_workload
+from repro.faults.workload import WORKLOADS, make_workload
 
 
 class TestEnumeration:
@@ -85,7 +87,7 @@ class TestClusterCoverage:
         "cluster.deliver",
     )
 
-    @pytest.mark.parametrize("name", ["train", "link", "serve", "federated"])
+    @pytest.mark.parametrize("name", WORKLOADS)
     def test_golden_census_includes_cluster_sites(self, name):
         golden = make_workload(name).golden()
         assert not golden.violations
@@ -211,12 +213,10 @@ class TestExhaustiveAcceptance:
         report = explore(ExploreConfig(exhaustive=True, seed=0))
         assert report.ok, report.render_text()
         assert report.crash_points >= 50
-        assert {w.name for w in report.workloads} == {
-            "train",
-            "link",
-            "serve",
-            "federated",
-        }
+        assert [w.name for w in report.workloads] == list(WORKLOADS)
+        # The CLI's JSON document, byte for byte (CI `cmp`s the same).
+        census = Path(__file__).parent / "fixtures/golden/crash_census.json"
+        assert report.to_json() + "\n" == census.read_text()
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_every_mutant_is_detected(self, mutant):

@@ -27,10 +27,8 @@ from repro.analysis.lint import (
     render_text,
     run_paths,
 )
-from repro.analysis.lint.config import (
-    UNTRUSTED_MODULES as LINT_UNTRUSTED,
-)
-from repro.analysis.tcb import UNTRUSTED_MODULES as TCB_UNTRUSTED
+from repro.analysis.lint.config import LintConfig
+from repro.analysis.tcb import TRUSTED_MODULES, UNTRUSTED_MODULES
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -204,23 +202,21 @@ def test_render_json_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# TCB accounting stays in sync with the linter's view of the boundary
+# One trust manifest (repro.analysis.tcb) that lint, flow and tcb read
 # ----------------------------------------------------------------------
 
-def test_lint_and_tcb_agree_on_untrusted_modules():
-    assert set(LINT_UNTRUSTED) == set(TCB_UNTRUSTED)
-
-
-def test_every_cluster_module_is_classified_untrusted():
-    """New substrate modules must be placed on both boundary maps."""
-    cluster_modules = {
-        "repro.cluster." + path.stem
-        for path in (SRC / "repro" / "cluster").glob("*.py")
+def test_every_module_is_classified_exactly_once():
+    """A new module must be placed on one side of the boundary map."""
+    modules = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in (SRC / "repro").rglob("*.py")
         if path.stem != "__init__"
     }
-    assert cluster_modules  # the package exists and has members
-    assert cluster_modules <= set(LINT_UNTRUSTED)
-    assert cluster_modules <= set(TCB_UNTRUSTED)
+    exempt = {m for m in modules if m.startswith("repro.bench.")}
+    exempt.add("repro.__main__")
+    classified = list(TRUSTED_MODULES) + list(UNTRUSTED_MODULES)
+    assert sorted(classified) == sorted(modules - exempt)
+    assert LintConfig().untrusted_modules is UNTRUSTED_MODULES
 
 
 def test_cli_tcb_json(capsys):

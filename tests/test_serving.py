@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.crypto.backend import IntegrityError
+from repro.crypto.engine import SEAL_OVERHEAD
 from repro.darknet.train import train
 from repro.data import synthetic_mnist, to_data_matrix
 from repro.sgx.attestation import AttestationError, QuotingEnclave
@@ -43,76 +44,94 @@ def make_service(trained_setup):
     return SecureInferenceService(net, enclave, qe)
 
 
+def connect(service, enclave, seed, session_id=1):
+    client = InferenceClient(enclave.measurement, seed=seed)
+    service.open_session(client, session_id)
+    return client
+
+
+def classify(service, client, images):
+    """Round trip: seal, submit as a batch of one, unseal."""
+    seq, sealed = client.seal_request_seq(images)
+    reply = service.handle_request(client.session_id, seq, sealed)
+    return client.open_response_seq(seq, reply)
+
+
 class TestService:
     def test_end_to_end_classification(self, trained_setup):
         net, enclave, qe, test_images, test_labels = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=2)
-        service.connect(client)
-        preds = client.classify(service, test_images[:64])
+        client = connect(service, enclave, seed=2)
+        preds = classify(service, client, test_images[:64])
         accuracy = float((preds == test_labels[:64]).mean())
         assert accuracy > 0.8
 
     def test_requests_are_sealed_on_the_wire(self, trained_setup):
         net, enclave, qe, test_images, _ = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=3)
-        service.connect(client)
-        wire = client.seal_request(test_images[:4])
+        client = connect(service, enclave, seed=3)
+        _, wire = client.seal_request_seq(test_images[:4])
         assert test_images[0].astype(np.float32).tobytes()[:24] not in wire
 
     def test_responses_are_sealed(self, trained_setup):
         net, enclave, qe, test_images, _ = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=4)
-        service.connect(client)
-        sealed = service.handle(client.seal_request(test_images[:4]))
-        preds = client.open_response(sealed)
+        client = connect(service, enclave, seed=4)
+        seq, wire = client.seal_request_seq(test_images[:4])
+        sealed = service.handle_request(client.session_id, seq, wire)
+        preds = client.open_response_seq(seq, sealed)
         assert preds.tobytes() not in sealed  # still sealed going out
         assert preds.shape == (4,)
 
     def test_tampered_request_rejected(self, trained_setup):
         net, enclave, qe, test_images, _ = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=5)
-        service.connect(client)
-        wire = bytearray(client.seal_request(test_images[:2]))
+        client = connect(service, enclave, seed=5)
+        seq, wire = client.seal_request_seq(test_images[:2])
+        wire = bytearray(wire)
         wire[20] ^= 0xFF
         with pytest.raises(IntegrityError):
-            service.handle(bytes(wire))
+            service.handle_request(client.session_id, seq, bytes(wire))
 
     def test_wrong_measurement_aborts_connection(self, trained_setup):
         service = make_service(trained_setup)
         impostor_client = InferenceClient(b"\x00" * 32, seed=6)
         with pytest.raises(AttestationError):
-            service.connect(impostor_client)
+            service.open_session(impostor_client, 1)
 
     def test_feature_mismatch_rejected(self, trained_setup):
         net, enclave, qe, _, _ = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=7)
-        service.connect(client)
-        bad = np.zeros((2, 10, 10), dtype=np.float32)
-        with pytest.raises(ValueError, match="features"):
-            service.handle(client.seal_request(bad))
+        client = connect(service, enclave, seed=7)
+        # Not a whole number of 784-feature samples: refused by size,
+        # before any decryption.
+        seq, wire = client.seal_request_seq(np.zeros((2, 10, 10), np.float32))
+        with pytest.raises(ValueError, match="784-feature samples"):
+            service.handle_request(client.session_id, seq, wire)
+        # Four 196-feature samples fill one 784-feature slot exactly:
+        # refused by the sealed header.
+        seq, wire = client.seal_request_seq(np.zeros((4, 14, 14), np.float32))
+        with pytest.raises(ValueError, match="196 features"):
+            service.handle_request(client.session_id, seq, wire)
 
     def test_requires_connection(self, trained_setup):
         service = make_service(trained_setup)
-        with pytest.raises(RuntimeError, match="no client"):
-            service.handle(b"x" * 64)
+        one_sample = b"x" * (SEAL_OVERHEAD + 16 + 4 * 28 * 28)
+        with pytest.raises(KeyError, match="no session 1"):
+            service.handle_request(1, 0, one_sample)
         client = InferenceClient(b"\x00" * 32)
-        with pytest.raises(RuntimeError, match="not connected"):
-            client.seal_request(np.zeros((1, 28, 28), np.float32))
+        with pytest.raises(RuntimeError, match="no multiplexed session"):
+            client.seal_request_seq(np.zeros((1, 28, 28), np.float32))
 
     def test_stats_tracked(self, trained_setup):
         net, enclave, qe, test_images, _ = trained_setup
         service = make_service(trained_setup)
-        client = InferenceClient(enclave.measurement, seed=8)
-        service.connect(client)
-        client.classify(service, test_images[:8])
-        client.classify(service, test_images[:16])
+        client = connect(service, enclave, seed=8)
+        classify(service, client, test_images[:8])
+        classify(service, client, test_images[:16])
         assert service.stats.requests == 2
         assert service.stats.samples == 24
+        assert service.stats.batches == 2
 
     def test_from_mirror_serves_the_mirrored_model(self, trained_setup):
         """The deployment story: the served model comes straight from
@@ -146,9 +165,8 @@ class TestService:
         service = SecureInferenceService.from_mirror(
             mirror, fresh, enclave, qe
         )
-        client = InferenceClient(enclave.measurement, seed=9)
-        service.connect(client)
-        preds = client.classify(service, test_images[:32])
+        client = connect(service, enclave, seed=9)
+        preds = classify(service, client, test_images[:32])
         expected = net.predict(
             test_images[:32].reshape(-1, 1, 28, 28)
         ).argmax(axis=1)
