@@ -3,9 +3,10 @@
 Unlike the figure benchmarks (simulated seconds), this measures *real*
 elapsed time: mirror save/restore at ``crypto_threads`` 1 vs. N, the
 batched vs. per-request inference kernels, the flight recorder's
-overhead on the mirror hot path, and one training step (whole and per
-layer).  Writes ``BENCH_wallclock.json`` at the repo root, carrying the
-committed file's append-only ``history`` forward.
+overhead on the mirror hot path, one training step (whole and per
+layer), and the fixed cost of one AEAD call through the engine and the
+inference session.  Writes ``BENCH_wallclock.json`` at the repo root,
+carrying the committed file's append-only ``history`` forward.
 
 Usage::
 
@@ -122,6 +123,27 @@ def _print_report(report) -> None:
                 ],
             )
         )
+    per_call = report.crypto_per_call
+    print("\nCrypto cost per call (median us; engine entry points, fixed IV):")
+    print(
+        format_table(
+            ["bytes", "calls", "seal", "unseal", "seal_into", "unseal_from"],
+            [
+                [
+                    p.size, p.iters, f"{p.seal_us:.2f}", f"{p.unseal_us:.2f}",
+                    f"{p.seal_into_us:.2f}", f"{p.unseal_from_us:.2f}",
+                ]
+                for p in per_call.engine
+            ],
+        )
+    )
+    session = per_call.session
+    print(
+        f"InferenceSession at {session.size} B (median of {session.iters}): "
+        f"open_request_into {session.open_request_into_us:.2f} us + "
+        f"seal_response {session.seal_response_us:.2f} us = "
+        f"{session.roundtrip_us:.2f} us per served request"
+    )
 
 
 def _thread_count(text: str) -> int:

@@ -18,16 +18,18 @@ Wall-clock numbers are host-dependent, so two tiers of checks apply:
   1 and N must be byte-identical.  The 1-vs-N mirror *ratio* is
   recorded but not gated: whether a thread fan-out pays depends on the
   cores the host has, so no direction is asserted;
-* **absolute times** — the mirror seconds at both thread counts and the
-  ``train_step`` milliseconds — are compared only like-for-like: same
-  host signature (cpu count + crypto backend) and same measurement
-  knobs (smoke flag, repeats / iters).  CI runners differ from the
-  machine that wrote the committed baseline, so this tier usually
-  applies to local runs.
+* **absolute times** — the mirror seconds at both thread counts, the
+  ``train_step`` milliseconds and the ``crypto_per_call`` microseconds —
+  are compared only like-for-like: same host signature (cpu count +
+  crypto backend) and same measurement knobs (smoke flag, repeats /
+  iters).  CI runners differ from the machine that wrote the committed
+  baseline, so this tier usually applies to local runs.
 
 Every ``train_step`` entry must carry a positive ``step_ms`` and its
-per-layer rows, and the ``history`` list is append-only: a report whose
-history does not start with every row of the baseline's fails.
+per-layer rows; from schema 7 on the ``crypto_per_call`` section must be
+present with a positive figure in every cell; and the ``history`` list
+is append-only: a report whose history does not start with every row of
+the baseline's fails.
 
 Usage::
 
@@ -59,6 +61,27 @@ def _train_steps_by_shape(payload: dict) -> dict:
     return {
         (e.get("n_conv_layers"), e.get("filters"), e.get("batch")): e
         for e in payload.get("train_step", [])
+    }
+
+
+#: The engine cells of one ``crypto_per_call`` row, and the session's.
+_ENGINE_CALL_KEYS = ("seal_us", "unseal_us", "seal_into_us", "unseal_from_us")
+_SESSION_CALL_KEYS = ("seal_response_us", "open_request_into_us")
+
+
+def _crypto_call_cells(payload: dict) -> dict:
+    """``(label, iters) -> microseconds`` for every ``crypto_per_call``
+    cell; ``None`` where a cell is missing."""
+    section = payload.get("crypto_per_call") or {}
+    session = section.get("session") or {}
+    rows = [
+        (f"engine[{row.get('size')} B]", row, _ENGINE_CALL_KEYS)
+        for row in section.get("engine", [])
+    ] + [(f"session[{session.get('size')} B]", session, _SESSION_CALL_KEYS)]
+    return {
+        (f"{label}.{key}", row.get("iters")): row.get(key)
+        for label, row, keys in rows
+        for key in keys
     }
 
 
@@ -137,6 +160,13 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                 "step_ms or its per-layer rows"
             )
 
+    if report.get("schema", 0) >= 7:
+        if not report.get("crypto_per_call", {}).get("engine"):
+            failures.append("crypto_per_call section lacks its engine rows")
+        for (label, _iters), got in _crypto_call_cells(report).items():
+            if not (got or 0.0) > 0.0:
+                failures.append(f"crypto_per_call {label} is not a positive figure")
+
     kept = baseline.get("history", [])
     if report.get("history", [])[: len(kept)] != kept:
         failures.append(
@@ -180,6 +210,16 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                 failures.append(
                     f"train_step[batch {shape[2]}].step_ms: {got:.2f} ms > "
                     f"{want:.2f} ms * {ceiling:.2f}"
+                )
+        # Cells are keyed by (label, iters): another iteration count is
+        # another measurement and is not compared.
+        base_cells = _crypto_call_cells(baseline)
+        for cell, got in _crypto_call_cells(report).items():
+            want = base_cells.get(cell)
+            if got and want and got > want * ceiling:
+                failures.append(
+                    f"crypto_per_call {cell[0]}: {got:.2f} us > "
+                    f"{want:.2f} us * {ceiling:.2f}"
                 )
     return failures
 

@@ -98,7 +98,10 @@ ENCLAVE_ONLY_MODULES: Tuple[str, ...] = (
 
 #: Individual enclave-only symbols (wherever they are imported from).
 ENCLAVE_ONLY_NAMES: FrozenSet[str] = frozenset(
-    {"sgx_read_rand", "SgxRandom", "seal_data", "unseal_data", "hkdf_sha256"}
+    {
+        "sgx_read_rand", "SgxRandom", "seal_data", "unseal_data",
+        "hkdf_sha256", "hkdf_extract", "hkdf_expand",
+    }
 )
 
 # ----------------------------------------------------------------------

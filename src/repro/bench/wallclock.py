@@ -18,10 +18,15 @@ Unlike every other harness in :mod:`repro.bench` (which report
 * one ``train_batch`` at the benchmark's shape (5 conv x 16 filters,
   batch 128) and at the federated shape (1 conv x 2 filters, batch 4):
   absolute median milliseconds, whole step and per layer.
+* one AEAD call through each of the engine's four entry points at
+  message and bulk sizes, and one served request's worth of session
+  work: absolute median microseconds — the fixed cost per call that
+  small messages pay and megabyte buffers hide.
 
 Every ratio compares two mechanisms that both exist in ``src/``; the
-``train_step`` section and the ``history`` list are absolute, compared
-like-for-like only (same host signature, same knobs).
+``train_step`` and ``crypto_per_call`` sections and the ``history``
+list are absolute, compared like-for-like only (same host signature,
+same knobs).
 
 ``benchmarks/bench_wallclock.py`` drives this module and emits
 ``BENCH_wallclock.json`` at the repository root; CI smoke-runs it so the
@@ -44,9 +49,10 @@ import numpy as np
 
 from repro.core.models import build_mnist_cnn, build_sized_cnn
 from repro.core.system import PliniusSystem
-from repro.crypto.engine import SEAL_OVERHEAD
+from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
 from repro.crypto.parallel import resolve_crypto_threads
 from repro.darknet.network import Network
+from repro.sgx.attestation import InferenceSession
 
 #: Layer counts of the Fig. 7 sweep exercised by the full harness; the
 #: largest matches the top of ``benchmarks/bench_fig7_mirroring.py``.
@@ -65,12 +71,24 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: ``crypto_threads`` 1 vs. N and carries no speedup target.
 #: v6 adds the ``train_step`` section (absolute ms per ``train_batch``,
 #: whole step and per layer) and the append-only ``history`` list.
-SCHEMA_VERSION = 6
+#: v7 adds the ``crypto_per_call`` section (absolute median µs per
+#: engine entry point at four sizes and per session call at 3 KiB) and
+#: ``session_roundtrip_us_3k`` in new ``history`` rows.
+SCHEMA_VERSION = 7
 
 #: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
 #: section: the e2e benchmark's ``train_mnist`` model and the federated
 #: clients'.  ``--smoke`` runs a fifth of the iterations.
 TRAIN_STEP_SHAPES = ((5, 16, 128, 15), (1, 2, 4, 300))
+
+#: ``(plaintext bytes, iters)`` of the ``crypto_per_call`` section: a
+#: counter-sized message, a serve request, the largest ciphertext
+#: ``decrypt_into`` opens in one shot, and a buffer above it where
+#: bandwidth takes over.  ``--smoke`` runs a fifth of the iterations.
+CRYPTO_PER_CALL_POINTS = ((64, 2000), (3 << 10, 2000), (64 << 10, 500), (1 << 20, 100))
+#: Payload and iterations of its session row (a ``serve_poisson``
+#: request is 3 KB).
+CRYPTO_SESSION_POINT = (3 << 10, 2000)
 
 #: The CI-gated floor: batched forward at batch 32 must beat a loop of
 #: single-sample forwards by at least this factor.
@@ -565,6 +583,111 @@ def measure_train_step_wallclock(
 
 
 # ----------------------------------------------------------------------
+# Per-call crypto cost
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CryptoCallPoint:
+    """Median wall microseconds per engine call at one plaintext size."""
+
+    size: int
+    iters: int
+    seal_us: float
+    unseal_us: float
+    seal_into_us: float
+    unseal_from_us: float
+
+
+@dataclass(frozen=True)
+class SessionCallPoint:
+    """Median wall microseconds of the two session calls a served
+    request makes: ``open_request_into`` on the way in,
+    ``seal_response`` on the way out."""
+
+    size: int
+    iters: int
+    seal_response_us: float
+    open_request_into_us: float
+
+    @property
+    def roundtrip_us(self) -> float:
+        return round(self.seal_response_us + self.open_request_into_us, 3)
+
+
+@dataclass(frozen=True)
+class CryptoPerCallWallclock:
+    """Fixed cost of the AEAD path, engine and session."""
+
+    engine: List[CryptoCallPoint]
+    session: SessionCallPoint
+
+
+def _median_us(iters: int, call: Callable[[int], object]) -> float:
+    """Median microseconds of ``call(i)``, each call timed on its own
+    (the two clock reads, ≈ 0.1 µs, are inside the figure)."""
+    clock = time.perf_counter
+    samples = []
+    for i in range(iters):
+        start = clock()
+        call(i)
+        samples.append(clock() - start)
+    return round(statistics.median(samples) * 1e6, 3)
+
+
+def measure_crypto_per_call_wallclock(smoke: bool = False) -> CryptoPerCallWallclock:
+    """Absolute cost per call: no twin, no ratio."""
+    scale = 5 if smoke else 1
+    key = bytes(range(16))
+    aad = b"crypto-per-call"
+    # A fixed IV keeps the IV draw (``os.urandom``: a syscall that
+    # would double the 64 B figure) out of the AEAD cost.
+    iv = bytes(12)
+    engine = EncryptionEngine(key)
+    points = []
+    for size, iters in CRYPTO_PER_CALL_POINTS:
+        iters //= scale
+        plaintext = bytes(size)
+        sealed = engine.seal(plaintext, aad=aad, iv=iv)
+        slot = bytearray(size + SEAL_OVERHEAD)
+        opened = bytearray(size)
+        points.append(
+            CryptoCallPoint(
+                size=size,
+                iters=iters,
+                seal_us=_median_us(
+                    iters, lambda _: engine.seal(plaintext, aad=aad, iv=iv)
+                ),
+                unseal_us=_median_us(iters, lambda _: engine.unseal(sealed, aad=aad)),
+                seal_into_us=_median_us(
+                    iters, lambda _: engine.seal_into(plaintext, slot, aad=aad, iv=iv)
+                ),
+                unseal_from_us=_median_us(
+                    iters, lambda _: engine.unseal_from(sealed, opened, aad=aad)
+                ),
+            )
+        )
+    size, iters = CRYPTO_SESSION_POINT
+    iters //= scale
+    session = InferenceSession(1, key)
+    payload = bytes(size)
+    requests = [session.seal_request(seq, payload) for seq in range(iters)]
+    staged = bytearray(size)
+    return CryptoPerCallWallclock(
+        engine=points,
+        session=SessionCallPoint(
+            size=size,
+            iters=iters,
+            seal_response_us=_median_us(
+                iters, lambda seq: session.seal_response(seq, payload)
+            ),
+            open_request_into_us=_median_us(
+                iters,
+                lambda seq: session.open_request_into(seq, requests[seq], staged),
+            ),
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
 # Top-level runner + baseline file
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -579,6 +702,7 @@ class WallclockReport:
     forward: ForwardWallclock
     flight_overhead: FlightOverheadWallclock
     train_step: List[TrainStepWallclock]
+    crypto_per_call: CryptoPerCallWallclock
 
     @property
     def largest_mirror(self) -> MirrorWallclock:
@@ -592,6 +716,7 @@ class WallclockReport:
             row[f"train_step_ms_b{step.batch}"] = round(step.step_ms, 3)
         row["mirror_out_ms"] = round(largest.serial_out_seconds * 1e3, 3)
         row["mirror_in_ms"] = round(largest.serial_in_seconds * 1e3, 3)
+        row["session_roundtrip_us_3k"] = self.crypto_per_call.session.roundtrip_us
         return row
 
     def to_dict(self) -> dict:
@@ -631,6 +756,13 @@ class WallclockReport:
                 "overhead_pct": round(self.flight_overhead.overhead_pct, 3),
             },
             "train_step": [asdict(step) for step in self.train_step],
+            "crypto_per_call": {
+                "engine": [asdict(p) for p in self.crypto_per_call.engine],
+                "session": {
+                    **asdict(self.crypto_per_call.session),
+                    "roundtrip_us": self.crypto_per_call.session.roundtrip_us,
+                },
+            },
         }
         largest = self.largest_mirror
         payload["criteria"] = {
@@ -692,6 +824,7 @@ def run_wallclock(
         forward=forward,
         flight_overhead=flight_overhead,
         train_step=train_step,
+        crypto_per_call=measure_crypto_per_call_wallclock(smoke),
     )
 
 

@@ -20,6 +20,7 @@ from repro.crypto.backend import (
     AeadBackend,
     CryptographyBackend,
     IntegrityError,
+    KeyedAead,
     PureBackend,
     default_backend,
     make_backend,
@@ -44,6 +45,7 @@ from repro.crypto.parallel import (
 __all__ = [
     "AES",
     "AeadBackend",
+    "KeyedAead",
     "PureBackend",
     "CryptographyBackend",
     "IntegrityError",

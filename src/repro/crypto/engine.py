@@ -9,17 +9,28 @@ section counts 140 B of PM metadata per layer from 5 buffers/layer.
 
 Sealed layout: ``ciphertext ‖ IV (12 B) ‖ MAC (16 B)``.
 
-Two API generations coexist:
+Two pairs of entry points, one per kind of caller:
 
 * :meth:`EncryptionEngine.seal` / :meth:`EncryptionEngine.unseal` —
-  allocate and return ``bytes`` (simple, copies freely);
+  for *messages* (8 B – 16 KB: session requests and responses, dataset
+  rows, ledger entries).  They take and return ``bytes``; at these
+  sizes a copy costs nanoseconds and the fixed cost per call is what
+  matters.
 * :meth:`EncryptionEngine.seal_into` / :meth:`EncryptionEngine.unseal_from`
-  — write ciphertext/plaintext directly into a caller-provided writable
-  buffer (a ``memoryview`` over a PM staging area or a live numpy
-  parameter array), eliminating the per-buffer ``bytes`` concatenations
-  on the mirroring hot path.
+  — for *bulk buffers* (multi-MB layer parameters).  They write
+  ciphertext/plaintext directly into a caller-provided writable buffer
+  (a ``memoryview`` over a PM staging area or a live numpy parameter
+  array), because there every intermediate ``bytes`` is a full extra
+  pass over memory, which is what bounds the mirroring hot path.  The
+  batched serve path also opens requests with ``unseal_from``, straight
+  into its arena staging buffer.
 
-Both generations accept an explicit ``iv`` so callers that fan sealing
+All four run on one keyed AEAD context that the engine binds from its
+backend at construction (:meth:`~repro.crypto.backend.AeadBackend.bind`)
+and drops with itself: the per-key setup is never paid per message, and
+no key outlives its engine in a process-wide cache.
+
+Every entry point accepts an explicit ``iv`` so callers that fan sealing
 work across threads can draw IVs from the (deterministic, single-
 threaded) random source *before* dispatch, keeping sealed output
 byte-identical to the serial path.  Stats counters are guarded by a
@@ -94,6 +105,7 @@ class EncryptionEngine:
         self.key = bytes(key)
         self._rand = rand if rand is not None else os.urandom  # repro: noqa[DET001] -- GCM IVs must come from real entropy in production; tests inject a counter source
         self.backend = backend if backend is not None else default_backend()
+        self._aead = self.backend.bind(self.key)
         self.observer = observer if observer is not None else NULL_RECORDER
         self._stats_lock = threading.Lock()
         self.stats = {"seals": 0, "unseals": 0, "bytes_sealed": 0, "bytes_unsealed": 0}
@@ -154,7 +166,7 @@ class EncryptionEngine:
         active = faultplan.ACTIVE
         if active.enabled:
             active.mutate("crypto.seal", iv)
-        ciphertext, tag = self.backend.encrypt(self.key, iv, bytes(plaintext), aad)
+        ciphertext, tag = self._aead.encrypt(iv, bytes(plaintext), aad)
         self._count("seals", "bytes_sealed", len(plaintext))
         return ciphertext + iv + tag
 
@@ -184,7 +196,7 @@ class EncryptionEngine:
         active = faultplan.ACTIVE
         if active.enabled:
             active.mutate("crypto.seal", iv)
-        tag = self.backend.encrypt_into(self.key, iv, plaintext, view, aad)
+        tag = self._aead.encrypt_into(iv, plaintext, view, aad)
         view[n : n + IV_SIZE] = iv
         view[n + IV_SIZE : sealed_size] = tag
         self._count("seals", "bytes_sealed", n)
@@ -206,7 +218,7 @@ class EncryptionEngine:
         ciphertext = sealed[:-SEAL_OVERHEAD]
         iv = sealed[-SEAL_OVERHEAD:-MAC_SIZE]
         tag = sealed[-MAC_SIZE:]
-        plaintext = self.backend.decrypt(self.key, iv, ciphertext, tag, aad)
+        plaintext = self._aead.decrypt(iv, ciphertext, tag, aad)
         self._count("unseals", "bytes_unsealed", len(plaintext))
         return plaintext
 
@@ -241,7 +253,7 @@ class EncryptionEngine:
             raise ValueError(
                 f"output buffer holds {len(out_view)} bytes, plaintext is {n}"
             )
-        self.backend.decrypt_into(self.key, iv, view[:n], tag, out_view[:n], aad)
+        self._aead.decrypt_into(iv, view[:n], tag, out_view, aad)
         self._count("unseals", "bytes_unsealed", n)
         return n
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from repro.crypto.engine import IV_SIZE, EncryptionEngine, RandomSource
 from repro.obs.context import TraceContext, current_trace, trace_scope
 from repro.sgx.enclave import Enclave
-from repro.sgx.sealing import hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
+from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
 
 # RFC 3526 group 14 (2048-bit MODP); generator 2.
 _MODP_PRIME = int(
@@ -117,8 +117,9 @@ class InferenceSession:
     channel — fine for a single service, wrong for a replica pool where
     the replica that answers request ``seq`` is a scheduling decision.
     The mux session instead derives every nonce from
-    ``HKDF(session key, direction ‖ seq)`` and binds direction, session
-    id and sequence number into the AAD.  Consequences:
+    ``HKDF(session key, direction ‖ seq)`` — extract once per session,
+    expand per message — and binds direction, session id and sequence
+    number into the AAD.  Consequences:
 
     * any replica provisioned with the session state seals response
       ``seq`` to the exact same bytes, regardless of batching, dispatch
@@ -136,24 +137,24 @@ class InferenceSession:
 
     def __init__(self, session_id: int, key: bytes) -> None:
         self.session_id = session_id
-        self._key = bytes(key)
-        self.engine = EncryptionEngine(self._key)
+        self.engine = EncryptionEngine(key)
+        # Key, salt and session id are fixed for the session's life, so
+        # the HKDF extract and the AAD prefixes are paid here, once;
+        # a message then costs the expand alone — one HMAC.
+        self._iv_prk = hkdf_extract(b"plinius-mux-iv", self.engine.key)
+        sid = session_id.to_bytes(8, "big")
+        self._aad_prefix = {
+            direction: b"plinius-mux|" + direction + sid
+            for direction in (self._DIR_REQUEST, self._DIR_RESPONSE)
+        }
 
     def _iv(self, direction: bytes, seq: int) -> bytes:
-        return hkdf_sha256(
-            self._key,
-            b"plinius-mux-iv",
-            direction + seq.to_bytes(8, "big"),
-            IV_SIZE,
+        return hkdf_expand(
+            self._iv_prk, direction + seq.to_bytes(8, "big"), IV_SIZE
         )
 
     def _aad(self, direction: bytes, seq: int) -> bytes:
-        return (
-            b"plinius-mux|"
-            + direction
-            + self.session_id.to_bytes(8, "big")
-            + seq.to_bytes(8, "big")
-        )
+        return self._aad_prefix[direction] + seq.to_bytes(8, "big")
 
     def _request_span(
         self,

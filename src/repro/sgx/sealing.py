@@ -10,7 +10,6 @@ property the protocol relies on.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from typing import Optional
@@ -20,19 +19,29 @@ from repro.crypto.engine import EncryptionEngine, RandomSource
 from repro.sgx.enclave import Enclave
 
 
-def hkdf_sha256(secret: bytes, salt: bytes, info: bytes, length: int) -> bytes:
-    """HKDF (RFC 5869) with SHA-256 — extract then expand."""
-    prk = hmac.new(salt, secret, hashlib.sha256).digest()
-    out = bytearray()
-    block = b""
+def hkdf_extract(salt: bytes, secret: bytes) -> bytes:
+    """HKDF-Extract (RFC 5869 §2.2): the pseudorandom key for ``secret``.
+
+    It depends on ``(salt, secret)`` only, so a caller deriving many
+    outputs from one secret extracts once and expands per output.
+    """
+    return hmac.digest(salt, secret, "sha256")
+
+
+def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
+    """HKDF-Expand (RFC 5869 §2.3): one HMAC per 32 bytes of output."""
+    out = block = b""
     counter = 1
     while len(out) < length:
-        block = hmac.new(
-            prk, block + info + bytes([counter]), hashlib.sha256
-        ).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
         out += block
         counter += 1
-    return bytes(out[:length])
+    return out[:length]
+
+
+def hkdf_sha256(secret: bytes, salt: bytes, info: bytes, length: int) -> bytes:
+    """HKDF (RFC 5869) with SHA-256 — extract then expand."""
+    return hkdf_expand(hkdf_extract(salt, secret), info, length)
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,64 @@ class TestWallclockScripts:
         failures = checker.check(baseline, hollow, tolerance=0.1)
         assert len(failures) == 1 and "per-layer rows" in failures[0]
 
+    def test_checker_knows_crypto_per_call(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        row = {
+            "size": 3072, "iters": 400, "seal_us": 2.5, "unseal_us": 2.6,
+            "seal_into_us": 2.7, "unseal_from_us": 3.1,
+        }
+        session = {
+            "size": 3072, "iters": 400, "seal_response_us": 7.0,
+            "open_request_into_us": 5.0, "roundtrip_us": 12.0,
+        }
+        host = {"cpu_count": 2, "crypto_backend": "cryptography"}
+        baseline = {
+            "schema": 7, "smoke": True, "host": host,
+            "criteria": {"mirrors_identical": True},
+            "crypto_per_call": {"engine": [row], "session": session},
+        }
+        assert checker.check(baseline, baseline, tolerance=0.1) == []
+
+        # From schema 7 on the section is required, whole.
+        absent = {k: v for k, v in baseline.items() if k != "crypto_per_call"}
+        failures = checker.check(baseline, absent, tolerance=0.1)
+        assert failures and all("crypto_per_call" in f for f in failures)
+        hollow = {
+            **baseline,
+            "crypto_per_call": {
+                "engine": [{**row, "unseal_from_us": 0.0}],
+                "session": {**session, "seal_response_us": None},
+            },
+        }
+        failures = checker.check(baseline, hollow, tolerance=0.1)
+        assert len(failures) == 2
+        assert "engine[3072 B].unseal_from_us" in failures[0]
+        assert "session[3072 B].seal_response_us" in failures[1]
+
+        # The microseconds gate like-for-like only: same host, same
+        # smoke flag, same iteration count.
+        slower = {
+            **baseline,
+            "crypto_per_call": {
+                "engine": [{**row, "seal_us": 2.9}],
+                "session": {**session, "open_request_into_us": 12.0},
+            },
+        }
+        failures = checker.check(baseline, slower, tolerance=0.1)
+        assert len(failures) == 2
+        assert "engine[3072 B].seal_us: 2.90 us > 2.50 us" in failures[0]
+        assert "session[3072 B].open_request_into_us" in failures[1]
+        elsewhere = {**slower, "host": {**host, "cpu_count": 64}}
+        assert checker.check(baseline, elsewhere, tolerance=0.1) == []
+        other_iters = {
+            **baseline,
+            "crypto_per_call": {
+                "engine": [{**row, "iters": 2000, "seal_us": 2.9}],
+                "session": session,
+            },
+        }
+        assert checker.check(baseline, other_iters, tolerance=0.1) == []
+
     def test_label_is_refused_on_a_smoke_run(self, capsys):
         bench = _load_benchmark_script("bench_wallclock")
         with pytest.raises(SystemExit) as exc:

@@ -177,20 +177,20 @@ class TestBackends:
 
     def test_roundtrip(self, backend):
         key, iv = os.urandom(16), os.urandom(12)
-        ct, tag = backend.encrypt(key, iv, b"hello", b"aad")
-        assert backend.decrypt(key, iv, ct, tag, b"aad") == b"hello"
+        ct, tag = backend.bind(key).encrypt(iv, b"hello", b"aad")
+        assert backend.bind(key).decrypt(iv, ct, tag, b"aad") == b"hello"
 
     def test_tamper_raises_integrity_error(self, backend):
         key, iv = os.urandom(16), os.urandom(12)
-        ct, tag = backend.encrypt(key, iv, b"hello hello hello")
+        ct, tag = backend.bind(key).encrypt(iv, b"hello hello hello")
         flipped = bytes([ct[0] ^ 0xFF]) + ct[1:]
         with pytest.raises(IntegrityError):
-            backend.decrypt(key, iv, flipped, tag)
+            backend.bind(key).decrypt(iv, flipped, tag)
 
     def test_cross_backend_interop(self):
         key, iv = os.urandom(16), os.urandom(12)
-        ct, tag = PureBackend().encrypt(key, iv, b"interop", b"x")
-        assert CryptographyBackend().decrypt(key, iv, ct, tag, b"x") == b"interop"
+        ct, tag = PureBackend().bind(key).encrypt(iv, b"interop", b"x")
+        assert CryptographyBackend().bind(key).decrypt(iv, ct, tag, b"x") == b"interop"
 
 
 class TestEncryptionEngine:

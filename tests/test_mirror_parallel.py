@@ -98,7 +98,13 @@ class TestDeterminism:
     def test_slots_hold_reference_seal_of_each_buffer(self, threads):
         """The format, pinned from the paper rather than from a twin:
         every PM slot is ``seal(buffer bytes, aad=buffer name)`` with the
-        IVs drawn in layer/buffer order (the engine draws none elsewhere)."""
+        IVs drawn in layer/buffer order (the engine draws none elsewhere).
+
+        The mirror's engine binds one keyed AEAD context at construction
+        and every pool worker seals through it, so at ``threads`` 3 this
+        also proves that one context is safe to share across the pool:
+        a context with per-call state would interleave and miss the
+        oracle's bytes."""
         _, region, mirror = make_mirror(threads)
         net = make_model(seed=12)
         mirror.alloc_mirror_model(net)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.backend import IntegrityError
 from repro.sgx import (
@@ -18,6 +20,8 @@ from repro.sgx import (
     sgx_read_rand,
     unseal_data,
 )
+from repro.sgx.attestation import InferenceSession
+from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import MIB
 from repro.simtime.profiles import EMLSGX_PM, SGX_EMLPM
@@ -214,6 +218,83 @@ class TestSealing:
         blob = seal_data(enc1, b"secret", b"devkey", SgxRandom(b"r"))
         enc2 = Enclave(clock, SGX_EMLPM.sgx, code_identity=b"app")
         assert unseal_data(enc2, blob, b"devkey") == b"secret"
+
+
+#: RFC 5869 appendix A, SHA-256: (IKM, salt, info, L, PRK, OKM).
+RFC5869_CASES = [
+    (
+        "0b" * 22,
+        "000102030405060708090a0b0c",
+        "f0f1f2f3f4f5f6f7f8f9",
+        42,
+        "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5",
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+        "34007208d5b887185865",
+    ),
+    (
+        bytes(range(0x00, 0x50)).hex(),
+        bytes(range(0x60, 0xB0)).hex(),
+        bytes(range(0xB0, 0x100)).hex(),
+        82,
+        "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244",
+        "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+        "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+        "cc30c58179ec3e87c14c01d5c1f3434f1d87",
+    ),
+    (
+        "0b" * 22,
+        "",
+        "",
+        42,
+        "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04",
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+        "9d201395faa4b61a96c8",
+    ),
+]
+
+
+class TestHkdf:
+    @pytest.mark.parametrize("ikm, salt, info, length, prk, okm", RFC5869_CASES)
+    def test_rfc5869_vectors(self, ikm, salt, info, length, prk, okm):
+        ikm, salt, info = map(bytes.fromhex, (ikm, salt, info))
+        assert hkdf_extract(salt, ikm).hex() == prk
+        assert hkdf_expand(bytes.fromhex(prk), info, length).hex() == okm
+        assert hkdf_sha256(ikm, salt, info, length).hex() == okm
+
+
+class TestInferenceSessionDerivation:
+    """The cached PRK and AAD prefixes are an implementation detail:
+    nonce and AAD bytes are what the full derivation gives."""
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        session_id=st.integers(0, 2**64 - 1),
+        seq=st.integers(0, 2**64 - 1),
+        direction=st.sampled_from([b"req", b"rsp"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_iv_and_aad_bytes(self, key, session_id, seq, direction):
+        session = InferenceSession(session_id, key)
+        assert session._iv(direction, seq) == hkdf_sha256(
+            key, b"plinius-mux-iv", direction + seq.to_bytes(8, "big"), 12
+        )
+        assert session._aad(direction, seq) == (
+            b"plinius-mux|"
+            + direction
+            + session_id.to_bytes(8, "big")
+            + seq.to_bytes(8, "big")
+        )
+
+    def test_sessions_with_different_keys_share_nothing(self):
+        a = InferenceSession(1, b"A" * 16)
+        b = InferenceSession(1, b"B" * 16)
+        sealed = a.seal_request(0, b"payload")
+        assert a.open_request(0, sealed) == b"payload"
+        with pytest.raises(IntegrityError):
+            b.open_request(0, sealed)
+        with pytest.raises(IntegrityError):
+            b.open_request_into(0, sealed, bytearray(7))
+        assert a._iv(b"req", 0) != b._iv(b"req", 0)
 
 
 class TestAttestation:
