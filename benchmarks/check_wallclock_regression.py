@@ -13,23 +13,21 @@ Wall-clock numbers are host-dependent, so two tiers of checks apply:
 * **same-host ratios** hold on every host: the batched-forward speedup
   (per-request loop vs. one batched call) keeps its floor of 3.0 and,
   when baseline and report used the same measurement knobs, stays
-  within tolerance of the baseline ratio; the flight-recorder overhead
-  keeps its 0.5% ceiling; and the mirrors sealed at ``crypto_threads``
-  1 and N must be byte-identical.  The 1-vs-N mirror *ratio* is
-  recorded but not gated: whether a thread fan-out pays depends on the
-  cores the host has, so no direction is asserted;
-* **absolute times** — the mirror seconds at both thread counts, the
+  within tolerance of the baseline ratio; and the flight-recorder
+  overhead keeps its 0.5% ceiling;
+* **absolute times** — the mirror save / restore seconds, the
   ``train_step`` milliseconds and the ``crypto_per_call`` microseconds —
   are compared only like-for-like: same host signature (cpu count +
   crypto backend) and same measurement knobs (smoke flag, repeats /
   iters).  CI runners differ from the machine that wrote the committed
   baseline, so this tier usually applies to local runs.
 
-Every ``train_step`` entry must carry a positive ``step_ms`` and its
-per-layer rows; from schema 7 on the ``crypto_per_call`` section must be
-present with a positive figure in every cell; and the ``history`` list
-is append-only: a report whose history does not start with every row of
-the baseline's fails.
+Every ``mirror`` row must carry positive ``out_seconds`` and
+``in_seconds`` (schema 8's keys), every ``train_step`` entry a positive
+``step_ms`` and its per-layer rows; from schema 7 on the
+``crypto_per_call`` section must be present with a positive figure in
+every cell; and the ``history`` list is append-only: a report whose
+history does not start with every row of the baseline's fails.
 
 Usage::
 
@@ -64,6 +62,8 @@ def _train_steps_by_shape(payload: dict) -> dict:
     }
 
 
+#: The timed cells of one ``mirror`` row.
+_MIRROR_KEYS = ("out_seconds", "in_seconds")
 #: The engine cells of one ``crypto_per_call`` row, and the session's.
 _ENGINE_CALL_KEYS = ("seal_us", "unseal_us", "seal_into_us", "unseal_from_us")
 _SESSION_CALL_KEYS = ("seal_response_us", "open_request_into_us")
@@ -100,12 +100,6 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
         ]
     failures = []
     floor = 1.0 - tolerance
-
-    if not report.get("criteria", {}).get("mirrors_identical", False):
-        failures.append(
-            "sealing at crypto_threads 1 and N no longer produces "
-            "identical mirrors"
-        )
 
     # The forward speedup is noisy at smoke repeat counts, so the tight
     # ratio gate only applies when baseline and report used the same
@@ -153,6 +147,14 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                 "always-on path did not run"
             )
 
+    for entry in report.get("mirror", []):
+        for key in _MIRROR_KEYS:
+            if not (entry.get(key) or 0.0) > 0.0:
+                failures.append(
+                    f"mirror[{entry.get('layer_count')} layers] lacks a "
+                    f"positive {key}"
+                )
+
     for entry in report.get("train_step", []):
         if not entry.get("step_ms", 0.0) > 0.0 or not entry.get("layers"):
             failures.append(
@@ -186,12 +188,7 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
             base = base_mirror.get(layers)
             if base is None or base.get("repeats") != entry.get("repeats"):
                 continue
-            for key in (
-                "serial_out_seconds",
-                "serial_in_seconds",
-                "parallel_out_seconds",
-                "parallel_in_seconds",
-            ):
+            for key in _MIRROR_KEYS:
                 got, want = entry.get(key), base.get(key)
                 if got is None or want is None:
                     continue

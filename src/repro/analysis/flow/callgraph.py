@@ -85,9 +85,6 @@ class CallGraph:
             for target in self.project.resolve_callable_ref(fn, expr, env):
                 self.thread_roots.add(target.qualname)
 
-    def sites_of(self, fn: FunctionInfo) -> List[CallSite]:
-        return self.sites_by_caller.get(fn.qualname, [])
-
     def reachable_from_roots(self) -> Set[str]:
         """Qualnames transitively callable from any thread root."""
         seen: Set[str] = set()

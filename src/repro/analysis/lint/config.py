@@ -23,13 +23,12 @@ from repro.analysis.tcb import UNTRUSTED_MODULES
 # ----------------------------------------------------------------------
 
 #: Modules that *implement* the durability protocols PM001 enforces:
-#: the device model itself and the Romulus/undo-log transaction
-#: machinery.  Raw stores inside them are the protocol, not a bypass.
+#: the device model itself and the Romulus transaction machinery.
+#: Raw stores inside them are the protocol, not a bypass.
 PM_PROTOCOL_MODULES: Tuple[str, ...] = (
     "repro.hw.pmem",
     "repro.romulus.region",
     "repro.romulus.transaction",
-    "repro.romulus.undolog",
 )
 
 #: Method names that mutate PM state when invoked on a device/region.

@@ -53,12 +53,7 @@ TRUSTED_MODULES = (
     "repro.core.trainer",
     "repro.core.freshness",
     "repro.core.serving",
-    "repro.minitf.model",
-    "repro.minitf.autograd",
-    "repro.minitf.ops",
-    "repro.minitf.mirroring",
     "repro.distributed.worker",
-    "repro.romulus.undolog",
     # Federated aggregation enclave: Merkle commitment, the
     # deterministic FedAvg merge, and the round ledger all run over
     # unsealed deltas, so they live inside the aggregator enclave.
@@ -79,9 +74,6 @@ UNTRUSTED_MODULES = (
     "repro.hw.ssd",
     "repro.hw.dram",
     "repro.hw.fio",
-    # Only the shared thread pools ("threads in the untrusted runtime",
-    # Section VIII); the sealing jobs they run are core.mirror's.
-    "repro.crypto.parallel",
     "repro.sgx.enclave",
     "repro.sgx.ecall",
     "repro.sgx.attestation",
@@ -99,8 +91,6 @@ UNTRUSTED_MODULES = (
     "repro.distributed.link",
     "repro.distributed.data_parallel",
     "repro.distributed.pipeline",
-    "repro.gpu.device",
-    "repro.gpu.offload",
     "repro.obs.recorder",
     "repro.obs.metrics",
     "repro.obs.export",

@@ -4,13 +4,9 @@ Unlike every other harness in :mod:`repro.bench` (which report
 *simulated* seconds from the deterministic cost models), this one times
 **real elapsed time** of the hot paths:
 
-* ``mirror_out`` / ``mirror_in`` on the Fig. 7 model sizes at
-  ``crypto_threads=1`` (the default: per-buffer jobs inline) and at
-  ``crypto_threads=N`` (the same jobs fanned across the crypto pool).
-  The ratio is reported as this host gives it — whether the fan-out
-  pays depends on the cores available — and the harness checks that
-  both thread counts produce byte-identical PM mirrors (same
-  deterministic IV sequence).
+* ``mirror_out`` / ``mirror_in`` on the Fig. 7 model sizes: absolute
+  seconds, plus the per-phase sim + wall split from a separate traced
+  pass.
 * batched vs. per-request inference kernels at batch 1/8/32, with and
   without arena reuse.
 * the always-on flight recorder vs. the null recorder on the mirror hot
@@ -24,9 +20,9 @@ Unlike every other harness in :mod:`repro.bench` (which report
   small messages pay and megabyte buffers hide.
 
 Every ratio compares two mechanisms that both exist in ``src/``; the
-``train_step`` and ``crypto_per_call`` sections and the ``history``
-list are absolute, compared like-for-like only (same host signature,
-same knobs).
+``mirror``, ``train_step`` and ``crypto_per_call`` sections and the
+``history`` list are absolute, compared like-for-like only (same host
+signature, same knobs).
 
 ``benchmarks/bench_wallclock.py`` drives this module and emits
 ``BENCH_wallclock.json`` at the repository root; CI smoke-runs it so the
@@ -42,7 +38,6 @@ import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
-from hashlib import sha256
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +45,6 @@ import numpy as np
 from repro.core.models import build_mnist_cnn, build_sized_cnn
 from repro.core.system import PliniusSystem
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
-from repro.crypto.parallel import resolve_crypto_threads
 from repro.darknet.network import Network
 from repro.sgx.attestation import InferenceSession
 
@@ -74,7 +68,11 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: v7 adds the ``crypto_per_call`` section (absolute median µs per
 #: engine entry point at four sizes and per session call at 3 KiB) and
 #: ``session_roundtrip_us_3k`` in new ``history`` rows.
-SCHEMA_VERSION = 7
+#: v8 drops the 1-vs-N comparison with the thread pool it measured:
+#: ``mirror`` rows carry ``out_seconds`` / ``in_seconds``, and
+#: ``host.crypto_threads``, the two ``mirror_*_speedup_largest_model``
+#: criteria and ``mirrors_identical`` are gone.
+SCHEMA_VERSION = 8
 
 #: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
 #: section: the e2e benchmark's ``train_mnist`` model and the federated
@@ -115,37 +113,24 @@ def _best_of(repeats: int, fn: Callable[[], None]) -> float:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MirrorWallclock:
-    """``crypto_threads`` 1 (serial) vs. N (parallel) for one model size."""
+    """Mirror save / restore wall seconds for one model size."""
 
     layer_count: int
     model_bytes: int
     buffers: int
     repeats: int
-    crypto_threads: int
-    serial_out_seconds: float
-    parallel_out_seconds: float
-    serial_in_seconds: float
-    parallel_in_seconds: float
-    mirrors_identical: bool
+    out_seconds: float
+    in_seconds: float
     #: ``{"mirror.encrypt": {"sim_seconds": ..., "wall_seconds": ...}, ...}``
-    #: from a *separate* traced save/restore of the parallel config — the
-    #: timed runs above stay on the null recorder.
+    #: from a *separate* traced save/restore — the timed runs above stay
+    #: on the null recorder.
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def out_speedup(self) -> float:
-        return self.serial_out_seconds / self.parallel_out_seconds
-
-    @property
-    def in_speedup(self) -> float:
-        return self.serial_in_seconds / self.parallel_in_seconds
 
 
 def _sized_system(
     layer_count: int,
     filters: int,
     seed: int,
-    crypto_threads: int,
     recorder=None,
 ) -> Tuple[PliniusSystem, Network]:
     rng = np.random.default_rng((seed, layer_count))
@@ -155,11 +140,7 @@ def _sized_system(
     sealed_footprint = network.param_bytes + n_buffers * SEAL_OVERHEAD
     pm_size = 2 * (sealed_footprint + (2 << 20)) + 8192
     system = PliniusSystem.create(
-        server="emlSGX-PM",
-        seed=seed,
-        pm_size=pm_size,
-        crypto_threads=crypto_threads,
-        recorder=recorder,
+        server="emlSGX-PM", seed=seed, pm_size=pm_size, recorder=recorder
     )
     system.enclave.malloc("model", network.param_bytes)
     system.mirror.alloc_mirror_model(network)
@@ -170,7 +151,6 @@ def _traced_mirror_phases(
     layer_count: int,
     filters: int,
     seed: int,
-    crypto_threads: int,
 ) -> Dict[str, Dict[str, float]]:
     """Per-phase sim+wall split of one traced save + cold restore.
 
@@ -182,9 +162,7 @@ def _traced_mirror_phases(
     from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
     recorder = TraceRecorder()
-    system, network = _sized_system(
-        layer_count, filters, seed, crypto_threads, recorder=recorder
-    )
+    system, network = _sized_system(layer_count, filters, seed, recorder=recorder)
     # Skip the formatting/allocation spans: trace only save + restore.
     recorder.spans.clear()
     system.mirror.mirror_out(network, 1)
@@ -201,15 +179,14 @@ def _traced_mirror_phases(
     }
 
 
-def _time_mirror_config(
+def measure_mirror_wallclock(
     layer_count: int,
-    filters: int,
-    seed: int,
-    repeats: int,
-    crypto_threads: int,
-) -> Tuple[float, float, bytes, int, int]:
-    """(out_seconds, in_seconds, pm_digest, model_bytes, buffers)."""
-    system, network = _sized_system(layer_count, filters, seed, crypto_threads)
+    filters: int = 512,
+    repeats: int = 3,
+    seed: int = 7,
+) -> MirrorWallclock:
+    """Time ``mirror_out`` and ``mirror_in`` on one Fig. 7 model size."""
+    system, network = _sized_system(layer_count, filters, seed)
     iteration = [0]
 
     def save() -> None:
@@ -219,47 +196,18 @@ def _time_mirror_config(
     def restore() -> None:
         system.mirror.mirror_in(network)
 
-    save()  # warm caches / pools outside the timed region
+    save()  # warm caches outside the timed region
     out_seconds = _best_of(repeats, save)
     restore()
     in_seconds = _best_of(repeats, restore)
-    digest = sha256(bytes(system.pm._data)).digest()
-    return (
-        out_seconds,
-        in_seconds,
-        digest,
-        network.param_bytes,
-        len(network.parameter_buffers()),
-    )
-
-
-def measure_mirror_wallclock(
-    layer_count: int,
-    filters: int = 512,
-    repeats: int = 3,
-    seed: int = 7,
-    crypto_threads: Optional[int] = None,
-) -> MirrorWallclock:
-    """Time the mirror with the sealing jobs inline vs. fanned out."""
-    threads = max(2, resolve_crypto_threads(crypto_threads))
-    serial_out, serial_in, serial_digest, model_bytes, buffers = (
-        _time_mirror_config(layer_count, filters, seed, repeats, 1)
-    )
-    parallel_out, parallel_in, parallel_digest, _, _ = _time_mirror_config(
-        layer_count, filters, seed, repeats, threads
-    )
     return MirrorWallclock(
         layer_count=layer_count,
-        model_bytes=model_bytes,
-        buffers=buffers,
+        model_bytes=network.param_bytes,
+        buffers=len(network.parameter_buffers()),
         repeats=repeats,
-        crypto_threads=threads,
-        serial_out_seconds=serial_out,
-        parallel_out_seconds=parallel_out,
-        serial_in_seconds=serial_in,
-        parallel_in_seconds=parallel_in,
-        mirrors_identical=serial_digest == parallel_digest,
-        phases=_traced_mirror_phases(layer_count, filters, seed, threads),
+        out_seconds=out_seconds,
+        in_seconds=in_seconds,
+        phases=_traced_mirror_phases(layer_count, filters, seed),
     )
 
 
@@ -435,7 +383,7 @@ def measure_flight_overhead_wallclock(
     from repro.obs.flight import FlightRecorder
     from repro.obs.recorder import NULL_RECORDER
 
-    system, network = _sized_system(layer_count, filters, seed, 1)
+    system, network = _sized_system(layer_count, filters, seed)
     flight = FlightRecorder()
     iteration = [0]
 
@@ -444,7 +392,7 @@ def measure_flight_overhead_wallclock(
         system.mirror.mirror_out(network, iteration[0])
         system.mirror.mirror_in(network)
 
-    cycle()  # warm caches / pools outside the timed region
+    cycle()  # warm caches outside the timed region
 
     # (1) null hot-path cycle time.
     system.clock.recorder = NULL_RECORDER
@@ -697,7 +645,6 @@ class WallclockReport:
     smoke: bool
     cpu_count: int
     crypto_backend: str
-    crypto_threads: int
     mirror: List[MirrorWallclock]
     forward: ForwardWallclock
     flight_overhead: FlightOverheadWallclock
@@ -714,8 +661,8 @@ class WallclockReport:
         row = {"label": label, "cpu_count": self.cpu_count}
         for step in self.train_step:
             row[f"train_step_ms_b{step.batch}"] = round(step.step_ms, 3)
-        row["mirror_out_ms"] = round(largest.serial_out_seconds * 1e3, 3)
-        row["mirror_in_ms"] = round(largest.serial_in_seconds * 1e3, 3)
+        row["mirror_out_ms"] = round(largest.out_seconds * 1e3, 3)
+        row["mirror_in_ms"] = round(largest.in_seconds * 1e3, 3)
         row["session_roundtrip_us_3k"] = self.crypto_per_call.session.roundtrip_us
         return row
 
@@ -727,16 +674,8 @@ class WallclockReport:
             "host": {
                 "cpu_count": self.cpu_count,
                 "crypto_backend": self.crypto_backend,
-                "crypto_threads": self.crypto_threads,
             },
-            "mirror": [
-                {
-                    **asdict(r),
-                    "out_speedup": round(r.out_speedup, 3),
-                    "in_speedup": round(r.in_speedup, 3),
-                }
-                for r in self.mirror
-            ],
+            "mirror": [asdict(r) for r in self.mirror],
             "forward": {
                 "n_conv_layers": self.forward.n_conv_layers,
                 "filters": self.forward.filters,
@@ -764,16 +703,11 @@ class WallclockReport:
                 },
             },
         }
-        largest = self.largest_mirror
         payload["criteria"] = {
-            # crypto_threads 1 vs. N as this host gives it: no target.
-            "mirror_out_speedup_largest_model": round(largest.out_speedup, 3),
-            "mirror_in_speedup_largest_model": round(largest.in_speedup, 3),
             "forward_batch32_speedup": round(self.forward.speedup, 3),
             "forward_batch32_speedup_target": FORWARD_BATCH32_SPEEDUP_TARGET,
             "flight_overhead_pct": round(self.flight_overhead.overhead_pct, 3),
             "flight_overhead_pct_target": FLIGHT_OVERHEAD_PCT_TARGET,
-            "mirrors_identical": all(r.mirrors_identical for r in self.mirror),
         }
         return payload
 
@@ -781,23 +715,16 @@ class WallclockReport:
 def run_wallclock(
     smoke: bool = False,
     layer_counts: Optional[Sequence[int]] = None,
-    crypto_threads: Optional[int] = None,
     seed: int = 7,
 ) -> WallclockReport:
     """Run every wall-clock measurement; ``smoke`` shrinks all knobs."""
     from repro.crypto.backend import default_backend
 
-    threads = max(2, resolve_crypto_threads(crypto_threads))
     if layer_counts is None:
         layer_counts = SMOKE_LAYER_COUNTS if smoke else DEFAULT_LAYER_COUNTS
     mirror_repeats = 1 if smoke else 3
     mirror = [
-        measure_mirror_wallclock(
-            n,
-            repeats=mirror_repeats,
-            seed=seed,
-            crypto_threads=threads,
-        )
+        measure_mirror_wallclock(n, repeats=mirror_repeats, seed=seed)
         for n in layer_counts
     ]
     # The forward section is cheap (~1.5 s) and its speedup ratio gates
@@ -819,7 +746,6 @@ def run_wallclock(
         smoke=smoke,
         cpu_count=os.cpu_count() or 1,
         crypto_backend=default_backend().name,
-        crypto_threads=threads,
         mirror=mirror,
         forward=forward,
         flight_overhead=flight_overhead,

@@ -71,8 +71,13 @@ class NetLink:
     partitioned: bool = False
     #: Delivery-time floor enforcing per-link FIFO ordering.
     fifo_horizon: float = 0.0
-    #: Messages caught by a partition, waiting for heal (FIFO).
-    held: List[Tuple[bytes, Deliver]] = field(default_factory=list)
+    #: Event-mode messages sent so far: the next one's send sequence.
+    sent: int = 0
+    #: ``(send sequence, payload, deliver)`` of messages caught by a
+    #: partition, waiting for heal.  Appended in *catch* order — at send
+    #: time for a send into a cut link, at arrival for one the cut
+    #: raced — so heal flushes by send sequence, not list order.
+    held: List[Tuple[int, bytes, Deliver]] = field(default_factory=list)
     stats: Dict[str, int] = field(
         default_factory=lambda: {
             "messages": 0,
@@ -156,14 +161,14 @@ class ClusterNetwork:
     def _heal_one(self, link: NetLink) -> None:
         link.partitioned = False
         held, link.held = link.held, []
-        for payload, deliver in held:
+        for seq, payload, deliver in sorted(held, key=lambda m: m[0]):
             # Transit was already paid (or the message was at the NIC):
             # the flush delivers at the heal instant, FIFO order kept by
             # the horizon and by loop insertion order within one tick.
             at = max(self.clock.now(), link.fifo_horizon)
             link.fifo_horizon = at
             if self.loop is not None:
-                self.loop.push(at, DELIVER_KIND, (link, payload, deliver))
+                self.loop.push(at, DELIVER_KIND, (link, seq, payload, deliver))
             else:
                 self._deliver(link, payload, deliver)
 
@@ -237,21 +242,23 @@ class ClusterNetwork:
             link.fifo_horizon,
         )
         link.fifo_horizon = arrival
+        seq = link.sent
+        link.sent += 1
         if link.partitioned:
-            link.held.append((payload, deliver))
+            link.held.append((seq, payload, deliver))
             return
-        self.loop.push(arrival, DELIVER_KIND, (link, payload, deliver))
+        self.loop.push(arrival, DELIVER_KIND, (link, seq, payload, deliver))
 
     def _on_heal(self, event: object) -> None:
         a, b = event  # type: ignore[misc]
         self.heal(a, b)
 
     def _on_deliver(self, event: object) -> None:
-        link, payload, deliver = event  # type: ignore[misc]
+        link, seq, payload, deliver = event  # type: ignore[misc]
         if link.partitioned:
             # The partition raced the in-flight message: it is caught
             # at the receiving NIC and queued until heal.
-            link.held.append((payload, deliver))
+            link.held.append((seq, payload, deliver))
             return
         self._deliver(link, payload, deliver)
 

@@ -28,12 +28,7 @@ from repro.core.pm_data import PmDataError, PmDataModule
 from repro.core.freshness import FreshMirrorModule, RollbackError
 from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.core.system import PliniusSystem
-from repro.core.trainer import (
-    IterationTiming,
-    PliniusTrainer,
-    TrainResult,
-    async_mirror_seconds,
-)
+from repro.core.trainer import IterationTiming, PliniusTrainer, TrainResult
 from repro.core.workflow import WorkflowArtifacts, run_full_workflow
 
 __all__ = [
@@ -59,5 +54,4 @@ __all__ = [
     "RollbackError",
     "SecureInferenceService",
     "InferenceClient",
-    "async_mirror_seconds",
 ]

@@ -30,17 +30,10 @@ mirror).  Restores decrypt from a readonly view of the PM image
 directly into the live numpy parameter arrays via
 :meth:`~repro.crypto.engine.EncryptionEngine.unseal_from`.
 
-``crypto_threads`` only decides how the jobs are scheduled, never what
-they produce: IVs are drawn in buffer order, so the sealed bytes are
-identical for every thread count, and all simulated-time charges stay
-on the calling thread.  With one worker the jobs run inline, each
-charged as it runs; with more they fan across a shared
-``ThreadPoolExecutor`` (the OpenSSL backend releases the GIL — the
-paper's Section VIII "better exploit system parallelism" future work)
-and the phase is charged as the makespan of the greedy per-buffer
-schedule over ``crypto_threads`` simulated workers
-(:meth:`~repro.simtime.costs.CryptoCostModel.parallel_encrypt_seconds`),
-of which the inline loop is the one-worker case.
+The jobs run inline, in buffer order: each buffer is touched in the
+enclave (saves), charged ``clock.advance(cost(nbytes))`` and then
+sealed or unsealed, so IVs are drawn in buffer order and the phase's
+simulated time is the per-buffer sum accumulated in that order.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from typing import Any, List, Optional, Union
 import numpy as np
 
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
-from repro.crypto.parallel import MAX_CRYPTO_THREADS, get_executor
 from repro.darknet.network import Network
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
@@ -105,22 +97,12 @@ class _BufferJob:
     #: The buffer's PM slot, or DRAM staging when the slot does not fit.
     sealed: Union[memoryview, bytearray]
     in_place: bool = True
-    #: Drawn in buffer order before a fan-out; ``None`` draws at seal.
-    iv: Optional[bytes] = None
     #: Owner of an unseal target that must go through ``set_parameter``.
     layer: Any = None
 
 
 class MirrorModule:
-    """Synchronizes an enclave model with its encrypted PM mirror.
-
-    Parameters
-    ----------
-    crypto_threads:
-        Worker threads for the sealing/unsealing pipeline.  ``1``
-        (default) runs the per-buffer jobs inline; higher values fan
-        the AES-GCM work across a shared thread pool.
-    """
+    """Synchronizes an enclave model with its encrypted PM mirror."""
 
     def __init__(
         self,
@@ -129,19 +111,13 @@ class MirrorModule:
         engine: EncryptionEngine,
         enclave: Enclave,
         profile: ServerProfile,
-        crypto_threads: int = 1,
     ) -> None:
-        if crypto_threads < 1:
-            raise ValueError(
-                f"crypto_threads must be >= 1, got {crypto_threads}"
-            )
         self.region = region
         self.heap = heap
         self.engine = engine
         self.enclave = enclave
         self.profile = profile
         self.clock = region.device.clock
-        self.crypto_threads = min(crypto_threads, MAX_CRYPTO_THREADS)
 
     # ------------------------------------------------------------------
     # Structure
@@ -325,73 +301,20 @@ class MirrorModule:
                 job.name, np.frombuffer(plaintext, dtype=np.float32)
             )
         elif seal:
-            self.engine.seal_into(job.plain, job.sealed, aad=aad, iv=job.iv)
+            self.engine.seal_into(job.plain, job.sealed, aad=aad)
         else:
             self.engine.unseal_from(job.sealed, job.plain, aad=aad)
 
     def _run_jobs(self, jobs: List[_BufferJob], seal: bool) -> None:
-        """Charge and run the AES-GCM work of one encrypt/decrypt phase.
-
-        All simulated accounting stays on the calling thread.  When
-        traced, a fan-out records one ``crypto.seal``/``crypto.unseal``
-        span per job on the simulated worker lane the greedy schedule
-        assigned it, anchored at the phase start — sim fields stay
-        deterministic even though workers complete in host order.
-        """
+        """Charge and run the AES-GCM work of one encrypt/decrypt phase."""
         crypto = self.profile.crypto
-        if seal:
-            span_name, cost = "crypto.seal", crypto.encrypt_time
-            schedule_of = crypto.parallel_encrypt_schedule
-            makespan_of = crypto.parallel_encrypt_seconds
-        else:
-            span_name, cost = "crypto.unseal", crypto.decrypt_time
-            schedule_of = crypto.parallel_decrypt_schedule
-            makespan_of = crypto.parallel_decrypt_seconds
-        threads = self.crypto_threads
-        if threads == 1:
-            for job in jobs:
-                if seal:
-                    # Reading the model out of (possibly paged) EPC memory.
-                    self.enclave.touch(job.nbytes)
-                self.clock.advance(cost(job.nbytes))
-                self._run_job(job, seal)
-            return
-
-        if seal:
-            for job in jobs:
+        cost = crypto.encrypt_time if seal else crypto.decrypt_time
+        for job in jobs:
+            if seal:
+                # Reading the model out of (possibly paged) EPC memory.
                 self.enclave.touch(job.nbytes)
-            # IV order is part of the sealed output: draw before dispatch.
-            for job in jobs:
-                job.iv = self.engine.new_iv()
-        sizes = [job.nbytes for job in jobs]
-        rec = self.clock.recorder
-        traced = rec.enabled
-        if traced:
-            phase_start = self.clock.now()
-            schedule = schedule_of(sizes, threads)
-            parent = rec.current_span()
-        self.clock.advance(makespan_of(sizes, threads))
-
-        def run(idx: int) -> None:
-            job = jobs[idx]
-            wall0 = rec.wall_now() if traced else 0.0
+            self.clock.advance(cost(job.nbytes))
             self._run_job(job, seal)
-            if traced:
-                worker, start, end = schedule[idx]
-                rec.complete(
-                    span_name,
-                    sim_start=phase_start + start,
-                    sim_end=phase_start + end,
-                    wall_start=wall0,
-                    wall_end=rec.wall_now(),
-                    category="crypto",
-                    args={"buffer": job.name, "bytes": job.nbytes, "index": idx},
-                    parent=parent,
-                    sim_lane=worker,
-                )
-
-        for _ in get_executor(threads).map(run, range(len(jobs))):
-            pass
 
     # ------------------------------------------------------------------
     # Algorithm 3: mirror_out / mirror_in

@@ -62,10 +62,8 @@ class PliniusSystem:
         rand: SgxRandom,
         key: bytes,
         seed: int,
-        crypto_threads: int = 1,
         recorder=None,
     ) -> None:
-        self.crypto_threads = crypto_threads
         self.profile = profile
         self.clock = clock
         # One recorder observes the whole deployment; attaching it to
@@ -98,13 +96,10 @@ class PliniusSystem:
         seed: int = 7,
         pm_size: int = _DEFAULT_PM_SIZE,
         key: Optional[bytes] = None,
-        crypto_threads: int = 1,
         recorder=None,
     ) -> "PliniusSystem":
         """Stand up a fresh deployment on the named server profile.
 
-        ``crypto_threads`` sizes the mirroring module's sealing
-        pipeline (see :class:`~repro.core.mirror.MirrorModule`).
         ``recorder`` attaches a :class:`~repro.obs.recorder.TraceRecorder`
         to the deployment; ``None`` uses the process default (the null
         recorder unless the ``--trace`` CLI flag or a test installed one
@@ -136,7 +131,6 @@ class PliniusSystem:
             rand,
             key,
             seed,
-            crypto_threads=crypto_threads,
             recorder=recorder if recorder is not None else get_default_recorder(),
         )
 
@@ -156,12 +150,7 @@ class PliniusSystem:
             self.region = RomulusRegion.open(self.pm)
         self.heap = PersistentHeap(self.region)
         self.mirror = MirrorModule(
-            self.region,
-            self.heap,
-            self.engine,
-            self.enclave,
-            self.profile,
-            crypto_threads=self.crypto_threads,
+            self.region, self.heap, self.engine, self.enclave, self.profile
         )
         self.pm_data = PmDataModule(
             self.region, self.heap, self.engine, self.enclave, self.profile

@@ -37,10 +37,6 @@ from repro.simtime.clock import SimClock
 from repro.simtime.profiles import ServerProfile
 
 
-class TrainingKilled(Exception):
-    """Raised internally when a kill hook fires at an iteration boundary."""
-
-
 @dataclass
 class IterationTiming:
     """Simulated per-iteration cost breakdown (Fig. 8's metric)."""
@@ -52,28 +48,6 @@ class IterationTiming:
     @property
     def total(self) -> float:
         return self.fetch_seconds + self.compute_seconds + self.mirror_seconds
-
-
-def async_mirror_seconds(timings: List["IterationTiming"]) -> float:
-    """Wall time under asynchronous mirroring (paper future work:
-    "better exploit system parallelism").
-
-    Model: a helper thread mirrors iteration *i*'s snapshot while the
-    main thread fetches and computes iteration *i+1*; each iteration
-    then costs ``fetch + max(compute, previous mirror)``, and the last
-    mirror drains at the end.  Correctness is unaffected because the
-    mirror operates on a snapshot taken at the iteration boundary (the
-    snapshot copy itself is charged to the fetch phase by the trainer
-    when ``async_mirror`` is enabled).
-    """
-    if not timings:
-        return 0.0
-    total = 0.0
-    pending_mirror = 0.0
-    for t in timings:
-        total += t.fetch_seconds + max(t.compute_seconds, pending_mirror)
-        pending_mirror = t.mirror_seconds
-    return total + pending_mirror
 
 
 @dataclass
@@ -93,11 +67,6 @@ class TrainResult:
     def final_loss(self) -> float:
         return self.log.final_loss
 
-    @property
-    def async_sim_seconds(self) -> float:
-        """Wall time if mirroring overlapped the next iteration."""
-        return async_mirror_seconds(self.iteration_timings)
-
 
 class PliniusTrainer:
     """Drives secure training with PM-mirrored fault tolerance."""
@@ -114,7 +83,6 @@ class PliniusTrainer:
         mirror_every: int = 1,
         batch_seed: int = 20210409,
         crash_resilient: bool = True,
-        async_mirror: bool = False,
     ) -> None:
         if mirror_every < 1:
             raise ValueError(f"mirror_every must be >= 1, got {mirror_every}")
@@ -128,17 +96,10 @@ class PliniusTrainer:
         self.mirror_every = mirror_every
         self.batch_seed = batch_seed
         self.crash_resilient = crash_resilient
-        self.async_mirror = async_mirror
         # Track the model's EPC residency for paging accounting.
         self.enclave.malloc("model", network.param_bytes)
 
     # ------------------------------------------------------------------
-    def resume_point(self) -> int:
-        """Iteration training would resume from (0 if no mirror)."""
-        if self.crash_resilient and self.mirror.has_snapshot():
-            return self.mirror.stored_iteration()
-        return 0
-
     def _batch_rng(self, iteration: int) -> np.random.Generator:
         """Deterministic per-iteration batch sampler."""
         return np.random.default_rng((self.batch_seed, iteration))
@@ -210,12 +171,6 @@ class PliniusTrainer:
                         batch, self._batch_rng(iteration)
                     )
                     x = x.reshape((len(x),) + tuple(self.input_shape))
-                    if self.async_mirror:
-                        # Snapshot the parameters for the mirror thread.
-                        self.clock.advance(
-                            self.network.param_bytes
-                            / self.profile.dram.write_bandwidth
-                        )
 
                 with self.clock.stopwatch("train.compute") as compute_span:
                     self.clock.advance(compute.iteration_time(flops))

@@ -16,16 +16,12 @@ Intel SGX SDK implementation.  This package provides:
 
 from repro.crypto.aes import AES
 from repro.crypto.backend import (
-    BACKEND_ENV_VAR,
     AeadBackend,
     CryptographyBackend,
     IntegrityError,
     KeyedAead,
     PureBackend,
     default_backend,
-    make_backend,
-    reset_default_backend,
-    set_default_backend,
 )
 from repro.crypto.engine import (
     IV_SIZE,
@@ -35,12 +31,6 @@ from repro.crypto.engine import (
     EncryptionEngine,
 )
 from repro.crypto.gcm import gcm_decrypt, gcm_encrypt, ghash
-from repro.crypto.parallel import (
-    MAX_CRYPTO_THREADS,
-    get_executor,
-    resolve_crypto_threads,
-    shutdown_executors,
-)
 
 __all__ = [
     "AES",
@@ -50,14 +40,6 @@ __all__ = [
     "CryptographyBackend",
     "IntegrityError",
     "default_backend",
-    "make_backend",
-    "set_default_backend",
-    "reset_default_backend",
-    "BACKEND_ENV_VAR",
-    "MAX_CRYPTO_THREADS",
-    "get_executor",
-    "resolve_crypto_threads",
-    "shutdown_executors",
     "gcm_encrypt",
     "gcm_decrypt",
     "ghash",

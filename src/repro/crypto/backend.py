@@ -25,17 +25,12 @@ copy-through default; :class:`CryptographyBackend` overrides both with
 OpenSSL's in-place AEAD calls (where the wheel has them) so the
 mirroring hot path can seal directly into persistent-memory staging
 buffers without intermediate ``bytes`` allocations.  A keyed cipher is
-safe to share across the crypto pool's threads.  What that fan-out
-buys is a measurement, not a property of OpenSSL: the committed
-``BENCH_wallclock.json`` records ≈ 1.0× on save and ≈ 0.9× on restore
-for ``crypto_threads`` 1 vs. N on its 2-vCPU host, and ROADMAP item
-2(a) decides the pool's future from that number.
+safe to share across threads (``TestThreadSafeStats`` drives one from
+eight).
 
-The process-wide default backend can be pinned with
-:func:`set_default_backend` / :func:`reset_default_backend`, or via the
-``REPRO_CRYPTO_BACKEND`` environment variable (``pure`` or
-``cryptography``), so tests and benchmarks do not have to mutate module
-globals by hand.
+:func:`default_backend` picks the wheel when it is importable and the
+pure implementation otherwise; a caller that wants a specific backend
+passes it to ``EncryptionEngine(backend=...)``.
 
 The test suite cross-validates the two backends on random inputs.
 """
@@ -43,13 +38,9 @@ The test suite cross-validates the two backends on random inputs.
 from __future__ import annotations
 
 import abc
-import os
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.crypto import gcm as _gcm
-
-#: Environment variable naming the backend to use process-wide.
-BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
 
 _TAG_SIZE = 16
 
@@ -281,64 +272,16 @@ class CryptographyBackend(AeadBackend):
         return self._keyed_cls(self, key)
 
 
-_BACKEND_FACTORIES = {
-    "pure": PureBackend,
-    "pure-python": PureBackend,
-    "cryptography": CryptographyBackend,
-}
-
 _default: Optional[AeadBackend] = None
 
 
-def make_backend(name: str) -> AeadBackend:
-    """Instantiate a backend by name (``pure`` or ``cryptography``)."""
-    try:
-        factory = _BACKEND_FACTORIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown crypto backend {name!r}; "
-            f"choose from {sorted(set(_BACKEND_FACTORIES))}"
-        ) from None
-    return factory()
-
-
-def set_default_backend(backend: Union[AeadBackend, str]) -> AeadBackend:
-    """Pin the process-wide default backend; returns the instance.
-
-    Accepts an :class:`AeadBackend` instance or a name understood by
-    :func:`make_backend`.
-    """
-    global _default
-    if isinstance(backend, str):
-        backend = make_backend(backend)
-    if not isinstance(backend, AeadBackend):
-        raise TypeError(f"not an AeadBackend: {backend!r}")
-    _default = backend
-    return backend
-
-
-def reset_default_backend() -> None:
-    """Drop any pinned default; the next :func:`default_backend` call
-    re-resolves from ``REPRO_CRYPTO_BACKEND`` or auto-detection."""
-    global _default
-    _default = None
-
-
 def default_backend() -> AeadBackend:
-    """The process-wide default backend (fast when available).
-
-    Resolution order: a backend pinned via :func:`set_default_backend`,
-    then the ``REPRO_CRYPTO_BACKEND`` environment variable, then
-    :class:`CryptographyBackend` if importable, else :class:`PureBackend`.
-    """
+    """The process-wide default backend: :class:`CryptographyBackend`
+    if the wheel is importable, else :class:`PureBackend`."""
     global _default
     if _default is None:
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip()
-        if env:
-            _default = make_backend(env)
-        else:
-            try:
-                _default = CryptographyBackend()
-            except ImportError:
-                _default = PureBackend()
+        try:
+            _default = CryptographyBackend()
+        except ImportError:
+            _default = PureBackend()
     return _default

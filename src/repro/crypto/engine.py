@@ -30,11 +30,11 @@ backend at construction (:meth:`~repro.crypto.backend.AeadBackend.bind`)
 and drops with itself: the per-key setup is never paid per message, and
 no key outlives its engine in a process-wide cache.
 
-Every entry point accepts an explicit ``iv`` so callers that fan sealing
-work across threads can draw IVs from the (deterministic, single-
-threaded) random source *before* dispatch, keeping sealed output
-byte-identical to the serial path.  Stats counters are guarded by a
-lock so concurrent seals/unseals never drop updates.
+Every entry point accepts an explicit ``iv``: inference sessions pass
+nonces derived from the session key and message counter, and the NIST
+vector tests pin one.  Without it the engine draws the IV from its
+random source inside the call.  Stats counters are guarded by a lock so
+a program that shares one engine across threads never drops updates.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class EncryptionEngine:
         ``crypto.*`` counters (``crypto.seals``, ``crypto.bytes_sealed``,
         ...); defaults to the null recorder.  Both the ``stats`` dict
         and the observer are updated under the same lock, so they cannot
-        drift even with concurrent seals from the crypto pool.
+        drift even with concurrent seals.
     """
 
     #: stats key -> counter name mirrored to the observer.
@@ -117,12 +117,7 @@ class EncryptionEngine:
         return source(KEY_SIZE)
 
     def new_iv(self) -> bytes:
-        """Draw a fresh 12-byte IV from the engine's random source.
-
-        The parallel sealing pipeline calls this serially (IV order is
-        part of the deterministic sealed output) before fanning the
-        actual encryption across threads.
-        """
+        """Draw a fresh 12-byte IV from the engine's random source."""
         iv = self._rand(IV_SIZE)
         if len(iv) != IV_SIZE:
             raise ValueError(f"random source produced {len(iv)} bytes, not {IV_SIZE}")

@@ -125,13 +125,3 @@ class LayerWorkspace:
         return self._arena.take(
             (self._slot, name), shape, dtype, zero_fill=zero_fill
         )
-
-
-def infer_forward(network, x: np.ndarray, arena: TensorArena) -> np.ndarray:
-    """Batched, allocation-free inference forward pass.
-
-    Convenience wrapper over :meth:`repro.darknet.network.Network.infer`
-    for callers that hold the arena but not the network sugar (the
-    kernel micro-benchmark).
-    """
-    return network.infer(x, arena)

@@ -34,14 +34,6 @@ class TrainingLog:
             raise ValueError("no iterations recorded")
         return self.losses[-1]
 
-    def smoothed(self, window: int = 10) -> List[float]:
-        """Moving average, for plotting noisy SGD losses."""
-        out: List[float] = []
-        for i in range(len(self.losses)):
-            lo = max(0, i - window + 1)
-            out.append(float(np.mean(self.losses[lo : i + 1])))
-        return out
-
 
 def train(
     network: Network,

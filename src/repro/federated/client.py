@@ -89,11 +89,6 @@ class FederatedClient:
         self._sealed: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
-    def open_broadcast(self, round_no: int, sealed: bytes) -> np.ndarray:
-        """Unseal the aggregator's parameter broadcast for ``round_no``."""
-        plain = self.session.open_response(round_no, sealed)
-        return np.frombuffer(plain, dtype=DTYPE).copy()
-
     def _train(self, round_no: int, params: np.ndarray):
         net = self.builder()
         assign_params(net, params)

@@ -125,10 +125,6 @@ class FederatedLedger:
         entry = self._find(round_no)
         return entry[2] if entry is not None else None
 
-    def n_clients_of(self, round_no: int) -> Optional[int]:
-        entry = self._find(round_no)
-        return entry[1] if entry is not None else None
-
     def leaf_blob(self, round_no: int) -> Optional[bytes]:
         """The round's concatenated Merkle leaf payloads (plaintext).
 

@@ -7,7 +7,7 @@ decrypt.  This package makes that attribution a first-class subsystem:
 
 * :class:`TraceRecorder` — hierarchical spans carrying **both** clocks
   (deterministic simulated seconds and host wall-clock seconds), with
-  parent/child nesting, thread ids, and simulated crypto-worker lanes;
+  parent/child nesting, thread ids, and simulated replica lanes;
 * :class:`~repro.obs.metrics.CounterRegistry` — component counters
   (ecalls/ocalls, EPC page swaps, PM bytes read/written/flushed,
   Romulus commits/aborts/recoveries, sealed/unsealed bytes) and gauges

@@ -6,11 +6,11 @@ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 The dual clocks are rendered as two *processes*: pid 1 is the simulated
 timeline (deterministic; microseconds = simulated seconds × 1e6) and
-pid 2 the wall-clock timeline.  Crypto-pool spans appear on per-worker
-lanes of the sim process (the simulated greedy schedule) and on their
-real OS thread in the wall process.  Counters are emitted as final
-``C`` events; instant events (``romulus.recover``) as ``i`` events on
-both timelines.
+pid 2 the wall-clock timeline.  Spans recorded with a ``sim_lane`` (the
+gateway's per-replica batches) appear on that lane of the sim process
+and on their real OS thread in the wall process.  Counters are emitted
+as final ``C`` events; instant events (``romulus.recover``) as ``i``
+events on both timelines.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 
 SIM_PID = 1
 WALL_PID = 2
-#: Sim-process lane offset for simulated crypto workers (tid = base + lane).
+#: Sim-process tid offset of simulated lanes (tid = base + lane).
 SIM_LANE_TID_BASE = 100
 
 
@@ -78,13 +78,10 @@ def _span_events(span: Span) -> List[Dict[str, Any]]:
 def _lane_name(lane: int, categories: "set[str]") -> str:
     """Deterministic display name for one simulated lane.
 
-    Crypto-pool lanes and serving-replica lanes share the tid space
-    (``100 + k`` vs ``100 + 200 + N``); the name is derived from the
-    categories actually drawn on the lane so a collision (crypto lane
-    ``200 + N``) degrades to a neutral label instead of mislabelling.
+    Serving replicas draw on lanes ``200 + N``; the name is derived from
+    the categories actually drawn on the lane, so anything else that
+    lands there gets a neutral label instead of a replica's.
     """
-    if categories == {"crypto"}:
-        return f"sim-crypto-worker-{lane}"
     if categories == {"serve"} and lane >= 200:
         return f"sim-serve-replica-{lane - 200}"
     return f"sim-lane-{lane}"

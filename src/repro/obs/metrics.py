@@ -29,8 +29,8 @@ Number = Union[int, float]
 class CounterRegistry:
     """Thread-safe counter/gauge/histogram registry.
 
-    Increments from the crypto worker pool race with main-thread
-    increments; a single lock makes every update atomic so the registry
+    An embedding program may seal through one engine from several
+    threads; a single lock makes every update atomic so the registry
     never drifts from the per-component ``stats`` dicts it mirrors
     (asserted by ``tests/test_obs_integration.py``).
     """

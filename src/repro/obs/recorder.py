@@ -8,14 +8,15 @@ Every span records **two** clocks:
   is the canonical deterministic projection);
 * *wall-clock seconds* — ``time.perf_counter`` relative to recorder
   creation; host-dependent, used to validate real-time optimizations
-  (the parallel sealing pipeline, zero-copy PM writes).
+  (in-place sealing, zero-copy PM writes).
 
 Spans nest: each thread keeps its own open-span stack, so a
 ``mirror.encrypt`` span opened inside ``mirror.out`` becomes its child
-automatically.  Work fanned across the crypto pool records one span per
-job with an explicit ``parent`` (the enclosing main-thread phase) and a
-*simulated worker lane*, making the ``crypto_threads`` pipeline visible
-in a Chrome trace while keeping sim-time fields deterministic.
+automatically.  A span measured elsewhere is recorded in one call with
+:meth:`TraceRecorder.complete`: an explicit ``parent`` attaches it to a
+request's causal tree, and a *simulated lane* (``sim_lane``) draws the
+gateway's per-replica batches side by side in a Chrome trace while
+keeping sim-time fields deterministic.
 
 The module-level default recorder is :data:`NULL_RECORDER`, whose every
 method is an allocation-free no-op — instrumentation hooks on hot paths
@@ -268,8 +269,8 @@ class TraceRecorder:
 
         Without an explicit ``parent`` the span nests under the calling
         thread's innermost open span (if any) and is pushed onto that
-        thread's stack; an explicit parent (cross-thread fan-out) skips
-        the stack entirely.
+        thread's stack; an explicit parent (a request's causal tree)
+        skips the stack entirely.
         """
         stacked = parent is _UNSET
         if stacked:
@@ -332,10 +333,9 @@ class TraceRecorder:
     ) -> Span:
         """Record an already-measured span in one call.
 
-        Used by pool workers: the caller supplies both clock intervals
-        (sim times from the deterministic schedule, wall times from
-        ``wall_now()`` around the actual work) plus the simulated worker
-        lane the job was assigned to.
+        The caller supplies both clock intervals (sim times from its
+        deterministic schedule, wall times from ``wall_now()``) and,
+        optionally, the simulated lane to draw the span on.
         """
         span = Span(
             name=name,

@@ -46,11 +46,6 @@ class VolatileLog:
         """Iterate coalesced ``(start, end)`` ranges."""
         return iter(self._ranges)
 
-    @property
-    def modified_bytes(self) -> int:
-        """Total distinct bytes modified by the transaction."""
-        return self._ranges.total
-
     def __len__(self) -> int:
         return len(self._ranges)
 

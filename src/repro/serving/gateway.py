@@ -113,9 +113,6 @@ class GatewayResult:
             self.responses[rid].latency for rid in sorted(self.responses)
         ]
 
-    def sealed_by_request(self) -> Dict[int, bytes]:
-        return {rid: r.sealed for rid, r in self.responses.items()}
-
 
 class InferenceGateway:
     """Batching, replicated, hot-reloading front of the secure service."""
@@ -193,10 +190,6 @@ class InferenceGateway:
     def schedule_call(self, at: float, fn: Callable[[], object]) -> None:
         """Run ``fn`` at sim ``at`` (trainer steps, test choreography)."""
         self._push(at, "call", fn)
-
-    def schedule_reload(self, at: float) -> None:
-        """Publish the mirror's newest generation at sim ``at``."""
-        self._push(at, "call", self.pool.publish_generation)
 
     def schedule_crash(self, at: float, index: int) -> None:
         """Kill replica ``index`` at sim ``at`` (spot eviction)."""

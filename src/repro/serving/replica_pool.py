@@ -217,9 +217,3 @@ class ReplicaPool:
             )
             recorder.count("serve.replica_repairs")
         return fresh
-
-    def reinstall_session(self, session: InferenceSession) -> None:
-        """Install externally re-established session state everywhere."""
-        self._sessions[session.session_id] = session
-        for replica in self.replicas:
-            replica.service.install_session(session)

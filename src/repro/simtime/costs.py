@@ -150,76 +150,6 @@ class CryptoCostModel:
         """Seconds to decrypt ``sizes`` buffers in one amortized batch."""
         return self._batched_time(sizes, self.decrypt_bandwidth)
 
-    def _parallel_seconds(
-        self, per_buffer_fn, sizes: "Sequence[int]", threads: int
-    ) -> float:
-        """Makespan of per-buffer crypto jobs over ``threads`` workers.
-
-        The overlap term of the parallel sealing pipeline: each buffer
-        is one indivisible job; jobs are assigned greedily (in buffer
-        order) to the least-loaded worker, and the phase costs the
-        maximum worker load.  With ``threads=1`` this degenerates to the
-        exact serial sum, keeping single-threaded simulated totals
-        identical to the per-buffer accounting used before parallel
-        sealing existed.
-        """
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        if threads == 1:
-            return sum(per_buffer_fn(n) for n in sizes)
-        loads = [0.0] * threads
-        for n in sizes:
-            worker = min(range(threads), key=loads.__getitem__)
-            loads[worker] += per_buffer_fn(n)
-        return max(loads)
-
-    def _parallel_schedule(
-        self, per_buffer_fn, sizes: "Sequence[int]", threads: int
-    ):
-        """Per-job ``(worker, start, end)`` offsets of the greedy schedule.
-
-        The exact same assignment :meth:`_parallel_seconds` simulates —
-        jobs in buffer order, each to the least-loaded worker — with the
-        identical float arithmetic (``end = load + cost``), so
-        ``max(end for ...) == _parallel_seconds(...)`` bit-for-bit.
-        Offsets are relative to the phase start; the tracing layer turns
-        them into absolute sim timestamps for per-worker ``crypto.seal``
-        lane spans.
-        """
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        loads = [0.0] * threads
-        schedule = []
-        for n in sizes:
-            worker = min(range(threads), key=loads.__getitem__)
-            start = loads[worker]
-            end = start + per_buffer_fn(n)
-            loads[worker] = end
-            schedule.append((worker, start, end))
-        return schedule
-
-    def parallel_encrypt_seconds(
-        self, sizes: "Sequence[int]", threads: int
-    ) -> float:
-        """Simulated seconds to encrypt buffers of ``sizes`` bytes with
-        ``threads`` concurrent crypto workers."""
-        return self._parallel_seconds(self.encrypt_time, sizes, threads)
-
-    def parallel_decrypt_seconds(
-        self, sizes: "Sequence[int]", threads: int
-    ) -> float:
-        """Simulated seconds to decrypt buffers of ``sizes`` bytes with
-        ``threads`` concurrent crypto workers."""
-        return self._parallel_seconds(self.decrypt_time, sizes, threads)
-
-    def parallel_encrypt_schedule(self, sizes: "Sequence[int]", threads: int):
-        """Greedy per-job ``(worker, start, end)`` encrypt schedule."""
-        return self._parallel_schedule(self.encrypt_time, sizes, threads)
-
-    def parallel_decrypt_schedule(self, sizes: "Sequence[int]", threads: int):
-        """Greedy per-job ``(worker, start, end)`` decrypt schedule."""
-        return self._parallel_schedule(self.decrypt_time, sizes, threads)
-
 
 @dataclass(frozen=True)
 class InferenceCostModel:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster import runtime as cluster_runtime
 from repro.core.system import PliniusSystem
-from repro.crypto import backend as crypto_backend
 from repro.darknet.data import DataMatrix
 from repro.data import synthetic_mnist, to_data_matrix
 from repro.faults import plan as faultplan
@@ -20,20 +19,14 @@ from repro.simtime.profiles import EMLSGX_PM, SGX_EMLPM
 def snapshot_process_defaults() -> dict:
     """Capture every module global acting as a process default.
 
-    Four globals qualify: the obs recorder, the crypto AEAD backend,
-    the fault plan, and the installed cluster topology.  The snapshot
+    Three globals qualify: the obs recorder, the fault plan, and the
+    installed cluster topology.  The snapshot
     pairs with :func:`restore_and_diff_process_defaults`; the autouse
     guard below uses both, and the guard's own regression test calls
     them directly.
     """
     return {
         "recorder": get_default_recorder(),
-        # Force lazy resolution first: merely *using* crypto caches the
-        # resolved backend, which is not a leak.  Resolution is compared
-        # by type, not identity: ``reset_default_backend()`` (the
-        # sanctioned restore) makes the next use build a fresh,
-        # equivalent instance.
-        "backend": crypto_backend.default_backend(),
         "plan": faultplan.get_active_plan(),
         "cluster": cluster_runtime.get_active_cluster(),
     }
@@ -45,9 +38,6 @@ def restore_and_diff_process_defaults(before: dict) -> list:
     if get_default_recorder() is not before["recorder"]:
         leaked.append("obs default recorder (install_default_recorder)")
         install_default_recorder(before["recorder"])
-    if type(crypto_backend.default_backend()) is not type(before["backend"]):
-        leaked.append("crypto default backend (set_default_backend)")
-        crypto_backend.set_default_backend(before["backend"])
     if faultplan.get_active_plan() is not before["plan"]:
         leaked.append("fault plan (faults.plan.install_plan)")
         faultplan.install_plan(before["plan"])
@@ -61,10 +51,10 @@ def restore_and_diff_process_defaults(before: dict) -> list:
 def _no_leaked_process_defaults():
     """Fail any test that leaks a process-default override.
 
-    A test that installs a process default (recorder, crypto backend,
-    fault plan, cluster topology) and forgets to restore it silently
+    A test that installs a process default (recorder, fault plan,
+    cluster topology) and forgets to restore it silently
     changes the behaviour of every test that runs after it — the
-    classic order-dependent flake.  This fixture snapshots all four,
+    classic order-dependent flake.  This fixture snapshots all three,
     restores them unconditionally, and fails the offending test by name
     so the leak is fixed at the source.
     """

@@ -337,20 +337,37 @@ def _load_benchmark_script(name: str):
 
 
 class TestWallclockScripts:
-    def test_zero_threads_is_an_argparse_error(self, capsys):
-        bench = _load_benchmark_script("bench_wallclock")
-        with pytest.raises(SystemExit) as exc:
-            bench.main(["--smoke", "--threads", "0"])
-        assert exc.value.code == 2
-        assert "--threads: must be >= 1" in capsys.readouterr().err
-
     def test_checker_refuses_a_baseline_of_another_schema(self):
         checker = _load_benchmark_script("check_wallclock_regression")
-        report = {"schema": 5, "criteria": {"mirrors_identical": True}}
+        report = {"schema": 5}
         failures = checker.check({"schema": 3}, report, tolerance=0.1)
         assert len(failures) == 1
         assert "schema 3" in failures[0] and "schema 5" in failures[0]
         assert checker.check({"schema": 5}, report, tolerance=0.1) == []
+
+    def test_checker_gates_mirror_seconds_like_for_like(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        row = {
+            "layer_count": 13, "repeats": 3,
+            "out_seconds": 0.080, "in_seconds": 0.025,
+        }
+        host = {"cpu_count": 2, "crypto_backend": "cryptography"}
+        baseline = {"schema": 6, "smoke": False, "host": host, "mirror": [row]}
+        assert checker.check(baseline, baseline, tolerance=0.1) == []
+
+        slower = {**baseline, "mirror": [{**row, "in_seconds": 0.030}]}
+        failures = checker.check(baseline, slower, tolerance=0.1)
+        assert len(failures) == 1
+        assert "mirror[13 layers].in_seconds" in failures[0]
+        elsewhere = {**slower, "host": {**host, "cpu_count": 64}}
+        assert checker.check(baseline, elsewhere, tolerance=0.1) == []
+
+        # A row written by an older harness has neither cell.
+        old_keys = {"layer_count": 13, "repeats": 3, "serial_out_seconds": 0.08}
+        failures = checker.check(
+            baseline, {**baseline, "mirror": [old_keys]}, tolerance=0.1
+        )
+        assert len(failures) == 2 and "out_seconds" in failures[0]
 
     def test_checker_knows_train_step_and_refuses_a_shrunk_history(self):
         checker = _load_benchmark_script("check_wallclock_regression")
@@ -366,7 +383,6 @@ class TestWallclockScripts:
         }
         report = {
             **baseline,
-            "criteria": {"mirrors_identical": True},
             "history": rows + [{"label": "next"}],
         }
         assert checker.check(baseline, report, tolerance=0.1) == []
@@ -401,7 +417,6 @@ class TestWallclockScripts:
         host = {"cpu_count": 2, "crypto_backend": "cryptography"}
         baseline = {
             "schema": 7, "smoke": True, "host": host,
-            "criteria": {"mirrors_identical": True},
             "crypto_per_call": {"engine": [row], "session": session},
         }
         assert checker.check(baseline, baseline, tolerance=0.1) == []

@@ -311,8 +311,7 @@ class TestConftestGuard:
 
 
 if __name__ == "__main__":
-    from repro.crypto.parallel import shutdown_executors
-    from tests.test_mirror_parallel import THREADS, mirror_sim_totals
+    from tests.test_mirror_parallel import mirror_sim_totals
 
     print(
         json.dumps(
@@ -321,10 +320,9 @@ if __name__ == "__main__":
                 "worker": _worker_scenario(),
                 "pipeline": _pipeline_scenario(),
                 "data_parallel": _data_parallel_scenario(),
-                "mirror": {str(t): mirror_sim_totals(t) for t in THREADS},
+                "mirror": {"1": mirror_sim_totals()},
             },
             indent=2,
             sort_keys=True,
         )
     )
-    shutdown_executors()

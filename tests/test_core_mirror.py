@@ -19,15 +19,19 @@ from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
 
-def make_mirror(pm_size: int = 16 << 20):
-    clock = SimClock()
-    device = PersistentMemoryDevice(pm_size, clock, EMLSGX_PM.pm)
-    region = RomulusRegion(device, (pm_size - 4096) // 2).format()
-    heap = PersistentHeap(region)
+def mirror_over(region: RomulusRegion) -> MirrorModule:
+    """The mirror a (fresh) process builds over ``region``."""
     engine = EncryptionEngine(b"k" * 16, rand=SgxRandom(b"iv"))
-    enclave = Enclave(clock, EMLSGX_PM.sgx)
-    mirror = MirrorModule(region, heap, engine, enclave, EMLSGX_PM)
-    return device, region, mirror
+    enclave = Enclave(region.device.clock, EMLSGX_PM.sgx)
+    return MirrorModule(
+        region, PersistentHeap(region), engine, enclave, EMLSGX_PM
+    )
+
+
+def make_mirror(pm_size: int = 16 << 20):
+    device = PersistentMemoryDevice(pm_size, SimClock(), EMLSGX_PM.pm)
+    region = RomulusRegion(device, (pm_size - 4096) // 2).format()
+    return device, region, mirror_over(region)
 
 
 def make_model(seed: int = 0, n_conv_layers: int = 2, filters: int = 4):
@@ -278,3 +282,73 @@ class TestSecurity:
         # Allocator rounds blocks to 64 B and adds node/header structures.
         assert used >= exact_payload
         assert used < exact_payload * 1.2 + 4096
+
+
+class _TensorGroup:
+    """A pseudo-layer of named arrays: all the mirror asks of a layer."""
+
+    kind = "tensor-group"
+
+    def __init__(self, tensors: dict) -> None:
+        self.tensors = tensors
+
+    def parameter_buffers(self):
+        return list(self.tensors.items())
+
+    def set_parameter(self, name: str, values: np.ndarray) -> None:
+        self.tensors[name][...] = values.reshape(self.tensors[name].shape)
+
+
+class _TensorModel:
+    """Named float32 arrays in pseudo-layers: no Darknet, no autograd."""
+
+    def __init__(self, seed: int, shapes=((20, 8), (8,), (8, 3), (3,))) -> None:
+        rng = np.random.default_rng(seed)
+        tensors = [
+            (f"t{i}", rng.normal(size=shape).astype(np.float32))
+            for i, shape in enumerate(shapes)
+        ]
+        self.iteration = 0
+        self.layers = [
+            _TensorGroup(dict(tensors[:3])),
+            _TensorGroup(dict(tensors[3:])),
+        ]
+
+    def arrays(self):
+        return [arr for group in self.layers for arr in group.tensors.values()]
+
+
+class TestOtherFrameworks:
+    """Section IV, "integration with different ML libraries": the
+    mirror's contract is structural — ``layers[i].parameter_buffers()``
+    / ``set_parameter`` and ``iteration`` — so a model that is not a
+    Darknet network goes through the unchanged module."""
+
+    def test_roundtrip_of_a_duck_typed_model(self):
+        _, _, mirror = make_mirror()
+        model = _TensorModel(seed=2)
+        mirror.alloc_mirror_model(model)
+        mirror.mirror_out(model, 17)
+
+        other = _TensorModel(seed=99)
+        mirror.mirror_in(other)
+        assert other.iteration == 17
+        for mine, theirs in zip(model.arrays(), other.arrays()):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_crash_reopen_resume_of_a_duck_typed_model(self):
+        device, region, mirror = make_mirror()
+        model = _TensorModel(seed=3)
+        mirror.alloc_mirror_model(model)
+        for step in range(1, 11):
+            for arr in model.arrays():
+                arr *= np.float32(0.9)  # stand-in for an optimiser step
+            mirror.mirror_out(model, step)
+        checkpointed = [arr.copy() for arr in model.arrays()]
+
+        device.crash()
+        fresh = _TensorModel(seed=44)
+        mirror_over(RomulusRegion.open(device)).mirror_in(fresh)
+        assert fresh.iteration == 10
+        for restored, expected in zip(fresh.arrays(), checkpointed):
+            np.testing.assert_array_equal(restored, expected)

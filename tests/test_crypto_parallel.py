@@ -1,6 +1,7 @@
-"""The parallel-sealing crypto surface: backend parity on large buffers,
-zero-copy seal_into/unseal_from, backend selection, thread-safe stats,
-and the worker-pool plumbing."""
+"""The bulk-buffer crypto surface: backend parity on large buffers,
+zero-copy seal_into/unseal_from on both sides of the one-shot bound,
+the engine's backend injection point, and stats / one keyed context
+shared by more threads than cores."""
 
 from __future__ import annotations
 
@@ -14,22 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
-    BACKEND_ENV_VAR,
     IV_SIZE,
     MAC_SIZE,
-    MAX_CRYPTO_THREADS,
     SEAL_OVERHEAD,
     CryptographyBackend,
     EncryptionEngine,
     IntegrityError,
     PureBackend,
     default_backend,
-    get_executor,
-    make_backend,
-    reset_default_backend,
-    resolve_crypto_threads,
-    set_default_backend,
-    shutdown_executors,
 )
 from repro.crypto.backend import ONE_SHOT_DECRYPT_MAX as BOUND
 from repro.sgx.rand import SgxRandom
@@ -318,48 +311,10 @@ class TestSealInto:
 
 
 class TestBackendSelection:
-    @pytest.fixture(autouse=True)
-    def restore_default(self):
-        yield
-        reset_default_backend()
-
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("pure"), PureBackend)
-        assert isinstance(make_backend("pure-python"), PureBackend)
-        assert isinstance(make_backend("cryptography"), CryptographyBackend)
-        with pytest.raises(ValueError, match="unknown"):
-            make_backend("openssl3")
-
-    def test_set_default_backend_by_name(self):
-        set_default_backend("pure")
-        assert isinstance(default_backend(), PureBackend)
-        assert isinstance(make_engine().backend, PureBackend)
-        reset_default_backend()
-        assert isinstance(default_backend(), CryptographyBackend)
-
-    def test_set_default_backend_instance(self):
-        backend = PureBackend()
-        set_default_backend(backend)
-        assert default_backend() is backend
-
-    def test_env_override(self, monkeypatch):
-        # The resolved backend is cached; reset re-reads the environment.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
-        reset_default_backend()
-        assert isinstance(default_backend(), PureBackend)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cryptography")
-        reset_default_backend()
-        assert isinstance(default_backend(), CryptographyBackend)
-
-    def test_pinned_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cryptography")
-        set_default_backend("pure")
-        assert isinstance(default_backend(), PureBackend)
-
     def test_engine_explicit_backend_wins(self):
-        set_default_backend("pure")
-        engine = make_engine(backend=CryptographyBackend())
-        assert isinstance(engine.backend, CryptographyBackend)
+        assert isinstance(default_backend(), CryptographyBackend)
+        engine = make_engine(backend=PureBackend())
+        assert isinstance(engine.backend, PureBackend)
 
 
 class TestThreadSafeStats:
@@ -433,32 +388,3 @@ class TestThreadSafeStats:
         assert not any(t.is_alive() for t in workers)
         assert failures == []
         assert engine.stats["seals"] == engine.stats["unseals"] == 2 * 40 * len(jobs)
-
-
-class TestWorkerPool:
-    def test_resolve_explicit_request(self):
-        assert resolve_crypto_threads(4) == 4
-        assert resolve_crypto_threads(1) == 1
-
-    def test_resolve_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_crypto_threads(0)
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_crypto_threads(-3)
-
-    def test_resolve_caps(self):
-        assert resolve_crypto_threads(10_000) == MAX_CRYPTO_THREADS
-
-    def test_executor_reused_and_runs(self):
-        pool_a = get_executor(2)
-        pool_b = get_executor(2)
-        assert pool_a is pool_b
-        assert sorted(pool_a.map(lambda x: x * x, range(5))) == [0, 1, 4, 9, 16]
-        shutdown_executors()
-        pool_c = get_executor(2)
-        assert pool_c is not pool_a
-        shutdown_executors()
-
-    def test_executor_requires_parallelism(self):
-        with pytest.raises(ValueError):
-            get_executor(1)

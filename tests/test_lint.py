@@ -12,6 +12,7 @@ Three layers of coverage:
   ``np.random.default_rng()`` fallbacks now default to a fixed seed).
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -219,6 +220,125 @@ def test_every_module_is_classified_exactly_once():
     assert LintConfig().untrusted_modules is UNTRUSTED_MODULES
 
 
+# ----------------------------------------------------------------------
+# Caller census: every module is reachable from something that runs
+# ----------------------------------------------------------------------
+
+#: Modules nothing under the roots imports yet, each with the open item
+#: that decides it.  They count as roots (so what only they import is
+#: reached) and must be dropped from here once a real caller exists.
+CALLER_WAIVERS = {
+    "repro.core.workflow": "Fig. 5 end-to-end workflow; carries darknet.weights",
+    "repro.distributed.pipeline": "ROADMAP 4c owes it a benchmark workload",
+    "repro.distributed.data_parallel": "ROADMAP 4c owes it a benchmark workload",
+    "repro.core.freshness": "ROADMAP 2 decides: wire on every reopen or delete",
+    "repro.sgx.counters": "ROADMAP 2 decides: wire on every reopen or delete",
+}
+
+#: Scripts whose imports are callers: the wall-clock ledger and the
+#: paper-figure benchmarks.
+_ROOT_SCRIPTS = (
+    "bench_wallclock.py", "bench_fig*.py", "bench_table1_breakdown.py",
+    "bench_inference.py", "bench_recovery_time.py", "bench_tcb.py",
+)
+
+
+class _ImportGraph:
+    """Import edges between ``repro`` modules, parsed — never imported.
+
+    ``from pkg import Name`` resolves through the package ``__init__``
+    to the submodule that defines ``Name``: a re-export is not a caller.
+    """
+
+    def __init__(self, src: Path) -> None:
+        self.files = {}
+        for path in (src / "repro").rglob("*.py"):
+            parts = path.relative_to(src).with_suffix("").parts
+            self.files[".".join(parts)] = path
+        self.modules = {m for m in self.files if not m.endswith(".__init__")}
+        self._trees = {}
+
+    def _tree(self, name: str) -> ast.AST:
+        if name not in self._trees:
+            self._trees[name] = ast.parse(self.files[name].read_text())
+        return self._trees[name]
+
+    def _defining_module(self, base: str, name: str):
+        """The module behind ``from base import name`` (None: no module)."""
+        if f"{base}.{name}" in self.modules:
+            return f"{base}.{name}"
+        if base in self.modules:
+            return base
+        init = f"{base}.__init__"
+        if init not in self.files:
+            return None
+        for node in ast.walk(self._tree(init)):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        origin = self._absolute(init, node)
+                        return self._defining_module(origin, alias.name)
+        return None
+
+    @staticmethod
+    def _absolute(importer: str, node: ast.ImportFrom) -> str:
+        if not node.level:
+            return node.module or ""
+        package = importer.split(".")[: -node.level]
+        return ".".join(package + ([node.module] if node.module else []))
+
+    def imports_of(self, tree: ast.AST, importer: str = "") -> set:
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = self._absolute(importer, node)
+                found.update(
+                    self._defining_module(base, a.name) for a in node.names
+                )
+        return found & self.modules
+
+    def reachable(self, roots: set) -> set:
+        seen, stack = set(), sorted(roots)
+        while stack:
+            module = stack.pop()
+            if module not in seen:
+                seen.add(module)
+                stack.extend(self.imports_of(self._tree(module), module))
+        return seen
+
+
+def caller_census(repo: Path):
+    """``(graph, roots)``: the import graph of ``repo`` and the modules
+    its entry points name."""
+    graph = _ImportGraph(repo / "src")
+    roots = {"repro.cli", "repro.__main__"}
+    bench = repo / "benchmarks"
+    scripts = sorted((bench / "e2e").glob("*.py"))
+    for pattern in _ROOT_SCRIPTS:
+        scripts += sorted(bench.glob(pattern))
+    for script in scripts:
+        tree = ast.parse(script.read_text())
+        roots |= graph.imports_of(tree)
+        # The e2e tracer names the modules it patches as strings.
+        roots |= graph.modules & {
+            node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+        }
+    return graph, roots
+
+
+def test_every_module_has_a_caller():
+    """No module without a caller: each one is imported, transitively,
+    by the CLI, the e2e benchmark, the wall-clock ledger or a
+    paper-figure script — or sits in the waiver table with its reason."""
+    graph, roots = caller_census(SRC.parent)
+    assert graph.modules - graph.reachable(roots | set(CALLER_WAIVERS)) == set()
+    assert len(CALLER_WAIVERS) == 5
+    # A waiver whose module has gained a caller is stale.
+    assert not set(CALLER_WAIVERS) & graph.reachable(roots)
+
+
 def test_cli_tcb_json(capsys):
     rc = main(["tcb", "--format", "json"])
     assert rc == 0
@@ -255,12 +375,3 @@ def test_connected_layer_default_rng_is_deterministic():
     a = ConnectedLayer((16,), 8)
     b = ConnectedLayer((16,), 8)
     np.testing.assert_array_equal(a.weights, b.weights)
-
-
-def test_minitf_model_default_rng_is_deterministic():
-    from repro.minitf.model import MlpClassifier
-
-    a = MlpClassifier([4, 3, 2])
-    b = MlpClassifier([4, 3, 2])
-    for va, vb in zip(a.variables, b.variables):
-        np.testing.assert_array_equal(va.value, vb.value)

@@ -1,10 +1,10 @@
-"""The sealing pipeline: determinism across thread counts, the sealed
-format pinned against the reference ``seal``, simulated-time fidelity,
-crash atomicity with threads, and the makespan cost model."""
+"""The sealing pipeline: the sealed format pinned against the reference
+``seal``, simulated-time fidelity against the frozen totals, crash
+atomicity of in-place sealing, and the inputs the in-place fast path
+cannot take."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -14,7 +14,6 @@ import pytest
 from repro.core.mirror import MirrorModule
 from repro.core.models import build_mnist_cnn
 from repro.crypto.engine import EncryptionEngine
-from repro.crypto.parallel import shutdown_executors
 from repro.darknet.weights import save_weights
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.romulus.alloc import PersistentHeap
@@ -24,8 +23,6 @@ from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
-THREADS = [1, 3]
-
 #: Sim totals recorded from the deleted copy path at commit 2944023
 #: (regenerate: ``python -m tests.test_cluster_equivalence``).
 GOLDEN = json.loads(
@@ -33,21 +30,14 @@ GOLDEN = json.loads(
 )
 
 
-def make_mirror(crypto_threads: int = 1, pm_size=16 << 20):
+def make_mirror(pm_size=16 << 20):
     clock = SimClock()
     device = PersistentMemoryDevice(pm_size, clock, EMLSGX_PM.pm)
     region = RomulusRegion(device, (pm_size - 4096) // 2).format()
     heap = PersistentHeap(region)
     engine = EncryptionEngine(b"k" * 16, rand=SgxRandom(b"iv"))
     enclave = Enclave(clock, EMLSGX_PM.sgx)
-    mirror = MirrorModule(
-        region,
-        heap,
-        engine,
-        enclave,
-        EMLSGX_PM,
-        crypto_threads=crypto_threads,
-    )
+    mirror = MirrorModule(region, heap, engine, enclave, EMLSGX_PM)
     return device, region, mirror
 
 
@@ -57,19 +47,9 @@ def make_model(seed: int = 0):
     )
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _teardown_pools():
-    yield
-    shutdown_executors()
-
-
-def pm_digest(device: PersistentMemoryDevice) -> str:
-    return hashlib.sha256(bytes(device._data)).hexdigest()
-
-
-def mirror_sim_totals(threads: int) -> dict:
+def mirror_sim_totals() -> dict:
     """Sim-plane observations of one save + restore (the fixture row)."""
-    _, _, mirror = make_mirror(threads)
+    _, _, mirror = make_mirror()
     net = make_model(seed=12)
     mirror.alloc_mirror_model(net)
     out = mirror.mirror_out(net, 1)
@@ -82,30 +62,11 @@ def mirror_sim_totals(threads: int) -> dict:
 
 
 class TestDeterminism:
-    def test_mirror_bytes_identical_across_configs(self):
-        """Sealed PM images (including IVs) must not depend on the number
-        of crypto threads."""
-        digests = {}
-        for threads in THREADS:
-            device, _, mirror = make_mirror(threads)
-            net = make_model(seed=12)
-            mirror.alloc_mirror_model(net)
-            mirror.mirror_out(net, 5)
-            digests[threads] = pm_digest(device)
-        assert len(set(digests.values())) == 1, digests
-
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_slots_hold_reference_seal_of_each_buffer(self, threads):
+    def test_slots_hold_reference_seal_of_each_buffer(self):
         """The format, pinned from the paper rather than from a twin:
         every PM slot is ``seal(buffer bytes, aad=buffer name)`` with the
-        IVs drawn in layer/buffer order (the engine draws none elsewhere).
-
-        The mirror's engine binds one keyed AEAD context at construction
-        and every pool worker seals through it, so at ``threads`` 3 this
-        also proves that one context is safe to share across the pool:
-        a context with per-call state would interleave and miss the
-        oracle's bytes."""
-        _, region, mirror = make_mirror(threads)
+        IVs drawn in layer/buffer order (the engine draws none elsewhere)."""
+        _, region, mirror = make_mirror()
         net = make_model(seed=12)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 5)
@@ -124,52 +85,17 @@ class TestDeterminism:
                 assert region.read(offset, size) == expected
 
     def test_sim_time_identical_at_one_thread(self):
-        """Phase timings and the final clock at ``crypto_threads=1`` are
-        float-exact against the totals the allocate-and-copy path gave
-        before it was deleted."""
-        assert mirror_sim_totals(1) == GOLDEN["mirror"]["1"]
-
-    def test_sim_time_identical_at_three_threads(self):
-        """Same, for the makespan-charged fan-out."""
-        assert mirror_sim_totals(3) == GOLDEN["mirror"]["3"]
-
-    def test_parallel_crypto_time_is_makespan(self):
-        """Threads overlap encryption in simulated time too: the crypto
-        span shrinks but storage (single PM channel) does not."""
-        results = {}
-        for threads in (1, 3):
-            _, _, mirror = make_mirror(threads)
-            net = make_model(seed=12)
-            mirror.alloc_mirror_model(net)
-            results[threads] = mirror.mirror_out(net, 1)
-        assert results[3].crypto_seconds < results[1].crypto_seconds
-        # Storage work is unchanged; the span starts from a different
-        # clock base, so allow last-ulp float noise.
-        assert results[3].storage_seconds == pytest.approx(
-            results[1].storage_seconds, rel=1e-12
-        )
-
-    def test_parallel_mirror_in_bit_identical_to_serial(self):
-        weights = {}
-        for threads in THREADS:
-            _, _, mirror = make_mirror(threads)
-            net = make_model(seed=21)
-            mirror.alloc_mirror_model(net)
-            mirror.mirror_out(net, 3)
-            restored = make_model(seed=77)  # different random init
-            mirror.mirror_in(restored)
-            restored.iteration = 0
-            weights[threads] = save_weights(restored)[16:]
-        assert len(set(weights.values())) == 1
-        source = save_weights(make_model(seed=21))[16:]
-        assert next(iter(weights.values())) == source
+        """Phase timings and the final clock are float-exact against the
+        totals the allocate-and-copy path gave before it was deleted."""
+        assert mirror_sim_totals() == GOLDEN["mirror"]["1"]
 
 
 class TestCrashAtomicity:
     def test_crash_mid_parallel_mirror_out_keeps_old_mirror(self):
-        """A crash inside the write transaction with ``crypto_threads>1``
-        must recover to the pre-transaction mirror, exactly like serial."""
-        device, region, mirror = make_mirror(3)
+        """A crash inside the write transaction must recover to the
+        pre-transaction mirror: slots sealed in place are volatile until
+        the transaction flushes them."""
+        device, region, mirror = make_mirror()
         net = make_model(seed=5)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -204,7 +130,7 @@ class TestCrashAtomicity:
             assert save_weights(restored)[16:] == old[16:]
 
     def test_tamper_detected_on_zero_copy_restore(self):
-        device, _, mirror = make_mirror(3)
+        device, _, mirror = make_mirror()
         net = make_model(seed=8)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -223,11 +149,10 @@ class TestCrashAtomicity:
 class TestRealInputFallbacks:
     """Inputs the in-place fast path cannot take still behave."""
 
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_slot_size_mismatch_raises_and_keeps_old_mirror(self, threads):
+    def test_slot_size_mismatch_raises_and_keeps_old_mirror(self):
         from repro.core.mirror import MirrorError
 
-        _, _, mirror = make_mirror(threads)
+        _, _, mirror = make_mirror()
         net = make_model(seed=5)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -242,9 +167,8 @@ class TestRealInputFallbacks:
         restored.iteration = 0
         assert save_weights(restored)[16:] == save_weights(net)[16:]
 
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_restore_into_non_contiguous_parameter(self, threads):
-        _, _, mirror = make_mirror(threads)
+    def test_restore_into_non_contiguous_parameter(self):
+        _, _, mirror = make_mirror()
         net = make_model(seed=5)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
@@ -257,67 +181,3 @@ class TestRealInputFallbacks:
         mirror.mirror_in(restored)
         source = next(l for l in net.layers if l.parameter_buffers())
         np.testing.assert_array_equal(conv.weights, source.weights)
-
-
-class TestCostModel:
-    def test_serial_sum_at_one_thread(self):
-        crypto = EMLSGX_PM.crypto
-        sizes = [1000, 2000, 30_000, 4]
-        expected = sum(crypto.encrypt_time(n) for n in sizes)
-        assert crypto.parallel_encrypt_seconds(sizes, 1) == expected
-
-    def test_makespan_bounds(self):
-        crypto = EMLSGX_PM.crypto
-        sizes = [10_000, 20_000, 30_000, 40_000, 50_000]
-        serial = sum(crypto.encrypt_time(n) for n in sizes)
-        longest = max(crypto.encrypt_time(n) for n in sizes)
-        for threads in (2, 3, 5, 8):
-            span = crypto.parallel_encrypt_seconds(sizes, threads)
-            assert longest <= span <= serial
-        # More workers never makes the makespan longer on this greedy
-        # assignment with identical per-byte costs.
-        assert crypto.parallel_encrypt_seconds(
-            sizes, 5
-        ) <= crypto.parallel_encrypt_seconds(sizes, 2)
-
-    def test_decrypt_variant(self):
-        crypto = EMLSGX_PM.crypto
-        sizes = [1024] * 6
-        assert crypto.parallel_decrypt_seconds(sizes, 1) == sum(
-            crypto.decrypt_time(n) for n in sizes
-        )
-        assert (
-            crypto.parallel_decrypt_seconds(sizes, 3)
-            == 2 * crypto.decrypt_time(1024)
-        )
-
-    def test_empty(self):
-        crypto = EMLSGX_PM.crypto
-        assert crypto.parallel_encrypt_seconds([], 4) == 0.0
-
-
-class TestConfigValidation:
-    def test_rejects_zero_threads(self):
-        with pytest.raises(ValueError):
-            make_mirror(crypto_threads=0)
-
-    def test_trains_same_result_any_config(self):
-        """End-to-end: a mirrored training iteration restores identically
-        regardless of pipeline configuration."""
-        outs = set()
-        for threads in THREADS:
-            _, _, mirror = make_mirror(threads)
-            net = make_model(seed=31)
-            mirror.alloc_mirror_model(net)
-            x = np.random.default_rng(1).normal(
-                size=(8, 1, 28, 28)
-            ).astype(np.float32)
-            truth = np.zeros((8, 10), dtype=np.float32)
-            truth[np.arange(8), np.arange(8) % 10] = 1.0
-            net.train_batch(x, truth)
-            mirror.mirror_out(net, 1)
-            restored = make_model(seed=32)
-            mirror.mirror_in(restored)
-            restored.iteration = 0
-            outs.add(save_weights(restored)[16:])
-        assert len(outs) == 1

@@ -3,8 +3,8 @@
 Two fresh recorders fed the identical deterministic event stream must
 serialize byte-identically — Chrome trace, JSONL, and `repro report`
 alike.  The edge cases cover shapes the serving telemetry can actually
-produce: empty traces, metric-only runs, lane-id collisions between
-crypto workers and serving replicas, and a wrapped flight ring.
+produce: empty traces, metric-only runs, lanes shared between serving
+replicas and other categories, and a wrapped flight ring.
 """
 
 from __future__ import annotations
@@ -112,14 +112,13 @@ class TestEmptyAndSparseTraces:
 
 class TestLaneNaming:
     def test_crypto_and_replica_lanes_distinct(self):
-        assert _lane_name(3, {"crypto"}) == "sim-crypto-worker-3"
+        assert _lane_name(3, {"crypto"}) == "sim-lane-3"
         assert _lane_name(203, {"serve"}) == "sim-serve-replica-3"
 
     def test_collision_degrades_to_neutral_label(self):
-        # 100+k crypto lanes and 200+N replica lanes share a tid space:
-        # a crypto pool wide enough to reach lane 200+ must not be
-        # mislabelled as a serving replica.
-        assert _lane_name(205, {"crypto"}) == "sim-crypto-worker-205"
+        # Only a lane that drew nothing but serve spans at 200+N is a
+        # replica's; anything else sharing the tid space stays neutral.
+        assert _lane_name(205, {"crypto"}) == "sim-lane-205"
         assert _lane_name(205, {"crypto", "serve"}) == "sim-lane-205"
         assert _lane_name(7, {"serve"}) == "sim-lane-7"
 
@@ -139,7 +138,7 @@ class TestLaneNaming:
             for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert "sim-crypto-worker-1" in names
+        assert "sim-lane-1" in names
         assert "sim-serve-replica-0" in names
 
 

@@ -3,15 +3,15 @@
 The contracts under test:
 
 * two same-seed traced runs emit identical sim-time trace fields
-  (``sim_view()``/``sim_events()``) and counter totals, even with the
-  crypto thread pool fanning work across OS threads;
+  (``sim_view()``/``sim_events()``) and counter totals, and tracing
+  does not perturb simulated time;
 * a kill/resume cycle records exactly one ``romulus.recover`` instant
   and nonzero PM read traffic for the restore;
 * the Table Ia encrypt-vs-write split is reproducible from span data
   alone (``mirror_breakdown``) within 1% of the harness-computed
   values;
 * :class:`~repro.crypto.engine.EncryptionEngine` stats and the
-  ``crypto.*`` counters agree under ``crypto_threads > 1``.
+  ``crypto.*`` counters agree.
 """
 
 from __future__ import annotations
@@ -25,23 +25,17 @@ from repro.obs import NULL_RECORDER, TraceRecorder, mirror_breakdown
 from tests.conftest import make_system
 
 
-def traced_system(
-    threads: int = 1, seed: int = 7, pm_size: int = 64 << 20
-) -> tuple:
+def traced_system(seed: int = 7, pm_size: int = 64 << 20) -> tuple:
     recorder = TraceRecorder()
     system = PliniusSystem.create(
-        server="emlSGX-PM",
-        seed=seed,
-        pm_size=pm_size,
-        crypto_threads=threads,
-        recorder=recorder,
+        server="emlSGX-PM", seed=seed, pm_size=pm_size, recorder=recorder
     )
     return system, recorder
 
 
-def mirror_roundtrip(threads: int) -> tuple:
+def mirror_roundtrip() -> tuple:
     """One traced save + cold restore of a small model."""
-    system, recorder = traced_system(threads=threads, seed=11)
+    system, recorder = traced_system(seed=11)
     net = system.build_model(n_conv_layers=2, filters=8, batch=16)
     system.enclave.malloc("model", net.param_bytes)
     system.mirror.alloc_mirror_model(net)
@@ -66,15 +60,15 @@ class TestDeterminism:
         assert r1.counters.snapshot() == r2.counters.snapshot()
 
     def test_parallel_mirror_same_seed_traces_identical(self):
-        _, r1 = mirror_roundtrip(threads=4)
-        _, r2 = mirror_roundtrip(threads=4)
+        _, r1 = mirror_roundtrip()
+        _, r2 = mirror_roundtrip()
         assert r1.sim_view() == r2.sim_view()
         assert r1.counters.snapshot() == r2.counters.snapshot()
 
     def test_traced_run_matches_untraced_sim_time(self):
-        traced, _ = mirror_roundtrip(threads=4)
+        traced, _ = mirror_roundtrip()
         untraced = PliniusSystem.create(
-            server="emlSGX-PM", seed=11, pm_size=64 << 20, crypto_threads=4
+            server="emlSGX-PM", seed=11, pm_size=64 << 20
         )
         net = untraced.build_model(n_conv_layers=2, filters=8, batch=16)
         untraced.enclave.malloc("model", net.param_bytes)
@@ -87,35 +81,8 @@ class TestDeterminism:
 
 
 class TestCryptoWorkerLanes:
-    def test_seal_spans_on_simulated_lanes(self):
-        _, recorder = mirror_roundtrip(threads=4)
-        seals = recorder.find_spans("crypto.seal")
-        unseals = recorder.find_spans("crypto.unseal")
-        assert seals and unseals
-        assert {s.sim_lane for s in seals} <= set(range(4))
-        assert len({s.sim_lane for s in seals}) > 1  # actually fanned out
-        encrypt = recorder.find_spans("mirror.encrypt")[0]
-        decrypt = recorder.find_spans("mirror.decrypt")[0]
-        for span in seals:
-            assert span.parent_index == encrypt.index
-            assert encrypt.sim_start <= span.sim_start
-            assert span.sim_end <= encrypt.sim_end
-        for span in unseals:
-            assert span.parent_index == decrypt.index
-
-    def test_seal_lane_makespan_matches_phase_charge(self):
-        _, recorder = mirror_roundtrip(threads=4)
-        seals = recorder.find_spans("crypto.seal")
-        encrypt = recorder.find_spans("mirror.encrypt")[0]
-        makespan = max(s.sim_end for s in seals) - encrypt.sim_start
-        # enclave.touch() charges inside the encrypt phase too, so the
-        # phase can only be >= the crypto makespan; the makespan itself
-        # must equal the greedy schedule's charge exactly.
-        assert makespan <= encrypt.sim_elapsed
-        assert makespan > 0
-
     def test_engine_stats_agree_with_counters(self):
-        system, recorder = mirror_roundtrip(threads=4)
+        system, recorder = mirror_roundtrip()
         counters = recorder.counters
         stats = system.engine.stats
         assert stats["seals"] == counters.get("crypto.seals")
@@ -127,7 +94,7 @@ class TestCryptoWorkerLanes:
 
 class TestSpanHierarchy:
     def test_mirror_out_wraps_phases(self):
-        _, recorder = mirror_roundtrip(threads=1)
+        _, recorder = mirror_roundtrip()
         outer = recorder.find_spans("mirror.out")[0]
         for name in ("mirror.layout", "mirror.encrypt", "mirror.write"):
             phase = recorder.find_spans(name)[0]

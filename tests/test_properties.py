@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trainer import IterationTiming, async_mirror_seconds
 from repro.darknet.weights import save_weights
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.hw.ssd import BlockDevice
@@ -96,44 +95,6 @@ def test_ssd_crash_matches_reference_model(ops):
             durable = bytearray(pending)
     ssd.crash()
     assert ssd.read_all("f") == bytes(durable)
-
-
-# ----------------------------------------------------------------------
-# Async-mirror schedule: algebraic properties.
-# ----------------------------------------------------------------------
-_timings = st.lists(
-    st.tuples(
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.floats(0.0, 1.0, allow_nan=False),
-    ).map(lambda t: IterationTiming(*t)),
-    max_size=20,
-)
-
-
-@given(_timings)
-@settings(max_examples=200, deadline=None)
-def test_async_schedule_bounds(timings):
-    sync = sum(t.total for t in timings)
-    async_time = async_mirror_seconds(timings)
-    # Never slower than sync, never faster than dropping all mirrors
-    # except the last.
-    assert async_time <= sync + 1e-9
-    lower = sum(t.fetch_seconds + t.compute_seconds for t in timings)
-    if timings:
-        lower_plus_last = lower + timings[-1].mirror_seconds
-        assert async_time >= lower_plus_last - 1e-9
-
-
-@given(_timings)
-@settings(max_examples=100, deadline=None)
-def test_async_schedule_equals_sync_without_mirrors(timings):
-    stripped = [
-        IterationTiming(t.fetch_seconds, t.compute_seconds, 0.0)
-        for t in timings
-    ]
-    sync = sum(t.total for t in stripped)
-    assert async_mirror_seconds(stripped) == pytest.approx(sync)
 
 
 # ----------------------------------------------------------------------
