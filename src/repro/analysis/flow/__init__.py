@@ -6,18 +6,14 @@ A whole-program layer on top of the per-module lint framework:
   functions/classes/methods, and infer lightweight types (annotations,
   ``self.attr = Constructor()`` assignments, module attributes);
 * :mod:`~repro.analysis.flow.callgraph` — alias- and method-resolved
-  call-graph construction, including ``self.`` dispatch, nested defs,
-  and thread/callback spawn sites;
+  call-graph construction, including ``self.`` dispatch and nested defs;
 * :mod:`~repro.analysis.flow.taint` — per-function taint summaries
   (sources in → return/sink out, sanitizers) propagated to a fixpoint:
-  rule **SEC101** (interprocedural plaintext-to-sink);
+  rule **SEC001** (plaintext-to-sink, within and across functions);
 * :mod:`~repro.analysis.flow.durability` — per-function durability
   effect summaries (writes, flushes, fences, transactions, root/magic
   publications): rule **DUR001** (publication dominated by payload
   flush+fence);
-* :mod:`~repro.analysis.flow.lockset` — Eraser-style interprocedural
-  locksets over fields shared with worker threads and event callbacks:
-  rule **RACE001**;
 * :mod:`~repro.analysis.flow.engine` — orchestration + timing.
 """
 

@@ -42,9 +42,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import FunctionInfo, Project
+from repro.analysis.flow.taint import _call_name
 from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.framework import Finding, Severity
-from repro.analysis.lint.rules_sec import _call_name
 
 RULE_ID = "DUR001"
 SEVERITY = Severity.ERROR

@@ -1,9 +1,10 @@
 """Orchestration of the interprocedural flow analyses.
 
 :class:`FlowEngine` builds the whole-program index once (project →
-call graph) and runs the three analyses over it; :class:`FlowResult`
-carries their findings plus wall-clock timing so the CI budget
-assertion (< 60 s on the full repo) has a number to check.
+call graph) and runs the two analyses over it; :class:`FlowResult`
+carries their findings (``# repro: noqa`` directives already applied)
+plus wall-clock timing so the CI budget assertion (< 60 s on the full
+repo) has a number to check.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.durability import DurabilityAnalysis
 from repro.analysis.flow.durability import RULE_ID as DUR_RULE_ID
 from repro.analysis.flow.durability import TITLE as DUR_TITLE
-from repro.analysis.flow.lockset import LocksetAnalysis
-from repro.analysis.flow.lockset import RULE_ID as RACE_RULE_ID
-from repro.analysis.flow.lockset import TITLE as RACE_TITLE
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.taint import RULE_ID as SEC_RULE_ID
 from repro.analysis.flow.taint import TITLE as SEC_TITLE
@@ -33,7 +31,6 @@ def flow_rule_catalog() -> Dict[str, Tuple[str, str]]:
     return {
         SEC_RULE_ID: (SEC_TITLE, "error"),
         DUR_RULE_ID: (DUR_TITLE, "error"),
-        RACE_RULE_ID: (RACE_TITLE, "error"),
     }
 
 
@@ -48,7 +45,7 @@ class FlowResult:
 
 
 class FlowEngine:
-    """Builds the program index and runs SEC101/DUR001/RACE001."""
+    """Builds the program index and runs SEC001/DUR001."""
 
     def __init__(self, project: Project, config: LintConfig) -> None:
         self.project = project
@@ -68,8 +65,12 @@ class FlowEngine:
         findings.extend(taint.findings())
         durability = DurabilityAnalysis(self.project, self.graph, self.config)
         findings.extend(durability.findings())
-        lockset = LocksetAnalysis(self.project, self.graph, self.config)
-        findings.extend(lockset.findings())
+        suppressions = {
+            str(src.path): src.suppressions for src in self.project.sources
+        }
+        findings = [
+            f for f in findings if not suppressions[f.path].is_suppressed(f)
+        ]
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         edges = sum(
             len(site.callees)
@@ -84,6 +85,5 @@ class FlowEngine:
                 "functions": len(self.project.functions),
                 "classes": len(self.project.classes),
                 "call_edges": edges,
-                "thread_roots": len(self.graph.thread_roots),
             },
         )

@@ -27,13 +27,6 @@ from repro.analysis.lint.framework import ModuleSource
 
 FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: ``self.x = threading.Lock()`` marks ``x`` as a lock attribute.
-_LOCK_CONSTRUCTORS = frozenset(
-    {"threading.Lock", "threading.RLock", "multiprocessing.Lock"}
-)
-#: ``self.x = threading.local()`` marks ``x`` as per-thread storage.
-_THREAD_LOCAL_CONSTRUCTORS = frozenset({"threading.local"})
-
 
 @dataclass
 class FunctionInfo:
@@ -81,10 +74,6 @@ class ClassInfo:
     #: ``self.<attr>`` -> class qualname, from constructor assignments
     #: and annotated-parameter aliasing in any method.
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: Attributes holding mutual-exclusion primitives.
-    lock_attrs: Set[str] = field(default_factory=set)
-    #: Attributes holding ``threading.local`` storage (race-exempt).
-    thread_local_attrs: Set[str] = field(default_factory=set)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClassInfo({self.qualname})"
@@ -238,13 +227,6 @@ class Project:
                         continue
                     value = node.value
                     if isinstance(value, ast.Call):
-                        dotted = cls.src.dotted(value.func)
-                        if dotted in _LOCK_CONSTRUCTORS:
-                            cls.lock_attrs.add(attr)
-                            continue
-                        if dotted in _THREAD_LOCAL_CONSTRUCTORS:
-                            cls.thread_local_attrs.add(attr)
-                            continue
                         ctor = self._class_of_constructor(cls.src, value)
                         if ctor is not None:
                             cls.attr_types.setdefault(attr, ctor.qualname)
@@ -454,15 +436,7 @@ class Project:
         env: Optional[Dict[str, str]] = None,
     ) -> List[FunctionInfo]:
         """Project functions a call may land in (empty = external)."""
-        return self.resolve_callable_ref(fn, call.func, env)
-
-    def resolve_callable_ref(
-        self,
-        fn: FunctionInfo,
-        func: ast.expr,
-        env: Optional[Dict[str, str]] = None,
-    ) -> List[FunctionInfo]:
-        """Resolve a callable *reference* (callee expr or callback arg)."""
+        func = call.func
         if env is None:
             env = self.local_env(fn)
         if isinstance(func, ast.Name):

@@ -1,7 +1,26 @@
-"""SEC101 — interprocedural plaintext-to-sink taint analysis.
+"""SEC001 — plaintext reaches a PM/untrusted sink without sealing.
 
-Extends SEC001's intra-function taint model across call boundaries.
-Every function gets a :class:`TaintSummary`:
+Plaintext model weights, tensors, or training rows must pass through
+``EncryptionEngine.seal*`` before they reach persistent memory, the
+SSD, or cross an ocall into untrusted host code (paper Section IV:
+"everything that leaves the enclave is AES-GCM sealed").  The taint
+model:
+
+* **sources** — calls that yield plaintext bytes (``save_weights``,
+  ``arr.tobytes()``, ``parameter_buffers()``, ``np.ascontiguousarray``),
+  freshly decrypted data (``unseal``/``decrypt``), and identifiers whose
+  name marks them as plaintext;
+* **propagation** — assignments, augmented assignments, concatenation,
+  ``bytes``/``bytearray``/``memoryview`` wrapping, subscripts;
+* **sanitizers** — any ``*seal*``/``*encrypt*`` call (except the
+  ``unseal``/``decrypt`` family) cleans its result;
+* **sinks** — ``tx.write``/``device.write``/``ssd.write``-style storage
+  methods and ``runtime.ocall`` arguments.
+
+Within a function the analysis is flow-insensitive (a name assigned a
+tainted value anywhere is tainted everywhere), trading a few
+suppressible false positives for zero missed flows.  Across functions
+every function gets a :class:`TaintSummary`:
 
 * ``returns_taint`` — the return value is plaintext (a source, or
   derived from one);
@@ -12,22 +31,12 @@ Every function gets a :class:`TaintSummary`:
 
 Summaries are iterated to a fixpoint over the call graph (a worklist
 seeded with every function; a changed summary re-queues its callers).
-
-Taint labels distinguish *where* the taint has travelled:
-
-* ``L`` — sourced locally in this function (SEC001's territory);
-* ``C`` — crossed at least one call boundary to get here;
-* ``P<i>`` — flowed in through parameter ``i``.
-
-SEC101 fires only on interprocedural evidence — a ``C``-labelled value
-at a sink, or a locally tainted argument handed to a callee whose
-summary says the parameter reaches a sink.  Purely local flows stay
-SEC001 findings, so the two rules never double-report.
-
-Sanitizers are summary-level: any ``seal*``/``encrypt*`` call (minus
-the ``unseal``/``decrypt`` family) cleans its result, and a resolved
-callee whose summary neither returns taint nor forwards the tainted
-parameter absorbs the taint.
+A value carries the label ``T`` when it is plaintext and ``P<i>`` when
+it flowed in through parameter ``i``.  A resolved callee whose summary
+neither returns taint nor forwards the tainted parameter absorbs the
+taint.  The rule fires on a ``T``-labelled argument at a sink, and on a
+``T``-labelled argument handed to a callee whose summary says the
+parameter reaches a sink (the message names the callee chain).
 """
 
 from __future__ import annotations
@@ -39,35 +48,49 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import FunctionInfo, Project
 from repro.analysis.lint.config import (
+    SANITIZER_MARKERS,
     SINK_CALL_NAMES,
     SINK_WRITE_RECEIVERS,
     TAINT_DECRYPT_CALLS,
+    TAINT_NAME_MARKERS,
     TAINT_SOURCE_CALLS,
     LintConfig,
 )
 from repro.analysis.lint.framework import Finding, Severity
-from repro.analysis.lint.rules_sec import (
-    _call_name,
-    _is_sanitizer,
-    _name_is_tainted,
-)
 
-RULE_ID = "SEC101"
+RULE_ID = "SEC001"
 SEVERITY = Severity.ERROR
-TITLE = "plaintext crosses a call boundary into a PM/untrusted sink"
+TITLE = "plaintext reaches a PM/untrusted sink without sealing"
 
-#: Taint crossed a call boundary (returned from / forwarded through a
-#: project callee).
-CROSSED = "C"
-#: Taint sourced inside the current function.
-LOCAL = "L"
+#: The value is plaintext.
+TAINTED = "T"
 
 Labels = FrozenSet[str]
 _EMPTY: Labels = frozenset()
-_LOCAL_ONLY: Labels = frozenset({LOCAL})
+_TAINTED_ONLY: Labels = frozenset({TAINTED})
 
 #: Calls that wrap a buffer without changing its confidentiality.
 _WRAPPERS = frozenset({"bytes", "bytearray", "memoryview", "cast", "bin"})
+
+
+def _call_name(func: ast.expr) -> Optional[str]:
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def _is_sanitizer(name: str) -> bool:
+    lowered = name.lower()
+    if lowered in TAINT_DECRYPT_CALLS or "decrypt" in lowered:
+        return False
+    return any(marker in lowered for marker in SANITIZER_MARKERS)
+
+
+def _name_is_tainted(identifier: str) -> bool:
+    lowered = identifier.lower()
+    return any(marker in lowered for marker in TAINT_NAME_MARKERS)
 
 
 def _param_label(index: int) -> str:
@@ -105,7 +128,7 @@ class TaintSummary:
 
 
 class TaintAnalysis:
-    """Fixpoint summary computation + SEC101 finding emission."""
+    """Fixpoint summary computation + SEC001 finding emission."""
 
     def __init__(
         self, project: Project, graph: CallGraph, config: LintConfig
@@ -152,7 +175,7 @@ class TaintAnalysis:
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 got = self._eval(node.value, fn, labels)
-                if LOCAL in got or CROSSED in got:
+                if TAINTED in got:
                     returns_taint = True
                 for label in got:
                     index = _param_index_of(label)
@@ -225,10 +248,10 @@ class TaintAnalysis:
         if isinstance(node, ast.Name):
             got = labels.get(node.id, _EMPTY)
             if _name_is_tainted(node.id):
-                got = got | _LOCAL_ONLY
+                got = got | _TAINTED_ONLY
             return got
         if isinstance(node, ast.Attribute):
-            return _LOCAL_ONLY if _name_is_tainted(node.attr) else _EMPTY
+            return _TAINTED_ONLY if _name_is_tainted(node.attr) else _EMPTY
         if isinstance(node, ast.Call):
             return self._eval_call(node, fn, labels)
         if isinstance(node, ast.BinOp):
@@ -251,28 +274,25 @@ class TaintAnalysis:
         name = _call_name(node.func)
         if name is not None and _is_sanitizer(name):
             return _EMPTY
-        # Name-based sources are SEC001's territory: keep them LOCAL even
-        # when the callee resolves, so the two rules never double-report.
+        # Name-based sources are tainted even when the callee resolves:
+        # ``parameter_buffers()`` hands out live arrays, which no
+        # summary would mark as plaintext bytes.
         if name is not None and (
             name in TAINT_SOURCE_CALLS
             or name in TAINT_DECRYPT_CALLS
             or _name_is_tainted(name)
         ):
-            return _LOCAL_ONLY
+            return _TAINTED_ONLY
         callees = self.graph.project.resolve_callees(fn, node)
         if callees:
             out: Set[str] = set()
             for callee in callees:
                 summary = self.summary_of(callee.qualname)
                 if summary.returns_taint:
-                    out.add(CROSSED)
+                    out.add(TAINTED)
                 for arg_index, expr in self._call_args(node, callee):
                     if arg_index in summary.taint_params:
-                        for label in self._eval(expr, fn, labels):
-                            if label in (LOCAL, CROSSED):
-                                out.add(CROSSED)
-                            else:
-                                out.add(label)
+                        out |= self._eval(expr, fn, labels)
             return frozenset(out)
         if name is None:
             return _EMPTY
@@ -380,44 +400,38 @@ class TaintAnalysis:
 
     def _check_function(self, fn: FunctionInfo) -> Iterator[Finding]:
         labels = self._propagate(fn)
-        seen: Set[Tuple[int, int]] = set()
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            key = (node.lineno, node.col_offset)
             sink = self._sink_name(fn, node)
             if sink is not None:
-                for arg in node.args:
-                    got = self._eval(arg, fn, labels)
-                    # LOCAL present -> SEC001 fires here too; stand down.
-                    if CROSSED in got and LOCAL not in got and key not in seen:
-                        seen.add(key)
-                        yield self._finding(
-                            fn,
-                            node,
-                            "plaintext produced across a call boundary "
-                            f"reaches sink '{sink}' without an intervening "
-                            "seal/encrypt step",
-                        )
-                        break
+                if any(
+                    TAINTED in self._eval(arg, fn, labels) for arg in node.args
+                ):
+                    yield self._finding(
+                        fn,
+                        node,
+                        f"plaintext reaches sink '{sink}' without an "
+                        "intervening seal/encrypt step",
+                    )
                 continue
-            for callee in self.graph.project.resolve_callees(fn, node):
-                summary = self.summary_of(callee.qualname)
-                if not summary.sink_params:
-                    continue
-                for arg_index, expr in self._call_args(node, callee):
-                    path = summary.sink_path(arg_index)
-                    if path is None:
-                        continue
-                    got = self._eval(expr, fn, labels)
-                    if (LOCAL in got or CROSSED in got) and key not in seen:
-                        seen.add(key)
-                        chain = " -> ".join(path.chain)
-                        yield self._finding(
-                            fn,
-                            node,
-                            f"plaintext argument flows through {chain} to "
-                            f"sink '{path.sink}' ({path.location}) without "
-                            "an intervening seal/encrypt step",
-                        )
-                        break
+            yield from self._check_frontier(fn, node, labels)
+
+    def _check_frontier(
+        self, fn: FunctionInfo, node: ast.Call, labels: Dict[str, Labels]
+    ) -> Iterator[Finding]:
+        """A plaintext argument handed to a callee that sinks it."""
+        for callee in self.graph.project.resolve_callees(fn, node):
+            summary = self.summary_of(callee.qualname)
+            for arg_index, expr in self._call_args(node, callee):
+                path = summary.sink_path(arg_index)
+                if path is not None and TAINTED in self._eval(expr, fn, labels):
+                    chain = " -> ".join(path.chain)
+                    yield self._finding(
+                        fn,
+                        node,
+                        f"plaintext argument flows through {chain} to "
+                        f"sink '{path.sink}' ({path.location}) without "
+                        "an intervening seal/encrypt step",
+                    )
+                    return

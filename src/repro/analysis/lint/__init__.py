@@ -1,9 +1,12 @@
 """Repo-specific invariant linter (see docs/static-analysis.md).
 
 Rule-based AST analysis encoding the Plinius paper's machine-checkable
-invariants: PM-store transaction discipline (PM001), seal-before-persist
-confidentiality (SEC001/SEC002), sim-time determinism (DET001), and
-lock-guarded state discipline (LCK001).
+invariants.  Per-module rules: PM-store transaction discipline (PM001),
+enclave-only symbols (SEC002), sim-time determinism (DET001),
+allocation-free serve path (ALLOC001), lock-guarded state discipline
+(LCK001) and registered fault sites (FLT001).  The whole-program pass
+in :mod:`repro.analysis.flow` adds seal-before-persist confidentiality
+(SEC001) and durability ordering (DUR001); :func:`run_paths` runs both.
 """
 
 from repro.analysis.lint.config import DEFAULT_CONFIG, LintConfig

@@ -54,13 +54,13 @@ def render_text(
 def render_json(
     findings: List[Finding],
     files_checked: int,
-    flow: Optional[Dict[str, object]] = None,
+    flow: Dict[str, object],
 ) -> str:
     """Stable JSON document for CI consumers and editor integrations.
 
-    ``flow`` (when the whole-program pass ran) adds a ``flow`` key with
-    ``seconds`` and the engine's program-size stats — the CI timing
-    budget reads ``.flow.seconds`` from this output.
+    ``flow`` is the whole-program pass's ``seconds`` and program-size
+    ``stats`` — the CI timing budget reads ``.flow.seconds`` from this
+    output.
     """
     payload: Dict[str, object] = {
         "files_checked": files_checked,
@@ -74,9 +74,8 @@ def render_json(
                 findings, key=lambda f: (f.path, f.line, f.col, f.rule_id)
             )
         ],
+        "flow": flow,
     }
-    if flow is not None:
-        payload["flow"] = flow
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -1,11 +1,11 @@
 """LCK001 — lock-guarded fields are only mutated under their lock.
 
-PR 1 made sealing multi-threaded; classes such as
-``EncryptionEngine`` (``stats`` under ``_stats_lock``) and the obs
-``CounterRegistry``/``TraceRecorder`` (``_counters``/``spans`` under
-``_lock``) aggregate across worker threads.  A mutation that skips the
+Classes such as ``EncryptionEngine`` (``stats`` under ``_stats_lock``)
+and the obs ``CounterRegistry``/``TraceRecorder`` (``_counters``/
+``spans`` under ``_lock``) stay correct when an embedding program
+drives them from several threads.  A mutation that skips the
 ``with self._lock`` block is a data race the test suite will almost
-never catch (the sim is single-threaded except for the sealing pool).
+never catch (nothing in ``src/`` starts a thread).
 
 Instead of a hand-maintained registry of guarded classes, the rule
 self-calibrates per class:

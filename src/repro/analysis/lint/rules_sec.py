@@ -1,191 +1,21 @@
-"""SEC001/SEC002 — confidentiality boundaries of the Plinius design.
+"""SEC002 — enclave-only symbols stay out of untrusted modules.
 
-SEC001 (seal-before-persist): plaintext model weights, tensors, or
-training rows must pass through ``EncryptionEngine.seal*`` before they
-reach persistent memory, the SSD, or cross an ocall into untrusted host
-code (paper Section IV: "everything that leaves the enclave is AES-GCM
-sealed").  The rule runs a light intra-function taint analysis:
-
-* **sources** — calls that yield plaintext bytes (``save_weights``,
-  ``arr.tobytes()``, ``parameter_buffers()``, ``np.ascontiguousarray``),
-  freshly decrypted data (``unseal``/``decrypt``), and identifiers whose
-  name marks them as plaintext;
-* **propagation** — assignments, augmented assignments, concatenation,
-  ``bytes``/``bytearray``/``memoryview`` wrapping, subscripts;
-* **sanitizers** — any ``*seal*``/``*encrypt*`` call (except the
-  ``unseal``/``decrypt`` family) cleans its result;
-* **sinks** — ``tx.write``/``device.write``/``ssd.write``-style storage
-  methods and ``runtime.ocall`` arguments.
-
-The analysis is deliberately flow-insensitive within a function (a name
-assigned a tainted value anywhere is tainted everywhere), trading a few
-suppressible false positives for zero missed single-function flows.
-
-SEC002 (enclave-only symbols): modules classified *untrusted* by the TCB
-partitioning must not import or reference the in-enclave DRNG
-(``repro.sgx.rand``) or the sealing-key machinery
-(``repro.sgx.sealing``): in the real system those symbols do not link
-outside the enclave, and a reference from helper code means key material
-or attacker-predictable randomness crossed the boundary.
+Modules classified *untrusted* by the TCB partitioning must not import
+or reference the in-enclave DRNG (``repro.sgx.rand``) or the
+sealing-key machinery (``repro.sgx.sealing``): in the real system those
+symbols do not link outside the enclave, and a reference from helper
+code means key material or attacker-predictable randomness crossed the
+boundary.  (SEC001, seal-before-persist, is whole-program and lives in
+:mod:`repro.analysis.flow.taint`.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator
 
-from repro.analysis.lint.config import (
-    SANITIZER_MARKERS,
-    SINK_CALL_NAMES,
-    SINK_WRITE_RECEIVERS,
-    TAINT_DECRYPT_CALLS,
-    TAINT_NAME_MARKERS,
-    TAINT_SOURCE_CALLS,
-    LintConfig,
-)
+from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
-
-
-def _call_name(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _is_sanitizer(name: str) -> bool:
-    lowered = name.lower()
-    if lowered in TAINT_DECRYPT_CALLS or "decrypt" in lowered:
-        return False
-    return any(marker in lowered for marker in SANITIZER_MARKERS)
-
-
-def _name_is_tainted(identifier: str) -> bool:
-    lowered = identifier.lower()
-    return any(marker in lowered for marker in TAINT_NAME_MARKERS)
-
-
-class _FunctionTaint:
-    """Per-function taint state: the set of tainted local names."""
-
-    def __init__(self) -> None:
-        self.tainted: Set[str] = set()
-
-    # ------------------------------------------------------------------
-    def expr_tainted(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted or _name_is_tainted(node.id)
-        if isinstance(node, ast.Attribute):
-            return _name_is_tainted(node.attr)
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name is None:
-                return False
-            if _is_sanitizer(name):
-                return False
-            if name in TAINT_SOURCE_CALLS or name in TAINT_DECRYPT_CALLS:
-                return True
-            if _name_is_tainted(name):
-                return True
-            # Wrappers preserve taint: bytes(x), memoryview(x), x.cast(...)
-            if name in {"bytes", "bytearray", "memoryview", "cast", "bin"}:
-                return any(self.expr_tainted(arg) for arg in node.args) or (
-                    isinstance(node.func, ast.Attribute)
-                    and self.expr_tainted(node.func.value)
-                )
-            return False
-        if isinstance(node, ast.BinOp):
-            return self.expr_tainted(node.left) or self.expr_tainted(node.right)
-        if isinstance(node, ast.Subscript):
-            return self.expr_tainted(node.value)
-        if isinstance(node, (ast.IfExp,)):
-            return self.expr_tainted(node.body) or self.expr_tainted(
-                node.orelse
-            )
-        if isinstance(node, ast.JoinedStr):
-            return False
-        return False
-
-    # ------------------------------------------------------------------
-    def absorb_statement(self, stmt: ast.stmt) -> None:
-        """Update the tainted-name set from one statement."""
-        if isinstance(stmt, ast.Assign):
-            tainted = self.expr_tainted(stmt.value)
-            for target in stmt.targets:
-                self._mark_target(target, tainted)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._mark_target(stmt.target, self.expr_tainted(stmt.value))
-        elif isinstance(stmt, ast.AugAssign):
-            if self.expr_tainted(stmt.value):
-                self._mark_target(stmt.target, True)
-
-    def _mark_target(self, target: ast.expr, tainted: bool) -> None:
-        if isinstance(target, ast.Name) and tainted:
-            self.tainted.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)) and tainted:
-            for element in target.elts:
-                self._mark_target(element, True)
-
-
-class SealBeforePersistRule(Rule):
-    """Plaintext buffers flowing into PM/untrusted sinks unsealed."""
-
-    rule_id = "SEC001"
-    severity = Severity.ERROR
-    title = "plaintext reaches a PM/untrusted sink without sealing"
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
-    def check(self, src: ModuleSource) -> Iterator[Finding]:
-        if self.config.is_sec_implementation_module(src.module):
-            return
-        for node in ast.walk(src.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(src, node)
-
-    # ------------------------------------------------------------------
-    def _check_function(
-        self, src: ModuleSource, func: ast.AST
-    ) -> Iterator[Finding]:
-        taint = _FunctionTaint()
-        body = getattr(func, "body", [])
-        # Pass 1: flow-insensitive propagation to a fixed point (two
-        # sweeps cover chains like a = source(); b = a; c = b).
-        statements = [s for stmt in body for s in ast.walk(stmt)]
-        for _ in range(2):
-            before = len(taint.tainted)
-            for stmt in statements:
-                if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                    taint.absorb_statement(stmt)
-            if len(taint.tainted) == before:
-                break
-        # Pass 2: inspect sink calls.
-        for node in statements:
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
-            if name is None:
-                continue
-            is_sink = False
-            if name in SINK_CALL_NAMES:
-                is_sink = True
-            elif name == "write" and isinstance(node.func, ast.Attribute):
-                tail = src.receiver_tail(node.func)
-                is_sink = tail in SINK_WRITE_RECEIVERS
-            if not is_sink:
-                continue
-            for arg in node.args:
-                if taint.expr_tainted(arg):
-                    yield self.finding(
-                        src,
-                        node,
-                        "plaintext data reaches persistent/untrusted sink "
-                        f"'{name}' without an intervening "
-                        "EncryptionEngine.seal* call",
-                    )
-                    break
 
 
 class EnclaveBoundaryRule(Rule):

@@ -5,23 +5,21 @@ Exit-code policy: ERROR findings always fail the run; WARNING findings
 fail only under ``--strict`` (the CI lint job passes ``--strict`` so a
 new wall-clock call cannot land silently).
 
-Two passes run by default:
+Two passes run on every call:
 
 * the **per-module** rules (one file at a time, no cross-file state);
 * the **flow** pass (:mod:`repro.analysis.flow`) — whole-program
-  SEC101/DUR001/RACE001, built over *every* discovered file even when
-  reporting is restricted (``restrict_to``), because call-graph and
-  summary precision depends on seeing the whole program.
+  SEC001/DUR001 over every discovered file.
 
 Flow findings go through the same per-file suppression machinery as
-per-module findings (``# repro: noqa[SEC101] -- rationale``).
+per-module findings (``# repro: noqa[SEC001] -- rationale``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.lint.framework import (
@@ -36,17 +34,13 @@ from repro.analysis.lint.rules_det import SimtimeDeterminismRule
 from repro.analysis.lint.rules_flt import FaultSiteRegistryRule
 from repro.analysis.lint.rules_lck import LockDisciplineRule
 from repro.analysis.lint.rules_pm import PmStoreDisciplineRule
-from repro.analysis.lint.rules_sec import (
-    EnclaveBoundaryRule,
-    SealBeforePersistRule,
-)
+from repro.analysis.lint.rules_sec import EnclaveBoundaryRule
 
 
 def default_rules(config: LintConfig = DEFAULT_CONFIG) -> List[Rule]:
     """The full rule set, in report order."""
     return [
         PmStoreDisciplineRule(config),
-        SealBeforePersistRule(config),
         EnclaveBoundaryRule(config),
         SimtimeDeterminismRule(config),
         HotPathAllocationRule(config),
@@ -61,13 +55,11 @@ class LintResult:
 
     findings: List[Finding]
     files_checked: int
-    #: Whether the whole-program flow pass ran.
-    flow_enabled: bool = False
-    #: Wall-clock seconds the flow pass took (0.0 when disabled).
-    flow_seconds: float = 0.0
+    #: Wall-clock seconds the flow pass took.
+    flow_seconds: float
     #: Program-size counters from the flow engine (modules, functions,
-    #: call edges, ...); empty when the flow pass is disabled.
-    flow_stats: Dict[str, int] = field(default_factory=dict)
+    #: call edges, ...).
+    flow_stats: Dict[str, int]
 
     def exit_code(self, strict: bool = False) -> int:
         if any(f.severity is Severity.ERROR for f in self.findings):
@@ -114,56 +106,23 @@ def run_paths(
     paths: Sequence[Path],
     config: LintConfig = DEFAULT_CONFIG,
     rules: Iterable[Rule] | None = None,
-    flow: bool = True,
-    restrict_to: Optional[Sequence[Path]] = None,
 ) -> LintResult:
-    """Lint every ``.py`` file under ``paths`` with the default rules.
-
-    ``restrict_to`` (the ``--changed-only`` machinery) limits which
-    files are *reported on*; the flow pass still indexes everything
-    under ``paths`` so interprocedural summaries stay whole-program.
-    """
-    active = list(rules) if rules is not None else default_rules(config)
-    files = discover_files(paths)
-    if restrict_to is not None:
-        wanted = {p.resolve() for p in restrict_to}
-        report_files = [f for f in files if f.resolve() in wanted]
-    else:
-        report_files = files
-    findings: List[Finding] = []
-    for path in report_files:
-        kept, _ = lint_file(path, active)
-        findings.extend(kept)
-    result = LintResult(findings=findings, files_checked=len(report_files))
-    if flow and files:
-        _run_flow_pass(files, report_files, config, result)
-    return result
-
-
-def _run_flow_pass(
-    files: Sequence[Path],
-    report_files: Sequence[Path],
-    config: LintConfig,
-    result: LintResult,
-) -> None:
-    """Run the whole-program pass and merge its findings into ``result``."""
-    # Imported lazily: the flow package builds on this module's
-    # ``discover_files``, so a top-level import would be circular.
+    """Lint every ``.py`` file under ``paths`` with the default rules
+    and the whole-program flow pass."""
+    # Imported lazily: the flow package imports ``repro.analysis.lint``,
+    # whose ``__init__`` imports this module.
     from repro.analysis.flow import FlowEngine
 
-    engine = FlowEngine.build(list(files), config)
-    flow_result = engine.analyze()
-    result.flow_enabled = True
-    result.flow_seconds = flow_result.seconds
-    result.flow_stats = dict(flow_result.stats)
-    reported = {str(p) for p in report_files}
-    suppressions_by_path = {
-        str(src.path): src.suppressions for src in engine.project.sources
-    }
-    for finding in flow_result.findings:
-        if finding.path not in reported:
-            continue
-        sup = suppressions_by_path.get(finding.path)
-        if sup is not None and sup.is_suppressed(finding):
-            continue
-        result.findings.append(finding)
+    active = list(rules) if rules is not None else default_rules(config)
+    files = discover_files(paths)
+    findings: List[Finding] = []
+    for path in files:
+        kept, _ = lint_file(path, active)
+        findings.extend(kept)
+    flow = FlowEngine.build(files, config).analyze()
+    return LintResult(
+        findings=findings + flow.findings,
+        files_checked=len(files),
+        flow_seconds=flow.seconds,
+        flow_stats=flow.stats,
+    )

@@ -114,7 +114,6 @@ UNTRUSTED_MODULES = (
     "repro.analysis.flow.callgraph",
     "repro.analysis.flow.taint",
     "repro.analysis.flow.durability",
-    "repro.analysis.flow.lockset",
     "repro.analysis.flow.engine",
     "repro.cli",
     # Fault-injection harness: drives the system from the operator /

@@ -174,68 +174,25 @@ def _cmd_tcb(args: argparse.Namespace) -> None:
         print(render_report(report))
 
 
-def _changed_python_files() -> List[Path]:
-    """Python files touched relative to HEAD (``--changed-only`` scope).
-
-    Union of unstaged/staged modifications (``git diff HEAD``) and
-    untracked files; deleted files are skipped.  Outside a git checkout
-    the list is empty, which lints nothing rather than everything —
-    ``--changed-only`` is an explicit "just my edits" request.
-    """
-    import subprocess
-
-    names: List[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=False
-            )
-        except OSError:
-            return []
-        if proc.returncode != 0:
-            return []
-        names.extend(line.strip() for line in proc.stdout.splitlines())
-    out: List[Path] = []
-    for name in names:
-        path = Path(name)
-        if path.suffix == ".py" and path.exists():
-            out.append(path)
-    return out
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import render_json, render_text, run_paths
     from repro.analysis.lint.reporters import render_sarif
 
-    restrict = _changed_python_files() if args.changed_only else None
-    result = run_paths(
-        [Path(p) for p in args.paths],
-        flow=args.flow,
-        restrict_to=restrict,
-    )
-    flow_info = None
-    if result.flow_enabled:
-        flow_info = {
+    result = run_paths([Path(p) for p in args.paths])
+    if args.format == "json":
+        flow = {
             "seconds": round(result.flow_seconds, 4),
             "stats": result.flow_stats,
         }
-    if args.format == "json":
-        print(
-            render_json(result.findings, result.files_checked, flow=flow_info)
-        )
+        print(render_json(result.findings, result.files_checked, flow))
     elif args.format == "sarif":
         print(render_sarif(result.findings, result.files_checked))
-    elif result.findings or args.format == "text":
+    else:
         print(
             render_text(
                 result.findings,
                 result.files_checked,
-                flow_seconds=(
-                    result.flow_seconds if result.flow_enabled else None
-                ),
+                flow_seconds=result.flow_seconds,
             )
         )
     return result.exit_code(strict=args.strict)
@@ -454,26 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="treat warnings as failures (CI mode)",
-    )
-    lint.add_argument(
-        "--flow",
-        dest="flow",
-        action="store_true",
-        default=True,
-        help="run the whole-program flow pass "
-        "(SEC101/DUR001/RACE001; default: on)",
-    )
-    lint.add_argument(
-        "--no-flow",
-        dest="flow",
-        action="store_false",
-        help="skip the whole-program flow pass",
-    )
-    lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report only on files changed vs. git HEAD (flow summaries "
-        "are still computed over all given paths)",
     )
     lint.set_defaults(func=_cmd_lint)
 

@@ -116,19 +116,23 @@ class PmDataModule:
         chunk_rows = max(1, (4 << 20) // row_stored)
         for start in range(0, len(data), chunk_rows):
             stop = min(start + chunk_rows, len(data))
-            payload = bytearray()
+            sealed, plain = bytearray(), bytearray()
             for i in range(start, stop):
                 row = data.x[i].tobytes() + data.y[i].tobytes()
                 if encrypted:
                     self.enclave.touch(row_plain)
                     self.clock.advance(crypto.encrypt_time(row_plain))
-                    payload += self.engine.seal(row)
+                    sealed += self.engine.seal(row)
                 else:
-                    payload += row
+                    plain += row
+            # Separate writes keep the suppression below off the sealed path.
             with self.region.begin_transaction() as tx:
-                # repro: noqa[SEC001] -- encrypted=False is the deliberate
-                # plaintext baseline of the Fig. 8 comparison, never the default
-                tx.write(rows_offset + start * row_stored, bytes(payload))
+                if encrypted:
+                    tx.write(rows_offset + start * row_stored, bytes(sealed))
+                else:
+                    # repro: noqa[SEC001] -- encrypted=False is the deliberate
+                    # plaintext baseline of the Fig. 8 comparison, never the default
+                    tx.write(rows_offset + start * row_stored, bytes(plain))
 
         # Publish the root only after every row is durable: a crash
         # mid-load must leave ``exists()`` false (the loader retries from

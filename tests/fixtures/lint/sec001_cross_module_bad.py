@@ -1,15 +1,15 @@
-"""SEC101 fire fixture: plaintext crosses call boundaries to a sink.
+"""SEC001 fire fixture: plaintext crosses call boundaries to a sink.
 
-Both flows are invisible to SEC001's intra-function view:
+Neither flow is visible inside one function:
 
 * ``checkpoint`` launders the tainted buffer through ``frame_rows``
   (another module) before writing it — locally, ``framed`` is just the
-  result of an unknown call;
+  result of a call;
 * ``checkpoint_via_helper`` passes the tainted buffer to a helper whose
   *body* contains the sink — locally there is no sink call at all.
 """
 
-from sec101_helper import frame_rows, persist_blob
+from sec001_cross_module_helper import frame_rows, persist_blob
 
 
 def checkpoint(net, tx):

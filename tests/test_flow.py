@@ -1,21 +1,20 @@
 """Tests for the interprocedural flow engine (repro.analysis.flow).
 
-Four layers of coverage:
+Three layers of coverage:
 
 * fixture pairs under ``tests/fixtures/lint/`` prove each flow rule
-  (SEC101, DUR001, RACE001) fires on a violating example and stays
-  silent on a compliant one — including the acceptance-criterion case
-  where SEC101 catches a cross-module flow SEC001 provably misses;
-* **mutant tests** re-introduce the three historical bugs into copies
-  of the committed sources — PR 4's region format-ordering bug, PR 4's
-  pm-data root-publication bug, and PR 7's flight-ring lock bug — and
-  assert the static pass flags each one while the committed originals
-  stay clean;
+  (SEC001, DUR001) fires on a violating example and stays silent on a
+  compliant one — including plaintext that reaches its sink only
+  through a helper in another module;
 * integration tests cover the runner/CLI surface: flow findings flow
-  through the suppression machinery, ``--changed-only`` restriction,
-  SARIF output shape, and the CI timing budget;
+  through the suppression machinery, the removed options are argparse
+  errors, SARIF output shape, and the CI timing budget;
 * unit tests pin the engine's building blocks (call-graph resolution,
-  thread-root detection, taint summaries).
+  type inference, taint summaries).
+
+The historical bugs (the region format-ordering and root-publication
+bugs, the flight-ring lock escape) are rows of the mutant corpus in
+``tests/mutants.py``, scored by ``tests/test_kill_matrix.py``.
 """
 
 import json
@@ -25,12 +24,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.flow import FlowEngine, flow_rule_catalog
+from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import Project
-from repro.analysis.lint import default_rules, lint_file, run_paths
+from repro.analysis.lint import run_paths
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 SRC = Path(__file__).parent.parent / "src"
+
+CROSS_BAD = ["sec001_cross_module_bad.py", "sec001_cross_module_helper.py"]
+CROSS_GOOD = ["sec001_cross_module_good.py", "sec001_cross_module_helper.py"]
 
 
 def flow_findings(paths):
@@ -42,6 +45,10 @@ def flow_ids(paths):
     return [f.rule_id for f in flow_findings(paths)]
 
 
+def lint_ids(names):
+    return [f.rule_id for f in run_paths([FIXTURES / n for n in names]).findings]
+
+
 # ----------------------------------------------------------------------
 # Fixture pairs: fire on bad, silent on good
 # ----------------------------------------------------------------------
@@ -49,36 +56,27 @@ def flow_ids(paths):
 @pytest.mark.parametrize(
     "rule, bad, good",
     [
-        (
-            "SEC101",
-            ["sec101_bad.py", "sec101_helper.py"],
-            ["sec101_good.py", "sec101_helper.py"],
-        ),
+        ("SEC001", CROSS_BAD, CROSS_GOOD),
         ("DUR001", ["dur001_bad.py"], ["dur001_good.py"]),
-        ("RACE001", ["race001_bad.py"], ["race001_good.py"]),
+        ("SEC001", ["sec001_bad.py"], ["sec001_good.py"]),
     ],
 )
 def test_flow_rule_fires_on_bad_and_not_on_good(rule, bad, good):
-    assert rule in flow_ids(FIXTURES / name for name in bad)
-    assert rule not in flow_ids(FIXTURES / name for name in good)
+    assert rule in lint_ids(bad)
+    assert rule not in lint_ids(good)
 
 
-def test_sec101_catches_what_sec001_misses():
-    """The acceptance criterion: a cross-module plaintext-to-sink flow
-    that the intra-function rule provably does not see."""
-    kept, _ = lint_file(FIXTURES / "sec101_bad.py", default_rules())
-    assert "SEC001" not in [f.rule_id for f in kept]
-    ids = flow_ids([FIXTURES / "sec101_bad.py", FIXTURES / "sec101_helper.py"])
-    assert ids.count("SEC101") == 2  # laundering helper + sink helper
+def test_sec001_catches_cross_module_flows():
+    """A laundering helper and a sink helper: no single function holds
+    both the source and the sink."""
+    assert lint_ids(CROSS_BAD).count("SEC001") == 2
 
 
-def test_sec101_reports_the_interprocedural_chain():
+def test_sec001_reports_the_interprocedural_chain():
     findings = [
         f
-        for f in flow_findings(
-            [FIXTURES / "sec101_bad.py", FIXTURES / "sec101_helper.py"]
-        )
-        if f.rule_id == "SEC101"
+        for f in flow_findings(FIXTURES / name for name in CROSS_BAD)
+        if f.rule_id == "SEC001"
     ]
     chained = [f for f in findings if "persist_blob" in f.message]
     assert chained, "frontier finding should name the callee chain"
@@ -101,205 +99,81 @@ def test_dur001_unpublish_is_not_a_publication():
     assert "DUR001" not in flow_ids([FIXTURES / "dur001_good.py"])
 
 
-def test_race001_held_at_entry_fixpoint():
-    """race001_good's ``_append`` never takes the lock itself; only the
-    caller fixpoint proves every path into it holds ``_lock``."""
-    assert "RACE001" not in flow_ids([FIXTURES / "race001_good.py"])
-
-
-# ----------------------------------------------------------------------
-# Mutant tests: the three historical bugs, statically re-detected
-# ----------------------------------------------------------------------
-
-def _mutated_src(tmp_path, rel, replacements):
-    """Copy ``src/`` and apply textual surgery to one file."""
-    root = tmp_path / "src"
-    shutil.copytree(SRC, root)
-    target = root / rel
-    text = target.read_text()
-    for old, new in replacements:
-        assert old in text, f"surgery pattern missing in {rel}"
-        text = text.replace(old, new)
-    target.write_text(text)
-    return root
-
-
-def _flow_rules_at(root, rel):
-    wanted = str(root / rel)
-    return [
-        f.rule_id
-        for f in flow_findings([root])
-        if f.path == wanted
-    ]
-
-
 def test_committed_sources_are_flow_clean():
     assert flow_findings([SRC]) == []
 
 
-def test_dur001_catches_pr4_region_format_mutant(tmp_path):
-    """Re-introduce PR 4 bug #1: the magic-bearing header flushed
-    before the allocator metadata / twin snapshot it points to."""
-    good = (
-        "        self.device.flush(self.main_base, len(meta),"
-        " self.flush_instruction)\n"
-        "        self.device.flush(self.back_base, len(meta),"
-        " self.flush_instruction)\n"
-        "        if self.flush_instruction.needs_fence:\n"
-        "            self.fence()\n"
-        "        self.device.flush(self.base, HEADER_SIZE,"
-        " self.flush_instruction)\n"
-        "        if self.flush_instruction.needs_fence:\n"
-        "            self.fence()"
-    )
-    bad = (
-        "        self.device.flush(self.base, HEADER_SIZE,"
-        " self.flush_instruction)\n"
-        "        if self.flush_instruction.needs_fence:\n"
-        "            self.fence()\n"
-        "        self.device.flush(self.main_base, len(meta),"
-        " self.flush_instruction)\n"
-        "        self.device.flush(self.back_base, len(meta),"
-        " self.flush_instruction)\n"
-        "        if self.flush_instruction.needs_fence:\n"
-        "            self.fence()"
-    )
-    rel = Path("repro") / "romulus" / "region.py"
-    root = _mutated_src(tmp_path, rel, [(good, bad)])
-    assert "DUR001" in _flow_rules_at(root, rel)
-
-
-def test_dur001_catches_pr4_pm_data_root_mutant(tmp_path):
-    """Re-introduce PR 4 bug #2: the data root published in the first
-    transaction, before the row payloads are durable."""
-    header_write_tail = "                    int(encrypted),\n                ),\n            )\n"
-    publish_early = (
-        header_write_tail
-        + "            tx.write_u64(self.region.root_offset(DATA_ROOT),"
-        " header)\n"
-    )
-    publish_late = (
-        "        with self.region.begin_transaction() as tx:\n"
-        "            tx.write_u64(self.region.root_offset(DATA_ROOT),"
-        " header)\n"
-        "        return len(data) * row_stored"
-    )
-    no_late_publish = "        return len(data) * row_stored"
-    rel = Path("repro") / "core" / "pm_data.py"
-    root = _mutated_src(
-        tmp_path,
-        rel,
-        [(header_write_tail, publish_early), (publish_late, no_late_publish)],
-    )
-    assert "DUR001" in _flow_rules_at(root, rel)
-
-
-def test_race001_catches_pr7_flight_ring_mutant(tmp_path):
-    """Re-introduce PR 7's bug: the flight-ring append in ``count``
-    escapes the recorder lock."""
-    good = (
-        "        self.counters.add(name, value)\n"
-        "        with self._lock:\n"
-        '            self.flight.add("count", name, value)'
-    )
-    bad = (
-        "        self.counters.add(name, value)\n"
-        '        self.flight.add("count", name, value)'
-    )
-    rel = Path("repro") / "obs" / "recorder.py"
-    root = _mutated_src(tmp_path, rel, [(good, bad)])
-    assert "RACE001" in _flow_rules_at(root, rel)
-
-
 # ----------------------------------------------------------------------
-# Runner integration: suppressions, restriction, timing
+# Runner integration: suppressions, timing
 # ----------------------------------------------------------------------
+
+def _copy_cross_module_bad(tmp_path, replacements):
+    bad = (FIXTURES / CROSS_BAD[0]).read_text()
+    for old, new in replacements:
+        bad = bad.replace(old, new)
+    (tmp_path / CROSS_BAD[0]).write_text(bad)
+    shutil.copy(FIXTURES / CROSS_BAD[1], tmp_path)
+
 
 def test_flow_findings_respect_noqa_suppressions(tmp_path):
-    bad = (FIXTURES / "sec101_bad.py").read_text()
-    bad = bad.replace(
-        "    tx.write(64, framed)",
-        "    tx.write(64, framed)"
-        "  # repro: noqa[SEC101] -- fixture exercises suppression",
+    why = "  # repro: noqa[SEC001] -- fixture exercises suppression"
+    _copy_cross_module_bad(
+        tmp_path,
+        [
+            ("    tx.write(64, framed)", "    tx.write(64, framed)" + why),
+            (
+                "    persist_blob(tx, payload)",
+                "    persist_blob(tx, payload)" + why,
+            ),
+        ],
     )
-    bad = bad.replace(
-        "    persist_blob(tx, payload)",
-        "    persist_blob(tx, payload)"
-        "  # repro: noqa[SEC101] -- fixture exercises suppression",
-    )
-    (tmp_path / "sec101_bad.py").write_text(bad)
-    shutil.copy(FIXTURES / "sec101_helper.py", tmp_path)
     result = run_paths([tmp_path])
-    assert "SEC101" not in [f.rule_id for f in result.findings]
+    assert "SEC001" not in [f.rule_id for f in result.findings]
 
 
 def test_flow_suppression_without_rationale_reports_sup001(tmp_path):
-    bad = (FIXTURES / "sec101_bad.py").read_text()
-    bad = bad.replace(
-        "    tx.write(64, framed)",
-        "    tx.write(64, framed)  # repro: noqa[SEC101]",
+    _copy_cross_module_bad(
+        tmp_path,
+        [
+            (
+                "    tx.write(64, framed)",
+                "    tx.write(64, framed)  # repro: noqa[SEC001]",
+            )
+        ],
     )
-    (tmp_path / "sec101_bad.py").write_text(bad)
-    shutil.copy(FIXTURES / "sec101_helper.py", tmp_path)
     result = run_paths([tmp_path])
     ids = [f.rule_id for f in result.findings]
     assert "SUP001" in ids  # bare directive is itself an error
     # ... but the suppression still applies: only the *other*,
-    # un-annotated sink is reported.
-    assert ids.count("SEC101") == 1
+    # un-annotated flow is reported.
+    assert ids.count("SEC001") == 1
 
 
 def test_run_paths_flow_flag_and_timing():
+    """The flow pass always runs, and reports its size and wall time."""
     result = run_paths([SRC])
-    assert result.flow_enabled
     assert result.findings == []
     assert result.flow_stats["functions"] > 500
     # CI timing budget: the flow pass must stay well under 60 s.
     assert result.flow_seconds < 60.0
-    off = run_paths([SRC / "repro" / "analysis"], flow=False)
-    assert not off.flow_enabled
-    assert off.flow_seconds == 0.0
-
-
-def test_restrict_to_limits_reporting_not_analysis(tmp_path):
-    shutil.copy(FIXTURES / "sec101_bad.py", tmp_path)
-    shutil.copy(FIXTURES / "sec101_helper.py", tmp_path)
-    # Restricted to the helper only: the cross-module SEC101 findings
-    # anchor in sec101_bad.py and must be filtered out of the report.
-    result = run_paths(
-        [tmp_path], restrict_to=[tmp_path / "sec101_helper.py"]
-    )
-    assert result.files_checked == 1
-    assert "SEC101" not in [f.rule_id for f in result.findings]
-    # Unrestricted over the same tree, the findings are present —
-    # proving the whole-program analysis saw both files either way.
-    full = run_paths([tmp_path])
-    assert "SEC101" in [f.rule_id for f in full.findings]
 
 
 # ----------------------------------------------------------------------
 # CLI + SARIF
 # ----------------------------------------------------------------------
 
-def test_cli_lint_no_flow_skips_flow_findings(capsys):
-    rc = main(
-        [
-            "lint",
-            str(FIXTURES / "race001_bad.py"),
-            "--no-flow",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "RACE001" not in out
-    assert "flow pass" not in out
+@pytest.mark.parametrize("option", ["--no-flow", "--flow", "--changed-only"])
+def test_cli_lint_removed_options_are_errors(option):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(FIXTURES / "dur001_good.py"), option])
+    assert exc.value.code == 2
 
 
-def test_cli_lint_flow_reports_race001(capsys):
-    rc = main(["lint", str(FIXTURES / "race001_bad.py")])
+def test_cli_lint_reports_flow_findings(capsys):
+    rc = main(["lint", str(FIXTURES / "dur001_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "RACE001" in out
+    assert "DUR001" in out
     assert "flow pass" in out
 
 
@@ -307,7 +181,7 @@ def test_cli_lint_json_includes_flow_timing(capsys):
     main(
         [
             "lint",
-            str(FIXTURES / "race001_good.py"),
+            str(FIXTURES / "dur001_good.py"),
             "--format",
             "json",
         ]
@@ -322,7 +196,7 @@ def test_sarif_document_shape(capsys):
     rc = main(
         [
             "lint",
-            str(FIXTURES / "race001_bad.py"),
+            str(FIXTURES / "dur001_bad.py"),
             "--format",
             "sarif",
         ]
@@ -336,20 +210,20 @@ def test_sarif_document_shape(capsys):
     assert driver["name"] == "repro-lint"
     rule_ids = {rule["id"] for rule in driver["rules"]}
     # Every shipped rule id is declared, flow family included.
-    assert {"SEC101", "DUR001", "RACE001", "SEC001", "SUP001"} <= rule_ids
-    result = next(r for r in run["results"] if r["ruleId"] == "RACE001")
+    assert {"SEC001", "DUR001", "SUP001"} <= rule_ids
+    result = next(r for r in run["results"] if r["ruleId"] == "DUR001")
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("race001_bad.py")
+    assert location["artifactLocation"]["uri"].endswith("dur001_bad.py")
     assert location["region"]["startLine"] >= 1
     assert location["region"]["startColumn"] >= 1
     index = result["ruleIndex"]
-    assert driver["rules"][index]["id"] == "RACE001"
+    assert sorted(rule_ids)[index] == "DUR001"  # rules are emitted by id
 
 
 def test_flow_rule_catalog_is_complete():
     catalog = flow_rule_catalog()
-    assert set(catalog) == {"SEC101", "DUR001", "RACE001"}
+    assert set(catalog) == {"SEC001", "DUR001"}
     for title, severity in catalog.values():
         assert title and severity == "error"
 
@@ -359,22 +233,17 @@ def test_flow_rule_catalog_is_complete():
 # ----------------------------------------------------------------------
 
 def test_project_resolves_methods_and_thread_roots():
-    from repro.analysis.lint.config import DEFAULT_CONFIG
-
+    """Attribute types come from constructor assignments, and method
+    calls resolve through them."""
     project = Project.load([SRC])
-    engine = FlowEngine(project, DEFAULT_CONFIG)
-    # The recorder's lock and flight ring are indexed.
     recorder = project.classes["repro.obs.recorder.TraceRecorder"]
-    assert "_lock" in recorder.lock_attrs
-    assert "_local" in recorder.thread_local_attrs
     assert recorder.attr_types["flight"] == "repro.obs.flight.FlightRing"
-    # A callback registered through ``gateway.schedule_call`` runs off
-    # the registering call stack, so it is a thread root and the
-    # recorder paths it reaches count as concurrent.
-    assert (
-        "repro.faults.workload.ServeWorkload.boot.update"
-        in engine.graph.thread_roots
-    )
+    assert recorder.attr_types["counters"] == "repro.obs.metrics.CounterRegistry"
+    sites = CallGraph(project).sites_by_caller[
+        "repro.obs.recorder.TraceRecorder.count"
+    ]
+    callees = {callee.qualname for site in sites for callee in site.callees}
+    assert "repro.obs.flight.FlightRing.add" in callees
 
 
 def test_taint_summary_sees_through_helper(tmp_path):
@@ -387,7 +256,6 @@ def test_taint_summary_sees_through_helper(tmp_path):
         "    return net.save_weights()\n"
     )
     project = Project.load([tmp_path])
-    from repro.analysis.flow.callgraph import CallGraph
     from repro.analysis.flow.taint import TaintAnalysis
     from repro.analysis.lint.config import DEFAULT_CONFIG
 

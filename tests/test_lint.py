@@ -37,8 +37,8 @@ SRC = Path(__file__).parent.parent / "src"
 
 
 def rule_ids(path: Path):
-    kept, _ = lint_file(path, default_rules())
-    return [f.rule_id for f in kept]
+    """Per-module rules and the flow pass (SEC001 lives there)."""
+    return [f.rule_id for f in run_paths([path]).findings]
 
 
 # ----------------------------------------------------------------------
@@ -197,9 +197,13 @@ def test_cli_lint_clean_fixture_exits_zero(capsys):
 
 def test_render_json_roundtrip():
     result = run_paths([FIXTURES / "det001_bad.py"])
-    payload = json.loads(render_json(result.findings, result.files_checked))
+    flow = {"seconds": result.flow_seconds, "stats": result.flow_stats}
+    payload = json.loads(
+        render_json(result.findings, result.files_checked, flow)
+    )
     assert payload["files_checked"] == 1
     assert payload["warnings"] == len(payload["findings"])
+    assert payload["flow"]["stats"]["modules"] == 1
 
 
 # ----------------------------------------------------------------------
