@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +22,20 @@ from repro.sgx import (
     EnclaveRuntime,
     QuotingEnclave,
     SgxRandom,
+    attestation,
     establish_channel,
     seal_data,
     sgx_read_rand,
     unseal_data,
 )
-from repro.sgx.attestation import InferenceSession
+from repro.sgx.attestation import (
+    _MODP_GENERATOR,
+    _MODP_PRIME,
+    InferenceSession,
+    _modp_pow,
+    establish_mutual_session,
+    establish_mux_session,
+)
 from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import MIB
@@ -356,3 +371,193 @@ class TestAttestation:
                 rand_enclave=SgxRandom(b"e"),
                 rand_owner=SgxRandom(b"o"),
             )
+
+
+# ---------------------------------------------------------------------------
+# The DH modexp: OpenSSL when the wheel is importable, ``pow`` otherwise
+# ---------------------------------------------------------------------------
+
+# 2^E mod p for this exponent has a zero top byte, so the OpenSSL path
+# must not lose or misplace the leading zero of its fixed-width output.
+_LEADING_ZERO_EXPONENT = (
+    79561958727686922160883963160694760907688610487369762918876138284715028819277
+)
+# Order of the prime-order subgroup (p = 2q + 1 is a safe prime).
+_MODP_ORDER = (_MODP_PRIME - 1) // 2
+
+
+def _oracle_vectors():
+    rng = random.Random(26)
+    vectors = [
+        (_MODP_GENERATOR, 1),
+        (_MODP_GENERATOR, _MODP_ORDER - 1),
+        (3, 1),
+        (_MODP_PRIME - 2, 1),
+        (_MODP_PRIME - 2, 2),
+        (_MODP_GENERATOR, _LEADING_ZERO_EXPONENT),
+    ]
+    # Key generation: the generator under a private key as _dh_keypair
+    # draws it; the exchange: a random peer value under one.
+    vectors += [
+        (_MODP_GENERATOR, rng.getrandbits(256) | 1) for _ in range(32)
+    ]
+    vectors += [
+        (rng.randrange(2, _MODP_PRIME - 1), rng.getrandbits(256) | 1)
+        for _ in range(16)
+    ]
+    vectors += [
+        (rng.randrange(2, _MODP_PRIME - 1), rng.randrange(1, _MODP_ORDER))
+        for _ in range(16)
+    ]
+    return vectors
+
+
+ORACLE_VECTORS = _oracle_vectors()
+
+
+@pytest.fixture(params=["openssl", "pow"])
+def modexp_path(request, monkeypatch):
+    """Run a test on the wheel path and on the no-wheel ``pow`` path."""
+    if request.param == "pow":
+        monkeypatch.setattr(attestation, "_MODP_PARAMS", None)
+    elif attestation._MODP_PARAMS is None:
+        pytest.skip("cryptography wheel not importable")
+    return request.param
+
+
+class TestModpPow:
+    def test_vectors_cover_the_edges(self):
+        assert len(ORACLE_VECTORS) >= 64
+        assert (_MODP_GENERATOR, 1) in ORACLE_VECTORS
+        assert pow(_MODP_GENERATOR, _LEADING_ZERO_EXPONENT, _MODP_PRIME) < (
+            1 << (_MODP_PRIME.bit_length() - 8)
+        )
+
+    def test_equals_pow(self, modexp_path):
+        for base, exponent in ORACLE_VECTORS:
+            assert _modp_pow(base, exponent) == pow(
+                base, exponent, _MODP_PRIME
+            ), (base, exponent)
+
+    @pytest.mark.parametrize(
+        "base", [0, 1, _MODP_PRIME - 1, _MODP_PRIME], ids=["0", "1", "p-1", "p"]
+    )
+    def test_degenerate_base_fails_closed(self, modexp_path, base):
+        with pytest.raises(AttestationError, match="public value"):
+            _modp_pow(base, 3)
+
+
+def _key_digest(a, b) -> str:
+    assert a.engine.key == b.engine.key
+    return hashlib.sha256(a.engine.key + b.engine.key).hexdigest()
+
+
+def _seeded_mux_pair():
+    enclave = make_enclave()
+    return establish_mux_session(
+        enclave,
+        QuotingEnclave(b"platform-key"),
+        enclave.measurement,
+        SgxRandom(b"e"),
+        SgxRandom(b"o"),
+        7,
+    )
+
+
+_SHORT_REQUEST = b"hello enclave"
+
+
+class TestSessionKeysPinned:
+    """Session keys are the bytes they were under CPython ``pow``,
+    on both modexp paths."""
+
+    def test_channel(self, modexp_path):
+        enclave = make_enclave()
+        owner, enclave_side = establish_channel(
+            enclave,
+            QuotingEnclave(b"platform-key"),
+            enclave.measurement,
+            SgxRandom(b"e"),
+            SgxRandom(b"o"),
+        )
+        assert _key_digest(owner, enclave_side) == (
+            "b19ee39755cbaedd87e32cd72ef60dfb722c6b0e985fc1a0b8dfa8ae8c6d6d99"
+        )
+
+    def test_mux_session(self, modexp_path):
+        owner, enclave_side = _seeded_mux_pair()
+        assert _key_digest(owner, enclave_side) == (
+            "4e15df919a33284db4c726fee98848d800bd7c9ef4d42fa96f749f3b1ee19d7c"
+        )
+        sealed = owner.seal_request(0, _SHORT_REQUEST)
+        assert hashlib.sha256(sealed).hexdigest() == (
+            "d4ab7b94e05af6bedf2e400b4a5009e3bd75c8a13407f579d7a564a168baafae"
+        )
+
+    def test_mutual_session(self, modexp_path):
+        aggregator = make_enclave()
+        client = Enclave(
+            SimClock(), SGX_EMLPM.sgx, code_identity=b"fed-client"
+        )
+        client_side, aggregator_side = establish_mutual_session(
+            client,
+            aggregator,
+            QuotingEnclave(b"platform-key"),
+            client.measurement,
+            aggregator.measurement,
+            SgxRandom(b"c"),
+            SgxRandom(b"a"),
+            3,
+        )
+        assert _key_digest(client_side, aggregator_side) == (
+            "85a6ac9311b2d217599e71dfd9f1bdf3fec05ddc82b27c6b2af31dd240f5d66c"
+        )
+
+
+# Runs in a fresh interpreter whose import system refuses the
+# ``cryptography`` wheel: the configuration the README promises.
+_NO_WHEEL_SCRIPT = r"""
+import importlib.abc
+import sys
+
+
+class BlockWheel(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "cryptography":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, BlockWheel())
+
+from repro.crypto.backend import PureBackend, default_backend
+from repro.sgx import Enclave, QuotingEnclave, SgxRandom, attestation
+from repro.simtime.clock import SimClock
+from repro.simtime.profiles import SGX_EMLPM
+
+assert isinstance(default_backend(), PureBackend), default_backend()
+assert attestation._MODP_PARAMS is None  # _modp_pow takes the pow path
+enclave = Enclave(SimClock(), SGX_EMLPM.sgx)
+owner, _ = attestation.establish_mux_session(
+    enclave, QuotingEnclave(b"platform-key"), enclave.measurement,
+    SgxRandom(b"e"), SgxRandom(b"o"), 7,
+)
+print(owner.seal_request(0, sys.argv[1].encode()).hex())
+assert not any(m.partition(".")[0] == "cryptography" for m in sys.modules)
+"""
+
+
+def test_no_wheel_configuration_seals_the_same_bytes():
+    src = Path(attestation.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_WHEEL_SCRIPT, _SHORT_REQUEST.decode()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    owner, _ = _seeded_mux_pair()
+    assert bytes.fromhex(result.stdout.strip()) == owner.seal_request(
+        0, _SHORT_REQUEST
+    )
