@@ -10,10 +10,11 @@ Neither direction builds patch-index tensors, and both work in the
 **sample-minor** layout (memory order C, H, W, N) of the column matrix
 they share, so no copy transposes:
 
-* ``im2col`` unrolls through a ``sliding_window_view`` over the padded
-  images (plus a ``::stride`` slice for stride > 1); the only copy is
-  the reshape into the GEMM operand.  Bit-identical to a fancy-index
-  gather over explicit ``(channel, row, col)`` index tensors.
+* ``im2col`` unrolls through one read-only ``as_strided`` window view
+  over the padded images (the stride folded into the window strides);
+  the only copy is the reshape into the GEMM operand.  Bit-identical to
+  a fancy-index gather over explicit ``(channel, row, col)`` index
+  tensors.
 * ``col2im`` scatters with k² vectorized slice additions — within one
   kernel offset the destination positions are distinct, so ``+=`` is
   exact — and returns the logical ``(N, C, H, W)`` view of its
@@ -39,13 +40,25 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def _patch_windows(padded: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """``(N, C, OH, OW, k, k)`` strided view of every kernel-sized patch."""
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, kernel), axis=(2, 3)
+    """``(N, C, OH, OW, k, k)`` read-only strided view of every
+    kernel-sized patch.
+
+    The shape and strides ``sliding_window_view(padded, (k, k),
+    axis=(2, 3))[:, :, ::stride, ::stride]`` produces, built in one
+    ``as_strided`` call: the window constructor's argument checks cost
+    more than the view itself at the federated model's size.
+    """
+    n, c, h, w = padded.shape
+    s_n, s_c, s_h, s_w = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(
+            n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1,
+            kernel, kernel,
+        ),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
     )
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    return windows
 
 
 def im2col_batched_into(

@@ -122,6 +122,22 @@ class Network:
             param += velocity
             grad[...] = 0.0
 
+    def reset_optimizer(self) -> None:
+        """Return the volatile optimizer state to a fresh build's.
+
+        Zeroes the iteration counter, drops the momentum velocities and
+        clears every gradient accumulator; parameters are untouched.
+        Followed by a full parameter assignment, the network trains
+        bit-for-bit like a newly built one of the same architecture
+        (layer caches are rewritten by the next ``forward``), which is
+        what lets a federated client keep one model for a whole boot.
+        """
+        self.iteration = 0
+        self._velocities = None
+        for layer in self.layers:
+            for _, grad in layer.trainable():
+                grad[...] = 0.0
+
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One full training iteration; returns the batch loss."""
         self.forward(x, train=True)

@@ -68,19 +68,38 @@ def load_idx_labels(path: Union[str, Path]) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def _glyph_array(digit: int) -> np.ndarray:
-    rows = _GLYPHS[digit]
-    return np.array(
-        [[float(ch) for ch in row] for row in rows], dtype=np.float32
-    )
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Parsed once: every render reads these, none writes them.
+_GLYPH_ARRAYS = tuple(
+    _frozen(np.array(
+        [[float(ch) for ch in row] for row in _GLYPHS[digit]],
+        dtype=np.float32,
+    ))
+    for digit in range(NUM_CLASSES)
+)
+_YS, _XS = (
+    _frozen(grid)
+    for grid in np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float32)
+)
+
+
+def _zero_bordered(a: np.ndarray) -> np.ndarray:
+    """``np.pad(a, 1)`` for a 2-D array: a copy inside a zero border."""
+    out = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=a.dtype)
+    out[1:-1, 1:-1] = a
+    return out
 
 
 def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     """Render one jittered 28x28 digit image."""
-    glyph = _glyph_array(digit)
+    glyph = _GLYPH_ARRAYS[digit]
     # Thicken strokes stochastically (dilate with probability).
     if rng.random() < 0.5:
-        padded = np.pad(glyph, 1)
+        padded = _zero_bordered(glyph)
         shifted = padded[1:-1, 1:-1]
         for dy, dx in ((0, 1), (1, 0)):
             shifted = np.maximum(
@@ -93,12 +112,11 @@ def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     scale_x = rng.uniform(2.4, 3.2)
     shear = rng.uniform(-0.15, 0.15)
     out_h, out_w = IMAGE_SIZE, IMAGE_SIZE
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float32)
     # Random placement of the glyph center.
     cy = IMAGE_SIZE / 2 + rng.uniform(-2.5, 2.5)
     cx = IMAGE_SIZE / 2 + rng.uniform(-2.5, 2.5)
-    gy = (ys - cy) / scale_y + 3.5
-    gx = (xs - cx) / scale_x + shear * (ys - cy) + 2.5
+    gy = (_YS - cy) / scale_y + 3.5
+    gx = (_XS - cx) / scale_x + shear * (_YS - cy) + 2.5
     iy = np.clip(np.round(gy).astype(int), -1, 7)
     ix = np.clip(np.round(gx).astype(int), -1, 5)
     valid = (iy >= 0) & (iy < 7) & (ix >= 0) & (ix < 5)
@@ -106,7 +124,7 @@ def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     image[valid] = glyph[iy[valid], ix[valid]]
 
     # Soften edges (3x3 box blur) and add noise, like scanned digits.
-    padded = np.pad(image, 1)
+    padded = _zero_bordered(image)
     blurred = sum(
         padded[dy : dy + out_h, dx : dx + out_w]
         for dy in range(3)

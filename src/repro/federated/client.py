@@ -6,7 +6,9 @@ round:
 
 1. opens the sealed parameter broadcast (``open_response(round_no)``),
 2. trains ``local_steps`` SGD steps on its private shard with a batch
-   RNG seeded by ``(seed, client_id, round_no, step)``, and
+   RNG seeded by ``(seed, client_id, round_no, step)`` — on one model
+   built per boot and reset to the broadcast parameters each round —
+   and
 3. seals its weight delta **once** per ``(round, boot)`` via
    ``seal_request(round_no)`` and caches the sealed bytes — every
    retransmission resends the cache, so a lossy wire can never reuse an
@@ -87,10 +89,18 @@ class FederatedClient:
         self.clock = clock
         #: Sealed submissions of this boot, keyed by round (I5 cache).
         self._sealed: Dict[int, bytes] = {}
+        #: The boot's resident model, built by the first ``_train``.
+        self._net = None
 
     # ------------------------------------------------------------------
     def _train(self, round_no: int, params: np.ndarray):
-        net = self.builder()
+        # One model per boot, as in the enclave: every round resets the
+        # optimizer state and overwrites every parameter buffer (BN
+        # rolling statistics included), which is exactly a fresh build.
+        if self._net is None:
+            self._net = self.builder()
+        net = self._net
+        net.reset_optimizer()
         assign_params(net, params)
         losses: List[float] = []
         rows = len(self.shard.x)

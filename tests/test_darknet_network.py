@@ -20,6 +20,7 @@ from repro.darknet import (
 )
 from repro.darknet.layers import ConnectedLayer, SoftmaxLayer
 from repro.darknet.weights import weights_size
+from repro.federated.aggregate import assign_params, flatten_params
 
 _TINY_CFG = """
 # A tiny test network
@@ -194,6 +195,32 @@ class TestNetwork:
             return save_weights(net)
 
         assert run() == run()
+
+    def test_reset_optimizer_then_assign_equals_fresh_build(self):
+        """A used network, reset and re-assigned, trains bit-for-bit
+        like a fresh one — momentum on, so stale velocities would show."""
+        data = tiny_data()
+        steps = [
+            (data.x[i : i + 8].reshape(8, 1, 8, 8), data.y[i : i + 8])
+            for i in range(0, 32, 8)
+        ]
+        used = tiny_network(4)
+        for x, y in steps[2:]:
+            used.train_batch(x, y)
+        # Leave a gradient behind, as an interrupted step would.
+        used.forward(steps[0][0])
+        used.softmax.loss(steps[0][1])
+        used.backward()
+
+        fresh = tiny_network(4)
+        used.reset_optimizer()
+        assign_params(used, flatten_params(fresh))
+        assert used.iteration == 0
+        assert [used.train_batch(x, y) for x, y in steps] == [
+            fresh.train_batch(x, y) for x, y in steps
+        ]
+        assert flatten_params(used).tobytes() == flatten_params(fresh).tobytes()
+        assert used.iteration == fresh.iteration == len(steps)
 
 
 class TestWeights:

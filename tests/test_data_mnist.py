@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -51,6 +52,20 @@ class TestSynthetic:
             idx = np.where(labels == digit)[0]
             if len(idx) >= 2:
                 assert not np.array_equal(images[idx[0]], images[idx[1]])
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "a4c5512c21c416011bd89d210b55360bc72a60467d145a39b21974c3d9b62326"),
+        (1234, "3f404f48f89683bd870d7abe762926114a649a145b2194319dce1df17480a446"),
+        (99, "523cd97fd9092513b8b70d2eceeae8aa2bbbfc500de5506500d218846ad300fb"),
+    ])
+    def test_bytes_pinned(self, seed, expected):
+        """SHA-256 over the four returned arrays, captured before the
+        renderer hoisted its glyphs and grid: rendering speed-ups must
+        not move a byte (fault-workload fixtures train on this data)."""
+        h = hashlib.sha256()
+        for array in synthetic_mnist(64, 16, seed=seed):
+            h.update(np.ascontiguousarray(array).tobytes())
+        assert h.hexdigest() == expected
 
     def test_all_classes_present(self):
         _, labels, _, _ = synthetic_mnist(500, 1, seed=5)

@@ -1,6 +1,6 @@
 """Federated secure training: FedAvg determinism, byzantine exclusion.
 
-Four groups of checks over :mod:`repro.federated`:
+Five groups of checks over :mod:`repro.federated`:
 
 * **FedAvg determinism** — Hypothesis proves the documented pairwise-
   tree summation is a pure function of the ``{client: delta}`` *set*:
@@ -17,6 +17,9 @@ Four groups of checks over :mod:`repro.federated`:
   and finishes with roots/losses/params bit-identical to the
   uninterrupted federation; committed rounds serve inclusion proofs
   across the reboot.
+* **Resident client models** — a client builds its model once per boot
+  and reuses it every round; the rounds commit the same bytes as
+  clients that rebuild the model each round.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.federated.aggregate import DTYPE, fedavg
+from repro.federated.client import FederatedClient
 from repro.federated.coordinator import QuorumError
 from repro.federated.ledger import LedgerError
 from repro.federated.merkle import verify_proof
@@ -280,3 +284,62 @@ class TestDurableResume:
         )
         assert session.coordinator.proof_for(1, 1) is None
         assert session.coordinator.proof_for(1, 0) is not None
+
+
+# ----------------------------------------------------------------------
+# Resident client models: one build per client per boot
+# ----------------------------------------------------------------------
+def federate_across_reboot(seed: int, builds: list):
+    """Four rounds with an aggregator power failure and boot after
+    round 2.  Returns the roots, losses and merged-parameter bytes, and
+    per boot ``(builds during boot(), builds during its rounds)``."""
+    session = make_session(seed=seed, rounds=4)
+    session.cluster.boot()
+    session.host.barrier()
+    results, per_boot = [], []
+    for rounds in ((1, 2), (3, 4)):
+        if rounds[0] > 1:
+            session.host.power_fail()
+            session.host.barrier()
+        builds.clear()
+        coordinator = session.boot()
+        at_boot = len(builds)
+        results += [coordinator.run_round(r) for r in rounds]
+        per_boot.append((at_boot, len(builds) - at_boot))
+    return (
+        [r.root for r in results],
+        [r.losses for r in results],
+        coordinator.params.tobytes(),
+        per_boot,
+    )
+
+
+class TestResidentClientModel:
+    @pytest.mark.parametrize("seed", [4242, 7])
+    def test_resident_model_equals_rebuilt_every_round(self, seed, monkeypatch):
+        builds: list = []
+        build = FederatedSession.builder
+
+        def counting_builder(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(FederatedSession, "builder", counting_builder)
+        resident = federate_across_reboot(seed, builds)
+
+        train = FederatedClient._train
+
+        def rebuild_every_round(self, round_no, params):
+            self._net = None  # force the per-round build
+            return train(self, round_no, params)
+
+        monkeypatch.setattr(FederatedClient, "_train", rebuild_every_round)
+        rebuilt = federate_across_reboot(seed, builds)
+
+        roots, losses, params, _ = resident
+        assert (roots, losses, params) == rebuilt[:3]
+        assert len(set(roots)) == 4
+        # boot() builds only the aggregator's initial parameters; each
+        # of the 3 clients builds once per boot, not once per round.
+        assert resident[3] == [(1, 3), (1, 3)]
+        assert rebuilt[3] == [(1, 3 * 2), (1, 3 * 2)]

@@ -98,6 +98,71 @@ def test_col2im_bits(shape):
 
 
 # ----------------------------------------------------------------------
+# im2col patch windows
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("layout", ["c_ordered", "sample_minor"])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("hw", [(9, 8), (6, 7)])
+def test_patch_windows_equal_sliding_window_view(hw, stride, pad, layout):
+    """The ``as_strided`` view is the one ``sliding_window_view`` (plus
+    a ``::stride`` slice) builds: shape, strides, values, read-only."""
+    images = np.random.default_rng(9).normal(size=(4, 3) + hw)
+    padded = np.pad(
+        images.astype(np.float32), ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    )
+    if layout == "sample_minor":
+        padded = sample_minor(padded)
+    new = m._patch_windows(padded, 3, stride)
+    old = ref._patch_windows(padded, 3, stride)
+    assert new.shape == old.shape
+    assert new.strides == old.strides
+    assert not new.flags.writeable and not old.flags.writeable
+    assert_same_bits(new, old)
+
+
+# ----------------------------------------------------------------------
+# Batch-norm forward
+# ----------------------------------------------------------------------
+
+BN_PLANES = ["random", "constant_channel", "signed_zeros", "denormals"]
+
+
+def _bn_plane(kind: str, n: int) -> np.ndarray:
+    """A batch-``n`` plane, sample-minor as a conv's GEMM emits it."""
+    rng = np.random.default_rng(15)
+    shape = (n, 3, 10, 10)
+    if kind == "random":
+        return normal(rng, shape)
+    if kind == "constant_channel":
+        x = rng.normal(size=shape).astype(np.float32)
+        x[:, 1] = np.float32(0.3)
+        return sample_minor(x)
+    values = (
+        np.float32([0.0, -0.0]) if kind == "signed_zeros"
+        else np.float32([F32_TINY, -F32_TINY, 3e-39, -3e-39, 0.0])
+    )
+    return sample_minor(rng.choice(values, size=shape))
+
+
+@pytest.mark.parametrize("n", [4, 128])
+@pytest.mark.parametrize("kind", BN_PLANES)
+def test_batchnorm_forward_bits_match_reference(kind, n):
+    """Output, rolling statistics and backward cache of one training
+    forward equal the frozen allocating batch-norm's."""
+    x = _bn_plane(kind, n)
+    new, old = _conv_pair(3, 10, 3, 3, 1, 1, True)
+    assert_same_bits(
+        new._batchnorm_forward(x, True), old._batchnorm_forward(x, True)
+    )
+    for attr in ("rolling_mean", "rolling_variance"):
+        assert_same_bits(getattr(new, attr), getattr(old, attr))
+    for a, b in zip(new._bn_cache, old._bn_cache):
+        assert_same_bits(a, b)
+
+
+# ----------------------------------------------------------------------
 # Max pooling
 # ----------------------------------------------------------------------
 
