@@ -113,6 +113,7 @@ def _print_report(report) -> None:
                 ],
             )
         )
+        print(f"update (SGD, every layer): {step.update_ms:.3f} ms")
     per_call = report.crypto_per_call
     print("\nCrypto cost per call (median us; engine entry points, fixed IV):")
     print(

@@ -13,7 +13,7 @@ Unlike every other harness in :mod:`repro.bench` (which report
   path.
 * one ``train_batch`` at the benchmark's shape (5 conv x 16 filters,
   batch 128) and at the federated shape (1 conv x 2 filters, batch 4):
-  absolute median milliseconds, whole step and per layer.
+  absolute median milliseconds, whole step, per layer and the update.
 * one AEAD call through each of the engine's four entry points at
   message and bulk sizes, and one served request's worth of session
   work: absolute median microseconds — the fixed cost per call that
@@ -463,6 +463,8 @@ class TrainStepWallclock:
     #: From a separate pass that unrolls the same step over the public
     #: layer API, so the probes never sit inside ``step_ms``.
     layers: List[LayerStepTime]
+    #: ``Network.update`` (SGD over every layer) in that same pass.
+    update_ms: float
 
 
 def _median_ms(samples: Sequence[float]) -> float:
@@ -499,6 +501,7 @@ def measure_train_step_wallclock(
     layers = network.layers
     forward: List[List[float]] = [[] for _ in layers]
     backward: List[List[float]] = [[] for _ in layers]
+    update: List[float] = []
     for _ in range(iters):
         out = x
         for index, layer in enumerate(layers):
@@ -507,11 +510,16 @@ def measure_train_step_wallclock(
             forward[index].append(clock() - start)
         network.softmax.loss(y)
         delta = network.softmax.backward()
-        for index in reversed(range(len(layers) - 1)):
+        for index in reversed(range(1, len(layers) - 1)):
             start = clock()
             delta = layers[index].backward(delta)
             backward[index].append(clock() - start)
+        start = clock()
+        layers[0].accumulate(delta)  # as Network.backward: no input delta
+        backward[0].append(clock() - start)
+        start = clock()
         network.update()
+        update.append(clock() - start)
     return TrainStepWallclock(
         n_conv_layers=n_conv_layers,
         filters=filters,
@@ -527,6 +535,7 @@ def measure_train_step_wallclock(
             )
             for index, layer in enumerate(layers)
         ],
+        update_ms=_median_ms(update),
     )
 
 

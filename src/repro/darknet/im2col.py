@@ -21,6 +21,9 @@ they share, so no copy transposes:
   sample-minor accumulator.  The summation *order* across kernel
   offsets differs from an ``np.add.at`` scatter, so the two agree to
   float rounding (not bitwise); both orderings are deterministic.
+  Training calls it for every convolution but the first: like
+  Darknet, ``Network.backward`` never computes the delta of the
+  network input, so a one-conv model never runs it.
 
 The gather / ``np.add.at`` formulations live in
 ``tests/test_im2col_cache.py`` as the reference implementations these

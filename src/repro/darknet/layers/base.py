@@ -50,6 +50,17 @@ class Layer(abc.ABC):
         output that is zero over a window holding both ``+0`` and ``-0``.
         """
 
+    def accumulate(self, delta: np.ndarray) -> None:
+        """Back-propagate ``delta`` into the parameter gradients only.
+
+        What ``Network.backward`` asks of the first layer: like Darknet,
+        which hands layer 0 a NULL ``net.delta``, training never computes
+        the delta of the network input.  The default runs ``backward``
+        and drops the result; ``ConvolutionalLayer`` skips its input-delta
+        GEMM and ``col2im`` and accumulates the same bits.
+        """
+        self.backward(delta)
+
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Inference forward using workspace (arena) buffers.
 

@@ -144,6 +144,18 @@ class ConvolutionalLayer(Layer):
         return self.activation.forward_into(raw, ws)
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
+        d_cols = self.weights.T @ self._accumulate(delta)
+        return col2im(
+            d_cols, self._x_shape, self.kernel, self.stride, self.pad
+        )
+
+    def accumulate(self, delta: np.ndarray) -> None:
+        """Parameter gradients only: no input-delta GEMM, no ``col2im``."""
+        self._accumulate(delta)
+
+    def _accumulate(self, delta: np.ndarray) -> np.ndarray:
+        """Accumulate every parameter gradient of ``delta``; returns the
+        ``(filters, OH*OW*N)`` delta the input-delta GEMM reads."""
         assert self._cols is not None and self._output is not None
         # The gradient is a fresh array laid out like ``_output`` — the
         # sample-minor view the GEMM emitted — and delta·gradient lands
@@ -159,10 +171,7 @@ class ConvolutionalLayer(Layer):
 
         d_flat = d.transpose(1, 2, 3, 0).reshape(self.filters, -1)
         self.weight_updates += d_flat @ self._cols.T
-        d_cols = self.weights.T @ d_flat
-        return col2im(
-            d_cols, self._x_shape, self.kernel, self.stride, self.pad
-        )
+        return d_flat
 
     # ------------------------------------------------------------------
     def _batchnorm_forward(self, x: np.ndarray, train: bool) -> np.ndarray:

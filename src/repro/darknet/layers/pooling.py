@@ -8,6 +8,10 @@ import numpy as np
 
 from repro.darknet.layers.base import Layer
 
+#: Bytes in a cache line: a pool input whose innermost memory run (the
+#: batch axis, sample-minor) is shorter than this is gathered first.
+_LINE_BYTES = 64
+
 
 class MaxPoolLayer(Layer):
     """Max pooling with a square window."""
@@ -28,6 +32,7 @@ class MaxPoolLayer(Layer):
         self.out_shape = (c, out_h, out_w)
         self._argmax: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, ...]] = None
+        self._gathered = False
 
     def _windows(self, x: np.ndarray) -> List[np.ndarray]:
         """One strided view of ``x`` per window offset, in ``(di, dj)`` order."""
@@ -40,7 +45,14 @@ class MaxPoolLayer(Layer):
         ]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Keep-first max over the windows, computed in ``x``'s layout.
+        """Keep-first max over the windows.
+
+        When ``x``'s innermost memory run is a batch axis shorter than a
+        cache line (sample-minor at federated batch sizes), every ufunc
+        over a strided window would walk a handful of floats at a time,
+        so the windows are gathered once into a contiguous block and the
+        chain runs on that; otherwise it runs in ``x``'s layout, where a
+        gather costs more than it saves.  Both select the same elements.
 
         ``np.maximum`` returns the bits a strict-``>`` scan selects:
         equal values are the same bits whichever operand is kept, and
@@ -50,10 +62,15 @@ class MaxPoolLayer(Layer):
         unspecified (numpy does not say which zero ``maximum`` returns,
         so it may vary with layout and batch size); ``infer`` has the
         same carve-out.  The result is returned C-ordered (a copy only
-        when ``x`` is not), the operand a connected layer has always
-        been handed after a pool.
+        when the chain ran in a layout that is not), the operand a
+        connected layer has always been handed after a pool.
         """
+        gathered = (
+            x.strides[0] == x.itemsize and x.shape[0] * x.itemsize < _LINE_BYTES
+        )
         windows = self._windows(x)
+        if gathered:  # one C-ordered (size², N, C, OH, OW) block
+            windows = np.array(windows)
         out = windows[0].copy(order="K")
         for window in windows[1:]:
             np.maximum(window, out, out=out)
@@ -67,6 +84,7 @@ class MaxPoolLayer(Layer):
                 argmax += unseen
             self._x_shape = x.shape
             self._argmax = argmax
+            self._gathered = gathered
         return np.ascontiguousarray(out)
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
@@ -112,11 +130,25 @@ class MaxPoolLayer(Layer):
         return out
 
     def backward(self, delta: np.ndarray) -> np.ndarray:
+        """Each window's ``delta * (argmax == idx)`` added into a zero
+        input plane in window order: ``0 + δ`` at the argmax cell, ``+0``
+        elsewhere.  After a gathered forward the window gradients are
+        built as one contiguous block and scattered into a sample-minor
+        plane (the forward input's layout); otherwise the plane is laid
+        out like the argmax plane, i.e. like the forward input."""
         assert self._argmax is not None and self._x_shape is not None
-        # Laid out like the argmax plane, i.e. like the forward input.
-        dx = np.zeros_like(self._argmax, dtype=delta.dtype, shape=self._x_shape)
-        for idx, window in enumerate(self._windows(dx)):
-            window += delta * (self._argmax == idx)
+        if self._gathered:
+            n, c, h, w = self._x_shape
+            dx = np.zeros((c, h, w, n), dtype=delta.dtype).transpose(3, 0, 1, 2)
+            ids = np.arange(self.size**2, dtype=self._argmax.dtype)
+            grads = delta * (self._argmax == ids.reshape(-1, 1, 1, 1, 1))
+        else:
+            dx = np.zeros_like(
+                self._argmax, dtype=delta.dtype, shape=self._x_shape
+            )
+            grads = (delta * (self._argmax == idx) for idx in range(self.size**2))
+        for window, grad in zip(self._windows(dx), grads):
+            window += grad
         return dx
 
 

@@ -91,9 +91,13 @@ class Network:
         return out
 
     def backward(self) -> None:
+        """Back-propagate the softmax loss into every gradient
+        accumulator.  The first layer only accumulates (see
+        :meth:`Layer.accumulate`): nothing reads the input's delta."""
         delta = self.softmax.backward()
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(self.layers[1:-1]):
             delta = layer.backward(delta)
+        self.layers[0].accumulate(delta)
 
     def backward_from(self, delta: np.ndarray) -> np.ndarray:
         """Back-propagate an externally supplied delta through every

@@ -17,6 +17,7 @@ from repro.core.models import build_mnist_cnn
 from repro.darknet import im2col as m
 from repro.darknet.activations import get_activation
 from repro.darknet.layers import ConvolutionalLayer, MaxPoolLayer
+from repro.darknet.network import Network
 from tests import reference_kernels as ref
 from tests.reference_kernels import sample_minor
 
@@ -126,15 +127,18 @@ def test_patch_windows_equal_sliding_window_view(hw, stride, pad, layout):
 # Batch-norm forward
 # ----------------------------------------------------------------------
 
-BN_PLANES = ["random", "constant_channel", "signed_zeros", "denormals"]
+BN_PLANES = ["random", "c_ordered", "constant_channel", "signed_zeros", "denormals"]
 
 
 def _bn_plane(kind: str, n: int) -> np.ndarray:
-    """A batch-``n`` plane, sample-minor as a conv's GEMM emits it."""
+    """A batch-``n`` plane, sample-minor as a conv's GEMM emits it
+    (``c_ordered``: the same draw laid out C-ordered)."""
     rng = np.random.default_rng(15)
     shape = (n, 3, 10, 10)
     if kind == "random":
         return normal(rng, shape)
+    if kind == "c_ordered":
+        return rng.normal(size=shape).astype(np.float32)
     if kind == "constant_channel":
         x = rng.normal(size=shape).astype(np.float32)
         x[:, 1] = np.float32(0.3)
@@ -146,7 +150,7 @@ def _bn_plane(kind: str, n: int) -> np.ndarray:
     return sample_minor(rng.choice(values, size=shape))
 
 
-@pytest.mark.parametrize("n", [4, 128])
+@pytest.mark.parametrize("n", [1, 4, 128])
 @pytest.mark.parametrize("kind", BN_PLANES)
 def test_batchnorm_forward_bits_match_reference(kind, n):
     """Output, rolling statistics and backward cache of one training
@@ -166,13 +170,16 @@ def test_batchnorm_forward_bits_match_reference(kind, n):
 # Max pooling
 # ----------------------------------------------------------------------
 
-# (n, c, h, size, stride)
+# (n, c, h, size, stride).  A sample-minor input whose batch run is
+# shorter than a cache line (n < 16) takes the gathered kernel, a longer
+# one the in-layout kernel; both sides are held to the reference.
 POOL_SHAPES = [
     (32, 16, 28, 2, 2),
     (4, 2, 28, 2, 2),
     (5, 3, 9, 3, 2),   # overlapping windows
     (3, 2, 7, 2, 1),
     (2, 2, 6, 1, 1),
+    (128, 16, 28, 2, 2),  # train_mnist's first pool
 ]
 
 
@@ -196,6 +203,7 @@ class TestMaxPool:
         x = normal(rng, (n, c, h, h))
         delta = normal(rng, (n,) + new.out_shape)
         out, dx = _run_pool(new, x, delta)
+        assert new._gathered == (n < 16)
         ref_out, ref_dx = _run_pool(old, x, delta)
         assert_same_bits(out, ref_out)
         assert_same_bits(dx, ref_dx)
@@ -360,16 +368,60 @@ def _build(conv, filters, batch):
     )
 
 
+def _reference(net):
+    """``ref.as_reference`` plus the one signature the frozen bodies
+    lack: the first layer's ``accumulate`` runs its frozen ``backward``
+    and drops the input delta."""
+    ref.as_reference(net)
+    first = net.layers[0]
+    first.accumulate = first.backward
+    return net
+
+
 class TestWholeNetwork:
     def test_batch128_training_is_bit_identical(self):
         """The benchmark's shape: 5 conv x 16 filters at batch 128."""
         new = _build(5, 16, 128)
-        old = ref.as_reference(_build(5, 16, 128))
+        old = _reference(_build(5, 16, 128))
         assert _train(new, 4, 128, seed=22) == _train(old, 4, 128, seed=22)
         for (_, (name, a)), (_, (_, b)) in zip(
             new.parameter_buffers(), old.parameter_buffers()
         ):
             assert_same_bits(a, b)
+
+    def test_training_never_computes_the_input_delta(self, monkeypatch):
+        """Like Darknet's NULL ``net.delta``: layer 0 accumulates its
+        gradients and nothing back-propagates into the input — its
+        ``backward`` is never called, and ``col2im`` runs once per step
+        for the second conv only."""
+        net = _build(2, 4, 4)
+        calls = []
+
+        def counting_col2im(*args):
+            calls.append(args[1])
+            return m.col2im(*args)
+
+        def no_input_delta(delta):
+            raise AssertionError("layer 0's input delta was computed")
+
+        monkeypatch.setattr(
+            "repro.darknet.layers.convolutional.col2im", counting_col2im
+        )
+        net.layers[0].backward = no_input_delta
+        _train(net, 2, 4, seed=24)
+        assert calls == [(4, 4, 14, 14)] * 2  # the second conv's input
+
+    def test_backward_from_returns_the_reference_input_delta(self):
+        """A pipeline stage (no softmax) still back-propagates into its
+        input, bit for bit as the frozen bodies do."""
+        rng = np.random.default_rng(25)
+        x = rng.random((128, 1, 28, 28), dtype=np.float32)
+        delta = rng.normal(size=(128, 10)).astype(np.float32)
+        new = Network(_build(5, 16, 128).layers[:-1])
+        old = ref.as_reference(Network(_build(5, 16, 128).layers[:-1]))
+        new.forward(x)
+        old.forward(x)
+        assert_same_bits(new.backward_from(delta), old.backward_from(delta))
 
     def test_federated_shape_agrees_to_rounding(self):
         """1 conv x 2 filters at batch 4: the reference's conv-backward
@@ -377,7 +429,7 @@ class TestWholeNetwork:
         delta, the kernels' run in the canonical one — same maths,
         last-bit differences."""
         new = _build(1, 2, 4)
-        old = ref.as_reference(_build(1, 2, 4))
+        old = _reference(_build(1, 2, 4))
         np.testing.assert_allclose(
             _train(new, 8, 4, seed=23), _train(old, 8, 4, seed=23), rtol=1e-5
         )
