@@ -47,11 +47,9 @@ TRUSTED_MODULES = (
     "repro.crypto.engine",
     "repro.sgx.sealing",
     "repro.sgx.rand",
-    "repro.sgx.counters",
     "repro.core.mirror",
     "repro.core.pm_data",
     "repro.core.trainer",
-    "repro.core.freshness",
     "repro.core.serving",
     "repro.distributed.worker",
     # Federated aggregation enclave: Merkle commitment, the
@@ -96,7 +94,6 @@ UNTRUSTED_MODULES = (
     "repro.obs.export",
     "repro.obs.context",
     "repro.obs.hist",
-    "repro.obs.slo",
     "repro.obs.flight",
     "repro.obs.report",
     "repro.analysis.tcb",

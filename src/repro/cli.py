@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="summarize a --trace artifact (spans, causal trees, "
-        "histograms, SLO events, flight tail)",
+        "histograms, flight tail)",
     )
     report.add_argument(
         "trace_file",

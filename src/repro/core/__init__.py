@@ -25,7 +25,6 @@ from repro.core.models import (
     mnist_cnn_config,
 )
 from repro.core.pm_data import PmDataError, PmDataModule
-from repro.core.freshness import FreshMirrorModule, RollbackError
 from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.core.system import PliniusSystem
 from repro.core.trainer import IterationTiming, PliniusTrainer, TrainResult
@@ -50,8 +49,6 @@ __all__ = [
     "MNIST_INPUT_SHAPE",
     "run_full_workflow",
     "WorkflowArtifacts",
-    "FreshMirrorModule",
-    "RollbackError",
     "SecureInferenceService",
     "InferenceClient",
 ]

@@ -377,10 +377,12 @@ class PersistentMemoryDevice:
     def load_image(self, image: bytes) -> None:
         """Overwrite the device with a previously captured image.
 
-        This models the *replay attack* the threat model's privileged
-        adversary can mount on any persistent medium: present an old but
-        internally consistent PM state.  Rollback protection
-        (:mod:`repro.core.freshness`) exists to defeat exactly this.
+        This models the *replay attack* a privileged adversary can mount
+        on any persistent medium: present an old but internally
+        consistent PM state.  Rollback is outside the paper's threat
+        model and this reproduction's: the older state restores as
+        valid, which ``test_replayed_pm_image_restores_older_iteration``
+        in ``tests/test_threat_model.py`` pins.
         """
         if len(image) != self.size:
             raise ValueError(

@@ -57,7 +57,6 @@ from repro.obs.report import (
     render_report_json,
     render_report_text,
 )
-from repro.obs.slo import SloMonitor, SloObjective, error_rate_slo, latency_slo
 
 __all__ = [
     "TraceRecorder",
@@ -72,10 +71,6 @@ __all__ = [
     "trace_id_of",
     "current_trace",
     "trace_scope",
-    "SloMonitor",
-    "SloObjective",
-    "latency_slo",
-    "error_rate_slo",
     "get_default_recorder",
     "install_default_recorder",
     "to_chrome_trace",

@@ -3,12 +3,12 @@
 The Chrome trace written by ``--trace`` (or
 :func:`~repro.obs.export.write_chrome_trace`) carries everything this
 module needs: span events with causal identity in their ``args``
-(``span``/``parent``/``trace_id``), histograms, counters, gauges, SLO
-instants, and the flight-recorder tail in ``otherData``.  The report
-projects out every host-dependent field (the wall-clock process, OS
-thread ids), sorts all keys, and emits either JSON or text — so two
-same-seed runs produce **byte-identical** reports even though their
-raw traces differ in wall timestamps.
+(``span``/``parent``/``trace_id``), histograms, counters, gauges, and
+the flight-recorder tail in ``otherData``.  The report projects out
+every host-dependent field (the wall-clock process, OS thread ids),
+sorts all keys, and emits either JSON or text — so two same-seed runs
+produce **byte-identical** reports even though their raw traces differ
+in wall timestamps.
 """
 
 from __future__ import annotations
@@ -106,25 +106,6 @@ def _trace_trees(span_events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return trees
 
 
-def _slo_events(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
-    out = []
-    for event in doc.get("traceEvents", []):
-        if (
-            event.get("ph") == "i"
-            and event.get("pid") == SIM_PID
-            and str(event.get("name", "")).startswith("slo.")
-        ):
-            out.append(
-                {
-                    "name": event["name"],
-                    "sim_time": float(event.get("ts", 0.0)) / 1e6,
-                    "args": dict(sorted(event.get("args", {}).items())),
-                }
-            )
-    out.sort(key=lambda e: (e["sim_time"], e["name"], repr(e["args"])))
-    return out
-
-
 def build_report(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Deterministic report dict from a Chrome trace document."""
     other = doc.get("otherData", {}) or {}
@@ -140,7 +121,6 @@ def build_report(doc: Dict[str, Any]) -> Dict[str, Any]:
         "histograms": other.get("histograms", {}) or {},
         "counters": dict(sorted((other.get("counters", {}) or {}).items())),
         "gauges": dict(sorted((other.get("gauges", {}) or {}).items())),
-        "slo_events": _slo_events(doc),
         "flight": other.get("flight"),
     }
 
@@ -222,25 +202,6 @@ def render_report_text(report: Dict[str, Any]) -> str:
     if metrics:
         parts.append("")
         parts.append(_format_rows(["metric", "value"], metrics))
-
-    slo_events = report["slo_events"]
-    parts.append("")
-    if slo_events:
-        parts.append(
-            _format_rows(
-                ["slo event", "sim time", "objective"],
-                [
-                    [
-                        e["name"],
-                        f"{e['sim_time']:.6f}",
-                        str(e["args"].get("objective", "")),
-                    ]
-                    for e in slo_events
-                ],
-            )
-        )
-    else:
-        parts.append("slo events: none")
 
     flight = report.get("flight")
     if flight:

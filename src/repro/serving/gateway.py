@@ -41,7 +41,6 @@ from repro.crypto.engine import SEAL_OVERHEAD
 from repro.faults import plan as faultplan
 from repro.faults.plan import InjectedEcallAbort, InjectedLinkDrop
 from repro.obs.context import trace_id_of
-from repro.obs.slo import SloMonitor
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.batcher import (
     Batcher,
@@ -123,7 +122,6 @@ class InferenceGateway:
         clock: SimClock,
         batch_policy: Optional[BatchPolicy] = None,
         admission_policy: Optional[AdmissionPolicy] = None,
-        slo: Optional[SloMonitor] = None,
         loop=None,
         fabric: Optional[ServingFabric] = None,
     ) -> None:
@@ -133,8 +131,6 @@ class InferenceGateway:
         self.admission = AdmissionController(
             admission_policy or AdmissionPolicy()
         )
-        #: Optional SLO monitor fed every delivery/rejection on sim time.
-        self.slo = slo
         if loop is None:
             # Ride the ambient cluster's loop when one shares our clock;
             # otherwise stand up a private substrate loop.
@@ -235,8 +231,6 @@ class InferenceGateway:
             self.result.rejected.append(request.request_id)
             if recorder.enabled:
                 recorder.count("serve.rejected")
-            if self.slo is not None:
-                self.slo.record(self.clock.now(), 0.0, ok=False)
             return
         self.queue.append(request)
         if recorder.enabled:
@@ -319,8 +313,6 @@ class InferenceGateway:
                 generation=replica.generation,
                 batch_id=batch_id,
             )
-            if self.slo is not None:
-                self.slo.record(now, now - request.arrival, ok=True)
         record.completed_at = now
         replica.busy = False
         replica.inflight = None

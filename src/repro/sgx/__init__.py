@@ -17,7 +17,6 @@ preserves are the *observable behaviours* Plinius depends on:
   hardware randomness.
 """
 
-from repro.sgx.counters import MonotonicCounterStore
 from repro.sgx.rand import SgxRandom, sgx_read_rand
 from repro.sgx.enclave import Enclave, EnclaveMemoryError
 from repro.sgx.ecall import EnclaveRuntime, EnclaveCallError
@@ -31,7 +30,6 @@ from repro.sgx.attestation import (
 )
 
 __all__ = [
-    "MonotonicCounterStore",
     "SgxRandom",
     "sgx_read_rand",
     "Enclave",

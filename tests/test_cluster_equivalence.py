@@ -13,9 +13,11 @@ included.  Host-BLAS-dependent values (sealed response bytes, losses,
 parameter digests) are deliberately not frozen; they stay checked
 in-run by ``tests/test_serving_properties.py`` and invariant I3.
 
-Re-recorded once since: the gateway's ``arena.hit`` / ``arena.miss``
+Re-recorded twice since: the gateway's ``arena.hit`` / ``arena.miss``
 (30 / 15 -> 28 / 14) and the report hash embedding them, when the arena
-leaky kernel dropped its mask buffer; nothing else moved.
+leaky kernel dropped its mask buffer; and the two report hashes alone,
+when the report lost its always-empty SLO-events key (the new hashes
+equal the old reports with that key popped).  Nothing else moved.
 
 Regenerate (only when a PR changes simulated behaviour on purpose)::
 

@@ -235,8 +235,6 @@ CALLER_WAIVERS = {
     "repro.core.workflow": "Fig. 5 end-to-end workflow; carries darknet.weights",
     "repro.distributed.pipeline": "ROADMAP 4c owes it a benchmark workload",
     "repro.distributed.data_parallel": "ROADMAP 4c owes it a benchmark workload",
-    "repro.core.freshness": "ROADMAP 2 decides: wire on every reopen or delete",
-    "repro.sgx.counters": "ROADMAP 2 decides: wire on every reopen or delete",
 }
 
 #: Scripts whose imports are callers: the wall-clock ledger and the
@@ -338,7 +336,7 @@ def test_every_module_has_a_caller():
     paper-figure script — or sits in the waiver table with its reason."""
     graph, roots = caller_census(SRC.parent)
     assert graph.modules - graph.reachable(roots | set(CALLER_WAIVERS)) == set()
-    assert len(CALLER_WAIVERS) == 5
+    assert len(CALLER_WAIVERS) == 3
     # A waiver whose module has gained a caller is stale.
     assert not set(CALLER_WAIVERS) & graph.reachable(roots)
 

@@ -87,7 +87,6 @@ class TestEmptyAndSparseTraces:
         assert report["traces"]["count"] == 0
         text = render_report_text(report)
         assert "(no spans recorded)" in text
-        assert "slo events: none" in text
 
     def test_gauge_only_recorder(self):
         recorder = TraceRecorder()
@@ -98,16 +97,6 @@ class TestEmptyAndSparseTraces:
         assert report["gauges"] == {"pm.used_bytes": 1024.0}
         assert report["counters"] == {}
         assert "pm.used_bytes (gauge)" in render_report_text(report)
-
-    def test_instant_only_trace_keeps_slo_events(self):
-        recorder = TraceRecorder()
-        recorder.instant(
-            "slo.alert", 1e-3, category="slo",
-            args={"objective": "lat"}, wall_time=1e-3,
-        )
-        report = build_report(to_chrome_trace(recorder))
-        assert len(report["slo_events"]) == 1
-        assert report["slo_events"][0]["args"]["objective"] == "lat"
 
 
 class TestLaneNaming:

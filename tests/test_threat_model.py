@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.workflow import DataOwner, run_full_workflow
 from repro.crypto.backend import IntegrityError
+from repro.darknet import save_weights
 from repro.data import synthetic_mnist, to_data_matrix
 
 
@@ -179,3 +180,29 @@ class TestAvailabilityBoundary:
         system.pm.load_image(bytes(system.pm.size))
         with pytest.raises(ValueError, match="bad magic"):
             system.resume()
+
+    def test_replayed_pm_image_restores_older_iteration(self):
+        """Rollback is out of scope, as in the paper (Section III; see
+        ``docs/architecture.md``): every sealed buffer of an older PM
+        image is still authentic, so replaying one restores that older
+        iteration without any error."""
+        images, labels, _, _ = synthetic_mnist(64, 1, seed=48)
+        data = to_data_matrix(images, labels)
+        from tests.conftest import make_system
+
+        system = make_system(seed=48)
+        system.load_data(data)
+        net = system.build_model(n_conv_layers=2, filters=4, batch=16)
+        system.train(net, iterations=2)
+        snapshot = system.pm.snapshot()
+        weights_at_2 = save_weights(net)
+        system.train(net, iterations=4)
+        assert net.iteration == 4
+
+        system.kill()
+        system.pm.load_image(snapshot)
+        system.resume()
+        restored = system.build_model(n_conv_layers=2, filters=4, batch=16)
+        system.mirror.mirror_in(restored)
+        assert restored.iteration == 2
+        assert save_weights(restored) == weights_at_2
