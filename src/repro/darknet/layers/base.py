@@ -13,12 +13,37 @@ Two views of a layer's state matter to Plinius:
 from __future__ import annotations
 
 import abc
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
 ParamPair = Tuple[np.ndarray, np.ndarray]
 NamedBuffer = Tuple[str, np.ndarray]
+
+
+class GradientBuffer:
+    """A gradient accumulator made on first read.
+
+    Declared on a layer class against the parameter it accumulates for
+    (``weight_updates = GradientBuffer("weights")``).  The first read —
+    an accumulate, ``trainable()``, or the attribute itself — stores
+    zeros shaped like the parameter on the instance, which from then on
+    shadows this descriptor, so every later read is a plain attribute.
+    """
+
+    def __init__(self, param: str) -> None:
+        self.param = param
+        self.name = ""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, layer: Any, owner: Any = None) -> Any:
+        if layer is None:
+            return self
+        buffer = np.zeros_like(getattr(layer, self.param))
+        layer.__dict__[self.name] = buffer
+        return buffer
 
 
 class Layer(abc.ABC):

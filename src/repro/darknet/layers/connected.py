@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.darknet.activations import get_activation
-from repro.darknet.layers.base import Layer, NamedBuffer, ParamPair
+from repro.darknet.layers.base import GradientBuffer, Layer, NamedBuffer, ParamPair
 
 
 class ConnectedLayer(Layer):
@@ -20,6 +20,8 @@ class ConnectedLayer(Layer):
     """
 
     kind = "connected"
+    weight_updates = GradientBuffer("weights")
+    bias_updates = GradientBuffer("biases")
 
     def __init__(
         self,
@@ -41,8 +43,6 @@ class ConnectedLayer(Layer):
             scale * rng.uniform(-1, 1, size=(outputs, inputs))
         ).astype(np.float32)
         self.biases = np.zeros(outputs, dtype=np.float32)
-        self.weight_updates = np.zeros_like(self.weights)
-        self.bias_updates = np.zeros_like(self.biases)
 
         self._x: Optional[np.ndarray] = None
         self._output: Optional[np.ndarray] = None

@@ -20,16 +20,25 @@ from repro.darknet.im2col import (
     im2col,
     im2col_batched_into,
 )
-from repro.darknet.layers.base import Layer, NamedBuffer, ParamPair
+from repro.darknet.layers.base import GradientBuffer, Layer, NamedBuffer, ParamPair
 
 _BN_EPSILON = 1e-5
 _BN_MOMENTUM = 0.9  # rolling stats track the (fast-moving) batch stats
 
 
 class ConvolutionalLayer(Layer):
-    """2-D convolution, optional batchnorm, elementwise activation."""
+    """2-D convolution, optional batchnorm, elementwise activation.
+
+    The gradient accumulators are made by the first training step, not
+    here.  Darknet's ``make_convolutional_layer`` allocates them with
+    the weights, but a network that is only served or mirrored never
+    reads them, and at 512 filters they are as large as the weights.
+    """
 
     kind = "convolutional"
+    weight_updates = GradientBuffer("weights")
+    bias_updates = GradientBuffer("biases")
+    scale_updates = GradientBuffer("scales")
 
     def __init__(
         self,
@@ -66,11 +75,8 @@ class ConvolutionalLayer(Layer):
             scale * rng.uniform(-1, 1, size=(filters, fan_in))
         ).astype(np.float32)
         self.biases = np.zeros(filters, dtype=np.float32)
-        self.weight_updates = np.zeros_like(self.weights)
-        self.bias_updates = np.zeros_like(self.biases)
         if batch_normalize:
             self.scales = np.ones(filters, dtype=np.float32)
-            self.scale_updates = np.zeros_like(self.scales)
             self.rolling_mean = np.zeros(filters, dtype=np.float32)
             self.rolling_variance = np.ones(filters, dtype=np.float32)
 

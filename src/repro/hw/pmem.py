@@ -14,13 +14,17 @@ of the paper):
 The simulation keeps two byte images: ``_data`` is the current (cache +
 media) view used by reads, ``_durable`` is the media view restored by a
 crash.  A coalesced :class:`IntervalSet` records which ranges of ``_data``
-are dirty (cached but not yet flushed).
+are dirty (cached but not yet flushed).  Both images are zeroed on first
+touch (fresh anonymous memory, not a memset), so constructing a device is
+O(1) and a device holds resident only the pages written to it.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.faults import plan as faultplan
 from repro.hw.intervals import IntervalSet
@@ -92,8 +96,8 @@ class PersistentMemoryDevice:
         self.sfence_cost = sfence_cost
         self.store_cost = store_cost
         self.load_cost = load_cost
-        self._data = bytearray(size)
-        self._durable = bytearray(size)
+        self._data = np.zeros(size, np.uint8)
+        self._durable = np.zeros(size, np.uint8)
         self._dirty = IntervalSet()
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
@@ -273,9 +277,8 @@ class PersistentMemoryDevice:
         nlines = (line_end - line_start) // CACHE_LINE
 
         dirty_bytes = self._dirty.overlap_total(line_start, line_end)
-        # Through memoryviews on both sides: a bytearray slice assigned
-        # from anything but a bytearray copies its source into a
-        # temporary first.
+        # Through memoryviews on both sides: a slice copy per interval
+        # without building a numpy view for each slice.
         data_view = memoryview(self._data)
         durable_view = memoryview(self._durable)
         if torn is not None:
@@ -368,11 +371,11 @@ class PersistentMemoryDevice:
         distinction without actually crashing.
         """
         self._check_range(addr, length)
-        return bytes(self._durable[addr : addr + length])
+        return self._durable[addr : addr + length].tobytes()
 
     def snapshot(self) -> Optional[bytes]:
         """Durable image of the whole device (for spot-simulator hand-off)."""
-        return bytes(self._durable)
+        return self._durable.tobytes()
 
     def load_image(self, image: bytes) -> None:
         """Overwrite the device with a previously captured image.

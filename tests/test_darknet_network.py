@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.models import build_mnist_cnn, cnn_cfg
+from repro.core.system import PliniusSystem
 from repro.darknet import (
     DataMatrix,
     Network,
@@ -18,9 +23,12 @@ from repro.darknet import (
     save_weights,
     train,
 )
+from repro.darknet.arena import TensorArena
 from repro.darknet.layers import ConnectedLayer, SoftmaxLayer
 from repro.darknet.weights import weights_size
 from repro.federated.aggregate import assign_params, flatten_params
+from repro.federated.session import FederatedSession, FederationConfig
+from tests.test_faults_outcomes import _blas_probe
 
 _TINY_CFG = """
 # A tiny test network
@@ -221,6 +229,94 @@ class TestNetwork:
         ]
         assert flatten_params(used).tobytes() == flatten_params(fresh).tobytes()
         assert used.iteration == fresh.iteration == len(steps)
+
+
+def _mnist_batch(rng: np.random.Generator, n: int):
+    x = rng.random((n, 1, 28, 28), dtype=np.float32)
+    y = np.eye(10, dtype=np.float32)[rng.integers(0, 10, size=n)]
+    return x, y
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _run_digests(losses, net) -> tuple:
+    """(losses, every parameter buffer's bytes) as two SHA-256 digests."""
+    return (
+        _digest(float(loss).hex().encode() for loss in losses),
+        _digest(array.tobytes() for _, (_, array) in net.parameter_buffers()),
+    )
+
+
+#: The BLAS probe of the host the pinned digests were captured on; the
+#: float bits of a training step follow the host's BLAS, so the pins
+#: are only compared where this probe reproduces.
+PINNED_BLAS_PROBE = "6c5e9369c7e67bad"
+
+
+class TestGradientBuffers:
+    """Gradient accumulators are made by the first training step, not
+    at build: a network that is only served or mirrored never holds
+    them, and training stays bit-for-bit what it was when every layer
+    allocated them in ``__init__`` (the pinned digests date from then).
+    """
+
+    def test_untrained_network_holds_no_gradient_buffer(self):
+        x, _ = _mnist_batch(np.random.default_rng(40), 8)
+        tracemalloc.start()
+        try:
+            system = PliniusSystem.create(pm_size=8 << 20)
+            net = build_mnist_cnn(rng=np.random.default_rng(41))
+            net.predict(x)
+            net.infer(x, TensorArena())
+            system.mirror.alloc_mirror_model(net)
+            system.mirror.mirror_out(net, 1)
+            system.mirror.mirror_in(net)
+            net.layers[0].set_parameter("biases", np.ones(16, np.float32))
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+            pairs = [pair for layer in net.layers for pair in layer.trainable()]
+            made, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gradient_bytes = sum(grad.nbytes for _, grad in pairs)
+        assert gradient_bytes > 0
+        # Asking for the pairs is what allocates every accumulator.
+        assert made - held >= gradient_bytes
+        assert all(not grad.any() for _, grad in pairs)
+
+    def test_batch128_training_steps_pinned(self):
+        if _blas_probe() != PINNED_BLAS_PROBE:
+            pytest.skip("pinned digests were captured under another BLAS")
+        net = build_mnist_cnn(rng=np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        losses = [net.train_batch(*_mnist_batch(rng, 128)) for _ in range(6)]
+        assert _run_digests(losses, net) == (
+            "d62f63da75ee0133bd023f3c827891b55e6a2fb874535fa77225684b3a5c8ee8",
+            "9ddcd6ffd3a3122e8e4752aa46558d1c936182a9499f36736552a557160362e0",
+        )
+
+    def test_federated_rounds_pinned(self):
+        if _blas_probe() != PINNED_BLAS_PROBE:
+            pytest.skip("pinned digests were captured under another BLAS")
+        builder = FederatedSession(FederationConfig()).builder
+        net = builder()
+        params = flatten_params(builder())
+        rng = np.random.default_rng(32)
+        losses = []
+        for _ in range(3):
+            net.reset_optimizer()
+            assign_params(net, params)
+            losses += [net.train_batch(*_mnist_batch(rng, 4)) for _ in range(2)]
+            params = flatten_params(net)
+        assert _run_digests(losses, net) == (
+            "5acb0462cd2f3ae04168de4577c6b41ba301225975347d7eee8a00121a2aa4c5",
+            "5136856bdc180ff5524180687335aba1a5508e3973a4589374c4f90752c41e79",
+        )
 
 
 class TestWeights:

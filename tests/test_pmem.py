@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import tracemalloc
 
 import pytest
@@ -136,6 +137,59 @@ class TestDurability:
         snap = dev.snapshot()
         assert snap[:4] == b"keep"
         assert snap[10:14] == b"\x00" * 4
+
+
+def _vm_rss_kib() -> int:
+    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1])
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+class TestLazyImages:
+    """Both images are zeroed on first touch: a device costs nothing
+    until it is stored to, and its far end behaves like its near end."""
+
+    SIZE = 256 << 20
+
+    def test_construction_is_not_resident(self):
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        before = _vm_rss_kib()
+        dev = make_device(self.SIZE)
+        grown = _vm_rss_kib() - before
+        assert dev.size == self.SIZE
+        assert grown < 16 << 10  # KiB: < 16 MiB for a 256 MiB device
+
+    @staticmethod
+    def _line_story(dev: PersistentMemoryDevice, addr: int) -> list:
+        """Every observable of a store / flush / crash / image round trip
+        on the cache line at ``addr``."""
+        line = 64
+        seen = [dev.read(addr, line), dev.durable_read(addr, line)]
+        dev.write(addr, b"a" * line)
+        seen += [dev.read(addr, line), dev.durable_read(addr, line)]
+        seen.append(dev.flush(addr, line))
+        seen.append(dev.durable_read(addr, line))
+        dev.write(addr, b"b" * line)
+        dev.crash()
+        seen.append(dev.read(addr, line))
+        image = dev.snapshot()
+        seen.append(image[addr : addr + line])
+        dev.write(addr, b"c" * line)
+        dev.load_image(image)
+        seen += [dev.read(addr, line), dev.dirty_bytes]
+        return seen
+
+    def test_last_line_behaves_like_the_first(self):
+        dev = make_device(self.SIZE)
+        first = self._line_story(dev, 0)
+        last = self._line_story(dev, self.SIZE - 64)
+        assert first == last
+        assert first == [
+            b"\x00" * 64, b"\x00" * 64, b"a" * 64, b"\x00" * 64, 1,
+            b"a" * 64, b"a" * 64, b"a" * 64, b"a" * 64, 0,
+        ]
 
 
 class TestCosts:
