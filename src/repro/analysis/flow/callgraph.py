@@ -39,7 +39,7 @@ class CallGraph:
     def _index_function(self, fn: FunctionInfo) -> None:
         sites: List[CallSite] = []
         env = self.project.local_env(fn)
-        for node in ast.walk(fn.node):
+        for node in fn.walk():
             if not isinstance(node, ast.Call):
                 continue
             callees = self.project.resolve_callees(fn, node, env)

@@ -39,6 +39,16 @@ class FunctionInfo:
     src: ModuleSource
     owner: Optional["ClassInfo"] = None
     parent: Optional["FunctionInfo"] = None
+    _nodes: Optional[List[ast.AST]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def walk(self) -> List[ast.AST]:
+        """``ast.walk(self.node)``, listed once: the fixpoints re-walk
+        every function many times."""
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.node))
+        return self._nodes
 
     @property
     def params(self) -> List[str]:
@@ -218,7 +228,7 @@ class Project:
                 for a, t in self._annotated_params(method)
                 if t is not None
             }
-            for node in ast.walk(method.node):
+            for node in method.walk():
                 if not isinstance(node, ast.Assign):
                     continue
                 for target in node.targets:
@@ -329,7 +339,7 @@ class Project:
             while changed and sweeps < 3:
                 changed = False
                 sweeps += 1
-                for node in ast.walk(fn.node):
+                for node in fn.walk():
                     target: Optional[ast.expr] = None
                     value: Optional[ast.expr] = None
                     if isinstance(node, ast.Assign) and len(node.targets) == 1:

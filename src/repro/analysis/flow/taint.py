@@ -172,7 +172,7 @@ class TaintAnalysis:
         returns_taint = False
         taint_params: Set[int] = set()
         sink_params: Dict[int, SinkPath] = {}
-        for node in ast.walk(fn.node):
+        for node in fn.walk():
             if isinstance(node, ast.Return) and node.value is not None:
                 got = self._eval(node.value, fn, labels)
                 if TAINTED in got:
@@ -196,7 +196,7 @@ class TaintAnalysis:
             labels[name] = frozenset({_param_label(index)})
         statements = [
             s
-            for s in ast.walk(fn.node)
+            for s in fn.walk()
             if isinstance(s, (ast.Assign, ast.AnnAssign, ast.AugAssign))
         ]
         for _ in range(4):
@@ -400,7 +400,7 @@ class TaintAnalysis:
 
     def _check_function(self, fn: FunctionInfo) -> Iterator[Finding]:
         labels = self._propagate(fn)
-        for node in ast.walk(fn.node):
+        for node in fn.walk():
             if not isinstance(node, ast.Call):
                 continue
             sink = self._sink_name(fn, node)

@@ -121,7 +121,6 @@ UNTRUSTED_MODULES = (
     "repro.faults.protocol",
     "repro.faults.workload",
     "repro.faults.explorer",
-    "repro.faults.mutations",
     # Inference gateway tier: handles only sealed bytes, so batching,
     # admission, and replica scheduling stay outside the enclave TCB.
     "repro.serving.gateway",

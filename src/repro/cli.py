@@ -215,18 +215,7 @@ def _cmd_crashtest(args: argparse.Namespace) -> int:
         workloads=tuple(args.workload or WORKLOADS),
         flight_dir=args.flight_dir,
     )
-    if args.mutate:
-        from repro.faults.mutations import apply_mutant
-
-        try:
-            mutant = apply_mutant(args.mutate)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        with mutant:
-            report = explore(config)
-    else:
-        report = explore(config)
+    report = explore(config)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -439,13 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(WORKLOADS),
         default=None,
         help="restrict to one workload (repeatable; default: all four)",
-    )
-    crashtest.add_argument(
-        "--mutate",
-        metavar="NAME",
-        default=None,
-        help="run under a deliberately broken variant (self-validation); "
-        "the run must then FAIL",
     )
     crashtest.add_argument(
         "--list-sites",

@@ -10,9 +10,11 @@ single-machine crash model lifted to a named cluster member.
 
 ``open_region`` / ``format_region`` are the substrate's region attach
 points.  Every substrate boot goes through them, which gives the
-self-validation mutants one seam to break recovery at
-(``host-reboot-skip-recovery`` in :mod:`repro.faults.mutations`) and the
-``cluster.host_kill`` barrier a per-host owner.
+source-mutant corpus one seam to break recovery at (the
+``host-reboot-skip-recovery`` row of ``tests/mutants.py``, scored into
+``tests/fixtures/golden/kill_matrix.json`` by
+``python -m tests.mutants``) and the ``cluster.host_kill`` barrier a
+per-host owner.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Layering note: instrumented modules (``repro.hw.pmem`` and friends)
 import :mod:`repro.faults.plan` at module scope, so this package
 initializer must stay dependency-light — it re-exports only the plan
-and registry halves eagerly.  The explorer/workload/mutation machinery
+and registry halves eagerly.  The explorer/workload machinery
 (which imports ``repro.core`` and would create an import cycle through
 the instrumented modules) is loaded lazily on first attribute access.
 """
@@ -51,8 +51,6 @@ _LAZY = {
     "Workload": "repro.faults.protocol",
     "GoldenRun": "repro.faults.protocol",
     "ReplayOutcome": "repro.faults.protocol",
-    "MUTANTS": "repro.faults.mutations",
-    "apply_mutant": "repro.faults.mutations",
 }
 
 

@@ -259,18 +259,18 @@ class PersistentMemoryDevice:
         addr: int,
         length: int,
         instruction: FlushInstruction = FlushInstruction.CLFLUSHOPT,
-    ) -> int:
+    ) -> None:
         """Flush the cache lines covering ``[addr, addr+length)``.
 
-        Returns the number of dirty cache lines that were actually
-        written back.  Clean lines still pay the flush-instruction cost
-        (as on real hardware for CLFLUSH/CLFLUSHOPT, which evict
-        unconditionally).
+        Only dirty bytes reach the media (``stats["media_bytes"]``);
+        every covered line, clean or dirty, pays the flush-instruction
+        cost (as on real hardware for CLFLUSH/CLFLUSHOPT, which evict
+        unconditionally) and counts in ``stats["flushes"]``.
         """
         torn = self._fault("flush")
         self._check_range(addr, length)
         if length == 0:
-            return 0
+            return
         line_start = (addr // CACHE_LINE) * CACHE_LINE
         line_end = -(-(addr + length) // CACHE_LINE) * CACHE_LINE
         line_end = min(line_end, self.size)
@@ -302,8 +302,6 @@ class PersistentMemoryDevice:
         self.clock.advance(
             nlines * per_line + dirty_bytes / self.cost.write_bandwidth
         )
-        dirty_lines = -(-dirty_bytes // CACHE_LINE) if dirty_bytes else 0
-        return dirty_lines
 
     def _torn_flush(self, line_start: int, line_end: int,
                     dirty_bytes: int, torn) -> None:

@@ -119,23 +119,6 @@ MUTANTS = (
         "other flight-ring append holds",
     ),
     Mutant(
-        name="recorder-unlocked-new-field",
-        path="repro/obs/recorder.py",
-        old=(
-            "        self.counters.add(name, value)\n"
-            "        with self._lock:\n"
-            '            self.flight.add("count", name, value)\n'
-        ),
-        new=(
-            "        self.counters.add(name, value)\n"
-            "        self.last_count = (name, value)\n"
-            "        with self._lock:\n"
-            '            self.flight.add("count", name, value)\n'
-        ),
-        defect="a field no method ever locks is written in count: a race "
-        "only once a second thread records, which nothing in src/ starts",
-    ),
-    Mutant(
         name="checkpoint-plaintext-via-helper",
         path="repro/core/checkpoint.py",
         old=(
@@ -263,6 +246,128 @@ MUTANTS = (
         new="                    # repro: noqa[PM001]\n",
         defect="a suppression directive loses its rationale, leaving an "
         "undocumented escape hatch",
+    ),
+    Mutant(
+        name="commit-idle-before-copy",
+        path="repro/romulus/transaction.py",
+        old=(
+            "        # Fence 3: main is durable and consistent -> advertise"
+            " COPYING.\n"
+            "        region.set_state(RegionState.COPYING)\n"
+            "        # Copy modified ranges main -> back, with interposed"
+            " flushes.\n"
+            "        for start, end in self.log.ranges():\n"
+            "            device.copy_within(\n"
+            "                region.main_base + start, region.back_base + start,"
+            " end - start\n"
+            "            )\n"
+            "            device.flush(region.back_base + start, end - start,"
+            " instr)\n"
+            "            self._charge_memory_overhead(end - start)\n"
+        ),
+        new="",
+        defect="commit skips the COPYING advertisement and the main-to-back "
+        "twin copy, so the durable snapshot silently goes stale",
+    ),
+    Mutant(
+        name="recovery-skip-restore",
+        path="repro/romulus/region.py",
+        old=(
+            "        if found is RegionState.MUTATING:\n"
+            "            # Main may be inconsistent: restore from back.\n"
+            "            self.device.copy_within(\n"
+            "                self.back_base, self.main_base, self.main_size\n"
+            "            )\n"
+            "            self.device.flush(\n"
+            "                self.main_base, self.main_size,"
+            " self.flush_instruction\n"
+            "            )\n"
+            "            if self.flush_instruction.needs_fence:\n"
+            "                self.fence()\n"
+            "            self.set_state(RegionState.IDLE)\n"
+            "        elif found is RegionState.COPYING:\n"
+            "            # Main is consistent: redo the copy to back (log is"
+            " gone).\n"
+            "            self.device.copy_within(\n"
+            "                self.main_base, self.back_base, self.main_size\n"
+            "            )\n"
+            "            self.device.flush(\n"
+            "                self.back_base, self.main_size,"
+            " self.flush_instruction\n"
+            "            )\n"
+            "            if self.flush_instruction.needs_fence:\n"
+            "                self.fence()\n"
+            "            self.set_state(RegionState.IDLE)\n"
+        ),
+        new=(
+            "        if found is not RegionState.IDLE:\n"
+            "            self.set_state(RegionState.IDLE)\n"
+        ),
+        defect="recovery acknowledges the crash but restores nothing, "
+        "trusting a possibly half-mutated main twin",
+    ),
+    Mutant(
+        name="reuse-iv",
+        path="repro/crypto/engine.py",
+        old="        iv = self._rand(IV_SIZE)\n",
+        new='        iv = b"\\x42" * IV_SIZE\n',
+        defect="every sealed record shares one constant AES-GCM IV",
+    ),
+    Mutant(
+        name="no-mac-check",
+        path="repro/crypto/engine.py",
+        old="        self._aead = self.backend.bind(self.key)\n",
+        new=(
+            "        self._aead = self.backend.bind(self.key)\n"
+            "        from repro.crypto.backend import IntegrityError\n"
+            "\n"
+            "        strict = self._aead.decrypt\n"
+            "        strict_into = self._aead.decrypt_into\n"
+            "\n"
+            '        def lax(iv, ciphertext, tag, aad=b""):\n'
+            "            try:\n"
+            "                return strict(iv, ciphertext, tag, aad)\n"
+            "            except IntegrityError:\n"
+            "                return bytes(len(ciphertext))\n"
+            "\n"
+            '        def lax_into(iv, ciphertext, tag, out, aad=b""):\n'
+            "            try:\n"
+            "                return strict_into(iv, ciphertext, tag, out, aad)\n"
+            "            except IntegrityError:\n"
+            "                n = len(ciphertext)\n"
+            "                out[:n] = bytes(n)\n"
+            "                return n\n"
+            "\n"
+            "        self._aead.decrypt = lax\n"
+            "        self._aead.decrypt_into = lax_into\n"
+        ),
+        defect="authentication failures are swallowed and zero-filled "
+        "plaintext is returned in place of an IntegrityError",
+    ),
+    Mutant(
+        name="host-reboot-skip-recovery",
+        path="repro/cluster/host.py",
+        old="        return RomulusRegion.open(self.pm)\n",
+        new=(
+            '        main_size = int.from_bytes(self.pm.read(16, 8), "little")\n'
+            "        return RomulusRegion(self.pm, main_size)\n"
+        ),
+        defect="a host reboot maps its region without Romulus recovery, so "
+        "a mid-transaction crash leaves main half-mutated and trusted",
+    ),
+    Mutant(
+        name="fed-commit-before-durable",
+        path="repro/federated/coordinator.py",
+        old=(
+            "        self._commit_round(result, payloads)\n"
+            "        self._ack_round(result)\n"
+        ),
+        new=(
+            "        self._ack_round(result)\n"
+            "        self._commit_round(result, payloads)\n"
+        ),
+        defect="a federated round is acknowledged before its Merkle root "
+        "and sealed merged parameters are durable",
     ),
 )
 

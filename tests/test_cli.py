@@ -124,23 +124,6 @@ class TestCrashtest:
         names = {w["name"] for w in doc["workloads"]}
         assert names == {"train"}
 
-    def test_mutant_run_fails_with_exit_one(self, capsys):
-        # Self-validation: a deliberately broken variant must fail.
-        rc = main(
-            ["crashtest", "--samples", "6", "--seed", "1",
-             "--workload", "train", "--mutate", "reuse-iv",
-             "--format", "json"]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is False
-        assert doc["violations"]
-
-    def test_unknown_mutant_exits_two(self, capsys):
-        rc = main(["crashtest", "--mutate", "nope"])
-        assert rc == 2
-        assert "unknown mutant" in capsys.readouterr().err
-
     def test_list_sites_prints_registry(self, capsys):
         assert main(["crashtest", "--list-sites"]) == 0
         out = capsys.readouterr().out

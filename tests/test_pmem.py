@@ -85,11 +85,16 @@ class TestDurability:
         dev.crash()
         assert dev.read(0, 64) == b"A" * 64  # old durable value
 
-    def test_flush_returns_dirty_line_count(self):
+    def test_flush_writes_back_only_dirty_bytes(self):
         dev = make_device()
-        dev.write(0, b"A" * 128)
-        assert dev.flush(0, 128) == 2
-        assert dev.flush(0, 128) == 0  # now clean
+        dev.write(0, b"a")
+        dev.write(64, b"b")
+        dev.flush(0, 128)
+        assert dev.stats["media_bytes"] == 2
+        assert dev.stats["flushes"] == 2
+        dev.flush(0, 128)  # now clean: two more line flushes, no media write
+        assert dev.stats["media_bytes"] == 2
+        assert dev.stats["flushes"] == 4
 
     def test_crash_count(self):
         dev = make_device()
@@ -169,7 +174,9 @@ class TestLazyImages:
         seen = [dev.read(addr, line), dev.durable_read(addr, line)]
         dev.write(addr, b"a" * line)
         seen += [dev.read(addr, line), dev.durable_read(addr, line)]
-        seen.append(dev.flush(addr, line))
+        media = dev.stats["media_bytes"]
+        dev.flush(addr, line)
+        seen.append(dev.stats["media_bytes"] - media)
         seen.append(dev.durable_read(addr, line))
         dev.write(addr, b"b" * line)
         dev.crash()
@@ -187,7 +194,7 @@ class TestLazyImages:
         last = self._line_story(dev, self.SIZE - 64)
         assert first == last
         assert first == [
-            b"\x00" * 64, b"\x00" * 64, b"a" * 64, b"\x00" * 64, 1,
+            b"\x00" * 64, b"\x00" * 64, b"a" * 64, b"\x00" * 64, 64,
             b"a" * 64, b"a" * 64, b"a" * 64, b"a" * 64, 0,
         ]
 
