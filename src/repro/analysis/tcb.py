@@ -69,6 +69,7 @@ UNTRUSTED_MODULES = (
     "repro.data.mnist",
     "repro.hw.intervals",
     "repro.hw.pmem",
+    "repro.hw.undo",
     "repro.hw.ssd",
     "repro.hw.dram",
     "repro.hw.fio",

@@ -94,9 +94,12 @@ class _BufferJob:
     #: parameter array an unseal overwrites (``None`` when that array
     #: is not plainly overwritable in place).
     plain: Optional[memoryview]
-    #: The buffer's PM slot, or DRAM staging when the slot does not fit.
-    sealed: Union[memoryview, bytearray]
+    #: The buffer's PM slot, or DRAM staging when the slot does not fit;
+    #: ``None`` for a seal into ``slot``, staged just before it runs.
+    sealed: Union[memoryview, bytearray, None]
     in_place: bool = True
+    #: Main-twin offset of the slot a seal writes in place.
+    slot: int = 0
     #: Owner of an unseal target that must go through ``set_parameter``.
     layer: Any = None
 
@@ -259,9 +262,10 @@ class MirrorModule:
         """One job per parameter buffer, in rows matching ``layout``.
 
         A buffer whose PM slot has the expected sealed size is sealed in
-        place through a writable staging view; on any shape mismatch it
-        is staged in DRAM instead and the write phase raises the
-        structural error.
+        place, through a writable staging view :meth:`_run_job` takes
+        just before the seal (staging saves the slot's pre-image, which
+        is then still hot); on any shape mismatch it is staged in DRAM
+        instead and the write phase raises the structural error.
         """
         rows: List[List[_BufferJob]] = []
         for layer in network.layers:
@@ -274,19 +278,14 @@ class MirrorModule:
                 contig = np.ascontiguousarray(arr, np.float32)
                 sealed_size = contig.nbytes + SEAL_OVERHEAD
                 in_place = i < len(refs) and refs[i][0] == sealed_size
-                if in_place:
-                    # repro: noqa[PM001] -- seal-in-place protocol: the write
-                    # phase accounts this exact range via tx.write_prefilled
-                    sealed = self.region.staging_view(refs[i][1], sealed_size)
-                else:
-                    sealed = bytearray(sealed_size)
                 row.append(
                     _BufferJob(
                         name=name,
                         nbytes=contig.nbytes,
                         plain=memoryview(contig).cast("B"),
-                        sealed=sealed,
+                        sealed=None if in_place else bytearray(sealed_size),
                         in_place=in_place,
+                        slot=refs[i][1] if in_place else 0,
                     )
                 )
             rows.append(row)
@@ -301,7 +300,14 @@ class MirrorModule:
                 job.name, np.frombuffer(plaintext, dtype=np.float32)
             )
         elif seal:
-            self.engine.seal_into(job.plain, job.sealed, aad=aad)
+            sealed = job.sealed
+            if sealed is None:
+                # repro: noqa[PM001] -- seal-in-place protocol: the write
+                # phase accounts this exact range via tx.write_prefilled
+                sealed = self.region.staging_view(
+                    job.slot, job.nbytes + SEAL_OVERHEAD
+                )
+            self.engine.seal_into(job.plain, sealed, aad=aad)
         else:
             self.engine.unseal_from(job.sealed, job.plain, aad=aad)
 

@@ -21,6 +21,7 @@ from repro.faults.plan import (
     InjectedLinkDrop,
     NullFaultPlan,
     TornFlush,
+    UnfencedFence,
     flip_bit,
     get_active_plan,
     install_plan,
@@ -34,6 +35,7 @@ from repro.faults.registry import (
     FLIP,
     SITES,
     TORN,
+    UNFENCED,
     FaultSite,
     UnknownSiteError,
     crashable_sites,

@@ -19,12 +19,21 @@ failing schedule, which is almost always the easiest one to debug.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultSpec
-from repro.faults.registry import ABORT, CRASH, DROP, FLIP, SITES, TORN
+from repro.faults.registry import (
+    ABORT,
+    CRASH,
+    DROP,
+    FLIP,
+    SITES,
+    TORN,
+    UNFENCED,
+)
 from repro.faults.workload import (
     WORKLOADS,
     GoldenRun,
@@ -36,6 +45,9 @@ from repro.faults.workload import (
 #: position modulo the record length, so the large prime lands at an
 #: effectively arbitrary spot in ciphertext/IV/MAC across record sizes.
 DEFAULT_FLIP_BITS: Tuple[int, ...] = (0, 100_003)
+
+#: Persistence policies an UNFENCED point is replayed under.
+UNFENCED_POLICIES: Tuple[str, ...] = ("none", "all", "newest", "subset:1")
 
 #: Replay budget for shrinking one violation.
 SHRINK_BUDGET = 6
@@ -215,6 +227,13 @@ def _specs_for_site(
         for hit in _strided_hits(total_hits, min(cap, 3)):
             for bit in config.flip_bits:
                 out.append(FaultSpec(site_name, hit, FLIP, bit=bit))
+    if site.supports(UNFENCED):
+        # Every fence: which lines are pending differs at each one.
+        for hit in range(1, total_hits + 1):
+            for landed in UNFENCED_POLICIES:
+                out.append(
+                    FaultSpec(site_name, hit, UNFENCED, landed=landed)
+                )
     return out
 
 
@@ -273,9 +292,7 @@ def _shrink(
         }
     )[:SHRINK_BUDGET]
     for hit in candidates:
-        smaller = FaultSpec(
-            spec.site, hit, spec.kind, bit=spec.bit, fraction=spec.fraction
-        )
+        smaller = dataclasses.replace(spec, hit=hit)
         outcome = workload.replay(smaller)
         if outcome.violations:
             return smaller, outcome, spec

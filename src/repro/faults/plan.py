@@ -43,6 +43,7 @@ from repro.faults.registry import (
     DROP,
     FLIP,
     TORN,
+    UNFENCED,
     require_site,
 )
 
@@ -53,6 +54,8 @@ __all__ = [
     "InjectedEcallAbort",
     "InjectedLinkDrop",
     "TornFlush",
+    "UnfencedFence",
+    "parse_landed",
     "NullFaultPlan",
     "NULL_PLAN",
     "ACTIVE",
@@ -82,13 +85,30 @@ class InjectedLinkDrop(InjectedFault):
     """The in-flight link message was lost; the sender may retry."""
 
 
+def parse_landed(policy: str) -> Tuple[str, int]:
+    """An UNFENCED persistence policy: which pending write-backs reached
+    the media — ``none``, ``all``, ``newest`` (only the newest flush's
+    lines) or ``subset:<seed>`` (lines drawn from the seed).  Returns
+    ``(kind, seed)``: ``"subset:7"`` -> ``("subset", 7)``."""
+    kind, _, seed = policy.partition(":")
+    if kind == "subset" and seed.isdigit():
+        return kind, int(seed)
+    if policy in ("none", "all", "newest"):
+        return policy, 0
+    raise ValueError(
+        "landed policy must be none, all, newest or subset:<seed>, "
+        f"got {policy!r}"
+    )
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault coordinate: fire ``kind`` at hit ``hit`` of ``site``.
 
     ``hit`` is 1-based: ``hit=1`` fires at the first time the site is
     reached.  ``bit`` selects the flipped bit for FLIP faults;
-    ``fraction`` bounds how much of a torn flush persists.
+    ``fraction`` bounds how much of a torn flush persists; ``landed``
+    names the UNFENCED persistence policy (:func:`parse_landed`).
     """
 
     site: str
@@ -96,6 +116,7 @@ class FaultSpec:
     kind: str = CRASH
     bit: int = 0
     fraction: float = 0.5
+    landed: str = "all"
 
     def __post_init__(self) -> None:
         site = require_site(self.site)
@@ -110,6 +131,7 @@ class FaultSpec:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
         if self.bit < 0:
             raise ValueError(f"bit index must be >= 0, got {self.bit}")
+        parse_landed(self.landed)
 
     def describe(self) -> str:
         extra = ""
@@ -117,27 +139,51 @@ class FaultSpec:
             extra = f" bit={self.bit}"
         elif self.kind == TORN:
             extra = f" fraction={self.fraction}"
+        elif self.kind == UNFENCED:
+            extra = f" landed={self.landed}"
         return f"{self.kind}@{self.site}#{self.hit}{extra}"
 
 
-class TornFlush:
-    """Returned by ``check("pm.flush")`` when a TORN fault fires.
+class _PowerFail:
+    """A fault the PM device carries out itself before power fails.
 
-    The PM device persists dirty cache lines only until the byte budget
-    implied by ``fraction`` is exhausted, then calls :meth:`crash` —
-    which latches the owning plan and raises :class:`InjectedCrash`.
+    The device shapes what reached the media, then calls :meth:`crash`
+    — which latches the owning plan and raises :class:`InjectedCrash`.
     """
 
-    __slots__ = ("fraction", "_plan", "spec")
+    __slots__ = ("_plan", "spec")
 
     def __init__(self, plan: "CrashSchedulePlan", spec: FaultSpec) -> None:
-        self.fraction = spec.fraction
         self._plan = plan
         self.spec = spec
 
     def crash(self) -> None:
         self._plan._latched = True
         raise InjectedCrash(self.spec.describe())
+
+
+class TornFlush(_PowerFail):
+    """Returned by ``check("pm.flush")`` when a TORN fault fires: the
+    device persists dirty cache lines only until the byte budget implied
+    by ``fraction`` is exhausted."""
+
+    __slots__ = ()
+
+    @property
+    def fraction(self) -> float:
+        return self.spec.fraction
+
+
+class UnfencedFence(_PowerFail):
+    """Returned by ``check("pm.fence")`` when an UNFENCED fault fires:
+    power fails before the fence, and the ``landed`` policy picks which
+    pending write-backs reached the media."""
+
+    __slots__ = ()
+
+    @property
+    def landed(self) -> str:
+        return self.spec.landed
 
 
 def flip_bit(payload: bytes, bit: int) -> bytes:
@@ -310,6 +356,8 @@ class CrashSchedulePlan(BaseFaultPlan):
             raise InjectedCrash(spec.describe())
         if spec.kind == TORN:
             return TornFlush(self, spec)
+        if spec.kind == UNFENCED:
+            return UnfencedFence(self, spec)
         if spec.kind == ABORT:
             raise InjectedEcallAbort(spec.describe())
         if spec.kind == DROP:

@@ -18,7 +18,8 @@ Two calling conventions exist, recorded as the site's ``api``:
 
 ``check``
     ``ACTIVE.check(site)`` — may raise an injected fault or return a
-    torn-write action; the site carries no payload.
+    power-fail action (a torn flush, an unfenced fence); the site
+    carries no payload.
 ``mutate``
     ``ACTIVE.mutate(site, payload)`` — the site hands its payload
     (sealed bytes, an IV) to the plan, which may return a tampered
@@ -36,8 +37,9 @@ TORN = "torn"  #: partial persistence of a flush, then a crash
 ABORT = "abort"  #: SGX ecall/ocall returns an error to the host
 DROP = "drop"  #: the in-flight link message is lost
 FLIP = "flip"  #: a single bit of the site's payload is flipped
+UNFENCED = "unfenced"  #: power fails at a fence with write-backs pending
 
-ALL_KINDS = (CRASH, TORN, ABORT, DROP, FLIP)
+ALL_KINDS = (CRASH, TORN, ABORT, DROP, FLIP, UNFENCED)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,10 @@ SITES: Dict[str, FaultSite] = {
         _site("pm.flush", "hw", (CRASH, TORN), "check",
               "before a CLFLUSH/CLFLUSHOPT writes dirty lines back; "
               "TORN persists only a prefix of the dirty lines"),
-        _site("pm.fence", "hw", (CRASH,), "check",
-              "before an SFENCE orders prior flushes"),
+        _site("pm.fence", "hw", (CRASH, UNFENCED), "check",
+              "before an SFENCE makes pending write-backs durable; "
+              "UNFENCED fails power there and its policy picks which "
+              "pending lines landed"),
         _site("ssd.write", "hw", (CRASH,), "check",
               "before a buffered SSD write reaches the page cache"),
         _site("ssd.fsync", "hw", (CRASH,), "check",

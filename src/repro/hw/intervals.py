@@ -25,6 +25,14 @@ class IntervalSet:
         self._starts: List[int] = []
         self._ends: List[int] = []
 
+    @classmethod
+    def of(cls, intervals) -> "IntervalSet":
+        """The set covering every ``(start, end)`` of ``intervals``."""
+        out = cls()
+        for a, b in intervals:
+            out.add(a, b)
+        return out
+
     def __len__(self) -> int:
         return len(self._starts)
 
@@ -67,13 +75,23 @@ class IntervalSet:
         # Find the window of existing intervals that touch or overlap
         # [start, end).  An interval [a, b) touches iff a <= end and
         # b >= start.
-        lo = bisect.bisect_left(self._ends, start)
-        hi = bisect.bisect_right(self._starts, end)
-        if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
-        self._starts[lo:hi] = [start]
-        self._ends[lo:hi] = [end]
+        starts, ends = self._starts, self._ends
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
+        if lo == hi:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            return
+        if starts[lo] < start:
+            start = starts[lo]
+        if ends[hi - 1] > end:
+            end = ends[hi - 1]
+        if hi - lo == 1:
+            starts[lo] = start
+            ends[lo] = end
+            return
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
 
     def remove(self, start: int, end: int) -> None:
         """Remove ``[start, end)`` from the covered set."""
@@ -104,16 +122,37 @@ class IntervalSet:
         """Intervals of the intersection with ``[start, end)``."""
         if start >= end:
             return []
-        lo = bisect.bisect_right(self._ends, start)
-        hi = bisect.bisect_left(self._starts, end)
+        starts, ends = self._starts, self._ends
+        lo = bisect.bisect_right(ends, start)
+        hi = bisect.bisect_left(starts, end)
+        if lo >= hi:
+            return []
+        # Every interval in the window overlaps: a < end and b > start.
+        if hi - lo == 1:
+            a, b = starts[lo], ends[lo]
+            return [(a if a > start else start, b if b < end else end)]
+        out = list(zip(starts[lo:hi], ends[lo:hi]))
+        if out[0][0] < start:
+            out[0] = (start, out[0][1])
+        if out[-1][1] > end:
+            out[-1] = (out[-1][0], end)
+        return out
+
+    def gaps(self, start: int, end: int) -> List[Interval]:
+        """Intervals of ``[start, end)`` that are *not* covered."""
         out: List[Interval] = []
-        for i in range(lo, hi):
-            a = max(self._starts[i], start)
-            b = min(self._ends[i], end)
-            if a < b:
-                out.append((a, b))
+        pos = start
+        for a, b in self.overlap(start, end):
+            if pos < a:
+                out.append((pos, a))
+            pos = b
+        if pos < end:
+            out.append((pos, end))
         return out
 
     def overlap_total(self, start: int, end: int) -> int:
         """Number of covered integers within ``[start, end)``."""
-        return sum(b - a for a, b in self.overlap(start, end))
+        total = 0
+        for a, b in self.overlap(start, end):
+            total += b - a
+        return total

@@ -1,33 +1,45 @@
 """Simulated byte-addressable persistent memory with cache semantics.
 
 The device models the persistence rules of real PM platforms (Section II
-of the paper):
+of the paper).  A cache line moves through three states:
 
-* CPU stores land in the (volatile) cache hierarchy.
-* CLFLUSH / CLFLUSHOPT / CLWB evict a cache line to the memory
-  controller's write-pending queue, which is inside the ADR persistence
-  domain — a flushed line survives power failure.
-* SFENCE orders stores/flushes; Romulus' correctness depends on it.
-* :meth:`PersistentMemoryDevice.crash` models a power failure: every
-  store that has not been flushed is discarded.
+* **dirty** — a CPU store landed in the (volatile) cache hierarchy;
+* **pending** — CLFLUSHOPT or CLWB wrote the line back to the memory
+  controller's write-pending queue.  Pending write-backs are unordered
+  among themselves: until the next SFENCE, any subset of them may have
+  reached the ADR persistence domain;
+* **durable** — :meth:`PersistentMemoryDevice.fence` (SFENCE) drains
+  every pending line to media.  CLFLUSH is strongly ordered and makes
+  its lines durable at once.
 
-The simulation keeps two byte images: ``_data`` is the current (cache +
-media) view used by reads, ``_durable`` is the media view restored by a
-crash.  A coalesced :class:`IntervalSet` records which ranges of ``_data``
-are dirty (cached but not yet flushed).  Both images are zeroed on first
-touch (fresh anonymous memory, not a memset), so constructing a device is
-O(1) and a device holds resident only the pages written to it.
+:meth:`PersistentMemoryDevice.crash` is a power failure under the
+default persistence policy: every dirty line is lost and every pending
+line lands.  The ``UNFENCED`` fault kind at ``pm.fence`` fails power
+with lines pending instead and lets its policy pick which write-backs
+landed (none, all, only the newest flush, or a seeded subset of lines).
+
+The device holds one byte image, ``_data``: what loads see.  The media
+view is ``_data`` overlaid with **undo pre-images**
+(:class:`~repro.hw.undo.PreImages`): the first store, staging view
+(:meth:`~PersistentMemoryDevice.volatile_view`) or ``copy_within`` that
+touches a clean or pending range saves the bytes the media may still
+hold there, and the next fence releases them.  So a crash writes back
+only the ranges stored or staged since they were last made durable, and
+the device holds resident only the pages written to it plus the
+pre-images of what is in flight.  Coalesced :class:`IntervalSet`\\ s
+record the dirty, staged and pending ranges.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import plan as faultplan
-from repro.hw.intervals import IntervalSet
+from repro.hw.intervals import Interval, IntervalSet
+from repro.hw.undo import PreImages
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CACHE_LINE, DeviceCostModel
 
@@ -97,8 +109,18 @@ class PersistentMemoryDevice:
         self.store_cost = store_cost
         self.load_cost = load_cost
         self._data = np.zeros(size, np.uint8)
-        self._durable = np.zeros(size, np.uint8)
+        self._view = memoryview(self._data)
+        self._undo = PreImages(size)
+        # Stored, not yet written back.
         self._dirty = IntervalSet()
+        # Placed through volatile_view and not yet accounted as a store:
+        # never written back, restored by a crash.
+        self._staged = IntervalSet()
+        # Written back by CLFLUSHOPT/CLWB since the last fence.
+        self._pending = IntervalSet()
+        # This fence epoch's write-backs, oldest first: (tag, spans).
+        self._flushes: List[Tuple[int, List[Interval]]] = []
+        self._flush_tag = 0
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
         # explicit drop_caches) leave the cache cold, which is what makes
@@ -133,6 +155,76 @@ class PersistentMemoryDevice:
         return None
 
     # ------------------------------------------------------------------
+    # Undo pre-images
+    # ------------------------------------------------------------------
+    def _save(self, start: int, end: int) -> None:
+        """Save what the media may hold over ``[start, end)`` before the
+        range is overwritten.  Bytes already stored or staged since they
+        were last written back hold nothing the media has."""
+        if self._dirty or self._staged:
+            for a, b in self._dirty.gaps(start, end):
+                for x, y in self._staged.gaps(a, b):
+                    self._save_clean(x, y)
+        elif self._pending:
+            self._save_clean(start, end)
+        else:
+            self._undo.save_base(self._view, start, end)
+
+    def _save_clean(self, start: int, end: int) -> None:
+        """:meth:`_save` over bytes that are clean or pending."""
+        pos = start
+        for a, b in self._pending.overlap(start, end):
+            if pos < a:
+                self._undo.save_base(self._view, pos, a)
+            self._save_flushed(a, b)
+            pos = b
+        if pos < end:
+            self._undo.save_base(self._view, pos, end)
+
+    def _save_flushed(self, start: int, end: int) -> None:
+        """A pending range is stored again: keep the value each of its
+        bytes was written back with, tagged with that write-back."""
+        todo = IntervalSet.of([(start, end)])
+        for tag, spans in reversed(self._flushes):
+            for a, b in spans:
+                for x, y in todo.overlap(a, b):
+                    self._undo.save_landed(tag, self._view, x, y)
+                    todo.remove(x, y)
+            if not todo:
+                return
+
+    def _overlay(self, out: memoryview, start: int, end: int) -> None:
+        """Write the default-policy media value of every stored or staged
+        byte in ``[start, end)`` into ``out`` (indexed from ``start``)."""
+        undo = self._undo
+        for a, b, slot, offset in undo.base_in(start, end):
+            for x, y in self._unflushed(a, b):
+                out[x - start : y - start] = undo.view(
+                    slot, offset + (x - a), y - x
+                )
+        # Pending bytes stored again: their newest write-back lands.
+        for _, la, lb, slot, offset in undo.landed:
+            for x, y in self._unflushed(max(la, start), min(lb, end)):
+                out[x - start : y - start] = undo.view(
+                    slot, offset + (x - la), y - x
+                )
+
+    def _unflushed(self, start: int, end: int) -> List[Interval]:
+        """The stored and the staged ranges within ``[start, end)``."""
+        return self._dirty.overlap(start, end) + self._staged.overlap(
+            start, end
+        )
+
+    def _forget(self) -> None:
+        """Drop every in-flight range: the media view is ``_data``."""
+        self._undo.clear()
+        self._dirty.clear()
+        self._staged.clear()
+        self._pending.clear()
+        self._flushes.clear()
+        self._hot.clear()
+
+    # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
     def _check_range(self, addr: int, length: int) -> None:
@@ -145,6 +237,8 @@ class PersistentMemoryDevice:
     def _account_store(self, addr: int, length: int) -> None:
         """Bookkeeping + simulated cost of a store (data already placed)."""
         self._dirty.add(addr, addr + length)
+        if self._staged:
+            self._staged.remove(addr, addr + length)
         self._hot.add(addr, addr + length)
         self.stats["stores"] += 1
         self.clock.recorder.count("pm.bytes_written", length)
@@ -173,8 +267,9 @@ class PersistentMemoryDevice:
         self._check_range(addr, len(data))
         if not data:
             return
+        self._save(addr, addr + len(data))
         # A memoryview target: no hidden temporary (see ``flush``).
-        memoryview(self._data)[addr : addr + len(data)] = data
+        self._view[addr : addr + len(data)] = data
         self._account_store(addr, len(data))
 
     def write_prefilled(self, addr: int, length: int) -> None:
@@ -189,6 +284,7 @@ class PersistentMemoryDevice:
         self._check_range(addr, length)
         if not length:
             return
+        self._save(addr, addr + length)
         self._account_store(addr, length)
 
     def volatile_view(self, addr: int, length: int) -> memoryview:
@@ -196,11 +292,17 @@ class PersistentMemoryDevice:
 
         Carries no simulated cost: durability and store cost are charged
         when the range is committed via :meth:`write_prefilled`.  The
-        view aliases live device memory and is invalidated by
-        :meth:`crash`; it must not outlive the current operation.
+        range's pre-image is saved here, so take the view just before
+        filling it.  The view aliases live device memory and is
+        invalidated by :meth:`crash`; it must not outlive the current
+        operation.
         """
         self._check_range(addr, length)
-        return memoryview(self._data)[addr : addr + length]
+        if length:
+            self._save(addr, addr + length)
+            for a, b in self._dirty.gaps(addr, addr + length):
+                self._staged.add(a, b)
+        return self._view[addr : addr + length]
 
     def read(self, addr: int, length: int) -> bytes:
         """Load ``length`` bytes from ``addr`` (sees cached stores).
@@ -210,7 +312,7 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        return bytes(memoryview(self._data)[addr : addr + length])
+        return bytes(self._view[addr : addr + length])
 
     def read_view(self, addr: int, length: int) -> memoryview:
         """Like :meth:`read`, returning a zero-copy readonly view.
@@ -221,7 +323,7 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        return memoryview(self._data)[addr : addr + length].toreadonly()
+        return self._view[addr : addr + length].toreadonly()
 
     def copy_within(self, src: int, dst: int, length: int) -> None:
         """``write(dst, read(src, length))`` without the intermediate
@@ -236,7 +338,8 @@ class PersistentMemoryDevice:
         self._check_range(dst, length)
         if not length:
             return
-        view = memoryview(self._data)
+        self._save(dst, dst + length)
+        view = self._view
         if abs(dst - src) < length:  # overlapping: copy via a bounce
             view[dst : dst + length] = bytes(view[src : src + length])
         else:
@@ -262,10 +365,12 @@ class PersistentMemoryDevice:
     ) -> None:
         """Flush the cache lines covering ``[addr, addr+length)``.
 
-        Only dirty bytes reach the media (``stats["media_bytes"]``);
+        Only dirty bytes are written back (``stats["media_bytes"]``);
         every covered line, clean or dirty, pays the flush-instruction
         cost (as on real hardware for CLFLUSH/CLFLUSHOPT, which evict
-        unconditionally) and counts in ``stats["flushes"]``.
+        unconditionally) and counts in ``stats["flushes"]``.  CLFLUSH
+        makes the written-back lines durable; CLFLUSHOPT and CLWB leave
+        them pending until the next :meth:`fence`.
         """
         torn = self._fault("flush")
         self._check_range(addr, length)
@@ -276,16 +381,13 @@ class PersistentMemoryDevice:
         line_end = min(line_end, self.size)
         nlines = (line_end - line_start) // CACHE_LINE
 
-        dirty_bytes = self._dirty.overlap_total(line_start, line_end)
-        # Through memoryviews on both sides: a slice copy per interval
-        # without building a numpy view for each slice.
-        data_view = memoryview(self._data)
-        durable_view = memoryview(self._durable)
+        spans = self._dirty.overlap(line_start, line_end)
+        dirty_bytes = 0
+        for a, b in spans:
+            dirty_bytes += b - a
         if torn is not None:
-            self._torn_flush(line_start, line_end, dirty_bytes, torn)
-        for a, b in self._dirty.overlap(line_start, line_end):
-            durable_view[a:b] = data_view[a:b]
-        self._dirty.remove(line_start, line_end)
+            self._torn_flush(spans, dirty_bytes, torn, instruction)
+        self._write_back(spans, instruction)
 
         per_line = (
             self.clflush_cost
@@ -303,9 +405,57 @@ class PersistentMemoryDevice:
             nlines * per_line + dirty_bytes / self.cost.write_bandwidth
         )
 
-    def _torn_flush(self, line_start: int, line_end: int,
-                    dirty_bytes: int, torn) -> None:
-        """Persist only a prefix of the dirty lines, then power-fail.
+    def _write_back(
+        self, spans: List[Interval], instruction: FlushInstruction
+    ) -> None:
+        """Write the lines holding dirty ``spans`` back: pending, or
+        durable at once for CLFLUSH.  A write-back carries its whole
+        line, so bytes of those lines still pending from an earlier
+        write-back ride along; staged bytes never do."""
+        if not spans:
+            return
+        pending = self._pending
+        for a, b in spans:
+            self._dirty.remove(a, b)
+        if not pending:
+            # Nothing rides along, and no byte has a landed pre-image.
+            if instruction is FlushInstruction.CLFLUSH:
+                self._undo.release_base(IntervalSet.of(spans))
+                return
+            for a, b in spans:
+                pending.add(a, b)
+            self._flush_tag += 1
+            self._flushes.append((self._flush_tag, spans))
+            return
+        for a, b in spans:
+            pending.add(a, b)
+        flushed: List[Interval] = []
+        done = 0
+        for a, b in spans:
+            lo = max(a // CACHE_LINE * CACHE_LINE, done)
+            done = min(-(-b // CACHE_LINE) * CACHE_LINE, self.size)
+            flushed += pending.overlap(lo, done)
+        if self._staged:
+            flushed = [
+                gap for a, b in flushed for gap in self._staged.gaps(a, b)
+            ]
+        if instruction is not FlushInstruction.CLFLUSH:
+            self._flush_tag += 1
+            self._flushes.append((self._flush_tag, flushed))
+            return
+        durable = IntervalSet.of(flushed)
+        self._undo.release_base(durable)
+        self._undo.release_landed(durable)
+        for a, b in flushed:
+            pending.remove(a, b)
+        self._flushes = [
+            (tag, [gap for a, b in earlier for gap in pending.overlap(a, b)])
+            for tag, earlier in self._flushes
+        ]
+
+    def _torn_flush(self, spans: List[Interval], dirty_bytes: int, torn,
+                    instruction: FlushInstruction) -> None:
+        """Write back only a prefix of the dirty lines, then power-fail.
 
         Tearing is cache-line granular: a line either reaches the media
         whole or not at all (real ADR platforms guarantee 8-byte store
@@ -315,26 +465,127 @@ class PersistentMemoryDevice:
         """
         budget = int(dirty_bytes * torn.fraction)
         persisted = 0
-        data_view = memoryview(self._data)
-        durable_view = memoryview(self._durable)
-        for a, b in self._dirty.overlap(line_start, line_end):
+        prefix: List[Interval] = []
+        for a, b in spans:
             pos = a
             while pos < b:
                 nxt = min(b, (pos // CACHE_LINE + 1) * CACHE_LINE)
                 if persisted + (nxt - pos) > budget:
+                    self._write_back(prefix, instruction)
                     torn.crash()
-                durable_view[pos:nxt] = data_view[pos:nxt]
+                if prefix and prefix[-1][1] == pos:
+                    prefix[-1] = (prefix[-1][0], nxt)
+                else:
+                    prefix.append((pos, nxt))
                 persisted += nxt - pos
                 pos = nxt
+        self._write_back(prefix, instruction)
         torn.crash()
 
     def fence(self) -> None:
-        """SFENCE: order preceding flushes (cost only; flushes here are
-        already modelled as immediately reaching the ADR domain)."""
-        self._fault("fence")
+        """SFENCE: every pending line becomes durable."""
+        unfenced = self._fault("fence")
+        if unfenced is not None:
+            self._unfenced_power_fail(unfenced)
+        if self._pending:
+            self._drain()
         self.stats["fences"] += 1
         self.clock.recorder.count("pm.fences")
         self.clock.advance(self.sfence_cost)
+
+    def _drain(self) -> None:
+        """Make every pending byte durable and release its pre-images."""
+        undo = self._undo
+        if not (self._dirty or self._staged):
+            # Nothing stored or staged since: every pre-image is pending.
+            undo.clear()
+            self._pending.clear()
+            self._flushes.clear()
+            return
+        # Stored again after its write-back: the newest written-back
+        # value becomes the media value under the new store.
+        for _, la, lb, slot, offset in undo.landed:
+            for x, y in self._unflushed(la, lb):
+                self._set_base(x, y, undo.view(slot, offset + (x - la), y - x))
+        undo.clear_landed()
+        durable = IntervalSet()
+        for a, b in self._pending:
+            for x, y in self._dirty.gaps(a, b):
+                for u, v in self._staged.gaps(x, y):
+                    durable.add(u, v)
+        undo.release_base(durable)
+        self._pending.clear()
+        self._flushes.clear()
+
+    def _set_base(self, start: int, end: int, value: memoryview) -> None:
+        """Overwrite the base pre-image of ``[start, end)`` with ``value``."""
+        undo = self._undo
+        for x, y, slot, offset in undo.base_in(start, end):
+            undo.view(slot, offset, y - x)[:] = value[x - start : y - start]
+
+    def _unfenced_power_fail(self, unfenced) -> None:
+        """Fail power at this fence with lines still pending.
+
+        ``unfenced.landed`` picks which write-backs reached the media;
+        every other pending byte keeps the value of the newest landed
+        write-back of it, or else its base pre-image.  The media view is
+        resolved into the base records and every pending byte is marked
+        for restore, so :meth:`crash` writes it back.  Always raises via
+        ``unfenced.crash()``.
+        """
+        undo = self._undo
+        data = self._view
+        for tag, spans in self._landed_spans(unfenced.landed):
+            for x, y in spans:
+                # A byte holds what this write-back carried until its next
+                # store, which saved it tagged with the newest write-back
+                # then: the earliest tag >= this one.  Bytes not stored
+                # since still hold it in the image.
+                self._set_base(x, y, data[x:y])
+                for ltag, la, lb, slot, offset in reversed(undo.landed):
+                    u, v = max(x, la), min(y, lb)
+                    if ltag >= tag and u < v:
+                        self._set_base(
+                            u, v, undo.view(slot, offset + (u - la), v - u)
+                        )
+        undo.clear_landed()
+        for a, b in self._pending:
+            for x, y in self._dirty.gaps(a, b):
+                self._staged.add(x, y)
+        self._pending.clear()
+        self._flushes.clear()
+        unfenced.crash()
+
+    def _landed_spans(self, policy: str) -> List[Tuple[int, List[Interval]]]:
+        """This epoch's write-backs that reached media under ``policy``,
+        oldest first, each as the byte spans of its landed lines."""
+        kind, seed = faultplan.parse_landed(policy)
+        flushes = self._flushes
+        if kind == "all":
+            return flushes
+        if kind == "newest":
+            return flushes[-1:]
+        if kind == "none":
+            return []
+        # A seeded coin per cache line of each write-back.
+        rng = np.random.default_rng(seed)
+        out = []
+        for tag, spans in flushes:
+            if not spans:
+                continue
+            first = spans[0][0] // CACHE_LINE
+            last = (spans[-1][1] - 1) // CACHE_LINE
+            lands = rng.random(last - first + 1) < 0.5
+            kept = IntervalSet()
+            for a, b in spans:
+                for line in range(a // CACHE_LINE, (b - 1) // CACHE_LINE + 1):
+                    if lands[line - first]:
+                        kept.add(
+                            max(a, line * CACHE_LINE),
+                            min(b, (line + 1) * CACHE_LINE),
+                        )
+            out.append((tag, list(kept)))
+        return out
 
     def persist(
         self,
@@ -351,10 +602,13 @@ class PersistentMemoryDevice:
     # Failure injection
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Power failure: discard every store not yet flushed."""
-        self._data[:] = self._durable
-        self._dirty.clear()
-        self._hot.clear()
+        """Power failure: discard every store not yet written back.
+
+        Every pending line lands (the ADR queue drains), so only the
+        stored and staged ranges are rolled back to their pre-images.
+        """
+        self._overlay(self._view, 0, self.size)
+        self._forget()
         self.crash_count += 1
 
     @property
@@ -369,11 +623,13 @@ class PersistentMemoryDevice:
         distinction without actually crashing.
         """
         self._check_range(addr, length)
-        return self._durable[addr : addr + length].tobytes()
+        out = bytearray(self._view[addr : addr + length])
+        self._overlay(memoryview(out), addr, addr + length)
+        return bytes(out)
 
     def snapshot(self) -> Optional[bytes]:
         """Durable image of the whole device (for spot-simulator hand-off)."""
-        return self._durable.tobytes()
+        return self.durable_read(0, self.size)
 
     def load_image(self, image: bytes) -> None:
         """Overwrite the device with a previously captured image.
@@ -389,7 +645,5 @@ class PersistentMemoryDevice:
             raise ValueError(
                 f"image is {len(image)} bytes, device is {self.size}"
             )
-        memoryview(self._durable)[:] = image
-        memoryview(self._data)[:] = image
-        self._dirty.clear()
-        self._hot.clear()
+        self._view[:] = image
+        self._forget()

@@ -1,0 +1,172 @@
+"""Undo pre-images for the simulated persistent-memory device.
+
+:class:`~repro.hw.pmem.PersistentMemoryDevice` keeps one byte image, the
+one loads see.  What the media holds differs from it only over ranges
+that were stored (or staged) and not yet made durable; for those the
+device saves the bytes the media may still hold here, before the range
+is first overwritten:
+
+* a **base** record per byte: the media value since the last time the
+  byte was clean — what survives if no pending write-back of it landed;
+* a **landed** record, tagged with the flush that wrote it, when a
+  flushed-but-unfenced byte is stored again: the value that survives if
+  that write-back landed.
+
+Records live in one lazily zeroed arena per device (``np.zeros``: the
+kernel zeroes a page on first touch), cut into 1 MiB slots.  A slot is
+filled front to back and goes back on a LIFO free list when its last
+live byte is released, so a device that saves and releases the same
+amount every fence keeps the same pages resident.  Both record lists are
+in save order: a store appends, and only the rarer paths (a crash, a
+media read, a CLFLUSH, a fence under a store) scan them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
+
+from repro.hw.intervals import IntervalSet
+
+#: Bytes per arena slot.
+SLOT = 1 << 20
+
+#: ``(start, end, slot, offset)``: device bytes ``[start, end)`` are
+#: saved at ``offset`` of arena slot ``slot``.
+Record = Tuple[int, int, int, int]
+
+
+class PreImages:
+    """Base and landed records of one device, over one slot arena."""
+
+    def __init__(self, size: int) -> None:
+        self._per_chunk = max(1, -(-size // SLOT))
+        self._chunks: List[memoryview] = []
+        self._free: List[int] = []
+        #: Live bytes of every slot in use.
+        self._live: Dict[int, int] = {}
+        self._cur = -1
+        self._pos = SLOT
+        self._grow()
+        #: Base records, disjoint.
+        self.base: List[Record] = []
+        #: Landed records: ``(tag, start, end, slot, offset)``.
+        self.landed: List[Tuple[int, int, int, int, int]] = []
+
+    # -- arena ---------------------------------------------------------
+    def _grow(self) -> None:
+        first = len(self._chunks) * self._per_chunk
+        self._chunks.append(
+            memoryview(np.zeros(self._per_chunk * SLOT, np.uint8))
+        )
+        self._free.extend(range(first + self._per_chunk - 1, first - 1, -1))
+
+    def _alloc(self, n: int) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(slot, offset, length)`` pieces covering ``n`` bytes."""
+        while n:
+            if self._pos == SLOT:
+                if not self._free:
+                    self._grow()
+                self._cur = self._free.pop()
+                self._live[self._cur] = 0
+                self._pos = 0
+            take = min(n, SLOT - self._pos)
+            self._live[self._cur] += take
+            yield self._cur, self._pos, take
+            self._pos += take
+            n -= take
+
+    def _release(self, slot: int, n: int) -> None:
+        live = self._live[slot] - n
+        if live:
+            self._live[slot] = live
+        elif slot == self._cur:
+            self._live[slot] = 0
+            self._pos = 0
+        else:
+            del self._live[slot]
+            self._free.append(slot)
+
+    def view(self, slot: int, offset: int, n: int) -> memoryview:
+        """Writable bytes ``[offset, offset + n)`` of arena slot ``slot``."""
+        chunk, index = divmod(slot, self._per_chunk)
+        base = index * SLOT + offset
+        return self._chunks[chunk][base : base + n]
+
+    def clear(self) -> None:
+        """Release every record."""
+        self.base.clear()
+        self.landed.clear()
+        self._free.extend(self._live)
+        self._live.clear()
+        self._cur = -1
+        self._pos = SLOT
+
+    # -- records -------------------------------------------------------
+    def save_base(self, data: memoryview, start: int, end: int) -> None:
+        """Save ``data[start:end]``, a range no base record covers."""
+        n = end - start
+        if self._pos + n <= SLOT:  # fits the current slot
+            slot, offset = self._cur, self._pos
+            self._pos += n
+            self._live[slot] += n
+            self.view(slot, offset, n)[:] = data[start:end]
+            self.base.append((start, end, slot, offset))
+            return
+        for slot, offset, n in self._alloc(n):
+            self.view(slot, offset, n)[:] = data[start : start + n]
+            self.base.append((start, start + n, slot, offset))
+            start += n
+
+    def save_landed(
+        self, tag: int, data: memoryview, start: int, end: int
+    ) -> None:
+        """Save ``data[start:end]`` as the value flush ``tag`` wrote."""
+        for slot, offset, n in self._alloc(end - start):
+            self.view(slot, offset, n)[:] = data[start : start + n]
+            self.landed.append((tag, start, start + n, slot, offset))
+            start += n
+
+    def base_in(self, start: int, end: int) -> Iterator[Record]:
+        """Base records clipped to ``[start, end)``."""
+        for a, b, slot, offset in self.base:
+            if a < end and b > start:
+                x = a if a > start else start
+                yield x, (b if b < end else end), slot, offset + (x - a)
+
+    def release_base(self, drop: IntervalSet) -> None:
+        """Drop the base records over the ranges of ``drop``."""
+        self.base = self._trimmed(self.base, drop, 0)
+
+    def release_landed(self, drop: IntervalSet) -> None:
+        """Drop the landed records over the ranges of ``drop``."""
+        if self.landed:
+            self.landed = self._trimmed(self.landed, drop, 1)
+
+    def clear_landed(self) -> None:
+        """Release every landed record."""
+        for _, a, b, slot, _ in self.landed:
+            self._release(slot, b - a)
+        self.landed = []
+
+    def _trimmed(self, records: list, drop: IntervalSet, at: int) -> list:
+        """``records`` less the ranges of ``drop``; ``at`` indexes each
+        record's ``start`` field (end, slot and offset follow it)."""
+        kept = []
+        for record in records:
+            a, b, slot, offset = record[at : at + 4]
+            cuts = drop.overlap(a, b)
+            if not cuts:
+                kept.append(record)
+                continue
+            head = record[:at]
+            pos = a
+            for x, y in cuts:
+                if pos < x:
+                    kept.append(head + (pos, x, slot, offset + (pos - a)))
+                self._release(slot, y - x)
+                pos = y
+            if pos < b:
+                kept.append(head + (pos, b, slot, offset + (pos - a)))
+        return kept

@@ -240,10 +240,10 @@ MUTANTS = (
         name="noqa-without-rationale",
         path="repro/core/mirror.py",
         old=(
-            "                    # repro: noqa[PM001] -- seal-in-place protocol:"
+            "                # repro: noqa[PM001] -- seal-in-place protocol:"
             " the write\n"
         ),
-        new="                    # repro: noqa[PM001]\n",
+        new="                # repro: noqa[PM001]\n",
         defect="a suppression directive loses its rationale, leaving an "
         "undocumented escape hatch",
     ),

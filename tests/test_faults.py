@@ -16,6 +16,7 @@ from repro.faults.plan import (
     InjectedLinkDrop,
     NullFaultPlan,
     TornFlush,
+    UnfencedFence,
     flip_bit,
     get_active_plan,
     install_plan,
@@ -28,6 +29,7 @@ from repro.faults.registry import (
     FLIP,
     SITES,
     TORN,
+    UNFENCED,
     UnknownSiteError,
     crashable_sites,
     require_site,
@@ -85,6 +87,10 @@ class TestFaultSpec:
             FaultSpec("crypto.unseal", 2, FLIP, bit=7).describe()
             == "flip@crypto.unseal#2 bit=7"
         )
+        assert (
+            FaultSpec("pm.fence", 4, UNFENCED, landed="subset:1").describe()
+            == "unfenced@pm.fence#4 landed=subset:1"
+        )
 
     def test_unknown_site_rejected(self):
         with pytest.raises(UnknownSiteError):
@@ -103,6 +109,9 @@ class TestFaultSpec:
             FaultSpec("pm.flush", 1, TORN, fraction=1.5)
         with pytest.raises(ValueError, match="bit"):
             FaultSpec("crypto.unseal", 1, FLIP, bit=-1)
+        for policy in ("some", "subset", "newest:2", "subset:x"):
+            with pytest.raises(ValueError, match="landed"):
+                FaultSpec("pm.fence", 1, UNFENCED, landed=policy)
 
 
 class TestNullPlan:
@@ -196,6 +205,17 @@ class TestCrashSchedulePlan:
         action = plan.check("pm.flush")
         assert isinstance(action, TornFlush)
         assert action.fraction == 0.5
+        with pytest.raises(InjectedCrash):
+            action.crash()
+        with pytest.raises(InjectedCrash, match="latch"):
+            plan.check("pm.store")
+
+    def test_unfenced_returns_action_carrying_its_policy(self):
+        spec = FaultSpec("pm.fence", 1, UNFENCED, landed="newest")
+        plan = CrashSchedulePlan(spec)
+        action = plan.check("pm.fence")
+        assert isinstance(action, UnfencedFence)
+        assert action.landed == "newest"
         with pytest.raises(InjectedCrash):
             action.crash()
         with pytest.raises(InjectedCrash, match="latch"):

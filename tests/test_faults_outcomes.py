@@ -14,7 +14,7 @@ The two digest columns go through the host's BLAS, so they are compared
 only where ``blas_probe`` (a fixed float32 matmul) reproduces; on any
 other host the structural columns still are.
 
-Regenerate both fixtures when a fault site is added or moved::
+Regenerate both fixtures when a fault site or kind is added or moved::
 
     PYTHONPATH=src python -m tests.test_faults_outcomes \
         > tests/fixtures/golden/crash_outcomes.json

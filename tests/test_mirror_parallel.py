@@ -134,11 +134,13 @@ class TestCrashAtomicity:
         net = make_model(seed=8)
         mirror.alloc_mirror_model(net)
         mirror.mirror_out(net, 1)
-        # Flip one bit inside the main-copy heap area.
+        # A privileged adversary rewrites the PM image: flip a line of
+        # the main-copy heap area and present the image back.
         main_lo = mirror.region.main_base
+        image = bytearray(device.snapshot())
         for off in range(main_lo + 4096, main_lo + 4096 + 64):
-            device._data[off] ^= 0xFF
-            device._durable[off] ^= 0xFF
+            image[off] ^= 0xFF
+        device.load_image(bytes(image))
         from repro.crypto.backend import IntegrityError
         from repro.core.mirror import MirrorError
 

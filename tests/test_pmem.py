@@ -9,6 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import (
+    CrashSchedulePlan,
+    FaultSpec,
+    InjectedCrash,
+    installed,
+)
+from repro.faults.registry import UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
@@ -152,8 +159,9 @@ def _vm_rss_kib() -> int:
 
 
 class TestLazyImages:
-    """Both images are zeroed on first touch: a device costs nothing
-    until it is stored to, and its far end behaves like its near end."""
+    """The image and the pre-image arena are zeroed on first touch: a
+    device costs nothing until it is stored to, a crash touches only
+    what was stored, and its far end behaves like its near end."""
 
     SIZE = 256 << 20
 
@@ -188,6 +196,37 @@ class TestLazyImages:
         seen += [dev.read(addr, line), dev.dirty_bytes]
         return seen
 
+    def test_crash_writes_back_only_what_was_stored(self):
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        dev = make_device(self.SIZE)
+        dev.write(self.SIZE // 2, b"x" * 64)
+        before = _vm_rss_kib()
+        dev.crash()
+        assert _vm_rss_kib() - before < 4 << 10  # KiB: < 4 MiB
+        assert dev.read(self.SIZE // 2, 64) == b"\x00" * 64
+
+    def test_fenced_rounds_reuse_the_same_pre_image_pages(self):
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        dev = make_device(self.SIZE)
+        span = 64 << 20
+        payloads = [bytes([i]) * span for i in (1, 2)]
+
+        def round_(i):
+            dev.write(0, payloads[i % 2])
+            dev.flush(0, span)
+            dev.fence()
+
+        before = _vm_rss_kib()
+        round_(0)
+        one = _vm_rss_kib() - before
+        for i in range(1, 10):
+            round_(i)
+        ten = _vm_rss_kib() - before
+        assert ten <= one + (2 << 10)  # KiB: within 2 MiB of one round
+        assert dev.durable_read(0, 16) == payloads[1][:16]
+
     def test_last_line_behaves_like_the_first(self):
         dev = make_device(self.SIZE)
         first = self._line_story(dev, 0)
@@ -197,6 +236,120 @@ class TestLazyImages:
             b"\x00" * 64, b"\x00" * 64, b"a" * 64, b"\x00" * 64, 64,
             b"a" * 64, b"a" * 64, b"a" * 64, b"a" * 64, 0,
         ]
+
+
+def _unfenced_fence(dev: PersistentMemoryDevice, landed: str) -> None:
+    """Fail power at the next fence under the ``landed`` policy."""
+    spec = FaultSpec("pm.fence", 1, UNFENCED, landed=landed)
+    with installed(CrashSchedulePlan(spec)):
+        with pytest.raises(InjectedCrash):
+            dev.fence()
+    dev.crash()
+
+
+class TestUnfenced:
+    """A flushed line is durable only at its fence: power failing at the
+    fence lets the policy pick which pending write-backs landed."""
+
+    @staticmethod
+    def _two_pending_lines() -> PersistentMemoryDevice:
+        dev = make_device()
+        dev.write(0, b"A" * 64)
+        dev.flush(0, 64)
+        dev.write(64, b"B" * 64)
+        dev.flush(64, 64)
+        dev.write(128, b"C" * 64)  # dirty: lost under every policy
+        return dev
+
+    @pytest.mark.parametrize(
+        "landed, first, second",
+        [
+            ("none", b"\x00", b"\x00"),
+            ("all", b"A", b"B"),
+            ("newest", b"\x00", b"B"),
+        ],
+    )
+    def test_policy_picks_the_landed_lines(self, landed, first, second):
+        dev = self._two_pending_lines()
+        _unfenced_fence(dev, landed)
+        assert dev.read(0, 64) == first * 64
+        assert dev.read(64, 64) == second * 64
+        assert dev.read(128, 64) == b"\x00" * 64
+        assert dev.stats["fences"] == 0
+
+    def test_subset_lands_whole_lines(self):
+        seen = set()
+        for seed in range(8):
+            dev = make_device()
+            dev.write(0, b"A" * 256)
+            dev.flush(0, 256)
+            _unfenced_fence(dev, f"subset:{seed}")
+            lines = [dev.read(a, 64) for a in range(0, 256, 64)]
+            assert all(line in (b"A" * 64, b"\x00" * 64) for line in lines)
+            seen.add(tuple(line[:1] for line in lines))
+        assert len(seen) > 2
+
+    def test_fenced_lines_survive_every_policy(self):
+        for landed in ("none", "newest", "subset:3"):
+            dev = make_device()
+            dev.write(0, b"D" * 64)
+            dev.persist(0, 64)
+            dev.write(0, b"E" * 64)
+            dev.flush(0, 64)
+            _unfenced_fence(dev, landed)
+            assert dev.read(0, 64) in (b"D" * 64, b"E" * 64)
+            if landed == "none":
+                assert dev.read(0, 64) == b"D" * 64
+
+    def test_clflush_is_durable_without_a_fence(self):
+        dev = make_device()
+        dev.write(0, b"F" * 64)
+        dev.flush(0, 64, FlushInstruction.CLFLUSH)
+        _unfenced_fence(dev, "none")
+        assert dev.read(0, 64) == b"F" * 64
+
+    def test_a_write_back_carries_its_whole_line(self):
+        dev = make_device()
+        dev.write(0, b"A" * 8)
+        dev.flush(0, 8)
+        dev.write(8, b"B" * 8)  # same line, other bytes
+        dev.flush(8, 8)
+        _unfenced_fence(dev, "newest")
+        assert dev.read(0, 16) == b"A" * 8 + b"B" * 8
+
+    def test_a_carried_byte_stored_again_keeps_what_each_flush_wrote(self):
+        seen = set()
+        for seed in range(16):
+            dev = make_device()
+            dev.write(0, b"A" * 8)
+            dev.flush(0, 8)
+            dev.write(8, b"B" * 8)
+            dev.flush(8, 8)  # carries bytes 0..8 again
+            dev.write(0, b"C" * 8)  # dirty: never on media
+            _unfenced_fence(dev, f"subset:{seed}")
+            seen.add(dev.read(0, 8))
+        assert seen == {b"\x00" * 8, b"A" * 8}
+
+    def test_restored_pending_header_keeps_every_candidate(self):
+        """The Romulus header is stored IDLE and flushed without a fence,
+        then stored MUTATING and flushed again: a power failure at that
+        fence may leave any of the three values on media."""
+        seen = set()
+        for landed in ["none", "all", "newest"] + [
+            f"subset:{seed}" for seed in range(12)
+        ]:
+            dev = make_device()
+            dev.write(8, (2).to_bytes(8, "little"))  # COPYING
+            dev.persist(8, 8)
+            dev.write(8, (0).to_bytes(8, "little"))  # IDLE
+            dev.flush(8, 8)
+            dev.write(8, (1).to_bytes(8, "little"))  # MUTATING
+            dev.flush(8, 8)
+            _unfenced_fence(dev, landed)
+            seen.add(int.from_bytes(dev.read(8, 8), "little"))
+            if landed == "none":
+                assert seen == {2}
+        assert seen == {0, 1, 2}
 
 
 class TestCosts:
@@ -327,3 +480,101 @@ def test_crash_semantics_match_reference_model(actions):
                     dirty.discard(b)
     dev.crash()
     assert dev.read(0, 1024) == bytes(durable)
+
+
+# ----------------------------------------------------------------------
+# Property: an UNFENCED power failure leaves exactly what a per-byte
+# write-pending-queue model says its policy lets land.
+# ----------------------------------------------------------------------
+_WPQ_SIZE = 256
+_wpq_actions = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"), st.integers(0, _WPQ_SIZE - 1),
+            st.integers(1, 80),
+        ),
+        st.tuples(
+            st.just("stage"), st.integers(0, _WPQ_SIZE - 1),
+            st.integers(1, 80),
+        ),
+        st.tuples(
+            st.just("prefill"), st.integers(0, _WPQ_SIZE - 1),
+            st.integers(1, 80),
+        ),
+        st.tuples(
+            st.just("flush"), st.integers(0, _WPQ_SIZE - 1),
+            st.integers(1, 128), st.sampled_from(list(FlushInstruction)),
+        ),
+        st.tuples(st.just("fence")),
+    ),
+    max_size=25,
+)
+
+
+@given(_wpq_actions, st.sampled_from(["none", "all", "newest", "subset:5"]))
+@settings(max_examples=150, deadline=None)
+def test_unfenced_policy_matches_write_pending_queue_model(actions, landed):
+    dev = make_device(_WPQ_SIZE)
+    live = bytearray(_WPQ_SIZE)
+    media = bytearray(_WPQ_SIZE)
+    dirty, staged = set(), set()
+    flushes = []  # this epoch's write-backs: {byte: value carried}
+    for step, action in enumerate(actions):
+        kind, addr = action[0], action[1] if len(action) > 1 else 0
+        # Every store writes values no earlier one did.
+        fresh = bytes((step * 7 + i) % 255 + 1 for i in range(_WPQ_SIZE))
+        if kind == "write":
+            data = fresh[: min(action[2], _WPQ_SIZE - addr)]
+            dev.write(addr, data)
+            live[addr : addr + len(data)] = data
+            dirty |= set(range(addr, addr + len(data)))
+            staged -= dirty
+        elif kind == "stage":
+            n = min(action[2], _WPQ_SIZE - addr)
+            dev.volatile_view(addr, n)[:] = fresh[:n]
+            live[addr : addr + n] = fresh[:n]
+            staged |= set(range(addr, addr + n)) - dirty
+        elif kind == "prefill":
+            n = min(action[2], _WPQ_SIZE - addr)
+            dev.write_prefilled(addr, n)
+            dirty |= set(range(addr, addr + n))
+            staged -= dirty
+        elif kind == "flush":
+            n = min(action[2], _WPQ_SIZE - addr)
+            dev.flush(addr, n, action[3])
+            lo, hi = addr // 64, (addr + n - 1) // 64
+            written = {b for b in dirty if lo <= b // 64 <= hi}
+            lines = {b // 64 for b in written}
+            pending = set().union(*flushes)
+            carried = written | {
+                b for b in pending - staged if b // 64 in lines
+            }
+            dirty -= written
+            if action[3] is FlushInstruction.CLFLUSH:
+                for b in carried:
+                    media[b] = live[b]
+                for flushed in flushes:
+                    for b in carried:
+                        flushed.pop(b, None)
+            elif carried:
+                flushes.append({b: live[b] for b in carried})
+        else:
+            dev.fence()
+            for flushed in flushes:
+                for b, v in flushed.items():
+                    media[b] = v
+            flushes = []
+    candidates = [{media[b]} for b in range(_WPQ_SIZE)]
+    for flushed in flushes:
+        for b, v in flushed.items():
+            candidates[b].add(v)
+    chosen = {"none": [], "all": flushes, "newest": flushes[-1:]}
+    for flushed in chosen.get(landed, []):
+        for b, v in flushed.items():
+            media[b] = v
+    _unfenced_fence(dev, landed)
+    after = dev.read(0, _WPQ_SIZE)
+    if landed in chosen:
+        assert after == bytes(media)
+    else:
+        assert all(after[b] in candidates[b] for b in range(_WPQ_SIZE))

@@ -1,0 +1,174 @@
+"""The PM device against its frozen two-image oracle.
+
+``tests/reference_pmem.py`` is the device as it stood when a flush made
+its lines durable at once and a crash copied a second full image back.
+Under the default persistence policy (every pending line lands at a
+power failure) the undo-pre-image device must be indistinguishable from
+it: a Hypothesis state machine drives both through the same stores,
+staging views, copies, flushes of every instruction, fences, torn
+flushes, crashes and image loads, and compares every observable after
+each step — loads, the media view, the snapshot, the stats, the dirty
+byte count, the crash count and the simulated clock.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.faults.plan import (
+    CrashSchedulePlan,
+    FaultSpec,
+    InjectedCrash,
+    installed,
+)
+from repro.faults.registry import TORN
+from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
+from repro.simtime.clock import SimClock
+from repro.simtime.profiles import EMLSGX_PM
+from tests.reference_pmem import ReferencePmemDevice
+
+#: Four cache lines: every operation overlaps most of the others.
+SIZE = 256
+addrs = st.integers(0, SIZE - 1)
+lengths = st.integers(0, 96)
+instructions = st.sampled_from(list(FlushInstruction))
+
+
+def _clip(addr: int, length: int) -> int:
+    return min(length, SIZE - addr)
+
+
+class DeviceAgainstOracle(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.devices = (
+            PersistentMemoryDevice(SIZE, SimClock(), EMLSGX_PM.pm),
+            ReferencePmemDevice(SIZE, SimClock(), EMLSGX_PM.pm),
+        )
+        self.stores = 0
+
+    def _fresh(self, length: int) -> bytes:
+        """Bytes no earlier store wrote: a lost or resurrected store
+        cannot hide behind an equal value."""
+        self.stores += 1
+        return bytes((self.stores * 7 + i) % 255 + 1 for i in range(length))
+
+    @rule(addr=addrs, length=st.integers(1, 96))
+    def write(self, addr, length, data=None):
+        data = (data or self._fresh(length))[: SIZE - addr]
+        for dev in self.devices:
+            dev.write(addr, data)
+
+    @rule(addr=addrs, length=lengths)
+    def stage(self, addr, length):
+        """Fill a range through the staging view, not yet accounted."""
+        length = _clip(addr, length)
+        data = self._fresh(length)
+        for dev in self.devices:
+            dev.volatile_view(addr, length)[:] = data
+
+    @rule(addr=addrs, length=lengths)
+    def write_prefilled(self, addr, length):
+        length = _clip(addr, length)
+        for dev in self.devices:
+            dev.write_prefilled(addr, length)
+
+    @rule(src=addrs, dst=addrs, length=lengths)
+    def copy_within(self, src, dst, length):
+        length = min(length, SIZE - src, SIZE - dst)
+        for dev in self.devices:
+            dev.copy_within(src, dst, length)
+
+    @rule(src=addrs, shift=st.integers(-40, 40), length=st.integers(1, 96))
+    def copy_overlapping(self, src, shift, length):
+        dst = min(max(src + shift, 0), SIZE - 1)
+        self.copy_within(src, dst, length)
+
+    @rule(addr=addrs, length=lengths, instruction=instructions)
+    def flush(self, addr, length, instruction):
+        length = _clip(addr, length)
+        for dev in self.devices:
+            dev.flush(addr, length, instruction)
+
+    @rule()
+    def fence(self):
+        for dev in self.devices:
+            dev.fence()
+
+    @rule(
+        addr=addrs,
+        length=st.integers(1, 96),
+        instruction=instructions,
+        fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def torn_flush(self, addr, length, instruction, fraction):
+        length = _clip(addr, length)
+        for dev in self.devices:
+            spec = FaultSpec("pm.flush", 1, TORN, fraction=fraction)
+            with installed(CrashSchedulePlan(spec)):
+                with pytest.raises(InjectedCrash):
+                    dev.flush(addr, length, instruction)
+            dev.crash()
+
+    @rule()
+    def crash(self):
+        for dev in self.devices:
+            dev.crash()
+
+    @rule(seed=st.integers(0, 3))
+    def load_image(self, seed):
+        image = np.random.default_rng(seed).integers(
+            0, 256, SIZE, dtype=np.uint8
+        ).tobytes()
+        for dev in self.devices:
+            dev.load_image(image)
+
+    @invariant()
+    def observables_agree(self):
+        new, old = self.devices
+        assert new.durable_read(0, SIZE) == old.durable_read(0, SIZE)
+        assert new.snapshot() == old.snapshot()
+        assert new.read(0, SIZE) == old.read(0, SIZE)
+        assert new.stats == old.stats
+        assert new.dirty_bytes == old.dirty_bytes
+        assert new.crash_count == old.crash_count
+        assert new.clock.now() == old.clock.now()
+
+
+DeviceAgainstOracle.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+TestDeviceAgainstOracle = DeviceAgainstOracle.TestCase
+
+
+def test_restored_pending_header_example():
+    """Every Romulus transaction does this: ``set_state(MUTATING)``
+    stores to the header line while the unfenced IDLE flush of the
+    previous commit is still pending, then flushes it again."""
+    machine = DeviceAgainstOracle()
+    copying, idle, mutating = (
+        state.to_bytes(8, "little") for state in (2, 0, 1)
+    )
+    for last_step in ("crash", "fence", "clflush"):
+        machine.write(8, 8, copying)
+        machine.flush(8, 8, FlushInstruction.CLFLUSHOPT)
+        machine.fence()
+        machine.write(8, 8, idle)  # set_state(IDLE, fence=False)
+        machine.flush(8, 8, FlushInstruction.CLFLUSHOPT)
+        machine.observables_agree()
+        machine.write(8, 8, mutating)  # stored over the pending IDLE
+        machine.observables_agree()
+        if last_step == "fence":
+            machine.fence()  # IDLE becomes the media value under it
+        elif last_step == "clflush":
+            machine.flush(8, 8, FlushInstruction.CLFLUSH)
+            machine.write(8, 8, copying)
+        machine.observables_agree()
+        machine.crash()
+        machine.observables_agree()
+        want = mutating if last_step == "clflush" else idle
+        assert machine.devices[0].durable_read(8, 8) == want
