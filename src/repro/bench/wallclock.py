@@ -220,8 +220,8 @@ class ForwardBatchPoint:
 
     batch: int
     iters: int
-    #: Loop of ``batch`` single-sample ``predict`` calls (the seed
-    #: serving tier's execution shape).
+    #: Loop of ``batch`` single-sample ``Network.infer`` calls on the
+    #: same warm arena (serving without coalescing).
     per_request_seconds: float
     #: One ``Network.infer`` over the whole batch, warm arena.
     batched_seconds: float
@@ -278,14 +278,13 @@ def measure_forward_wallclock(
     for batch in batches:
         xb = x[:batch]
         singles = [x[i : i + 1] for i in range(batch)]
+        arena = TensorArena()
+        network.infer(xb, arena)  # size the arena outside the timing
 
         def per_request() -> None:
             for _ in range(iters):
                 for sample in singles:
-                    network.predict(sample)
-
-        arena = TensorArena()
-        network.infer(xb, arena)  # size the arena outside the timing
+                    network.infer(sample, arena)
 
         def batched() -> None:
             for _ in range(iters):
@@ -506,7 +505,7 @@ def measure_train_step_wallclock(
         out = x
         for index, layer in enumerate(layers):
             start = clock()
-            out = layer.forward(out, train=True)
+            out = layer.forward(out)
             forward[index].append(clock() - start)
         network.softmax.loss(y)
         delta = network.softmax.backward()

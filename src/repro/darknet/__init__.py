@@ -27,7 +27,7 @@ from repro.darknet.cfg import NetworkConfig, build_network, parse_cfg, render_cf
 from repro.darknet.weights import load_weights, save_weights
 from repro.darknet.data import DataMatrix
 from repro.darknet.train import TrainingLog, train
-from repro.darknet.inference import accuracy, predict_batch
+from repro.darknet.inference import accuracy
 from repro.darknet.layers import (
     AvgPoolLayer,
     ConnectedLayer,
@@ -51,7 +51,6 @@ __all__ = [
     "DataMatrix",
     "train",
     "TrainingLog",
-    "predict_batch",
     "accuracy",
     "Layer",
     "ConvolutionalLayer",

@@ -5,13 +5,15 @@ convolutional layer; Darknet's ``leaky`` uses a fixed slope of 0.1.
 
 Each activation carries two forward implementations:
 
-* ``forward`` — the allocating reference used by training;
-* ``forward_into`` — an arena-backed variant used by the batched serve
-  path.  It receives the pre-activation tensor and a workspace and must
-  produce **bitwise-identical** values to ``forward`` while allocating
-  nothing: every in-place formulation below is the same ufunc sequence
-  as its reference (multiplication and addition are exactly commutative
-  in IEEE 754, and ``out=`` never changes a ufunc's rounding).
+* ``forward`` — the allocating one, used by training;
+* ``forward_into`` — the arena-backed one, used by ``Layer.infer``, the
+  only inference path.  It receives the pre-activation tensor and a
+  workspace (and may overwrite the tensor) and must produce
+  **bitwise-identical** values to ``forward`` while allocating nothing:
+  every in-place formulation below is the same ufunc sequence as
+  ``forward`` (multiplication and addition are exactly commutative in
+  IEEE 754, and ``out=`` never changes a ufunc's rounding).  The test
+  suite pins the equality for all five, signed zeros and NaN included.
 """
 
 from __future__ import annotations

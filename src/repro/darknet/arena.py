@@ -22,9 +22,10 @@ first use and reused on every subsequent batch:
   ``arena.bytes`` observability counters, and the zero-allocation test
   asserts the miss count stays flat after warmup.
 
-The layer kernels never see the arena directly: :class:`LayerWorkspace`
-namespaces keys by layer slot so two conv layers cannot alias each
-other's column buffers.
+The layer kernels never see the arena directly: each layer slot gets
+a :class:`LayerWorkspace` with its own buffer table, so two conv layers
+cannot alias each other's column buffers, and a hit costs one lookup in
+that table.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class TensorArena:
     """Owns reusable tensors keyed by an arbitrary hashable key."""
 
     def __init__(self) -> None:
-        self._buffers: Dict[Hashable, np.ndarray] = {}
-        self._workspaces: Dict[Hashable, "LayerWorkspace"] = {}
         self.stats = ArenaStats()
+        self._own = LayerWorkspace(self.stats)
+        self._workspaces: Dict[Hashable, LayerWorkspace] = {}
 
     def take(
         self,
@@ -62,66 +63,56 @@ class TensorArena:
     ) -> np.ndarray:
         """A writable array of ``shape``, reused across calls.
 
-        The stored buffer keeps the largest leading dimension ever
-        requested for ``key``; smaller requests get a ``buf[:n]`` view
-        (a hit).  Changing the trailing dimensions or dtype reallocates.
+        The stored buffer keeps the largest leading dimension requested
+        for ``key``; smaller requests get a ``buf[:n]`` view (a hit).
+        Changing the trailing dimensions or dtype reallocates.
         """
         shape = tuple(int(s) for s in shape)
-        dtype = np.dtype(dtype)
-        buf = self._buffers.get(key)
-        if (
-            buf is not None
-            and buf.dtype == dtype
-            and buf.shape[1:] == shape[1:]
-            and buf.shape[0] >= shape[0]
-        ):
-            self.stats.hits += 1
-            return buf[: shape[0]]
-        capacity = shape
-        if (
-            buf is not None
-            and buf.dtype == dtype
-            and buf.shape[1:] == shape[1:]
-        ):
-            # Growing the leading dim: keep it monotone so the next
-            # smaller batch is a hit again.
-            capacity = (max(shape[0], buf.shape[0]),) + shape[1:]
-        if buf is not None:
-            self.stats.bytes_allocated -= buf.nbytes
-        if zero_fill:
-            fresh = np.zeros(capacity, dtype=dtype)  # repro: noqa[ALLOC001] -- the arena's own miss path is where setup-time allocation lives; steady state never reaches it
-        else:
-            fresh = np.empty(capacity, dtype=dtype)  # repro: noqa[ALLOC001] -- the arena's own miss path is where setup-time allocation lives; steady state never reaches it
-        self._buffers[key] = fresh
-        self.stats.misses += 1
-        self.stats.bytes_allocated += fresh.nbytes
-        return fresh[: shape[0]]
+        return self._own.take(key, shape, dtype, zero_fill)
 
     def workspace(self, slot: Hashable) -> "LayerWorkspace":
-        """The (cached) per-slot namespaced view of this arena."""
+        """The (cached) buffer table of layer ``slot``."""
         ws = self._workspaces.get(slot)
         if ws is None:
-            ws = LayerWorkspace(self, slot)
-            self._workspaces[slot] = ws
+            ws = self._workspaces[slot] = LayerWorkspace(self.stats)
         return ws
 
 
 class LayerWorkspace:
-    """One layer's view of the arena: keys are namespaced by slot."""
+    """One buffer table of an arena, sharing the arena's accounting."""
 
-    __slots__ = ("_arena", "_slot")
+    __slots__ = ("_stats", "_buffers")
 
-    def __init__(self, arena: TensorArena, slot: Hashable) -> None:
-        self._arena = arena
-        self._slot = slot
+    def __init__(self, stats: ArenaStats) -> None:
+        self._stats = stats
+        self._buffers: Dict[Hashable, np.ndarray] = {}
 
     def take(
         self,
-        name: str,
+        name: Hashable,
         shape: Tuple[int, ...],
         dtype=np.float32,
         zero_fill: bool = False,
     ) -> np.ndarray:
-        return self._arena.take(
-            (self._slot, name), shape, dtype, zero_fill=zero_fill
-        )
+        """:meth:`TensorArena.take` in this table; ``shape`` must be a
+        tuple.  Layer kernels call this per buffer per ``infer``, so a
+        hit — steady-state serving's only case — is one lookup, one
+        shape and dtype check and one slice."""
+        buf = self._buffers.get(name)
+        if buf is not None:
+            if (
+                buf.shape[1:] == shape[1:]
+                and buf.shape[0] >= shape[0]
+                and buf.dtype == dtype
+            ):
+                self._stats.hits += 1
+                return buf[: shape[0]]
+            self._stats.bytes_allocated -= buf.nbytes
+        if zero_fill:
+            fresh = np.zeros(shape, dtype=dtype)  # repro: noqa[ALLOC001] -- the arena's own miss path is where setup-time allocation lives; steady state never reaches it
+        else:
+            fresh = np.empty(shape, dtype=dtype)  # repro: noqa[ALLOC001] -- the arena's own miss path is where setup-time allocation lives; steady state never reaches it
+        self._buffers[name] = fresh
+        self._stats.misses += 1
+        self._stats.bytes_allocated += fresh.nbytes
+        return fresh

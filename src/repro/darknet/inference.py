@@ -1,4 +1,4 @@
-"""Inference utilities: batched prediction and accuracy.
+"""Inference utilities: test-set accuracy.
 
 Used for the paper's secure-inference experiment (Section VI): a
 trained 12-layer CNN classifying the 10,000-image MNIST test set.
@@ -8,21 +8,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
+from repro.darknet.arena import TensorArena
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
-
-
-def predict_batch(
-    network: Network,
-    x: np.ndarray,
-    input_shape: Optional[Tuple[int, ...]] = None,
-) -> np.ndarray:
-    """Predicted class indices for a batch of flat samples."""
-    if input_shape is not None:
-        x = x.reshape((len(x),) + tuple(input_shape))
-    return network.predict(x).argmax(axis=1)
 
 
 def accuracy(
@@ -31,12 +19,16 @@ def accuracy(
     input_shape: Optional[Tuple[int, ...]] = None,
     batch_size: int = 256,
 ) -> float:
-    """Top-1 accuracy over a full dataset."""
+    """Top-1 accuracy over a full dataset, ``batch_size`` samples per
+    :meth:`Network.infer` on one arena."""
     truth = data.labels()
+    arena = TensorArena()
     correct = 0
     offset = 0
     for x, _ in data.sequential_batches(batch_size):
-        preds = predict_batch(network, x, input_shape)
+        if input_shape is not None:
+            x = x.reshape((len(x),) + tuple(input_shape))
+        preds = network.infer(x, arena).argmax(axis=1)
         correct += int((preds == truth[offset : offset + len(x)]).sum())
         offset += len(x)
     return correct / len(data)

@@ -50,7 +50,8 @@ class Layer(abc.ABC):
     """Base class for network layers.
 
     Subclasses must set ``out_shape`` (per-sample output shape) during
-    construction and implement the forward/backward passes.
+    construction and implement the training passes (``forward`` /
+    ``backward``) and the one inference pass (``infer``).
     """
 
     #: Darknet section name, e.g. "convolutional".
@@ -58,8 +59,10 @@ class Layer(abc.ABC):
     out_shape: Tuple[int, ...] = ()
 
     @abc.abstractmethod
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Run the layer; ``train`` toggles batch-stat updates/dropout."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Training forward: batch statistics, dropout masks, and the
+        caches ``backward`` reads.  Inference never runs it (see
+        :meth:`infer`)."""
 
     @abc.abstractmethod
     def backward(self, delta: np.ndarray) -> np.ndarray:
@@ -86,17 +89,19 @@ class Layer(abc.ABC):
         """
         self.backward(delta)
 
+    @abc.abstractmethod
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
-        """Inference forward using workspace (arena) buffers.
+        """The inference forward, into workspace (arena) buffers.
 
-        Contract: per-sample output is **bitwise identical** to
-        ``forward(x, train=False)`` on that sample alone, independent of
-        the batch size — the serving tier relies on this to coalesce
-        requests without changing any sealed response byte.  The hot
-        layers override this with allocation-free batched kernels; the
-        default falls back to the reference path.
+        The only inference path: serving, ``accuracy`` and the crash
+        harness's reference responses all run it.  It reads the rolling
+        batch-norm statistics, applies no dropout and caches nothing.
+        Contract: each sample's output is **bitwise identical** whatever
+        batch it rides in — the serving tier relies on this to coalesce
+        requests without changing any sealed response byte.  The
+        returned array may be a workspace view, valid until the next
+        ``infer`` on the same workspace.
         """
-        return self.forward(x, train=False)
 
     def trainable(self) -> List[ParamPair]:
         """(parameter, gradient) pairs for the optimizer."""

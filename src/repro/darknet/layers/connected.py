@@ -47,7 +47,7 @@ class ConnectedLayer(Layer):
         self._x: Optional[np.ndarray] = None
         self._output: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1)
         if flat.shape[1] != self.inputs:
             raise ValueError(
@@ -55,18 +55,16 @@ class ConnectedLayer(Layer):
                 f"got {flat.shape[1]}"
             )
         out = self.activation.forward(flat @ self.weights.T + self.biases)
-        if train:
-            self._x = flat
-            self._output = out
+        self._x = flat
+        self._output = out
         return out
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Batched dense kernel: one 3-D GEMM call, workspace-backed.
 
         The batch axis of ``np.matmul`` is the sample axis, so each
-        sample multiplies with batch-of-one operand shapes and the
-        result is bitwise identical to ``forward(train=False)`` on that
-        sample regardless of how many ride in the batch.
+        sample multiplies with batch-of-one operand shapes and its
+        result is bitwise the same however many ride in the batch.
         """
         n = x.shape[0]
         flat = x.reshape(n, -1)

@@ -86,7 +86,7 @@ class ConvolutionalLayer(Layer):
         self._output: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         cols = im2col(x, self.kernel, self.stride, self.pad)
         f, out_h, out_w = self.out_shape
@@ -94,15 +94,12 @@ class ConvolutionalLayer(Layer):
         raw = raw.transpose(3, 0, 1, 2)  # (N, F, OH, OW)
 
         if self.batch_normalize:
-            raw = self._batchnorm_forward(raw, train)
+            raw = self._batchnorm_forward(raw)
         raw += self.biases.reshape(1, -1, 1, 1)
         out = self.activation.forward(raw)
-        if train:
-            # Backward caches only exist while training: an inference
-            # stream must not pin ever-fresh arrays on the layer.
-            self._x_shape = x.shape
-            self._cols = cols
-            self._output = out
+        self._x_shape = x.shape
+        self._cols = cols
+        self._output = out
         return out
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
@@ -110,10 +107,10 @@ class ConvolutionalLayer(Layer):
 
         The GEMM runs as a single 3-D ``np.matmul`` whose batch axis is
         the sample axis, so each sample's product has the exact operand
-        shapes of a batch-of-one forward — per-sample results are
-        bitwise identical to ``forward(train=False)`` on that sample,
-        unlike a fused GEMM over ``N*OH*OW`` columns whose BLAS
-        blocking (and therefore rounding) depends on ``N``.  All
+        shapes of a batch-of-one GEMM — per-sample results are bitwise
+        independent of the batch, unlike a fused GEMM over ``N*OH*OW``
+        columns whose BLAS blocking (and therefore rounding) depends on
+        ``N``.  Batch norm applies the rolling statistics.  All
         operands live in the workspace; steady state allocates nothing.
         """
         n = x.shape[0]
@@ -180,25 +177,22 @@ class ConvolutionalLayer(Layer):
         return d_flat
 
     # ------------------------------------------------------------------
-    def _batchnorm_forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def _batchnorm_forward(self, x: np.ndarray) -> np.ndarray:
+        """Normalise by the batch statistics, which also move the
+        rolling ones (what ``infer`` reads)."""
         axes = (0, 2, 3)
-        if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.rolling_mean[...] = (
-                _BN_MOMENTUM * self.rolling_mean + (1 - _BN_MOMENTUM) * mean
-            )
-            self.rolling_variance[...] = (
-                _BN_MOMENTUM * self.rolling_variance + (1 - _BN_MOMENTUM) * var
-            )
-        else:
-            mean = self.rolling_mean
-            var = self.rolling_variance
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        self.rolling_mean[...] = (
+            _BN_MOMENTUM * self.rolling_mean + (1 - _BN_MOMENTUM) * mean
+        )
+        self.rolling_variance[...] = (
+            _BN_MOMENTUM * self.rolling_variance + (1 - _BN_MOMENTUM) * var
+        )
         inv_std = 1.0 / np.sqrt(var + _BN_EPSILON)
         x_hat = x - mean.reshape(1, -1, 1, 1)
         x_hat *= inv_std.reshape(1, -1, 1, 1)
-        if train:
-            self._bn_cache = (x_hat, inv_std)
+        self._bn_cache = (x_hat, inv_std)
         return self.scales.reshape(1, -1, 1, 1) * x_hat
 
     def _batchnorm_backward(self, delta: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ class DropoutLayer(Layer):
         self.rng = rng or np.random.default_rng(0)
         self._mask: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.probability == 0.0:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.probability == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.probability

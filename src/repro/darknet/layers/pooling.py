@@ -44,8 +44,9 @@ class MaxPoolLayer(Layer):
             for dj in range(s)
         ]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Keep-first max over the windows.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Keep-first max over the windows, and the argmax plane
+        ``backward`` routes through.
 
         When ``x``'s innermost memory run is a batch axis shorter than a
         cache line (sample-minor at federated batch sizes), every ufunc
@@ -74,32 +75,30 @@ class MaxPoolLayer(Layer):
         out = windows[0].copy(order="K")
         for window in windows[1:]:
             np.maximum(window, out, out=out)
-        if train:
-            # Index of the first window equal to the max = the number of
-            # leading windows that all differ from it.
-            unseen = windows[0] != out
-            argmax = unseen.astype(np.min_scalar_type(len(windows)))
-            for window in windows[1:-1]:
-                unseen &= window != out
-                argmax += unseen
-            self._x_shape = x.shape
-            self._argmax = argmax
-            self._gathered = gathered
+        # Index of the first window equal to the max = the number of
+        # leading windows that all differ from it.
+        unseen = windows[0] != out
+        argmax = unseen.astype(np.min_scalar_type(len(windows)))
+        for window in windows[1:-1]:
+            unseen &= window != out
+            argmax += unseen
+        self._x_shape = x.shape
+        self._argmax = argmax
+        self._gathered = gathered
         return np.ascontiguousarray(out)
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:
         """Workspace-backed max pooling; elementwise per output cell, so
-        any batch size is trivially bitwise-equal to the per-sample
-        reference.
+        any batch size is trivially bitwise-equal to a batch of one.
 
         Non-overlapping tilings (``size == stride``, the paper's
         configs) take a contiguous-reshape fast path: two single-axis
         ``np.max`` reductions (columns within each row, then rows).
         Keep-first ``np.maximum`` is associative — any reduction order
         selects the same element, bit for bit — and its ``>=`` tie
-        behavior matches the reference loop's strict-``>``
-        keep-accumulator, so values are identical while the memory walk
-        stays sequential instead of strided.
+        behavior matches a strict-``>`` keep-accumulator loop, so values
+        are identical while the memory walk stays sequential instead of
+        strided.
         """
         n = x.shape[0]
         _, out_h, out_w = self.out_shape
@@ -163,7 +162,7 @@ class AvgPoolLayer(Layer):
         self.out_shape = (c,)
         self._spatial = h * w
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return x.mean(axis=(2, 3))
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:

@@ -26,15 +26,12 @@ class SoftmaxLayer(Layer):
         self._probs: Optional[np.ndarray] = None
         self._delta: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1)
         shifted = flat - flat.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
-        if train:
-            # Only loss()/backward() need the cache; an inference stream
-            # must not pin the last batch's probabilities.
-            self._probs = probs
+        self._probs = probs
         return probs
 
     def infer(self, x: np.ndarray, ws) -> np.ndarray:

@@ -84,10 +84,11 @@ class Network:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The training forward (inference is :meth:`infer`)."""
         out = x
         for layer in self.layers:
-            out = layer.forward(out, train=train)
+            out = layer.forward(out)
         return out
 
     def backward(self) -> None:
@@ -144,22 +145,19 @@ class Network:
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One full training iteration; returns the batch loss."""
-        self.forward(x, train=True)
+        self.forward(x)
         loss = self.softmax.loss(y)
         self.backward()
         self.update()
         self.iteration += 1
         return loss
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities for a batch (inference mode)."""
-        return self.forward(x, train=False)
-
     def infer(self, x: np.ndarray, arena) -> np.ndarray:
-        """Batched, allocation-free inference into ``arena`` buffers.
+        """Class probabilities for a batch: the one inference path.
 
-        Per-sample outputs are bitwise identical to :meth:`predict` on
-        that sample alone (each layer's ``infer`` contract), so the
+        Batched and allocation-free once ``arena`` has seen the batch
+        size.  Per-sample outputs are bitwise identical whatever batch
+        a sample rides in (each layer's ``infer`` contract), so the
         serving tier can coalesce requests into one forward pass without
         changing a single response byte.  The returned array is an arena
         view — valid until the next ``infer`` call on the same arena.

@@ -80,14 +80,14 @@ class StageWorker:
     # ------------------------------------------------------------------
     # Compute (charges simulated time on this worker's clock)
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the stage forward; charges compute + paging."""
         active = faultplan.ACTIVE
         if active.enabled:
             active.check("distributed.worker.step")
         self._charge_compute(x.shape[0], fraction=1 / 3)
         self.enclave.touch(self.network.param_bytes)
-        return self.network.forward(x, train=train)
+        return self.network.forward(x)
 
     def backward_from(self, delta: np.ndarray) -> np.ndarray:
         """Back-propagate an incoming delta through the stage."""

@@ -50,6 +50,7 @@ from repro.core.pm_data import PmDataModule
 from repro.core.trainer import PliniusTrainer
 from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine
+from repro.darknet.arena import TensorArena
 from repro.darknet.data import DataMatrix
 from repro.data.mnist import synthetic_mnist, to_data_matrix
 from repro.distributed.link import NetworkLink
@@ -494,7 +495,7 @@ class LinkWorkload(Workload):
         while m.step < self.steps and not violations:
             m.host.barrier()
             x = self._input(m.step)
-            out = m.worker.forward(x, train=True)
+            out = m.worker.forward(x)
             loss, _ = m.worker.loss_and_backward(self._labels(m.step))
             m.worker.update()
             # Record the loss before the commit: if the crash
@@ -640,6 +641,7 @@ class ServeWorkload(Workload):
             )
             enclave_side[sid] = enclave_session
         nets = {1: self._network(1), 2: self._network(2)}
+        arena = TensorArena()
         refs: Dict[int, Dict[int, bytes]] = {}
         for index in range(self.N_REQUESTS):
             sid = self._client_session(index)
@@ -647,7 +649,7 @@ class ServeWorkload(Workload):
             refs[index] = {}
             for generation, net in nets.items():
                 preds = (
-                    net.predict(self._image(index))
+                    net.infer(self._image(index), arena)
                     .argmax(axis=1)
                     .astype(np.int64)
                 )

@@ -13,10 +13,16 @@ tests feed both sides sample-minor inputs.
 ``as_reference(net)`` turns a built network into one assembled from
 these bodies; ``sample_minor(a)`` re-lays an array the way a conv
 layer's forward emits it.
+
+``reference_predict(net, x)`` is the inference oracle: the
+``forward(x, train=False)`` body every layer kind ran before
+``Layer.infer`` became the only inference path, which ``infer`` is held
+to sample by sample (``tests/test_serving_zero_copy.py``).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Tuple
 
 import numpy as np
@@ -228,3 +234,56 @@ def as_reference(net):
         elif getattr(layer, "activation", None) is get_activation("leaky"):
             layer.activation = REFERENCE_LEAKY
     return net
+
+
+# ----------------------------------------------------------------------
+# The inference oracle.  Conv and maxpool run their reference classes'
+# ``forward(train=False)`` above; the other kinds' ``train=False``
+# bodies are kept here as they stood.
+# ----------------------------------------------------------------------
+def _connected_predict(layer, x: np.ndarray) -> np.ndarray:
+    flat = x.reshape(x.shape[0], -1)
+    if flat.shape[1] != layer.inputs:
+        raise ValueError(
+            f"connected layer expects {layer.inputs} inputs, "
+            f"got {flat.shape[1]}"
+        )
+    return layer.activation.forward(flat @ layer.weights.T + layer.biases)
+
+
+def _softmax_predict(layer, x: np.ndarray) -> np.ndarray:
+    flat = x.reshape(x.shape[0], -1)
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _avgpool_predict(layer, x: np.ndarray) -> np.ndarray:
+    return x.mean(axis=(2, 3))
+
+
+def _dropout_predict(layer, x: np.ndarray) -> np.ndarray:
+    return x
+
+
+_PREDICT = {
+    "connected": _connected_predict,
+    "softmax": _softmax_predict,
+    "avgpool": _avgpool_predict,
+    "dropout": _dropout_predict,
+}
+
+
+def reference_predict(net, x: np.ndarray) -> np.ndarray:
+    """What ``Network.predict(x)`` returned: every layer's inference
+    body, run on a reference copy of ``net`` (``net`` is untouched).
+
+    Over a batch the conv GEMM is fused, so only a batch of one is the
+    per-sample oracle ``Layer.infer`` is held to."""
+    out = x
+    for layer in as_reference(copy.deepcopy(net)).layers:
+        if isinstance(layer, (ReferenceConvolutionalLayer, ReferenceMaxPoolLayer)):
+            out = layer.forward(out, train=False)
+        else:
+            out = _PREDICT[layer.kind](layer, out)
+    return out

@@ -237,7 +237,7 @@ def _worker_scenario() -> dict:
         x = rng.random((batch, 1, 28, 28), dtype=np.float32)
         y = np.zeros((batch, 10), dtype=np.float32)
         y[np.arange(batch), rng.integers(0, 10, batch)] = 1.0
-        out = worker.forward(x, train=True)
+        out = worker.forward(x)
         worker.loss_and_backward(y)
         worker.update()
         worker.mirror_out(step + 1)

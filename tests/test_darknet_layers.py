@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.darknet.activations import get_activation
+from repro.darknet.arena import TensorArena
 from repro.darknet.im2col import col2im, conv_output_size, im2col
 from repro.darknet.layers import (
     AvgPoolLayer,
@@ -99,9 +100,9 @@ def _numeric_param_grad(layer, x, param, delta_out, eps=1e-4):
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + eps
-        up = float((layer.forward(x, train=True) * delta_out).sum())
+        up = float((layer.forward(x) * delta_out).sum())
         flat[idx] = orig - eps
-        down = float((layer.forward(x, train=True) * delta_out).sum())
+        down = float((layer.forward(x) * delta_out).sum())
         flat[idx] = orig
         grad.reshape(-1)[idx] = (up - down) / (2 * eps)
     return grad
@@ -140,7 +141,7 @@ class TestConvolutional:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 2, 5, 5)).astype(np.float64)
         delta = rng.normal(size=(2, 3, 5, 5)).astype(np.float64)
-        layer.forward(x, train=True)
+        layer.forward(x)
         layer.backward(delta)
         numeric = _numeric_param_grad(layer, x, layer.weights, delta)
         np.testing.assert_allclose(
@@ -152,7 +153,7 @@ class TestConvolutional:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2, 5, 5)).astype(np.float64)
         delta = rng.normal(size=(2, 3, 5, 5)).astype(np.float64)
-        layer.forward(x, train=True)
+        layer.forward(x)
         dx = layer.backward(delta)
         eps = 1e-4
         numeric = np.zeros_like(x)
@@ -170,7 +171,7 @@ class TestConvolutional:
         layer = self.make(batch_normalize=True)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(8, 2, 5, 5)).astype(np.float32) * 10 + 3
-        out = layer.forward(x, train=True)
+        out = layer.forward(x)
         # Scales=1, biases=0 at init -> per-filter output ~N(0,1).
         means = out.mean(axis=(0, 2, 3))
         stds = out.std(axis=(0, 2, 3))
@@ -182,7 +183,7 @@ class TestConvolutional:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 2, 5, 5)).astype(np.float64)
         delta = rng.normal(size=(4, 3, 5, 5)).astype(np.float64)
-        layer.forward(x, train=True)
+        layer.forward(x)
         layer.backward(delta)
         analytic = layer.scale_updates.copy()
         # Finite differences perturb rolling stats; freeze them by
@@ -197,7 +198,7 @@ class TestConvolutional:
                 layer.rolling_mean[...] = rolling_m
                 layer.rolling_variance[...] = rolling_v
                 layer.scales[i] += sign * eps
-                val = float((layer.forward(x, train=True) * delta).sum())
+                val = float((layer.forward(x) * delta).sum())
                 layer.scales[i] -= sign * eps
                 if slot == 0:
                     up = val
@@ -209,9 +210,9 @@ class TestConvolutional:
         layer = self.make(batch_normalize=True)
         x = np.random.default_rng(9).normal(size=(4, 2, 5, 5)).astype(np.float32)
         before = layer.rolling_mean.copy()
-        layer.forward(x, train=False)
+        layer.infer(x, TensorArena().workspace(0))
         np.testing.assert_array_equal(layer.rolling_mean, before)
-        layer.forward(x, train=True)
+        layer.forward(x)
         assert not np.array_equal(layer.rolling_mean, before)
 
     def test_flops_positive_and_scale_with_batch(self):
@@ -297,20 +298,22 @@ class TestDropout:
     def test_identity_at_inference(self):
         layer = DropoutLayer((10,), probability=0.5)
         x = np.ones((4, 10), dtype=np.float32)
-        np.testing.assert_array_equal(layer.forward(x, train=False), x)
+        np.testing.assert_array_equal(
+            layer.infer(x, TensorArena().workspace(0)), x
+        )
 
     def test_expected_scale_preserved(self):
         layer = DropoutLayer((1000,), probability=0.3,
                              rng=np.random.default_rng(0))
         x = np.ones((8, 1000), dtype=np.float32)
-        out = layer.forward(x, train=True)
+        out = layer.forward(x)
         assert out.mean() == pytest.approx(1.0, abs=0.05)
 
     def test_backward_uses_same_mask(self):
         layer = DropoutLayer((100,), probability=0.5,
                              rng=np.random.default_rng(1))
         x = np.ones((2, 100), dtype=np.float32)
-        out = layer.forward(x, train=True)
+        out = layer.forward(x)
         dx = layer.backward(np.ones_like(out))
         np.testing.assert_array_equal((out == 0), (dx == 0))
 
@@ -321,7 +324,7 @@ class TestDropout:
     def test_zero_probability_is_identity(self):
         layer = DropoutLayer((4,), probability=0.0)
         x = np.ones((2, 4), dtype=np.float32)
-        np.testing.assert_array_equal(layer.forward(x, train=True), x)
+        np.testing.assert_array_equal(layer.forward(x), x)
 
 
 class TestSoftmax:

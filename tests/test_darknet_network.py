@@ -18,7 +18,6 @@ from repro.darknet import (
     build_network,
     load_weights,
     parse_cfg,
-    predict_batch,
     render_cfg,
     save_weights,
     train,
@@ -190,7 +189,7 @@ class TestNetwork:
 
     def test_predict_shape(self):
         net = tiny_network()
-        out = net.predict(np.zeros((5, 1, 8, 8), dtype=np.float32))
+        out = net.infer(np.zeros((5, 1, 8, 8), dtype=np.float32), TensorArena())
         assert out.shape == (5, 3)
 
     def test_momentum_free_training_is_deterministic(self):
@@ -271,7 +270,6 @@ class TestGradientBuffers:
         try:
             system = PliniusSystem.create(pm_size=8 << 20)
             net = build_mnist_cnn(rng=np.random.default_rng(41))
-            net.predict(x)
             net.infer(x, TensorArena())
             system.mirror.alloc_mirror_model(net)
             system.mirror.mirror_out(net, 1)
@@ -405,8 +403,6 @@ class TestInference:
               input_shape=(1, 8, 8))
         acc = accuracy(net, data, input_shape=(1, 8, 8), batch_size=32)
         assert acc > 0.8  # planted signal is easy
-        preds = predict_batch(net, data.x[:4], input_shape=(1, 8, 8))
-        assert preds.shape == (4,)
 
 
 class TestLearningRatePolicies:

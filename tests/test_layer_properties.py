@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.darknet.activations import get_activation
+from repro.darknet.arena import TensorArena
 from repro.darknet.layers import (
     AvgPoolLayer,
     ConnectedLayer,
@@ -192,11 +193,11 @@ def test_maxpool_is_layout_independent(dims, size_stride, seed):
     delta = rng.normal(size=(n,) + layer.out_shape).astype(np.float32)
     outs, input_deltas = [], set()
     for x_view in _layouts(x):
-        eval_out = layer.forward(x_view, train=False)
+        out = layer.forward(x_view)
         for delta_view in _layouts(delta):
-            assert _bits(layer.forward(x_view)) == _bits(eval_out)
+            assert _bits(layer.forward(x_view)) == _bits(out)
             input_deltas.add(_bits(layer.backward(delta_view)))
-        outs.append(eval_out)
+        outs += [out, layer.infer(x_view, TensorArena().workspace(0))]
     assert len(input_deltas) == 1
     # The contract's carve-out: a zero maximum over a window holding
     # both zeros has an unspecified sign, so zeros compare by value.

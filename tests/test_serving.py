@@ -14,6 +14,7 @@ from repro.sgx.attestation import AttestationError, QuotingEnclave
 from repro.sgx.enclave import Enclave
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+from tests.reference_kernels import reference_predict
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +168,8 @@ class TestService:
         )
         client = connect(service, enclave, seed=9)
         preds = classify(service, client, test_images[:32])
-        expected = net.predict(
+        expected = reference_predict(
+            net,
             test_images[:32].reshape(-1, 1, 28, 28)
         ).argmax(axis=1)
         np.testing.assert_array_equal(preds, expected)

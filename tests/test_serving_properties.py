@@ -34,6 +34,7 @@ from repro.sgx.enclave import Enclave
 from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+from tests.reference_kernels import reference_predict
 
 N_REQUESTS = 8
 N_CLIENTS = 2
@@ -129,11 +130,11 @@ def test_any_batching_is_byte_identical_to_sequential(
 
 # ----------------------------------------------------------------------
 # The batched kernels themselves: any split, any order, warm or fresh
-# arena — bitwise equal to the sequential per-sample forward.
+# arena — bitwise equal to the per-sample reference prediction.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def kernel_reference():
-    """Per-sample sequential forward of a fixed pool of images."""
+    """Per-sample reference predictions of a fixed pool of images."""
     from repro.darknet.arena import TensorArena
 
     net = _factory()
@@ -141,7 +142,7 @@ def kernel_reference():
         (16, 1, 28, 28), dtype=np.float32
     )
     reference = np.concatenate(
-        [net.forward(pool[i : i + 1], train=False) for i in range(len(pool))]
+        [reference_predict(net, pool[i : i + 1]) for i in range(len(pool))]
     )
     return net, pool, reference, TensorArena()
 

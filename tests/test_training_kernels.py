@@ -16,6 +16,7 @@ import pytest
 from repro.core.models import build_mnist_cnn
 from repro.darknet import im2col as m
 from repro.darknet.activations import get_activation
+from repro.darknet.arena import TensorArena
 from repro.darknet.layers import ConvolutionalLayer, MaxPoolLayer
 from repro.darknet.network import Network
 from tests import reference_kernels as ref
@@ -158,7 +159,7 @@ def test_batchnorm_forward_bits_match_reference(kind, n):
     x = _bn_plane(kind, n)
     new, old = _conv_pair(3, 10, 3, 3, 1, 1, True)
     assert_same_bits(
-        new._batchnorm_forward(x, True), old._batchnorm_forward(x, True)
+        new._batchnorm_forward(x), old._batchnorm_forward(x, True)
     )
     for attr in ("rolling_mean", "rolling_variance"):
         assert_same_bits(getattr(new, attr), getattr(old, attr))
@@ -207,7 +208,7 @@ class TestMaxPool:
         ref_out, ref_dx = _run_pool(old, x, delta)
         assert_same_bits(out, ref_out)
         assert_same_bits(dx, ref_dx)
-        assert_same_bits(new.forward(x, train=False), ref_out)
+        assert_same_bits(new.infer(x, TensorArena().workspace(0)), ref_out)
 
     @pytest.mark.parametrize("shape", POOL_SHAPES)
     def test_ties_route_to_first_window(self, shape):
