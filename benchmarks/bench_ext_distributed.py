@@ -85,7 +85,6 @@ def _pipeline_point(n_stages: int) -> dict:
         data,
         n_stages=n_stages,
         batch=8,
-        server="sgx-emlPM",
         cfg_text=_WIDE_CFG,
         input_shape=(2025,),
     )

@@ -21,11 +21,8 @@ def test_fig10_spot_training(benchmark):
         benchmark,
         run_fig10,
         server="emlSGX-PM",
-        max_bid=0.0955,
         target_iterations=TARGET,
         n_conv_layers=12,
-        filters=4,
-        batch=32,
         iterations_per_interval=8,
         n_rows=2048,
     )

@@ -24,7 +24,6 @@ def test_fig7_mirroring_vs_ssd(benchmark, server):
         server=server,
         layer_counts=LAYER_COUNTS,
         filters=512,
-        runs=1,
     )
 
     print(f"\nFig. 7 — mirroring vs. SSD checkpointing on {server} (ms)")

@@ -18,8 +18,6 @@ def test_secure_inference_accuracy(benchmark):
         run_inference,
         server="emlSGX-PM",
         n_conv_layers=12,
-        filters=8,
-        batch=64,
         iterations=400,
         n_train=6000,
         n_test=1000,

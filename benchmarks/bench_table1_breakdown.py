@@ -21,9 +21,7 @@ LAYER_COUNTS = (1, 3, 5, 7, 9, 11, 13)
 
 
 def _sweep_and_table(server):
-    records = run_fig7(
-        server, layer_counts=LAYER_COUNTS, filters=512, runs=1
-    )
+    records = run_fig7(server, layer_counts=LAYER_COUNTS, filters=512)
     return compute_table1(records)
 
 

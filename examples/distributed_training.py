@@ -24,7 +24,6 @@ def main() -> None:
     print("== pipeline (model-sharded) training ==")
     pipe = PipelinePlinius(
         data, n_conv_layers=6, n_stages=3, filters=8, batch=32,
-        server="sgx-emlPM",
     )
     for idx, worker in enumerate(pipe.workers):
         print(f"stage {idx}: {len(worker.network.layers)} layers, "

@@ -21,15 +21,7 @@ def main() -> None:
     images, labels, _, _ = synthetic_mnist(512, 1, seed=21)
     data = to_data_matrix(images, labels)
 
-    artifacts = run_full_workflow(
-        data,
-        server="emlSGX-PM",
-        iterations=30,
-        n_conv_layers=3,
-        filters=8,
-        batch=32,
-        seed=3,
-    )
+    artifacts = run_full_workflow(data)
     system = artifacts.system
 
     print(f"1. uploaded {system.ssd.file_size('dataset.enc') / 1e6:.1f} MB "

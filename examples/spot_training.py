@@ -37,8 +37,6 @@ def main() -> None:
             data,
             max_bid=MAX_BID,
             n_conv_layers=5,
-            filters=4,
-            batch=32,
             iterations_per_interval=4,
             crash_resilient=resilient,
         )

@@ -43,7 +43,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import FunctionInfo, Project
 from repro.analysis.flow.taint import _call_name
-from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.framework import Finding, Severity
 
 RULE_ID = "DUR001"
@@ -132,12 +131,9 @@ def _is_tx_context(expr: ast.expr) -> bool:
 class DurabilityAnalysis:
     """Effect extraction + the two ordering checks."""
 
-    def __init__(
-        self, project: Project, graph: CallGraph, config: LintConfig
-    ) -> None:
+    def __init__(self, project: Project, graph: CallGraph) -> None:
         self.project = project
         self.graph = graph
-        self.config = config
         self._cache: Dict[str, List[Effect]] = {}
         self._building: Set[str] = set()
 

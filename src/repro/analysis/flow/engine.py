@@ -22,7 +22,6 @@ from repro.analysis.flow.project import Project
 from repro.analysis.flow.taint import RULE_ID as SEC_RULE_ID
 from repro.analysis.flow.taint import TITLE as SEC_TITLE
 from repro.analysis.flow.taint import TaintAnalysis
-from repro.analysis.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.lint.framework import Finding
 
 
@@ -47,23 +46,20 @@ class FlowResult:
 class FlowEngine:
     """Builds the program index and runs SEC001/DUR001."""
 
-    def __init__(self, project: Project, config: LintConfig) -> None:
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.config = config
         self.graph = CallGraph(project)
 
     @classmethod
-    def build(
-        cls, paths: Sequence[Path], config: LintConfig = DEFAULT_CONFIG
-    ) -> "FlowEngine":
-        return cls(Project.load(paths), config)
+    def build(cls, paths: Sequence[Path]) -> "FlowEngine":
+        return cls(Project.load(paths))
 
     def analyze(self) -> FlowResult:
         started = time.perf_counter()
         findings: List[Finding] = []
-        taint = TaintAnalysis(self.project, self.graph, self.config)
+        taint = TaintAnalysis(self.project, self.graph)
         findings.extend(taint.findings())
-        durability = DurabilityAnalysis(self.project, self.graph, self.config)
+        durability = DurabilityAnalysis(self.project, self.graph)
         findings.extend(durability.findings())
         suppressions = {
             str(src.path): src.suppressions for src in self.project.sources

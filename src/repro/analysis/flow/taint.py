@@ -54,7 +54,7 @@ from repro.analysis.lint.config import (
     TAINT_DECRYPT_CALLS,
     TAINT_NAME_MARKERS,
     TAINT_SOURCE_CALLS,
-    LintConfig,
+    is_sec_implementation_module,
 )
 from repro.analysis.lint.framework import Finding, Severity
 
@@ -130,12 +130,9 @@ class TaintSummary:
 class TaintAnalysis:
     """Fixpoint summary computation + SEC001 finding emission."""
 
-    def __init__(
-        self, project: Project, graph: CallGraph, config: LintConfig
-    ) -> None:
+    def __init__(self, project: Project, graph: CallGraph) -> None:
         self.project = project
         self.graph = graph
-        self.config = config
         self.summaries: Dict[str, TaintSummary] = {}
         self._run_fixpoint()
 
@@ -381,7 +378,7 @@ class TaintAnalysis:
     def findings(self) -> Iterator[Finding]:
         for qualname in sorted(self.project.functions):
             fn = self.project.functions[qualname]
-            if self.config.is_sec_implementation_module(fn.module):
+            if is_sec_implementation_module(fn.module):
                 continue
             yield from self._check_function(fn)
 

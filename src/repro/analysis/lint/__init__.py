@@ -9,7 +9,6 @@ in :mod:`repro.analysis.flow` adds seal-before-persist confidentiality
 (SEC001) and durability ordering (DUR001); :func:`run_paths` runs both.
 """
 
-from repro.analysis.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.lint.framework import (
     SUPPRESSION_RULE_ID,
     Finding,
@@ -27,9 +26,7 @@ from repro.analysis.lint.runner import (
 )
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintResult",
     "ModuleSource",
     "Rule",

@@ -1,16 +1,16 @@
 """Repo-specific knowledge the rules consult.
 
-The module sets here mirror the trusted/untrusted partitioning of
-:mod:`repro.analysis.tcb` (a test asserts they stay in sync) and add the
-linter-only classifications: which modules implement the PM durability
-protocols (and are therefore allowed to touch the raw device), which are
-governed by the deterministic simulated clock, and which symbols must
-never be referenced from untrusted code.
+The untrusted set is :mod:`repro.analysis.tcb`'s own tuple, imported
+here; the rest are the linter-only classifications: which modules
+implement the PM durability protocols (and are therefore allowed to
+touch the raw device), which are governed by the deterministic
+simulated clock, and which symbols must never be referenced from
+untrusted code.  Rules and the flow pass read these tuples and
+predicates directly: there is one configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 # Modules running *outside* the enclave under the paper's partitioning:
@@ -210,46 +210,32 @@ MUTATING_METHODS: FrozenSet[str] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Aggregated configuration handed to every rule.
+# ----------------------------------------------------------------------
+# Module classification predicates
+# ----------------------------------------------------------------------
 
-    The defaults encode this repository's layout; tests build modified
-    copies (``dataclasses.replace``) to exercise classification edges.
-    """
-
-    pm_protocol_modules: Tuple[str, ...] = PM_PROTOCOL_MODULES
-    sec_implementation_modules: Tuple[str, ...] = SEC_IMPLEMENTATION_MODULES
-    enclave_only_modules: Tuple[str, ...] = ENCLAVE_ONLY_MODULES
-    enclave_only_names: FrozenSet[str] = ENCLAVE_ONLY_NAMES
-    untrusted_modules: Tuple[str, ...] = UNTRUSTED_MODULES
-    det_exempt_prefixes: Tuple[str, ...] = DET_EXEMPT_PREFIXES
-    hot_path_modules: Tuple[str, ...] = HOT_PATH_MODULES
-
-    # ------------------------------------------------------------------
-    def is_pm_protocol_module(self, module: str) -> bool:
-        return module in self.pm_protocol_modules
-
-    def is_sec_implementation_module(self, module: str) -> bool:
-        return any(
-            module == m or module.startswith(m + ".")
-            for m in self.sec_implementation_modules
-        )
-
-    def is_untrusted(self, module: str) -> bool:
-        return module in self.untrusted_modules
-
-    def is_hot_path(self, module: str) -> bool:
-        """Whether ALLOC001 applies: the allocation-free serve path."""
-        return module in self.hot_path_modules
-
-    def is_det_governed(self, module: str) -> bool:
-        """Whether DET001 applies: every module except the wall-clock
-        observability lane, benchmarks, and the analysis tooling."""
-        return not any(
-            module == p or module.startswith(p + ".")
-            for p in self.det_exempt_prefixes
-        )
+def _in_package(module: str, packages: Tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
 
 
-DEFAULT_CONFIG = LintConfig()
+def is_pm_protocol_module(module: str) -> bool:
+    return module in PM_PROTOCOL_MODULES
+
+
+def is_sec_implementation_module(module: str) -> bool:
+    return _in_package(module, SEC_IMPLEMENTATION_MODULES)
+
+
+def is_untrusted(module: str) -> bool:
+    return module in UNTRUSTED_MODULES
+
+
+def is_hot_path(module: str) -> bool:
+    """Whether ALLOC001 applies: the allocation-free serve path."""
+    return module in HOT_PATH_MODULES
+
+
+def is_det_governed(module: str) -> bool:
+    """Whether DET001 applies: every module except the wall-clock
+    observability lane, benchmarks, and the analysis tooling."""
+    return not _in_package(module, DET_EXEMPT_PREFIXES)

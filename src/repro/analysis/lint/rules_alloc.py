@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.analysis.lint.config import (
     NUMPY_ALLOCATOR_CALLS,
-    LintConfig,
+    is_hot_path,
 )
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
@@ -40,11 +40,8 @@ class HotPathAllocationRule(Rule):
     severity = Severity.ERROR
     title = "numpy allocation in an arena-backed hot-path module"
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def check(self, src: ModuleSource) -> Iterator[Finding]:
-        if not self.config.is_hot_path(src.module):
+        if not is_hot_path(src.module):
             return
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):

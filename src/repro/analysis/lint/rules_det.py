@@ -35,7 +35,7 @@ from repro.analysis.lint.config import (
     GLOBAL_RNG_FUNCTIONS,
     NONDETERMINISTIC_CALLS,
     SEEDED_CONSTRUCTORS,
-    LintConfig,
+    is_det_governed,
 )
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
@@ -47,11 +47,8 @@ class SimtimeDeterminismRule(Rule):
     severity = Severity.WARNING
     title = "nondeterministic call in a sim-time governed module"
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def check(self, src: ModuleSource) -> Iterator[Finding]:
-        if not self.config.is_det_governed(src.module):
+        if not is_det_governed(src.module):
             return
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call):

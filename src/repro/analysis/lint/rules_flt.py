@@ -26,7 +26,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
 #: The plan entry points consulted by instrumented modules.
@@ -54,9 +53,6 @@ class FaultSiteRegistryRule(Rule):
     rule_id = "FLT001"
     severity = Severity.ERROR
     title = "fault-point site names must be registered in repro.faults.registry"
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:
         if src.module.startswith(_EXEMPT_PREFIX):

@@ -32,7 +32,6 @@ from typing import Iterator, List, Optional, Set, Tuple
 from repro.analysis.lint.config import (
     LOCK_CONSTRUCTORS,
     MUTATING_METHODS,
-    LintConfig,
 )
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
@@ -83,9 +82,6 @@ class LockDisciplineRule(Rule):
     rule_id = "LCK001"
     severity = Severity.ERROR
     title = "lock-guarded field mutated outside its lock"
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(src.tree):

@@ -30,7 +30,7 @@ from repro.analysis.lint.config import (
     PM_RECEIVER_TAILS,
     PM_VIEW_METHODS,
     PM_WRITE_METHODS,
-    LintConfig,
+    is_pm_protocol_module,
 )
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
@@ -65,11 +65,8 @@ class PmStoreDisciplineRule(Rule):
     severity = Severity.ERROR
     title = "PM store outside a Romulus durable transaction"
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def check(self, src: ModuleSource) -> Iterator[Finding]:
-        if self.config.is_pm_protocol_module(src.module):
+        if is_pm_protocol_module(src.module):
             return
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):

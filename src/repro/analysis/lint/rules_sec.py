@@ -14,7 +14,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.config import LintConfig
+from repro.analysis.lint.config import (
+    ENCLAVE_ONLY_MODULES,
+    ENCLAVE_ONLY_NAMES,
+    is_untrusted,
+)
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule, Severity
 
 
@@ -25,18 +29,13 @@ class EnclaveBoundaryRule(Rule):
     severity = Severity.ERROR
     title = "enclave-only symbol referenced from an untrusted module"
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def check(self, src: ModuleSource) -> Iterator[Finding]:
-        if not self.config.is_untrusted(src.module):
+        if not is_untrusted(src.module):
             return
-        enclave_modules = self.config.enclave_only_modules
-        enclave_names = self.config.enclave_only_names
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name in enclave_modules:
+                    if alias.name in ENCLAVE_ONLY_MODULES:
                         yield self.finding(
                             src,
                             node,
@@ -44,7 +43,7 @@ class EnclaveBoundaryRule(Rule):
                             f"module '{alias.name}'",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module in enclave_modules:
+                if node.module in ENCLAVE_ONLY_MODULES:
                     names = ", ".join(a.name for a in node.names)
                     yield self.finding(
                         src,
@@ -56,7 +55,7 @@ class EnclaveBoundaryRule(Rule):
                     flagged = [
                         a.name
                         for a in node.names
-                        if a.name in enclave_names
+                        if a.name in ENCLAVE_ONLY_NAMES
                     ]
                     if flagged:
                         yield self.finding(
@@ -71,7 +70,7 @@ class EnclaveBoundaryRule(Rule):
                     continue
                 if any(
                     dotted == m or dotted.startswith(m + ".")
-                    for m in enclave_modules
+                    for m in ENCLAVE_ONLY_MODULES
                 ):
                     yield self.finding(
                         src,

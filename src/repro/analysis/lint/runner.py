@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.lint.framework import (
     Finding,
     ModuleSource,
@@ -37,15 +36,15 @@ from repro.analysis.lint.rules_pm import PmStoreDisciplineRule
 from repro.analysis.lint.rules_sec import EnclaveBoundaryRule
 
 
-def default_rules(config: LintConfig = DEFAULT_CONFIG) -> List[Rule]:
+def default_rules() -> List[Rule]:
     """The full rule set, in report order."""
     return [
-        PmStoreDisciplineRule(config),
-        EnclaveBoundaryRule(config),
-        SimtimeDeterminismRule(config),
-        HotPathAllocationRule(config),
-        LockDisciplineRule(config),
-        FaultSiteRegistryRule(config),
+        PmStoreDisciplineRule(),
+        EnclaveBoundaryRule(),
+        SimtimeDeterminismRule(),
+        HotPathAllocationRule(),
+        LockDisciplineRule(),
+        FaultSiteRegistryRule(),
     ]
 
 
@@ -102,24 +101,20 @@ def lint_file(
     return kept, dropped
 
 
-def run_paths(
-    paths: Sequence[Path],
-    config: LintConfig = DEFAULT_CONFIG,
-    rules: Iterable[Rule] | None = None,
-) -> LintResult:
+def run_paths(paths: Sequence[Path]) -> LintResult:
     """Lint every ``.py`` file under ``paths`` with the default rules
     and the whole-program flow pass."""
     # Imported lazily: the flow package imports ``repro.analysis.lint``,
     # whose ``__init__`` imports this module.
     from repro.analysis.flow import FlowEngine
 
-    active = list(rules) if rules is not None else default_rules(config)
+    active = default_rules()
     files = discover_files(paths)
     findings: List[Finding] = []
     for path in files:
         kept, _ = lint_file(path, active)
         findings.extend(kept)
-    flow = FlowEngine.build(files, config).analyze()
+    flow = FlowEngine.build(files).analyze()
     return LintResult(
         findings=findings + flow.findings,
         files_checked=len(files),

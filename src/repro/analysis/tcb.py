@@ -160,7 +160,7 @@ class TcbReport:
     trusted_loc: int
     untrusted_loc: int
     per_module: Dict[str, Tuple[str, int]]  # module -> (side, loc)
-    libos_runtime_loc: int = LIBOS_RUNTIME_LOC
+    libos_runtime_loc = LIBOS_RUNTIME_LOC
 
     @property
     def total_loc(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass
@@ -68,11 +68,8 @@ def run_federated(
     n_clients: int = 4,
     rounds: int = 3,
     local_steps: int = 2,
-    batch: int = 4,
-    rows_per_client: int = 8,
     seed: int = 4242,
     server: str = "emlSGX-PM",
-    quorum: Optional[int] = None,
 ) -> FederatedBenchReport:
     """Run one honest federation end to end and report the ledger view."""
     from repro.federated.session import FederatedSession, FederationConfig
@@ -81,11 +78,8 @@ def run_federated(
         n_clients=n_clients,
         rounds=rounds,
         local_steps=local_steps,
-        batch=batch,
-        rows_per_client=rows_per_client,
         seed=seed,
         server=server,
-        quorum=quorum,
     )
     session = FederatedSession(config)
     results = session.run()

@@ -18,6 +18,9 @@ from repro.data import synthetic_mnist, to_data_matrix
 from repro.spot.simulator import SpotRunResult, SpotSimulator
 from repro.spot.traces import SpotTrace, synthetic_trace
 
+#: The paper's maximum spot bid ($/h).
+MAX_BID = 0.0955
+
 
 @dataclass
 class Fig10Result:
@@ -31,33 +34,28 @@ class Fig10Result:
 
 def run_fig10(
     server: str = "emlSGX-PM",
-    max_bid: float = 0.0955,
     target_iterations: int = 500,
     n_conv_layers: int = 12,
-    filters: int = 4,
-    batch: int = 32,
     iterations_per_interval: int = 8,
     n_rows: int = 2048,
     trace: SpotTrace = None,
-    seed: int = 7,
 ) -> Fig10Result:
-    """Run the spot experiment (resilient + non-resilient)."""
+    """Run the spot experiment (resilient + non-resilient) with a
+    4-filter model at batch 32 and the paper's bid."""
     if trace is None:
-        trace = synthetic_trace(seed=38)
-    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=seed)
+        trace = synthetic_trace()
+    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=7)
     data = to_data_matrix(images, labels)
 
     def run(crash_resilient: bool) -> SpotRunResult:
         system = PliniusSystem.create(
-            server=server, seed=seed, pm_size=96 << 20
+            server=server, seed=7, pm_size=96 << 20
         )
         simulator = SpotSimulator(
             system,
             data,
-            max_bid=max_bid,
+            max_bid=MAX_BID,
             n_conv_layers=n_conv_layers,
-            filters=filters,
-            batch=batch,
             iterations_per_interval=iterations_per_interval,
             crash_resilient=crash_resilient,
         )
@@ -65,7 +63,7 @@ def run_fig10(
 
     return Fig10Result(
         trace=trace,
-        max_bid=max_bid,
+        max_bid=MAX_BID,
         resilient=run(True),
         non_resilient=run(False),
     )

@@ -16,11 +16,12 @@ from repro.simtime.profiles import ServerProfile, get_profile
 
 
 def run_fig2_table(
-    server: str = "emlSGX-PM", file_size: int = 512 * MIB
+    server: str = "emlSGX-PM",
 ) -> List[Tuple[str, Dict[str, float]]]:
-    """Run the Fig. 2 matrix; returns (workload, {backend: MiB/s}) rows."""
+    """Run the Fig. 2 matrix over a 512 MiB file; returns (workload,
+    {backend: MiB/s}) rows."""
     profile: ServerProfile = get_profile(server)
-    table = run_fig2(profile, file_size=file_size)
+    table = run_fig2(profile, file_size=512 * MIB)
     rows: List[Tuple[str, Dict[str, float]]] = []
     for workload in ("seqread", "randread", "seqwrite", "randwrite"):
         results: Dict[str, FioResult] = table[workload]

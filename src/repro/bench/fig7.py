@@ -59,29 +59,21 @@ class Fig7Record:
         return self.ssd_restore.storage_seconds / self.pm_restore.storage_seconds
 
 
-def _average(timings: Sequence[MirrorTiming]) -> MirrorTiming:
-    return MirrorTiming(
-        crypto_seconds=float(np.mean([t.crypto_seconds for t in timings])),
-        storage_seconds=float(np.mean([t.storage_seconds for t in timings])),
-    )
-
-
 def measure_model_size(
     server: str,
     layer_count: int,
     filters: int = 512,
-    runs: int = 3,
-    seed: int = 7,
     recorder=None,
 ) -> Fig7Record:
-    """Measure save/restore for one model size on one server.
+    """Measure one save and one cold restore, on PM and on SSD, for
+    one model size on one server.
 
     ``recorder`` optionally attaches a
     :class:`~repro.obs.recorder.TraceRecorder` to the system so the
     sweep's ``mirror.*``/``ckpt.*`` spans can be analyzed afterwards
     (e.g. reproducing Table I from the trace alone).
     """
-    rng = np.random.default_rng((seed, layer_count))
+    rng = np.random.default_rng((7, layer_count))
     per_layer = 4 * (filters * filters * 9 + 4 * filters)
     network = build_sized_cnn(layer_count * per_layer, rng=rng, filters=filters)
     model_bytes = network.param_bytes
@@ -90,33 +82,26 @@ def measure_model_size(
     sealed_footprint = model_bytes + n_buffers * SEAL_OVERHEAD
     pm_size = 2 * (sealed_footprint + (2 << 20)) + 8192
     system = PliniusSystem.create(
-        server=server, seed=seed, pm_size=pm_size, recorder=recorder
+        server=server, seed=7, pm_size=pm_size, recorder=recorder
     )
     system.enclave.malloc("model", model_bytes)
     system.mirror.alloc_mirror_model(network)
 
-    pm_saves: List[MirrorTiming] = []
-    pm_restores: List[MirrorTiming] = []
-    ssd_saves: List[MirrorTiming] = []
-    ssd_restores: List[MirrorTiming] = []
-    for run in range(runs):
-        pm_saves.append(system.mirror.mirror_out(network, run + 1))
-        # Restores model a cold cache (as after the crash it exists for).
-        system.pm.drop_caches()
-        pm_restores.append(system.mirror.mirror_in(network))
-
-        ssd_saves.append(system.checkpoint.save(network, run + 1))
-        _, restore_timing = system.checkpoint.restore(network)
-        ssd_restores.append(restore_timing)
+    pm_save = system.mirror.mirror_out(network, 1)
+    # Restores model a cold cache (as after the crash it exists for).
+    system.pm.drop_caches()
+    pm_restore = system.mirror.mirror_in(network)
+    ssd_save = system.checkpoint.save(network, 1)
+    _, ssd_restore = system.checkpoint.restore(network)
 
     return Fig7Record(
         server=server,
         model_bytes=model_bytes,
         over_epc=system.enclave.over_epc,
-        pm_save=_average(pm_saves),
-        pm_restore=_average(pm_restores),
-        ssd_save=_average(ssd_saves),
-        ssd_restore=_average(ssd_restores),
+        pm_save=pm_save,
+        pm_restore=pm_restore,
+        ssd_save=ssd_save,
+        ssd_restore=ssd_restore,
     )
 
 
@@ -127,19 +112,6 @@ def run_fig7(
     server: str = "sgx-emlPM",
     layer_counts: Sequence[int] = DEFAULT_LAYER_COUNTS,
     filters: int = 512,
-    runs: int = 3,
-    seed: int = 7,
-    recorder=None,
 ) -> List[Fig7Record]:
-    """Sweep model sizes on one server (paper runs both servers).
-
-    One ``recorder`` may observe the whole sweep: each sized system
-    gets its own clock, but spans carry the per-system sim timestamps.
-    """
-    return [
-        measure_model_size(
-            server, n, filters=filters, runs=runs, seed=seed,
-            recorder=recorder,
-        )
-        for n in layer_counts
-    ]
+    """Sweep model sizes on one server (paper runs both servers)."""
+    return [measure_model_size(server, n, filters=filters) for n in layer_counts]

@@ -41,17 +41,12 @@ def _mean_iteration_time(
     encrypted: bool,
     iterations: int,
     n_rows: int,
-    n_conv_layers: int,
-    filters: int,
-    seed: int,
 ) -> float:
-    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=seed)
+    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=7)
     data = to_data_matrix(images, labels)
-    system = PliniusSystem.create(server=server, seed=seed, pm_size=96 << 20)
+    system = PliniusSystem.create(server=server, seed=7, pm_size=96 << 20)
     system.load_data(data, encrypted=encrypted)
-    network = system.build_model(
-        n_conv_layers=n_conv_layers, filters=filters, batch=batch_size
-    )
+    network = system.build_model(n_conv_layers=5, filters=8, batch=batch_size)
     result = system.train(network, iterations=iterations)
     return float(np.mean([t.total for t in result.iteration_timings]))
 
@@ -61,20 +56,16 @@ def run_fig8(
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
     iterations: int = 5,
     n_rows: int = 1024,
-    n_conv_layers: int = 5,
-    filters: int = 8,
-    seed: int = 7,
 ) -> List[Fig8Point]:
-    """Sweep batch sizes in both data modes on one server."""
+    """Sweep batch sizes in both data modes on one server (5 LReLU-conv
+    layers of 8 filters, as in the paper)."""
     points: List[Fig8Point] = []
     for batch_size in batch_sizes:
         enc = _mean_iteration_time(
-            server, batch_size, True, iterations, n_rows,
-            n_conv_layers, filters, seed,
+            server, batch_size, True, iterations, n_rows
         )
         plain = _mean_iteration_time(
-            server, batch_size, False, iterations, n_rows,
-            n_conv_layers, filters, seed,
+            server, batch_size, False, iterations, n_rows
         )
         points.append(
             Fig8Point(

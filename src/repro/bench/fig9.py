@@ -40,11 +40,9 @@ class Fig9Result:
     non_resilient_total_iterations: int
 
 
-def _crash_schedule(
-    iterations: int, n_crashes: int, seed: int
-) -> List[int]:
+def _crash_schedule(iterations: int, n_crashes: int) -> List[int]:
     """Kill iterations, uniformly spread with jitter (the 10-15 min gap)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     gap = iterations / (n_crashes + 1)
     points = []
     for k in range(1, n_crashes + 1):
@@ -53,10 +51,8 @@ def _crash_schedule(
     return sorted(set(points))
 
 
-def _make_system(
-    server: str, data: DataMatrix, seed: int
-) -> PliniusSystem:
-    system = PliniusSystem.create(server=server, seed=seed, pm_size=96 << 20)
+def _make_system(server: str, data: DataMatrix) -> PliniusSystem:
+    system = PliniusSystem.create(server=server, seed=7, pm_size=96 << 20)
     system.load_data(data)
     return system
 
@@ -65,28 +61,27 @@ def run_fig9(
     server: str = "emlSGX-PM",
     iterations: int = 500,
     n_crashes: int = 9,
-    n_conv_layers: int = 5,
     filters: int = 8,
     batch: int = 32,
     n_rows: int = 2048,
-    seed: int = 7,
 ) -> Fig9Result:
-    """Run all three Fig. 9 curves; fully deterministic."""
-    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=seed)
+    """Run all three Fig. 9 curves (5 LReLU-conv layers); fully
+    deterministic."""
+    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=7)
     data = to_data_matrix(images, labels)
-    crash_points = _crash_schedule(iterations, n_crashes, seed)
+    crash_points = _crash_schedule(iterations, n_crashes)
 
     def build(system: PliniusSystem):
         return system.build_model(
-            n_conv_layers=n_conv_layers, filters=filters, batch=batch
+            n_conv_layers=5, filters=filters, batch=batch
         )
 
     # Baseline: uninterrupted.
-    system = _make_system(server, data, seed)
+    system = _make_system(server, data)
     baseline = system.train(build(system), iterations=iterations).log
 
     # Crash-resilient: kill at each crash point, resume through the mirror.
-    system = _make_system(server, data, seed)
+    system = _make_system(server, data)
     resilient = TrainingLog()
     network = build(system)
     resilient_total = 0
@@ -105,7 +100,7 @@ def run_fig9(
         network = build(system)  # fresh weights; mirror_in overwrites them
 
     # Non-resilient: same kill schedule, but every restart begins at 0.
-    system = _make_system(server, data, seed)
+    system = _make_system(server, data)
     non_resilient = TrainingLog()
     non_total = 0
     network = build(system)

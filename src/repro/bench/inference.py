@@ -31,25 +31,21 @@ class InferenceResult:
 def run_inference(
     server: str = "emlSGX-PM",
     n_conv_layers: int = 12,
-    filters: int = 8,
-    batch: int = 64,
     iterations: int = 400,
     n_train: int = 6000,
     n_test: int = 1000,
-    seed: int = 7,
 ) -> InferenceResult:
-    """Train then evaluate; returns the measured accuracy."""
+    """Train an 8-filter model at batch 64, then evaluate; returns the
+    measured accuracy."""
     train_images, train_labels, test_images, test_labels = synthetic_mnist(
-        n_train, n_test, seed=seed
+        n_train, n_test, seed=7
     )
     train_data = to_data_matrix(train_images, train_labels)
     test_data = to_data_matrix(test_images, test_labels)
 
-    system = PliniusSystem.create(server=server, seed=seed, pm_size=160 << 20)
+    system = PliniusSystem.create(server=server, seed=7, pm_size=160 << 20)
     system.load_data(train_data)
-    network = system.build_model(
-        n_conv_layers=n_conv_layers, filters=filters, batch=batch
-    )
+    network = system.build_model(n_conv_layers=n_conv_layers, filters=8, batch=64)
     result = system.train(network, iterations=iterations)
     acc = accuracy(network, test_data, input_shape=(1, 28, 28))
     return InferenceResult(

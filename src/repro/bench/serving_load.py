@@ -50,6 +50,9 @@ BATCH16_SPEEDUP_TARGET = 9.0
 #: throughput by at least this factor (for N >= 2).
 REPLICA_SCALING_TARGET = 1.5
 
+#: Longest a partial batch waits for more requests (simulated seconds).
+MAX_DELAY = 2e-3
+
 
 @dataclass(frozen=True)
 class ConfigResult:
@@ -161,7 +164,6 @@ def _run_config(
     images: np.ndarray,
     seed: int,
     max_queue_depth: int,
-    max_delay: float,
     n_sessions: int = 2,
     session_base: int = 0,
 ) -> ConfigResult:
@@ -196,7 +198,7 @@ def _run_config(
     gateway = InferenceGateway(
         pool,
         system.clock,
-        BatchPolicy(max_requests=batch_max, max_delay=max_delay),
+        BatchPolicy(max_requests=batch_max, max_delay=MAX_DELAY),
         AdmissionPolicy(max_queue_depth=max_queue_depth),
     )
     clients: Dict[int, InferenceClient] = {}
@@ -251,7 +253,6 @@ def run_serving_load(
     n_requests: int = 256,
     seed: int = 11,
     max_queue_depth: int = 0,
-    max_delay: float = 2e-3,
 ) -> ServingLoadReport:
     """Run the three-configuration load comparison.
 
@@ -269,7 +270,6 @@ def run_serving_load(
         images=images,
         seed=seed,
         max_queue_depth=depth,
-        max_delay=max_delay,
     )
     sequential = _run_config(
         "sequential", replicas=1, batch_max=1, session_base=0, **common

@@ -181,11 +181,11 @@ def _traced_mirror_phases(
 
 def measure_mirror_wallclock(
     layer_count: int,
-    filters: int = 512,
     repeats: int = 3,
-    seed: int = 7,
 ) -> MirrorWallclock:
-    """Time ``mirror_out`` and ``mirror_in`` on one Fig. 7 model size."""
+    """Time ``mirror_out`` and ``mirror_in`` on one Fig. 7 model size
+    (512 filters per layer)."""
+    filters, seed = 512, 7
     system, network = _sized_system(layer_count, filters, seed)
     iteration = [0]
 
@@ -254,16 +254,13 @@ class ForwardWallclock:
         return largest.speedup
 
 
-def measure_forward_wallclock(
-    n_conv_layers: int = 5,
-    filters: int = 16,
-    batches: Sequence[int] = (1, 8, 32),
-    iters: int = 4,
-    repeats: int = 3,
-    seed: int = 5,
-) -> ForwardWallclock:
+def measure_forward_wallclock() -> ForwardWallclock:
     """Time per-request vs. batched inference, arena warm and cold."""
     from repro.darknet.arena import TensorArena
+
+    n_conv_layers, filters, batches, iters, repeats, seed = (
+        5, 16, (1, 8, 32), 4, 3, 5
+    )
 
     network = build_mnist_cnn(
         n_conv_layers=n_conv_layers,
@@ -351,14 +348,7 @@ class FlightOverheadWallclock:
         ) / self.null_seconds
 
 
-def measure_flight_overhead_wallclock(
-    layer_count: int = 2,
-    filters: int = 512,
-    repeats: int = 7,
-    cycles_per_sample: int = 4,
-    hook_calls: int = 100_000,
-    seed: int = 13,
-) -> FlightOverheadWallclock:
+def measure_flight_overhead_wallclock() -> FlightOverheadWallclock:
     """Measure the always-on flight recorder's cost on the mirror path.
 
     A direct A/B timing of whole cycles cannot resolve this overhead:
@@ -382,6 +372,9 @@ def measure_flight_overhead_wallclock(
     from repro.obs.flight import FlightRecorder
     from repro.obs.recorder import NULL_RECORDER
 
+    layer_count, filters, repeats, cycles_per_sample, hook_calls, seed = (
+        2, 512, 7, 4, 100_000, 13
+    )
     system, network = _sized_system(layer_count, filters, seed)
     flight = FlightRecorder()
     iteration = [0]
@@ -475,9 +468,9 @@ def measure_train_step_wallclock(
     filters: int,
     batch: int,
     iters: int,
-    seed: int = 9,
 ) -> TrainStepWallclock:
     """Absolute cost of a training step: no twin, no ratio."""
+    seed = 9
     network = build_mnist_cnn(
         n_conv_layers=n_conv_layers,
         filters=filters,
@@ -723,7 +716,6 @@ class WallclockReport:
 def run_wallclock(
     smoke: bool = False,
     layer_counts: Optional[Sequence[int]] = None,
-    seed: int = 7,
 ) -> WallclockReport:
     """Run every wall-clock measurement; ``smoke`` shrinks all knobs."""
     from repro.crypto.backend import default_backend
@@ -732,14 +724,14 @@ def run_wallclock(
         layer_counts = SMOKE_LAYER_COUNTS if smoke else DEFAULT_LAYER_COUNTS
     mirror_repeats = 1 if smoke else 3
     mirror = [
-        measure_mirror_wallclock(n, repeats=mirror_repeats, seed=seed)
+        measure_mirror_wallclock(n, repeats=mirror_repeats)
         for n in layer_counts
     ]
     # The forward section is cheap (~1.5 s) and its speedup ratio gates
     # CI, so it runs at full iters/repeats even under --smoke: a
     # single-repeat measurement on a loaded runner wobbles around the
     # 3.0x floor.
-    forward = measure_forward_wallclock(iters=4, repeats=3)
+    forward = measure_forward_wallclock()
     # The flight-overhead ratio gates CI; like the forward section it
     # runs at full repeats even under --smoke, since a single pair of
     # measurements on a loaded runner wobbles around the 0.5% ceiling.

@@ -65,9 +65,7 @@ def _cmd_fig7(args: argparse.Namespace) -> None:
 
     counts = (1, 4, 8, 11) if args.full else (1, 3, 5)
     filters = 512 if args.full else 128
-    records = run_fig7(
-        args.server, layer_counts=counts, filters=filters, runs=1
-    )
+    records = run_fig7(args.server, layer_counts=counts, filters=filters)
     print(f"Fig. 7 — mirroring vs. SSD checkpointing on {args.server}")
     print(
         format_table(
@@ -137,7 +135,6 @@ def _cmd_fig10(args: argparse.Namespace) -> None:
         target_iterations=500 if args.full else 60,
         iterations_per_interval=8 if args.full else 5,
         n_conv_layers=12 if args.full else 3,
-        filters=4,
         n_rows=1024 if args.full else 256,
     )
     res, non = result.resilient, result.non_resilient

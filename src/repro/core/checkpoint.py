@@ -33,6 +33,9 @@ from repro.simtime.profiles import ServerProfile
 _FILE_HEADER = struct.Struct("<QQ")
 _BUF_HEADER = struct.Struct("<Q")
 
+#: Bytes per ``ckpt_fwrite`` / ``ckpt_fread`` ocall.
+_CHUNK_SIZE = 1 << 20
+
 
 class CheckpointError(RuntimeError):
     """Raised for missing or malformed checkpoints."""
@@ -49,7 +52,6 @@ class SsdCheckpoint:
         runtime: EnclaveRuntime,
         profile: ServerProfile,
         path: str = "model.ckpt",
-        chunk_size: int = 1 << 20,
     ) -> None:
         self.ssd = ssd
         self.engine = engine
@@ -57,7 +59,6 @@ class SsdCheckpoint:
         self.runtime = runtime
         self.profile = profile
         self.path = path
-        self.chunk_size = chunk_size
         self.clock = enclave.clock
         runtime.register_ocall("ckpt_fwrite", self._ocall_fwrite)
         runtime.register_ocall("ckpt_fread", self._ocall_fread)
@@ -177,16 +178,16 @@ class SsdCheckpoint:
 
     # ------------------------------------------------------------------
     def _fwrite_chunks(self, offset: int, data: bytes) -> None:
-        for start in range(0, len(data), self.chunk_size):
-            chunk = data[start : start + self.chunk_size]
+        for start in range(0, len(data), _CHUNK_SIZE):
+            chunk = data[start : start + _CHUNK_SIZE]
             # Copy out of the EPC, cross the boundary, hit the page cache.
             self.enclave.copy_out(len(chunk))
             self.runtime.ocall("ckpt_fwrite", offset + start, chunk)
 
     def _fread_chunks(self, offset: int, length: int) -> bytes:
         parts: List[bytes] = []
-        for start in range(0, length, self.chunk_size):
-            n = min(self.chunk_size, length - start)
+        for start in range(0, length, _CHUNK_SIZE):
+            n = min(_CHUNK_SIZE, length - start)
             parts.append(self.runtime.ocall("ckpt_fread", offset + start, n))
             # Copy from untrusted DRAM into the EPC.
             self.enclave.copy_in(n)

@@ -209,23 +209,6 @@ class MirrorModule:
             )
             tx.write_u64(self.region.root_offset(MODEL_ROOT), model)
 
-    def free_mirror_model(self) -> None:
-        """Release the mirror (e.g. before re-allocating a new shape)."""
-        self._require_model()
-        model = self.region.root(MODEL_ROOT)
-        with self.region.begin_transaction() as tx:
-            node = self._model_head(model)
-            while node:
-                nxt, nbuf = _LAYER_FIXED.unpack(
-                    self.region.read(node, _LAYER_FIXED.size)
-                )
-                for _, offset in self._buffer_refs(node, nbuf):
-                    self.heap.pmfree(tx, offset)
-                self.heap.pmfree(tx, node)
-                node = nxt
-            self.heap.pmfree(tx, model)
-            tx.write_u64(self.region.root_offset(MODEL_ROOT), 0)
-
     def _model_head(self, model_offset: int) -> int:
         header = self.region.read(model_offset, _MODEL_HEADER.size)
         _, _, head = _MODEL_HEADER.unpack(header)

@@ -24,8 +24,6 @@ def cnn_cfg(
     n_conv_layers: int = 5,
     filters: int = 16,
     batch: int = 128,
-    learning_rate: float = 0.1,
-    with_pooling: bool = True,
 ) -> str:
     """Darknet ``.cfg`` text for an MNIST LReLU-CNN.
 
@@ -39,7 +37,7 @@ def cnn_cfg(
     lines = [
         "[net]",
         f"batch={batch}",
-        f"learning_rate={learning_rate}",
+        "learning_rate=0.1",
         "momentum=0.9",
         "decay=0.0005",
         "height=28",
@@ -57,7 +55,7 @@ def cnn_cfg(
             "pad=1",
             "activation=leaky",
         ]
-        if with_pooling and i in (0, 1):
+        if i in (0, 1):
             lines += ["", "[maxpool]", "size=2", "stride=2"]
     lines += ["", "[connected]", "output=10", "activation=linear", "", "[softmax]"]
     return "\n".join(lines) + "\n"
@@ -67,17 +65,11 @@ def build_mnist_cnn(
     n_conv_layers: int = 5,
     filters: int = 16,
     batch: int = 128,
-    learning_rate: float = 0.1,
     rng: Optional[np.random.Generator] = None,
 ) -> Network:
     """Build (with initialized weights) an MNIST LReLU-CNN."""
     config = parse_cfg(
-        cnn_cfg(
-            n_conv_layers=n_conv_layers,
-            filters=filters,
-            batch=batch,
-            learning_rate=learning_rate,
-        )
+        cnn_cfg(n_conv_layers=n_conv_layers, filters=filters, batch=batch)
     )
     return build_network(config, rng or np.random.default_rng(0))
 

@@ -174,43 +174,6 @@ class PmDataModule:
             y[out_i] = flat[features:]
         return x, y
 
-    def fetch_contiguous(
-        self, start: int, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fetch ``count`` consecutive rows with one PM read.
-
-        Sequential-batch optimization: the rows' sealed bytes are
-        contiguous on PM, so a single wide read amortizes the device
-        latency that :meth:`fetch_batch` pays per row.  Decryption is
-        unchanged (still one sealed buffer per row).
-        """
-        rows, features, classes, row_plain, row_stored, rows_offset, enc = (
-            self._header()
-        )
-        if start < 0 or count < 0 or start + count > rows:
-            raise IndexError(
-                f"contiguous fetch [{start}, {start + count}) out of "
-                f"range 0..{rows}"
-            )
-        crypto = self.profile.crypto
-        blob = self.region.read(
-            rows_offset + start * row_stored, count * row_stored
-        )
-        self.enclave.copy_in(count * row_stored)
-        x = np.empty((count, features), dtype=np.float32)
-        y = np.empty((count, classes), dtype=np.float32)
-        for i in range(count):
-            stored = blob[i * row_stored : (i + 1) * row_stored]
-            if enc:
-                self.clock.advance(crypto.decrypt_time(row_plain))
-                row = self.engine.unseal(stored)
-            else:
-                row = stored
-            flat = np.frombuffer(row, dtype=np.float32)
-            x[i] = flat[:features]
-            y[i] = flat[features:]
-        return x, y
-
     def random_batch(
         self, batch_size: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.mirror import MirrorModule
+from repro.core.models import MNIST_INPUT_SHAPE
 from repro.crypto.engine import SEAL_OVERHEAD
 from repro.darknet.arena import TensorArena
 from repro.darknet.network import Network
@@ -65,18 +66,19 @@ class InferenceStats:
 class SecureInferenceService:
     """An enclave-hosted classifier behind an attested channel."""
 
+    #: Shape of one served sample.
+    input_shape = MNIST_INPUT_SHAPE
+
     def __init__(
         self,
         network: Network,
         enclave: Enclave,
         quoting_enclave: QuotingEnclave,
-        input_shape: tuple = (1, 28, 28),
         mirror: Optional[MirrorModule] = None,
     ) -> None:
         self.network = network
         self.enclave = enclave
         self.quoting_enclave = quoting_enclave
-        self.input_shape = input_shape
         self.mirror = mirror
         self.stats = InferenceStats()
         self._lock = threading.Lock()
@@ -94,17 +96,10 @@ class SecureInferenceService:
         network: Network,
         enclave: Enclave,
         quoting_enclave: QuotingEnclave,
-        input_shape: tuple = (1, 28, 28),
     ) -> "SecureInferenceService":
         """Load the served model from its encrypted PM mirror."""
         mirror.mirror_in(network)
-        return cls(
-            network,
-            enclave,
-            quoting_enclave,
-            input_shape=input_shape,
-            mirror=mirror,
-        )
+        return cls(network, enclave, quoting_enclave, mirror=mirror)
 
     # ------------------------------------------------------------------
     def _record(self, requests: int, samples: int) -> None:
@@ -164,11 +159,6 @@ class SecureInferenceService:
                 f"no session {session_id} provisioned on this replica"
             )
         return session
-
-    def handle_request(self, session_id: int, seq: int, sealed: bytes) -> bytes:
-        """Classify one sealed request under its multiplexed session."""
-        (response,) = self.handle_batch([(session_id, seq, sealed)])
-        return response
 
     def handle_batch(
         self,

@@ -95,7 +95,6 @@ class PliniusSystem:
         server: str = "emlSGX-PM",
         seed: int = 7,
         pm_size: int = _DEFAULT_PM_SIZE,
-        key: Optional[bytes] = None,
         recorder=None,
     ) -> "PliniusSystem":
         """Stand up a fresh deployment on the named server profile.
@@ -120,8 +119,7 @@ class PliniusSystem:
         )
         ssd = BlockDevice(clock, profile.ssd)
         dram = VolatileMemory(clock, profile.dram)
-        if key is None:
-            key = EncryptionEngine.generate_key(rand)
+        key = EncryptionEngine.generate_key(rand)
         return cls(
             profile,
             clock,
@@ -209,18 +207,18 @@ class PliniusSystem:
         blob = SealedBlob(measurement=payload[:32], sealed=payload[32:])
         return unseal_data(self.enclave, blob, self._device_key)
 
-    def provision_key(self, key: bytes, reset_region: bool = True) -> None:
+    def provision_key(self, key: bytes) -> None:
         """Install a key received over the attested channel (Fig. 5 step
         3), seal it for future restarts, and rebind the crypto engine.
 
-        ``reset_region`` reformats PM — anything sealed under the old
-        key is unreadable anyway.
+        PM is reformatted: anything sealed under the old key is
+        unreadable anyway.
         """
         self.key = key
         self.engine = EncryptionEngine(
             self.key, rand=self.rand, observer=self.recorder
         )
-        self._attach_region(fresh=reset_region)
+        self._attach_region(fresh=True)
         self._seal_key_to_disk()
 
     # ------------------------------------------------------------------
@@ -231,7 +229,6 @@ class PliniusSystem:
         n_conv_layers: int = 5,
         filters: int = 16,
         batch: int = 128,
-        learning_rate: float = 0.1,
     ) -> Network:
         """Construct an enclave model with fresh random weights.
 
@@ -245,7 +242,6 @@ class PliniusSystem:
             n_conv_layers=n_conv_layers,
             filters=filters,
             batch=batch,
-            learning_rate=learning_rate,
             rng=rng,
         )
 
@@ -258,7 +254,6 @@ class PliniusSystem:
         network: Network,
         mirror_every: int = 1,
         crash_resilient: bool = True,
-        batch_seed: int = 20210409,
         input_shape: tuple = MNIST_INPUT_SHAPE,
     ) -> PliniusTrainer:
         """Construct a trainer bound to this system's current enclave."""
@@ -271,7 +266,6 @@ class PliniusSystem:
             clock=self.clock,
             input_shape=input_shape,
             mirror_every=mirror_every,
-            batch_seed=batch_seed,
             crash_resilient=crash_resilient,
         )
 

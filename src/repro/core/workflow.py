@@ -86,18 +86,12 @@ def _decrypt_dataset(engine: EncryptionEngine, blob: bytes) -> DataMatrix:
     return DataMatrix(x=x, y=y)
 
 
-def run_full_workflow(
-    data: DataMatrix,
-    server: str = "emlSGX-PM",
-    iterations: int = 20,
-    n_conv_layers: int = 2,
-    filters: int = 4,
-    batch: int = 32,
-    seed: int = 7,
-) -> WorkflowArtifacts:
-    """Execute the complete Fig. 5 pipeline; returns all artifacts."""
-    owner = DataOwner(seed=seed)
-    system = PliniusSystem.create(server=server, seed=seed, key=None)
+def run_full_workflow(data: DataMatrix) -> WorkflowArtifacts:
+    """Execute the complete Fig. 5 pipeline on the emlSGX-PM server:
+    a 3-conv-layer, 8-filter model trained for 30 batch-32 iterations;
+    returns all artifacts."""
+    owner = DataOwner(seed=3)
+    system = PliniusSystem.create(server="emlSGX-PM", seed=3)
 
     # Step 1 — ship application binary + encrypted data to the server.
     encrypted_upload = owner.encrypt_dataset(data)
@@ -132,12 +126,10 @@ def run_full_workflow(
 
     # Step 5/6 — train with per-iteration mirroring; entered via the
     # train_model ecall (Algorithm 2).
-    network = system.build_model(
-        n_conv_layers=n_conv_layers, filters=filters, batch=batch
-    )
+    network = system.build_model(n_conv_layers=3, filters=8, batch=32)
     system.runtime.register_ecall(
         "train_model",
-        lambda: system.train(network, iterations=iterations),
+        lambda: system.train(network, iterations=30),
     )
     result = system.runtime.ecall("train_model")
 

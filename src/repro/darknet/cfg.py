@@ -114,6 +114,8 @@ def build_network(
     shape: Tuple[int, ...] = config.input_shape
     if shape[1] <= 0 or shape[2] <= 0:
         raise ValueError("[net] must define height and width")
+    if config.batch <= 0:
+        raise ValueError(f"[net] batch must be positive, got {config.batch}")
 
     layers: List[Layer] = []
     for name, options in config.sections:
@@ -130,6 +132,14 @@ def build_network(
     )
 
 
+def _positive(name: str, options: Options, key: str, default: int) -> int:
+    """``options[key]`` as an int, refusing zero and negative geometry."""
+    value = int(options.get(key, default))
+    if value <= 0:
+        raise ValueError(f"[{name}] {key} must be positive, got {value}")
+    return value
+
+
 def _build_layer(
     name: str,
     options: Options,
@@ -141,9 +151,9 @@ def _build_layer(
             raise ValueError(f"convolutional layer needs a 3-D input, got {in_shape}")
         return ConvolutionalLayer(
             in_shape,  # type: ignore[arg-type]
-            filters=int(options.get("filters", 1)),
-            kernel=int(options.get("size", 3)),
-            stride=int(options.get("stride", 1)),
+            filters=_positive(name, options, "filters", 1),
+            kernel=_positive(name, options, "size", 3),
+            stride=_positive(name, options, "stride", 1),
             pad=int(options.get("pad", 1)),
             activation=options.get("activation", "leaky"),
             batch_normalize=bool(int(options.get("batch_normalize", 0))),
@@ -152,11 +162,11 @@ def _build_layer(
     if name == "maxpool":
         if len(in_shape) != 3:
             raise ValueError(f"maxpool layer needs a 3-D input, got {in_shape}")
-        size = int(options.get("size", 2))
+        size = _positive(name, options, "size", 2)
         return MaxPoolLayer(
             in_shape,  # type: ignore[arg-type]
             size=size,
-            stride=int(options.get("stride", size)),
+            stride=_positive(name, options, "stride", size),
         )
     if name == "avgpool":
         if len(in_shape) != 3:
@@ -165,7 +175,7 @@ def _build_layer(
     if name == "connected":
         return ConnectedLayer(
             in_shape,
-            outputs=int(options.get("output", 1)),
+            outputs=_positive(name, options, "output", 1),
             activation=options.get("activation", "linear"),
             rng=rng,
         )

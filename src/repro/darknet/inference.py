@@ -17,15 +17,14 @@ def accuracy(
     network: Network,
     data: DataMatrix,
     input_shape: Optional[Tuple[int, ...]] = None,
-    batch_size: int = 256,
 ) -> float:
-    """Top-1 accuracy over a full dataset, ``batch_size`` samples per
+    """Top-1 accuracy over a full dataset, 256 samples per
     :meth:`Network.infer` on one arena."""
     truth = data.labels()
     arena = TensorArena()
     correct = 0
     offset = 0
-    for x, _ in data.sequential_batches(batch_size):
+    for x, _ in data.sequential_batches(256):
         if input_shape is not None:
             x = x.reshape((len(x),) + tuple(input_shape))
         preds = network.infer(x, arena).argmax(axis=1)

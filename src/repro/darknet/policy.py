@@ -69,6 +69,12 @@ class LearningRatePolicy:
             raw = options.get(key, "")
             return tuple(float(v) for v in raw.split(",") if v.strip())
 
+        max_iterations = int(options.get("max_batches", 10_000))
+        if kind == "poly" and max_iterations <= 0:
+            raise ValueError(
+                f"[net] max_batches must be positive for policy=poly, "
+                f"got {max_iterations}"
+            )
         return cls(
             kind=kind,
             gamma=float(options.get("gamma", 0.99)),
@@ -76,5 +82,5 @@ class LearningRatePolicy:
             step=int(options.get("step", 1)),
             steps=ints("steps"),
             scales=floats("scales"),
-            max_iterations=int(options.get("max_batches", 10_000)),
+            max_iterations=max_iterations,
         )

@@ -22,12 +22,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.host import Host
+from repro.cluster.network import NIC_BANDWIDTH, NIC_LATENCY
+from repro.core.models import MNIST_INPUT_SHAPE
 from repro.core.pm_data import PmDataModule
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
 from repro.darknet.train import TrainingLog
 from repro.distributed.link import SecureLink
-from repro.distributed.worker import StageWorker
+from repro.distributed.worker import JOB_KEY, StageWorker
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import ServerProfile, get_profile
 
@@ -57,10 +59,7 @@ class DataParallelPlinius:
         n_conv_layers: int = 5,
         filters: int = 8,
         batch: int = 32,
-        server: str = "emlSGX-PM",
-        job_key: bytes = b"J" * 16,
         seed: int = 7,
-        input_shape: tuple = (1, 28, 28),
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -69,11 +68,10 @@ class DataParallelPlinius:
                 f"global batch {batch} must divide evenly across "
                 f"{n_workers} workers"
             )
-        self.profile: ServerProfile = get_profile(server)
+        self.profile: ServerProfile = get_profile("emlSGX-PM")
         self.n_workers = n_workers
         self.global_batch = batch
         self.shard_batch = batch // n_workers
-        self.input_shape = input_shape
         self.seed = seed
         self.clock = SimClock()  # global (wall) simulated time
         self.compute_seconds = 0.0
@@ -101,7 +99,7 @@ class DataParallelPlinius:
         for idx in range(n_workers):
             host = Host(f"replica-{idx}", SimClock(), self.profile)
             worker = StageWorker(
-                host, self._worker_builder(idx), job_key, seed
+                host, self._worker_builder(idx), JOB_KEY, seed
             )
             self.workers.append(worker)
             self.links.append(SecureLink(worker.engine, worker.clock))
@@ -143,7 +141,7 @@ class DataParallelPlinius:
             x, y = self.pm_data[idx].random_batch(
                 self.shard_batch, self._batch_rng(idx, self.iteration)
             )
-            x = x.reshape((len(x),) + tuple(self.input_shape))
+            x = x.reshape((len(x),) + MNIST_INPUT_SHAPE)
             worker.forward(x)
             loss, _ = worker.loss_and_backward(y)
             losses.append(loss)
@@ -159,10 +157,9 @@ class DataParallelPlinius:
             np.mean([grads[i] for grads in all_gradients], axis=0)
             for i in range(len(all_gradients[0]))
         ]
-        comm_link = self.links[0]
         per_worker_bytes = comm_bytes // self.n_workers
         comm_time = 2 * (
-            comm_link.latency + per_worker_bytes / comm_link.bandwidth
+            NIC_LATENCY + per_worker_bytes / NIC_BANDWIDTH
         ) + self.profile.crypto.encrypt_time(per_worker_bytes) + (
             self.profile.crypto.decrypt_time(per_worker_bytes)
         )

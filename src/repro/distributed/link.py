@@ -25,17 +25,9 @@ from repro.simtime.clock import SimClock
 class SecureLink:
     """A sealed, cost-accounted channel between two enclaves."""
 
-    def __init__(
-        self,
-        engine: EncryptionEngine,
-        clock: SimClock,
-        bandwidth: float = NIC_BANDWIDTH,
-        latency: float = NIC_LATENCY,
-    ) -> None:
+    def __init__(self, engine: EncryptionEngine, clock: SimClock) -> None:
         self.engine = engine
         self.clock = clock
-        self.bandwidth = bandwidth
-        self.latency = latency
         self.stats = {"messages": 0, "bytes": 0}
 
     def send_array(self, array: np.ndarray) -> bytes:
@@ -62,7 +54,7 @@ class SecureLink:
 
     def _transit(self, sealed: bytes) -> None:
         """Carry one sealed message over the wire."""
-        self.clock.advance(self.latency + len(sealed) / self.bandwidth)
+        self.clock.advance(NIC_LATENCY + len(sealed) / NIC_BANDWIDTH)
 
     def receive_array(self, message: bytes) -> np.ndarray:
         """Unseal a tensor received from the peer enclave."""
@@ -92,13 +84,8 @@ class NetworkLink(SecureLink):
         src: str,
         dst: str,
     ) -> None:
-        edge = network.link(src, dst)
-        super().__init__(
-            engine,
-            network.clock,
-            bandwidth=edge.bandwidth,
-            latency=edge.latency,
-        )
+        network.link(src, dst)  # an unknown edge fails here, not mid-send
+        super().__init__(engine, network.clock)
         self.network = network
         self.src = src
         self.dst = dst

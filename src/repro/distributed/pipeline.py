@@ -24,14 +24,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.host import Host
-from repro.core.models import cnn_cfg
+from repro.core.models import MNIST_INPUT_SHAPE, cnn_cfg
 from repro.core.pm_data import PmDataModule
 from repro.darknet.cfg import build_network, parse_cfg
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
 from repro.darknet.train import TrainingLog
 from repro.distributed.link import SecureLink
-from repro.distributed.worker import StageWorker
+from repro.distributed.worker import JOB_KEY, StageWorker
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import ServerProfile, get_profile
 
@@ -68,19 +68,15 @@ class PipelinePlinius:
         n_stages: int = 2,
         filters: int = 16,
         batch: int = 32,
-        learning_rate: float = 0.1,
-        server: str = "sgx-emlPM",
-        job_key: bytes = b"J" * 16,
         seed: int = 7,
-        input_shape: tuple = (1, 28, 28),
+        input_shape: tuple = MNIST_INPUT_SHAPE,
         cfg_text: Optional[str] = None,
     ) -> None:
-        self.profile: ServerProfile = get_profile(server)
+        self.profile: ServerProfile = get_profile("sgx-emlPM")
         self.clock = SimClock()  # stages execute sequentially: one clock
         self.batch = batch
         self.input_shape = input_shape
         self.seed = seed
-        self.job_key = job_key
         # Per-stage build generations: every stage's initial build must
         # draw from the same full-model rng stream so the slices of a
         # 2-stage job equal the layers of a 1-stage job bit-for-bit.
@@ -92,7 +88,6 @@ class PipelinePlinius:
             n_conv_layers=n_conv_layers,
             filters=filters,
             batch=batch,
-            learning_rate=learning_rate,
         )
         full = self._build_full(nonce=0)
         counts = split_layer_counts(len(full.layers), n_stages)
@@ -115,7 +110,7 @@ class PipelinePlinius:
             extra = data_bytes if idx == 0 else 0
             pm_size = 2 * (2 * stage_params + extra + (4 << 20)) + 8192
             host = Host(f"stage-{idx}", self.clock, self.profile, pm_size)
-            self.workers.append(StageWorker(host, builder, job_key, seed))
+            self.workers.append(StageWorker(host, builder, JOB_KEY, seed))
         # Stage 0 additionally hosts the training data in its PM.
         w0 = self.workers[0]
         self.pm_data = PmDataModule(
@@ -124,9 +119,7 @@ class PipelinePlinius:
         self.pm_data.load(data)
         # Sealed links between consecutive stages.
         self.links = [
-            SecureLink(
-                self.workers[i].engine, self.clock
-            )
+            SecureLink(self.workers[i].engine, self.clock)
             for i in range(n_stages - 1)
         ]
         self.iteration = 0

@@ -33,6 +33,9 @@ from repro.sgx.rand import SgxRandom
 
 ModelBuilder = Callable[[], Network]
 
+#: The job key both distributed modes provision on every worker.
+JOB_KEY = b"J" * 16
+
 
 def sized_worker_pm(param_bytes: int) -> int:
     """PM bytes a stage worker needs: two mirror snapshots + heap slack."""

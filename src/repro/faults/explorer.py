@@ -41,10 +41,13 @@ from repro.faults.workload import (
     make_workload,
 )
 
-#: Default bit positions for FLIP points.  ``flip_bit`` reduces the
-#: position modulo the record length, so the large prime lands at an
-#: effectively arbitrary spot in ciphertext/IV/MAC across record sizes.
-DEFAULT_FLIP_BITS: Tuple[int, ...] = (0, 100_003)
+#: Bit positions for FLIP points.  ``flip_bit`` reduces the position
+#: modulo the record length, so the large prime lands at an effectively
+#: arbitrary spot in ciphertext/IV/MAC across record sizes.
+FLIP_BITS: Tuple[int, ...] = (0, 100_003)
+
+#: Crash points per site (torn, abort, drop and flip take at most 3).
+PER_SITE_CAP = 6
 
 #: Persistence policies an UNFENCED point is replayed under.
 UNFENCED_POLICIES: Tuple[str, ...] = ("none", "all", "newest", "subset:1")
@@ -60,10 +63,7 @@ class ExploreConfig:
     exhaustive: bool = True
     samples: int = 32
     seed: int = 0
-    per_site_cap: int = 6
-    flip_bits: Tuple[int, ...] = DEFAULT_FLIP_BITS
     workloads: Tuple[str, ...] = tuple(WORKLOADS)
-    shrink: bool = True
     #: When set, every violation's flight-recorder snapshot is written
     #: to ``<flight_dir>/flight-<workload>-<n>.json`` as a standalone
     #: crash artifact (what the CI job uploads on failure).
@@ -201,12 +201,10 @@ def _strided_hits(total: int, cap: int) -> List[int]:
     return sorted(picks)
 
 
-def _specs_for_site(
-    site_name: str, total_hits: int, config: ExploreConfig
-) -> List[FaultSpec]:
-    """Every candidate spec for one site under the config's caps."""
+def _specs_for_site(site_name: str, total_hits: int) -> List[FaultSpec]:
+    """Every candidate spec for one site under the per-site caps."""
     site = SITES[site_name]
-    cap = config.per_site_cap
+    cap = PER_SITE_CAP
     out: List[FaultSpec] = []
     if site.supports(CRASH):
         for hit in _strided_hits(total_hits, cap):
@@ -225,7 +223,7 @@ def _specs_for_site(
             out.append(FaultSpec(site_name, hit, DROP))
     if site.supports(FLIP):
         for hit in _strided_hits(total_hits, min(cap, 3)):
-            for bit in config.flip_bits:
+            for bit in FLIP_BITS:
                 out.append(FaultSpec(site_name, hit, FLIP, bit=bit))
     if site.supports(UNFENCED):
         # Every fence: which lines are pending differs at each one.
@@ -237,15 +235,13 @@ def _specs_for_site(
     return out
 
 
-def enumerate_points(
-    golden: GoldenRun, config: ExploreConfig
-) -> List[FaultSpec]:
+def enumerate_points(golden: GoldenRun) -> List[FaultSpec]:
     """All candidate fault specs for one workload's golden hit census."""
     specs: List[FaultSpec] = []
     for site_name, total in sorted(golden.hits.items()):
         if site_name not in SITES:
             continue  # a site outside the registry cannot be scheduled
-        specs.extend(_specs_for_site(site_name, total, config))
+        specs.extend(_specs_for_site(site_name, total))
     return specs
 
 
@@ -318,9 +314,8 @@ def _dump_flight(
 
 
 # ----------------------------------------------------------------------
-def explore(config: Optional[ExploreConfig] = None) -> ExplorationReport:
+def explore(config: ExploreConfig) -> ExplorationReport:
     """Run the full golden → enumerate → replay → check → shrink loop."""
-    config = config if config is not None else ExploreConfig()
     report = ExplorationReport(config=config)
     for name in config.workloads:
         workload = make_workload(name)
@@ -338,7 +333,7 @@ def explore(config: Optional[ExploreConfig] = None) -> ExplorationReport:
             )
             _dump_flight(report, report.violations[-1], config.flight_dir)
             continue  # a broken golden run invalidates every replay
-        specs = enumerate_points(golden, config)
+        specs = enumerate_points(golden)
         if not config.exhaustive:
             specs = _sample_points(specs, config)
         for spec in specs:
@@ -353,7 +348,7 @@ def explore(config: Optional[ExploreConfig] = None) -> ExplorationReport:
             if not outcome.violations:
                 continue
             shrunk_from: Optional[FaultSpec] = None
-            if config.shrink and spec.hit > 1:
+            if spec.hit > 1:
                 spec, outcome, shrunk_from = _shrink(workload, spec)
                 wreport.replays += 1 + (
                     0 if shrunk_from is None else 1

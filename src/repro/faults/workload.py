@@ -107,7 +107,6 @@ def _network(batch: int, rng_seed):
         n_conv_layers=1,
         filters=2,
         batch=batch,
-        learning_rate=0.1,
         rng=np.random.default_rng(rng_seed),
     )
     # Optimizer state (momentum velocities) is volatile by design —

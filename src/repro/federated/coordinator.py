@@ -113,7 +113,6 @@ class FederatedCoordinator:
         clients: Dict[int, FederatedClient],
         initial_params: np.ndarray,
         *,
-        host: str = "aggregator",
         quorum: Optional[int] = None,
         round_deadline: float = DEFAULT_ROUND_DEADLINE,
         recorder=None,
@@ -125,7 +124,7 @@ class FederatedCoordinator:
         self.ledger = ledger
         self.sessions = sessions  #: enclave-side session per client id
         self.clients = clients
-        self.host = host
+        self.host = "aggregator"  #: the cluster host the coordinator runs on
         self.quorum = quorum or (len(clients) // 2 + 1)
         self.round_deadline = round_deadline
         self.recorder = recorder

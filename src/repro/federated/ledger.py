@@ -41,8 +41,8 @@ from repro.romulus.region import RomulusRegion
 #: Root slot owned by the federation ledger (the mirror owns slot 0).
 FED_ROOT = 1
 
-#: Default number of round entries preallocated at format time.
-DEFAULT_CAPACITY = 64
+#: Number of round entries preallocated at format time.
+CAPACITY = 64
 
 _HEADER = struct.Struct("<QQ")  # count, capacity
 #: round, n_clients, merkle root, sealed-params (size, offset),
@@ -75,15 +75,15 @@ class FederatedLedger:
     def exists(self) -> bool:
         return self.region.root(FED_ROOT) != 0
 
-    def format(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def format(self) -> None:
         """Allocate the empty ledger (one transaction)."""
         if self.exists():
             raise LedgerError("federation ledger already formatted")
-        size = _HEADER.size + capacity * _ENTRY.size
+        size = _HEADER.size + CAPACITY * _ENTRY.size
         with self.region.begin_transaction() as tx:
             base = self.heap.pmalloc(tx, size)
-            tx.write(base, _HEADER.pack(0, capacity) + b"\x00" * (
-                capacity * _ENTRY.size
+            tx.write(base, _HEADER.pack(0, CAPACITY) + b"\x00" * (
+                CAPACITY * _ENTRY.size
             ))
             tx.write_u64(self.region.root_offset(FED_ROOT), base)
 
@@ -184,20 +184,17 @@ class FederatedLedger:
             )
             tx.write(base, _HEADER.pack(count + 1, capacity))
 
-    def load_params(self, round_no: Optional[int] = None) -> np.ndarray:
-        """Unseal the merged parameter vector of a committed round.
+    def load_params(self) -> np.ndarray:
+        """Unseal the merged parameter vector of the durable tip.
 
-        Defaults to the durable tip.  A flipped bit in the sealed blob
-        surfaces as :class:`~repro.crypto.backend.IntegrityError` —
-        fail-stop, never silently wrong weights.
+        A flipped bit in the sealed blob surfaces as
+        :class:`~repro.crypto.backend.IntegrityError` — fail-stop, never
+        silently wrong weights.
         """
         base, count, _ = self._header()
         if count == 0:
             raise LedgerError("no committed rounds to load")
-        for i in range(count - 1, -1, -1):
-            entry_round, _, _, size, blob = self._entry(base, i)[:5]
-            if round_no is None or entry_round == round_no:
-                sealed = self.region.read(blob, size)
-                plain = self.engine.unseal(sealed, aad=_params_aad(entry_round))
-                return np.frombuffer(plain, dtype=np.float32).copy()
-        raise LedgerError(f"round {round_no} is not committed")
+        entry_round, _, _, size, blob = self._entry(base, count - 1)[:5]
+        sealed = self.region.read(blob, size)
+        plain = self.engine.unseal(sealed, aad=_params_aad(entry_round))
+        return np.frombuffer(plain, dtype=np.float32).copy()

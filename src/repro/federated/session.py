@@ -100,7 +100,6 @@ class FederatedSession:
             n_conv_layers=1,
             filters=2,
             batch=self.config.batch,
-            learning_rate=0.1,
             rng=np.random.default_rng(self.config.seed),
         )
         # Momentum state is volatile; off for bit-identical resume (the
@@ -184,7 +183,6 @@ class FederatedSession:
             sessions,
             clients,
             self.initial_params(),
-            host="aggregator",
             quorum=cfg.quorum,
             round_deadline=cfg.round_deadline,
             recorder=self.clock.recorder,

@@ -15,6 +15,10 @@ from repro.hw.intervals import IntervalSet
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import DeviceCostModel
 
+#: Page-cache bandwidth in bytes/s (10 GiB/s): what a write costs
+#: before :meth:`BlockDevice.fsync` pays the device.
+PAGE_CACHE_BANDWIDTH = 10 * (1 << 30)
+
 
 class _File:
     """One file: durable bytes plus not-yet-synced dirty ranges."""
@@ -34,16 +38,9 @@ class BlockDevice:
     the paper reads cold data after a crash).
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        cost: DeviceCostModel,
-        *,
-        page_cache_bandwidth: float = 10 * (1 << 30),
-    ) -> None:
+    def __init__(self, clock: SimClock, cost: DeviceCostModel) -> None:
         self.clock = clock
         self.cost = cost
-        self.page_cache_bandwidth = page_cache_bandwidth
         self._files: Dict[str, _File] = {}
         self.crash_count = 0
         self.stats = {"writes": 0, "reads": 0, "fsyncs": 0}
@@ -80,7 +77,7 @@ class BlockDevice:
         f.data[offset:end] = data
         f.dirty.add(offset, end)
         self.stats["writes"] += 1
-        self.clock.advance(len(data) / self.page_cache_bandwidth)
+        self.clock.advance(len(data) / PAGE_CACHE_BANDWIDTH)
 
     def append(self, name: str, data: bytes) -> None:
         """Write at the current end of the file."""

@@ -111,8 +111,8 @@ class FlightRecorder:
 
     enabled = False
 
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
-        self.flight = FlightRing(capacity)
+    def __init__(self) -> None:
+        self.flight = FlightRing(DEFAULT_FLIGHT_CAPACITY)
 
     # -- span API (no-ops: callers guard span work on ``enabled``) -----
     def begin(self, *args: Any, **kwargs: Any) -> None:

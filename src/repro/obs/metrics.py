@@ -82,15 +82,6 @@ class CounterRegistry:
         with self._lock:
             return dict(sorted(self._gauges.items()))
 
-    def histogram(self, name: str) -> LogHistogram:
-        """The live histogram ``name`` (created empty on first access)."""
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = LogHistogram()
-                self._histograms[name] = hist
-            return hist
-
     def histograms_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Histograms as deterministic dicts, sorted by name."""
         with self._lock:

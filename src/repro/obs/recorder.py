@@ -114,14 +114,13 @@ class Span:
 class _SpanContext:
     """Context manager pairing :meth:`TraceRecorder.begin`/``end``."""
 
-    __slots__ = ("_recorder", "_clock", "_name", "_category", "_args", "_span")
+    __slots__ = ("_recorder", "_clock", "_name", "_category", "_span")
 
-    def __init__(self, recorder, clock, name, category, args) -> None:
+    def __init__(self, recorder, clock, name, category) -> None:
         self._recorder = recorder
         self._clock = clock
         self._name = name
         self._category = category
-        self._args = args
         self._span = None
 
     def __enter__(self) -> Span:
@@ -129,7 +128,6 @@ class _SpanContext:
             self._name,
             self._clock.now(),
             category=self._category,
-            args=self._args,
         )
         return self._span
 
@@ -210,13 +208,13 @@ class TraceRecorder:
 
     enabled = True
 
-    def __init__(self, flight_capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.events: List[Dict[str, Any]] = []
         self.counters = CounterRegistry()
         #: Bounded tail of recent telemetry — the crash flight recorder
         #: the fault explorer dumps alongside invariant violations.
-        self.flight = FlightRing(flight_capacity)
+        self.flight = FlightRing(DEFAULT_FLIGHT_CAPACITY)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_index = 0
@@ -308,15 +306,9 @@ class TraceRecorder:
             self.flight.add("span", span.name, sim_now)
         return span
 
-    def span(
-        self,
-        name: str,
-        clock: Any,
-        category: str = "",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> _SpanContext:
+    def span(self, name: str, clock: Any, category: str = "") -> _SpanContext:
         """Context manager reading sim time from ``clock`` at entry/exit."""
-        return _SpanContext(self, clock, name, category, args)
+        return _SpanContext(self, clock, name, category)
 
     def complete(
         self,

@@ -28,7 +28,6 @@ from repro.romulus.runtime import (
     SCONE,
     SGX_SDK,
     RuntimeProfile,
-    get_runtime,
 )
 from repro.romulus.region import RegionState, RomulusRegion
 from repro.romulus.log import VolatileLog
@@ -41,7 +40,6 @@ __all__ = [
     "NATIVE",
     "SCONE",
     "SGX_SDK",
-    "get_runtime",
     "RomulusRegion",
     "RegionState",
     "VolatileLog",

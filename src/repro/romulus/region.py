@@ -148,8 +148,6 @@ class RomulusRegion:
         cls,
         device: PersistentMemoryDevice,
         base: int = 0,
-        flush_instruction: FlushInstruction = FlushInstruction.CLFLUSHOPT,
-        runtime: RuntimeProfile = NATIVE,
     ) -> "RomulusRegion":
         """Attach to an existing region, running crash recovery."""
         magic = device.read(base, 8)
@@ -158,13 +156,7 @@ class RomulusRegion:
                 f"no Romulus region at base {base}: bad magic {magic!r}"
             )
         main_size = struct.unpack("<Q", device.read(base + 16, 8))[0]
-        region = cls(
-            device,
-            main_size,
-            base=base,
-            flush_instruction=flush_instruction,
-            runtime=runtime,
-        )
+        region = cls(device, main_size, base=base)
         region.recover()
         return region
 

@@ -66,14 +66,3 @@ SGX_SDK = RuntimeProfile(
     fence_multiplier=2.6,
     per_tx_overhead=120e-9,
 )
-
-_RUNTIMES = {r.name: r for r in (NATIVE, SCONE, SGX_SDK)}
-
-
-def get_runtime(name: str) -> RuntimeProfile:
-    """Look up a runtime profile by name."""
-    try:
-        return _RUNTIMES[name]
-    except KeyError:
-        known = ", ".join(sorted(_RUNTIMES))
-        raise KeyError(f"unknown runtime {name!r}; known: {known}") from None

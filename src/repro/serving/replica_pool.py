@@ -66,7 +66,6 @@ class ReplicaPool:
         profile: ServerProfile,
         network_factory: Callable[[], Network],
         n_replicas: int,
-        input_shape: tuple = (1, 28, 28),
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -80,7 +79,6 @@ class ReplicaPool:
         self.clock = clock
         self.profile = profile
         self.network_factory = network_factory
-        self.input_shape = input_shape
         self._sessions: Dict[int, InferenceSession] = {}
         #: Newest generation the gateway has published for serving.
         self.target_generation = mirror.stored_iteration()
@@ -97,7 +95,6 @@ class ReplicaPool:
             self.network_factory(),
             enclave,
             self.quoting_enclave,
-            input_shape=self.input_shape,
         )
         for session in self._sessions.values():
             service.install_session(session)

@@ -45,12 +45,13 @@ class Enclave:
     heap_size:
         Maximum trusted heap (the paper configures 8 GB max heap — the
         EPC limit is what hurts, not the heap limit).
-    base_footprint:
-        Enclave code + static data + runtime buffers resident in the
-        EPC besides tracked allocations.  The paper observes the EPC
-        limit is reached at model size ~78 MB because of these other
-        structures (93.5 MB usable minus ~16 MB of code and buffers).
     """
+
+    #: Enclave code + static data + runtime buffers resident in the EPC
+    #: besides tracked allocations.  The paper observes the EPC limit is
+    #: reached at model size ~78 MB because of these other structures
+    #: (93.5 MB usable minus ~16 MB of code and buffers).
+    base_footprint = 16_500_000
 
     def __init__(
         self,
@@ -58,13 +59,11 @@ class Enclave:
         sgx: SgxCostModel,
         code_identity: bytes = b"plinius-enclave-v1",
         heap_size: int = 8 << 30,
-        base_footprint: int = 16_500_000,
     ) -> None:
         self.clock = clock
         self.sgx = sgx
         self.measurement = hashlib.sha256(code_identity).digest()
         self.heap_size = heap_size
-        self.base_footprint = base_footprint
         self._allocations: Dict[str, int] = {}
         self.destroyed = False
         self.stats = {"paging_events": 0, "paged_bytes": 0}

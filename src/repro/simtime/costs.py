@@ -36,13 +36,13 @@ class DeviceCostModel:
     write_latency: float = 0.0
     fsync_latency: float = 0.0
 
-    def read_time(self, nbytes: int, ops: int = 1) -> float:
-        """Simulated seconds to read ``nbytes`` in ``ops`` operations."""
-        return ops * self.read_latency + nbytes / self.read_bandwidth
+    def read_time(self, nbytes: int) -> float:
+        """Simulated seconds to read ``nbytes`` in one operation."""
+        return self.read_latency + nbytes / self.read_bandwidth
 
-    def write_time(self, nbytes: int, ops: int = 1) -> float:
-        """Simulated seconds to write ``nbytes`` in ``ops`` operations."""
-        return ops * self.write_latency + nbytes / self.write_bandwidth
+    def write_time(self, nbytes: int) -> float:
+        """Simulated seconds to write ``nbytes`` in one operation."""
+        return self.write_latency + nbytes / self.write_bandwidth
 
     def fsync_time(self, pending_bytes: int) -> float:
         """Simulated seconds for a flush barrier over ``pending_bytes``."""
@@ -117,13 +117,13 @@ class CryptoCostModel:
     decrypt_bandwidth: float
     per_buffer_overhead: float = 3e-6
 
-    def encrypt_time(self, nbytes: int, buffers: int = 1) -> float:
-        """Simulated seconds to encrypt ``nbytes`` across ``buffers``."""
-        return buffers * self.per_buffer_overhead + nbytes / self.encrypt_bandwidth
+    def encrypt_time(self, nbytes: int) -> float:
+        """Simulated seconds to encrypt ``nbytes`` as one buffer."""
+        return self.per_buffer_overhead + nbytes / self.encrypt_bandwidth
 
-    def decrypt_time(self, nbytes: int, buffers: int = 1) -> float:
-        """Simulated seconds to decrypt ``nbytes`` across ``buffers``."""
-        return buffers * self.per_buffer_overhead + nbytes / self.decrypt_bandwidth
+    def decrypt_time(self, nbytes: int) -> float:
+        """Simulated seconds to decrypt ``nbytes`` as one buffer."""
+        return self.per_buffer_overhead + nbytes / self.decrypt_bandwidth
 
     #: Fraction of ``per_buffer_overhead`` each buffer after the first
     #: pays when a batch of buffers is processed in one enclave entry:

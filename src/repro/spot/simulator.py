@@ -42,7 +42,8 @@ class SpotRunResult:
 
 
 class SpotSimulator:
-    """Runs one model-training job on a (simulated) spot instance."""
+    """Runs one model-training job (a 4-filter model at batch 32) on a
+    (simulated) spot instance."""
 
     def __init__(
         self,
@@ -50,16 +51,12 @@ class SpotSimulator:
         data: DataMatrix,
         max_bid: float = 0.0955,
         n_conv_layers: int = 12,
-        filters: int = 8,
-        batch: int = 32,
         iterations_per_interval: int = 25,
         crash_resilient: bool = True,
     ) -> None:
         self.system = system
         self.max_bid = max_bid
         self.n_conv_layers = n_conv_layers
-        self.filters = filters
-        self.batch = batch
         self.iterations_per_interval = iterations_per_interval
         self.crash_resilient = crash_resilient
         if not system.pm_data.exists():
@@ -67,9 +64,7 @@ class SpotSimulator:
 
     def _fresh_model(self):
         return self.system.build_model(
-            n_conv_layers=self.n_conv_layers,
-            filters=self.filters,
-            batch=self.batch,
+            n_conv_layers=self.n_conv_layers, filters=4, batch=32
         )
 
     def run(self, trace: SpotTrace, target_iterations: int = 500) -> SpotRunResult:

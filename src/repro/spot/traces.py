@@ -47,24 +47,24 @@ class SpotTrace:
         )
 
 
-def synthetic_trace(
-    n_intervals: int = 96,
-    base_price: float = 0.0902,
-    spike_height: float = 0.012,
-    n_spikes: int = 2,
-    seed: int = 38,
-) -> SpotTrace:
+#: Mean spot price ($/h) the synthetic series reverts to.
+BASE_PRICE = 0.0902
+#: How far a demand spike rises above the base price.
+SPIKE_HEIGHT = 0.012
+
+
+def synthetic_trace(n_intervals: int = 96, n_spikes: int = 2) -> SpotTrace:
     """A deterministic EC2-shaped price series.
 
-    Mean-reverting noise around ``base_price`` with ``n_spikes`` short
-    demand spikes rising ``spike_height`` above base — at the paper's
+    Mean-reverting noise around ``BASE_PRICE`` with ``n_spikes`` short
+    demand spikes rising ``SPIKE_HEIGHT`` above base — at the paper's
     bid of 0.0955 the defaults yield exactly two interruptions.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(38)
     prices = np.empty(n_intervals)
-    level = base_price
+    level = BASE_PRICE
     for i in range(n_intervals):
-        level += 0.25 * (base_price - level) + rng.normal(0, 0.0006)
+        level += 0.25 * (BASE_PRICE - level) + rng.normal(0, 0.0006)
         prices[i] = level
     # Demand spikes at deterministic spots (avoid the endpoints).
     spike_centers = [
@@ -73,7 +73,7 @@ def synthetic_trace(
     for center in spike_centers:
         width = int(rng.integers(2, 5))
         for j in range(max(0, center - width // 2), min(n_intervals, center + width)):
-            prices[j] = base_price + spike_height + rng.uniform(0, 0.002)
+            prices[j] = BASE_PRICE + SPIKE_HEIGHT + rng.uniform(0, 0.002)
     timestamps = tuple(i * INTERVAL_SECONDS for i in range(n_intervals))
     return SpotTrace(timestamps=timestamps, prices=tuple(float(p) for p in prices))
 

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional
 from repro.analysis.flow import FlowEngine
 from repro.analysis.flow.project import Project
 from repro.analysis.lint import (
-    DEFAULT_CONFIG,
     ModuleSource,
     default_rules,
     discover_files,
@@ -423,7 +422,7 @@ class StaticHarness:
         finally:
             target.write_text(original)
         project = Project(list(sources.values()))
-        flow = FlowEngine(project, DEFAULT_CONFIG).analyze()
+        flow = FlowEngine(project).analyze()
         return sorted({f.rule_id for f in kept + flow.findings})
 
 

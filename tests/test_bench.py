@@ -22,7 +22,7 @@ from repro.spot.traces import SpotTrace
 
 class TestFig2:
     def test_rows_and_ordering(self):
-        rows = run_fig2_table("emlSGX-PM", file_size=8 << 20)
+        rows = run_fig2_table("emlSGX-PM")
         assert [w for w, _ in rows] == [
             "seqread", "randread", "seqwrite", "randwrite",
         ]
@@ -69,9 +69,7 @@ class TestFig7AndTable1:
     @pytest.fixture(scope="class")
     def records(self):
         return {
-            server: run_fig7(
-                server, layer_counts=(1, 8, 11), filters=512, runs=1
-            )
+            server: run_fig7(server, layer_counts=(1, 8, 11), filters=512)
             for server in ("sgx-emlPM", "emlSGX-PM")
         }
 
@@ -200,7 +198,6 @@ class TestFig10:
             target_iterations=20,
             iterations_per_interval=3,
             n_conv_layers=2,
-            filters=4,
             n_rows=256,
             trace=trace,
         )

@@ -77,15 +77,6 @@ class TestAllocation:
         with pytest.raises(MirrorError, match="no mirror"):
             mirror.stored_iteration()
 
-    def test_free_releases_and_allows_realloc(self):
-        _, region, mirror = make_mirror()
-        net = make_model()
-        mirror.alloc_mirror_model(net)
-        mirror.free_mirror_model()
-        assert not mirror.exists()
-        mirror.alloc_mirror_model(net)  # heap space is reusable
-        assert mirror.exists()
-
     def test_structural_mismatch_detected(self):
         _, _, mirror = make_mirror()
         mirror.alloc_mirror_model(make_model(n_conv_layers=2))

@@ -173,46 +173,3 @@ class TestSecurity:
         # Other rows still fine.
         module.fetch_batch(np.array([2, 4]))
         assert stored != module.stored_row(3)
-
-
-class TestContiguousFetch:
-    def test_matches_per_row_fetch(self):
-        _, _, module = make_module()
-        data = small_matrix()
-        module.load(data)
-        x_a, y_a = module.fetch_contiguous(5, 12)
-        x_b, y_b = module.fetch_batch(np.arange(5, 17))
-        np.testing.assert_array_equal(x_a, x_b)
-        np.testing.assert_array_equal(y_a, y_b)
-
-    def test_bounds_checked(self):
-        _, _, module = make_module()
-        module.load(small_matrix(10))
-        with pytest.raises(IndexError):
-            module.fetch_contiguous(5, 6)
-        with pytest.raises(IndexError):
-            module.fetch_contiguous(-1, 2)
-
-    def test_single_wide_read_is_cheaper_cold(self):
-        """The optimization's point: one device read amortizes the PM
-        read latency the per-row path pays 32 times."""
-        dev_a, _, mod_a = make_module()
-        dev_b, _, mod_b = make_module()
-        data = small_matrix(64)
-        mod_a.load(data)
-        mod_b.load(data)
-        dev_a.drop_caches()
-        dev_b.drop_caches()
-        t0 = dev_a.clock.now()
-        mod_a.fetch_contiguous(0, 32)
-        contiguous_cost = dev_a.clock.now() - t0
-        t0 = dev_b.clock.now()
-        mod_b.fetch_batch(np.arange(32))
-        per_row_cost = dev_b.clock.now() - t0
-        assert contiguous_cost < per_row_cost
-
-    def test_empty_fetch(self):
-        _, _, module = make_module()
-        module.load(small_matrix(10))
-        x, y = module.fetch_contiguous(3, 0)
-        assert x.shape == (0, 32)

@@ -14,16 +14,14 @@ from repro.data import synthetic_mnist, to_data_matrix
 def artifacts():
     images, labels, _, _ = synthetic_mnist(128, 1, seed=21)
     data = to_data_matrix(images, labels)
-    return run_full_workflow(
-        data, iterations=6, n_conv_layers=2, filters=4, batch=16, seed=3
-    ), data
+    return run_full_workflow(data), data
 
 
 class TestWorkflow:
     def test_training_completed(self, artifacts):
         art, _ = artifacts
         assert art.result.completed
-        assert art.result.final_iteration == 6
+        assert art.result.final_iteration == 30
 
     def test_key_provisioned_over_channel(self, artifacts):
         art, _ = artifacts
@@ -47,9 +45,9 @@ class TestWorkflow:
         owner = DataOwner(seed=3)
         blob = owner.open_model(art.sealed_model)
         # The blob is a valid weights file for the same architecture.
-        fresh = art.system.build_model(n_conv_layers=2, filters=4, batch=16)
+        fresh = art.system.build_model(n_conv_layers=3, filters=8, batch=32)
         seen = load_weights(fresh, blob)
-        assert seen == 6
+        assert seen == 30
 
     def test_stranger_cannot_open_final_model(self, artifacts):
         art, _ = artifacts
@@ -62,4 +60,4 @@ class TestWorkflow:
     def test_mirror_left_in_pm(self, artifacts):
         art, _ = artifacts
         assert art.system.mirror.exists()
-        assert art.system.mirror.stored_iteration() == 6
+        assert art.system.mirror.stored_iteration() == 30

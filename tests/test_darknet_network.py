@@ -114,6 +114,30 @@ class TestCfg:
         with pytest.raises(ValueError, match="height and width"):
             build_network(parse_cfg("[net]\nbatch=4\n[softmax]\n"))
 
+    @pytest.mark.parametrize(
+        "net, section, message",
+        [
+            ("", "[convolutional]\nstride=0", r"\[convolutional\] stride"),
+            ("", "[convolutional]\nsize=0", r"\[convolutional\] size"),
+            ("", "[convolutional]\nfilters=0", r"\[convolutional\] filters"),
+            ("", "[maxpool]\nstride=0", r"\[maxpool\] stride"),
+            ("", "[maxpool]\nsize=0", r"\[maxpool\] size"),
+            ("", "[connected]\noutput=0", r"\[connected\] output"),
+            ("batch=0\n", "[softmax]", r"\[net\] batch"),
+            (
+                "policy=poly\nmax_batches=0\n", "[softmax]",
+                r"\[net\] max_batches",
+            ),
+        ],
+    )
+    def test_zero_geometry_fails_closed(self, net, section, message):
+        """Zero sizes, strides, widths and batch counts are refused
+        when the network is built, naming the section and the key —
+        not a ZeroDivisionError later, and not a silently empty layer."""
+        text = f"[net]\nheight=8\nwidth=8\n{net}{section}\n"
+        with pytest.raises(ValueError, match=message):
+            build_network(parse_cfg(text))
+
     def test_render_roundtrip(self):
         config = parse_cfg(_TINY_CFG)
         again = parse_cfg(render_cfg(config))
@@ -401,7 +425,7 @@ class TestInference:
         data = tiny_data(96)
         train(net, data, iterations=60, rng=np.random.default_rng(1),
               input_shape=(1, 8, 8))
-        acc = accuracy(net, data, input_shape=(1, 8, 8), batch_size=32)
+        acc = accuracy(net, data, input_shape=(1, 8, 8))
         assert acc > 0.8  # planted signal is easy
 
 

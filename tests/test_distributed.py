@@ -85,14 +85,13 @@ class TestSplitLayerCounts:
 
 
 class TestPipeline:
-    def make(self, dataset, n_stages=2, server="sgx-emlPM"):
+    def make(self, dataset, n_stages=2):
         return PipelinePlinius(
             dataset,
             n_conv_layers=4,
             n_stages=n_stages,
             filters=4,
             batch=16,
-            server=server,
         )
 
     def test_stages_partition_the_model(self, dataset):

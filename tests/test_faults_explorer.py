@@ -41,7 +41,7 @@ class TestEnumeration:
     def test_enumerate_covers_every_hit_site(self):
         golden = make_workload("train").golden()
         assert not golden.violations
-        specs = enumerate_points(golden, ExploreConfig())
+        specs = enumerate_points(golden)
         sites = {s.site for s in specs}
         assert sites == set(golden.hits)
         # The acceptance floor: well over 50 distinct crash schedules.
@@ -51,14 +51,14 @@ class TestEnumeration:
     def test_sampling_is_stratified_and_seeded(self):
         golden = make_workload("train").golden()
         config = ExploreConfig(exhaustive=False, samples=24, seed=5)
-        sample = _sample_points(enumerate_points(golden, config), config)
+        sample = _sample_points(enumerate_points(golden), config)
         strata = {(s.site, s.kind) for s in sample}
         full = {
             (s.site, s.kind)
-            for s in enumerate_points(golden, config)
+            for s in enumerate_points(golden)
         }
         assert strata == full  # every (site, kind) represented
-        again = _sample_points(enumerate_points(golden, config), config)
+        again = _sample_points(enumerate_points(golden), config)
         assert sample == again  # same seed, same sample
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.faults.explorer import ExploreConfig, enumerate_points
+from repro.faults.explorer import enumerate_points
 from repro.faults.workload import WORKLOADS, make_workload
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden"
@@ -78,7 +78,7 @@ def _row(name: str, label: str, outcome) -> list:
 
 def _rows(name: str, every: bool) -> list:
     workload = make_workload(name)
-    specs = enumerate_points(workload.golden(), ExploreConfig(exhaustive=True))
+    specs = enumerate_points(workload.golden())
     if not every:
         picks = np.linspace(0, len(specs) - 1, TIER1_REPLAYS).round()
         specs = [specs[int(i)] for i in picks]

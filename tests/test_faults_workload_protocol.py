@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 
 from repro.crypto.backend import IntegrityError
-from repro.faults.explorer import ExploreConfig, enumerate_points
+from repro.faults.explorer import enumerate_points
 from repro.faults.plan import FaultSpec, InjectedCrash
 from repro.faults.protocol import MAX_REBOOTS, Machine, Workload
 from repro.simtime.profiles import get_profile
@@ -75,7 +75,7 @@ def test_toy_scenario_survives_every_single_fault():
     assert not golden.violations
     assert golden.outcome.final_iteration == CounterWorkload.BUMPS
     assert golden.flight["total"] > 0
-    specs = enumerate_points(golden, ExploreConfig(exhaustive=True))
+    specs = enumerate_points(golden)
     assert {s.site for s in specs} == set(golden.hits)
     for spec in specs:
         outcome = workload.replay(spec)

@@ -257,9 +257,8 @@ def test_taint_summary_sees_through_helper(tmp_path):
     )
     project = Project.load([tmp_path])
     from repro.analysis.flow.taint import TaintAnalysis
-    from repro.analysis.lint.config import DEFAULT_CONFIG
 
-    analysis = TaintAnalysis(project, CallGraph(project), DEFAULT_CONFIG)
+    analysis = TaintAnalysis(project, CallGraph(project))
     relabel = analysis.summary_of("helper.relabel")
     assert relabel.taint_params == frozenset({0})
     produce = analysis.summary_of("helper.produce")

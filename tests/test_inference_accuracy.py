@@ -18,8 +18,6 @@ from repro.bench import run_inference
 def result():
     return run_inference(
         n_conv_layers=6,
-        filters=8,
-        batch=64,
         iterations=200,
         n_train=2500,
         n_test=500,

@@ -28,7 +28,6 @@ from repro.analysis.lint import (
     render_text,
     run_paths,
 )
-from repro.analysis.lint.config import LintConfig
 from repro.analysis.tcb import TRUSTED_MODULES, UNTRUSTED_MODULES
 from repro.cli import main
 
@@ -221,7 +220,6 @@ def test_every_module_is_classified_exactly_once():
     exempt.add("repro.__main__")
     classified = list(TRUSTED_MODULES) + list(UNTRUSTED_MODULES)
     assert sorted(classified) == sorted(modules - exempt)
-    assert LintConfig().untrusted_modules is UNTRUSTED_MODULES
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +229,123 @@ def test_every_module_is_classified_exactly_once():
 #: Modules nothing under the roots imports yet, each with the open item
 #: that decides it.  They count as roots (so what only they import is
 #: reached) and must be dropped from here once a real caller exists.
+#: Below them, the symbol census's waivers: each public name, defaulted
+#: keyword or config field nothing outside tests/ uses, with one of
+#: WAIVER_REASONS.  A waiver whose symbol gains a caller, or goes, is
+#: stale and fails test_every_symbol_has_a_caller.
 CALLER_WAIVERS = {
-    "repro.core.workflow": "Fig. 5 end-to-end workflow; carries darknet.weights",
-    "repro.distributed.pipeline": "ROADMAP 4c owes it a benchmark workload",
-    "repro.distributed.data_parallel": "ROADMAP 4c owes it a benchmark workload",
+    "repro.core.workflow":
+        "(c) the Fig. 5 workflow examples/full_workflow.py runs; "
+        "carries darknet.weights",
+    "repro.distributed.pipeline":
+        "(c) examples/distributed_training.py runs it; "
+        "ROADMAP 4c owes it a benchmark workload",
+    "repro.distributed.data_parallel":
+        "(c) examples/distributed_training.py runs it; "
+        "ROADMAP 4c owes it a benchmark workload",
+    # (a) fault, tamper and impostor injection
+    "repro.hw.pmem.PersistentMemoryDevice.load_image":
+        "(a) tests replay an older or tampered PM image",
+    "repro.sgx.enclave.Enclave(code_identity=)":
+        "(a) tests build impostor enclaves with another measurement",
+    "repro.sgx.enclave.Enclave(heap_size=)":
+        "(a) test_sgx shrinks the heap to 1 MiB to force EnclaveOOM",
+    "repro.serving.gateway.InferenceGateway.schedule_crash":
+        "(a) gateway tests crash a replica mid-run",
+    "repro.serving.gateway.InferenceGateway.schedule_repair":
+        "(a) gateway tests repair the replica they crashed",
+    "repro.cluster.network.ClusterNetwork.partition(duplex=)":
+        "(a) cluster property tests cut one direction of a link",
+    "repro.cluster.network.ClusterNetwork.heal(duplex=)":
+        "(a) cluster property tests heal one direction of a link",
+    "repro.federated.session.FederationConfig.knobs":
+        "(a) federated tests make a client byzantine (tamper, drop)",
+    "repro.core.workflow.DataOwner(seed=)":
+        "(a) test_core_workflow's stranger owner holds another key",
+    "repro.core.pm_data.PmDataModule.stored_row":
+        "(a) test_tampered_row_fails_decryption flips a sealed row",
+    "repro.bench.fig10.run_fig10(trace=)":
+        "(a) test_bench injects a two-spike price trace",
+    # (b) oracles
+    "repro.obs.recorder.TraceRecorder.sim_view":
+        "(b) its sha256 is frozen in twins.json",
+    "repro.obs.recorder.TraceRecorder.sim_events":
+        "(b) test_obs_integration compares two runs' sim events",
+    "repro.obs.report.build_report_from_recorder":
+        "(b) the report_sha256 values in twins.json are built with it",
+    "repro.crypto.engine.EncryptionEngine(backend=)":
+        "(b) tests hold the wheel to the pure AES-GCM reference",
+    "repro.distributed.data_parallel.DataParallelPlinius(n_conv_layers=)":
+        "(b) twins.json's data-parallel row is recorded at 2 conv layers",
+    "repro.distributed.data_parallel.DataParallelPlinius(filters=)":
+        "(b) twins.json's data-parallel row is recorded at 4 filters",
+    "repro.distributed.data_parallel.DataParallelPlinius(batch=)":
+        "(b) twins.json's data-parallel row is recorded at batch 8",
+    "repro.distributed.data_parallel.DataParallelPlinius(seed=)":
+        "(b) twins.json's data-parallel row is recorded at its own seed",
+    "repro.distributed.pipeline.PipelinePlinius(seed=)":
+        "(b) twins.json's pipeline row is recorded at its own seed",
+    "repro.bench.fig7.measure_model_size(recorder=)":
+        "(b) test_obs_integration holds the traced Table I split to "
+        "the harness's own",
+    # (c) entry points and deployment settings
+    "repro.cli.main(argv=)": "(c) the CLI entry point; tests pass argv",
+    "repro.core.checkpoint.SsdCheckpoint(path=)":
+        "(c) where the checkpoint file lives is a deployment setting",
+    # (e) deleting it would remove test IDs (count given)
+    "repro.cluster.runtime.installed_cluster":
+        "(e) 1 ID: test_gateway_rides_ambient_cluster_loop",
+    "repro.core.models.mnist_cnn_config":
+        "(e) 1 ID: test_mnist_cnn_config_roundtrip",
+    "repro.darknet.cfg.render_cfg": "(e) 1 ID: TestCfg::test_render_roundtrip",
+    "repro.darknet.weights.weights_size":
+        "(e) 1 ID: TestWeights::test_size_accounting",
+    "repro.data.mnist.load_idx_images": "(e) 4 IDs: test_data_mnist's TestIdx",
+    "repro.data.mnist.load_idx_labels": "(e) 4 IDs: test_data_mnist's TestIdx",
+    "repro.faults.registry.crashable_sites":
+        "(e) 1 ID: test_crashable_sites_nonempty_and_consistent",
+    "repro.faults.registry.sites_for_layer":
+        "(e) 1 ID: test_registry_covers_every_layer",
+    "repro.hw.dram.VolatileMemory.store":
+        "(e) 4 IDs: test_dram_fio's TestVolatileMemory",
+    "repro.hw.pmem.PersistentMemoryDevice.persist":
+        "(e) 1 ID: test_persist_with_clflush_skips_fence; 7 more tests "
+        "use it to make state durable",
+    "repro.obs.export.mirror_breakdown":
+        "(e) 2 IDs: test_obs's test_mirror_breakdown*",
+    "repro.obs.hist.LogHistogram.from_dict":
+        "(e) 1 ID: test_to_dict_from_dict_roundtrip",
+    "repro.obs.hist.LogHistogram.merge": "(e) 2 IDs: test_obs_hist's TestMerge",
+    "repro.romulus.alloc.PersistentHeap.pmfree":
+        "(e) 4 IDs: three TestAllocator free-list tests and "
+        "test_allocator_never_overlaps_and_frees_are_reusable",
+    "repro.sgx.enclave.Enclave.free": "(e) 1 ID: test_malloc_free_ledger",
+    "repro.sgx.rand.sgx_read_rand": "(e) 1 ID: test_module_level_helper",
+    "repro.simtime.clock.SimClock.detach_recorder":
+        "(e) 1 ID: TestStopwatchShim::test_detach_recorder",
+    "repro.simtime.clock.SimClock.reset": "(e) 1 ID: TestSimClock::test_reset",
+    "repro.spot.traces.render_trace": "(e) 1 ID: TestTraces::test_csv_roundtrip",
+    "repro.spot.traces.synthetic_trace(n_intervals=)":
+        "(e) 1 ID: test_n_spikes_controls_interruptions needs 200 intervals",
+    "repro.spot.traces.synthetic_trace(n_spikes=)":
+        "(e) 1 ID: test_n_spikes_controls_interruptions",
+    "repro.distributed.data_parallel.DataParallelPlinius(builder=)":
+        "(e) 1 ID: test_equivalence_to_single_worker_bn_free",
+    # (f) read-only queries tests observe state through
+    "repro.faults.plan.get_active_plan":
+        "(f) tests and conftest check which fault plan is installed",
+    "repro.hw.intervals.IntervalSet.contains": "(f) interval membership",
+    "repro.obs.flight.FlightRecorder.current_span": "(f) the open span",
+    "repro.obs.recorder.NullRecorder.current_span": "(f) the open span",
+    "repro.obs.recorder.TraceRecorder.current_span": "(f) the open span",
+    "repro.obs.recorder.TraceRecorder.find_spans": "(f) spans by name",
+    "repro.obs.recorder.TraceRecorder.find_events": "(f) events by name",
+    "repro.obs.metrics.CounterRegistry.get_gauge": "(f) one gauge's value",
+    "repro.obs.hist.LogHistogram.buckets": "(f) the bucket counts",
+    "repro.romulus.alloc.PersistentHeap.used_bytes": "(f) heap bytes in use",
+    "repro.romulus.alloc.PersistentHeap.allocation_size":
+        "(f) one allocation's usable bytes",
+    "repro.romulus.region.RomulusRegion.read_back": "(f) the back twin's bytes",
 }
 
 #: Scripts whose imports are callers: the wall-clock ledger and the
@@ -335,10 +446,324 @@ def test_every_module_has_a_caller():
     by the CLI, the e2e benchmark, the wall-clock ledger or a
     paper-figure script — or sits in the waiver table with its reason."""
     graph, roots = caller_census(SRC.parent)
-    assert graph.modules - graph.reachable(roots | set(CALLER_WAIVERS)) == set()
-    assert len(CALLER_WAIVERS) == 3
+    waived = set(CALLER_WAIVERS) & graph.modules
+    assert graph.modules - graph.reachable(roots | waived) == set()
+    assert len(CALLER_WAIVERS) == 60
     # A waiver whose module has gained a caller is stale.
-    assert not set(CALLER_WAIVERS) & graph.reachable(roots)
+    assert not waived & graph.reachable(roots)
+
+
+# ----------------------------------------------------------------------
+# Caller census per symbol: public names, defaulted keywords and
+# dataclass config fields (docs/static-analysis.md, "Caller census")
+# ----------------------------------------------------------------------
+
+#: The closed list of reasons a symbol waiver may cite, by its prefix.
+WAIVER_REASONS = {
+    "(a)": "a test injects a fault, tamper or impostor through it",
+    "(b)": "tests compare against it as an oracle",
+    "(c)": "an entry point or a deployment setting",
+    "(d)": "pinned by PATCHES or by a tests/mutants.py row's source text",
+    "(e)": "deleting it would remove test IDs past the PR's budget",
+    "(f)": "a read-only query tests use to observe state",
+}
+
+_MUTATORS = frozenset({
+    "append", "extend", "insert", "update", "setdefault", "add", "pop",
+    "clear", "remove", "discard",
+})
+
+
+def _literal(node):
+    """``repr`` of a literal argument, or None for anything computed."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return None
+
+
+def _unpacks(call):
+    """Whether ``call`` passes ``*args`` or ``**kwargs``: then any
+    parameter may be passed, and the census cannot tell which."""
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    )
+
+
+def _bare(node):
+    """The name a call or reference ends in (``a.b.c`` -> ``c``)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return getattr(node, "attr", None)
+
+
+class _Symbol:
+    """One definition in ``src/repro``: its waiver key and its lines."""
+
+    def __init__(self, key, path, node, method):
+        self.key, self.path, self.node, self.method = key, path, node, method
+        self.name = node.name
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        self.lines = range(first, node.end_lineno + 1)
+
+    def owns(self, path, line):
+        """Whether ``path:line`` lies inside the definition itself."""
+        return path == self.path and line in self.lines
+
+
+class SymbolCensus:
+    """Names, keywords and config fields nothing outside ``tests/`` uses.
+
+    Callers are every ``.py`` file under ``src/repro`` (never counting a
+    definition's own lines), ``benchmarks/`` (whose string constants
+    count too, so each e2e ``PATCHES`` name stays pinned) and
+    ``examples/``.  Everything is matched by bare name: a dead method
+    that shares its name with a live one is missed, a live one is never
+    flagged.  Keywords are checked only where the name is unique.
+    """
+
+    def __init__(self, repo: Path) -> None:
+        src = repo / "src"
+        self.trees = {
+            path: ast.parse(path.read_text())
+            for path in sorted((src / "repro").rglob("*.py"))
+        }
+        self.symbols = []
+        for path, tree in list(self.trees.items()):
+            module = ".".join(path.relative_to(src).with_suffix("").parts)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    key = f"{module}.{node.name}"
+                    self.symbols.append(_Symbol(key, path, node, False))
+                if isinstance(node, ast.ClassDef):
+                    self.symbols.extend(
+                        _Symbol(f"{key}.{item.name}", path, item, True)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    )
+        bench = sorted((repo / "benchmarks").rglob("*.py"))
+        for path in bench + sorted((repo / "examples").glob("*.py")):
+            self.trees[path] = ast.parse(path.read_text())
+        self.refs, self.calls, self.stores = {}, {}, set()
+        for path, tree in self.trees.items():
+            self._scan(path, tree, strings=path in bench)
+
+    def _scan(self, path, tree, strings):
+        refs, calls = self.refs, self.calls
+        for node in ast.walk(tree):
+            name = _bare(node)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                refs.setdefault(name, []).append((path, node.lineno))
+                if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    self.stores.add(node.attr)
+            elif isinstance(node, ast.alias) and node.asname:
+                # ``from m import name as other``: ``other`` is what the
+                # module then references.
+                refs.setdefault(node.name, []).append((path, 0))
+            elif strings and isinstance(node, ast.Constant) and isinstance(
+                node.value, str
+            ):
+                for part in node.value.split("."):
+                    refs.setdefault(part, []).append((path, node.lineno))
+            elif isinstance(node, ast.Subscript) and isinstance(
+                node.ctx, ast.Store
+            ):
+                self.stores.add(_bare(node.value))
+            elif isinstance(node, ast.ClassDef):
+                self._scan_class(path, node)
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            calls.setdefault(_bare(func), []).append((path, node))
+            if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+                self.stores.add(_bare(func.value))
+            if _bare(func) in ("isinstance", "issubclass"):
+                continue
+            # ``run_once(benchmark, fn, k=v)`` forwards its keywords to fn.
+            for arg in node.args:
+                if isinstance(arg, (ast.Name, ast.Attribute)):
+                    forwarded = ast.Call(arg, [], node.keywords)
+                    forwarded.lineno = node.lineno
+                    calls.setdefault(_bare(arg), []).append((path, forwarded))
+
+    def _scan_class(self, path, cls):
+        """``cls(...)`` builds the class; ``super().__init__(...)`` its bases."""
+        for node in ast.walk(cls):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "cls":
+                self.calls.setdefault(cls.name, []).append((path, node))
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and _bare(func.value.func) == "super"
+            ):
+                for base in cls.bases:
+                    self.calls.setdefault(_bare(base), []).append((path, node))
+
+    # ------------------------------------------------------------------
+    def findings(self):
+        """``{waiver key: (level, what is wrong)}`` at this tree."""
+        found = {}
+        names = [s.name for s in self.symbols]
+        for symbol in self.symbols:
+            if symbol.name.startswith("_"):
+                continue
+            if all(symbol.owns(*ref) for ref in self.refs.get(symbol.name, ())):
+                found[symbol.key] = ("name", "no caller references it")
+            if names.count(symbol.name) != 1:
+                continue
+            node = symbol.node
+            if isinstance(node, ast.ClassDef) and any(
+                _bare(getattr(d, "func", d)) == "dataclass"
+                for d in node.decorator_list
+            ):
+                found.update(self._fields(symbol))
+                continue
+            if isinstance(node, ast.ClassDef):
+                node = next((
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"
+                ), None)
+                if node is None:
+                    continue
+            found.update(self._keywords(symbol, node))
+        return found
+
+    def _call_sites(self, symbol):
+        """Calls of ``symbol``; a function's calls of itself do not
+        count, a class's ``cls(...)`` in its own methods does."""
+        builds = isinstance(symbol.node, ast.ClassDef)
+        return [
+            call for path, call in self.calls.get(symbol.name, ())
+            if builds or not symbol.owns(path, call.lineno)
+        ]
+
+    def _keywords(self, symbol, fn):
+        args = fn.args
+        order = [a.arg for a in args.posonlyargs + args.args]
+        static = any(_bare(d) == "staticmethod" for d in fn.decorator_list)
+        if (symbol.method and not static) or fn is not symbol.node:
+            order = order[1:]  # self / cls
+        defaults = dict(zip(order[len(order) - len(args.defaults):], args.defaults))
+        defaults.update(
+            (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+        )
+        calls = self._call_sites(symbol)
+        passed = []
+        for call in calls:
+            if _unpacks(call):
+                return {}
+            passed.append(dict(zip(order, call.args)))
+            passed[-1].update((k.arg, k.value) for k in call.keywords)
+        out = {}
+        for name, default in defaults.items():
+            key = f"{symbol.key}({name}=)"
+            values = {
+                _literal(p[name]) if name in p else _literal(default) or "default"
+                for p in passed
+            }
+            if not passed or None in values:
+                continue
+            if not any(name in p for p in passed):
+                out[key] = ("keyword", "no caller passes it")
+            elif len(values) == 1:
+                out[key] = ("keyword", f"every caller passes {values.pop()}")
+        return out
+
+    def _fields(self, symbol):
+        declared = [
+            item for item in symbol.node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        order = [item.target.id for item in declared]
+        set_ = set(self.stores)
+        for call in self._call_sites(symbol):
+            if _unpacks(call):
+                return {}
+            set_.update(order[: len(call.args)])
+            set_.update(k.arg for k in call.keywords)
+        for _, call in self.calls.get("replace", ()):
+            set_.update(k.arg for k in call.keywords)
+        return {
+            f"{symbol.key}.{item.target.id}": ("field", "no caller sets it")
+            for item in declared
+            if item.value is not None
+            and "ClassVar" not in ast.unparse(item.annotation)
+            and not any(
+                k.arg == "init" for k in getattr(item.value, "keywords", ())
+            )
+            and item.target.id not in set_
+        }
+
+
+def symbol_census(repo: Path, waivers):
+    """``(findings, stale)``: the census findings no waiver covers, and
+    the symbol waivers that cover no finding."""
+    found = SymbolCensus(repo).findings()
+    unwaived = {k: v for k, v in found.items() if k not in waivers}
+    return unwaived, set(waivers) - _modules(repo) - set(found)
+
+
+def _modules(repo: Path):
+    return _ImportGraph(repo / "src").modules
+
+
+def test_every_symbol_has_a_caller():
+    """No public name, defaulted keyword or config field without a
+    caller outside tests/, unless waived for one of WAIVER_REASONS."""
+    unwaived, stale = symbol_census(SRC.parent, CALLER_WAIVERS)
+    assert unwaived == {}, "\n".join(
+        f"{level} {key}: {why}" for key, (level, why) in sorted(unwaived.items())
+    )
+    assert stale == set(), f"stale waivers: {sorted(stale)}"
+
+
+def test_every_waiver_cites_a_reason():
+    for key, why in CALLER_WAIVERS.items():
+        assert why[:3] in WAIVER_REASONS, (key, why)
+
+
+def test_symbol_census_on_a_toy_tree(tmp_path):
+    """The census finds exactly what it should on a tree built for it:
+    a dead function, a keyword every caller passes as one literal, and
+    a stale waiver — not the keyword passed two ways, not the waived
+    name."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "toy.py").write_text(
+        "def dead():\n"
+        "    return 1\n"
+        "\n"
+        "def waived():\n"
+        "    return 2\n"
+        "\n"
+        "def scale(x, factor=1, offset=0):\n"
+        "    return x * factor + offset\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(
+        "from repro.toy import scale\n"
+        "\n"
+        "scale(1, factor=3, offset=1)\n"
+        "scale(2, 3)\n"
+    )
+    waivers = {
+        "repro.toy.waived": "(e) kept for a test",
+        "repro.toy.gone": "(f) names a function that no longer exists",
+    }
+    unwaived, stale = symbol_census(tmp_path, waivers)
+    assert unwaived == {
+        "repro.toy.dead": ("name", "no caller references it"),
+        "repro.toy.scale(factor=)": ("keyword", "every caller passes 3"),
+    }
+    assert stale == {"repro.toy.gone"}
 
 
 def test_cli_tcb_json(capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.obs import TraceRecorder
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY
 from repro.obs.export import (
     _lane_name,
     summary,
@@ -133,15 +134,16 @@ class TestLaneNaming:
 
 class TestFlightInExports:
     def test_wrapped_ring_survives_export_and_report(self):
-        recorder = TraceRecorder(flight_capacity=4)
-        for i in range(10):
+        recorder = TraceRecorder()
+        total = DEFAULT_FLIGHT_CAPACITY + 6
+        for i in range(total):
             recorder.count("pm.flushes", i)
         doc = to_chrome_trace(recorder)
         flight = doc["otherData"]["flight"]
         assert flight["dropped"] == 6
-        assert len(flight["events"]) == 4
+        assert len(flight["events"]) == DEFAULT_FLIGHT_CAPACITY
         report = build_report(doc)
         assert report["flight"]["dropped"] == 6
         text = render_report_text(report)
-        assert "4 events retained" in text
-        assert "6 dropped of 10" in text
+        assert f"{DEFAULT_FLIGHT_CAPACITY} events retained" in text
+        assert f"6 dropped of {total}" in text

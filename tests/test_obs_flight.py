@@ -14,7 +14,7 @@ from repro.faults.plan import FaultSpec
 from repro.faults.registry import CRASH
 from repro.faults.workload import make_workload
 from repro.obs import TraceRecorder
-from repro.obs.flight import FlightRecorder, FlightRing
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, FlightRing
 
 
 class TestFlightRing:
@@ -108,7 +108,7 @@ class TestFlightRecorder:
 
 class TestTraceRecorderRing:
     def test_span_and_metric_paths_feed_the_ring(self):
-        recorder = TraceRecorder(flight_capacity=16)
+        recorder = TraceRecorder()
         span = recorder.begin("serve.request", 0.0)
         recorder.end(span, 1e-3)
         recorder.count("serve.admitted")
@@ -118,12 +118,14 @@ class TestTraceRecorderRing:
         assert kinds == ["span", "count", "instant", "observe"]
 
     def test_ring_wraparound_on_recorder(self):
-        recorder = TraceRecorder(flight_capacity=4)
-        for i in range(9):
+        recorder = TraceRecorder()
+        for i in range(DEFAULT_FLIGHT_CAPACITY + 5):
             recorder.count("c", i)
         snap = recorder.flight.snapshot()
         assert snap["dropped"] == 5
-        assert [e["value"] for e in snap["events"]] == [5, 6, 7, 8]
+        assert [e["value"] for e in snap["events"]] == list(
+            range(5, DEFAULT_FLIGHT_CAPACITY + 5)
+        )
 
 
 class TestWorkloadFlightCapture:

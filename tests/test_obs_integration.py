@@ -50,7 +50,7 @@ class TestDeterminism:
         def run():
             recorder = TraceRecorder()
             measure_model_size(
-                "emlSGX-PM", 1, filters=16, runs=1, seed=7, recorder=recorder
+                "emlSGX-PM", 1, filters=16, recorder=recorder
             )
             return recorder
 
@@ -194,7 +194,7 @@ class TestTable1FromTrace:
         """Acceptance: Table Ia split from span data alone, within 1%."""
         recorder = TraceRecorder()
         record = measure_model_size(
-            "sgx-emlPM", 13, filters=512, runs=1, seed=7, recorder=recorder
+            "sgx-emlPM", 13, filters=512, recorder=recorder
         )
         breakdown = mirror_breakdown(recorder)
 

@@ -39,9 +39,7 @@ class TestFig7Internals:
     def test_measure_model_size_record_fields(self):
         from repro.bench.fig7 import measure_model_size
 
-        record = measure_model_size(
-            "emlSGX-PM", layer_count=1, filters=32, runs=2
-        )
+        record = measure_model_size("emlSGX-PM", layer_count=1, filters=32)
         assert record.server == "emlSGX-PM"
         assert record.model_bytes > 0
         assert record.model_mb == pytest.approx(
@@ -60,8 +58,8 @@ class TestFig7Internals:
     def test_records_are_deterministic(self):
         from repro.bench.fig7 import measure_model_size
 
-        a = measure_model_size("emlSGX-PM", layer_count=1, filters=32, runs=1)
-        b = measure_model_size("emlSGX-PM", layer_count=1, filters=32, runs=1)
+        a = measure_model_size("emlSGX-PM", layer_count=1, filters=32)
+        b = measure_model_size("emlSGX-PM", layer_count=1, filters=32)
         assert a.pm_save.total == b.pm_save.total
         assert a.ssd_restore.total == b.ssd_restore.total
 
@@ -71,9 +69,7 @@ class TestTable1Internals:
         from repro.bench.fig7 import run_fig7
         from repro.bench.table1 import compute_table1
 
-        records = run_fig7(
-            "emlSGX-PM", layer_counts=(1, 2), filters=32, runs=1
-        )
+        records = run_fig7("emlSGX-PM", layer_counts=(1, 2), filters=32)
         table = compute_table1(records)
         band = table.below
         assert band.save_encrypt_pct + band.save_write_pct == pytest.approx(100)
@@ -87,9 +83,7 @@ class TestTable1Internals:
         from repro.bench.fig7 import run_fig7
         from repro.bench.table1 import compute_table1, render_table1
 
-        records = run_fig7(
-            "emlSGX-PM", layer_counts=(1,), filters=32, runs=1
-        )
+        records = run_fig7("emlSGX-PM", layer_counts=(1,), filters=32)
         text = render_table1(compute_table1(records))
         assert "no beyond-EPC points" in text
         assert "--" in text

@@ -180,9 +180,7 @@ class TestTransaction:
         with region.begin_transaction() as tx:
             tx.write(100, b"durable")
         device.crash()
-        RomulusRegion.open(
-            device, flush_instruction=FlushInstruction.CLFLUSH
-        )
+        RomulusRegion.open(device)
         assert region.read(100, 7) == b"durable"
 
 

@@ -54,7 +54,7 @@ def connect(service, enclave, seed, session_id=1):
 def classify(service, client, images):
     """Round trip: seal, submit as a batch of one, unseal."""
     seq, sealed = client.seal_request_seq(images)
-    reply = service.handle_request(client.session_id, seq, sealed)
+    (reply,) = service.handle_batch([(client.session_id, seq, sealed)])
     return client.open_response_seq(seq, reply)
 
 
@@ -79,7 +79,7 @@ class TestService:
         service = make_service(trained_setup)
         client = connect(service, enclave, seed=4)
         seq, wire = client.seal_request_seq(test_images[:4])
-        sealed = service.handle_request(client.session_id, seq, wire)
+        (sealed,) = service.handle_batch([(client.session_id, seq, wire)])
         preds = client.open_response_seq(seq, sealed)
         assert preds.tobytes() not in sealed  # still sealed going out
         assert preds.shape == (4,)
@@ -92,7 +92,7 @@ class TestService:
         wire = bytearray(wire)
         wire[20] ^= 0xFF
         with pytest.raises(IntegrityError):
-            service.handle_request(client.session_id, seq, bytes(wire))
+            service.handle_batch([(client.session_id, seq, bytes(wire))])
 
     def test_wrong_measurement_aborts_connection(self, trained_setup):
         service = make_service(trained_setup)
@@ -108,18 +108,18 @@ class TestService:
         # before any decryption.
         seq, wire = client.seal_request_seq(np.zeros((2, 10, 10), np.float32))
         with pytest.raises(ValueError, match="784-feature samples"):
-            service.handle_request(client.session_id, seq, wire)
+            service.handle_batch([(client.session_id, seq, wire)])
         # Four 196-feature samples fill one 784-feature slot exactly:
         # refused by the sealed header.
         seq, wire = client.seal_request_seq(np.zeros((4, 14, 14), np.float32))
         with pytest.raises(ValueError, match="196 features"):
-            service.handle_request(client.session_id, seq, wire)
+            service.handle_batch([(client.session_id, seq, wire)])
 
     def test_requires_connection(self, trained_setup):
         service = make_service(trained_setup)
         one_sample = b"x" * (SEAL_OVERHEAD + 16 + 4 * 28 * 28)
         with pytest.raises(KeyError, match="no session 1"):
-            service.handle_request(1, 0, one_sample)
+            service.handle_batch([(1, 0, one_sample)])
         client = InferenceClient(b"\x00" * 32)
         with pytest.raises(RuntimeError, match="no multiplexed session"):
             client.seal_request_seq(np.zeros((1, 28, 28), np.float32))

@@ -209,7 +209,7 @@ class TestHotReload:
         # Derive a deterministic kill/resume schedule for replica 1
         # from the spot trace: each interruption is a crash, with the
         # repair one interval later.
-        trace = synthetic_trace(n_intervals=8, seed=3)
+        trace = synthetic_trace(n_intervals=8)
         mask = trace.running_mask(max_bid=0.095)
         interval = 2e-3
         for i, (up, up_next) in enumerate(zip(mask, mask[1:])):

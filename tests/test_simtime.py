@@ -69,7 +69,8 @@ class TestDeviceCostModel:
             "d", read_bandwidth=1 * GIB, write_bandwidth=1 * GIB,
             read_latency=1e-3,
         )
-        assert dev.read_time(0, ops=5) == pytest.approx(5e-3)
+        assert dev.read_time(0) == pytest.approx(1e-3)
+        assert dev.read_time(1 * GIB) == pytest.approx(1.0 + 1e-3)
 
     def test_fsync_time(self):
         dev = DeviceCostModel(
@@ -124,7 +125,8 @@ class TestCryptoCostModel:
             decrypt_bandwidth=1 * GIB,
             per_buffer_overhead=1e-5,
         )
-        assert crypto.encrypt_time(0, buffers=3) == pytest.approx(3e-5)
+        assert crypto.encrypt_time(0) == pytest.approx(1e-5)
+        assert crypto.decrypt_time(1 * GIB) == pytest.approx(1.0 + 1e-5)
 
 
 class TestComputeCostModel:

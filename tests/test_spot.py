@@ -18,8 +18,8 @@ from tests.conftest import make_system
 
 class TestTraces:
     def test_synthetic_deterministic(self):
-        a = synthetic_trace(seed=38)
-        b = synthetic_trace(seed=38)
+        a = synthetic_trace()
+        b = synthetic_trace()
         assert a == b
 
     def test_paper_bid_yields_two_interruptions(self):
@@ -42,7 +42,7 @@ class TestTraces:
         assert not any(trace.running_mask(0.0))
 
     def test_n_spikes_controls_interruptions(self):
-        trace = synthetic_trace(n_spikes=4, n_intervals=200, seed=9)
+        trace = synthetic_trace(n_spikes=4, n_intervals=200)
         assert trace.interruptions(0.0955) == 4
 
     def test_csv_roundtrip(self):
@@ -83,8 +83,6 @@ class TestSimulator:
             tiny_dataset,
             max_bid=0.0955,
             n_conv_layers=2,
-            filters=4,
-            batch=16,
             iterations_per_interval=3,
             crash_resilient=crash_resilient,
         )
@@ -146,7 +144,7 @@ class TestShippedArtifacts:
         text = Path("assets/traces/ec2_spot_trace.csv").read_text()
         trace = load_trace(text)
         assert trace.interruptions(0.0955) == 2
-        regenerated = synthetic_trace(seed=38)
+        regenerated = synthetic_trace()
         np.testing.assert_allclose(
             trace.prices, regenerated.prices, atol=1e-6
         )

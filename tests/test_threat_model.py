@@ -27,9 +27,7 @@ def deployment():
     """A completed Fig. 5 run plus the secrets an attacker wants."""
     images, labels, _, _ = synthetic_mnist(96, 1, seed=41)
     data = to_data_matrix(images, labels)
-    artifacts = run_full_workflow(
-        data, iterations=4, n_conv_layers=2, filters=4, batch=16, seed=41
-    )
+    artifacts = run_full_workflow(data)
     secrets = {
         "data-key": artifacts.provisioned_key,
     }
