@@ -25,8 +25,6 @@ def test_fig8_batch_decryption_overhead(benchmark, server):
         batch_sizes=BATCH_SIZES,
         iterations=5,
         n_rows=1024,
-        n_conv_layers=5,
-        filters=8,
     )
 
     print(f"\nFig. 8 — iteration time vs. batch size on {server}")

@@ -25,7 +25,6 @@ def test_fig9_crash_resilience(benchmark):
         server="emlSGX-PM",
         iterations=ITERATIONS,
         n_crashes=CRASHES,
-        n_conv_layers=5,
         filters=8,
         batch=32,
         n_rows=2048,

@@ -23,7 +23,7 @@ def sparkline(states) -> str:
 
 def main() -> None:
     print("== Plinius on a spot instance ==")
-    trace = synthetic_trace(seed=38)
+    trace = synthetic_trace()
     print(f"trace: {len(trace)} five-minute intervals, "
           f"{trace.interruptions(MAX_BID)} interruptions at bid {MAX_BID}")
 

@@ -23,6 +23,9 @@ from repro.core.models import build_sized_cnn
 from repro.core.system import PliniusSystem
 from repro.crypto.engine import SEAL_OVERHEAD
 
+#: Seeds the model weights and the system of every sweep point.
+SEED = 7
+
 
 @dataclass(frozen=True)
 class Fig7Record:
@@ -73,7 +76,7 @@ def measure_model_size(
     sweep's ``mirror.*``/``ckpt.*`` spans can be analyzed afterwards
     (e.g. reproducing Table I from the trace alone).
     """
-    rng = np.random.default_rng((7, layer_count))
+    rng = np.random.default_rng((SEED, layer_count))
     per_layer = 4 * (filters * filters * 9 + 4 * filters)
     network = build_sized_cnn(layer_count * per_layer, rng=rng, filters=filters)
     model_bytes = network.param_bytes
@@ -82,7 +85,7 @@ def measure_model_size(
     sealed_footprint = model_bytes + n_buffers * SEAL_OVERHEAD
     pm_size = 2 * (sealed_footprint + (2 << 20)) + 8192
     system = PliniusSystem.create(
-        server=server, seed=7, pm_size=pm_size, recorder=recorder
+        server=server, seed=SEED, pm_size=pm_size, recorder=recorder
     )
     system.enclave.malloc("model", model_bytes)
     system.mirror.alloc_mirror_model(network)

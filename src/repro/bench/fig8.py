@@ -18,6 +18,8 @@ from repro.core.system import PliniusSystem
 from repro.data import synthetic_mnist, to_data_matrix
 
 DEFAULT_BATCH_SIZES = (16, 32, 64, 128, 256, 512)
+#: Seeds the dataset, the system and every draw of this harness.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,9 @@ def _mean_iteration_time(
     iterations: int,
     n_rows: int,
 ) -> float:
-    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=7)
+    images, labels, _, _ = synthetic_mnist(n_rows, 1, seed=SEED)
     data = to_data_matrix(images, labels)
-    system = PliniusSystem.create(server=server, seed=7, pm_size=96 << 20)
+    system = PliniusSystem.create(server=server, seed=SEED, pm_size=96 << 20)
     system.load_data(data, encrypted=encrypted)
     network = system.build_model(n_conv_layers=5, filters=8, batch=batch_size)
     result = system.train(network, iterations=iterations)

@@ -16,6 +16,9 @@ from repro.core.system import PliniusSystem
 from repro.darknet.inference import accuracy
 from repro.data import synthetic_mnist, to_data_matrix
 
+#: Seeds the dataset, the system and every draw of this harness.
+SEED = 7
+
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -38,12 +41,12 @@ def run_inference(
     """Train an 8-filter model at batch 64, then evaluate; returns the
     measured accuracy."""
     train_images, train_labels, test_images, test_labels = synthetic_mnist(
-        n_train, n_test, seed=7
+        n_train, n_test, seed=SEED
     )
     train_data = to_data_matrix(train_images, train_labels)
     test_data = to_data_matrix(test_images, test_labels)
 
-    system = PliniusSystem.create(server=server, seed=7, pm_size=160 << 20)
+    system = PliniusSystem.create(server=server, seed=SEED, pm_size=160 << 20)
     system.load_data(train_data)
     network = system.build_model(n_conv_layers=n_conv_layers, filters=8, batch=64)
     result = system.train(network, iterations=iterations)

@@ -33,6 +33,8 @@ from repro.sgx.attestation import establish_channel
 from repro.sgx.rand import SgxRandom  # repro: noqa[SEC002] -- the DataOwner's own CSPRNG on the client side of Fig. 3, not enclave state
 
 _ROW_HEADER = struct.Struct("<QQQ")  # rows, features, classes
+#: Seeds the data owner and the system of the end-to-end run.
+SEED = 3
 
 
 @dataclass
@@ -90,8 +92,8 @@ def run_full_workflow(data: DataMatrix) -> WorkflowArtifacts:
     """Execute the complete Fig. 5 pipeline on the emlSGX-PM server:
     a 3-conv-layer, 8-filter model trained for 30 batch-32 iterations;
     returns all artifacts."""
-    owner = DataOwner(seed=3)
-    system = PliniusSystem.create(server="emlSGX-PM", seed=3)
+    owner = DataOwner(seed=SEED)
+    system = PliniusSystem.create(server="emlSGX-PM", seed=SEED)
 
     # Step 1 — ship application binary + encrypted data to the server.
     encrypted_upload = owner.encrypt_dataset(data)

@@ -260,8 +260,6 @@ CALLER_WAIVERS = {
         "(a) cluster property tests heal one direction of a link",
     "repro.federated.session.FederationConfig.knobs":
         "(a) federated tests make a client byzantine (tamper, drop)",
-    "repro.core.workflow.DataOwner(seed=)":
-        "(a) test_core_workflow's stranger owner holds another key",
     "repro.core.pm_data.PmDataModule.stored_row":
         "(a) test_tampered_row_fails_decryption flips a sealed row",
     "repro.bench.fig10.run_fig10(trace=)":
@@ -448,7 +446,7 @@ def test_every_module_has_a_caller():
     graph, roots = caller_census(SRC.parent)
     waived = set(CALLER_WAIVERS) & graph.modules
     assert graph.modules - graph.reachable(roots | waived) == set()
-    assert len(CALLER_WAIVERS) == 60
+    assert len(CALLER_WAIVERS) == 59
     # A waiver whose module has gained a caller is stale.
     assert not waived & graph.reachable(roots)
 
@@ -544,7 +542,9 @@ class SymbolCensus:
         bench = sorted((repo / "benchmarks").rglob("*.py"))
         for path in bench + sorted((repo / "examples").glob("*.py")):
             self.trees[path] = ast.parse(path.read_text())
+        self.repo = repo
         self.refs, self.calls, self.stores = {}, {}, set()
+        self.forwarders, self.defines = set(), {}
         for path, tree in self.trees.items():
             self._scan(path, tree, strings=path in bench)
 
@@ -573,6 +573,10 @@ class SymbolCensus:
                 self.stores.add(_bare(node.value))
             elif isinstance(node, ast.ClassDef):
                 self._scan_class(path, node)
+            elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
+                self.forwarders.add(node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.defines.setdefault(node.name, set()).add(path)
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -585,7 +589,7 @@ class SymbolCensus:
             for arg in node.args:
                 if isinstance(arg, (ast.Name, ast.Attribute)):
                     forwarded = ast.Call(arg, [], node.keywords)
-                    forwarded.lineno = node.lineno
+                    forwarded.lineno, forwarded.via = node.lineno, _bare(func)
                     calls.setdefault(_bare(arg), []).append((path, forwarded))
 
     def _scan_class(self, path, cls):
@@ -634,6 +638,37 @@ class SymbolCensus:
                     continue
             found.update(self._keywords(symbol, node))
         return found
+
+    def bad_calls(self):
+        """``path:line`` of every call that passes a uniquely named
+        module-level function or class a keyword it does not declare:
+        each one raises TypeError when it runs.  Methods are left out
+        (``mean``, ``copy`` and ``open`` share names with library
+        methods), as are calls in a file that defines its own function
+        of that name.  Keywords forwarded through an argument count only
+        when the outer function takes ``**kwargs``."""
+        names = [s.name for s in self.symbols]
+        out = []
+        for symbol in self.symbols:
+            accepted = _accepted(symbol.node)
+            if (
+                symbol.method
+                or names.count(symbol.name) != 1
+                or accepted is None
+            ):
+                continue
+            for path, call in self.calls.get(symbol.name, ()):
+                if getattr(call, "via", None) not in (None, *self.forwarders):
+                    continue
+                if path != symbol.path and path in self.defines[symbol.name]:
+                    continue
+                out.extend(
+                    f"{path.relative_to(self.repo)}:{call.lineno}: "
+                    f"{symbol.key} takes no {k.arg}="
+                    for k in call.keywords
+                    if k.arg is not None and k.arg not in accepted
+                )
+        return sorted(out)
 
     def _call_sites(self, symbol):
         """Calls of ``symbol``; a function's calls of itself do not
@@ -702,6 +737,31 @@ class SymbolCensus:
         }
 
 
+def _accepted(node):
+    """The keywords ``node`` can be called with, or None where it takes
+    ``**kwargs`` or its signature is inherited."""
+    if isinstance(node, ast.ClassDef):
+        init = next((
+            item for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        ), None)
+        if init is not None:
+            return _accepted(init)
+        if node.bases or not any(
+            _bare(getattr(d, "func", d)) == "dataclass"
+            for d in node.decorator_list
+        ):
+            return None
+        return {
+            item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+        }
+    if node.args.kwarg:
+        return None
+    return {a.arg for a in node.args.args + node.args.kwonlyargs}
+
+
 def symbol_census(repo: Path, waivers):
     """``(findings, stale)``: the census findings no waiver covers, and
     the symbol waivers that cover no finding."""
@@ -764,6 +824,49 @@ def test_symbol_census_on_a_toy_tree(tmp_path):
         "repro.toy.scale(factor=)": ("keyword", "every caller passes 3"),
     }
     assert stale == {"repro.toy.gone"}
+
+
+def test_no_call_passes_an_undeclared_keyword():
+    """No caller outside tests/ passes a keyword its callee no longer
+    takes: a signature that shrinks takes its callers with it."""
+    assert SymbolCensus(SRC.parent).bad_calls() == []
+
+
+def test_undeclared_keyword_census_on_a_toy_tree(tmp_path):
+    """A keyword the callee dropped is found directly and through a
+    ``**kwargs`` forwarder; a local function of the same name, and a
+    callee that takes ``**kwargs``, are not."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "toy.py").write_text(
+        "def scale(x, factor=1):\n"
+        "    return x * factor\n"
+        "\n"
+        "def loose(**options):\n"
+        "    return options\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(
+        "from repro.toy import loose, scale\n"
+        "\n"
+        "def run_once(fn, **kwargs):\n"
+        "    return fn(**kwargs)\n"
+        "\n"
+        "scale(1, factor=2, seed=3)\n"
+        "run_once(scale, x=1, offset=4)\n"
+        "loose(seed=3)\n"
+    )
+    (tmp_path / "examples" / "local.py").write_text(
+        "def scale(seed):\n"
+        "    return seed\n"
+        "\n"
+        "scale(seed=3)\n"
+    )
+    assert SymbolCensus(tmp_path).bad_calls() == [
+        "examples/use.py:6: repro.toy.scale takes no seed=",
+        "examples/use.py:7: repro.toy.scale takes no offset=",
+    ]
 
 
 def test_cli_tcb_json(capsys):

@@ -32,7 +32,6 @@ from repro.serving import (
     InferenceGateway,
     ReplicaPool,
 )
-from repro.spot.traces import synthetic_trace
 
 N_CLIENTS = 2
 
@@ -206,11 +205,11 @@ class TestHotReload:
         submit_all(gateway, clients, images, gap=1e-3)
         base = gateway.clock.now()
 
-        # Derive a deterministic kill/resume schedule for replica 1
-        # from the spot trace: each interruption is a crash, with the
-        # repair one interval later.
-        trace = synthetic_trace(n_intervals=8)
-        mask = trace.running_mask(max_bid=0.095)
+        # A spot-shaped kill/resume schedule for replica 1, one entry
+        # per interval: each up->down edge is a crash and each
+        # down->up edge its repair, at the end of the interval.  The
+        # two outages (2-6 ms, 8-12 ms) each straddle one publish.
+        mask = (True, False, False, True, False, False, True, True)
         interval = 2e-3
         for i, (up, up_next) in enumerate(zip(mask, mask[1:])):
             at = base + (i + 1) * interval
