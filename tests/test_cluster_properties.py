@@ -58,6 +58,17 @@ SEND_INTO_CUT_BEHIND_IN_FLIGHT = [
     (212, ("send", ("a", "b"), 1)),
 ]
 
+#: A partition and a heal of one edge at the same tick, in that order:
+#: the loop drains them in push order, so the edge is never cut.  An
+#: oracle that broke the tie by the kind's name ("heal" < "partition")
+#: invented a cut from 0 to the end that swallowed the send.
+PARTITION_HEAL_SAME_TICK = [
+    (0, ("partition", ("a", "b"))),
+    (0, ("heal", ("a", "b"))),
+    (50, ("partition", ("a", "c"))),
+    (0, ("send", ("a", "b"), 1)),
+]
+
 
 def run_schedule(ops):
     """Execute a schedule; returns (sends, deliveries, end_time).
@@ -143,20 +154,23 @@ def test_per_link_fifo(ops):
 
 @settings(max_examples=60, deadline=None)
 @given(schedules)
+@example(PARTITION_HEAL_SAME_TICK)
 def test_partition_blackout(ops):
     """Nothing arrives strictly inside a (partition, heal) window."""
     sends, deliveries, end = run_schedule(ops)
     for edge in EDGES:
         # Reconstruct the edge's partition intervals from the schedule
         # (the final heal-all closes any still-open cut at ``end``).
+        # Same-tick events run in push order, i.e. their order in ops.
         events = sorted(
-            (tick * 1e-6, op[0])
-            for tick, op in ops
+            (tick, index, op[0])
+            for index, (tick, op) in enumerate(ops)
             if op[0] in ("partition", "heal") and op[1] == edge
         )
         intervals = []
         cut_at = None
-        for t, kind in events:
+        for tick, _, kind in events:
+            t = tick * 1e-6
             if kind == "partition" and cut_at is None:
                 cut_at = t
             elif kind == "heal" and cut_at is not None:
