@@ -21,13 +21,24 @@ landed (none, all, only the newest flush, or a seeded subset of lines).
 The device holds one byte image, ``_data``: what loads see.  The media
 view is ``_data`` overlaid with **undo pre-images**
 (:class:`~repro.hw.undo.PreImages`): the first store, staging view
-(:meth:`~PersistentMemoryDevice.volatile_view`) or ``copy_within`` that
-touches a clean or pending range saves the bytes the media may still
+(:meth:`~PersistentMemoryDevice.volatile_view`) or eager ``copy_within``
+that touches a clean or pending range saves the bytes the media may still
 hold there, and the next fence releases them.  So a crash writes back
 only the ranges stored or staged since they were last made durable, and
 the device holds resident only the pages written to it plus the
 pre-images of what is in flight.  Coalesced :class:`IntervalSet`\\ s
 record the dirty, staged and pending ranges.
+
+A fourth in-flight state is the **deferred copy**.  A ``copy_within``
+into a clean range that overlaps neither its source nor an earlier
+deferred copy's destination is charged and accounted as a store at
+once, but the bytes wait: the old destination stays in ``_data`` as its
+own pre-image.  The fence that makes the whole destination durable
+moves it with one plain copy and saves nothing, which is the Romulus
+twin copy's path (copy, flush, fence).  Any other access to the image
+first settles every deferred copy the eager way, in call order:
+destination bytes still stored or pending get a base pre-image, then
+the bytes move.
 """
 
 from __future__ import annotations
@@ -121,6 +132,8 @@ class PersistentMemoryDevice:
         # This fence epoch's write-backs, oldest first: (tag, spans).
         self._flushes: List[Tuple[int, List[Interval]]] = []
         self._flush_tag = 0
+        # Copies charged and accounted but not yet moved: (src, dst, n).
+        self._deferred: List[Tuple[int, int, int]] = []
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
         # explicit drop_caches) leave the cache cold, which is what makes
@@ -215,8 +228,42 @@ class PersistentMemoryDevice:
             start, end
         )
 
+    def _settle(self) -> None:
+        """Move every deferred copy, first saving the old value of each
+        destination byte the media does not hold yet: bytes still stored
+        or pending.  Bytes a CLFLUSH or a fence made durable keep none."""
+        view = self._view
+        for src, dst, n in self._deferred:
+            end = dst + n
+            for a, b in (
+                self._dirty.overlap(dst, end) + self._pending.overlap(dst, end)
+            ):
+                self._undo.save_base(view, a, b)
+            view[dst:end] = view[src : src + n]
+        self._deferred.clear()
+
+    def _deferrable(self, src: int, dst: int, n: int) -> bool:
+        """Whether ``copy_within(src, dst, n)`` can wait for its fence:
+        the ranges are disjoint, the old destination is the media value
+        (no byte stored, staged or pending), and no deferred copy writes
+        there too.  Deferred copies settle in call order, so one that
+        reads or writes another's source reads what an eager copy would.
+        """
+        end = dst + n
+        if abs(dst - src) < n or (
+            self._dirty.overlap(dst, end)
+            or self._staged.overlap(dst, end)
+            or self._pending.overlap(dst, end)
+        ):
+            return False
+        for _, d, m in self._deferred:
+            if dst < d + m and d < end:
+                return False
+        return True
+
     def _forget(self) -> None:
         """Drop every in-flight range: the media view is ``_data``."""
+        self._deferred.clear()
         self._undo.clear()
         self._dirty.clear()
         self._staged.clear()
@@ -267,6 +314,8 @@ class PersistentMemoryDevice:
         self._check_range(addr, len(data))
         if not data:
             return
+        if self._deferred:
+            self._settle()
         self._save(addr, addr + len(data))
         # A memoryview target: no hidden temporary (see ``flush``).
         self._view[addr : addr + len(data)] = data
@@ -284,6 +333,8 @@ class PersistentMemoryDevice:
         self._check_range(addr, length)
         if not length:
             return
+        if self._deferred:
+            self._settle()
         self._save(addr, addr + length)
         self._account_store(addr, length)
 
@@ -299,6 +350,8 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         if length:
+            if self._deferred:
+                self._settle()
             self._save(addr, addr + length)
             for a, b in self._dirty.gaps(addr, addr + length):
                 self._staged.add(a, b)
@@ -312,6 +365,8 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
+        if self._deferred:
+            self._settle()
         return bytes(self._view[addr : addr + length])
 
     def read_view(self, addr: int, length: int) -> memoryview:
@@ -323,6 +378,8 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
+        if self._deferred:
+            self._settle()
         return self._view[addr : addr + length].toreadonly()
 
     def copy_within(self, src: int, dst: int, length: int) -> None:
@@ -330,7 +387,8 @@ class PersistentMemoryDevice:
         ``bytes`` — the Romulus twin-copy hot path.
 
         Charges exactly the read cost then the store cost, with the same
-        cache/dirty bookkeeping and fault-injection points.
+        cache/dirty bookkeeping and fault-injection points.  When it can,
+        the move itself waits for the fence (see the module docstring).
         """
         self._check_range(src, length)
         self._charge_read(src, length)
@@ -338,12 +396,17 @@ class PersistentMemoryDevice:
         self._check_range(dst, length)
         if not length:
             return
-        self._save(dst, dst + length)
-        view = self._view
-        if abs(dst - src) < length:  # overlapping: copy via a bounce
-            view[dst : dst + length] = bytes(view[src : src + length])
+        if self._deferrable(src, dst, length):
+            self._deferred.append((src, dst, length))
         else:
-            view[dst : dst + length] = view[src : src + length]
+            if self._deferred:
+                self._settle()
+            self._save(dst, dst + length)
+            view = self._view
+            if abs(dst - src) < length:  # overlapping: copy via a bounce
+                view[dst : dst + length] = bytes(view[src : src + length])
+            else:
+                view[dst : dst + length] = view[src : src + length]
         self._account_store(dst, length)
 
     def drop_caches(self) -> None:
@@ -386,6 +449,8 @@ class PersistentMemoryDevice:
         for a, b in spans:
             dirty_bytes += b - a
         if torn is not None:
+            if self._deferred:
+                self._settle()
             self._torn_flush(spans, dirty_bytes, torn, instruction)
         self._write_back(spans, instruction)
 
@@ -486,9 +551,14 @@ class PersistentMemoryDevice:
         """SFENCE: every pending line becomes durable."""
         unfenced = self._fault("fence")
         if unfenced is not None:
+            if self._deferred:
+                self._settle()
             self._unfenced_power_fail(unfenced)
         if self._pending:
             self._drain()
+        if self._deferred:
+            # After the drain: fully written-back copies move unsaved.
+            self._settle()
         self.stats["fences"] += 1
         self.clock.recorder.count("pm.fences")
         self.clock.advance(self.sfence_cost)
@@ -607,6 +677,8 @@ class PersistentMemoryDevice:
         Every pending line lands (the ADR queue drains), so only the
         stored and staged ranges are rolled back to their pre-images.
         """
+        if self._deferred:
+            self._settle()
         self._overlay(self._view, 0, self.size)
         self._forget()
         self.crash_count += 1
@@ -623,6 +695,8 @@ class PersistentMemoryDevice:
         distinction without actually crashing.
         """
         self._check_range(addr, length)
+        if self._deferred:
+            self._settle()
         out = bytearray(self._view[addr : addr + length])
         self._overlay(memoryview(out), addr, addr + length)
         return bytes(out)

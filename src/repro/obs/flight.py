@@ -44,22 +44,22 @@ _Event = Tuple[str, str, float]
 class FlightRing:
     """Fixed-capacity ring of ``(kind, name, value)`` telemetry events."""
 
-    __slots__ = ("capacity", "_slots", "_cursor", "total")
+    __slots__ = ("capacity", "_slots", "total")
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"flight ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._slots: List[Optional[_Event]] = [None] * capacity
-        self._cursor = 0
-        #: Total events ever offered (``total - capacity`` were dropped).
+        #: Total events ever offered (``total - capacity`` were dropped);
+        #: the next one goes to slot ``total % capacity``.
         self.total = 0
 
     def add(self, kind: str, name: str, value: float) -> None:
         """Append one event, evicting the oldest when full."""
-        self._slots[self._cursor] = (kind, name, value)
-        self._cursor = (self._cursor + 1) % self.capacity
-        self.total += 1
+        total = self.total
+        self._slots[total % self.capacity] = (kind, name, value)
+        self.total = total + 1
 
     @property
     def dropped(self) -> int:
@@ -71,9 +71,8 @@ class FlightRing:
 
     def tail(self) -> List[_Event]:
         """Retained events, oldest first."""
-        if self.total < self.capacity:
-            return [e for e in self._slots[: self._cursor] if e is not None]
-        ordered = self._slots[self._cursor :] + self._slots[: self._cursor]
+        cursor = self.total % self.capacity
+        ordered = self._slots[cursor:] + self._slots[:cursor]
         return [e for e in ordered if e is not None]
 
     def snapshot(self) -> Dict[str, Any]:
@@ -90,7 +89,6 @@ class FlightRing:
 
     def clear(self) -> None:
         self._slots = [None] * self.capacity
-        self._cursor = 0
         self.total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -146,7 +144,11 @@ class FlightRecorder:
         self.flight.add("instant", name, sim_now)
 
     def count(self, name: str, value: float = 1) -> None:
-        self.flight.add("count", name, value)
+        # FlightRing.add inlined: the hook the PM hot path calls most.
+        ring = self.flight
+        total = ring.total
+        ring._slots[total % ring.capacity] = ("count", name, value)
+        ring.total = total + 1
 
     def gauge(self, name: str, value: float) -> None:
         self.flight.add("gauge", name, value)

@@ -352,6 +352,142 @@ class TestUnfenced:
         assert seen == {0, 1, 2}
 
 
+class TestDeferredCopy:
+    """A ``copy_within`` into a clean range waits for the fence that
+    makes it durable; until then every observable is the eager copy's."""
+
+    SRC, DST, N = 0, 1024, 256
+
+    @classmethod
+    def _twins(cls) -> PersistentMemoryDevice:
+        """A durable source of ``N`` and a durable old destination of
+        ``O``, the shape of a Romulus commit's back-twin copy."""
+        dev = make_device()
+        dev.write(cls.SRC, b"N" * cls.N)
+        dev.write(cls.DST, b"O" * cls.N)
+        dev.persist(0, cls.DST + cls.N)
+        return dev
+
+    @staticmethod
+    def _saved(dev: PersistentMemoryDevice, monkeypatch) -> list:
+        """Record the range of every base pre-image ``dev`` saves."""
+        saved = []
+        save = dev._undo.save_base
+
+        def spy(data, start, end):
+            saved.append((start, end))
+            save(data, start, end)
+
+        monkeypatch.setattr(dev._undo, "save_base", spy)
+        return saved
+
+    def test_copy_flush_fence_saves_no_pre_image(self, monkeypatch):
+        dev = self._twins()
+        saved = self._saved(dev, monkeypatch)
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, self.N)
+        dev.fence()
+        assert saved == []
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+        assert dev.durable_read(self.DST, self.N) == b"N" * self.N
+        assert dev.dirty_bytes == 0
+
+    def test_crash_before_the_flush_restores_the_old_destination(self):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.crash()
+        assert dev.read(self.DST, self.N) == b"O" * self.N
+        assert dev.read(self.SRC, self.N) == b"N" * self.N
+
+    def test_crash_after_a_partial_flush_keeps_the_written_back_lines(self):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, 128)  # pending: lands under the default policy
+        dev.crash()
+        assert dev.read(self.DST, self.N) == b"N" * 128 + b"O" * 128
+
+    def test_clflush_copy_reads_new_and_survives_a_crash(self, monkeypatch):
+        dev = self._twins()
+        saved = self._saved(dev, monkeypatch)
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, self.N, FlushInstruction.CLFLUSH)
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+        assert saved == []  # durable by CLFLUSH: nothing to keep
+        dev.crash()
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+
+    def test_clflush_copy_survives_a_crash_without_a_read(self):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, 128, FlushInstruction.CLFLUSH)
+        dev.crash()
+        assert dev.read(self.DST, self.N) == b"N" * 128 + b"O" * 128
+
+    def test_store_to_the_source_does_not_reach_the_copy(self):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.write(self.SRC, b"X" * self.N)
+        dev.persist(0, self.DST + self.N)
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+
+    def test_chained_copies_move_in_call_order(self):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.copy_within(self.DST, 4096, self.N)  # reads the first's dst
+        dev.copy_within(8192, self.SRC, self.N)  # writes the first's src
+        dev.persist(0, 4096 + self.N)
+        assert dev.read(4096, self.N) == b"N" * self.N
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+        assert dev.read(self.SRC, self.N) == b"\x00" * self.N
+
+    def test_a_copy_over_a_clflushed_copy_saves_one_pre_image(
+        self, monkeypatch
+    ):
+        dev = self._twins()
+        dev.write(4096, b"C" * self.N)
+        dev.persist(4096, self.N)
+        saved = self._saved(dev, monkeypatch)
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, self.N, FlushInstruction.CLFLUSH)
+        dev.copy_within(4096, self.DST, self.N)  # clean, first copy unmoved
+        assert dev.durable_read(self.DST, self.N) == b"N" * self.N
+        assert saved == [(self.DST, self.DST + self.N)]
+        dev.crash()
+        assert dev.read(self.DST, self.N) == b"N" * self.N
+
+    @pytest.mark.parametrize(
+        "landed, first, second",
+        [
+            ("none", b"O", b"O"),
+            ("all", b"N", b"N"),
+            ("newest", b"O", b"N"),
+        ],
+    )
+    def test_unfenced_policy_at_the_copy_fence(self, landed, first, second):
+        dev = self._twins()
+        dev.copy_within(self.SRC, self.DST, self.N)
+        dev.flush(self.DST, 128)
+        dev.flush(self.DST + 128, 128)
+        _unfenced_fence(dev, landed)
+        assert dev.read(self.DST, 128) == first * 128
+        assert dev.read(self.DST + 128, 128) == second * 128
+        assert dev.read(self.SRC, self.N) == b"N" * self.N
+
+    def test_seeded_unfenced_policy_lands_whole_copied_lines(self):
+        seen = set()
+        for seed in range(8):
+            dev = self._twins()
+            dev.copy_within(self.SRC, self.DST, self.N)
+            dev.flush(self.DST, self.N)
+            _unfenced_fence(dev, f"subset:{seed}")
+            lines = [
+                dev.read(a, 64) for a in range(self.DST, self.DST + self.N, 64)
+            ]
+            assert all(line in (b"N" * 64, b"O" * 64) for line in lines)
+            seen.add(tuple(line[:1] for line in lines))
+        assert len(seen) > 2
+
+
 class TestCosts:
     def test_store_advances_clock(self):
         dev = make_device()
@@ -502,6 +638,10 @@ _wpq_actions = st.lists(
             st.integers(1, 80),
         ),
         st.tuples(
+            st.just("copy"), st.integers(0, _WPQ_SIZE - 1),
+            st.integers(0, _WPQ_SIZE - 1), st.integers(1, 80),
+        ),
+        st.tuples(
             st.just("flush"), st.integers(0, _WPQ_SIZE - 1),
             st.integers(1, 128), st.sampled_from(list(FlushInstruction)),
         ),
@@ -538,6 +678,13 @@ def test_unfenced_policy_matches_write_pending_queue_model(actions, landed):
             n = min(action[2], _WPQ_SIZE - addr)
             dev.write_prefilled(addr, n)
             dirty |= set(range(addr, addr + n))
+            staged -= dirty
+        elif kind == "copy":
+            dst = action[2]
+            n = min(action[3], _WPQ_SIZE - max(addr, dst))
+            dev.copy_within(addr, dst, n)
+            live[dst : dst + n] = live[addr : addr + n]
+            dirty |= set(range(dst, dst + n))
             staged -= dirty
         elif kind == "flush":
             n = min(action[2], _WPQ_SIZE - addr)

@@ -9,6 +9,11 @@ staging views, copies, flushes of every instruction, fences, torn
 flushes, crashes and image loads, and compares every observable after
 each step — loads, the media view, the snapshot, the stats, the dirty
 byte count, the crash count and the simulated clock.
+
+Reading the whole image settles every deferred ``copy_within``, so a
+second machine reads it only as a rule of its own and at teardown: its
+copies stay deferred across the flushes, fences, torn flushes and
+crashes that follow them.
 """
 
 from __future__ import annotations
@@ -127,22 +132,76 @@ class DeviceAgainstOracle(RuleBasedStateMachine):
         for dev in self.devices:
             dev.load_image(image)
 
-    @invariant()
-    def observables_agree(self):
+    def images_agree(self):
         new, old = self.devices
         assert new.durable_read(0, SIZE) == old.durable_read(0, SIZE)
         assert new.snapshot() == old.snapshot()
         assert new.read(0, SIZE) == old.read(0, SIZE)
+
+    def counters_agree(self):
+        new, old = self.devices
         assert new.stats == old.stats
         assert new.dirty_bytes == old.dirty_bytes
         assert new.crash_count == old.crash_count
         assert new.clock.now() == old.clock.now()
+
+    @invariant()
+    def observables_agree(self):
+        self.images_agree()
+        self.counters_agree()
 
 
 DeviceAgainstOracle.TestCase.settings = settings(
     max_examples=150, stateful_step_count=30, deadline=None
 )
 TestDeviceAgainstOracle = DeviceAgainstOracle.TestCase
+
+
+class DeferredCopiesAgainstOracle(DeviceAgainstOracle):
+    """The same rules plus a twin copy, with the whole image read only
+    by a rule."""
+
+    @invariant()
+    def observables_agree(self):
+        """Per step, only what settles no deferred copy."""
+        self.counters_agree()
+
+    @rule(src=addrs, dst=addrs, length=lengths, instruction=instructions)
+    def twin_copy(self, src, dst, length, instruction):
+        """The Romulus shape: copy, then write the destination back."""
+        length = min(length, SIZE - src, SIZE - dst)
+        self.copy_within(src, dst, length)
+        self.flush(dst, length, instruction)
+
+    @rule()
+    def read_whole_image(self):
+        self.images_agree()
+
+    def teardown(self):
+        self.images_agree()
+        self.counters_agree()
+
+
+DeferredCopiesAgainstOracle.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+TestDeferredCopiesAgainstOracle = DeferredCopiesAgainstOracle.TestCase
+
+
+def test_a_twin_copy_stays_deferred_until_the_crash():
+    """The second machine's steps leave a copy deferred: here across its
+    flush, into a crash that must land the pending back twin."""
+    for last_step in ("crash", "fence", "torn_flush"):
+        machine = DeferredCopiesAgainstOracle()
+        machine.write(0, 64)
+        machine.fence()
+        machine.twin_copy(0, 128, 64, FlushInstruction.CLFLUSHOPT)
+        assert machine.devices[0]._deferred
+        if last_step == "torn_flush":
+            machine.torn_flush(0, 64, FlushInstruction.CLFLUSH, 0.5)
+        else:
+            getattr(machine, last_step)()
+        machine.teardown()
 
 
 def test_restored_pending_header_example():
