@@ -10,10 +10,6 @@ A whole-program layer on top of the per-module lint framework:
 * :mod:`~repro.analysis.flow.taint` — per-function taint summaries
   (sources in → return/sink out, sanitizers) propagated to a fixpoint:
   rule **SEC001** (plaintext-to-sink, within and across functions);
-* :mod:`~repro.analysis.flow.durability` — per-function durability
-  effect summaries (writes, flushes, fences, transactions, root/magic
-  publications): rule **DUR001** (publication dominated by payload
-  flush+fence);
 * :mod:`~repro.analysis.flow.engine` — orchestration + timing.
 """
 

@@ -1,8 +1,8 @@
-"""Orchestration of the interprocedural flow analyses.
+"""Orchestration of the interprocedural flow pass.
 
 :class:`FlowEngine` builds the whole-program index once (project →
-call graph) and runs the two analyses over it; :class:`FlowResult`
-carries their findings (``# repro: noqa`` directives already applied)
+call graph) and runs the taint analysis over it; :class:`FlowResult`
+carries its findings (``# repro: noqa`` directives already applied)
 plus wall-clock timing so the CI budget assertion (< 60 s on the full
 repo) has a number to check.
 """
@@ -15,9 +15,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.durability import DurabilityAnalysis
-from repro.analysis.flow.durability import RULE_ID as DUR_RULE_ID
-from repro.analysis.flow.durability import TITLE as DUR_TITLE
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.taint import RULE_ID as SEC_RULE_ID
 from repro.analysis.flow.taint import TITLE as SEC_TITLE
@@ -29,7 +26,6 @@ def flow_rule_catalog() -> Dict[str, Tuple[str, str]]:
     """rule id -> (title, severity string) for the flow rule family."""
     return {
         SEC_RULE_ID: (SEC_TITLE, "error"),
-        DUR_RULE_ID: (DUR_TITLE, "error"),
     }
 
 
@@ -44,7 +40,7 @@ class FlowResult:
 
 
 class FlowEngine:
-    """Builds the program index and runs SEC001/DUR001."""
+    """Builds the program index and runs SEC001."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -56,16 +52,13 @@ class FlowEngine:
 
     def analyze(self) -> FlowResult:
         started = time.perf_counter()
-        findings: List[Finding] = []
-        taint = TaintAnalysis(self.project, self.graph)
-        findings.extend(taint.findings())
-        durability = DurabilityAnalysis(self.project, self.graph)
-        findings.extend(durability.findings())
         suppressions = {
             str(src.path): src.suppressions for src in self.project.sources
         }
         findings = [
-            f for f in findings if not suppressions[f.path].is_suppressed(f)
+            f
+            for f in TaintAnalysis(self.project, self.graph).findings()
+            if not suppressions[f.path].is_suppressed(f)
         ]
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         edges = sum(

@@ -1,12 +1,12 @@
 """Repo-specific invariant linter (see docs/static-analysis.md).
 
 Rule-based AST analysis encoding the Plinius paper's machine-checkable
-invariants.  Per-module rules: PM-store transaction discipline (PM001),
-enclave-only symbols (SEC002), sim-time determinism (DET001),
-allocation-free serve path (ALLOC001), lock-guarded state discipline
-(LCK001) and registered fault sites (FLT001).  The whole-program pass
-in :mod:`repro.analysis.flow` adds seal-before-persist confidentiality
-(SEC001) and durability ordering (DUR001); :func:`run_paths` runs both.
+invariants.  Per-module rules: enclave-only symbols (SEC002), sim-time
+determinism (DET001), allocation-free serve path (ALLOC001) and
+lock-guarded state discipline (LCK001); SUP001 checks every suppression
+carries a rationale.  The whole-program pass in
+:mod:`repro.analysis.flow` adds seal-before-persist confidentiality
+(SEC001); :func:`run_paths` runs both.
 """
 
 from repro.analysis.lint.framework import (

@@ -2,11 +2,11 @@
 
 The untrusted set is :mod:`repro.analysis.tcb`'s own tuple, imported
 here; the rest are the linter-only classifications: which modules
-implement the PM durability protocols (and are therefore allowed to
-touch the raw device), which are governed by the deterministic
-simulated clock, and which symbols must never be referenced from
-untrusted code.  Rules and the flow pass read these tuples and
-predicates directly: there is one configuration.
+implement the sealing machinery, which are governed by the
+deterministic simulated clock, which make up the allocation-free serve
+path, and which symbols must never be referenced from untrusted code.
+Rules and the flow pass read these tuples and predicates directly:
+there is one configuration.
 """
 
 from __future__ import annotations
@@ -17,36 +17,6 @@ from typing import FrozenSet, Tuple
 # the one trust manifest lint, flow and the TCB report all read.  Fixture
 # modules can opt in via the ``# repro: lint-module[...]`` override.
 from repro.analysis.tcb import UNTRUSTED_MODULES
-
-# ----------------------------------------------------------------------
-# PM001 — PM-store discipline
-# ----------------------------------------------------------------------
-
-#: Modules that *implement* the durability protocols PM001 enforces:
-#: the device model itself and the Romulus transaction machinery.
-#: Raw stores inside them are the protocol, not a bypass.
-PM_PROTOCOL_MODULES: Tuple[str, ...] = (
-    "repro.hw.pmem",
-    "repro.romulus.region",
-    "repro.romulus.transaction",
-)
-
-#: Method names that mutate PM state when invoked on a device/region.
-PM_WRITE_METHODS: FrozenSet[str] = frozenset(
-    {"write", "write_prefilled", "copy_within"}
-)
-
-#: Methods returning writable views of PM (mutation-by-aliasing).
-PM_VIEW_METHODS: FrozenSet[str] = frozenset(
-    {"staging_view", "volatile_view"}
-)
-
-#: Receiver tails treated as PM objects (``self.region.device`` -> the
-#: tail is ``device``).  ``tx``/``transaction`` receivers are the
-#: sanctioned path and are deliberately absent.
-PM_RECEIVER_TAILS: FrozenSet[str] = frozenset(
-    {"pm", "pmem", "device", "region"}
-)
 
 # ----------------------------------------------------------------------
 # SEC001 — seal-before-persist taint tracking
@@ -216,10 +186,6 @@ MUTATING_METHODS: FrozenSet[str] = frozenset(
 
 def _in_package(module: str, packages: Tuple[str, ...]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
-
-
-def is_pm_protocol_module(module: str) -> bool:
-    return module in PM_PROTOCOL_MODULES
 
 
 def is_sec_implementation_module(module: str) -> bool:

@@ -7,7 +7,7 @@ inspects one parsed module (:class:`ModuleSource`) and yields
 * severity levels and the finding record;
 * per-line and per-file suppression directives::
 
-      some_call()  # repro: noqa[PM001] -- staged bytes are committed below
+      tx.write(off, row)  # repro: noqa[SEC001] -- the unsealed Fig. 8 baseline
       # repro: noqa-file[DET001] -- benchmark harness, wall clock intended
 
   A suppression **must** carry a ``--`` rationale; a bare directive is
@@ -253,7 +253,7 @@ class ModuleSource:
 class Rule:
     """Base class: one machine-checked invariant from the paper."""
 
-    #: Stable identifier, e.g. ``PM001`` (used in suppressions/reports).
+    #: Stable identifier, e.g. ``DET001`` (used in suppressions/reports).
     rule_id: str = ""
     #: Default severity of this rule's findings.
     severity: Severity = Severity.ERROR

@@ -9,7 +9,7 @@ Two passes run on every call:
 
 * the **per-module** rules (one file at a time, no cross-file state);
 * the **flow** pass (:mod:`repro.analysis.flow`) — whole-program
-  SEC001/DUR001 over every discovered file.
+  SEC001 over every discovered file.
 
 Flow findings go through the same per-file suppression machinery as
 per-module findings (``# repro: noqa[SEC001] -- rationale``).
@@ -30,21 +30,17 @@ from repro.analysis.lint.framework import (
 )
 from repro.analysis.lint.rules_alloc import HotPathAllocationRule
 from repro.analysis.lint.rules_det import SimtimeDeterminismRule
-from repro.analysis.lint.rules_flt import FaultSiteRegistryRule
 from repro.analysis.lint.rules_lck import LockDisciplineRule
-from repro.analysis.lint.rules_pm import PmStoreDisciplineRule
 from repro.analysis.lint.rules_sec import EnclaveBoundaryRule
 
 
 def default_rules() -> List[Rule]:
     """The full rule set, in report order."""
     return [
-        PmStoreDisciplineRule(),
         EnclaveBoundaryRule(),
         SimtimeDeterminismRule(),
         HotPathAllocationRule(),
         LockDisciplineRule(),
-        FaultSiteRegistryRule(),
     ]
 
 

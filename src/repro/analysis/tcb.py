@@ -100,18 +100,15 @@ UNTRUSTED_MODULES = (
     "repro.analysis.tcb",
     "repro.analysis.lint.framework",
     "repro.analysis.lint.config",
-    "repro.analysis.lint.rules_pm",
     "repro.analysis.lint.rules_sec",
     "repro.analysis.lint.rules_det",
     "repro.analysis.lint.rules_alloc",
     "repro.analysis.lint.rules_lck",
-    "repro.analysis.lint.rules_flt",
     "repro.analysis.lint.reporters",
     "repro.analysis.lint.runner",
     "repro.analysis.flow.project",
     "repro.analysis.flow.callgraph",
     "repro.analysis.flow.taint",
-    "repro.analysis.flow.durability",
     "repro.analysis.flow.engine",
     "repro.cli",
     # Fault-injection harness: drives the system from the operator /

@@ -285,8 +285,8 @@ class MirrorModule:
         elif seal:
             sealed = job.sealed
             if sealed is None:
-                # repro: noqa[PM001] -- seal-in-place protocol: the write
-                # phase accounts this exact range via tx.write_prefilled
+                # Seal in place: the write phase accounts this exact
+                # range via tx.write_prefilled.
                 sealed = self.region.staging_view(
                     job.slot, job.nbytes + SEAL_OVERHEAD
                 )
@@ -407,7 +407,7 @@ class MirrorModule:
             for size, offset in refs:
                 if (offset, size) in done:
                     continue
-                device.copy_within(  # repro: noqa[PM001] -- abort-path restore from the back twin, mirroring the Romulus recovery copy
+                device.copy_within(
                     self.region.back_base + offset,
                     self.region.main_base + offset,
                     size,

@@ -4,11 +4,13 @@ The explorer first runs each workload fault-free under a
 :class:`~repro.faults.plan.CountingPlan` (the **golden** run) to learn
 how many times every fault point is hit.  That hit census defines the
 crash schedule space: one candidate replay per ``(site, hit, kind)``
-coordinate a site supports.  Exhaustive mode replays a strided cap of
-every site's hits (always including the first and last arrival — the
-boundary schedules where ordering bugs hide); sampling mode draws a
-seeded, stratified subset that still covers every ``(site, kind)`` pair
-at least once.
+coordinate a site supports.  A golden hit at a name the registry lacks
+raises :class:`~repro.faults.registry.UnknownSiteError`: a misspelt
+site fails the census instead of leaving a hole in it.  Exhaustive
+mode replays a strided cap of every site's hits (always including the
+first and last arrival — the boundary schedules where ordering bugs
+hide); sampling mode draws a seeded, stratified subset that still
+covers every ``(site, kind)`` pair at least once.
 
 Each replay injects exactly one fault, drives the workload's recovery,
 and records any invariant violations (catalogue in
@@ -30,9 +32,9 @@ from repro.faults.registry import (
     CRASH,
     DROP,
     FLIP,
-    SITES,
     TORN,
     UNFENCED,
+    require_site,
 )
 from repro.faults.workload import (
     WORKLOADS,
@@ -203,7 +205,7 @@ def _strided_hits(total: int, cap: int) -> List[int]:
 
 def _specs_for_site(site_name: str, total_hits: int) -> List[FaultSpec]:
     """Every candidate spec for one site under the per-site caps."""
-    site = SITES[site_name]
+    site = require_site(site_name)  # a typo'd site fails the census closed
     cap = PER_SITE_CAP
     out: List[FaultSpec] = []
     if site.supports(CRASH):
@@ -239,8 +241,6 @@ def enumerate_points(golden: GoldenRun) -> List[FaultSpec]:
     """All candidate fault specs for one workload's golden hit census."""
     specs: List[FaultSpec] = []
     for site_name, total in sorted(golden.hits.items()):
-        if site_name not in SITES:
-            continue  # a site outside the registry cannot be scheduled
         specs.extend(_specs_for_site(site_name, total))
     return specs
 

@@ -10,9 +10,11 @@ a no-op unless a plan is installed (same null-object discipline as
 
 The registry is the single source of truth for which site names exist
 and which fault *kinds* each supports — plans validate their specs
-against it at construction time, the schedule explorer derives its
-crash matrix from it, and the repo linter (rule FLT001) flags any
-``ACTIVE.check("...")`` call whose site literal is not listed here.
+against it at construction time, and the schedule explorer derives its
+crash matrix from it, failing closed (:class:`UnknownSiteError`) on a
+golden-run hit at any name not listed here.  The other direction is a
+test (``tests/test_faults_explorer.py``): the census workloads, plus
+one directed transaction abort, hit every listed site.
 
 Two calling conventions exist, recorded as the site's ``api``:
 

@@ -1,5 +1,7 @@
 """SUP001 fixture: a suppression without a rationale is itself flagged."""
 
+import time
 
-def bare_directive(device, payload):
-    device.write(0x100, payload)  # repro: noqa[PM001]
+
+def bare_directive():
+    return time.time()  # repro: noqa[DET001]

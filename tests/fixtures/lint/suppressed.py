@@ -1,11 +1,12 @@
 """Suppression fixture: rationale-carrying noqa directives hide findings."""
 
-
-def suppressed_store(device, payload):
-    device.write(0x100, payload)  # repro: noqa[PM001] -- fixture exercising the suppression path
+import time
 
 
-def suppressed_standalone(region):
-    # repro: noqa[PM001] -- directive on its own line covers the call below
-    view = region.staging_view(0, 64)
-    return view
+def suppressed_clock():
+    return time.time()  # repro: noqa[DET001] -- fixture exercising the suppression path
+
+
+def suppressed_standalone():
+    # repro: noqa[DET001] -- directive on its own line covers the call below
+    return time.perf_counter()

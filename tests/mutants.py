@@ -177,6 +177,15 @@ MUTANTS = (
         "instead of taking it from the arena",
     ),
     Mutant(
+        name="serve-batch-copies-rows",
+        path="repro/core/serving.py",
+        old="                flat[offset : offset + n] = (\n",
+        new="                flat[offset : offset + n] = np.array(\n",
+        defect="handle_batch copies each request's rows into a fresh array "
+        "before staging them: identical bytes and arena counters, one "
+        "allocation per request on the hot path",
+    ),
+    Mutant(
         name="fault-site-typo",
         path="repro/romulus/transaction.py",
         old='            active.check("romulus.tx.commit.pre_idle")\n',
@@ -237,12 +246,12 @@ MUTANTS = (
     ),
     Mutant(
         name="noqa-without-rationale",
-        path="repro/core/mirror.py",
+        path="repro/crypto/engine.py",
         old=(
-            "                # repro: noqa[PM001] -- seal-in-place protocol:"
-            " the write\n"
+            "os.urandom  # repro: noqa[DET001] -- key generation requires"
+            " real entropy outside tests\n"
         ),
-        new="                # repro: noqa[PM001]\n",
+        new="os.urandom  # repro: noqa[DET001]\n",
         defect="a suppression directive loses its rationale, leaving an "
         "undocumented escape hatch",
     ),

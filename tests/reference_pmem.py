@@ -98,9 +98,8 @@ class ReferencePmemDevice:
             self.fault_hook(op)
         active = faultplan.ACTIVE
         if active.enabled:
-            # repro: noqa[FLT001] -- _FAULT_SITES is a static table of
-            # registered literals; tests/test_faults.py pins its values
-            # against the registry.
+            # _FAULT_SITES is a static table of registered literals;
+            # tests/test_faults.py pins its values against the registry.
             return active.check(_FAULT_SITES[op])
         return None
 

@@ -70,8 +70,8 @@ class TestRegistry:
                 assert site.layer == "crypto", site.name
 
     def test_pm_device_dispatch_table_matches_registry(self):
-        # pmem routes its fault hook through a static op->site table
-        # (FLT001-suppressed); pin every value to a registered site.
+        # pmem routes its fault hook through a static op->site table;
+        # pin every value to a registered site.
         from repro.hw.pmem import _FAULT_SITES
 
         for op, site in _FAULT_SITES.items():

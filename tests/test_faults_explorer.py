@@ -9,6 +9,7 @@ runs the same exhaustive exploration on every source mutant.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,9 +25,13 @@ from repro.faults.explorer import (
     _sample_points,
     _strided_hits,
 )
-from repro.faults.plan import FaultSpec
-from repro.faults.registry import CRASH
+from repro.faults.plan import CountingPlan, FaultSpec, installed
+from repro.faults.registry import CRASH, SITES, UnknownSiteError
 from repro.faults.workload import WORKLOADS, make_workload
+from repro.hw.pmem import PersistentMemoryDevice
+from repro.romulus import RomulusRegion
+from repro.simtime.clock import SimClock
+from repro.simtime.profiles import EMLSGX_PM
 from tests.mutants import MUTANTS, mutated_copy
 
 
@@ -47,6 +52,31 @@ class TestEnumeration:
         # The acceptance floor: well over 50 distinct crash schedules.
         crash = [s for s in specs if s.kind == CRASH]
         assert len({(s.site, s.hit) for s in crash}) >= 50
+
+    def test_census_hits_exactly_the_registered_sites(self):
+        """A misspelt site, at a call or in the registry, fails here: its
+        name is hit but unregistered, or a registered site goes unhit."""
+        hit = set()
+        for name in WORKLOADS:
+            golden = make_workload(name).golden()
+            assert not golden.violations
+            assert set(golden.hits) <= set(SITES), name
+            hit |= set(golden.hits)
+        # No census workload aborts a transaction: one directed abort.
+        plan = CountingPlan()
+        with installed(plan):
+            device = PersistentMemoryDevice(16384, SimClock(), EMLSGX_PM.pm)
+            region = RomulusRegion(device, 4096).format()
+            tx = region.begin_transaction()
+            tx.write(0, b"aborted")
+            tx.abort()
+        assert set(plan.hits) <= set(SITES)
+        assert plan.hits["romulus.tx.abort"] == 1
+        assert hit | {"romulus.tx.abort"} == set(SITES)
+        # The census fails closed on a hit the registry does not know.
+        typo = dataclasses.replace(golden, hits={**golden.hits, "pm.stroe": 1})
+        with pytest.raises(UnknownSiteError):
+            enumerate_points(typo)
 
     def test_sampling_is_stratified_and_seeded(self):
         golden = make_workload("train").golden()

@@ -2,8 +2,8 @@
 
 Three layers of coverage:
 
-* fixture pairs under ``tests/fixtures/lint/`` prove each flow rule
-  (SEC001, DUR001) fires on a violating example and stays silent on a
+* fixture pairs under ``tests/fixtures/lint/`` prove the flow rule
+  (SEC001) fires on a violating example and stays silent on a
   compliant one — including plaintext that reaches its sink only
   through a helper in another module;
 * integration tests cover the runner/CLI surface: flow findings flow
@@ -14,7 +14,8 @@ Three layers of coverage:
 
 The historical bugs (the region format-ordering and root-publication
 bugs, the flight-ring lock escape) are rows of the mutant corpus in
-``tests/mutants.py``, scored by ``tests/test_kill_matrix.py``.
+``tests/mutants.py``, scored by ``tests/test_kill_matrix.py``; the
+crash census kills the two durability-ordering rows.
 """
 
 import json
@@ -41,10 +42,6 @@ def flow_findings(paths):
     return engine.analyze().findings
 
 
-def flow_ids(paths):
-    return [f.rule_id for f in flow_findings(paths)]
-
-
 def lint_ids(names):
     return [f.rule_id for f in run_paths([FIXTURES / n for n in names]).findings]
 
@@ -57,7 +54,6 @@ def lint_ids(names):
     "rule, bad, good",
     [
         ("SEC001", CROSS_BAD, CROSS_GOOD),
-        ("DUR001", ["dur001_bad.py"], ["dur001_good.py"]),
         ("SEC001", ["sec001_bad.py"], ["sec001_good.py"]),
     ],
 )
@@ -80,23 +76,6 @@ def test_sec001_reports_the_interprocedural_chain():
     ]
     chained = [f for f in findings if "persist_blob" in f.message]
     assert chained, "frontier finding should name the callee chain"
-
-
-def test_dur001_fires_on_both_bug_shapes():
-    findings = [
-        f for f in flow_findings([FIXTURES / "dur001_bad.py"])
-        if f.rule_id == "DUR001"
-    ]
-    assert len(findings) == 2
-    messages = " ".join(f.message for f in findings)
-    assert "magic" in messages  # interprocedural format-ordering shape
-    assert "root publication" in messages  # publish-then-write shape
-
-
-def test_dur001_unpublish_is_not_a_publication():
-    # dur001_good.py's drop_table clears the root (writes 0) and then
-    # writes scratch data — legal, and covered by the good fixture.
-    assert "DUR001" not in flow_ids([FIXTURES / "dur001_good.py"])
 
 
 def test_committed_sources_are_flow_clean():
@@ -165,15 +144,15 @@ def test_run_paths_flow_flag_and_timing():
 @pytest.mark.parametrize("option", ["--no-flow", "--flow", "--changed-only"])
 def test_cli_lint_removed_options_are_errors(option):
     with pytest.raises(SystemExit) as exc:
-        main(["lint", str(FIXTURES / "dur001_good.py"), option])
+        main(["lint", str(FIXTURES / "sec001_good.py"), option])
     assert exc.value.code == 2
 
 
 def test_cli_lint_reports_flow_findings(capsys):
-    rc = main(["lint", str(FIXTURES / "dur001_bad.py")])
+    rc = main(["lint", str(FIXTURES / "sec001_bad.py")])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "DUR001" in out
+    assert "SEC001" in out
     assert "flow pass" in out
 
 
@@ -181,7 +160,7 @@ def test_cli_lint_json_includes_flow_timing(capsys):
     main(
         [
             "lint",
-            str(FIXTURES / "dur001_good.py"),
+            str(FIXTURES / "sec001_good.py"),
             "--format",
             "json",
         ]
@@ -196,7 +175,7 @@ def test_sarif_document_shape(capsys):
     rc = main(
         [
             "lint",
-            str(FIXTURES / "dur001_bad.py"),
+            str(FIXTURES / "sec001_bad.py"),
             "--format",
             "sarif",
         ]
@@ -210,20 +189,20 @@ def test_sarif_document_shape(capsys):
     assert driver["name"] == "repro-lint"
     rule_ids = {rule["id"] for rule in driver["rules"]}
     # Every shipped rule id is declared, flow family included.
-    assert {"SEC001", "DUR001", "SUP001"} <= rule_ids
-    result = next(r for r in run["results"] if r["ruleId"] == "DUR001")
+    assert {"SEC001", "SUP001"} <= rule_ids
+    result = next(r for r in run["results"] if r["ruleId"] == "SEC001")
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("dur001_bad.py")
+    assert location["artifactLocation"]["uri"].endswith("sec001_bad.py")
     assert location["region"]["startLine"] >= 1
     assert location["region"]["startColumn"] >= 1
     index = result["ruleIndex"]
-    assert sorted(rule_ids)[index] == "DUR001"  # rules are emitted by id
+    assert sorted(rule_ids)[index] == "SEC001"  # rules are emitted by id
 
 
 def test_flow_rule_catalog_is_complete():
     catalog = flow_rule_catalog()
-    assert set(catalog) == {"SEC001", "DUR001"}
+    assert set(catalog) == {"SEC001"}
     for title, severity in catalog.values():
         assert title and severity == "error"
 

@@ -47,34 +47,16 @@ def rule_ids(path: Path):
 @pytest.mark.parametrize(
     "rule, bad, good",
     [
-        ("PM001", "pm001_bad.py", "pm001_good.py"),
         ("SEC001", "sec001_bad.py", "sec001_good.py"),
         ("SEC002", "sec002_bad.py", "sec002_good.py"),
         ("DET001", "det001_bad.py", "det001_good.py"),
         ("ALLOC001", "alloc001_bad.py", "alloc001_good.py"),
         ("LCK001", "lck001_bad.py", "lck001_good.py"),
-        ("FLT001", "flt001_bad.py", "flt001_good.py"),
     ],
 )
 def test_rule_fires_on_bad_and_not_on_good(rule, bad, good):
     assert rule in rule_ids(FIXTURES / bad)
     assert rule not in rule_ids(FIXTURES / good)
-
-
-def test_flt001_counts_typos_and_dynamic_names():
-    ids = rule_ids(FIXTURES / "flt001_bad.py")
-    assert ids.count("FLT001") == 3  # two typos + one dynamic site name
-
-
-def test_flt001_exempts_the_fault_machinery_itself():
-    # plan.py forwards validated site names through variables by design.
-    src = Path(__file__).parent.parent / "src" / "repro" / "faults" / "plan.py"
-    assert "FLT001" not in rule_ids(src)
-
-
-def test_pm001_counts_every_raw_touch():
-    ids = rule_ids(FIXTURES / "pm001_bad.py")
-    assert ids.count("PM001") == 3  # write, copy_within, staging_view
 
 
 def test_sec001_tracks_aliases_and_decrypted_data():
@@ -109,7 +91,7 @@ def test_lck001_names_the_field_and_site():
 def test_noqa_with_rationale_suppresses():
     kept, dropped = lint_file(FIXTURES / "suppressed.py", default_rules())
     assert kept == []
-    assert [f.rule_id for f in dropped] == ["PM001", "PM001"]
+    assert [f.rule_id for f in dropped] == ["DET001", "DET001"]
 
 
 def test_file_wide_noqa_suppresses_everything():
@@ -130,8 +112,9 @@ def test_sup001_cannot_be_suppressed(tmp_path):
     victim = tmp_path / "meta.py"
     victim.write_text(
         "# repro: noqa-file[SUP001] -- nice try\n"
-        "def f(device, p):\n"
-        "    device.write(0, p)  # repro: noqa[PM001]\n"
+        "import time\n"
+        "def f():\n"
+        "    return time.time()  # repro: noqa[DET001]\n"
     )
     kept, _ = lint_file(victim, default_rules())
     assert SUPPRESSION_RULE_ID in [f.rule_id for f in kept]
@@ -153,12 +136,12 @@ def test_lint_src_is_clean_strict():
 def test_breaking_an_invariant_fails_the_run(tmp_path):
     rogue = tmp_path / "rogue.py"
     rogue.write_text(
-        "def sneak(region, payload):\n"
-        "    region.write(4096, payload)\n"
+        "def sneak(tx, net):\n"
+        "    tx.write(4096, net.save_weights())\n"
     )
     result = run_paths([tmp_path])
     assert result.exit_code() == 1
-    assert [f.rule_id for f in result.findings] == ["PM001"]
+    assert [f.rule_id for f in result.findings] == ["SEC001"]
 
 
 def test_warnings_fail_only_under_strict(tmp_path):
@@ -174,22 +157,23 @@ def test_warnings_fail_only_under_strict(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_cli_lint_bad_fixture_exits_nonzero(capsys):
-    rc = main(["lint", str(FIXTURES / "pm001_bad.py")])
+    rc = main(["lint", str(FIXTURES / "sec002_bad.py")])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "PM001" in out and "error" in out
+    assert "SEC002" in out and "error" in out
 
 
 def test_cli_lint_json_format(capsys):
-    rc = main(["lint", str(FIXTURES / "pm001_bad.py"), "--format", "json"])
+    rc = main(["lint", str(FIXTURES / "sec002_bad.py"), "--format", "json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["errors"] == 3
-    assert {f["rule"] for f in payload["findings"]} == {"PM001"}
+    assert (payload["errors"], payload["warnings"]) == (2, 1)
+    # Two enclave-only imports, and SgxRandom() built without a seed.
+    assert {f["rule"] for f in payload["findings"]} == {"SEC002", "DET001"}
 
 
 def test_cli_lint_clean_fixture_exits_zero(capsys):
-    rc = main(["lint", str(FIXTURES / "pm001_good.py")])
+    rc = main(["lint", str(FIXTURES / "sec002_good.py")])
     assert rc == 0
     assert "0 error(s)" in capsys.readouterr().out
 
