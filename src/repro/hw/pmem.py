@@ -39,6 +39,20 @@ twin copy's path (copy, flush, fence).  Any other access to the image
 first settles every deferred copy the eager way, in call order:
 destination bytes still stored or pending get a base pre-image, then
 the bytes move.
+
+A moved copy also leaves its source and destination byte-equal in
+``_data``; the device keeps these **twinned** pairs
+(:class:`~repro.hw.undo.Twins`) until either side is written again — by
+a store, a staging view (its whole range, at view time), a copy's
+destination or a crash's overlay.  A crash keeps every pair its overlay
+did not touch, and :meth:`~PersistentMemoryDevice.load_image` drops
+them all.  A base pre-image of a clean range that a pair covers is
+**borrowed**: the record points at the other side instead of copying
+it, and the device copies it into the arena before that side (or the
+record) is written.  So staging the Romulus main twin, whose pre-image
+the last commit's back copy holds, saves no bytes.  The device proves
+each pair itself rather than taking Romulus' word for it: a protocol
+bug that left the back twin stale must not rewrite the media view.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ import numpy as np
 
 from repro.faults import plan as faultplan
 from repro.hw.intervals import Interval, IntervalSet
-from repro.hw.undo import PreImages
+from repro.hw.undo import PreImages, Twins
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CACHE_LINE, DeviceCostModel
 
@@ -121,7 +135,9 @@ class PersistentMemoryDevice:
         self.load_cost = load_cost
         self._data = np.zeros(size, np.uint8)
         self._view = memoryview(self._data)
-        self._undo = PreImages(size)
+        self._undo = PreImages(self._view)
+        # Byte-equal ranges of _data that base pre-images may borrow.
+        self._twins = Twins()
         # Stored, not yet written back.
         self._dirty = IntervalSet()
         # Placed through volatile_view and not yet accounted as a store:
@@ -180,18 +196,43 @@ class PersistentMemoryDevice:
         elif self._pending:
             self._save_clean(start, end)
         else:
-            self._undo.save_base(self._view, start, end)
+            self._save_base(start, end)
 
     def _save_clean(self, start: int, end: int) -> None:
         """:meth:`_save` over bytes that are clean or pending."""
         pos = start
         for a, b in self._pending.overlap(start, end):
             if pos < a:
-                self._undo.save_base(self._view, pos, a)
+                self._save_base(pos, a)
             self._save_flushed(a, b)
             pos = b
         if pos < end:
-            self._undo.save_base(self._view, pos, end)
+            self._save_base(pos, end)
+
+    def _save_base(self, start: int, end: int) -> None:
+        """Save the base pre-image of clean ``[start, end)``, borrowing
+        it wherever a twin holds the same bytes."""
+        undo = self._undo
+        if not self._twins:
+            undo.save_base(self._view, start, end)
+            return
+        pos = start
+        for a, b, twin in self._twins.partners(start, end):
+            if pos < a:
+                undo.save_base(self._view, pos, a)
+            undo.lend(a, b, twin)
+            pos = b
+        if pos < end:
+            undo.save_base(self._view, pos, end)
+
+    def _overwrite(self, start: int, end: int) -> None:
+        """``_data[start:end]`` is about to change: repay every record
+        borrowed from it, and drop its twins."""
+        lent = self._undo.lent
+        if lent and lent.overlap(start, end):
+            self._undo.repay(start, end)
+        if self._twins:
+            self._twins.drop(start, end)
 
     def _save_flushed(self, start: int, end: int) -> None:
         """A pending range is stored again: keep the value each of its
@@ -238,7 +279,9 @@ class PersistentMemoryDevice:
                 self._dirty.overlap(dst, end) + self._pending.overlap(dst, end)
             ):
                 self._undo.save_base(view, a, b)
+            self._overwrite(dst, end)
             view[dst:end] = view[src : src + n]
+            self._twins.add(src, dst, n)
         self._deferred.clear()
 
     def _deferrable(self, src: int, dst: int, n: int) -> bool:
@@ -316,6 +359,7 @@ class PersistentMemoryDevice:
         if self._deferred:
             self._settle()
         self._save(addr, addr + len(data))
+        self._overwrite(addr, addr + len(data))
         # A memoryview target: no hidden temporary (see ``flush``).
         self._view[addr : addr + len(data)] = data
         self._account_store(addr, len(data))
@@ -352,6 +396,7 @@ class PersistentMemoryDevice:
             if self._deferred:
                 self._settle()
             self._save(addr, addr + length)
+            self._overwrite(addr, addr + length)
             for a, b in self._dirty.gaps(addr, addr + length):
                 self._staged.add(a, b)
         return self._view[addr : addr + length]
@@ -401,11 +446,13 @@ class PersistentMemoryDevice:
             if self._deferred:
                 self._settle()
             self._save(dst, dst + length)
+            self._overwrite(dst, dst + length)
             view = self._view
             if abs(dst - src) < length:  # overlapping: copy via a bounce
                 view[dst : dst + length] = bytes(view[src : src + length])
             else:
                 view[dst : dst + length] = view[src : src + length]
+                self._twins.add(src, dst, length)
         self._account_store(dst, length)
 
     def drop_caches(self) -> None:
@@ -589,6 +636,8 @@ class PersistentMemoryDevice:
     def _set_base(self, start: int, end: int, value: memoryview) -> None:
         """Overwrite the base pre-image of ``[start, end)`` with ``value``."""
         undo = self._undo
+        if undo.lent:
+            undo.repay(start, end, sources=False)
         for x, y, slot, offset in undo.base_in(start, end):
             undo.view(slot, offset, y - x)[:] = value[x - start : y - start]
 
@@ -678,6 +727,8 @@ class PersistentMemoryDevice:
         """
         if self._deferred:
             self._settle()
+        for a, b in self._unflushed(0, self.size):
+            self._overwrite(a, b)
         self._overlay(self._view, 0, self.size)
         self._forget()
         self.crash_count += 1
@@ -720,3 +771,4 @@ class PersistentMemoryDevice:
             )
         self._view[:] = image
         self._forget()
+        self._twins.clear()

@@ -1,4 +1,4 @@
-"""Undo pre-images for the simulated persistent-memory device.
+"""Undo pre-images and twinned ranges of the simulated PM device.
 
 :class:`~repro.hw.pmem.PersistentMemoryDevice` keeps one byte image, the
 one loads see.  What the media holds differs from it only over ranges
@@ -19,6 +19,16 @@ live byte is released, so a device that saves and releases the same
 amount every fence keeps the same pages resident.  Both record lists are
 in save order: a store appends, and only the rarer paths (a crash, a
 media read, a CLFLUSH, a fence under a store) scan them.
+
+A copy leaves its source and destination byte-equal in the image until
+either is written again; :class:`Twins` keeps those **twinned** pairs.
+A base record of a clean range that has a twin is **borrowed**: it
+points at the twin's bytes in the image (slot :data:`LENT`) instead of
+copying them into the arena.  The device repays a borrowed record — copies
+it into the arena — before anything writes its source or writes into it,
+so a borrowed record always reads what a copied one would hold.  This is
+the Romulus main twin staged for a commit: the back twin holds its
+pre-image already.
 """
 
 from __future__ import annotations
@@ -32,15 +42,81 @@ from repro.hw.intervals import IntervalSet
 #: Bytes per arena slot.
 SLOT = 1 << 20
 
+#: The slot of a borrowed record: its offset is a device address.
+LENT = -1
+
 #: ``(start, end, slot, offset)``: device bytes ``[start, end)`` are
-#: saved at ``offset`` of arena slot ``slot``.
+#: saved at ``offset`` of arena slot ``slot``, or, in slot :data:`LENT`,
+#: are the image bytes at ``offset``.
 Record = Tuple[int, int, int, int]
 
 
-class PreImages:
-    """Base and landed records of one device, over one slot arena."""
+class Twins:
+    """Byte-equal pairs of one device image, left by copies.
 
-    def __init__(self, size: int) -> None:
+    For each distance ``d`` between a copy's source and destination,
+    the addresses ``x`` with ``image[x] == image[x + d]`` since that
+    copy moved its bytes, until either byte is written again.
+    """
+
+    def __init__(self) -> None:
+        self._by_gap: Dict[int, IntervalSet] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._by_gap)
+
+    def add(self, src: int, dst: int, n: int) -> None:
+        """``n`` bytes moved from ``src`` to a disjoint ``dst``."""
+        low, gap = (src, dst - src) if src < dst else (dst, src - dst)
+        spans = self._by_gap.get(gap)
+        if spans is None:
+            spans = self._by_gap[gap] = IntervalSet()
+        spans.add(low, low + n)
+
+    def drop(self, start: int, end: int) -> None:
+        """Forget every pair with a byte in ``[start, end)``."""
+        for gap, spans in list(self._by_gap.items()):
+            spans.remove(start, end)
+            spans.remove(start - gap, end - gap)
+            if not spans:
+                del self._by_gap[gap]
+
+    def clear(self) -> None:
+        """Forget every pair."""
+        self._by_gap.clear()
+
+    def partners(self, start: int, end: int) -> List[Tuple[int, int, int]]:
+        """Disjoint ``(a, b, twin)`` pieces of ``[start, end)``, in address
+        order: image bytes ``[a, b)`` equal those at ``twin``."""
+        out = []
+        for gap, spans in self._by_gap.items():
+            for a, b in spans.overlap(start, end):
+                out.append((a, b, a + gap))
+            for a, b in spans.overlap(start - gap, end - gap):
+                out.append((a + gap, b + gap, a))
+        if len(out) < 2:
+            return out
+        out.sort()
+        pieces, pos = [], start
+        for a, b, twin in out:
+            if b <= pos:
+                continue
+            if a < pos:
+                twin, a = twin + (pos - a), pos
+            pieces.append((a, b, twin))
+            pos = b
+        return pieces
+
+
+class PreImages:
+    """Base and landed records of one device, over one slot arena.
+
+    ``data`` is the device image that borrowed records read.
+    """
+
+    def __init__(self, data: memoryview) -> None:
+        self._data = data
+        size = len(data)
         self._per_chunk = max(1, -(-size // SLOT))
         self._chunks: List[memoryview] = []
         self._free: List[int] = []
@@ -53,6 +129,9 @@ class PreImages:
         self.base: List[Record] = []
         #: Landed records: ``(tag, start, end, slot, offset)``.
         self.landed: List[Tuple[int, int, int, int, int]] = []
+        #: Covers the source of every borrowed base record; a released
+        #: record leaves its source here until a repay or a clear.
+        self.lent = IntervalSet()
 
     # -- arena ---------------------------------------------------------
     def _grow(self) -> None:
@@ -89,7 +168,10 @@ class PreImages:
             self._free.append(slot)
 
     def view(self, slot: int, offset: int, n: int) -> memoryview:
-        """Writable bytes ``[offset, offset + n)`` of arena slot ``slot``."""
+        """Writable bytes ``[offset, offset + n)`` of arena slot ``slot``;
+        of a borrowed record, its readonly source in the image."""
+        if slot == LENT:
+            return self._data[offset : offset + n].toreadonly()
         chunk, index = divmod(slot, self._per_chunk)
         base = index * SLOT + offset
         return self._chunks[chunk][base : base + n]
@@ -98,6 +180,7 @@ class PreImages:
         """Release every record."""
         self.base.clear()
         self.landed.clear()
+        self.lent.clear()
         self._free.extend(self._live)
         self._live.clear()
         self._cur = -1
@@ -118,6 +201,32 @@ class PreImages:
             self.view(slot, offset, n)[:] = data[start : start + n]
             self.base.append((start, start + n, slot, offset))
             start += n
+
+    def lend(self, start: int, end: int, twin: int) -> None:
+        """Borrow the base record of ``[start, end)``, a range no base
+        record covers, from the equal image bytes at ``twin``."""
+        self.base.append((start, end, LENT, twin))
+        self.lent.add(twin, twin + (end - start))
+
+    def repay(self, start: int, end: int, sources: bool = True) -> None:
+        """Copy into the arena every borrowed record whose source (or,
+        with ``sources`` false, whose own range) overlaps
+        ``[start, end)``: before the image or the record is written."""
+        base = []
+        for record in self.base:
+            a, b, slot, twin = record
+            lo = twin if sources else a
+            if slot != LENT or lo >= end or lo + (b - a) <= start:
+                base.append(record)
+                continue
+            for slot, offset, n in self._alloc(b - a):
+                self.view(slot, offset, n)[:] = self._data[twin : twin + n]
+                base.append((a, a + n, slot, offset))
+                a += n
+                twin += n
+        self.base = base
+        if sources:
+            self.lent.remove(start, end)
 
     def save_landed(
         self, tag: int, data: memoryview, start: int, end: int
@@ -165,7 +274,8 @@ class PreImages:
             for x, y in cuts:
                 if pos < x:
                     kept.append(head + (pos, x, slot, offset + (pos - a)))
-                self._release(slot, y - x)
+                if slot != LENT:
+                    self._release(slot, y - x)
                 pos = y
             if pos < b:
                 kept.append(head + (pos, b, slot, offset + (pos - a)))

@@ -14,7 +14,7 @@ Two deployment shapes share the ring:
   with ``enabled = False``: call sites still skip every argument-dict
   and span allocation (the ``if recorder.enabled:`` guards hold), but
   the unguarded hot-path hooks — counter bumps from PM/SGX/crypto,
-  instants, gauges — append one preallocated-slot tuple each.  This is
+  instants, gauges — append one tuple each to a bounded deque.  This is
   the "always on" production default.
 * :class:`~repro.obs.recorder.TraceRecorder` embeds a ring too (fed
   from its span/instant/counter paths), so the fault workloads — which
@@ -30,7 +30,8 @@ same-seed runs are byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["FlightRing", "FlightRecorder", "DEFAULT_FLIGHT_CAPACITY"]
 
@@ -44,22 +45,27 @@ _Event = Tuple[str, str, float]
 class FlightRing:
     """Fixed-capacity ring of ``(kind, name, value)`` telemetry events."""
 
-    __slots__ = ("capacity", "_slots", "total")
+    __slots__ = ("capacity", "_events", "total")
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"flight ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._slots: List[Optional[_Event]] = [None] * capacity
-        #: Total events ever offered (``total - capacity`` were dropped);
-        #: the next one goes to slot ``total % capacity``.
+        #: Retained events, oldest first; a full ring drops its oldest.
+        self._events: Deque[_Event] = deque(maxlen=capacity)
+        #: Total events ever offered (``total - capacity`` were dropped).
         self.total = 0
 
     def add(self, kind: str, name: str, value: float) -> None:
         """Append one event, evicting the oldest when full."""
-        total = self.total
-        self._slots[total % self.capacity] = (kind, name, value)
-        self.total = total + 1
+        self._events.append((kind, name, value))
+        self.total += 1
+
+    def count(self, name: str, value: float = 1) -> None:
+        """``add("count", name, value)``: the hook the PM hot path calls
+        most, one call shallower."""
+        self._events.append(("count", name, value))
+        self.total += 1
 
     @property
     def dropped(self) -> int:
@@ -67,13 +73,11 @@ class FlightRing:
         return max(0, self.total - self.capacity)
 
     def __len__(self) -> int:
-        return min(self.total, self.capacity)
+        return len(self._events)
 
     def tail(self) -> List[_Event]:
         """Retained events, oldest first."""
-        cursor = self.total % self.capacity
-        ordered = self._slots[cursor:] + self._slots[:cursor]
-        return [e for e in ordered if e is not None]
+        return list(self._events)
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic JSON-ready dump of the ring state."""
@@ -88,7 +92,7 @@ class FlightRing:
         }
 
     def clear(self) -> None:
-        self._slots = [None] * self.capacity
+        self._events.clear()
         self.total = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -111,6 +115,9 @@ class FlightRecorder:
 
     def __init__(self) -> None:
         self.flight = FlightRing(DEFAULT_FLIGHT_CAPACITY)
+        # The counter hook is the ring's own bound method: a hook call is
+        # one frame that touches only the ring.
+        self.count = self.flight.count
 
     # -- span API (no-ops: callers guard span work on ``enabled``) -----
     def begin(self, *args: Any, **kwargs: Any) -> None:
@@ -142,13 +149,6 @@ class FlightRecorder:
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.flight.add("instant", name, sim_now)
-
-    def count(self, name: str, value: float = 1) -> None:
-        # FlightRing.add inlined: the hook the PM hot path calls most.
-        ring = self.flight
-        total = ring.total
-        ring._slots[total % ring.capacity] = ("count", name, value)
-        ring.total = total + 1
 
     def gauge(self, name: str, value: float) -> None:
         self.flight.add("gauge", name, value)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.mirror import MirrorError, MirrorModule
 from repro.core.models import build_mnist_cnn
+from repro.core.system import PliniusSystem
 from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine, SEAL_OVERHEAD
 from repro.darknet.weights import save_weights
@@ -175,6 +176,94 @@ class TestRoundTrip:
         inn = mirror.mirror_in(net)
         assert inn.crypto_seconds > 0
         assert inn.storage_seconds > 0
+
+
+class TestBorrowedStagingPreImage:
+    """A commit's back copy leaves both twins equal, so the next save
+    stages the main twin without copying its pre-image into the arena."""
+
+    @staticmethod
+    def _staged_copies(device, monkeypatch) -> list:
+        """``[views, bytes]``: staging views taken, and pre-image bytes
+        copied into the arena under one."""
+        seen = [0, 0]
+        inside = []
+        view, save = device.volatile_view, device._undo.save_base
+
+        def spy_view(addr, length):
+            seen[0] += 1
+            inside.append(True)
+            try:
+                return view(addr, length)
+            finally:
+                inside.pop()
+
+        def spy_save(data, start, end):
+            if inside:
+                seen[1] += end - start
+            save(data, start, end)
+
+        monkeypatch.setattr(device, "volatile_view", spy_view)
+        monkeypatch.setattr(device._undo, "save_base", spy_save)
+        return seen
+
+    def test_a_second_save_copies_no_pre_image(self, monkeypatch):
+        device, _, mirror = make_mirror()
+        net = make_model(seed=8)
+        mirror.alloc_mirror_model(net)
+        seen = self._staged_copies(device, monkeypatch)
+        mirror.mirror_out(net, 1)  # slots no commit has copied yet
+        first = list(seen)
+        mirror.mirror_out(net, 2)
+        assert first[0] > 0 and first[1] > 0
+        assert seen == [2 * first[0], first[1]]
+
+    def test_a_save_after_kill_and_resume_copies_no_pre_image(
+        self, monkeypatch
+    ):
+        net = make_model(seed=9)
+        system = PliniusSystem.create(pm_size=16 << 20)
+        system.enclave.malloc("model", net.param_bytes)
+        system.mirror.alloc_mirror_model(net)
+        system.mirror.mirror_out(net, 1)
+        system.kill()
+        system.resume()
+        system.enclave.malloc("model", net.param_bytes)
+        system.mirror.mirror_in(net)
+        seen = self._staged_copies(system.pm, monkeypatch)
+        system.mirror.mirror_out(net, 2)
+        assert seen[0] > 0
+        assert seen[1] == 0
+
+    def test_an_aborted_save_leaves_the_old_main_twin_durable(self):
+        device, region, mirror = make_mirror()
+        net = make_model(seed=10)
+        mirror.alloc_mirror_model(net)
+        mirror.mirror_out(net, 1)
+        main = (region.main_base, region.main_size)
+        before = device.durable_read(*main)
+        for layer in net.layers:
+            for _, buf in layer.parameter_buffers():
+                buf += 1.0
+
+        class Abort(Exception):
+            pass
+
+        stores = []
+
+        def hook(op):
+            # Stores: MUTATING, the model header, the first slot, then
+            # fail before the second slot is accounted.
+            stores.append(op == "store")
+            if sum(stores) == 4 and stores[-1]:
+                raise Abort
+
+        device.fault_hook = hook
+        with pytest.raises(Abort):
+            mirror.mirror_out(net, 2)
+        device.fault_hook = None
+        assert device.durable_read(*main) == before
+        assert mirror.stored_iteration() == 1
 
 
 class TestSecurity:

@@ -17,6 +17,7 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
+from repro.hw.undo import LENT
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
@@ -370,15 +371,21 @@ class TestDeferredCopy:
 
     @staticmethod
     def _saved(dev: PersistentMemoryDevice, monkeypatch) -> list:
-        """Record the range of every base pre-image ``dev`` saves."""
+        """Record the range of every base pre-image ``dev`` saves or
+        borrows from a twin."""
         saved = []
-        save = dev._undo.save_base
+        save, lend = dev._undo.save_base, dev._undo.lend
 
-        def spy(data, start, end):
+        def spy_save(data, start, end):
             saved.append((start, end))
             save(data, start, end)
 
-        monkeypatch.setattr(dev._undo, "save_base", spy)
+        def spy_lend(start, end, twin):
+            saved.append((start, end))
+            lend(start, end, twin)
+
+        monkeypatch.setattr(dev._undo, "save_base", spy_save)
+        monkeypatch.setattr(dev._undo, "lend", spy_lend)
         return saved
 
     def test_copy_flush_fence_saves_no_pre_image(self, monkeypatch):
@@ -486,6 +493,134 @@ class TestDeferredCopy:
             assert all(line in (b"N" * 64, b"O" * 64) for line in lines)
             seen.add(tuple(line[:1] for line in lines))
         assert len(seen) > 2
+
+
+class TestTwinnedPreImage:
+    """A copy leaves its two ranges byte-equal: a clean range's base
+    pre-image is borrowed from its twin, and copied into the arena only
+    when the twin is about to be written."""
+
+    MAIN, BACK, N = 0, 4096, 1024
+
+    @classmethod
+    def _twinned(cls) -> PersistentMemoryDevice:
+        """Main durable at ``M``, copied to back, flushed and fenced: the
+        state a Romulus commit leaves."""
+        dev = make_device()
+        dev.write(cls.MAIN, b"M" * cls.N)
+        dev.persist(cls.MAIN, cls.N)
+        dev.copy_within(cls.MAIN, cls.BACK, cls.N)
+        dev.persist(cls.BACK, cls.N)
+        return dev
+
+    @staticmethod
+    def _arena_bytes(dev: PersistentMemoryDevice) -> int:
+        """Bytes of the pre-image arena that live records hold."""
+        return sum(dev._undo._live.values())
+
+    def _stage_main(self, dev: PersistentMemoryDevice) -> None:
+        dev.volatile_view(self.MAIN, self.N)[:] = b"S" * self.N
+
+    def test_staging_a_twinned_range_takes_no_arena_byte(self):
+        dev = self._twinned()
+        self._stage_main(dev)
+        assert self._arena_bytes(dev) == 0
+        assert dev._undo.base == [
+            (self.MAIN, self.MAIN + self.N, LENT, self.BACK)
+        ]
+        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+
+    def test_a_crash_before_the_flush_restores_the_old_bytes(self):
+        dev = self._twinned()
+        self._stage_main(dev)
+        dev.write_prefilled(self.MAIN, self.N)
+        dev.crash()
+        assert dev.read(self.MAIN, self.N) == b"M" * self.N
+        assert dev.read(self.BACK, self.N) == b"M" * self.N
+
+    def test_a_store_to_the_borrowed_source_keeps_the_old_main(self):
+        dev = self._twinned()
+        self._stage_main(dev)
+        dev.write(self.BACK, b"B" * self.N)
+        assert self._arena_bytes(dev) == 2 * self.N  # main's, then back's
+        dev.persist(self.BACK, self.N)
+        dev.crash()
+        assert dev.read(self.MAIN, self.N) == b"M" * self.N
+        assert dev.read(self.BACK, self.N) == b"B" * self.N
+
+    def test_a_partly_overwritten_pair_borrows_only_its_untouched_part(self):
+        dev = self._twinned()
+        dev.write(self.BACK + 256, b"B" * 256)
+        dev.persist(self.BACK + 256, 256)
+        self._stage_main(dev)
+        assert self._arena_bytes(dev) == 256
+        assert sorted(
+            (a, b, twin) for a, b, slot, twin in dev._undo.base if slot == LENT
+        ) == [(0, 256, self.BACK), (512, self.N, self.BACK + 512)]
+        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+        dev.crash()
+        assert dev.read(self.MAIN, self.N) == b"M" * self.N
+
+    def test_a_crash_keeps_the_pairs_its_overlay_did_not_write(self):
+        dev = self._twinned()
+        dev.write(self.MAIN + 256, b"X" * 256)
+        dev.crash()
+        self._stage_main(dev)
+        assert self._arena_bytes(dev) == 256
+        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+
+    def test_a_crash_drops_the_pairs_its_overlay_wrote(self):
+        dev = make_device()
+        dev.write(self.MAIN, b"M" * self.N)
+        dev.persist(self.MAIN, self.N)
+        dev.write(self.BACK, b"O" * self.N)  # dirty: the copy moves at once
+        dev.copy_within(self.MAIN, self.BACK, self.N)
+        dev.crash()  # back's overlay writes zeros under the pair
+        assert dev.read(self.BACK, self.N) == b"\x00" * self.N
+        self._stage_main(dev)
+        assert self._arena_bytes(dev) == self.N
+        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+
+    def test_an_image_load_drops_every_pair(self):
+        dev = self._twinned()
+        image = bytearray(dev.snapshot())
+        image[self.BACK : self.BACK + self.N] = b"L" * self.N
+        dev.load_image(bytes(image))
+        self._stage_main(dev)
+        assert self._arena_bytes(dev) == self.N
+        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+
+    @pytest.mark.parametrize("landed", ["none", "all"])
+    def test_a_borrowed_record_under_a_pending_store(self, landed):
+        """A fence that loses power resolves the media value into the
+        base records: a borrowed one is copied into the arena first."""
+        dev = self._twinned()
+        dev.write(self.MAIN, b"A" * self.N)
+        dev.flush(self.MAIN, self.N)
+        _unfenced_fence(dev, landed)
+        want = b"M" if landed == "none" else b"A"
+        assert dev.read(self.MAIN, self.N) == want * self.N
+        assert dev.read(self.BACK, self.N) == b"M" * self.N
+
+    @pytest.mark.parametrize(
+        "landed, want", [("none", b"M"), ("newest", b"O"), ("all", b"O")]
+    )
+    def test_a_twinned_pending_range_keeps_what_its_flush_wrote(
+        self, landed, want
+    ):
+        """Only a clean range borrows: a pending one stored again keeps
+        the value its write-back carried, over its own base."""
+        dev = make_device()
+        dev.write(self.MAIN, b"M" * self.N)
+        dev.write(self.BACK, b"O" * self.N)
+        dev.persist(self.MAIN, self.BACK + self.N)
+        dev.write(self.MAIN, b"A" * self.N)
+        dev.flush(self.MAIN, self.N)
+        dev.copy_within(self.BACK, self.MAIN, self.N)  # pending: moves now
+        dev.flush(self.MAIN, self.N)
+        dev.write(self.MAIN, b"C" * self.N)
+        _unfenced_fence(dev, landed)
+        assert dev.read(self.MAIN, self.N) == want * self.N
 
 
 class TestCosts:

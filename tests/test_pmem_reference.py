@@ -13,7 +13,10 @@ byte count, the crash count and the simulated clock.
 Reading the whole image settles every deferred ``copy_within``, so a
 second machine reads it only as a rule of its own and at teardown: its
 copies stay deferred across the flushes, fences, torn flushes and
-crashes that follow them.
+crashes that follow them.  The same machine twins a range, borrows one
+side's pre-image from the other and then writes that other side, so a
+borrowed record is copied into the arena ahead of a crash, a torn
+flush, a fence that loses power, a media read or an image load.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from repro.faults.plan import (
     InjectedCrash,
     installed,
 )
-from repro.faults.registry import TORN
+from repro.faults.registry import TORN, UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
+from repro.hw.undo import LENT
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 from tests.reference_pmem import ReferencePmemDevice
@@ -41,6 +45,8 @@ SIZE = 256
 addrs = st.integers(0, SIZE - 1)
 lengths = st.integers(0, 96)
 instructions = st.sampled_from(list(FlushInstruction))
+#: The ways a range of the image is written.
+writes = st.sampled_from(["stage", "write", "copy"])
 
 
 def _clip(addr: int, length: int) -> int:
@@ -173,6 +179,49 @@ class DeferredCopiesAgainstOracle(DeviceAgainstOracle):
         self.copy_within(src, dst, length)
         self.flush(dst, length, instruction)
 
+    def _write_by(self, how, addr, length):
+        """Write ``[addr, addr + length)`` by ``how``.  A copy comes from
+        one byte over, so (longer than a byte) it overlaps its source
+        and moves at once rather than at a fence."""
+        if how == "stage":
+            self.stage(addr, length)
+        elif how == "write":
+            self.write(addr, length)
+        else:
+            src = addr + 1 if addr + 1 + length <= SIZE else addr - 1
+            self.copy_within(src, addr, length)
+
+    @rule(
+        main=addrs,
+        back=addrs,
+        length=st.integers(1, 96),
+        first=writes,
+        then=writes,
+        flip=st.booleans(),
+    )
+    def borrow_then_repay(self, main, back, length, first, then, flip):
+        """Twin a range, write one side (its clean pre-image is borrowed
+        from the other), then write the other side (the borrowed record
+        is copied into the arena first)."""
+        length = min(length, SIZE - main, SIZE - back)
+        self.twin_copy(main, back, length, FlushInstruction.CLFLUSHOPT)
+        self.fence()
+        one, other = (back, main) if flip else (main, back)
+        self._write_by(first, one, length)
+        self._write_by(then, other, length)
+
+    @rule()
+    def unfenced_fence(self):
+        """Power fails at a fence and every write-back lands: the
+        oracle's flushes are durable at once, so it only crashes."""
+        new, old = self.devices
+        spec = FaultSpec("pm.fence", 1, UNFENCED, landed="all")
+        with installed(CrashSchedulePlan(spec)):
+            with pytest.raises(InjectedCrash):
+                new.fence()
+        new.crash()
+        old.crash()
+
     @rule()
     def read_whole_image(self):
         self.images_agree()
@@ -199,6 +248,44 @@ def test_a_twin_copy_stays_deferred_until_the_crash():
         assert machine.devices[0]._deferred
         if last_step == "torn_flush":
             machine.torn_flush(0, 64, FlushInstruction.CLFLUSH, 0.5)
+        else:
+            getattr(machine, last_step)()
+        machine.teardown()
+
+
+def test_a_borrowed_pre_image_is_repaid_before_its_twin_is_written(
+    monkeypatch,
+):
+    """The second machine's borrowing rule stages main, whose pre-image
+    it borrows from the back twin, then stores to the back twin, which
+    first copies that record into the arena: ahead of every step that
+    reads it."""
+    steps = ("crash", "torn_flush", "unfenced_fence", "read_whole_image",
+             "load_image")
+    for last_step in steps:
+        machine = DeferredCopiesAgainstOracle()
+        machine.write(0, 64)
+        machine.flush(0, 64, FlushInstruction.CLFLUSHOPT)
+        machine.fence()
+        undo = machine.devices[0]._undo
+        lent = []
+        lend = undo.lend
+
+        def spy(*args):
+            lent.append(args)
+            lend(*args)
+
+        monkeypatch.setattr(undo, "lend", spy)
+        machine.borrow_then_repay(0, 128, 64, "stage", "write", False)
+        assert lent == [(0, 64, 128)]
+        assert [(a, b) for a, b, slot, _ in undo.base if slot != LENT] == [
+            (0, 64), (128, 192),
+        ]
+        assert not undo.lent
+        if last_step == "torn_flush":
+            machine.torn_flush(0, 64, FlushInstruction.CLFLUSH, 0.5)
+        elif last_step == "load_image":
+            machine.load_image(1)
         else:
             getattr(machine, last_step)()
         machine.teardown()
