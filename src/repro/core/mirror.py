@@ -359,8 +359,8 @@ class MirrorModule:
                                 )
                             for (size, offset), job in zip(refs, row):
                                 if job.in_place:
-                                    prefilled.append((offset, size))
                                     tx.write_prefilled(offset, size)
+                                    prefilled.append((offset, size))
                                 else:
                                     raise MirrorError(
                                         f"sealed buffer is {len(job.sealed)} "

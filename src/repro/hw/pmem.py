@@ -53,6 +53,16 @@ record) is written.  So staging the Romulus main twin, whose pre-image
 the last commit's back copy holds, saves no bytes.  The device proves
 each pair itself rather than taking Romulus' word for it: a protocol
 bug that left the back twin stale must not rewrite the media view.
+
+The image starts zeroed, and a range stays **pristine** — zero in the
+image and on the media — until one of the same writes reaches it; an
+image load leaves nothing pristine.  A base pre-image of a pristine
+range is a **zero record**: it takes no arena byte and nothing has to
+repay it, except that resolving a power failure or a landed write-back
+into it copies it into the arena first.  So a device's first commit
+stages the never-written main twin without saving a byte.  The device
+knows the range was never written from its own history; it never scans
+for zero bytes.
 """
 
 from __future__ import annotations
@@ -138,6 +148,8 @@ class PersistentMemoryDevice:
         self._undo = PreImages(self._view)
         # Byte-equal ranges of _data that base pre-images may borrow.
         self._twins = Twins()
+        # Never written: zero in _data and on the media.
+        self._pristine = IntervalSet.of([(0, size)])
         # Stored, not yet written back.
         self._dirty = IntervalSet()
         # Placed through volatile_view and not yet accounted as a store:
@@ -210,8 +222,20 @@ class PersistentMemoryDevice:
             self._save_base(pos, end)
 
     def _save_base(self, start: int, end: int) -> None:
-        """Save the base pre-image of clean ``[start, end)``, borrowing
-        it wherever a twin holds the same bytes."""
+        """Save the base pre-image of clean ``[start, end)``: a zero
+        record wherever nothing has written it."""
+        pos = start
+        for a, b in self._pristine.overlap(start, end):
+            if pos < a:
+                self._save_written(pos, a)
+            self._undo.save_zero(a, b)
+            pos = b
+        if pos < end:
+            self._save_written(pos, end)
+
+    def _save_written(self, start: int, end: int) -> None:
+        """Save the base pre-image of clean, written ``[start, end)``,
+        borrowing it wherever a twin holds the same bytes."""
         undo = self._undo
         if not self._twins:
             undo.save_base(self._view, start, end)
@@ -227,12 +251,14 @@ class PersistentMemoryDevice:
 
     def _overwrite(self, start: int, end: int) -> None:
         """``_data[start:end]`` is about to change: repay every record
-        borrowed from it, and drop its twins."""
+        borrowed from it, and drop its twins and its pristine bytes."""
         lent = self._undo.lent
         if lent and lent.overlap(start, end):
             self._undo.repay(start, end)
         if self._twins:
             self._twins.drop(start, end)
+        if self._pristine:
+            self._pristine.remove(start, end)
 
     def _save_flushed(self, start: int, end: int) -> None:
         """A pending range is stored again: keep the value each of its
@@ -634,11 +660,14 @@ class PersistentMemoryDevice:
         self._flushes.clear()
 
     def _set_base(self, start: int, end: int, value: memoryview) -> None:
-        """Overwrite the base pre-image of ``[start, end)`` with ``value``."""
+        """Overwrite the base pre-image of ``[start, end)`` with
+        ``value``, first copying a borrowed or zero record into the arena."""
         undo = self._undo
-        if undo.lent:
+        records = list(undo.base_in(start, end))
+        if any(slot < 0 for _, _, slot, _ in records):
             undo.repay(start, end, sources=False)
-        for x, y, slot, offset in undo.base_in(start, end):
+            records = list(undo.base_in(start, end))
+        for x, y, slot, offset in records:
             undo.view(slot, offset, y - x)[:] = value[x - start : y - start]
 
     def _unfenced_power_fail(self, unfenced) -> None:
@@ -772,3 +801,4 @@ class PersistentMemoryDevice:
         self._view[:] = image
         self._forget()
         self._twins.clear()
+        self._pristine.clear()

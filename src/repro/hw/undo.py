@@ -29,6 +29,14 @@ it into the arena — before anything writes its source or writes into it,
 so a borrowed record always reads what a copied one would hold.  This is
 the Romulus main twin staged for a commit: the back twin holds its
 pre-image already.
+
+The image starts zeroed, so a range nothing has written yet holds zero
+in the image and on the media alike.  A base record of such a
+**pristine** range is a **zero record** (slot :data:`ZERO`): it reads
+one shared readonly zero buffer, takes no arena byte, and has no source
+in the image to repay.  Only writing into it — resolving a power failure
+or a landed write-back into the base records — copies it into the arena
+first.  This is the main twin staged by a device's first commit.
 """
 
 from __future__ import annotations
@@ -45,9 +53,15 @@ SLOT = 1 << 20
 #: The slot of a borrowed record: its offset is a device address.
 LENT = -1
 
+#: The slot of a zero record: its offset is into :data:`_ZEROS`.
+ZERO = -2
+
+#: What every zero record reads; one is at most a slot long.
+_ZEROS = memoryview(np.zeros(SLOT, np.uint8)).toreadonly()
+
 #: ``(start, end, slot, offset)``: device bytes ``[start, end)`` are
 #: saved at ``offset`` of arena slot ``slot``, or, in slot :data:`LENT`,
-#: are the image bytes at ``offset``.
+#: are the image bytes at ``offset``, or, in slot :data:`ZERO`, zeros.
 Record = Tuple[int, int, int, int]
 
 
@@ -169,9 +183,12 @@ class PreImages:
 
     def view(self, slot: int, offset: int, n: int) -> memoryview:
         """Writable bytes ``[offset, offset + n)`` of arena slot ``slot``;
-        of a borrowed record, its readonly source in the image."""
+        of a borrowed record, its readonly source in the image; of a zero
+        record, readonly zeros."""
         if slot == LENT:
             return self._data[offset : offset + n].toreadonly()
+        if slot == ZERO:
+            return _ZEROS[offset : offset + n]
         chunk, index = divmod(slot, self._per_chunk)
         base = index * SLOT + offset
         return self._chunks[chunk][base : base + n]
@@ -208,22 +225,34 @@ class PreImages:
         self.base.append((start, end, LENT, twin))
         self.lent.add(twin, twin + (end - start))
 
+    def save_zero(self, start: int, end: int) -> None:
+        """Save zeros as the base record of ``[start, end)``, a range no
+        base record covers and nothing has written."""
+        for a in range(start, end, SLOT):
+            self.base.append((a, min(a + SLOT, end), ZERO, 0))
+
     def repay(self, start: int, end: int, sources: bool = True) -> None:
-        """Copy into the arena every borrowed record whose source (or,
-        with ``sources`` false, whose own range) overlaps
-        ``[start, end)``: before the image or the record is written."""
+        """Copy into the arena every borrowed record whose source
+        overlaps ``[start, end)``, before the image there is written;
+        with ``sources`` false, every borrowed or zero record that
+        overlaps it, before the record is written."""
         base = []
         for record in self.base:
-            a, b, slot, twin = record
-            lo = twin if sources else a
-            if slot != LENT or lo >= end or lo + (b - a) <= start:
+            a, b, slot, at = record
+            lo = at if sources else a
+            if (
+                slot >= 0
+                or (sources and slot == ZERO)
+                or lo >= end
+                or lo + (b - a) <= start
+            ):
                 base.append(record)
                 continue
-            for slot, offset, n in self._alloc(b - a):
-                self.view(slot, offset, n)[:] = self._data[twin : twin + n]
-                base.append((a, a + n, slot, offset))
+            for piece, offset, n in self._alloc(b - a):
+                self.view(piece, offset, n)[:] = self.view(slot, at, n)
+                base.append((a, a + n, piece, offset))
                 a += n
-                twin += n
+                at += n
         self.base = base
         if sources:
             self.lent.remove(start, end)
@@ -274,7 +303,7 @@ class PreImages:
             for x, y in cuts:
                 if pos < x:
                     kept.append(head + (pos, x, slot, offset + (pos - a)))
-                if slot != LENT:
+                if slot >= 0:
                     self._release(slot, y - x)
                 pos = y
             if pos < b:

@@ -12,6 +12,7 @@ from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine, SEAL_OVERHEAD
 from repro.darknet.weights import save_weights
 from repro.hw.pmem import PersistentMemoryDevice
+from repro.hw.undo import ZERO
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
 from repro.sgx.enclave import Enclave
@@ -211,6 +212,7 @@ class TestBorrowedStagingPreImage:
         device, _, mirror = make_mirror()
         net = make_model(seed=8)
         mirror.alloc_mirror_model(net)
+        device.load_image(device.snapshot())  # nothing is pristine now
         seen = self._staged_copies(device, monkeypatch)
         mirror.mirror_out(net, 1)  # slots no commit has copied yet
         first = list(seen)
@@ -262,8 +264,39 @@ class TestBorrowedStagingPreImage:
         with pytest.raises(Abort):
             mirror.mirror_out(net, 2)
         device.fault_hook = None
+        # The second slot was sealed in place but never logged: the
+        # abort re-copies it from the back twin, so loads see the old
+        # bytes too, not only the media.
+        assert device.read(*main) == before
         assert device.durable_read(*main) == before
         assert mirror.stored_iteration() == 1
+
+    def test_a_first_save_on_a_fresh_device_takes_no_arena_byte(
+        self, monkeypatch
+    ):
+        """Nothing has written the slots of a fresh mirror: the staging
+        views save zero records, not the main twin's bytes."""
+        device, _, mirror = make_mirror()
+        net = make_model(seed=11)
+        mirror.alloc_mirror_model(net)
+        undo = device._undo
+        view = device.volatile_view
+        seen = []
+
+        def spy_view(addr, length):
+            live = dict(undo._live)
+            out = view(addr, length)
+            zeros = sum(
+                y - x
+                for x, y, slot, _ in undo.base_in(addr, addr + length)
+                if slot == ZERO
+            )
+            seen.append((undo._live == live, zeros == length))
+            return out
+
+        monkeypatch.setattr(device, "volatile_view", spy_view)
+        mirror.mirror_out(net, 1)
+        assert seen and all(no_slot and zero for no_slot, zero in seen)
 
 
 class TestSecurity:

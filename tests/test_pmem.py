@@ -17,7 +17,7 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
-from repro.hw.undo import LENT
+from repro.hw.undo import LENT, ZERO
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
@@ -219,10 +219,11 @@ class TestLazyImages:
             dev.flush(0, span)
             dev.fence()
 
+        round_(0)  # a pristine range: its pre-image is a zero record
         before = _vm_rss_kib()
-        round_(0)
+        round_(1)
         one = _vm_rss_kib() - before
-        for i in range(1, 10):
+        for i in range(2, 12):
             round_(i)
         ten = _vm_rss_kib() - before
         assert ten <= one + (2 << 10)  # KiB: within 2 MiB of one round
@@ -621,6 +622,125 @@ class TestTwinnedPreImage:
         dev.write(self.MAIN, b"C" * self.N)
         _unfenced_fence(dev, landed)
         assert dev.read(self.MAIN, self.N) == want * self.N
+
+
+class TestZeroPreImage:
+    """A range nothing has written is zero in the image and on the
+    media: its base pre-image is a zero record, which takes no arena
+    byte until a power failure's resolution writes into it."""
+
+    N = 128
+
+    @staticmethod
+    def _write_by(dev: PersistentMemoryDevice, how: str, n: int) -> None:
+        """Write ``[0, n)`` of ``dev`` by ``how``; the copy comes from one
+        byte over, so it moves at once."""
+        if how == "stage":
+            dev.volatile_view(0, n)[:] = b"S" * n
+        elif how == "write":
+            dev.write(0, b"W" * n)
+        else:
+            dev.copy_within(1, 0, n)
+
+    @pytest.mark.parametrize("how", ["stage", "write", "copy"])
+    def test_a_fresh_range_saves_one_zero_record(self, how):
+        dev = make_device()
+        self._write_by(dev, how, self.N)
+        assert dev._undo.base == [(0, self.N, ZERO, 0)]
+        assert not dev._undo._live
+        assert dev.durable_read(0, self.N) == bytes(self.N)
+
+    @pytest.mark.parametrize("how", ["stage", "write"])
+    def test_a_crash_before_the_flush_restores_zeros(self, how):
+        dev = make_device()
+        self._write_by(dev, how, self.N)
+        if how == "stage":
+            dev.write_prefilled(0, self.N)
+        dev.crash()
+        assert dev.read(0, self.N) == bytes(self.N)
+
+    @pytest.mark.parametrize(
+        "landed, want",
+        [
+            ("none", bytes(128)),
+            ("newest", bytes(64) + b"B" * 64),
+            ("all", b"A" * 64 + b"B" * 64),
+        ],
+    )
+    def test_an_unfenced_fence_over_a_stored_fresh_range(self, landed, want):
+        """Each landed write-back is resolved into its zero record, which
+        is copied into the arena first; an unlanded one keeps zeros."""
+        dev = make_device()
+        dev.write(0, b"A" * 64)
+        dev.flush(0, 64)
+        dev.write(64, b"B" * 64)
+        dev.flush(64, 64)
+        spec = FaultSpec("pm.fence", 1, UNFENCED, landed=landed)
+        with installed(CrashSchedulePlan(spec)):
+            with pytest.raises(InjectedCrash):
+                dev.fence()
+        slots = [(a, b, slot == ZERO) for a, b, slot, _ in dev._undo.base]
+        lands = {"none": [], "newest": [64], "all": [0, 64]}[landed]
+        assert slots == [(a, a + 64, a not in lands) for a in (0, 64)]
+        assert sum(dev._undo._live.values()) == 64 * len(lands)
+        dev.crash()
+        assert dev.read(0, 128) == want
+
+    def test_a_landed_write_back_under_a_store_resolves_its_zero_record(
+        self,
+    ):
+        """A fence under a pending range stored again makes its write-back
+        the media value: the zero record takes it, copied first."""
+        dev = make_device()
+        dev.write(0, b"A" * 64)
+        dev.flush(0, 64)
+        dev.write(0, b"B" * 64)
+        dev.fence()
+        assert [slot for _, _, slot, _ in dev._undo.base] == [0]
+        assert dev.durable_read(0, 64) == b"A" * 64
+        dev.crash()
+        assert dev.read(0, 64) == b"A" * 64
+
+    def test_a_range_written_then_crashed_is_no_longer_fresh(self):
+        dev = make_device()
+        dev.write(0, b"A" * self.N)
+        dev.crash()
+        dev.write(0, b"B" * self.N)
+        assert [slot for _, _, slot, _ in dev._undo.base] == [0]
+        assert sum(dev._undo._live.values()) == self.N
+        dev.crash()
+        assert dev.read(0, self.N) == bytes(self.N)
+
+    def test_nothing_is_fresh_after_an_image_load(self):
+        dev = make_device()
+        dev.load_image(b"L" * dev.size)
+        self._write_by(dev, "stage", self.N)
+        assert [slot for _, _, slot, _ in dev._undo.base] == [0]
+        dev.crash()
+        assert dev.read(0, self.N) == b"L" * self.N
+
+    def test_a_mixed_range_saves_zero_borrowed_and_copied_records(self):
+        """``[0, 64)`` never written, ``[64, 128)`` twinned with
+        ``[192, 256)``, ``[128, 192)`` written: one record each, in
+        address order."""
+        dev = make_device()
+        dev.write(192, b"M" * 64)
+        dev.persist(192, 64)
+        dev.copy_within(192, 64, 64)
+        dev.persist(64, 64)
+        dev.write(128, b"P" * 64)
+        dev.persist(128, 64)
+        dev.volatile_view(0, 192)[:] = b"S" * 192
+        base = dev._undo.base
+        assert [(a, b, slot) for a, b, slot, _ in base] == [
+            (0, 64, ZERO), (64, 128, LENT), (128, 192, 0),
+        ]
+        assert base[1][3] == 192
+        assert sum(dev._undo._live.values()) == 64
+        want = bytes(64) + b"M" * 64 + b"P" * 64
+        assert dev.durable_read(0, 192) == want
+        dev.crash()
+        assert dev.read(0, 192) == want
 
 
 class TestCosts:

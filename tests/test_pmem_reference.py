@@ -17,6 +17,11 @@ crashes that follow them.  The same machine twins a range, borrows one
 side's pre-image from the other and then writes that other side, so a
 borrowed record is copied into the arena ahead of a crash, a torn
 flush, a fence that loses power, a media read or an image load.
+
+Both machines start from a fresh, zeroed device, so their first writes
+save zero records, and the second machine's power-failing fence (or a
+plain fence under a pending range stored again) resolves a write-back
+into one.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import TORN, UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
-from repro.hw.undo import LENT
+from repro.hw.undo import LENT, ZERO
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 from tests.reference_pmem import ReferencePmemDevice
@@ -288,6 +293,39 @@ def test_a_borrowed_pre_image_is_repaid_before_its_twin_is_written(
             machine.load_image(1)
         else:
             getattr(machine, last_step)()
+        machine.teardown()
+
+
+def test_a_zero_record_is_copied_before_a_write_back_resolves_into_it(
+    monkeypatch,
+):
+    """The second machine's first store saves a zero record; a fence
+    that loses power, or a fence under a pending range stored again,
+    copies it into the arena before writing the landed value into it."""
+    for last_step in ("unfenced_fence", "fence"):
+        machine = DeferredCopiesAgainstOracle()
+        undo = machine.devices[0]._undo
+        zeroed, repaid = [], []
+        save_zero, repay = undo.save_zero, undo.repay
+
+        def spy_zero(*args):
+            zeroed.append(args)
+            save_zero(*args)
+
+        def spy_repay(start, end, sources=True):
+            slots = [slot for _, _, slot, _ in undo.base_in(start, end)]
+            repaid.append((start, end, sources, slots))
+            repay(start, end, sources)
+
+        monkeypatch.setattr(undo, "save_zero", spy_zero)
+        monkeypatch.setattr(undo, "repay", spy_repay)
+        machine.write(0, 64)
+        machine.flush(0, 64, FlushInstruction.CLFLUSHOPT)
+        assert zeroed == [(0, 64)]
+        if last_step == "fence":
+            machine.write(0, 64)  # stored again over the pending bytes
+        getattr(machine, last_step)()
+        assert repaid == [(0, 64, False, [ZERO])]
         machine.teardown()
 
 
