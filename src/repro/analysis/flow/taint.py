@@ -11,7 +11,9 @@ model:
   freshly decrypted data (``unseal``/``decrypt``), and identifiers whose
   name marks them as plaintext;
 * **propagation** — assignments, augmented assignments, concatenation,
-  ``bytes``/``bytearray``/``memoryview`` wrapping, subscripts;
+  ``bytes``/``bytearray``/``memoryview`` wrapping, subscripts, and
+  stores into a subscript (``record[8:] = plaintext`` taints
+  ``record``);
 * **sanitizers** — any ``*seal*``/``*encrypt*`` call (except the
   ``unseal``/``decrypt`` family) cleans its result;
 * **sinks** — ``tx.write``/``device.write``/``ssd.write``-style storage
@@ -237,6 +239,9 @@ class TaintAnalysis:
             for element in target.elts:
                 out |= self._mark(element, got, labels, stmt)
             return out
+        if isinstance(target, ast.Subscript):
+            # A store into part of a buffer taints the whole buffer.
+            return self._mark(target.value, got, labels, stmt)
         return False
 
     def _eval(

@@ -11,6 +11,15 @@ boundary crossings per chunk, the enclave-to-DRAM copy, SSD bandwidth,
 and an fsync per fwrite.  Restores pay fread ocalls, the DRAM-to-EPC
 copy, and in-enclave decryption.
 
+The two phases of each operation (encrypt then write, read then
+decrypt) are how simulated time is booked, as Table I reports it.  The
+wall-clock work runs one record at a time: ``save`` charges every
+buffer's encryption and draws its IV in the encrypt phase, then seals
+each buffer into one reusable record buffer just before it is written
+and fsynced; ``restore``'s freads return readonly views of the file,
+and each record is unsealed straight into its parameter array.  No
+copy of the whole model is ever held besides the file itself.
+
 Checkpoint file format: ``iter (u64) | nbuf (u64) | [size u64, sealed
 bytes] * nbuf``.
 """
@@ -23,7 +32,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.mirror import MirrorTiming
-from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
+from repro.crypto.engine import SEAL_OVERHEAD, Buffer, EncryptionEngine
 from repro.darknet.network import Network
 from repro.hw.ssd import BlockDevice
 from repro.sgx.ecall import EnclaveRuntime
@@ -35,6 +44,9 @@ _BUF_HEADER = struct.Struct("<Q")
 
 #: Bytes per ``ckpt_fwrite`` / ``ckpt_fread`` ocall.
 _CHUNK_SIZE = 1 << 20
+
+#: Bytes per parameter value: buffers are checkpointed as float32.
+_VALUE_SIZE = np.dtype(np.float32).itemsize
 
 
 class CheckpointError(RuntimeError):
@@ -70,8 +82,8 @@ class SsdCheckpoint:
     def _ocall_fwrite(self, offset: int, data: bytes) -> None:
         self.ssd.write(self.path, offset, data)
 
-    def _ocall_fread(self, offset: int, length: int) -> bytes:
-        return self.ssd.read(self.path, offset, length)
+    def _ocall_fread(self, offset: int, length: int) -> memoryview:
+        return self.ssd.read_view(self.path, offset, length)
 
     def _ocall_fsync(self) -> None:
         self.ssd.fsync(self.path)
@@ -95,31 +107,47 @@ class SsdCheckpoint:
             if rec.enabled
             else None
         )
+        buffers = network.parameter_buffers()
         try:
-            # Phase 1 — encrypt in the enclave (identical to mirror_out).
+            # Phase 1 — encrypt in the enclave (identical to mirror_out):
+            # charged and given its IV per buffer; sealed in phase 2.
             with self.clock.stopwatch("ckpt.encrypt") as encrypt_span:
-                sealed: List[bytes] = []
-                for _, (name, arr) in network.parameter_buffers():
-                    plaintext = np.ascontiguousarray(arr, np.float32).tobytes()
-                    self.enclave.touch(len(plaintext))
-                    self.clock.advance(crypto.encrypt_time(len(plaintext)))
-                    sealed.append(
-                        self.engine.seal(plaintext, aad=name.encode())
-                    )
+                ivs: List[bytes] = []
+                for _, (_, arr) in buffers:
+                    nbytes = arr.size * _VALUE_SIZE
+                    self.enclave.touch(nbytes)
+                    self.clock.advance(crypto.encrypt_time(nbytes))
+                    ivs.append(self.engine.new_iv())
 
             # Phase 2 — serialize to SSD: fwrite + fsync per buffer.
             with self.clock.stopwatch("ckpt.write") as write_span:
                 self.ssd.delete(self.path)
-                header = _FILE_HEADER.pack(iteration, len(sealed))
+                header = _FILE_HEADER.pack(iteration, len(buffers))
                 self._fwrite_chunks(0, header)
                 self.runtime.ocall("ckpt_fsync")
                 offset = len(header)
-                for blob in sealed:
-                    record = _BUF_HEADER.pack(len(blob)) + blob
-                    self._fwrite_chunks(offset, record)
+                largest = max((arr.size for _, (_, arr) in buffers), default=0)
+                record = memoryview(
+                    bytearray(
+                        _BUF_HEADER.size + largest * _VALUE_SIZE + SEAL_OVERHEAD
+                    )
+                )
+                for (_, (name, arr)), iv in zip(buffers, ivs):
+                    plaintext = memoryview(
+                        np.ascontiguousarray(arr, np.float32)
+                    ).cast("B")
+                    size = self.engine.seal_into(
+                        plaintext,
+                        record[_BUF_HEADER.size :],
+                        aad=name.encode(),
+                        iv=iv,
+                    )
+                    _BUF_HEADER.pack_into(record, 0, size)
+                    end = _BUF_HEADER.size + size
+                    self._fwrite_chunks(offset, record[:end])
                     # "After each call to fwrite ... issue an fsync."
                     self.runtime.ocall("ckpt_fsync")
-                    offset += len(record)
+                    offset += end
         finally:
             if outer is not None:
                 rec.end(outer, self.clock.now())
@@ -129,7 +157,14 @@ class SsdCheckpoint:
         )
 
     def restore(self, network: Network) -> Tuple[int, MirrorTiming]:
-        """fread + decrypt the model; returns (iteration, timings)."""
+        """fread + decrypt the model; returns (iteration, timings).
+
+        A record that fails its GCM check raises
+        :class:`~repro.crypto.backend.IntegrityError` and leaves the
+        parameters garbage, as a failed ``mirror_in`` does: the buffers
+        before it already hold the checkpoint's values, and the failing
+        one may hold unauthenticated plaintext.
+        """
         if not self.exists():
             raise CheckpointError(f"no checkpoint at {self.path!r}")
         crypto = self.profile.crypto
@@ -143,11 +178,13 @@ class SsdCheckpoint:
             # Phase 1 — fread everything into the enclave ("Read").
             with self.clock.stopwatch("ckpt.read") as read_span:
                 size = self.ssd.file_size(self.path)
-                blob = self._fread_chunks(0, size)
+                chunks = self._fread_chunks(0, size)
 
             # Phase 2 — decrypt into the model ("Decrypt").
             with self.clock.stopwatch("ckpt.decrypt") as decrypt_span:
-                iteration, nbuf = _FILE_HEADER.unpack_from(blob, 0)
+                iteration, nbuf = _FILE_HEADER.unpack(
+                    _span(chunks, 0, _FILE_HEADER.size)
+                )
                 offset = _FILE_HEADER.size
                 buffers = network.parameter_buffers()
                 if nbuf != len(buffers):
@@ -156,17 +193,15 @@ class SsdCheckpoint:
                         f"{len(buffers)} — architecture mismatch"
                     )
                 for layer_idx, (name, arr) in buffers:
-                    (blen,) = _BUF_HEADER.unpack_from(blob, offset)
+                    (blen,) = _BUF_HEADER.unpack(
+                        _span(chunks, offset, _BUF_HEADER.size)
+                    )
                     offset += _BUF_HEADER.size
-                    sealed = blob[offset : offset + blen]
+                    sealed = _span(chunks, offset, blen)
                     offset += blen
-                    self.clock.advance(
-                        crypto.decrypt_time(blen - SEAL_OVERHEAD)
-                    )
-                    plaintext = self.engine.unseal(sealed, aad=name.encode())
-                    network.layers[layer_idx].set_parameter(
-                        name, np.frombuffer(plaintext, dtype=np.float32)
-                    )
+                    nbytes = blen - SEAL_OVERHEAD
+                    self.clock.advance(crypto.decrypt_time(nbytes))
+                    self._unseal_into(network, layer_idx, name, arr, sealed)
         finally:
             if outer is not None:
                 rec.end(outer, self.clock.now())
@@ -176,19 +211,57 @@ class SsdCheckpoint:
             storage_seconds=read_span.elapsed,
         )
 
+    def _unseal_into(
+        self,
+        network: Network,
+        layer_idx: int,
+        name: str,
+        arr: np.ndarray,
+        sealed: Buffer,
+    ) -> None:
+        """Decrypt one record into its float32 C-contiguous parameter
+        array, or through ``set_parameter`` when it is not one."""
+        aad = name.encode()
+        if (
+            arr.dtype == np.float32
+            and arr.flags.c_contiguous
+            and arr.flags.writeable
+            and arr.nbytes == len(sealed) - SEAL_OVERHEAD
+        ):
+            self.engine.unseal_from(sealed, memoryview(arr).cast("B"), aad)
+        else:
+            plaintext = self.engine.unseal(sealed, aad=aad)
+            network.layers[layer_idx].set_parameter(
+                name, np.frombuffer(plaintext, dtype=np.float32)
+            )
+
     # ------------------------------------------------------------------
-    def _fwrite_chunks(self, offset: int, data: bytes) -> None:
+    def _fwrite_chunks(self, offset: int, data: Buffer) -> None:
         for start in range(0, len(data), _CHUNK_SIZE):
             chunk = data[start : start + _CHUNK_SIZE]
             # Copy out of the EPC, cross the boundary, hit the page cache.
             self.enclave.copy_out(len(chunk))
             self.runtime.ocall("ckpt_fwrite", offset + start, chunk)
 
-    def _fread_chunks(self, offset: int, length: int) -> bytes:
-        parts: List[bytes] = []
+    def _fread_chunks(self, offset: int, length: int) -> List[memoryview]:
+        chunks: List[memoryview] = []
         for start in range(0, length, _CHUNK_SIZE):
             n = min(_CHUNK_SIZE, length - start)
-            parts.append(self.runtime.ocall("ckpt_fread", offset + start, n))
+            chunks.append(self.runtime.ocall("ckpt_fread", offset + start, n))
             # Copy from untrusted DRAM into the EPC.
             self.enclave.copy_in(n)
-        return b"".join(parts)
+        return chunks
+
+
+def _span(chunks: List[memoryview], offset: int, length: int) -> Buffer:
+    """Bytes ``[offset, offset + length)`` of what ``_fread_chunks``
+    read, cut short at its end: a view when one chunk holds them, else
+    one joined copy."""
+    index, start = divmod(offset, _CHUNK_SIZE)
+    pieces: List[memoryview] = []
+    while length > 0 and index < len(chunks):
+        piece = chunks[index][start : start + length]
+        pieces.append(piece)
+        length -= len(piece)
+        index, start = index + 1, 0
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)

@@ -20,6 +20,28 @@ import numpy as np
 ParamPair = Tuple[np.ndarray, np.ndarray]
 NamedBuffer = Tuple[str, np.ndarray]
 
+#: Values per draw of :func:`uniform_weights`: a 512 KiB float64 window.
+INIT_CHUNK = 1 << 16
+
+
+def uniform_weights(
+    rng: np.random.Generator, scale: float, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """Darknet's weight initialisation, ``scale * U(-1, 1)`` as float32.
+
+    The same bits, and the same draws from ``rng``, as
+    ``(scale * rng.uniform(-1, 1, shape)).astype(np.float32)``, but
+    drawn :data:`INIT_CHUNK` values at a time into the float32 array,
+    so no float64 temporary as large as the layer is ever made.
+    """
+    weights = np.empty(shape, np.float32)
+    flat = weights.reshape(-1)
+    for start in range(0, flat.size, INIT_CHUNK):
+        draw = rng.uniform(-1, 1, min(INIT_CHUNK, flat.size - start))
+        draw *= scale
+        flat[start : start + draw.size] = draw
+    return weights
+
 
 class GradientBuffer:
     """A gradient accumulator made on first read.

@@ -7,7 +7,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.darknet.activations import get_activation
-from repro.darknet.layers.base import GradientBuffer, Layer, NamedBuffer, ParamPair
+from repro.darknet.layers.base import (
+    GradientBuffer,
+    Layer,
+    NamedBuffer,
+    ParamPair,
+    uniform_weights,
+)
 
 
 class ConnectedLayer(Layer):
@@ -39,9 +45,7 @@ class ConnectedLayer(Layer):
 
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / inputs)
-        self.weights = (
-            scale * rng.uniform(-1, 1, size=(outputs, inputs))
-        ).astype(np.float32)
+        self.weights = uniform_weights(rng, scale, (outputs, inputs))
         self.biases = np.zeros(outputs, dtype=np.float32)
 
         self._x: Optional[np.ndarray] = None

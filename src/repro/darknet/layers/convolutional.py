@@ -20,7 +20,13 @@ from repro.darknet.im2col import (
     im2col,
     im2col_batched_into,
 )
-from repro.darknet.layers.base import GradientBuffer, Layer, NamedBuffer, ParamPair
+from repro.darknet.layers.base import (
+    GradientBuffer,
+    Layer,
+    NamedBuffer,
+    ParamPair,
+    uniform_weights,
+)
 
 _BN_EPSILON = 1e-5
 _BN_MOMENTUM = 0.9  # rolling stats track the (fast-moving) batch stats
@@ -71,9 +77,7 @@ class ConvolutionalLayer(Layer):
         rng = rng or np.random.default_rng(0)
         fan_in = c * kernel * kernel
         scale = np.sqrt(2.0 / fan_in)  # Darknet's initialization
-        self.weights = (
-            scale * rng.uniform(-1, 1, size=(filters, fan_in))
-        ).astype(np.float32)
+        self.weights = uniform_weights(rng, scale, (filters, fan_in))
         self.biases = np.zeros(filters, dtype=np.float32)
         if batch_normalize:
             self.scales = np.ones(filters, dtype=np.float32)

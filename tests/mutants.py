@@ -121,32 +121,34 @@ MUTANTS = (
         name="checkpoint-plaintext-via-helper",
         path="repro/core/checkpoint.py",
         old=(
-            "                for blob in sealed:\n"
-            "                    record = _BUF_HEADER.pack(len(blob)) + blob\n"
+            "                    size = self.engine.seal_into(\n"
+            "                        plaintext,\n"
+            "                        record[_BUF_HEADER.size :],\n"
+            "                        aad=name.encode(),\n"
+            "                        iv=iv,\n"
+            "                    )\n"
         ),
         new=(
-            "                for _, (_, arr) in network.parameter_buffers():\n"
-            "                    blob = arr.tobytes()\n"
-            "                    record = _BUF_HEADER.pack(len(blob)) + blob\n"
+            "                    size = len(plaintext)\n"
+            "                    record[_BUF_HEADER.size : _BUF_HEADER.size"
+            " + size] = plaintext\n"
         ),
-        defect="the checkpoint writes raw parameter bytes, reaching the "
-        "ocall sink only inside the _fwrite_chunks helper",
+        defect="the checkpoint copies raw parameter bytes into its record "
+        "buffer, reaching the ocall sink only inside the _fwrite_chunks "
+        "helper",
     ),
     Mutant(
         name="checkpoint-plaintext-same-function",
         path="repro/core/checkpoint.py",
-        old=(
-            "                    plaintext = np.ascontiguousarray(arr,"
-            " np.float32).tobytes()\n"
-        ),
+        old="            # Phase 2 — serialize to SSD: fwrite + fsync per buffer.\n",
         new=(
-            "                    plaintext = np.ascontiguousarray(arr,"
-            " np.float32).tobytes()\n"
-            '                    self.ssd.write(self.path + ".raw", 0,'
-            " plaintext)\n"
+            "            for _, (_, arr) in buffers:\n"
+            '                self.ssd.write(self.path + ".raw", 0,'
+            " arr.tobytes()[:64])\n"
+            "            # Phase 2 — serialize to SSD: fwrite + fsync per buffer.\n"
         ),
-        defect="save dumps each plaintext buffer to the SSD next to the "
-        "sealed checkpoint",
+        defect="save dumps the head of each plaintext buffer to the SSD "
+        "next to the sealed checkpoint, between the timed phases",
     ),
     Mutant(
         name="commit-reads-wall-clock",

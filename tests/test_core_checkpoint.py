@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointError, SsdCheckpoint
 from repro.core.models import build_mnist_cnn
-from repro.crypto.engine import EncryptionEngine
+from repro.crypto.backend import CryptographyBackend, IntegrityError
+from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
 from repro.darknet.weights import save_weights
 from repro.hw.ssd import BlockDevice
 from repro.sgx.ecall import EnclaveRuntime
@@ -15,6 +19,8 @@ from repro.sgx.enclave import Enclave
 from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import SGX_EMLPM
+from tests.reference_checkpoint import ReferenceSsdCheckpoint
+from tests.reference_ssd import ReferenceBlockDevice
 
 
 def make_checkpoint():
@@ -118,3 +124,105 @@ class TestCheckpoint:
         assert iteration == 2
         other.iteration = net.iteration
         assert save_weights(other) == expected
+
+
+def make_reference_checkpoint():
+    clock = SimClock()
+    ssd = ReferenceBlockDevice(clock, SGX_EMLPM.ssd)
+    enclave = Enclave(clock, SGX_EMLPM.sgx)
+    runtime = EnclaveRuntime(enclave)
+    engine = EncryptionEngine(b"k" * 16, rand=SgxRandom(b"iv"))
+    return ssd, ReferenceSsdCheckpoint(ssd, engine, enclave, runtime, SGX_EMLPM)
+
+
+def make_wide_model(seed: int):
+    """22 buffers, three of 0.9 MiB: records straddle the 1 MiB fread
+    chunks, and the largest is under a third of the file."""
+    return build_mnist_cnn(
+        n_conv_layers=4, filters=160, batch=8, rng=np.random.default_rng(seed)
+    )
+
+
+def parameters(net):
+    return [arr.copy() for _, (_, arr) in net.parameter_buffers()]
+
+
+def record_spans(net):
+    """(offset, length) of each record's sealed bytes in the file."""
+    offset, spans = 16, []
+    for _, (_, arr) in net.parameter_buffers():
+        offset += 8
+        spans.append((offset, arr.nbytes + SEAL_OVERHEAD))
+        offset += arr.nbytes + SEAL_OVERHEAD
+    return spans
+
+
+class TestRecordAtATime:
+    """The save seals and writes one record at a time and the restore
+    unseals each record from a view of the file; the simulated phases
+    are booked as the two-phase code booked them."""
+
+    def test_file_bytes_and_phase_times_equal_the_two_phase_reference(self):
+        ssd, ckpt = make_checkpoint()
+        ref_ssd, ref = make_reference_checkpoint()
+        net = make_wide_model(seed=1)
+        assert ckpt.save(net, 5) == ref.save(net, 5)
+        assert ssd.read_all(ckpt.path) == ref_ssd.read_all(ref.path)
+        ours, theirs = make_wide_model(seed=2), make_wide_model(seed=2)
+        assert ckpt.restore(ours) == ref.restore(theirs)
+        for got, want in zip(parameters(ours), parameters(theirs)):
+            assert got.tobytes() == want.tobytes()
+        assert ckpt.runtime.stats == ref.runtime.stats
+        assert ckpt.engine.stats == ref.engine.stats
+
+    def test_save_and_restore_hold_one_file_image_and_two_records(self):
+        """The file image, the reusable record buffer and one joined
+        record that straddles two fread chunks; the two-phase code
+        also held the whole sealed model, a second durable image and
+        the whole file read back twice."""
+        pytest.importorskip("cryptography")
+        ssd, ckpt = make_checkpoint()
+        ckpt.engine = EncryptionEngine(
+            b"k" * 16, rand=SgxRandom(b"iv"), backend=CryptographyBackend()
+        )
+        net = make_wide_model(seed=3)
+        largest = max(arr.nbytes for _, (_, arr) in net.parameter_buffers())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ckpt.save(net, 1)
+            ckpt.restore(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        image = sys.getsizeof(ssd._files[ckpt.path].data)
+        assert peak - before <= image + 2 * (8 + largest + SEAL_OVERHEAD)
+
+    def test_a_tampered_record_raises_and_leaves_the_buffers_after_it(self):
+        """A failed restore leaves the parameters garbage, as a failed
+        ``mirror_in`` does: buffers before the bad record hold the
+        checkpoint's values, the bad record's own buffer may hold
+        unauthenticated plaintext, and the buffers after it are
+        untouched."""
+        ssd, ckpt = make_checkpoint()
+        saved = make_wide_model(seed=4)
+        ckpt.save(saved, 1)
+        bad = 10  # layer 4's weights: a 0.9 MiB record
+        offset, _ = record_spans(saved)[bad]
+        blob = bytearray(ssd.read(ckpt.path, offset + 1000, 1))
+        blob[0] ^= 0x01
+        ssd.write(ckpt.path, offset + 1000, bytes(blob))
+        ssd.fsync(ckpt.path)
+
+        target = make_wide_model(seed=5)
+        untouched = parameters(target)
+        with pytest.raises(IntegrityError):
+            ckpt.restore(target)
+        got = parameters(target)
+        want = parameters(saved)
+        for i in range(bad):
+            assert got[i].tobytes() == want[i].tobytes()
+        for i in range(bad + 1, len(got)):
+            assert got[i].tobytes() == untouched[i].tobytes()
+        assert target.iteration != 1

@@ -55,6 +55,7 @@ def lint_ids(names):
     [
         ("SEC001", CROSS_BAD, CROSS_GOOD),
         ("SEC001", ["sec001_bad.py"], ["sec001_good.py"]),
+        ("SEC001", ["sec001_record_bad.py"], ["sec001_record_good.py"]),
     ],
 )
 def test_flow_rule_fires_on_bad_and_not_on_good(rule, bad, good):
