@@ -34,9 +34,10 @@ TAINT_SOURCE_CALLS: FrozenSet[str] = frozenset(
     {"save_weights", "tobytes", "parameter_buffers", "ascontiguousarray"}
 )
 
-#: Calls whose result is freshly *decrypted* plaintext.
+#: Calls whose result is freshly *decrypted* plaintext (the engine's and
+#: the record codec's openers).
 TAINT_DECRYPT_CALLS: FrozenSet[str] = frozenset(
-    {"unseal", "unseal_from", "decrypt", "open_model"}
+    {"unseal", "unseal_from", "decrypt", "open_model", "open_upload"}
 )
 
 #: Identifier substrings marking a variable as plaintext by convention.

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 #: Modules whose code runs inside the enclave under Plinius'
 #: partitioning (lib-sgx-romulus, lib-sgx-darknet, the mirroring module,
-#: the encryption engine, the PM-data module, sealing).
+#: the encryption engine and record codec, the PM-data module, sealing).
 TRUSTED_MODULES = (
     "repro.romulus.region",
     "repro.romulus.transaction",
@@ -45,6 +45,7 @@ TRUSTED_MODULES = (
     "repro.crypto.gcm",
     "repro.crypto.backend",
     "repro.crypto.engine",
+    "repro.crypto.records",
     "repro.sgx.sealing",
     "repro.sgx.rand",
     "repro.core.mirror",

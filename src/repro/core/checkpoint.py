@@ -26,21 +26,19 @@ bytes] * nbuf``.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.mirror import MirrorTiming
+from repro.crypto import records
 from repro.crypto.engine import SEAL_OVERHEAD, Buffer, EncryptionEngine
+from repro.crypto.records import BUF_HEADER, FILE_HEADER
 from repro.darknet.network import Network
 from repro.hw.ssd import BlockDevice
 from repro.sgx.ecall import EnclaveRuntime
 from repro.sgx.enclave import Enclave
 from repro.simtime.profiles import ServerProfile
-
-_FILE_HEADER = struct.Struct("<QQ")
-_BUF_HEADER = struct.Struct("<Q")
 
 #: Bytes per ``ckpt_fwrite`` / ``ckpt_fread`` ocall.
 _CHUNK_SIZE = 1 << 20
@@ -122,28 +120,23 @@ class SsdCheckpoint:
             # Phase 2 — serialize to SSD: fwrite + fsync per buffer.
             with self.clock.stopwatch("ckpt.write") as write_span:
                 self.ssd.delete(self.path)
-                header = _FILE_HEADER.pack(iteration, len(buffers))
+                header = FILE_HEADER.pack(iteration, len(buffers))
                 self._fwrite_chunks(0, header)
                 self.runtime.ocall("ckpt_fsync")
                 offset = len(header)
                 largest = max((arr.size for _, (_, arr) in buffers), default=0)
                 record = memoryview(
                     bytearray(
-                        _BUF_HEADER.size + largest * _VALUE_SIZE + SEAL_OVERHEAD
+                        BUF_HEADER.size + largest * _VALUE_SIZE + SEAL_OVERHEAD
                     )
                 )
                 for (_, (name, arr)), iv in zip(buffers, ivs):
                     plaintext = memoryview(
                         np.ascontiguousarray(arr, np.float32)
                     ).cast("B")
-                    size = self.engine.seal_into(
-                        plaintext,
-                        record[_BUF_HEADER.size :],
-                        aad=name.encode(),
-                        iv=iv,
+                    end = records.seal_frame(
+                        self.engine, plaintext, record, name, iv
                     )
-                    _BUF_HEADER.pack_into(record, 0, size)
-                    end = _BUF_HEADER.size + size
                     self._fwrite_chunks(offset, record[:end])
                     # "After each call to fwrite ... issue an fsync."
                     self.runtime.ocall("ckpt_fsync")
@@ -182,10 +175,10 @@ class SsdCheckpoint:
 
             # Phase 2 — decrypt into the model ("Decrypt").
             with self.clock.stopwatch("ckpt.decrypt") as decrypt_span:
-                iteration, nbuf = _FILE_HEADER.unpack(
-                    _span(chunks, 0, _FILE_HEADER.size)
+                iteration, nbuf = FILE_HEADER.unpack(
+                    _span(chunks, 0, FILE_HEADER.size)
                 )
-                offset = _FILE_HEADER.size
+                offset = FILE_HEADER.size
                 buffers = network.parameter_buffers()
                 if nbuf != len(buffers):
                     raise CheckpointError(
@@ -193,15 +186,16 @@ class SsdCheckpoint:
                         f"{len(buffers)} — architecture mismatch"
                     )
                 for layer_idx, (name, arr) in buffers:
-                    (blen,) = _BUF_HEADER.unpack(
-                        _span(chunks, offset, _BUF_HEADER.size)
+                    (blen,) = BUF_HEADER.unpack(
+                        _span(chunks, offset, BUF_HEADER.size)
                     )
-                    offset += _BUF_HEADER.size
+                    offset += BUF_HEADER.size
                     sealed = _span(chunks, offset, blen)
                     offset += blen
-                    nbytes = blen - SEAL_OVERHEAD
-                    self.clock.advance(crypto.decrypt_time(nbytes))
-                    self._unseal_into(network, layer_idx, name, arr, sealed)
+                    self.clock.advance(crypto.decrypt_time(blen - SEAL_OVERHEAD))
+                    records.open_param(
+                        self.engine, sealed, network.layers[layer_idx], name, arr
+                    )
         finally:
             if outer is not None:
                 rec.end(outer, self.clock.now())
@@ -210,30 +204,6 @@ class SsdCheckpoint:
             crypto_seconds=decrypt_span.elapsed,
             storage_seconds=read_span.elapsed,
         )
-
-    def _unseal_into(
-        self,
-        network: Network,
-        layer_idx: int,
-        name: str,
-        arr: np.ndarray,
-        sealed: Buffer,
-    ) -> None:
-        """Decrypt one record into its float32 C-contiguous parameter
-        array, or through ``set_parameter`` when it is not one."""
-        aad = name.encode()
-        if (
-            arr.dtype == np.float32
-            and arr.flags.c_contiguous
-            and arr.flags.writeable
-            and arr.nbytes == len(sealed) - SEAL_OVERHEAD
-        ):
-            self.engine.unseal_from(sealed, memoryview(arr).cast("B"), aad)
-        else:
-            plaintext = self.engine.unseal(sealed, aad=aad)
-            network.layers[layer_idx].set_parameter(
-                name, np.frombuffer(plaintext, dtype=np.float32)
-            )
 
     # ------------------------------------------------------------------
     def _fwrite_chunks(self, offset: int, data: Buffer) -> None:

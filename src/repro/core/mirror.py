@@ -38,13 +38,14 @@ simulated time is the per-buffer sum accumulated in that order.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Any, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
+from repro.crypto import records
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
+from repro.crypto.records import BUFFER_REF, LAYER_FIXED, MODEL_HEADER
 from repro.darknet.network import Network
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
@@ -61,10 +62,6 @@ MAX_BUFFERS = 8
 #: must not leave a "restorable" mirror whose slots hold unsealed
 #: garbage — restoring one would fail every MAC check on resume.
 UNSEALED_ITERATION = (1 << 64) - 1
-
-_MODEL_HEADER = struct.Struct("<QQQ")  # iteration, num_layers, head
-_LAYER_FIXED = struct.Struct("<QQ")  # next, num_buffers
-_BUFFER_REF = struct.Struct("<QQ")  # sealed_size, offset
 
 
 @dataclass(frozen=True)
@@ -85,23 +82,18 @@ class MirrorError(RuntimeError):
 
 @dataclass
 class _BufferJob:
-    """One parameter buffer queued for sealing or unsealing."""
+    """One parameter buffer queued for sealing."""
 
     name: str
     #: Plaintext size — what the cost model charges.
     nbytes: int
-    #: Enclave-side bytes: the contiguous source of a seal, or the live
-    #: parameter array an unseal overwrites (``None`` when that array
-    #: is not plainly overwritable in place).
-    plain: Optional[memoryview]
-    #: The buffer's PM slot, or DRAM staging when the slot does not fit;
-    #: ``None`` for a seal into ``slot``, staged just before it runs.
-    sealed: Union[memoryview, bytearray, None]
-    in_place: bool = True
+    #: The contiguous enclave-side source of the seal.
+    plain: memoryview
+    #: DRAM staging when the PM slot does not fit; ``None`` for a seal
+    #: into ``slot``, staged just before it runs.
+    sealed: Optional[bytearray]
     #: Main-twin offset of the slot a seal writes in place.
     slot: int = 0
-    #: Owner of an unseal target that must go through ``set_parameter``.
-    layer: Any = None
 
 
 class MirrorModule:
@@ -129,12 +121,15 @@ class MirrorModule:
         """Whether a persistent mirror model is present."""
         return self.region.root(MODEL_ROOT) != 0
 
+    def _model_header(self) -> tuple:
+        """``(iteration, num_layers, head)`` of the PM mirror."""
+        self._require_model()
+        header = self.region.read(self.region.root(MODEL_ROOT), MODEL_HEADER.size)
+        return MODEL_HEADER.unpack(header)
+
     def stored_iteration(self) -> int:
         """Iteration counter recorded in the PM mirror."""
-        self._require_model()
-        header = self.region.read(self.region.root(MODEL_ROOT), _MODEL_HEADER.size)
-        iteration, _, _ = _MODEL_HEADER.unpack(header)
-        return iteration
+        return self._model_header()[0]
 
     def has_snapshot(self) -> bool:
         """Whether the mirror holds at least one sealed snapshot.
@@ -147,14 +142,20 @@ class MirrorModule:
 
     def stored_num_layers(self) -> int:
         """Number of layer nodes in the PM mirror's linked list."""
-        self._require_model()
-        header = self.region.read(self.region.root(MODEL_ROOT), _MODEL_HEADER.size)
-        _, num_layers, _ = _MODEL_HEADER.unpack(header)
-        return num_layers
+        return self._model_header()[1]
 
     def _require_model(self) -> None:
         if not self.exists():
             raise MirrorError("no mirror model allocated on PM")
+
+    def _check_layers(self, network: Network) -> None:
+        self._require_model()
+        plan = self._layer_buffer_plan(network)
+        if len(plan) != self.stored_num_layers():
+            raise MirrorError(
+                f"enclave model has {len(plan)} parameterized layers, "
+                f"PM mirror has {self.stored_num_layers()}"
+            )
 
     def _layer_buffer_plan(self, network: Network):
         """Per-layer list of (name, nbytes) for layers that have buffers."""
@@ -185,7 +186,7 @@ class MirrorModule:
             raise MirrorError("mirror model already allocated")
         plan = self._layer_buffer_plan(network)
         with self.region.begin_transaction() as tx:
-            node_size = _LAYER_FIXED.size + MAX_BUFFERS * _BUFFER_REF.size
+            node_size = LAYER_FIXED.size + MAX_BUFFERS * BUFFER_REF.size
             head = 0
             prev_node = 0
             for buffers in plan:
@@ -194,32 +195,27 @@ class MirrorModule:
                 for _, nbytes in buffers:
                     sealed_size = nbytes + SEAL_OVERHEAD
                     buf_off = self.heap.pmalloc(tx, sealed_size)
-                    refs += _BUFFER_REF.pack(sealed_size, buf_off)
-                refs = refs.ljust(MAX_BUFFERS * _BUFFER_REF.size, b"\x00")
-                tx.write(node, _LAYER_FIXED.pack(0, len(buffers)) + refs)
+                    refs += BUFFER_REF.pack(sealed_size, buf_off)
+                refs = refs.ljust(MAX_BUFFERS * BUFFER_REF.size, b"\x00")
+                tx.write(node, LAYER_FIXED.pack(0, len(buffers)) + refs)
                 if prev_node:
                     tx.write_u64(prev_node, node)  # prev.next = node
                 else:
                     head = node
                 prev_node = node
-            model = self.heap.pmalloc(tx, _MODEL_HEADER.size)
+            model = self.heap.pmalloc(tx, MODEL_HEADER.size)
             tx.write(
                 model,
-                _MODEL_HEADER.pack(UNSEALED_ITERATION, len(plan), head),
+                MODEL_HEADER.pack(UNSEALED_ITERATION, len(plan), head),
             )
             tx.write_u64(self.region.root_offset(MODEL_ROOT), model)
 
-    def _model_head(self, model_offset: int) -> int:
-        header = self.region.read(model_offset, _MODEL_HEADER.size)
-        _, _, head = _MODEL_HEADER.unpack(header)
-        return head
-
     def _buffer_refs(self, node: int, num_buffers: int):
         raw = self.region.read(
-            node + _LAYER_FIXED.size, num_buffers * _BUFFER_REF.size
+            node + LAYER_FIXED.size, num_buffers * BUFFER_REF.size
         )
         return [
-            _BUFFER_REF.unpack_from(raw, i * _BUFFER_REF.size)
+            BUFFER_REF.unpack_from(raw, i * BUFFER_REF.size)
             for i in range(num_buffers)
         ]
 
@@ -228,14 +224,14 @@ class MirrorModule:
     # ------------------------------------------------------------------
     def _mirror_layout(self, model: int):
         """Walk the persistent layer list once: header + per-layer refs."""
-        iteration, num_layers, head = _MODEL_HEADER.unpack(
-            self.region.read(model, _MODEL_HEADER.size)
+        iteration, num_layers, head = MODEL_HEADER.unpack(
+            self.region.read(model, MODEL_HEADER.size)
         )
         layout = []
         node = head
         while node:
-            nxt, nbuf = _LAYER_FIXED.unpack(
-                self.region.read(node, _LAYER_FIXED.size)
+            nxt, nbuf = LAYER_FIXED.unpack(
+                self.region.read(node, LAYER_FIXED.size)
             )
             layout.append(self._buffer_refs(node, nbuf))
             node = nxt
@@ -245,7 +241,7 @@ class MirrorModule:
         """One job per parameter buffer, in rows matching ``layout``.
 
         A buffer whose PM slot has the expected sealed size is sealed in
-        place, through a writable staging view :meth:`_run_job` takes
+        place, through a writable staging view :meth:`_seal_all` takes
         just before the seal (staging saves the slot's pre-image, which
         is then still hot); on any shape mismatch it is staged in DRAM
         instead and the write phase raises the structural error.
@@ -267,22 +263,19 @@ class MirrorModule:
                         nbytes=contig.nbytes,
                         plain=memoryview(contig).cast("B"),
                         sealed=None if in_place else bytearray(sealed_size),
-                        in_place=in_place,
                         slot=refs[i][1] if in_place else 0,
                     )
                 )
             rows.append(row)
         return rows
 
-    def _run_job(self, job: _BufferJob, seal: bool) -> None:
-        """Seal one buffer into its slot, or unseal one into its array."""
-        aad = job.name.encode()
-        if job.plain is None:  # unseal target not overwritable in place
-            plaintext = self.engine.unseal(job.sealed, aad=aad)
-            job.layer.set_parameter(
-                job.name, np.frombuffer(plaintext, dtype=np.float32)
-            )
-        elif seal:
+    def _seal_all(self, jobs: List[_BufferJob]) -> None:
+        """Charge and run the AES-GCM work of the encrypt phase."""
+        cost = self.profile.crypto.encrypt_time
+        for job in jobs:
+            # Reading the model out of (possibly paged) EPC memory.
+            self.enclave.touch(job.nbytes)
+            self.clock.advance(cost(job.nbytes))
             sealed = job.sealed
             if sealed is None:
                 # Seal in place: the write phase accounts this exact
@@ -290,33 +283,14 @@ class MirrorModule:
                 sealed = self.region.staging_view(
                     job.slot, job.nbytes + SEAL_OVERHEAD
                 )
-            self.engine.seal_into(job.plain, sealed, aad=aad)
-        else:
-            self.engine.unseal_from(job.sealed, job.plain, aad=aad)
-
-    def _run_jobs(self, jobs: List[_BufferJob], seal: bool) -> None:
-        """Charge and run the AES-GCM work of one encrypt/decrypt phase."""
-        crypto = self.profile.crypto
-        cost = crypto.encrypt_time if seal else crypto.decrypt_time
-        for job in jobs:
-            if seal:
-                # Reading the model out of (possibly paged) EPC memory.
-                self.enclave.touch(job.nbytes)
-            self.clock.advance(cost(job.nbytes))
-            self._run_job(job, seal)
+            records.seal_param(self.engine, job.plain, sealed, job.name)
 
     # ------------------------------------------------------------------
     # Algorithm 3: mirror_out / mirror_in
     # ------------------------------------------------------------------
     def mirror_out(self, network: Network, iteration: int) -> MirrorTiming:
         """Encrypt the enclave model and update its PM mirror atomically."""
-        self._require_model()
-        plan = self._layer_buffer_plan(network)
-        if len(plan) != self.stored_num_layers():
-            raise MirrorError(
-                f"enclave model has {len(plan)} parameterized layers, "
-                f"PM mirror has {self.stored_num_layers()}"
-            )
+        self._check_layers(network)
 
         rec = self.clock.recorder
         outer = (
@@ -340,7 +314,7 @@ class MirrorModule:
             # Phase 1 — encrypt in the enclave (Table Ia "Encrypt").
             with self.clock.stopwatch("mirror.encrypt") as encrypt_span:
                 rows = self._seal_jobs(network, layout)
-                self._run_jobs([job for row in rows for job in row], seal=True)
+                self._seal_all([job for row in rows for job in row])
 
             # Phase 2 — write to PM in one durable transaction ("Write").
             prefilled: List[tuple] = []
@@ -349,7 +323,7 @@ class MirrorModule:
                     with self.region.begin_transaction() as tx:
                         tx.write(
                             model,
-                            _MODEL_HEADER.pack(iteration, num_layers, head),
+                            MODEL_HEADER.pack(iteration, num_layers, head),
                         )
                         for refs, row in zip(layout, rows):
                             if len(refs) != len(row):
@@ -358,7 +332,7 @@ class MirrorModule:
                                     f"enclave layer has {len(row)}"
                                 )
                             for (size, offset), job in zip(refs, row):
-                                if job.in_place:
+                                if job.sealed is None:
                                     tx.write_prefilled(offset, size)
                                     prefilled.append((offset, size))
                                 else:
@@ -413,14 +387,9 @@ class MirrorModule:
                     size,
                 )
 
-    def _unseal_jobs(self, network: Network, sealed_layers) -> List[_BufferJob]:
-        """One job per mirrored buffer, paired with its enclave array.
-
-        A float32, C-contiguous, writeable array of the mirrored size is
-        decrypted into directly; anything else goes through ``unseal``
-        + ``set_parameter``.
-        """
-        jobs: List[_BufferJob] = []
+    def _unseal_jobs(self, network: Network, sealed_layers) -> List[tuple]:
+        """One ``(layer, name, array, sealed)`` job per mirrored buffer."""
+        jobs: List[tuple] = []
         layer_iter = iter(sealed_layers)
         for layer in network.layers:
             buffers = layer.parameter_buffers()
@@ -432,23 +401,10 @@ class MirrorModule:
                     f"layer {layer.kind}: {len(buffers)} buffers "
                     f"expected, {len(blobs)} mirrored"
                 )
-            for (name, arr), blob in zip(buffers, blobs):
-                nbytes = len(blob) - SEAL_OVERHEAD
-                overwritable = (
-                    arr.dtype == np.float32
-                    and arr.flags.c_contiguous
-                    and arr.flags.writeable
-                    and arr.nbytes == nbytes
-                )
-                jobs.append(
-                    _BufferJob(
-                        name=name,
-                        nbytes=nbytes,
-                        plain=memoryview(arr).cast("B") if overwritable else None,
-                        sealed=blob,
-                        layer=layer,
-                    )
-                )
+            jobs.extend(
+                (layer, name, arr, blob)
+                for (name, arr), blob in zip(buffers, blobs)
+            )
         return jobs
 
     def mirror_in(self, network: Network) -> MirrorTiming:
@@ -457,20 +413,14 @@ class MirrorModule:
         Sets ``network.iteration`` to the mirrored counter so training
         "resumes where it left off".
         """
-        self._require_model()
-        plan = self._layer_buffer_plan(network)
-        if len(plan) != self.stored_num_layers():
-            raise MirrorError(
-                f"enclave model has {len(plan)} parameterized layers, "
-                f"PM mirror has {self.stored_num_layers()}"
-            )
+        self._check_layers(network)
         if not self.has_snapshot():
             raise MirrorError(
                 "mirror allocated but never written: no snapshot to restore"
             )
         model = self.region.root(MODEL_ROOT)
-        iteration, _, head = _MODEL_HEADER.unpack(
-            self.region.read(model, _MODEL_HEADER.size)
+        iteration, _, head = MODEL_HEADER.unpack(
+            self.region.read(model, MODEL_HEADER.size)
         )
 
         rec = self.clock.recorder
@@ -487,8 +437,8 @@ class MirrorModule:
                 sealed_layers = []
                 node = head
                 while node:
-                    nxt, nbuf = _LAYER_FIXED.unpack(
-                        self.region.read(node, _LAYER_FIXED.size)
+                    nxt, nbuf = LAYER_FIXED.unpack(
+                        self.region.read(node, LAYER_FIXED.size)
                     )
                     blobs = []
                     for size, offset in self._buffer_refs(node, nbuf):
@@ -499,9 +449,12 @@ class MirrorModule:
 
             # Phase 2 — decrypt into the enclave model ("Decrypt").
             with self.clock.stopwatch("mirror.decrypt") as decrypt_span:
-                self._run_jobs(
-                    self._unseal_jobs(network, sealed_layers), seal=False
-                )
+                cost = self.profile.crypto.decrypt_time
+                for layer, name, arr, blob in self._unseal_jobs(
+                    network, sealed_layers
+                ):
+                    self.clock.advance(cost(len(blob) - SEAL_OVERHEAD))
+                    records.open_param(self.engine, blob, layer, name, arr)
         finally:
             if outer is not None:
                 rec.end(outer, self.clock.now())

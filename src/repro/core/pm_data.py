@@ -14,12 +14,13 @@ baseline.
 
 from __future__ import annotations
 
-import struct
 from typing import Tuple
 
 import numpy as np
 
+from repro.crypto import records
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
+from repro.crypto.records import DATA_HEADER
 from repro.darknet.data import DataMatrix
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
@@ -28,9 +29,6 @@ from repro.simtime.profiles import ServerProfile
 
 #: Root-directory slot holding the persistent data matrix.
 DATA_ROOT = 1
-
-_DATA_HEADER = struct.Struct("<QQQQQQQ")
-# rows, features, classes, row_plain, row_stored, rows_offset, encrypted
 
 
 class PmDataError(RuntimeError):
@@ -63,8 +61,8 @@ class PmDataModule:
     def _header(self) -> Tuple[int, int, int, int, int, int, int]:
         if not self.exists():
             raise PmDataError("no training data loaded in PM")
-        raw = self.region.read(self.region.root(DATA_ROOT), _DATA_HEADER.size)
-        return _DATA_HEADER.unpack(raw)
+        raw = self.region.read(self.region.root(DATA_ROOT), DATA_HEADER.size)
+        return DATA_HEADER.unpack(raw)
 
     @property
     def num_rows(self) -> int:
@@ -97,10 +95,10 @@ class PmDataModule:
 
         with self.region.begin_transaction() as tx:
             rows_offset = self.heap.pmalloc(tx, len(data) * row_stored)
-            header = self.heap.pmalloc(tx, _DATA_HEADER.size)
+            header = self.heap.pmalloc(tx, DATA_HEADER.size)
             tx.write(
                 header,
-                _DATA_HEADER.pack(
+                DATA_HEADER.pack(
                     len(data),
                     data.features,
                     data.classes,
@@ -118,11 +116,11 @@ class PmDataModule:
             stop = min(start + chunk_rows, len(data))
             sealed, plain = bytearray(), bytearray()
             for i in range(start, stop):
-                row = data.x[i].tobytes() + data.y[i].tobytes()
+                row = records.row_plaintext(data.x, data.y, i)
                 if encrypted:
                     self.enclave.touch(row_plain)
                     self.clock.advance(crypto.encrypt_time(row_plain))
-                    sealed += self.engine.seal(row)
+                    sealed += records.seal(self.engine, row, records.ROW)
                 else:
                     plain += row
             # Separate writes keep the suppression below off the sealed path.
@@ -166,12 +164,10 @@ class PmDataModule:
             self.enclave.copy_in(row_stored)
             if enc:
                 self.clock.advance(crypto.decrypt_time(row_plain))
-                row = self.engine.unseal(stored)
+                row = records.unseal(self.engine, stored, records.ROW)
             else:
                 row = stored
-            flat = np.frombuffer(row, dtype=np.float32)
-            x[out_i] = flat[:features]
-            y[out_i] = flat[features:]
+            records.split_row(row, x, y, out_i)
         return x, y
 
     def random_batch(

@@ -21,7 +21,6 @@ a batch of one) with byte-identical output.
 from __future__ import annotations
 
 import contextlib
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ import numpy as np
 from repro.core.mirror import MirrorModule
 from repro.core.models import MNIST_INPUT_SHAPE
 from repro.crypto.engine import SEAL_OVERHEAD
+from repro.crypto.records import REQUEST_HEADER
 from repro.darknet.arena import TensorArena
 from repro.darknet.network import Network
 from repro.obs.context import TraceContext, trace_scope
@@ -41,8 +41,6 @@ from repro.sgx.attestation import (
 )
 from repro.sgx.enclave import Enclave
 from repro.sgx.rand import SgxRandom
-
-_REQUEST = struct.Struct("<QQ")  # n_samples, features
 
 #: One sealed request routed through the gateway:
 #: ``(session_id, seq, sealed_bytes)``.
@@ -220,7 +218,7 @@ class SecureInferenceService:
             )
 
         features = int(np.prod(self.input_shape))
-        header = _REQUEST.size
+        header = REQUEST_HEADER.size
         sample_bytes = features * 4  # float32 payload
 
         with span("serve.stack"):
@@ -254,7 +252,7 @@ class SecureInferenceService:
                 buf = staging[:plain]
                 with request_scope(i):
                     session.open_request_into(seq, sealed, buf.data)
-                got_n, got_features = _REQUEST.unpack_from(buf.data, 0)
+                got_n, got_features = REQUEST_HEADER.unpack_from(buf.data, 0)
                 if got_features != features:
                     raise ValueError(
                         f"request has {got_features} features; "
@@ -322,7 +320,7 @@ class InferenceClient:
         flat = np.ascontiguousarray(
             images.reshape(len(images), -1), dtype=np.float32
         )
-        return _REQUEST.pack(len(flat), flat.shape[1]) + flat.tobytes()
+        return REQUEST_HEADER.pack(len(flat), flat.shape[1]) + flat.tobytes()
 
     def seal_request_seq(self, images: np.ndarray) -> Tuple[int, bytes]:
         """Seal a request under the mux session; returns ``(seq, bytes)``.

@@ -19,12 +19,10 @@ comes back encrypted.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.system import PliniusSystem, TrainResult
+from repro.crypto import records
 from repro.crypto.engine import EncryptionEngine
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
@@ -32,7 +30,6 @@ from repro.darknet.weights import save_weights
 from repro.sgx.attestation import establish_channel
 from repro.sgx.rand import SgxRandom  # repro: noqa[SEC002] -- the DataOwner's own CSPRNG on the client side of Fig. 3, not enclave state
 
-_ROW_HEADER = struct.Struct("<QQQ")  # rows, features, classes
 #: Seeds the data owner and the system of the end-to-end run.
 SEED = 3
 
@@ -58,34 +55,11 @@ class DataOwner:
 
     def encrypt_dataset(self, data: DataMatrix) -> bytes:
         """Serialize + row-encrypt the dataset for upload (Fig. 5 step 1)."""
-        blob = bytearray(
-            _ROW_HEADER.pack(len(data), data.features, data.classes)
-        )
-        for i in range(len(data)):
-            row = data.x[i].tobytes() + data.y[i].tobytes()
-            blob += self.engine.seal(row)
-        return bytes(blob)
+        return records.seal_upload(self.engine, data.x, data.y)
 
     def open_model(self, sealed_model: bytes) -> bytes:
         """Decrypt the final model blob the enclave returned."""
-        return self.engine.unseal(sealed_model, aad=b"final-model")
-
-
-def _decrypt_dataset(engine: EncryptionEngine, blob: bytes) -> DataMatrix:
-    """Enclave-side: unseal the uploaded dataset row by row."""
-    rows, features, classes = _ROW_HEADER.unpack_from(blob, 0)
-    row_plain = (features + classes) * 4
-    row_sealed = row_plain + 28
-    x = np.empty((rows, features), dtype=np.float32)
-    y = np.empty((rows, classes), dtype=np.float32)
-    offset = _ROW_HEADER.size
-    for i in range(rows):
-        row = engine.unseal(blob[offset : offset + row_sealed])
-        flat = np.frombuffer(row, dtype=np.float32)
-        x[i] = flat[:features]
-        y[i] = flat[features:]
-        offset += row_sealed
-    return DataMatrix(x=x, y=y)
+        return records.unseal(self.engine, sealed_model, records.FINAL_MODEL)
 
 
 def run_full_workflow(data: DataMatrix) -> WorkflowArtifacts:
@@ -123,8 +97,8 @@ def run_full_workflow(data: DataMatrix) -> WorkflowArtifacts:
     )
     uploaded = system.runtime.ocall("fread_dataset")
     system.enclave.copy_in(len(uploaded))
-    staged = _decrypt_dataset(system.engine, uploaded)
-    system.load_data(staged, encrypted=True)
+    x, y = records.open_upload(system.engine, uploaded)
+    system.load_data(DataMatrix(x=x, y=y), encrypted=True)
 
     # Step 5/6 — train with per-iteration mirroring; entered via the
     # train_model ecall (Algorithm 2).
@@ -136,7 +110,9 @@ def run_full_workflow(data: DataMatrix) -> WorkflowArtifacts:
     result = system.runtime.ecall("train_model")
 
     # Final model handed back sealed under the owner's key.
-    sealed_model = system.engine.seal(save_weights(network), aad=b"final-model")
+    sealed_model = records.seal(
+        system.engine, save_weights(network), records.FINAL_MODEL
+    )
     return WorkflowArtifacts(
         system=system,
         network=network,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.network import NIC_BANDWIDTH, NIC_LATENCY, ClusterNetwork
+from repro.crypto import records
 from repro.crypto.engine import EncryptionEngine
 from repro.faults import plan as faultplan
 from repro.simtime.clock import SimClock
@@ -47,7 +48,7 @@ class SecureLink:
             + header
             + np.ascontiguousarray(array, dtype=np.float32).tobytes()
         )
-        sealed = self.engine.seal(payload, aad=b"inter-enclave-tensor")
+        sealed = records.seal(self.engine, payload, records.LINK_TENSOR)
         self.stats["messages"] += 1
         self.stats["bytes"] += len(sealed)
         return sealed
@@ -61,7 +62,7 @@ class SecureLink:
         active = faultplan.ACTIVE
         if active.enabled:
             active.check("link.recv")
-        payload = self.engine.unseal(message, aad=b"inter-enclave-tensor")
+        payload = records.unseal(self.engine, message, records.LINK_TENSOR)
         ndim = int.from_bytes(payload[:4], "little")
         shape = tuple(
             np.frombuffer(payload, dtype=np.int64, count=ndim, offset=4)

@@ -28,12 +28,13 @@ and the ``fed-commit-before-durable`` mutant are about.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 import numpy as np
 
+from repro.crypto import records
 from repro.crypto.engine import EncryptionEngine
+from repro.crypto.records import LEDGER_ENTRY, LEDGER_HEADER
 from repro.federated.merkle import DIGEST_SIZE
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
@@ -44,18 +45,9 @@ FED_ROOT = 1
 #: Number of round entries preallocated at format time.
 CAPACITY = 64
 
-_HEADER = struct.Struct("<QQ")  # count, capacity
-#: round, n_clients, merkle root, sealed-params (size, offset),
-#: leaf-payload blob (size, offset)
-_ENTRY = struct.Struct(f"<QQ{DIGEST_SIZE}sQQQQ")
-
 
 class LedgerError(Exception):
     """Structural misuse of the federation ledger."""
-
-
-def _params_aad(round_no: int) -> bytes:
-    return b"fed-params|" + round_no.to_bytes(8, "big")
 
 
 class FederatedLedger:
@@ -79,11 +71,11 @@ class FederatedLedger:
         """Allocate the empty ledger (one transaction)."""
         if self.exists():
             raise LedgerError("federation ledger already formatted")
-        size = _HEADER.size + CAPACITY * _ENTRY.size
+        size = LEDGER_HEADER.size + CAPACITY * LEDGER_ENTRY.size
         with self.region.begin_transaction() as tx:
             base = self.heap.pmalloc(tx, size)
-            tx.write(base, _HEADER.pack(0, CAPACITY) + b"\x00" * (
-                CAPACITY * _ENTRY.size
+            tx.write(base, LEDGER_HEADER.pack(0, CAPACITY) + b"\x00" * (
+                CAPACITY * LEDGER_ENTRY.size
             ))
             tx.write_u64(self.region.root_offset(FED_ROOT), base)
 
@@ -95,12 +87,13 @@ class FederatedLedger:
 
     def _header(self) -> tuple:
         base = self._require()
-        count, capacity = _HEADER.unpack(self.region.read(base, _HEADER.size))
+        raw = self.region.read(base, LEDGER_HEADER.size)
+        count, capacity = LEDGER_HEADER.unpack(raw)
         return base, count, capacity
 
     def _entry(self, base: int, index: int) -> tuple:
-        offset = base + _HEADER.size + index * _ENTRY.size
-        return _ENTRY.unpack(self.region.read(offset, _ENTRY.size))
+        offset = base + LEDGER_HEADER.size + index * LEDGER_ENTRY.size
+        return LEDGER_ENTRY.unpack(self.region.read(offset, LEDGER_ENTRY.size))
 
     # ------------------------------------------------------------------
     def committed_round(self) -> int:
@@ -168,7 +161,7 @@ class FederatedLedger:
                 f"round {round_no} would regress the tip (at {tip})"
             )
         plain = np.ascontiguousarray(params, dtype=np.float32).tobytes()
-        sealed = self.engine.seal(plain, aad=_params_aad(round_no))
+        sealed = records.seal(self.engine, plain, records.FED_PARAMS, round_no)
         with self.region.begin_transaction() as tx:
             blob = self.heap.pmalloc(tx, len(sealed))
             tx.write(blob, sealed)
@@ -176,13 +169,13 @@ class FederatedLedger:
             if leaves:
                 leaves_off = self.heap.pmalloc(tx, len(leaves))
                 tx.write(leaves_off, leaves)
-            entry_off = base + _HEADER.size + count * _ENTRY.size
+            entry_off = base + LEDGER_HEADER.size + count * LEDGER_ENTRY.size
             tx.write(
                 entry_off,
-                _ENTRY.pack(round_no, n_clients, merkle_root,
-                            len(sealed), blob, len(leaves), leaves_off),
+                LEDGER_ENTRY.pack(round_no, n_clients, merkle_root,
+                                  len(sealed), blob, len(leaves), leaves_off),
             )
-            tx.write(base, _HEADER.pack(count + 1, capacity))
+            tx.write(base, LEDGER_HEADER.pack(count + 1, capacity))
 
     def load_params(self) -> np.ndarray:
         """Unseal the merged parameter vector of the durable tip.
@@ -196,5 +189,7 @@ class FederatedLedger:
             raise LedgerError("no committed rounds to load")
         entry_round, _, _, size, blob = self._entry(base, count - 1)[:5]
         sealed = self.region.read(blob, size)
-        plain = self.engine.unseal(sealed, aad=_params_aad(entry_round))
+        plain = records.unseal(
+            self.engine, sealed, records.FED_PARAMS, entry_round
+        )
         return np.frombuffer(plain, dtype=np.float32).copy()

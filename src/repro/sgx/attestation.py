@@ -34,8 +34,9 @@ import hmac
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.crypto import records
 from repro.crypto.engine import IV_SIZE, EncryptionEngine, RandomSource
-from repro.obs.context import TraceContext, current_trace, trace_scope
+from repro.crypto.records import REQUEST, RESPONSE
 from repro.sgx.enclave import Enclave
 from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
 
@@ -118,14 +119,14 @@ class SecureChannel:
 
     def send(self, plaintext: bytes) -> bytes:
         """Protect a message for the peer."""
-        return self.engine.seal(plaintext, aad=b"plinius-secure-channel")
+        return records.seal(self.engine, plaintext, records.CHANNEL)
 
     def receive(self, sealed: bytes) -> bytes:
         """Open a message from the peer."""
-        return self.engine.unseal(sealed, aad=b"plinius-secure-channel")
+        return records.unseal(self.engine, sealed, records.CHANNEL)
 
 
-class InferenceSession:
+class InferenceSession(records.MuxRecords):
     """One attested client session, multiplexable across enclave replicas.
 
     :class:`SecureChannel` draws each AES-GCM nonce from the endpoint's
@@ -148,94 +149,25 @@ class InferenceSession:
     no nonce is ever reused with two different payloads under one key.
     """
 
-    _DIR_REQUEST = b"req"
-    _DIR_RESPONSE = b"rsp"
-
     def __init__(self, session_id: int, key: bytes) -> None:
-        self.session_id = session_id
-        self.engine = EncryptionEngine(key)
         # Key, salt and session id are fixed for the session's life, so
         # the HKDF extract and the AAD prefixes are paid here, once;
         # a message then costs the expand alone — one HMAC.
+        super().__init__(EncryptionEngine(key), session_id)
         self._iv_prk = hkdf_extract(b"plinius-mux-iv", self.engine.key)
-        sid = session_id.to_bytes(8, "big")
-        self._aad_prefix = {
-            direction: b"plinius-mux|" + direction + sid
-            for direction in (self._DIR_REQUEST, self._DIR_RESPONSE)
-        }
 
     def _iv(self, direction: bytes, seq: int) -> bytes:
         return hkdf_expand(
             self._iv_prk, direction + seq.to_bytes(8, "big"), IV_SIZE
         )
 
-    def _aad(self, direction: bytes, seq: int) -> bytes:
-        return self._aad_prefix[direction] + seq.to_bytes(8, "big")
-
-    def _request_span(
-        self,
-        ctx: TraceContext,
-        name: str,
-        direction: bytes,
-        seq: int,
-        nbytes: int,
-    ):
-        """Open a request-plane span under ``ctx``'s parent.
-
-        Session seals happen inside a batch entry whose sim time the
-        session cannot see, so the span is pinned at the context's
-        ``sim_now`` (zero sim width — the batch cost model charges the
-        crypto time at the batch level); the wall clock still measures
-        the real work.
-        """
-        return ctx.recorder.begin(
-            name,
-            ctx.sim_now,
-            category="sgx",
-            args={
-                "bytes": nbytes,
-                "direction": direction.decode("ascii"),
-                "seq": seq,
-                "session": self.session_id,
-            },
-            parent=ctx.parent,
-            trace_id=ctx.trace_id,
-        )
-
-    def _seal(self, direction: bytes, seq: int, payload: bytes) -> bytes:
-        aad = self._aad(direction, seq)
-        iv = self._iv(direction, seq)
-        ctx = current_trace()
-        if ctx is None:
-            return self.engine.seal(payload, aad=aad, iv=iv)
-        span = self._request_span(
-            ctx, "sgx.session.seal", direction, seq, len(payload)
-        )
-        try:
-            with trace_scope(ctx.child(span)):
-                return self.engine.seal(payload, aad=aad, iv=iv)
-        finally:
-            ctx.recorder.end(span, ctx.sim_now)
-
-    def _open(self, direction: bytes, seq: int, sealed: bytes) -> bytes:
-        aad = self._aad(direction, seq)
-        ctx = current_trace()
-        if ctx is None:
-            return self.engine.unseal(sealed, aad=aad)
-        span = self._request_span(
-            ctx, "sgx.session.open", direction, seq, len(sealed)
-        )
-        try:
-            with trace_scope(ctx.child(span)):
-                return self.engine.unseal(sealed, aad=aad)
-        finally:
-            ctx.recorder.end(span, ctx.sim_now)
+    _aad = records.MuxRecords.aad
 
     def seal_request(self, seq: int, payload: bytes) -> bytes:
-        return self._seal(self._DIR_REQUEST, seq, payload)
+        return self.seal(REQUEST, seq, payload, self._iv(REQUEST, seq))
 
     def open_request(self, seq: int, sealed: bytes) -> bytes:
-        return self._open(self._DIR_REQUEST, seq, sealed)
+        return self.unseal(REQUEST, seq, sealed)
 
     def open_request_into(self, seq: int, sealed: bytes, out) -> int:
         """Decrypt request ``seq`` straight into ``out``; returns bytes.
@@ -245,24 +177,13 @@ class InferenceSession:
         :meth:`~repro.crypto.engine.EncryptionEngine.unseal_from`: on an
         integrity failure ``out`` holds garbage and must be discarded.
         """
-        aad = self._aad(self._DIR_REQUEST, seq)
-        ctx = current_trace()
-        if ctx is None:
-            return self.engine.unseal_from(sealed, out, aad=aad)
-        span = self._request_span(
-            ctx, "sgx.session.open", self._DIR_REQUEST, seq, len(sealed)
-        )
-        try:
-            with trace_scope(ctx.child(span)):
-                return self.engine.unseal_from(sealed, out, aad=aad)
-        finally:
-            ctx.recorder.end(span, ctx.sim_now)
+        return self.unseal_from(REQUEST, seq, sealed, out)
 
     def seal_response(self, seq: int, payload: bytes) -> bytes:
-        return self._seal(self._DIR_RESPONSE, seq, payload)
+        return self.seal(RESPONSE, seq, payload, self._iv(RESPONSE, seq))
 
     def open_response(self, seq: int, sealed: bytes) -> bytes:
-        return self._open(self._DIR_RESPONSE, seq, sealed)
+        return self.unseal(RESPONSE, seq, sealed)
 
 
 def _modp_pow(base: int, exponent: int) -> int:

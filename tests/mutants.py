@@ -121,17 +121,16 @@ MUTANTS = (
         name="checkpoint-plaintext-via-helper",
         path="repro/core/checkpoint.py",
         old=(
-            "                    size = self.engine.seal_into(\n"
-            "                        plaintext,\n"
-            "                        record[_BUF_HEADER.size :],\n"
-            "                        aad=name.encode(),\n"
-            "                        iv=iv,\n"
+            "                    end = records.seal_frame(\n"
+            "                        self.engine, plaintext, record, name, iv\n"
             "                    )\n"
         ),
         new=(
             "                    size = len(plaintext)\n"
-            "                    record[_BUF_HEADER.size : _BUF_HEADER.size"
+            "                    record[BUF_HEADER.size : BUF_HEADER.size"
             " + size] = plaintext\n"
+            "                    BUF_HEADER.pack_into(record, 0, size)\n"
+            "                    end = BUF_HEADER.size + size\n"
         ),
         defect="the checkpoint copies raw parameter bytes into its record "
         "buffer, reaching the ocall sink only inside the _fwrite_chunks "
@@ -241,7 +240,7 @@ MUTANTS = (
     Mutant(
         name="pm-data-rows-unsealed",
         path="repro/core/pm_data.py",
-        old="                    sealed += self.engine.seal(row)\n",
+        old="                    sealed += records.seal(self.engine, row, records.ROW)\n",
         new="                    sealed += row\n",
         defect="encrypted training rows are written to PM without being "
         "sealed",

@@ -351,17 +351,17 @@ class TestSecurity:
         mirror.mirror_out(net, 1)
         # The conv layer's scales and rolling_mean have identical sealed
         # sizes; swap them on PM.
-        from repro.core.mirror import _LAYER_FIXED, _MODEL_HEADER, _BUFFER_REF
+        from repro.crypto.records import BUFFER_REF, LAYER_FIXED, MODEL_HEADER
 
         model = region.root(0)
-        _, _, head = _MODEL_HEADER.unpack(
-            region.read(model, _MODEL_HEADER.size)
+        _, _, head = MODEL_HEADER.unpack(
+            region.read(model, MODEL_HEADER.size)
         )
         raw = region.read(
-            head + _LAYER_FIXED.size, 5 * _BUFFER_REF.size
+            head + LAYER_FIXED.size, 5 * BUFFER_REF.size
         )
         refs = [
-            _BUFFER_REF.unpack_from(raw, i * _BUFFER_REF.size)
+            BUFFER_REF.unpack_from(raw, i * BUFFER_REF.size)
             for i in range(5)
         ]
         scales_size, scales_off = refs[2]
