@@ -186,8 +186,8 @@ class SsdCheckpoint:
                         f"{len(buffers)} — architecture mismatch"
                     )
                 for layer_idx, (name, arr) in buffers:
-                    (blen,) = BUF_HEADER.unpack(
-                        _span(chunks, offset, BUF_HEADER.size)
+                    blen = records.frame_length(
+                        _span(chunks, offset, BUF_HEADER.size), size - offset
                     )
                     offset += BUF_HEADER.size
                     sealed = _span(chunks, offset, blen)

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import SEAL_OVERHEAD, Buffer, EncryptionEngine
 from repro.obs.context import current_trace, trace_scope
 
@@ -102,6 +103,16 @@ def seal_frame(engine: EncryptionEngine, plaintext: Buffer, record, name: str, i
     return BUF_HEADER.size + size
 
 
+def frame_length(header: Buffer, room: int) -> int:
+    """The sealed length a checkpoint record header claims, checked to
+    hold a sealed record within the ``room`` bytes left from the header."""
+    if len(header) == BUF_HEADER.size:
+        (length,) = BUF_HEADER.unpack(header)
+        if SEAL_OVERHEAD <= length <= room - BUF_HEADER.size:
+            return length
+    raise IntegrityError(f"checkpoint record header does not fit the {room} bytes left")
+
+
 def row_plaintext(x: np.ndarray, y: np.ndarray, i: int) -> bytes:
     """Data row ``i``: its float32 features, then its one-hot label."""
     return x[i].tobytes() + y[i].tobytes()
@@ -122,9 +133,14 @@ def seal_upload(engine: EncryptionEngine, x: np.ndarray, y: np.ndarray) -> bytes
 
 
 def open_upload(engine: EncryptionEngine, blob: Buffer) -> Tuple[np.ndarray, np.ndarray]:
-    """Open a dataset upload into ``(x, y)``."""
+    """Open a dataset upload into ``(x, y)``, its untrusted header checked
+    to account for exactly its length before anything is allocated."""
+    if len(blob) < ROW_HEADER.size:
+        raise IntegrityError(f"upload of {len(blob)} bytes has no header")
     rows, features, classes = ROW_HEADER.unpack_from(blob, 0)
     size = (features + classes) * 4 + SEAL_OVERHEAD
+    if ROW_HEADER.size + rows * size != len(blob):
+        raise IntegrityError(f"upload header claims {rows} rows of {size} bytes")
     x = np.empty((rows, features), dtype=np.float32)
     y = np.empty((rows, classes), dtype=np.float32)
     for i in range(rows):

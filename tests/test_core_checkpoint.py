@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import sys
 import tracemalloc
 
@@ -226,3 +227,41 @@ class TestRecordAtATime:
         for i in range(bad + 1, len(got)):
             assert got[i].tobytes() == untouched[i].tobytes()
         assert target.iteration != 1
+
+
+class TestForgedRecordLength:
+    """A record's length header is untrusted file bytes: one too short
+    to hold a sealed record, or one that runs past the file, fails
+    closed before the record is charged."""
+
+    FORGED = 3  # the fourth record
+
+    def _restore(self, length: int):
+        """Save, rewrite the forged record's length header with
+        ``length`` and restore: (simulated seconds, timing or error)."""
+        ssd, ckpt = make_checkpoint()
+        net = make_model(seed=1)
+        ckpt.save(net, 1)
+        offset, _ = record_spans(net)[self.FORGED]
+        ssd.write(ckpt.path, offset - 8, struct.pack("<Q", length))
+        ssd.fsync(ckpt.path)
+        start = ckpt.clock.now()
+        try:
+            _, outcome = ckpt.restore(make_model(seed=2))
+        except IntegrityError as exc:
+            outcome = exc
+        return ckpt.clock.now() - start, outcome
+
+    @pytest.mark.parametrize("length", [4, 1 << 40])
+    def test_forged_length_fails_closed_before_the_charge(self, length):
+        elapsed, error = self._restore(length)
+        assert isinstance(error, IntegrityError)
+        # The same file with the true length: its read phase and the
+        # records before the forged one are all a forged restore charges.
+        net = make_model(seed=1)
+        _, true_length = record_spans(net)[self.FORGED]
+        _, timing = self._restore(true_length)
+        charged = timing.storage_seconds
+        for _, (_, arr) in net.parameter_buffers()[: self.FORGED]:
+            charged += SGX_EMLPM.crypto.decrypt_time(arr.nbytes)
+        assert elapsed == pytest.approx(charged, rel=1e-12)

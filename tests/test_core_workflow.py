@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core.workflow import DataOwner, run_full_workflow
+from repro.crypto.backend import IntegrityError
 from repro.darknet.weights import load_weights
 from repro.data import synthetic_mnist, to_data_matrix
 
@@ -61,3 +64,25 @@ class TestWorkflow:
         art, _ = artifacts
         assert art.system.mirror.exists()
         assert art.system.mirror.stored_iteration() == 30
+
+
+@pytest.mark.parametrize(
+    "forge", [lambda rows: 1 << 40, lambda rows: rows + 1],
+    ids=["rows-2^40", "one-extra-row"],
+)
+def test_a_forged_upload_header_fails_closed(monkeypatch, forge):
+    """The upload's ``rows`` field is untrusted SSD bytes: unless the
+    header accounts for exactly the upload, the enclave refuses it
+    before allocating anything."""
+    images, labels, _, _ = synthetic_mnist(16, 1, seed=5)
+    honest = DataOwner.encrypt_dataset
+
+    def forged(owner, data):
+        blob = bytearray(honest(owner, data))
+        (rows,) = struct.unpack_from("<Q", blob, 0)
+        struct.pack_into("<Q", blob, 0, forge(rows))
+        return bytes(blob)
+
+    monkeypatch.setattr(DataOwner, "encrypt_dataset", forged)
+    with pytest.raises(IntegrityError):
+        run_full_workflow(to_data_matrix(images, labels))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import records
+from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine
 from repro.sgx.rand import SgxRandom
 
@@ -88,3 +89,14 @@ class TestOpenParam:
         assert layer.got[0] == "biases"
         np.testing.assert_array_equal(layer.got[1], values)
         assert not target.any()
+
+
+@pytest.mark.parametrize("header", [b"", b"\x04\x00\x00\x00\x00\x00\x00"])
+def test_a_short_frame_header_fails_closed(header):
+    with pytest.raises(IntegrityError):
+        records.frame_length(header, 1 << 20)
+
+
+def test_an_upload_shorter_than_its_header_fails_closed():
+    with pytest.raises(IntegrityError):
+        records.open_upload(_engine(), b"\x00" * 8)
