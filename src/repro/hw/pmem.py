@@ -160,8 +160,10 @@ class PersistentMemoryDevice:
         # This fence epoch's write-backs, oldest first: (tag, spans).
         self._flushes: List[Tuple[int, List[Interval]]] = []
         self._flush_tag = 0
-        # Copies charged and accounted but not yet moved: (src, dst, n).
+        # Copies charged and accounted but not yet moved: (src, dst, n),
+        # and the union of their destinations.
         self._deferred: List[Tuple[int, int, int]] = []
+        self._deferred_dst = IntervalSet()
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
         # explicit drop_caches) leave the cache cold, which is what makes
@@ -309,6 +311,7 @@ class PersistentMemoryDevice:
             view[dst:end] = view[src : src + n]
             self._twins.add(src, dst, n)
         self._deferred.clear()
+        self._deferred_dst.clear()
 
     def _deferrable(self, src: int, dst: int, n: int) -> bool:
         """Whether ``copy_within(src, dst, n)`` can wait for its fence:
@@ -318,20 +321,18 @@ class PersistentMemoryDevice:
         reads or writes another's source reads what an eager copy would.
         """
         end = dst + n
-        if abs(dst - src) < n or (
-            self._dirty.overlap(dst, end)
+        return not (
+            abs(dst - src) < n
+            or self._dirty.overlap(dst, end)
             or self._staged.overlap(dst, end)
             or self._pending.overlap(dst, end)
-        ):
-            return False
-        for _, d, m in self._deferred:
-            if dst < d + m and d < end:
-                return False
-        return True
+            or self._deferred_dst.overlap(dst, end)
+        )
 
     def _forget(self) -> None:
         """Drop every in-flight range: the media view is ``_data``."""
         self._deferred.clear()
+        self._deferred_dst.clear()
         self._undo.clear()
         self._dirty.clear()
         self._staged.clear()
@@ -468,6 +469,7 @@ class PersistentMemoryDevice:
             return
         if self._deferrable(src, dst, length):
             self._deferred.append((src, dst, length))
+            self._deferred_dst.add(dst, dst + length)
         else:
             if self._deferred:
                 self._settle()
