@@ -11,7 +11,8 @@ one file.  Three checkers are scored against every row:
   (held under the ``crashtest`` marker);
 * ``tier1`` — exit code and first failure of the tier-1 suite on the
   mutated tree, the analyser's own test files excluded (they would
-  trivially kill every row).  Recorded once, not re-checked.
+  trivially kill every row).  Re-checked under the ``crashtest`` marker
+  only for the rows a unique kill rests on.
 
 Regenerate the fixture after adding a row (about 40 minutes on one
 core, most of it the ``tier1`` column)::
