@@ -161,6 +161,7 @@ class InferenceSession(records.MuxRecords):
             self._iv_prk, direction + seq.to_bytes(8, "big"), IV_SIZE
         )
 
+    # The name the mux-AAD pin in tests/test_sgx.py reads.
     _aad = records.MuxRecords.aad
 
     def seal_request(self, seq: int, payload: bytes) -> bytes:
