@@ -40,10 +40,12 @@ def aad(domain: bytes, *position: int) -> bytes:
 
 
 def seal(engine: EncryptionEngine, plaintext: Buffer, domain: bytes, *position: int) -> bytes:
+    """Seal a message under ``(domain, position)``."""
     return engine.seal(plaintext, aad(domain, *position))
 
 
 def unseal(engine: EncryptionEngine, sealed: Buffer, domain: bytes, *position: int) -> bytes:
+    """Open a message sealed under ``(domain, position)``."""
     return engine.unseal(sealed, aad(domain, *position))
 
 
@@ -119,6 +121,7 @@ def row_plaintext(x: np.ndarray, y: np.ndarray, i: int) -> bytes:
 
 
 def split_row(row: Buffer, x: np.ndarray, y: np.ndarray, i: int) -> None:
+    """Store a row's features into ``x[i]`` and its label into ``y[i]``."""
     flat = np.frombuffer(row, dtype=np.float32)
     x[i] = flat[: x.shape[1]]
     y[i] = flat[x.shape[1] :]
