@@ -18,63 +18,50 @@ line lands.  The ``UNFENCED`` fault kind at ``pm.fence`` fails power
 with lines pending instead and lets its policy pick which write-backs
 landed (none, all, only the newest flush, or a seeded subset of lines).
 
-The device holds one byte image, ``_data``: what loads see.  The media
-view is ``_data`` overlaid with **undo pre-images**
-(:class:`~repro.hw.undo.PreImages`): the first store, staging view
-(:meth:`~PersistentMemoryDevice.volatile_view`) or eager ``copy_within``
-that touches a clean or pending range saves the bytes the media may still
-hold there, and the next fence releases them.  So a crash writes back
-only the ranges stored or staged since they were last made durable, and
-the device holds resident only the pages written to it plus the
-pre-images of what is in flight.  Coalesced :class:`IntervalSet`\\ s
-record the dirty, staged and pending ranges.
+The device holds one flat byte image, ``_data``, except over **held**
+ranges (:class:`~repro.hw.undo.Holds`), whose bytes live in a buffer of
+their own.  :meth:`~PersistentMemoryDevice.volatile_view` hands out a
+fresh buffer that its range then holds, and a ``copy_within`` out of a
+held range makes its destination hold the same buffer: the Romulus twin
+copy of a sealed record moves no bytes.  Nothing writes a held buffer
+once its staging view is filled.  A store, a copy's destination, a
+crash's overlay or an image load drops the hold over the bytes it
+writes, and a load that spans a hold's edge joins the pieces into its
+result, so ``_data`` under a hold is never brought up to date.
 
-A fourth in-flight state is the **deferred copy**.  A ``copy_within``
-into a clean range that overlaps neither its source nor an earlier
-deferred copy's destination is charged and accounted as a store at
-once, but the bytes wait: the old destination stays in ``_data`` as its
-own pre-image.  The fence that makes the whole destination durable
-moves it with one plain copy and saves nothing, which is the Romulus
-twin copy's path (copy, flush, fence).  Any other access to the image
-first settles every deferred copy the eager way, in call order:
-destination bytes still stored or pending get a base pre-image, then
-the bytes move.
-
-A moved copy also leaves its source and destination byte-equal in
-``_data``; the device keeps these **twinned** pairs
-(:class:`~repro.hw.undo.Twins`) until either side is written again — by
-a store, a staging view (its whole range, at view time), a copy's
-destination or a crash's overlay.  A crash keeps every pair its overlay
-did not touch, and :meth:`~PersistentMemoryDevice.load_image` drops
-them all.  A base pre-image of a clean range that a pair covers is
-**borrowed**: the record points at the other side instead of copying
-it, and the device copies it into the arena before that side (or the
-record) is written.  So staging the Romulus main twin, whose pre-image
-the last commit's back copy holds, saves no bytes.  The device proves
-each pair itself rather than taking Romulus' word for it: a protocol
-bug that left the back twin stale must not rewrite the media view.
+The media view is the image overlaid with **undo pre-images**
+(:class:`~repro.hw.undo.PreImages`): the first store, staging view or
+``copy_within`` that touches a clean or pending range saves the bytes
+the media may still hold there, and the next fence releases them.  So a
+crash writes back only the ranges stored or staged since they were last
+made durable, and the device holds resident only the pages written to
+it plus the pre-images of what is in flight.  Coalesced
+:class:`IntervalSet`\\ s record the dirty, staged and pending ranges.
+The base pre-image of a clean held range is a reference to its buffer,
+not a copy: staging the Romulus main twin, or copying over the back
+twin, saves no bytes.
 
 The image starts zeroed, and a range stays **pristine** — zero in the
 image and on the media — until one of the same writes reaches it; an
 image load leaves nothing pristine.  A base pre-image of a pristine
-range is a **zero record**: it takes no arena byte and nothing has to
-repay it, except that resolving a power failure or a landed write-back
-into it copies it into the arena first.  So a device's first commit
-stages the never-written main twin without saving a byte.  The device
-knows the range was never written from its own history; it never scans
-for zero bytes.
+range is a **zero record**: it takes no arena byte, except that
+resolving a power failure or a landed write-back into it copies it into
+the arena first.  So a device's first commit stages the never-written
+main twin without saving a byte.  The device knows the range was never
+written from its own history; it never scans for zero bytes.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import plan as faultplan
 from repro.hw.intervals import Interval, IntervalSet
-from repro.hw.undo import PreImages, Twins
+from repro.hw.undo import Holds, PreImages
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CACHE_LINE, DeviceCostModel
 
@@ -143,11 +130,18 @@ class PersistentMemoryDevice:
         self.sfence_cost = sfence_cost
         self.store_cost = store_cost
         self.load_cost = load_cost
-        self._data = np.zeros(size, np.uint8)
+        # Private anonymous pages, zeroed on first write (a read maps
+        # the shared zero page).  Not np.zeros: numpy asks for
+        # transparent huge pages, and then every small record stored
+        # into the flat image would make 2 MiB of it resident.
+        self._data = np.frombuffer(
+            mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+            np.uint8,
+        )
         self._view = memoryview(self._data)
-        self._undo = PreImages(self._view)
-        # Byte-equal ranges of _data that base pre-images may borrow.
-        self._twins = Twins()
+        self._undo = PreImages(size)
+        # Ranges whose image bytes live in a buffer of their own.
+        self._holds = Holds()
         # Never written: zero in _data and on the media.
         self._pristine = IntervalSet.of([(0, size)])
         # Stored, not yet written back.
@@ -160,10 +154,6 @@ class PersistentMemoryDevice:
         # This fence epoch's write-backs, oldest first: (tag, spans).
         self._flushes: List[Tuple[int, List[Interval]]] = []
         self._flush_tag = 0
-        # Copies charged and accounted but not yet moved: (src, dst, n),
-        # and the union of their destinations.
-        self._deferred: List[Tuple[int, int, int]] = []
-        self._deferred_dst = IntervalSet()
         # Ranges resident in the CPU cache hierarchy: reads of hot data
         # pay cache cost, not PM media latency/bandwidth.  Crashes (and
         # explicit drop_caches) leave the cache cold, which is what makes
@@ -236,29 +226,22 @@ class PersistentMemoryDevice:
             self._save_written(pos, end)
 
     def _save_written(self, start: int, end: int) -> None:
-        """Save the base pre-image of clean, written ``[start, end)``,
-        borrowing it wherever a twin holds the same bytes."""
+        """Save the base pre-image of clean, written ``[start, end)``: a
+        reference wherever a buffer holds it."""
         undo = self._undo
-        if not self._twins:
-            undo.save_base(self._view, start, end)
-            return
         pos = start
-        for a, b, twin in self._twins.partners(start, end):
+        for a, b, buf, at in self._holds.overlap(start, end):
             if pos < a:
                 undo.save_base(self._view, pos, a)
-            undo.lend(a, b, twin)
+            undo.save_ref(a, b, buf, at)
             pos = b
         if pos < end:
             undo.save_base(self._view, pos, end)
 
     def _overwrite(self, start: int, end: int) -> None:
-        """``_data[start:end]`` is about to change: repay every record
-        borrowed from it, and drop its twins and its pristine bytes."""
-        lent = self._undo.lent
-        if lent and lent.overlap(start, end):
-            self._undo.repay(start, end)
-        if self._twins:
-            self._twins.drop(start, end)
+        """``[start, end)`` of the image is about to be written whole:
+        drop its holds and its pristine bytes."""
+        self._holds.remove(start, end)
         if self._pristine:
             self._pristine.remove(start, end)
 
@@ -269,7 +252,8 @@ class PersistentMemoryDevice:
         for tag, spans in reversed(self._flushes):
             for a, b in spans:
                 for x, y in todo.overlap(a, b):
-                    self._undo.save_landed(tag, self._view, x, y)
+                    value = self._holds.image(self._view, x, y)
+                    self._undo.save_landed(tag, x, value)
                     todo.remove(x, y)
             if not todo:
                 return
@@ -296,43 +280,8 @@ class PersistentMemoryDevice:
             start, end
         )
 
-    def _settle(self) -> None:
-        """Move every deferred copy, first saving the old value of each
-        destination byte the media does not hold yet: bytes still stored
-        or pending.  Bytes a CLFLUSH or a fence made durable keep none."""
-        view = self._view
-        for src, dst, n in self._deferred:
-            end = dst + n
-            for a, b in (
-                self._dirty.overlap(dst, end) + self._pending.overlap(dst, end)
-            ):
-                self._undo.save_base(view, a, b)
-            self._overwrite(dst, end)
-            view[dst:end] = view[src : src + n]
-            self._twins.add(src, dst, n)
-        self._deferred.clear()
-        self._deferred_dst.clear()
-
-    def _deferrable(self, src: int, dst: int, n: int) -> bool:
-        """Whether ``copy_within(src, dst, n)`` can wait for its fence:
-        the ranges are disjoint, the old destination is the media value
-        (no byte stored, staged or pending), and no deferred copy writes
-        there too.  Deferred copies settle in call order, so one that
-        reads or writes another's source reads what an eager copy would.
-        """
-        end = dst + n
-        return not (
-            abs(dst - src) < n
-            or self._dirty.overlap(dst, end)
-            or self._staged.overlap(dst, end)
-            or self._pending.overlap(dst, end)
-            or self._deferred_dst.overlap(dst, end)
-        )
-
     def _forget(self) -> None:
-        """Drop every in-flight range: the media view is ``_data``."""
-        self._deferred.clear()
-        self._deferred_dst.clear()
+        """Drop every in-flight range: the media view is the image."""
         self._undo.clear()
         self._dirty.clear()
         self._staged.clear()
@@ -383,8 +332,6 @@ class PersistentMemoryDevice:
         self._check_range(addr, len(data))
         if not data:
             return
-        if self._deferred:
-            self._settle()
         self._save(addr, addr + len(data))
         self._overwrite(addr, addr + len(data))
         # A memoryview target: no hidden temporary (see ``flush``).
@@ -403,30 +350,32 @@ class PersistentMemoryDevice:
         self._check_range(addr, length)
         if not length:
             return
-        if self._deferred:
-            self._settle()
         self._save(addr, addr + length)
         self._account_store(addr, length)
 
     def volatile_view(self, addr: int, length: int) -> memoryview:
-        """Writable view over the *volatile* data image — host staging.
+        """Writable staging buffer for the volatile image's ``[addr,
+        addr + length)`` — host staging.
 
-        Carries no simulated cost: durability and store cost are charged
-        when the range is committed via :meth:`write_prefilled`.  The
-        range's pre-image is saved here, so take the view just before
-        filling it.  The view aliases live device memory and is
-        invalidated by :meth:`crash`; it must not outlive the current
-        operation.
+        The buffer is fresh and uninitialised, and the range holds it
+        from here on: the caller must fill every byte before its next
+        call into the device, and write it no more after that.  Carries
+        no simulated cost: durability and store cost are charged when the
+        range is committed via :meth:`write_prefilled`.  The range's
+        pre-image is saved here, so take the view just before filling it.
         """
         self._check_range(addr, length)
-        if length:
-            if self._deferred:
-                self._settle()
-            self._save(addr, addr + length)
-            self._overwrite(addr, addr + length)
-            for a, b in self._dirty.gaps(addr, addr + length):
-                self._staged.add(a, b)
-        return self._view[addr : addr + length]
+        if not length:
+            return self._view[addr:addr]
+        end = addr + length
+        self._save(addr, end)
+        self._overwrite(addr, end)
+        for a, b in self._dirty.gaps(addr, end):
+            self._staged.add(a, b)
+        # np.empty, not bytearray: the caller writes every byte anyway.
+        buf = memoryview(np.empty(length, np.uint8))
+        self._holds.add(addr, end, buf.toreadonly(), 0)
+        return buf
 
     def read(self, addr: int, length: int) -> bytes:
         """Load ``length`` bytes from ``addr`` (sees cached stores).
@@ -436,30 +385,28 @@ class PersistentMemoryDevice:
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        if self._deferred:
-            self._settle()
-        return bytes(self._view[addr : addr + length])
+        return bytes(self._holds.image(self._view, addr, addr + length))
 
     def read_view(self, addr: int, length: int) -> memoryview:
-        """Like :meth:`read`, returning a zero-copy readonly view.
+        """Like :meth:`read`, returning a readonly view.
 
-        Simulated cost is identical to :meth:`read`.  The view aliases
-        live device memory: it is invalidated by :meth:`crash` and stale
+        Simulated cost is identical to :meth:`read`.  Zero-copy when one
+        buffer holds the whole range (a sealed record in its slot); a
+        range across a hold's edge is a joined copy.  Either may be stale
         after any overlapping store — callers consume it immediately.
         """
         self._check_range(addr, length)
         self._charge_read(addr, length)
-        if self._deferred:
-            self._settle()
-        return self._view[addr : addr + length].toreadonly()
+        return self._holds.image(self._view, addr, addr + length).toreadonly()
 
     def copy_within(self, src: int, dst: int, length: int) -> None:
         """``write(dst, read(src, length))`` without the intermediate
         ``bytes`` — the Romulus twin-copy hot path.
 
         Charges exactly the read cost then the store cost, with the same
-        cache/dirty bookkeeping and fault-injection points.  When it can,
-        the move itself waits for the fence (see the module docstring).
+        cache/dirty bookkeeping and fault-injection points.  The held
+        pieces of a source disjoint from ``dst`` are not copied: the
+        destination holds the same buffers.
         """
         self._check_range(src, length)
         self._charge_read(src, length)
@@ -467,20 +414,24 @@ class PersistentMemoryDevice:
         self._check_range(dst, length)
         if not length:
             return
-        if self._deferrable(src, dst, length):
-            self._deferred.append((src, dst, length))
-            self._deferred_dst.add(dst, dst + length)
+        end = dst + length
+        self._save(dst, end)
+        view = self._view
+        if abs(dst - src) < length:  # overlapping: copy via a bounce
+            data = bytes(self._holds.image(view, src, src + length))
+            self._overwrite(dst, end)
+            view[dst:end] = data
         else:
-            if self._deferred:
-                self._settle()
-            self._save(dst, dst + length)
-            self._overwrite(dst, dst + length)
-            view = self._view
-            if abs(dst - src) < length:  # overlapping: copy via a bounce
-                view[dst : dst + length] = bytes(view[src : src + length])
-            else:
-                view[dst : dst + length] = view[src : src + length]
-                self._twins.add(src, dst, length)
+            held = self._holds.overlap(src, src + length)
+            self._overwrite(dst, end)
+            pos, shift = src, dst - src
+            for a, b, buf, at in held:
+                if pos < a:
+                    view[pos + shift : a + shift] = view[pos:a]
+                self._holds.add(a + shift, b + shift, buf, at)
+                pos = b
+            if pos < src + length:
+                view[pos + shift : end] = view[pos : src + length]
         self._account_store(dst, length)
 
     def drop_caches(self) -> None:
@@ -523,8 +474,6 @@ class PersistentMemoryDevice:
         for a, b in spans:
             dirty_bytes += b - a
         if torn is not None:
-            if self._deferred:
-                self._settle()
             self._torn_flush(spans, dirty_bytes, torn, instruction)
         self._write_back(spans, instruction)
 
@@ -625,14 +574,9 @@ class PersistentMemoryDevice:
         """SFENCE: every pending line becomes durable."""
         unfenced = self._fault("fence")
         if unfenced is not None:
-            if self._deferred:
-                self._settle()
             self._unfenced_power_fail(unfenced)
         if self._pending:
             self._drain()
-        if self._deferred:
-            # After the drain: fully written-back copies move unsaved.
-            self._settle()
         self.stats["fences"] += 1
         self.clock.recorder.count("pm.fences")
         self.clock.advance(self.sfence_cost)
@@ -663,11 +607,11 @@ class PersistentMemoryDevice:
 
     def _set_base(self, start: int, end: int, value: memoryview) -> None:
         """Overwrite the base pre-image of ``[start, end)`` with
-        ``value``, first copying a borrowed or zero record into the arena."""
+        ``value``, first copying a reference record into the arena."""
         undo = self._undo
         records = list(undo.base_in(start, end))
-        if any(slot < 0 for _, _, slot, _ in records):
-            undo.repay(start, end, sources=False)
+        if not all(isinstance(slot, int) for _, _, slot, _ in records):
+            undo.own(start, end)
             records = list(undo.base_in(start, end))
         for x, y, slot, offset in records:
             undo.view(slot, offset, y - x)[:] = value[x - start : y - start]
@@ -683,14 +627,13 @@ class PersistentMemoryDevice:
         ``unfenced.crash()``.
         """
         undo = self._undo
-        data = self._view
         for tag, spans in self._landed_spans(unfenced.landed):
             for x, y in spans:
                 # A byte holds what this write-back carried until its next
                 # store, which saved it tagged with the newest write-back
                 # then: the earliest tag >= this one.  Bytes not stored
                 # since still hold it in the image.
-                self._set_base(x, y, data[x:y])
+                self._set_base(x, y, self._holds.image(self._view, x, y))
                 for ltag, la, lb, slot, offset in reversed(undo.landed):
                     u, v = max(x, la), min(y, lb)
                     if ltag >= tag and u < v:
@@ -756,8 +699,6 @@ class PersistentMemoryDevice:
         Every pending line lands (the ADR queue drains), so only the
         stored and staged ranges are rolled back to their pre-images.
         """
-        if self._deferred:
-            self._settle()
         for a, b in self._unflushed(0, self.size):
             self._overwrite(a, b)
         self._overlay(self._view, 0, self.size)
@@ -776,9 +717,7 @@ class PersistentMemoryDevice:
         distinction without actually crashing.
         """
         self._check_range(addr, length)
-        if self._deferred:
-            self._settle()
-        out = bytearray(self._view[addr : addr + length])
+        out = bytearray(self._holds.image(self._view, addr, addr + length))
         self._overlay(memoryview(out), addr, addr + length)
         return bytes(out)
 
@@ -802,5 +741,5 @@ class PersistentMemoryDevice:
             )
         self._view[:] = image
         self._forget()
-        self._twins.clear()
+        self._holds.clear()
         self._pristine.clear()

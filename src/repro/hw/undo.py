@@ -1,4 +1,4 @@
-"""Undo pre-images and twinned ranges of the simulated PM device.
+"""Undo pre-images and held ranges of the simulated PM device.
 
 :class:`~repro.hw.pmem.PersistentMemoryDevice` keeps one byte image, the
 one loads see.  What the media holds differs from it only over ranges
@@ -20,28 +20,27 @@ amount every fence keeps the same pages resident.  Both record lists are
 in save order: a store appends, and only the rarer paths (a crash, a
 media read, a CLFLUSH, a fence under a store) scan them.
 
-A copy leaves its source and destination byte-equal in the image until
-either is written again; :class:`Twins` keeps those **twinned** pairs.
-A base record of a clean range that has a twin is **borrowed**: it
-points at the twin's bytes in the image (slot :data:`LENT`) instead of
-copying them into the arena.  The device repays a borrowed record — copies
-it into the arena — before anything writes its source or writes into it,
-so a borrowed record always reads what a copied one would hold.  This is
-the Romulus main twin staged for a commit: the back twin holds its
-pre-image already.
+A base record need not be copied.  A **reference** record reads a
+readonly buffer that nothing writes any more, in place of an arena slot:
 
-The image starts zeroed, so a range nothing has written yet holds zero
-in the image and on the media alike.  A base record of such a
-**pristine** range is a **zero record** (slot :data:`ZERO`): it reads
-one shared readonly zero buffer, takes no arena byte, and has no source
-in the image to repay.  Only writing into it — resolving a power failure
-or a landed write-back into the base records — copies it into the arena
-first.  This is the main twin staged by a device's first commit.
+* a range whose image bytes live in a buffer of their own (a **held**
+  range, :class:`Holds`) saves a reference to that buffer.  This is the
+  Romulus main twin staged for a commit, and the back twin its copy
+  overwrites: each holds the last commit's sealed records;
+* a range nothing has written yet holds zero in the image and on the
+  media alike, and saves a **zero record**, a reference to the shared
+  readonly :data:`ZERO` buffer.  This is the main twin staged by a
+  device's first commit.
+
+Only writing into a record — resolving a power failure or a landed
+write-back into the base records — copies a reference into the arena
+first (:meth:`PreImages.own`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+import bisect
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -50,87 +49,101 @@ from repro.hw.intervals import IntervalSet
 #: Bytes per arena slot.
 SLOT = 1 << 20
 
-#: The slot of a borrowed record: its offset is a device address.
-LENT = -1
-
-#: The slot of a zero record: its offset is into :data:`_ZEROS`.
-ZERO = -2
-
 #: What every zero record reads; one is at most a slot long.
-_ZEROS = memoryview(np.zeros(SLOT, np.uint8)).toreadonly()
+ZERO = memoryview(np.zeros(SLOT, np.uint8)).toreadonly()
+
+#: A record's bytes: an arena slot number, or a readonly buffer that a
+#: reference record reads.
+Slot = Union[int, memoryview]
 
 #: ``(start, end, slot, offset)``: device bytes ``[start, end)`` are
-#: saved at ``offset`` of arena slot ``slot``, or, in slot :data:`LENT`,
-#: are the image bytes at ``offset``, or, in slot :data:`ZERO`, zeros.
-Record = Tuple[int, int, int, int]
+#: saved at ``offset`` of arena slot ``slot``, or of the buffer ``slot``.
+Record = Tuple[int, int, Slot, int]
 
 
-class Twins:
-    """Byte-equal pairs of one device image, left by copies.
-
-    For each distance ``d`` between a copy's source and destination,
-    the addresses ``x`` with ``image[x] == image[x + d]`` since that
-    copy moved its bytes, until either byte is written again.
-    """
+class Holds:
+    """Disjoint ranges of a device image whose bytes live in a buffer of
+    their own: ``[start, end)`` reads ``buf[offset : offset + end -
+    start]``.  Adjacent ranges stay apart: each has its own buffer."""
 
     def __init__(self) -> None:
-        self._by_gap: Dict[int, IntervalSet] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._by_gap)
-
-    def add(self, src: int, dst: int, n: int) -> None:
-        """``n`` bytes moved from ``src`` to a disjoint ``dst``."""
-        low, gap = (src, dst - src) if src < dst else (dst, src - dst)
-        spans = self._by_gap.get(gap)
-        if spans is None:
-            spans = self._by_gap[gap] = IntervalSet()
-        spans.add(low, low + n)
-
-    def drop(self, start: int, end: int) -> None:
-        """Forget every pair with a byte in ``[start, end)``."""
-        for gap, spans in list(self._by_gap.items()):
-            spans.remove(start, end)
-            spans.remove(start - gap, end - gap)
-            if not spans:
-                del self._by_gap[gap]
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._refs: List[Tuple[memoryview, int]] = []
 
     def clear(self) -> None:
-        """Forget every pair."""
-        self._by_gap.clear()
+        """Forget every held range."""
+        self._starts.clear()
+        self._ends.clear()
+        self._refs.clear()
 
-    def partners(self, start: int, end: int) -> List[Tuple[int, int, int]]:
-        """Disjoint ``(a, b, twin)`` pieces of ``[start, end)``, in address
-        order: image bytes ``[a, b)`` equal those at ``twin``."""
+    def overlap(self, start: int, end: int) -> List[Record]:
+        """``(a, b, buf, offset)`` pieces of ``[start, end)`` that a
+        buffer holds, in address order."""
+        lo = bisect.bisect_right(self._ends, start)
+        hi = bisect.bisect_left(self._starts, end)
         out = []
-        for gap, spans in self._by_gap.items():
-            for a, b in spans.overlap(start, end):
-                out.append((a, b, a + gap))
-            for a, b in spans.overlap(start - gap, end - gap):
-                out.append((a + gap, b + gap, a))
-        if len(out) < 2:
-            return out
-        out.sort()
-        pieces, pos = [], start
-        for a, b, twin in out:
-            if b <= pos:
-                continue
-            if a < pos:
-                twin, a = twin + (pos - a), pos
-            pieces.append((a, b, twin))
-            pos = b
-        return pieces
+        for i in range(lo, hi):
+            a, b = self._starts[i], self._ends[i]
+            buf, offset = self._refs[i]
+            x = a if a > start else start
+            out.append((x, b if b < end else end, buf, offset + (x - a)))
+        return out
+
+    def image(self, flat: memoryview, start: int, end: int) -> memoryview:
+        """What loads see over ``[start, end)`` of an image whose unheld
+        bytes are ``flat``: a view of the one buffer that holds every
+        byte, or else a copy joined from the pieces."""
+        starts, ends = self._starts, self._ends
+        # Hold i - 1 is the last one to start at or before ``start``.
+        i = bisect.bisect_right(starts, start)
+        if i and ends[i - 1] >= end:
+            buf, offset = self._refs[i - 1]
+            at = offset + (start - starts[i - 1])
+            return buf[at : at + (end - start)]
+        if (not i or ends[i - 1] <= start) and (
+            i == len(starts) or starts[i] >= end
+        ):
+            return flat[start:end]
+        out = memoryview(bytearray(flat[start:end]))
+        for a, b, buf, at in self.overlap(start, end):
+            out[a - start : b - start] = buf[at : at + (b - a)]
+        return out
+
+    def remove(self, start: int, end: int) -> None:
+        """Stop holding ``[start, end)``; a range cut in two keeps its
+        buffer on both sides."""
+        lo = bisect.bisect_right(self._ends, start)
+        hi = bisect.bisect_left(self._starts, end)
+        if lo >= hi:
+            return
+        starts, ends, refs = [], [], []
+        if self._starts[lo] < start:
+            starts.append(self._starts[lo])
+            ends.append(start)
+            refs.append(self._refs[lo])
+        if self._ends[hi - 1] > end:
+            buf, offset = self._refs[hi - 1]
+            starts.append(end)
+            ends.append(self._ends[hi - 1])
+            refs.append((buf, offset + (end - self._starts[hi - 1])))
+        self._starts[lo:hi] = starts
+        self._ends[lo:hi] = ends
+        self._refs[lo:hi] = refs
+
+    def add(self, start: int, end: int, buf: memoryview, offset: int) -> None:
+        """Hold ``[start, end)``, a range no hold covers, by ``buf`` from
+        ``offset`` on."""
+        i = bisect.bisect_left(self._starts, start)
+        self._starts.insert(i, start)
+        self._ends.insert(i, end)
+        self._refs.insert(i, (buf, offset))
 
 
 class PreImages:
-    """Base and landed records of one device, over one slot arena.
+    """Base and landed records of one device, over one slot arena."""
 
-    ``data`` is the device image that borrowed records read.
-    """
-
-    def __init__(self, data: memoryview) -> None:
-        self._data = data
-        size = len(data)
+    def __init__(self, size: int) -> None:
         self._per_chunk = max(1, -(-size // SLOT))
         self._chunks: List[memoryview] = []
         self._free: List[int] = []
@@ -141,11 +154,8 @@ class PreImages:
         self._grow()
         #: Base records, disjoint.
         self.base: List[Record] = []
-        #: Landed records: ``(tag, start, end, slot, offset)``.
+        #: Landed records: ``(tag, start, end, slot, offset)``, in the arena.
         self.landed: List[Tuple[int, int, int, int, int]] = []
-        #: Covers the source of every borrowed base record; a released
-        #: record leaves its source here until a repay or a clear.
-        self.lent = IntervalSet()
 
     # -- arena ---------------------------------------------------------
     def _grow(self) -> None:
@@ -181,14 +191,11 @@ class PreImages:
             del self._live[slot]
             self._free.append(slot)
 
-    def view(self, slot: int, offset: int, n: int) -> memoryview:
-        """Writable bytes ``[offset, offset + n)`` of arena slot ``slot``;
-        of a borrowed record, its readonly source in the image; of a zero
-        record, readonly zeros."""
-        if slot == LENT:
-            return self._data[offset : offset + n].toreadonly()
-        if slot == ZERO:
-            return _ZEROS[offset : offset + n]
+    def view(self, slot: Slot, offset: int, n: int) -> memoryview:
+        """Bytes ``[offset, offset + n)`` of arena slot ``slot`` (writable)
+        or of a reference record's buffer (readonly)."""
+        if not isinstance(slot, int):
+            return slot[offset : offset + n]
         chunk, index = divmod(slot, self._per_chunk)
         base = index * SLOT + offset
         return self._chunks[chunk][base : base + n]
@@ -197,7 +204,6 @@ class PreImages:
         """Release every record."""
         self.base.clear()
         self.landed.clear()
-        self.lent.clear()
         self._free.extend(self._live)
         self._live.clear()
         self._cur = -1
@@ -219,11 +225,10 @@ class PreImages:
             self.base.append((start, start + n, slot, offset))
             start += n
 
-    def lend(self, start: int, end: int, twin: int) -> None:
-        """Borrow the base record of ``[start, end)``, a range no base
-        record covers, from the equal image bytes at ``twin``."""
-        self.base.append((start, end, LENT, twin))
-        self.lent.add(twin, twin + (end - start))
+    def save_ref(self, start: int, end: int, buf: memoryview, at: int) -> None:
+        """Save readonly ``buf[at:]`` as the base record of ``[start,
+        end)``, a range no base record covers, without copying it."""
+        self.base.append((start, end, buf, at))
 
     def save_zero(self, start: int, end: int) -> None:
         """Save zeros as the base record of ``[start, end)``, a range no
@@ -231,40 +236,30 @@ class PreImages:
         for a in range(start, end, SLOT):
             self.base.append((a, min(a + SLOT, end), ZERO, 0))
 
-    def repay(self, start: int, end: int, sources: bool = True) -> None:
-        """Copy into the arena every borrowed record whose source
-        overlaps ``[start, end)``, before the image there is written;
-        with ``sources`` false, every borrowed or zero record that
-        overlaps it, before the record is written."""
+    def own(self, start: int, end: int) -> None:
+        """Copy into the arena every reference record that overlaps
+        ``[start, end)``, before the record is written."""
         base = []
         for record in self.base:
             a, b, slot, at = record
-            lo = at if sources else a
-            if (
-                slot >= 0
-                or (sources and slot == ZERO)
-                or lo >= end
-                or lo + (b - a) <= start
-            ):
+            if isinstance(slot, int) or a >= end or b <= start:
                 base.append(record)
                 continue
             for piece, offset, n in self._alloc(b - a):
-                self.view(piece, offset, n)[:] = self.view(slot, at, n)
+                self.view(piece, offset, n)[:] = slot[at : at + n]
                 base.append((a, a + n, piece, offset))
                 a += n
                 at += n
         self.base = base
-        if sources:
-            self.lent.remove(start, end)
 
-    def save_landed(
-        self, tag: int, data: memoryview, start: int, end: int
-    ) -> None:
-        """Save ``data[start:end]`` as the value flush ``tag`` wrote."""
-        for slot, offset, n in self._alloc(end - start):
-            self.view(slot, offset, n)[:] = data[start : start + n]
-            self.landed.append((tag, start, start + n, slot, offset))
-            start += n
+    def save_landed(self, tag: int, start: int, value: memoryview) -> None:
+        """Save ``value``, the bytes from ``start`` on, as the value
+        flush ``tag`` wrote."""
+        pos = 0
+        for slot, offset, n in self._alloc(len(value)):
+            self.view(slot, offset, n)[:] = value[pos : pos + n]
+            self.landed.append((tag, start + pos, start + pos + n, slot, offset))
+            pos += n
 
     def base_in(self, start: int, end: int) -> Iterator[Record]:
         """Base records clipped to ``[start, end)``."""
@@ -303,7 +298,7 @@ class PreImages:
             for x, y in cuts:
                 if pos < x:
                     kept.append(head + (pos, x, slot, offset + (pos - a)))
-                if slot >= 0:
+                if isinstance(slot, int):
                     self._release(slot, y - x)
                 pos = y
             if pos < b:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+import struct
+
 import numpy as np
 import pytest
 
@@ -289,7 +292,7 @@ class TestBorrowedStagingPreImage:
             zeros = sum(
                 y - x
                 for x, y, slot, _ in undo.base_in(addr, addr + length)
-                if slot == ZERO
+                if slot is ZERO
             )
             seen.append((undo._live == live, zeros == length))
             return out
@@ -297,6 +300,64 @@ class TestBorrowedStagingPreImage:
         monkeypatch.setattr(device, "volatile_view", spy_view)
         mirror.mirror_out(net, 1)
         assert seen and all(no_slot and zero for no_slot, zero in seen)
+
+
+class TestHeldSlots:
+    """A sealed record lives in a buffer of its own on the PM device, and
+    the commit's copy to the back twin moves no bytes."""
+
+    def test_a_commit_leaves_both_twins_holding_one_buffer(self):
+        device, region, mirror = make_mirror()
+        net = make_model(seed=12)
+        mirror.alloc_mirror_model(net)
+        for iteration in (1, 2):
+            mirror.mirror_out(net, iteration)
+            _, _, layout = mirror._mirror_layout(region.root(0))
+            slots = [ref for refs in layout for ref in refs]
+            assert len(slots) == 12  # 2 batch-normed convs x 5, 1 connected x 2
+            for size, offset in slots:
+                main = np.frombuffer(region.read_view(offset, size), np.uint8)
+                back = np.frombuffer(
+                    device.read_view(region.back_base + offset, size), np.uint8
+                )
+                assert np.shares_memory(main, back)
+                assert main.tobytes() == device.durable_read(
+                    region.back_base + offset, size
+                )
+
+
+class TestForgedLayerList:
+    """The layer list's ``next`` words are untrusted PM bytes: a walk
+    stops after the header's ``num_layers`` nodes and fails closed.  An
+    alarm turns a walk that never stops into a failure, not a hang."""
+
+    @staticmethod
+    def _expire(signum, frame):
+        raise TimeoutError("the layer walk did not stop")
+
+    @pytest.mark.parametrize("restore", [False, True])
+    @pytest.mark.parametrize("loop", [True, False])
+    def test_a_forged_next_word_fails_closed(self, loop, restore):
+        device, region, mirror = make_mirror()
+        net = make_model(seed=13)
+        mirror.alloc_mirror_model(net)
+        mirror.mirror_out(net, 1)
+        head = mirror._model_header()[2]
+        # The first node's next word: itself (a loop) or 0 (the list
+        # ends after one of its three nodes).
+        forged = head if loop else 0
+        device.write(region.main_base + head, struct.pack("<Q", forged))
+        previous = signal.signal(signal.SIGALRM, self._expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(MirrorError, match="runs past|ends after"):
+                if restore:
+                    mirror.mirror_in(net)
+                else:
+                    mirror.mirror_out(net, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSecurity:

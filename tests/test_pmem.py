@@ -17,7 +17,7 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
-from repro.hw.undo import LENT, ZERO
+from repro.hw.undo import ZERO
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
@@ -354,48 +354,52 @@ class TestUnfenced:
         assert seen == {0, 1, 2}
 
 
+def _hold(dev: PersistentMemoryDevice, addr: int, data: bytes) -> None:
+    """Stage ``data`` at ``addr`` and make it durable: the range holds
+    a buffer of its own, as a sealed record in its slot does."""
+    dev.volatile_view(addr, len(data))[:] = data
+    dev.write_prefilled(addr, len(data))
+    dev.persist(addr, len(data))
+
+
+def _arena_bytes(dev: PersistentMemoryDevice) -> int:
+    """Bytes of the pre-image arena that live records hold."""
+    return sum(dev._undo._live.values())
+
+
+def _buffers(dev: PersistentMemoryDevice, start: int, end: int) -> list:
+    """``(a, b, buffer)`` of every held piece of ``[start, end)``."""
+    return [(a, b, buf.obj) for a, b, buf, _ in dev._holds.overlap(start, end)]
+
+
 class TestDeferredCopy:
-    """A ``copy_within`` into a clean range waits for the fence that
-    makes it durable; until then every observable is the eager copy's."""
+    """The Romulus twin copy: a ``copy_within`` out of a held range into
+    a clean one, whose durability is deferred to its flush and fence.
+    The destination holds the source's buffer at once; until the fence a
+    crash restores the old destination."""
 
     SRC, DST, N = 0, 1024, 256
 
     @classmethod
     def _twins(cls) -> PersistentMemoryDevice:
-        """A durable source of ``N`` and a durable old destination of
-        ``O``, the shape of a Romulus commit's back-twin copy."""
+        """A durable held source of ``N`` and a durable held old
+        destination of ``O``, the shape of a Romulus commit's back-twin
+        copy."""
         dev = make_device()
-        dev.write(cls.SRC, b"N" * cls.N)
-        dev.write(cls.DST, b"O" * cls.N)
-        dev.persist(0, cls.DST + cls.N)
+        _hold(dev, cls.SRC, b"N" * cls.N)
+        _hold(dev, cls.DST, b"O" * cls.N)
         return dev
 
-    @staticmethod
-    def _saved(dev: PersistentMemoryDevice, monkeypatch) -> list:
-        """Record the range of every base pre-image ``dev`` saves or
-        borrows from a twin."""
-        saved = []
-        save, lend = dev._undo.save_base, dev._undo.lend
-
-        def spy_save(data, start, end):
-            saved.append((start, end))
-            save(data, start, end)
-
-        def spy_lend(start, end, twin):
-            saved.append((start, end))
-            lend(start, end, twin)
-
-        monkeypatch.setattr(dev._undo, "save_base", spy_save)
-        monkeypatch.setattr(dev._undo, "lend", spy_lend)
-        return saved
-
-    def test_copy_flush_fence_saves_no_pre_image(self, monkeypatch):
+    def test_copy_flush_fence_saves_no_pre_image(self):
         dev = self._twins()
-        saved = self._saved(dev, monkeypatch)
         dev.copy_within(self.SRC, self.DST, self.N)
+        assert _arena_bytes(dev) == 0  # the old destination is referenced
+        assert _buffers(dev, self.DST, self.DST + self.N) == [
+            (self.DST, self.DST + self.N, _buffers(dev, 0, self.N)[0][2])
+        ]
         dev.flush(self.DST, self.N)
         dev.fence()
-        assert saved == []
+        assert dev._undo.base == []
         assert dev.read(self.DST, self.N) == b"N" * self.N
         assert dev.durable_read(self.DST, self.N) == b"N" * self.N
         assert dev.dirty_bytes == 0
@@ -414,13 +418,12 @@ class TestDeferredCopy:
         dev.crash()
         assert dev.read(self.DST, self.N) == b"N" * 128 + b"O" * 128
 
-    def test_clflush_copy_reads_new_and_survives_a_crash(self, monkeypatch):
+    def test_clflush_copy_reads_new_and_survives_a_crash(self):
         dev = self._twins()
-        saved = self._saved(dev, monkeypatch)
         dev.copy_within(self.SRC, self.DST, self.N)
         dev.flush(self.DST, self.N, FlushInstruction.CLFLUSH)
         assert dev.read(self.DST, self.N) == b"N" * self.N
-        assert saved == []  # durable by CLFLUSH: nothing to keep
+        assert dev._undo.base == []  # durable by CLFLUSH: nothing to keep
         dev.crash()
         assert dev.read(self.DST, self.N) == b"N" * self.N
 
@@ -434,9 +437,12 @@ class TestDeferredCopy:
     def test_store_to_the_source_does_not_reach_the_copy(self):
         dev = self._twins()
         dev.copy_within(self.SRC, self.DST, self.N)
-        dev.write(self.SRC, b"X" * self.N)
+        dev.write(self.SRC, b"X" * (self.N // 2))
         dev.persist(0, self.DST + self.N)
         assert dev.read(self.DST, self.N) == b"N" * self.N
+        assert dev.read(self.SRC, self.N) == (
+            b"X" * (self.N // 2) + b"N" * (self.N // 2)
+        )
 
     def test_chained_copies_move_in_call_order(self):
         dev = self._twins()
@@ -448,18 +454,16 @@ class TestDeferredCopy:
         assert dev.read(self.DST, self.N) == b"N" * self.N
         assert dev.read(self.SRC, self.N) == b"\x00" * self.N
 
-    def test_a_copy_over_a_clflushed_copy_saves_one_pre_image(
-        self, monkeypatch
-    ):
+    def test_a_copy_over_a_clflushed_copy_saves_one_pre_image(self):
         dev = self._twins()
-        dev.write(4096, b"C" * self.N)
-        dev.persist(4096, self.N)
-        saved = self._saved(dev, monkeypatch)
+        _hold(dev, 4096, b"C" * self.N)
         dev.copy_within(self.SRC, self.DST, self.N)
         dev.flush(self.DST, self.N, FlushInstruction.CLFLUSH)
-        dev.copy_within(4096, self.DST, self.N)  # clean, first copy unmoved
+        dev.copy_within(4096, self.DST, self.N)  # clean: the first copy
+        (record,) = dev._undo.base
+        assert record[:2] == (self.DST, self.DST + self.N)
+        assert record[2].obj is _buffers(dev, self.SRC, self.N)[0][2]
         assert dev.durable_read(self.DST, self.N) == b"N" * self.N
-        assert saved == [(self.DST, self.DST + self.N)]
         dev.crash()
         assert dev.read(self.DST, self.N) == b"N" * self.N
 
@@ -497,38 +501,40 @@ class TestDeferredCopy:
 
 
 class TestTwinnedPreImage:
-    """A copy leaves its two ranges byte-equal: a clean range's base
-    pre-image is borrowed from its twin, and copied into the arena only
-    when the twin is about to be written."""
+    """A copy out of a held range leaves both Romulus twins holding one
+    buffer: staging either twin again saves its base pre-image as a
+    reference to that buffer, and no store to the other twin copies
+    it."""
 
     MAIN, BACK, N = 0, 4096, 1024
 
     @classmethod
     def _twinned(cls) -> PersistentMemoryDevice:
-        """Main durable at ``M``, copied to back, flushed and fenced: the
-        state a Romulus commit leaves."""
+        """Main sealed in place at ``M`` and durable, copied to back,
+        flushed and fenced: the state a Romulus commit leaves."""
         dev = make_device()
-        dev.write(cls.MAIN, b"M" * cls.N)
-        dev.persist(cls.MAIN, cls.N)
+        _hold(dev, cls.MAIN, b"M" * cls.N)
         dev.copy_within(cls.MAIN, cls.BACK, cls.N)
         dev.persist(cls.BACK, cls.N)
         return dev
 
-    @staticmethod
-    def _arena_bytes(dev: PersistentMemoryDevice) -> int:
-        """Bytes of the pre-image arena that live records hold."""
-        return sum(dev._undo._live.values())
-
     def _stage_main(self, dev: PersistentMemoryDevice) -> None:
         dev.volatile_view(self.MAIN, self.N)[:] = b"S" * self.N
 
+    def _references(self, dev: PersistentMemoryDevice) -> list:
+        """``(a, b)`` of every base record that references a buffer."""
+        return [
+            (a, b) for a, b, slot, _ in dev._undo.base
+            if not isinstance(slot, int)
+        ]
+
     def test_staging_a_twinned_range_takes_no_arena_byte(self):
         dev = self._twinned()
+        (_, _, shared), = _buffers(dev, self.BACK, self.BACK + self.N)
         self._stage_main(dev)
-        assert self._arena_bytes(dev) == 0
-        assert dev._undo.base == [
-            (self.MAIN, self.MAIN + self.N, LENT, self.BACK)
-        ]
+        assert _arena_bytes(dev) == 0
+        ((a, b, slot, at),) = dev._undo.base
+        assert (a, b, slot.obj, at) == (self.MAIN, self.MAIN + self.N, shared, 0)
         assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
 
     def test_a_crash_before_the_flush_restores_the_old_bytes(self):
@@ -543,7 +549,7 @@ class TestTwinnedPreImage:
         dev = self._twinned()
         self._stage_main(dev)
         dev.write(self.BACK, b"B" * self.N)
-        assert self._arena_bytes(dev) == 2 * self.N  # main's, then back's
+        assert _arena_bytes(dev) == 0  # both pre-images reference M
         dev.persist(self.BACK, self.N)
         dev.crash()
         assert dev.read(self.MAIN, self.N) == b"M" * self.N
@@ -551,35 +557,39 @@ class TestTwinnedPreImage:
 
     def test_a_partly_overwritten_pair_borrows_only_its_untouched_part(self):
         dev = self._twinned()
-        dev.write(self.BACK + 256, b"B" * 256)
-        dev.persist(self.BACK + 256, 256)
+        dev.write(self.MAIN + 256, b"B" * 256)
+        dev.persist(self.MAIN + 256, 256)
         self._stage_main(dev)
-        assert self._arena_bytes(dev) == 256
-        assert sorted(
-            (a, b, twin) for a, b, slot, twin in dev._undo.base if slot == LENT
-        ) == [(0, 256, self.BACK), (512, self.N, self.BACK + 512)]
-        assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
+        assert _arena_bytes(dev) == 256
+        assert self._references(dev) == [(0, 256), (512, self.N)]
+        assert dev.durable_read(self.MAIN, self.N) == (
+            b"M" * 256 + b"B" * 256 + b"M" * 512
+        )
         dev.crash()
-        assert dev.read(self.MAIN, self.N) == b"M" * self.N
+        assert dev.read(self.MAIN, self.N) == dev.durable_read(0, self.N)
+        assert dev.read(self.BACK, self.N) == b"M" * self.N
 
     def test_a_crash_keeps_the_pairs_its_overlay_did_not_write(self):
         dev = self._twinned()
         dev.write(self.MAIN + 256, b"X" * 256)
         dev.crash()
+        assert [(a, b) for a, b, _ in _buffers(dev, 0, self.N)] == [
+            (0, 256), (512, self.N),
+        ]
         self._stage_main(dev)
-        assert self._arena_bytes(dev) == 256
+        assert _arena_bytes(dev) == 256
         assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
 
     def test_a_crash_drops_the_pairs_its_overlay_wrote(self):
         dev = make_device()
-        dev.write(self.MAIN, b"M" * self.N)
-        dev.persist(self.MAIN, self.N)
-        dev.write(self.BACK, b"O" * self.N)  # dirty: the copy moves at once
+        _hold(dev, self.MAIN, b"M" * self.N)
+        dev.write(self.BACK, b"O" * self.N)  # dirty: a crash restores it
         dev.copy_within(self.MAIN, self.BACK, self.N)
-        dev.crash()  # back's overlay writes zeros under the pair
+        dev.crash()  # back's overlay writes zeros over its hold
         assert dev.read(self.BACK, self.N) == b"\x00" * self.N
+        assert _buffers(dev, self.BACK, self.BACK + self.N) == []
         self._stage_main(dev)
-        assert self._arena_bytes(dev) == self.N
+        assert _arena_bytes(dev) == 0
         assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
 
     def test_an_image_load_drops_every_pair(self):
@@ -587,14 +597,16 @@ class TestTwinnedPreImage:
         image = bytearray(dev.snapshot())
         image[self.BACK : self.BACK + self.N] = b"L" * self.N
         dev.load_image(bytes(image))
+        assert _buffers(dev, 0, dev.size) == []
         self._stage_main(dev)
-        assert self._arena_bytes(dev) == self.N
+        assert _arena_bytes(dev) == self.N
         assert dev.durable_read(self.MAIN, self.N) == b"M" * self.N
 
     @pytest.mark.parametrize("landed", ["none", "all"])
     def test_a_borrowed_record_under_a_pending_store(self, landed):
         """A fence that loses power resolves the media value into the
-        base records: a borrowed one is copied into the arena first."""
+        base records: a reference is copied into the arena first, and
+        the buffer it read is left as it was."""
         dev = self._twinned()
         dev.write(self.MAIN, b"A" * self.N)
         dev.flush(self.MAIN, self.N)
@@ -609,15 +621,15 @@ class TestTwinnedPreImage:
     def test_a_twinned_pending_range_keeps_what_its_flush_wrote(
         self, landed, want
     ):
-        """Only a clean range borrows: a pending one stored again keeps
-        the value its write-back carried, over its own base."""
+        """Only a clean range saves a reference: a pending one stored
+        again keeps the value its write-back carried, over its own
+        base."""
         dev = make_device()
-        dev.write(self.MAIN, b"M" * self.N)
-        dev.write(self.BACK, b"O" * self.N)
-        dev.persist(self.MAIN, self.BACK + self.N)
+        _hold(dev, self.MAIN, b"M" * self.N)
+        _hold(dev, self.BACK, b"O" * self.N)
         dev.write(self.MAIN, b"A" * self.N)
         dev.flush(self.MAIN, self.N)
-        dev.copy_within(self.BACK, self.MAIN, self.N)  # pending: moves now
+        dev.copy_within(self.BACK, self.MAIN, self.N)  # pending: held now
         dev.flush(self.MAIN, self.N)
         dev.write(self.MAIN, b"C" * self.N)
         _unfenced_fence(dev, landed)
@@ -679,7 +691,7 @@ class TestZeroPreImage:
         with installed(CrashSchedulePlan(spec)):
             with pytest.raises(InjectedCrash):
                 dev.fence()
-        slots = [(a, b, slot == ZERO) for a, b, slot, _ in dev._undo.base]
+        slots = [(a, b, slot is ZERO) for a, b, slot, _ in dev._undo.base]
         lands = {"none": [], "newest": [64], "all": [0, 64]}[landed]
         assert slots == [(a, a + 64, a not in lands) for a in (0, 64)]
         assert sum(dev._undo._live.values()) == 64 * len(lands)
@@ -720,22 +732,20 @@ class TestZeroPreImage:
         assert dev.read(0, self.N) == b"L" * self.N
 
     def test_a_mixed_range_saves_zero_borrowed_and_copied_records(self):
-        """``[0, 64)`` never written, ``[64, 128)`` twinned with
+        """``[0, 64)`` never written, ``[64, 128)`` holding the buffer of
         ``[192, 256)``, ``[128, 192)`` written: one record each, in
         address order."""
         dev = make_device()
-        dev.write(192, b"M" * 64)
-        dev.persist(192, 64)
+        _hold(dev, 192, b"M" * 64)
         dev.copy_within(192, 64, 64)
         dev.persist(64, 64)
         dev.write(128, b"P" * 64)
         dev.persist(128, 64)
         dev.volatile_view(0, 192)[:] = b"S" * 192
         base = dev._undo.base
-        assert [(a, b, slot) for a, b, slot, _ in base] == [
-            (0, 64, ZERO), (64, 128, LENT), (128, 192, 0),
-        ]
-        assert base[1][3] == 192
+        assert [(a, b) for a, b, _, _ in base] == [(0, 64), (64, 128), (128, 192)]
+        assert base[0][2] is ZERO and base[2][2] == 0
+        assert base[1][2].obj is _buffers(dev, 192, 256)[0][2]
         assert sum(dev._undo._live.values()) == 64
         want = bytes(64) + b"M" * 64 + b"P" * 64
         assert dev.durable_read(0, 192) == want

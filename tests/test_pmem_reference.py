@@ -10,18 +10,23 @@ flushes, crashes and image loads, and compares every observable after
 each step — loads, the media view, the snapshot, the stats, the dirty
 byte count, the crash count and the simulated clock.
 
-Reading the whole image settles every deferred ``copy_within``, so a
-second machine reads it only as a rule of its own and at teardown: its
-copies stay deferred across the flushes, fences, torn flushes and
-crashes that follow them.  The same machine twins a range, borrows one
-side's pre-image from the other and then writes that other side, so a
-borrowed record is copied into the arena ahead of a crash, a torn
-flush, a fence that loses power, a media read or an image load.
+Staging views and copies out of a staged range leave **held** ranges,
+whose bytes live in buffers of their own.  The first machine's
+``held_range`` rule stages and fills a range, accounts it, copies it
+out (the destination holds the same buffer) and stores into part of one
+side, and its ``read_part`` and ``unfenced_fence`` rules read across a
+hold's edge and fail power at a fence; every step before and after is
+any of the others, so a crash, a torn flush, an image load or a media
+read meets a held range in every state.
+
+A load marks its range cache-hot, so a machine that reads the whole
+image every step only ever charges hot loads.  The second machine reads
+it only as a rule of its own and at teardown, and adds the Romulus twin
+copy and a rule that writes both twins of a held pair in turn.
 
 Both machines start from a fresh, zeroed device, so their first writes
-save zero records, and the second machine's power-failing fence (or a
-plain fence under a pending range stored again) resolves a write-back
-into one.
+save zero records, and a power-failing fence (or a plain fence under a
+pending range stored again) resolves a write-back into one.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import TORN, UNFENCED
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
-from repro.hw.undo import LENT, ZERO
+from repro.hw.undo import ZERO
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 from tests.reference_pmem import ReferencePmemDevice
@@ -143,6 +148,49 @@ class DeviceAgainstOracle(RuleBasedStateMachine):
         for dev in self.devices:
             dev.load_image(image)
 
+    @rule(
+        addr=addrs,
+        length=st.integers(1, 96),
+        dst=addrs,
+        cut=st.integers(0, 95),
+        into_copy=st.booleans(),
+    )
+    def held_range(self, addr, length, dst, cut, into_copy):
+        """Stage and fill a range, account it, copy it out (the
+        destination holds the same buffer), then store into part of the
+        source or of the copy."""
+        length = min(length, SIZE - addr, SIZE - dst)
+        self.stage(addr, length)
+        self.write_prefilled(addr, length)
+        self.copy_within(addr, dst, length)
+        into = dst if into_copy else addr
+        self.write(into + min(cut, length - 1), length // 2 + 1)
+
+    @rule(addr=addrs, length=lengths)
+    def read_part(self, addr, length):
+        """Loads and a media read of part of the image, which may span
+        a hold's edge."""
+        length = _clip(addr, length)
+        new, old = self.devices
+        assert bytes(new.read_view(addr, length)) == bytes(
+            old.read_view(addr, length)
+        )
+        assert new.durable_read(addr, length) == old.durable_read(
+            addr, length
+        )
+
+    @rule()
+    def unfenced_fence(self):
+        """Power fails at a fence and every write-back lands: the
+        oracle's flushes are durable at once, so it only crashes."""
+        new, old = self.devices
+        spec = FaultSpec("pm.fence", 1, UNFENCED, landed="all")
+        with installed(CrashSchedulePlan(spec)):
+            with pytest.raises(InjectedCrash):
+                new.fence()
+        new.crash()
+        old.crash()
+
     def images_agree(self):
         new, old = self.devices
         assert new.durable_read(0, SIZE) == old.durable_read(0, SIZE)
@@ -169,12 +217,13 @@ TestDeviceAgainstOracle = DeviceAgainstOracle.TestCase
 
 
 class DeferredCopiesAgainstOracle(DeviceAgainstOracle):
-    """The same rules plus a twin copy, with the whole image read only
-    by a rule."""
+    """The same rules plus the Romulus twin copy, whose durability is
+    deferred to its flush and fence, with the whole image read only by
+    a rule."""
 
     @invariant()
     def observables_agree(self):
-        """Per step, only what settles no deferred copy."""
+        """Per step, only what marks no range cache-hot."""
         self.counters_agree()
 
     @rule(src=addrs, dst=addrs, length=lengths, instruction=instructions)
@@ -187,7 +236,7 @@ class DeferredCopiesAgainstOracle(DeviceAgainstOracle):
     def _write_by(self, how, addr, length):
         """Write ``[addr, addr + length)`` by ``how``.  A copy comes from
         one byte over, so (longer than a byte) it overlaps its source
-        and moves at once rather than at a fence."""
+        and is copied through a bounce rather than held."""
         if how == "stage":
             self.stage(addr, length)
         elif how == "write":
@@ -204,28 +253,19 @@ class DeferredCopiesAgainstOracle(DeviceAgainstOracle):
         then=writes,
         flip=st.booleans(),
     )
-    def borrow_then_repay(self, main, back, length, first, then, flip):
-        """Twin a range, write one side (its clean pre-image is borrowed
-        from the other), then write the other side (the borrowed record
-        is copied into the arena first)."""
+    def write_both_twins(self, main, back, length, first, then, flip):
+        """Stage a range, copy it to its twin (both hold one buffer),
+        write one side (its pre-image is a reference to that buffer),
+        then write the other side."""
         length = min(length, SIZE - main, SIZE - back)
+        self.stage(main, length)
+        self.write_prefilled(main, length)
+        self.flush(main, length, FlushInstruction.CLFLUSHOPT)
         self.twin_copy(main, back, length, FlushInstruction.CLFLUSHOPT)
         self.fence()
         one, other = (back, main) if flip else (main, back)
         self._write_by(first, one, length)
         self._write_by(then, other, length)
-
-    @rule()
-    def unfenced_fence(self):
-        """Power fails at a fence and every write-back lands: the
-        oracle's flushes are durable at once, so it only crashes."""
-        new, old = self.devices
-        spec = FaultSpec("pm.fence", 1, UNFENCED, landed="all")
-        with installed(CrashSchedulePlan(spec)):
-            with pytest.raises(InjectedCrash):
-                new.fence()
-        new.crash()
-        old.crash()
 
     @rule()
     def read_whole_image(self):
@@ -242,51 +282,58 @@ DeferredCopiesAgainstOracle.TestCase.settings = settings(
 TestDeferredCopiesAgainstOracle = DeferredCopiesAgainstOracle.TestCase
 
 
-def test_a_twin_copy_stays_deferred_until_the_crash():
-    """The second machine's steps leave a copy deferred: here across its
-    flush, into a crash that must land the pending back twin."""
+def _staged_twins(machine) -> None:
+    """Stage ``[0, 64)``, commit it, copy it to ``[128, 192)`` and
+    commit that: both twins hold one buffer, the state a Romulus commit
+    leaves."""
+    machine.stage(0, 64)
+    machine.write_prefilled(0, 64)
+    machine.flush(0, 64, FlushInstruction.CLFLUSHOPT)
+    machine.fence()
+    machine.twin_copy(0, 128, 64, FlushInstruction.CLFLUSHOPT)
+
+
+def _one_buffer(dev, a: int, b: int) -> bool:
+    """Whether ``dev`` holds ``[a, a + 64)`` and ``[b, b + 64)`` by the
+    same bytes of one buffer."""
+    (x,), (y,) = dev._holds.overlap(a, a + 64), dev._holds.overlap(b, b + 64)
+    return x[2].obj is y[2].obj and x[3] == y[3]
+
+
+def test_a_held_twin_copy_shares_its_buffer_until_the_crash():
+    """The second machine's twin copy makes the back twin hold main's
+    buffer, across its flush, into a crash that must land the pending
+    back twin, a fence or a torn flush."""
     for last_step in ("crash", "fence", "torn_flush"):
         machine = DeferredCopiesAgainstOracle()
-        machine.write(0, 64)
-        machine.fence()
-        machine.twin_copy(0, 128, 64, FlushInstruction.CLFLUSHOPT)
-        assert machine.devices[0]._deferred
+        _staged_twins(machine)
+        assert _one_buffer(machine.devices[0], 0, 128)
         if last_step == "torn_flush":
             machine.torn_flush(0, 64, FlushInstruction.CLFLUSH, 0.5)
         else:
             getattr(machine, last_step)()
+        assert _one_buffer(machine.devices[0], 0, 128)
         machine.teardown()
 
 
-def test_a_borrowed_pre_image_is_repaid_before_its_twin_is_written(
-    monkeypatch,
-):
-    """The second machine's borrowing rule stages main, whose pre-image
-    it borrows from the back twin, then stores to the back twin, which
-    first copies that record into the arena: ahead of every step that
-    reads it."""
+def test_a_referenced_pre_image_outlives_a_store_to_its_twin():
+    """Staging main again saves its pre-image as a reference to the
+    buffer both twins hold; a store to the back twin then drops back's
+    hold, not the reference, ahead of every step that reads it."""
     steps = ("crash", "torn_flush", "unfenced_fence", "read_whole_image",
              "load_image")
     for last_step in steps:
         machine = DeferredCopiesAgainstOracle()
-        machine.write(0, 64)
-        machine.flush(0, 64, FlushInstruction.CLFLUSHOPT)
+        _staged_twins(machine)
         machine.fence()
-        undo = machine.devices[0]._undo
-        lent = []
-        lend = undo.lend
-
-        def spy(*args):
-            lent.append(args)
-            lend(*args)
-
-        monkeypatch.setattr(undo, "lend", spy)
-        machine.borrow_then_repay(0, 128, 64, "stage", "write", False)
-        assert lent == [(0, 64, 128)]
-        assert [(a, b) for a, b, slot, _ in undo.base if slot != LENT] == [
-            (0, 64), (128, 192),
+        dev = machine.devices[0]
+        (_, _, held, _), = dev._holds.overlap(0, 64)
+        machine.stage(0, 64)
+        machine.write(128, 64)
+        assert [(a, b, slot.obj) for a, b, slot, _ in dev._undo.base] == [
+            (0, 64, held.obj), (128, 192, held.obj),
         ]
-        assert not undo.lent
+        assert sum(dev._undo._live.values()) == 0
         if last_step == "torn_flush":
             machine.torn_flush(0, 64, FlushInstruction.CLFLUSH, 0.5)
         elif last_step == "load_image":
@@ -305,27 +352,28 @@ def test_a_zero_record_is_copied_before_a_write_back_resolves_into_it(
     for last_step in ("unfenced_fence", "fence"):
         machine = DeferredCopiesAgainstOracle()
         undo = machine.devices[0]._undo
-        zeroed, repaid = [], []
-        save_zero, repay = undo.save_zero, undo.repay
+        zeroed, owned = [], []
+        save_zero, own = undo.save_zero, undo.own
 
         def spy_zero(*args):
             zeroed.append(args)
             save_zero(*args)
 
-        def spy_repay(start, end, sources=True):
+        def spy_own(start, end):
             slots = [slot for _, _, slot, _ in undo.base_in(start, end)]
-            repaid.append((start, end, sources, slots))
-            repay(start, end, sources)
+            owned.append((start, end, slots))
+            own(start, end)
 
         monkeypatch.setattr(undo, "save_zero", spy_zero)
-        monkeypatch.setattr(undo, "repay", spy_repay)
+        monkeypatch.setattr(undo, "own", spy_own)
         machine.write(0, 64)
         machine.flush(0, 64, FlushInstruction.CLFLUSHOPT)
         assert zeroed == [(0, 64)]
         if last_step == "fence":
             machine.write(0, 64)  # stored again over the pending bytes
         getattr(machine, last_step)()
-        assert repaid == [(0, 64, False, [ZERO])]
+        assert len(owned) == 1
+        assert owned[0][:2] == (0, 64) and owned[0][2][0] is ZERO
         machine.teardown()
 
 
