@@ -175,7 +175,7 @@ class SsdCheckpoint:
 
             # Phase 2 — decrypt into the model ("Decrypt").
             with self.clock.stopwatch("ckpt.decrypt") as decrypt_span:
-                iteration, nbuf = FILE_HEADER.unpack(
+                iteration, nbuf = records.file_header(
                     _span(chunks, 0, FILE_HEADER.size)
                 )
                 offset = FILE_HEADER.size

@@ -39,7 +39,7 @@ simulated time is the per-buffer sum accumulated in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -222,19 +222,42 @@ class MirrorModule:
     # ------------------------------------------------------------------
     # Sealing pipeline helpers
     # ------------------------------------------------------------------
+    def _layer_nodes(self, head: int, num_layers: int) -> Iterator[tuple]:
+        """``(node, num_buffers)`` of each persistent layer node, read as
+        the walk reaches it.  The ``next`` words are untrusted PM bytes:
+        a list that is not ``num_layers`` nodes long, or has a loop,
+        fails closed after at most ``num_layers`` nodes."""
+        node, seen = head, 0
+        while node:
+            if seen == num_layers:
+                raise MirrorError(
+                    f"PM layer list runs past its {num_layers} nodes"
+                )
+            nxt, nbuf = LAYER_FIXED.unpack(
+                self.region.read(node, LAYER_FIXED.size)
+            )
+            if nbuf > MAX_BUFFERS:
+                raise MirrorError(
+                    f"PM layer node claims {nbuf} buffers; "
+                    f"mirror supports {MAX_BUFFERS}"
+                )
+            yield node, nbuf
+            seen += 1
+            node = nxt
+        if seen != num_layers:
+            raise MirrorError(
+                f"PM layer list ends after {seen} of {num_layers} nodes"
+            )
+
     def _mirror_layout(self, model: int):
         """Walk the persistent layer list once: header + per-layer refs."""
         iteration, num_layers, head = MODEL_HEADER.unpack(
             self.region.read(model, MODEL_HEADER.size)
         )
-        layout = []
-        node = head
-        while node:
-            nxt, nbuf = LAYER_FIXED.unpack(
-                self.region.read(node, LAYER_FIXED.size)
-            )
-            layout.append(self._buffer_refs(node, nbuf))
-            node = nxt
+        layout = [
+            self._buffer_refs(node, nbuf)
+            for node, nbuf in self._layer_nodes(head, num_layers)
+        ]
         return num_layers, head, layout
 
     def _seal_jobs(self, network: Network, layout) -> List[List[_BufferJob]]:
@@ -419,7 +442,7 @@ class MirrorModule:
                 "mirror allocated but never written: no snapshot to restore"
             )
         model = self.region.root(MODEL_ROOT)
-        iteration, _, head = MODEL_HEADER.unpack(
+        iteration, num_layers, head = MODEL_HEADER.unpack(
             self.region.read(model, MODEL_HEADER.size)
         )
 
@@ -435,17 +458,12 @@ class MirrorModule:
             # below needs no host-side copy.
             with self.clock.stopwatch("mirror.read") as read_span:
                 sealed_layers = []
-                node = head
-                while node:
-                    nxt, nbuf = LAYER_FIXED.unpack(
-                        self.region.read(node, LAYER_FIXED.size)
-                    )
+                for node, nbuf in self._layer_nodes(head, num_layers):
                     blobs = []
                     for size, offset in self._buffer_refs(node, nbuf):
                         blobs.append(self.region.read_view(offset, size))
                         self.enclave.copy_in(size)
                     sealed_layers.append(blobs)
-                    node = nxt
 
             # Phase 2 — decrypt into the enclave model ("Decrypt").
             with self.clock.stopwatch("mirror.decrypt") as decrypt_span:

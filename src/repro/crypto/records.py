@@ -105,6 +105,16 @@ def seal_frame(engine: EncryptionEngine, plaintext: Buffer, record, name: str, i
     return BUF_HEADER.size + size
 
 
+def file_header(header: Buffer) -> Tuple[int, int]:
+    """The iteration and buffer count a checkpoint file header claims;
+    a file too short to hold one fails closed."""
+    if len(header) != FILE_HEADER.size:
+        raise IntegrityError(
+            f"checkpoint file is shorter than its {FILE_HEADER.size}-byte header"
+        )
+    return FILE_HEADER.unpack(header)
+
+
 def frame_length(header: Buffer, room: int) -> int:
     """The sealed length a checkpoint record header claims, checked to
     hold a sealed record within the ``room`` bytes left from the header."""

@@ -229,6 +229,21 @@ class TestRecordAtATime:
         assert target.iteration != 1
 
 
+def test_a_file_shorter_than_its_header_fails_closed():
+    """A checkpoint file cut to 8 bytes cannot hold the 16-byte file
+    header: the restore raises the typed integrity error a short record
+    header raises, not a bare ``struct.error``."""
+    ssd, ckpt = make_checkpoint()
+    ckpt.save(make_model(seed=1), 1)
+    head = ssd.read(ckpt.path, 0, 8)
+    ssd.delete(ckpt.path)
+    ssd.write(ckpt.path, 0, head)
+    ssd.fsync(ckpt.path)
+    assert ssd.file_size(ckpt.path) == 8
+    with pytest.raises(IntegrityError, match="header"):
+        ckpt.restore(make_model(seed=2))
+
+
 class TestForgedRecordLength:
     """A record's length header is untrusted file bytes: one too short
     to hold a sealed record, or one that runs past the file, fails
