@@ -4,9 +4,10 @@ Unlike the figure benchmarks (simulated seconds), this measures *real*
 elapsed time: mirror save/restore on the Fig. 7 model sizes, the
 batched vs. per-request inference kernels, the flight recorder's
 overhead on the mirror hot path, one training step (whole and per
-layer), and the fixed cost of one AEAD call through the engine and the
-inference session.  Writes ``BENCH_wallclock.json`` at the repo root,
-carrying the committed file's append-only ``history`` forward.
+layer), one Fig. 6 SPS point at two transaction sizes, and the fixed
+cost of one AEAD call through the engine and the inference session.
+Writes ``BENCH_wallclock.json`` at the repo root, carrying the
+committed file's append-only ``history`` forward.
 
 Usage::
 
@@ -114,6 +115,13 @@ def _print_report(report) -> None:
             )
         )
         print(f"update (SGD, every layer): {step.update_ms:.3f} ms")
+    print("\nFig. 6 SPS point (SGX-Romulus, CLFLUSHOPT, 2048 swaps):")
+    print(
+        format_table(
+            ["swaps/tx", "repeats", "best ms"],
+            [[p.tx_size, p.repeats, f"{p.seconds * 1e3:.1f}"] for p in report.sps],
+        )
+    )
     per_call = report.crypto_per_call
     print("\nCrypto cost per call (median us; engine entry points, fixed IV):")
     print(

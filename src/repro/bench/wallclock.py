@@ -14,13 +14,15 @@ Unlike every other harness in :mod:`repro.bench` (which report
 * one ``train_batch`` at the benchmark's shape (5 conv x 16 filters,
   batch 128) and at the federated shape (1 conv x 2 filters, batch 4):
   absolute median milliseconds, whole step, per layer and the update.
+* one Fig. 6 point (SGX-Romulus, CLFLUSHOPT) at 64 and at 256 swaps
+  per transaction: absolute best-of seconds of the whole SPS run.
 * one AEAD call through each of the engine's four entry points at
   message and bulk sizes, and one served request's worth of session
   work: absolute median microseconds — the fixed cost per call that
   small messages pay and megabyte buffers hide.
 
 Every ratio compares two mechanisms that both exist in ``src/``; the
-``mirror``, ``train_step`` and ``crypto_per_call`` sections and the
+``mirror``, ``train_step``, ``sps`` and ``crypto_per_call`` sections and the
 ``history`` list are absolute, compared like-for-like only (same host
 signature, same knobs).
 
@@ -46,7 +48,11 @@ from repro.core.models import build_mnist_cnn, build_sized_cnn
 from repro.core.system import PliniusSystem
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
 from repro.darknet.network import Network
+from repro.hw.pmem import FlushInstruction
+from repro.romulus.runtime import SGX_SDK
+from repro.romulus.sps import SpsConfig, run_sps
 from repro.sgx.attestation import InferenceSession
+from repro.simtime.profiles import get_profile
 
 #: Layer counts of the Fig. 7 sweep exercised by the full harness; the
 #: largest matches the top of ``benchmarks/bench_fig7_mirroring.py``.
@@ -72,12 +78,18 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: ``mirror`` rows carry ``out_seconds`` / ``in_seconds``, and
 #: ``host.crypto_threads``, the two ``mirror_*_speedup_largest_model``
 #: criteria and ``mirrors_identical`` are gone.
-SCHEMA_VERSION = 8
+#: v9 adds the ``sps`` section (absolute seconds of one Fig. 6 point at
+#: two transaction sizes) and its ``sps_ms_tx*`` cells in new
+#: ``history`` rows.
+SCHEMA_VERSION = 9
 
 #: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
 #: section: the e2e benchmark's ``train_mnist`` model and the federated
 #: clients'.  ``--smoke`` runs a fifth of the iterations.
 TRAIN_STEP_SHAPES = ((5, 16, 128, 15), (1, 2, 4, 300))
+
+#: Swaps per transaction of the ``sps`` section's two Fig. 6 points.
+SPS_TX_SIZES = (64, 256)
 
 #: ``(plaintext bytes, iters)`` of the ``crypto_per_call`` section: a
 #: counter-sized message, a serve request, the largest ciphertext
@@ -637,6 +649,31 @@ def measure_crypto_per_call_wallclock(smoke: bool = False) -> CryptoPerCallWallc
 
 
 # ----------------------------------------------------------------------
+# SPS (Fig. 6)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SpsWallclock:
+    """Best-of wall seconds of one Fig. 6 point."""
+
+    tx_size: int
+    repeats: int
+    seconds: float
+
+
+def measure_sps_wallclock(tx_size: int, repeats: int) -> SpsWallclock:
+    """Time one Fig. 6 point as ``repro fig6`` runs it: SGX-Romulus on
+    sgx-emlPM, CLFLUSHOPT, a 10 MiB array and 2048 swaps."""
+    config = SpsConfig(
+        tx_size=tx_size,
+        target_swaps=2048,
+        flush_instruction=FlushInstruction.CLFLUSHOPT,
+    )
+    profile = get_profile("sgx-emlPM")
+    seconds = _best_of(repeats, lambda: run_sps(profile, SGX_SDK, config))
+    return SpsWallclock(tx_size=tx_size, repeats=repeats, seconds=seconds)
+
+
+# ----------------------------------------------------------------------
 # Top-level runner + baseline file
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -650,6 +687,7 @@ class WallclockReport:
     forward: ForwardWallclock
     flight_overhead: FlightOverheadWallclock
     train_step: List[TrainStepWallclock]
+    sps: List[SpsWallclock]
     crypto_per_call: CryptoPerCallWallclock
 
     @property
@@ -664,6 +702,8 @@ class WallclockReport:
             row[f"train_step_ms_b{step.batch}"] = round(step.step_ms, 3)
         row["mirror_out_ms"] = round(largest.out_seconds * 1e3, 3)
         row["mirror_in_ms"] = round(largest.in_seconds * 1e3, 3)
+        for point in self.sps:
+            row[f"sps_ms_tx{point.tx_size}"] = round(point.seconds * 1e3, 3)
         row["session_roundtrip_us_3k"] = self.crypto_per_call.session.roundtrip_us
         return row
 
@@ -696,6 +736,7 @@ class WallclockReport:
                 "overhead_pct": round(self.flight_overhead.overhead_pct, 3),
             },
             "train_step": [asdict(step) for step in self.train_step],
+            "sps": [asdict(point) for point in self.sps],
             "crypto_per_call": {
                 "engine": [asdict(p) for p in self.crypto_per_call.engine],
                 "session": {
@@ -750,6 +791,10 @@ def run_wallclock(
         forward=forward,
         flight_overhead=flight_overhead,
         train_step=train_step,
+        sps=[
+            measure_sps_wallclock(tx_size, repeats=1 if smoke else 3)
+            for tx_size in SPS_TX_SIZES
+        ],
         crypto_per_call=measure_crypto_per_call_wallclock(smoke),
     )
 
