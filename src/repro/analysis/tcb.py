@@ -33,7 +33,6 @@ TRUSTED_MODULES = (
     "repro.darknet.layers.convolutional",
     "repro.darknet.layers.connected",
     "repro.darknet.layers.pooling",
-    "repro.darknet.layers.dropout",
     "repro.darknet.layers.softmax",
     "repro.darknet.network",
     "repro.darknet.policy",
@@ -72,7 +71,6 @@ UNTRUSTED_MODULES = (
     "repro.hw.pmem",
     "repro.hw.undo",
     "repro.hw.ssd",
-    "repro.hw.dram",
     "repro.hw.fio",
     "repro.sgx.enclave",
     "repro.sgx.ecall",

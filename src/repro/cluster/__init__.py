@@ -16,12 +16,7 @@ from repro.cluster.network import (
     ClusterNetwork,
     NetLink,
 )
-from repro.cluster.runtime import (
-    Cluster,
-    get_active_cluster,
-    install_cluster,
-    installed_cluster,
-)
+from repro.cluster.runtime import Cluster
 
 __all__ = [
     "PARTITION_REPAIR_DELAY",
@@ -31,7 +26,4 @@ __all__ = [
     "Host",
     "NetLink",
     "ServingFabric",
-    "get_active_cluster",
-    "install_cluster",
-    "installed_cluster",
 ]

@@ -63,10 +63,6 @@ class EventLoop:
         """Route every popped ``kind`` event to ``handler`` directly."""
         self._handlers[kind] = handler
 
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._events)
-
     def _advance_to(self, t: float) -> None:
         now = self.clock.now()
         if t > now:

@@ -14,17 +14,13 @@ network state do not), and :meth:`boot` stands up a fresh event loop,
 rebinds the network to it, and marks the hosts back up — the caller
 then re-attaches regions via the hosts' recovery entry points.
 
-An *installed* cluster is a process default like the obs recorder or
-the active fault plan: :func:`install_cluster` makes a topology ambient
-so components (the inference gateway) ride its event loop without
-explicit plumbing.  The same leak discipline applies — tests restore
-the previous value or the conftest guard fails them by name.
+A component that rides a cluster's event loop is handed it (the
+inference gateway's ``loop=``).
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.cluster.host import Host
 from repro.cluster.loop import EventLoop
@@ -92,32 +88,3 @@ class Cluster:
             host.boot()
         return self.loop
 
-
-# ----------------------------------------------------------------------
-# The installable process default (null by default, like the fault plan)
-# ----------------------------------------------------------------------
-
-_ACTIVE: Optional[Cluster] = None
-
-
-def install_cluster(cluster: Optional[Cluster]) -> Optional[Cluster]:
-    """Make ``cluster`` the ambient topology; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = cluster
-    return previous
-
-
-def get_active_cluster() -> Optional[Cluster]:
-    """The ambient topology, or ``None`` when none is installed."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def installed_cluster(cluster: Cluster) -> Iterator[Cluster]:
-    """Scope an ambient topology, restoring the previous on exit."""
-    previous = install_cluster(cluster)
-    try:
-        yield cluster
-    finally:
-        install_cluster(previous)

@@ -22,7 +22,6 @@ from repro.core.models import (
     build_mnist_cnn,
     build_sized_cnn,
     cnn_cfg,
-    mnist_cnn_config,
 )
 from repro.core.pm_data import PmDataError, PmDataModule
 from repro.core.serving import InferenceClient, SecureInferenceService
@@ -45,7 +44,6 @@ __all__ = [
     "cnn_cfg",
     "build_mnist_cnn",
     "build_sized_cnn",
-    "mnist_cnn_config",
     "MNIST_INPUT_SHAPE",
     "run_full_workflow",
     "WorkflowArtifacts",

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.darknet.cfg import NetworkConfig, build_network, parse_cfg
+from repro.darknet.cfg import build_network, parse_cfg
 from repro.darknet.network import Network
 
 MNIST_INPUT_SHAPE = (1, 28, 28)
@@ -72,15 +72,6 @@ def build_mnist_cnn(
         cnn_cfg(n_conv_layers=n_conv_layers, filters=filters, batch=batch)
     )
     return build_network(config, rng or np.random.default_rng(0))
-
-
-def mnist_cnn_config(
-    n_conv_layers: int = 5, filters: int = 16, batch: int = 128
-) -> NetworkConfig:
-    """Parsed config for the standard evaluation CNN."""
-    return parse_cfg(
-        cnn_cfg(n_conv_layers=n_conv_layers, filters=filters, batch=batch)
-    )
 
 
 def build_sized_cnn(

@@ -1,6 +1,6 @@
 """The PliniusSystem facade: one object wiring every component together.
 
-Owns the simulated machine (clock, PM/SSD/DRAM devices, enclave,
+Owns the simulated machine (clock, PM and SSD devices, enclave,
 ecall/ocall runtime), the crypto engine, the Romulus region and the
 Plinius modules (mirroring, PM data, SSD-checkpoint baseline), and
 exposes the workflow of Fig. 5 as plain method calls:
@@ -30,7 +30,6 @@ from repro.core.trainer import PliniusTrainer, TrainResult
 from repro.crypto.engine import EncryptionEngine
 from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
-from repro.hw.dram import VolatileMemory
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.hw.ssd import BlockDevice
 from repro.obs.recorder import get_default_recorder
@@ -58,7 +57,6 @@ class PliniusSystem:
         clock: SimClock,
         pm: PersistentMemoryDevice,
         ssd: BlockDevice,
-        dram: VolatileMemory,
         rand: SgxRandom,
         key: bytes,
         seed: int,
@@ -72,7 +70,6 @@ class PliniusSystem:
         clock.recorder = self.recorder
         self.pm = pm
         self.ssd = ssd
-        self.dram = dram
         self.rand = rand
         self.key = key
         self.seed = seed
@@ -118,14 +115,12 @@ class PliniusSystem:
             load_cost=profile.load_cost,
         )
         ssd = BlockDevice(clock, profile.ssd)
-        dram = VolatileMemory(clock, profile.dram)
         key = EncryptionEngine.generate_key(rand)
         return cls(
             profile,
             clock,
             pm,
             ssd,
-            dram,
             rand,
             key,
             seed,
@@ -164,7 +159,6 @@ class PliniusSystem:
         unflushed store; the SSD loses unsynced writes.
         """
         self.enclave.destroy()
-        self.dram.crash()
         self.pm.crash()
         self.ssd.crash()
 

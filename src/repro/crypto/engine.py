@@ -69,7 +69,7 @@ class EncryptionEngine:
     rand:
         Random source used for IV generation; defaults to ``os.urandom``.
         Experiments inject the deterministic
-        :func:`repro.sgx.rand.sgx_read_rand` here for reproducibility.
+        :class:`repro.sgx.rand.SgxRandom` here for reproducibility.
     backend:
         AEAD backend; defaults to the fastest available.
     observer:

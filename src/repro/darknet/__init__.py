@@ -6,14 +6,14 @@ integration with SGX enclaves").  This package reimplements the pieces
 Plinius exercises:
 
 * the layer vocabulary of the paper's models — convolutional layers with
-  batch normalization and leaky-ReLU activation, max/average pooling,
-  fully-connected, dropout, and softmax output;
+  batch normalization and leaky-ReLU activation, max pooling,
+  fully-connected, and softmax output;
 * Darknet's ``.cfg`` model-description format (parsed *outside* the
   enclave by ``sgx-darknet-helper``, per the paper's partitioning);
 * Darknet's ``.weights``-style binary serialization (the checkpoint
   payload of the SSD baseline);
-* single-threaded SGD training (learning rate / momentum / decay) and
-  inference.
+* single-threaded SGD training (learning rate / momentum / decay,
+  ``Network.train_batch``) and inference (``Network.infer``).
 
 Each convolutional layer with batch normalization exposes exactly five
 parameter buffers (weights, biases, scales, rolling mean, rolling
@@ -23,16 +23,14 @@ and hence 140 B of per-layer encryption metadata follows from this.
 
 from repro.darknet.activations import Activation, get_activation
 from repro.darknet.network import Network
-from repro.darknet.cfg import NetworkConfig, build_network, parse_cfg, render_cfg
+from repro.darknet.cfg import NetworkConfig, build_network, parse_cfg
 from repro.darknet.weights import load_weights, save_weights
 from repro.darknet.data import DataMatrix
-from repro.darknet.train import TrainingLog, train
+from repro.darknet.train import TrainingLog
 from repro.darknet.inference import accuracy
 from repro.darknet.layers import (
-    AvgPoolLayer,
     ConnectedLayer,
     ConvolutionalLayer,
-    DropoutLayer,
     Layer,
     MaxPoolLayer,
     SoftmaxLayer,
@@ -44,19 +42,15 @@ __all__ = [
     "Network",
     "NetworkConfig",
     "parse_cfg",
-    "render_cfg",
     "build_network",
     "save_weights",
     "load_weights",
     "DataMatrix",
-    "train",
     "TrainingLog",
     "accuracy",
     "Layer",
     "ConvolutionalLayer",
     "ConnectedLayer",
     "MaxPoolLayer",
-    "AvgPoolLayer",
-    "DropoutLayer",
     "SoftmaxLayer",
 ]

@@ -1,7 +1,9 @@
 """Activation functions with their derivatives (Darknet's vocabulary).
 
 The paper's models use *leaky rectified linear units* (LReLU) in every
-convolutional layer; Darknet's ``leaky`` uses a fixed slope of 0.1.
+convolutional layer; Darknet's ``leaky`` uses a fixed slope of 0.1, and
+their fully-connected output layer is ``linear``.  Those two are the
+vocabulary: no model this repository builds uses another.
 
 Each activation carries two forward implementations:
 
@@ -13,7 +15,7 @@ Each activation carries two forward implementations:
   every in-place formulation below is the same ufunc sequence as
   ``forward`` (multiplication and addition are exactly commutative in
   IEEE 754, and ``out=`` never changes a ufunc's rounding).  The test
-  suite pins the equality for all five, signed zeros and NaN included.
+  suite pins the equality for both, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -66,19 +68,6 @@ def _leaky_gradient(y: np.ndarray) -> np.ndarray:
     return np.maximum(slope, 0.1, out=slope)
 
 
-def _relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def _relu_forward_into(x: np.ndarray, ws) -> np.ndarray:
-    np.maximum(x, 0, out=x)
-    return x
-
-
-def _relu_gradient(y: np.ndarray) -> np.ndarray:
-    return (y > 0).astype(y.dtype)
-
-
 def _linear_forward(x: np.ndarray) -> np.ndarray:
     return x
 
@@ -91,45 +80,11 @@ def _linear_gradient(y: np.ndarray) -> np.ndarray:
     return np.ones_like(y)
 
 
-def _logistic_forward(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _logistic_forward_into(x: np.ndarray, ws) -> np.ndarray:
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    np.add(x, 1.0, out=x)
-    np.divide(1.0, x, out=x)
-    return x
-
-
-def _logistic_gradient(y: np.ndarray) -> np.ndarray:
-    return y * (1.0 - y)
-
-
-def _tanh_forward(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_forward_into(x: np.ndarray, ws) -> np.ndarray:
-    np.tanh(x, out=x)
-    return x
-
-
-def _tanh_gradient(y: np.ndarray) -> np.ndarray:
-    return 1.0 - y * y
-
-
 _ACTIVATIONS: Dict[str, Activation] = {
     a.name: a
     for a in (
         Activation("leaky", _leaky_forward, _leaky_gradient, _leaky_forward_into),
-        Activation("relu", _relu_forward, _relu_gradient, _relu_forward_into),
         Activation("linear", _linear_forward, _linear_gradient, _linear_forward_into),
-        Activation(
-            "logistic", _logistic_forward, _logistic_gradient, _logistic_forward_into
-        ),
-        Activation("tanh", _tanh_forward, _tanh_gradient, _tanh_forward_into),
     )
 }
 

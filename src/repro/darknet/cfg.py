@@ -17,10 +17,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.darknet.layers import (
-    AvgPoolLayer,
     ConnectedLayer,
     ConvolutionalLayer,
-    DropoutLayer,
     Layer,
     MaxPoolLayer,
     SoftmaxLayer,
@@ -91,17 +89,6 @@ def parse_cfg(text: str) -> NetworkConfig:
     return config
 
 
-def render_cfg(config: NetworkConfig) -> str:
-    """Serialize a config back to ``.cfg`` text (round-trips parse_cfg)."""
-    lines: List[str] = ["[net]"]
-    lines += [f"{k}={v}" for k, v in config.net.items()]
-    for name, options in config.sections:
-        lines.append("")
-        lines.append(f"[{name}]")
-        lines += [f"{k}={v}" for k, v in options.items()]
-    return "\n".join(lines) + "\n"
-
-
 def build_network(
     config: NetworkConfig, rng: Optional[np.random.Generator] = None
 ) -> Network:
@@ -168,21 +155,11 @@ def _build_layer(
             size=size,
             stride=_positive(name, options, "stride", size),
         )
-    if name == "avgpool":
-        if len(in_shape) != 3:
-            raise ValueError(f"avgpool layer needs a 3-D input, got {in_shape}")
-        return AvgPoolLayer(in_shape)  # type: ignore[arg-type]
     if name == "connected":
         return ConnectedLayer(
             in_shape,
             outputs=_positive(name, options, "output", 1),
             activation=options.get("activation", "linear"),
-            rng=rng,
-        )
-    if name == "dropout":
-        return DropoutLayer(
-            in_shape,
-            probability=float(options.get("probability", 0.5)),
             rng=rng,
         )
     if name == "softmax":

@@ -52,10 +52,6 @@ class DataMatrix:
     def nbytes(self) -> int:
         return self.x.nbytes + self.y.nbytes
 
-    def batch(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather a batch by row indices."""
-        return self.x[indices], self.y[indices]
-
     def sequential_batches(
         self, batch_size: int
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -64,13 +60,6 @@ class DataMatrix:
             yield self.x[start : start + batch_size], self.y[
                 start : start + batch_size
             ]
-
-    def random_batch(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample a batch with replacement (Darknet's get_random_batch)."""
-        indices = rng.integers(0, len(self), size=batch_size)
-        return self.batch(indices)
 
     def labels(self) -> np.ndarray:
         """Integer class labels."""

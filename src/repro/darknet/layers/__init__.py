@@ -3,8 +3,7 @@
 from repro.darknet.layers.base import Layer
 from repro.darknet.layers.convolutional import ConvolutionalLayer
 from repro.darknet.layers.connected import ConnectedLayer
-from repro.darknet.layers.pooling import AvgPoolLayer, MaxPoolLayer
-from repro.darknet.layers.dropout import DropoutLayer
+from repro.darknet.layers.pooling import MaxPoolLayer
 from repro.darknet.layers.softmax import SoftmaxLayer
 
 __all__ = [
@@ -12,7 +11,5 @@ __all__ = [
     "ConvolutionalLayer",
     "ConnectedLayer",
     "MaxPoolLayer",
-    "AvgPoolLayer",
-    "DropoutLayer",
     "SoftmaxLayer",
 ]

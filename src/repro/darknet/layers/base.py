@@ -82,8 +82,8 @@ class Layer(abc.ABC):
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Training forward: batch statistics, dropout masks, and the
-        caches ``backward`` reads.  Inference never runs it (see
+        """Training forward: batch statistics and the caches
+        ``backward`` reads.  Inference never runs it (see
         :meth:`infer`)."""
 
     @abc.abstractmethod
@@ -117,7 +117,7 @@ class Layer(abc.ABC):
 
         The only inference path: serving, ``accuracy`` and the crash
         harness's reference responses all run it.  It reads the rolling
-        batch-norm statistics, applies no dropout and caches nothing.
+        batch-norm statistics and caches nothing.
         Contract: each sample's output is **bitwise identical** whatever
         batch it rides in — the serving tier relies on this to coalesce
         requests without changing any sealed response byte.  The

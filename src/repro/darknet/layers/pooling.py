@@ -1,4 +1,4 @@
-"""Pooling layers: windowed max pooling and Darknet's global avgpool."""
+"""Pooling layers: windowed max pooling."""
 
 from __future__ import annotations
 
@@ -149,30 +149,3 @@ class MaxPoolLayer(Layer):
         for window, grad in zip(self._windows(dx), grads):
             window += grad
         return dx
-
-
-class AvgPoolLayer(Layer):
-    """Darknet's ``[avgpool]``: global average over the spatial extent."""
-
-    kind = "avgpool"
-
-    def __init__(self, in_shape: Tuple[int, int, int]) -> None:
-        c, h, w = in_shape
-        self.in_shape = in_shape
-        self.out_shape = (c,)
-        self._spatial = h * w
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=(2, 3))
-
-    def infer(self, x: np.ndarray, ws) -> np.ndarray:
-        out = ws.take("out", (x.shape[0],) + self.out_shape, x.dtype)
-        np.mean(x, axis=(2, 3), out=out)
-        return out
-
-    def backward(self, delta: np.ndarray) -> np.ndarray:
-        c, h, w = self.in_shape
-        spread = delta.reshape(delta.shape[0], c, 1, 1) / self._spatial
-        return np.broadcast_to(
-            spread, (delta.shape[0], c, h, w)
-        ).astype(delta.dtype).copy()

@@ -55,10 +55,6 @@ class Network:
         return last
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
     def param_count(self) -> int:
         """Total learnable + statistic scalars across layers."""
         return sum(layer.param_count for layer in self.layers)

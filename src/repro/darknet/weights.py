@@ -16,7 +16,6 @@ Format (little-endian), mirroring Darknet's ``save_weights``:
 from __future__ import annotations
 
 import struct
-from typing import Tuple
 
 import numpy as np
 
@@ -65,9 +64,3 @@ def load_weights(network: Network, blob: bytes) -> int:
         )
     network.iteration = int(seen)
     return int(seen)
-
-
-def weights_size(network: Network) -> Tuple[int, int]:
-    """(header bytes, parameter bytes) of the serialized form."""
-    params = sum(buf.size * 4 for _, (_, buf) in network.parameter_buffers())
-    return _HEADER.size, params

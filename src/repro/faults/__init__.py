@@ -38,9 +38,7 @@ from repro.faults.registry import (
     UNFENCED,
     FaultSite,
     UnknownSiteError,
-    crashable_sites,
     require_site,
-    sites_for_layer,
 )
 
 _LAZY = {

@@ -170,13 +170,3 @@ def require_site(name: str) -> FaultSite:
             f"unknown fault site {name!r}; registered sites: "
             f"{', '.join(sorted(SITES))}"
         ) from None
-
-
-def sites_for_layer(layer: str) -> Tuple[FaultSite, ...]:
-    """All registered sites of one layer, in catalog order."""
-    return tuple(s for s in SITES.values() if s.layer == layer)
-
-
-def crashable_sites() -> Tuple[str, ...]:
-    """Names of every site that supports the CRASH kind."""
-    return tuple(name for name, s in SITES.items() if CRASH in s.kinds)

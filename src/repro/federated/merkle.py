@@ -85,10 +85,6 @@ class MerkleTree:
     def root(self) -> bytes:
         return self._levels[-1][0]
 
-    @property
-    def leaves(self) -> Tuple[bytes, ...]:
-        return self._leaves
-
     def __len__(self) -> int:
         return len(self._leaves)
 

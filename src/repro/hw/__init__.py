@@ -1,4 +1,4 @@
-"""Simulated hardware substrate: persistent memory, SSD, DRAM.
+"""Simulated hardware substrate: persistent memory and SSD.
 
 These devices give the reproduction *observable* durability semantics:
 
@@ -9,7 +9,8 @@ These devices give the reproduction *observable* durability semantics:
   exactly the failure Romulus' twin-copy protocol must tolerate.
 * :class:`BlockDevice` — an SSD with a volatile write buffer and fsync,
   used by the disk-checkpointing baseline.
-* :class:`VolatileMemory` — DRAM; loses everything on crash.
+* DRAM has no device: what the enclave holds in it is process state,
+  gone when the process is killed.
 
 All operations charge simulated time to a shared :class:`~repro.simtime.SimClock`
 via the device cost models in the active :class:`~repro.simtime.ServerProfile`.
@@ -18,7 +19,6 @@ via the device cost models in the active :class:`~repro.simtime.ServerProfile`.
 from repro.hw.intervals import IntervalSet
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
 from repro.hw.ssd import BlockDevice
-from repro.hw.dram import VolatileMemory
 from repro.hw.fio import FioJob, FioResult, run_fio_job
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "PersistentMemoryDevice",
     "FlushInstruction",
     "BlockDevice",
-    "VolatileMemory",
     "FioJob",
     "FioResult",
     "run_fio_job",

@@ -61,13 +61,6 @@ class IntervalSet:
         self._starts.clear()
         self._ends.clear()
 
-    def copy(self) -> "IntervalSet":
-        """Return an independent copy."""
-        out = IntervalSet()
-        out._starts = list(self._starts)
-        out._ends = list(self._ends)
-        return out
-
     def add(self, start: int, end: int) -> None:
         """Add the half-open interval ``[start, end)``, coalescing."""
         if start >= end:

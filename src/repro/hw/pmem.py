@@ -679,17 +679,6 @@ class PersistentMemoryDevice:
             out.append((tag, list(kept)))
         return out
 
-    def persist(
-        self,
-        addr: int,
-        length: int,
-        instruction: FlushInstruction = FlushInstruction.CLFLUSHOPT,
-    ) -> None:
-        """Flush + (fence if the instruction requires it) — a full PWB."""
-        self.flush(addr, length, instruction)
-        if instruction.needs_fence:
-            self.fence()
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------

@@ -110,10 +110,6 @@ class BlockDevice:
         self.stats["writes"] += 1
         self.clock.advance(len(data) / PAGE_CACHE_BANDWIDTH)
 
-    def append(self, name: str, data: bytes) -> None:
-        """Write at the current end of the file."""
-        self.write(name, self.file_size(name), data)
-
     def fsync(self, name: str) -> int:
         """Force pending bytes of ``name`` to the device; return the count."""
         active = faultplan.ACTIVE

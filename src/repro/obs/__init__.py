@@ -12,8 +12,8 @@ decrypt.  This package makes that attribution a first-class subsystem:
   (ecalls/ocalls, EPC page swaps, PM bytes read/written/flushed,
   Romulus commits/aborts/recoveries, sealed/unsealed bytes) and gauges
   (gateway queue depth, serve-arena bytes);
-* exporters — Chrome trace-event JSON (open in Perfetto), a JSONL
-  stream, and a human-readable summary.
+* the Chrome trace-event JSON exporter (open in Perfetto), and
+  ``repro report``, the one reader of what it writes.
 
 Tracing is off by default: every component reaches the recorder through
 ``clock.recorder``, which is the allocation-free :data:`NULL_RECORDER`
@@ -33,11 +33,8 @@ from repro.obs.context import (
 from repro.obs.export import (
     mirror_breakdown,
     phase_totals,
-    summary,
     to_chrome_trace,
-    to_jsonl_lines,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.flight import FlightRecorder, FlightRing
 from repro.obs.hist import LogHistogram
@@ -75,11 +72,8 @@ __all__ = [
     "install_default_recorder",
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl_lines",
-    "write_jsonl",
     "phase_totals",
     "mirror_breakdown",
-    "summary",
     "build_report",
     "build_report_from_recorder",
     "load_trace",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, JSONL, and summary tables.
+"""Trace exporters: Chrome trace-event JSON and per-phase totals.
 
 Chrome trace format reference:
 https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -16,18 +16,15 @@ events on both timelines.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.obs.recorder import Span, TraceRecorder
 
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
-    "to_jsonl_lines",
-    "write_jsonl",
     "phase_totals",
     "mirror_breakdown",
-    "summary",
 ]
 
 SIM_PID = 1
@@ -202,83 +199,15 @@ def write_chrome_trace(recorder: TraceRecorder, path: str) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# JSONL event stream
+# Aggregation
 # ----------------------------------------------------------------------
-def to_jsonl_lines(recorder: TraceRecorder) -> List[str]:
-    """One JSON object per line: spans, instants, then final metrics."""
-    lines = []
-    for span in list(recorder.spans):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "name": span.name,
-                    "category": span.category,
-                    "index": span.index,
-                    "parent": span.parent_index,
-                    "thread": span.thread_id,
-                    "sim_lane": span.sim_lane,
-                    "trace_id": span.trace_id,
-                    "sim_start": span.sim_start,
-                    "sim_end": span.sim_end,
-                    "wall_start": span.wall_start,
-                    "wall_end": span.wall_end,
-                    "args": dict(sorted((span.args or {}).items())),
-                },
-                sort_keys=True,
-            )
-        )
-    for event in list(recorder.events):
-        lines.append(
-            json.dumps({"type": "instant", **event}, sort_keys=True)
-        )
-    for name, value in recorder.counters.snapshot().items():
-        lines.append(
-            json.dumps(
-                {"type": "counter", "name": name, "value": value},
-                sort_keys=True,
-            )
-        )
-    for name, value in recorder.counters.gauges_snapshot().items():
-        lines.append(
-            json.dumps(
-                {"type": "gauge", "name": name, "value": value},
-                sort_keys=True,
-            )
-        )
-    for name, hist in recorder.counters.histograms_snapshot().items():
-        lines.append(
-            json.dumps(
-                {"type": "histogram", "name": name, "hist": hist},
-                sort_keys=True,
-            )
-        )
-    return lines
-
-
-def write_jsonl(recorder: TraceRecorder, path: str) -> int:
-    """Write the JSONL stream to ``path``; returns the line count."""
-    lines = to_jsonl_lines(recorder)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    return len(lines)
-
-
-# ----------------------------------------------------------------------
-# Aggregation + summary
-# ----------------------------------------------------------------------
-def phase_totals(
-    recorder: TraceRecorder, prefix: Optional[str] = None
-) -> Dict[str, Dict[str, float]]:
-    """Aggregate spans by name: count plus total sim/wall seconds.
-
-    ``prefix`` filters to one component's taxonomy (e.g. ``"mirror."``).
-    """
+def phase_totals(recorder: TraceRecorder, prefix: str) -> Dict[str, Dict[str, float]]:
+    """Aggregate the spans of one component's taxonomy (names starting
+    with ``prefix``, e.g. ``"mirror."``) by name: count plus total
+    sim/wall seconds."""
     totals: Dict[str, Dict[str, float]] = {}
     for span in list(recorder.spans):
-        if prefix is not None and not span.name.startswith(prefix):
+        if not span.name.startswith(prefix):
             continue
         entry = totals.setdefault(
             span.name, {"count": 0, "sim_seconds": 0.0, "wall_seconds": 0.0}
@@ -319,83 +248,3 @@ def mirror_breakdown(recorder: TraceRecorder) -> Dict[str, float]:
         result["restore_read_pct"] = 100.0 * read / restore_total
         result["restore_decrypt_pct"] = 100.0 * decrypt / restore_total
     return result
-
-
-def _format_rows(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    table = [[str(c) for c in headers]] + [
-        [str(c) for c in row] for row in rows
-    ]
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
-def summary(recorder: TraceRecorder) -> str:
-    """Human-readable per-phase and counter summary of a trace."""
-    totals = phase_totals(recorder)
-    parts = []
-    if totals:
-        parts.append(
-            _format_rows(
-                ["span", "count", "sim s", "wall s"],
-                [
-                    [
-                        name,
-                        int(entry["count"]),
-                        f"{entry['sim_seconds']:.6f}",
-                        f"{entry['wall_seconds']:.6f}",
-                    ]
-                    for name, entry in totals.items()
-                ],
-            )
-        )
-    else:
-        parts.append("(no spans recorded)")
-    counters = recorder.counters.snapshot()
-    gauges = recorder.counters.gauges_snapshot()
-    if counters or gauges:
-        parts.append("")
-        parts.append(
-            _format_rows(
-                ["metric", "value"],
-                [[name, value] for name, value in counters.items()]
-                + [[f"{name} (gauge)", value] for name, value in gauges.items()],
-            )
-        )
-    histograms = recorder.counters.histograms_snapshot()
-    if histograms:
-        parts.append("")
-        parts.append(
-            _format_rows(
-                ["histogram", "count", "mean", "p50", "p99", "p999", "max"],
-                [
-                    [
-                        name,
-                        hist["count"],
-                        f"{hist['mean']:.6g}",
-                        f"{hist['p50']:.6g}",
-                        f"{hist['p99']:.6g}",
-                        f"{hist['p999']:.6g}",
-                        f"{hist['max']:.6g}" if hist["max"] is not None else "-",
-                    ]
-                    for name, hist in histograms.items()
-                ],
-            )
-        )
-    events = list(recorder.events)
-    if events:
-        parts.append("")
-        parts.append(
-            _format_rows(
-                ["event", "sim time", "args"],
-                [
-                    [e["name"], f"{e['sim_time']:.6f}", json.dumps(e["args"], sort_keys=True)]
-                    for e in events
-                ],
-            )
-        )
-    return "\n".join(parts)

@@ -91,10 +91,6 @@ class FlightRing:
             "total": self.total,
         }
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.total = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlightRing({len(self)}/{self.capacity}, total={self.total})"
 

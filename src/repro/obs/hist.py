@@ -1,4 +1,4 @@
-"""Mergeable log-bucketed latency histograms.
+"""Log-bucketed latency histograms.
 
 A :class:`LogHistogram` is the fixed-shape sketch behind every
 ``recorder.observe(name, value)`` call: values are binned into
@@ -7,9 +7,6 @@ sketch is
 
 * **bounded** — at most one counter per occupied exponent, regardless
   of sample count;
-* **mergeable** — two histograms with the same (universal) bucket
-  layout merge by adding bucket counts, which is how cross-replica
-  latency aggregates are built;
 * **deterministic** — bucketing uses :func:`math.frexp` (exact binary
   exponent extraction, no ``log`` rounding fuzz), and every exported
   view sorts its keys, so same-seed runs serialize byte-identically.
@@ -82,18 +79,6 @@ class LogHistogram:
         for value in values:
             self.record(value)
 
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other`` into this histogram (cross-replica aggregation)."""
-        for bucket, n in other._buckets.items():
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + n
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        return self
-
     # ------------------------------------------------------------------
     def mean(self) -> float:
         """Exact mean (sum and count are not sketched)."""
@@ -140,22 +125,6 @@ class LogHistogram:
             "p999": self.quantile(0.999),
             "sum": self.sum,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LogHistogram":
-        """Rebuild a histogram from :meth:`to_dict` output (report CLI)."""
-        hist = cls()
-        raw_buckets = data.get("buckets", {})
-        if isinstance(raw_buckets, dict):
-            for key, n in raw_buckets.items():
-                hist._buckets[int(key)] = int(n)  # type: ignore[arg-type]
-        hist.count = int(data.get("count", 0))  # type: ignore[arg-type]
-        hist.sum = float(data.get("sum", 0.0))  # type: ignore[arg-type]
-        raw_min = data.get("min")
-        raw_max = data.get("max")
-        hist.min = None if raw_min is None else float(raw_min)  # type: ignore[arg-type]
-        hist.max = None if raw_max is None else float(raw_max)  # type: ignore[arg-type]
-        return hist
 
     def __len__(self) -> int:
         return self.count

@@ -90,13 +90,6 @@ class CounterRegistry:
                 for name, hist in sorted(self._histograms.items())
             }
 
-    def clear(self) -> None:
-        """Drop every counter, gauge, and histogram (tests)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return (

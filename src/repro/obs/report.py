@@ -14,9 +14,9 @@ in wall timestamps.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.export import SIM_PID, _format_rows
+from repro.obs.export import SIM_PID
 
 __all__ = [
     "load_trace",
@@ -27,6 +27,19 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "plinius-report/1"
+
+
+def _format_rows(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    table = [[str(c) for c in headers]] + [
+        [str(c) for c in row] for row in rows
+    ]
+    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+    lines = []
+    for i, row in enumerate(table):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def load_trace(path: str) -> Dict[str, Any]:

@@ -1,19 +1,18 @@
 """Persistent memory allocator (the ``PMalloc`` of Algorithm 3).
 
-A first-fit free-list allocator whose metadata lives *inside the main
-region* (bump pointer and free-list head at main offsets 0 and 8, free
-blocks threaded through the freed memory itself).  Because all metadata
-writes go through the transaction, a crash mid-allocation rolls the
-allocator state back together with the data it was allocating for —
-no persistent leaks, no dangling blocks.
+A bump allocator whose metadata lives *inside the main region* (bump
+pointer at main offset 0).  Because all metadata writes go through the
+transaction, a crash mid-allocation rolls the allocator state back
+together with the data it was allocating for — no persistent leaks,
+no dangling blocks.  Nothing frees: the mirror and the data matrix
+each allocate once per region and rewrite in place.
 
 Block layout: each allocation is preceded by an 8-byte size header.
-Free blocks reuse their first 16 bytes as ``(next, size)``.
+Main offset 8 holds an always-empty free-list head, which every
+allocation loads (see :meth:`PersistentHeap.pmalloc`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.romulus.region import USER_DATA_START, RomulusRegion
 from repro.romulus.transaction import Transaction
@@ -46,84 +45,29 @@ class PersistentHeap:
         return self.region.read_u64(_BUMP_OFFSET)
 
     @property
-    def free_head(self) -> int:
-        """Offset of the first free-list block (0 = empty list)."""
-        return self.region.read_u64(_FREE_HEAD_OFFSET)
-
-    @property
     def used_bytes(self) -> int:
         """Bytes consumed from the user area (including size headers)."""
         return self.bump - USER_DATA_START
 
     def pmalloc(self, tx: Transaction, size: int) -> int:
-        """Allocate ``size`` bytes; returns the main-relative offset.
-
-        First fit over the free list, falling back to the bump pointer.
-        """
+        """Allocate ``size`` bytes; returns the main-relative offset."""
         if size <= 0:
             raise ValueError(f"allocation size must be positive: {size}")
         need = max(_align(size + _HEADER), _MIN_BLOCK)
 
-        taken = self._take_from_free_list(tx, need)
-        if taken is None:
-            offset = self._take_from_bump(tx, need)
-            if offset is None:
-                raise AllocationError(
-                    f"persistent heap exhausted: need {need} bytes, "
-                    f"bump at {self.bump} of {self.region.main_size}"
-                )
-            granted = need
-        else:
-            offset, granted = taken
-        tx.write_u64(offset, granted)
-        return offset + _HEADER
-
-    def pmfree(self, tx: Transaction, user_offset: int) -> None:
-        """Return a block to the free list."""
-        block = user_offset - _HEADER
-        size = self.region.read_u64(block)
-        if size < _MIN_BLOCK or block + size > self.region.main_size:
-            raise ValueError(
-                f"pmfree of offset {user_offset}: corrupt size header {size}"
+        # A charged PM load of the empty free-list head: the simulated
+        # times of every figure include it.
+        self.region.read_u64(_FREE_HEAD_OFFSET)
+        bump = self.bump
+        if bump + need > self.region.main_size:
+            raise AllocationError(
+                f"persistent heap exhausted: need {need} bytes, "
+                f"bump at {self.bump} of {self.region.main_size}"
             )
-        # Thread onto the list head: block stores (next, size).
-        tx.write_u64(block, self.free_head)
-        tx.write_u64(block + 8, size)
-        tx.write_u64(_FREE_HEAD_OFFSET, block)
+        tx.write_u64(_BUMP_OFFSET, bump + need)
+        tx.write_u64(bump, need)
+        return bump + _HEADER
 
     def allocation_size(self, user_offset: int) -> int:
         """Usable bytes of the allocation at ``user_offset``."""
         return self.region.read_u64(user_offset - _HEADER) - _HEADER
-
-    # ------------------------------------------------------------------
-    def _take_from_free_list(
-        self, tx: Transaction, need: int
-    ) -> Optional[tuple]:
-        """First fit; returns ``(offset, granted_size)`` or None."""
-        prev = _FREE_HEAD_OFFSET
-        current = self.free_head
-        while current != 0:
-            nxt = self.region.read_u64(current)
-            size = self.region.read_u64(current + 8)
-            if size >= need:
-                remainder = size - need
-                if remainder >= _MIN_BLOCK:
-                    # Split: the tail stays on the free list.
-                    tail = current + need
-                    tx.write_u64(tail, nxt)
-                    tx.write_u64(tail + 8, remainder)
-                    tx.write_u64(prev, tail)
-                    return current, need
-                # Hand out the whole block (remainder too small to keep).
-                tx.write_u64(prev, nxt)
-                return current, size
-            prev = current
-            current = nxt
-        return None
-
-    def _take_from_bump(self, tx: Transaction, need: int) -> Optional[int]:
-        bump = self.bump
-        if bump + need > self.region.main_size:
-            return None
-        tx.write_u64(_BUMP_OFFSET, bump + need)
-        return bump

@@ -160,10 +160,6 @@ class RomulusRegion:
         region.recover()
         return region
 
-    def exists(self) -> bool:
-        """Whether the device holds a formatted region at our base."""
-        return self.device.read(self.base, 8) == MAGIC
-
     def recover(self) -> RegionState:
         """Run Romulus recovery; returns the state found at attach time."""
         found = self.state

@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cluster.fabric import ServingFabric
 from repro.cluster.loop import EventLoop
-from repro.cluster.runtime import get_active_cluster
 from repro.crypto.engine import SEAL_OVERHEAD
 from repro.faults import plan as faultplan
 from repro.faults.plan import InjectedEcallAbort, InjectedLinkDrop
@@ -131,17 +130,9 @@ class InferenceGateway:
         self.admission = AdmissionController(
             admission_policy or AdmissionPolicy()
         )
-        if loop is None:
-            # Ride the ambient cluster's loop when one shares our clock;
-            # otherwise stand up a private substrate loop.
-            cluster = get_active_cluster()
-            if cluster is not None and cluster.clock is clock:
-                loop = cluster.loop
-            else:
-                loop = EventLoop(clock)
-        #: The event scheduler: an ambient or caller-supplied cluster
-        #: EventLoop, else a private one.
-        self.loop = loop
+        #: The event scheduler: a caller-supplied cluster EventLoop, else
+        #: a private one.
+        self.loop = loop if loop is not None else EventLoop(clock)
         #: Optional host placement: arms the cluster.partition /
         #: cluster.deliver barriers on the dispatch and completion edges.
         self.fabric = fabric

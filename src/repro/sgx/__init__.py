@@ -13,11 +13,11 @@ preserves are the *observable behaviours* Plinius depends on:
   measurement, used to persist the data-encryption key.
 * :mod:`repro.sgx.attestation` — quote generation/verification plus a
   DH-secured channel for key provisioning (the Fig. 5 workflow).
-* :func:`sgx_read_rand` — deterministic CSPRNG standing in for the SDK's
-  hardware randomness.
+* :class:`SgxRandom` — deterministic CSPRNG standing in for the SDK's
+  hardware randomness (``sgx_read_rand``).
 """
 
-from repro.sgx.rand import SgxRandom, sgx_read_rand
+from repro.sgx.rand import SgxRandom
 from repro.sgx.enclave import Enclave, EnclaveMemoryError
 from repro.sgx.ecall import EnclaveRuntime, EnclaveCallError
 from repro.sgx.sealing import SealedBlob, seal_data, unseal_data
@@ -31,7 +31,6 @@ from repro.sgx.attestation import (
 
 __all__ = [
     "SgxRandom",
-    "sgx_read_rand",
     "Enclave",
     "EnclaveMemoryError",
     "EnclaveRuntime",

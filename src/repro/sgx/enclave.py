@@ -109,11 +109,6 @@ class Enclave:
             )
         self._allocations[tag] = nbytes
 
-    def free(self, tag: str) -> None:
-        """Free the allocation registered under ``tag``."""
-        self._check_alive()
-        self._allocations.pop(tag, None)
-
     # ------------------------------------------------------------------
     # Cost charging
     # ------------------------------------------------------------------

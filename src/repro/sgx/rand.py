@@ -35,10 +35,3 @@ class SgxRandom:
     def __call__(self, nbytes: int) -> bytes:
         return self.read(nbytes)
 
-
-_global = SgxRandom()
-
-
-def sgx_read_rand(nbytes: int, source: Optional[SgxRandom] = None) -> bytes:
-    """Module-level convenience mirroring the SDK API."""
-    return (source or _global).read(nbytes)

@@ -16,7 +16,7 @@ hierarchical dual-clock trace spans with no further changes.
 
 from __future__ import annotations
 
-from repro.obs.recorder import NULL_RECORDER, get_default_recorder
+from repro.obs.recorder import get_default_recorder
 
 
 class StopwatchSpan:
@@ -103,17 +103,9 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def reset(self) -> None:
-        """Reset the clock to zero (used between benchmark repetitions)."""
-        self._now = 0.0
-
     def stopwatch(self, label: str = "") -> StopwatchSpan:
         """Return a context manager measuring simulated time in a block."""
         return StopwatchSpan(self, label)
-
-    def detach_recorder(self) -> None:
-        """Restore the null recorder (tests / teardown)."""
-        self.recorder = NULL_RECORDER
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.9f})"

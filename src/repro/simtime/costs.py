@@ -40,10 +40,6 @@ class DeviceCostModel:
         """Simulated seconds to read ``nbytes`` in one operation."""
         return self.read_latency + nbytes / self.read_bandwidth
 
-    def write_time(self, nbytes: int) -> float:
-        """Simulated seconds to write ``nbytes`` in one operation."""
-        return self.write_latency + nbytes / self.write_bandwidth
-
     def fsync_time(self, pending_bytes: int) -> float:
         """Simulated seconds for a flush barrier over ``pending_bytes``."""
         return self.fsync_latency + pending_bytes / self.write_bandwidth

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import runtime as cluster_runtime
 from repro.core.system import PliniusSystem
 from repro.darknet.data import DataMatrix
 from repro.data import synthetic_mnist, to_data_matrix
@@ -19,8 +18,7 @@ from repro.simtime.profiles import EMLSGX_PM, SGX_EMLPM
 def snapshot_process_defaults() -> dict:
     """Capture every module global acting as a process default.
 
-    Three globals qualify: the obs recorder, the fault plan, and the
-    installed cluster topology.  The snapshot
+    Two globals qualify: the obs recorder and the fault plan.  The snapshot
     pairs with :func:`restore_and_diff_process_defaults`; the autouse
     guard below uses both, and the guard's own regression test calls
     them directly.
@@ -28,7 +26,6 @@ def snapshot_process_defaults() -> dict:
     return {
         "recorder": get_default_recorder(),
         "plan": faultplan.get_active_plan(),
-        "cluster": cluster_runtime.get_active_cluster(),
     }
 
 
@@ -41,9 +38,6 @@ def restore_and_diff_process_defaults(before: dict) -> list:
     if faultplan.get_active_plan() is not before["plan"]:
         leaked.append("fault plan (faults.plan.install_plan)")
         faultplan.install_plan(before["plan"])
-    if cluster_runtime.get_active_cluster() is not before["cluster"]:
-        leaked.append("cluster topology (cluster.runtime.install_cluster)")
-        cluster_runtime.install_cluster(before["cluster"])
     return leaked
 
 
@@ -51,10 +45,10 @@ def restore_and_diff_process_defaults(before: dict) -> list:
 def _no_leaked_process_defaults():
     """Fail any test that leaks a process-default override.
 
-    A test that installs a process default (recorder, fault plan,
-    cluster topology) and forgets to restore it silently
+    A test that installs a process default (recorder, fault plan) and
+    forgets to restore it silently
     changes the behaviour of every test that runs after it — the
-    classic order-dependent flake.  This fixture snapshots all three,
+    classic order-dependent flake.  This fixture snapshots both,
     restores them unconditionally, and fails the offending test by name
     so the leak is fixed at the source.
     """
@@ -97,6 +91,21 @@ def tiny_dataset() -> DataMatrix:
     """An even smaller matrix for per-test system setup."""
     images, labels, _, _ = synthetic_mnist(96, 1, seed=13)
     return to_data_matrix(images, labels)
+
+
+def train_in_dram(net, data, iterations, rng, input_shape=None):
+    """Plain in-DRAM training, no mirroring; returns each step's loss.
+
+    Batches of ``net.batch`` rows are drawn with replacement, as
+    Darknet's ``get_random_batch`` draws them."""
+    losses = []
+    for _ in range(iterations):
+        rows = rng.integers(0, len(data), size=net.batch)
+        x = data.x[rows]
+        if input_shape is not None:
+            x = x.reshape((len(rows),) + tuple(input_shape))
+        losses.append(net.train_batch(x, data.y[rows]))
+    return losses
 
 
 def make_system(

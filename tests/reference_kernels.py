@@ -258,19 +258,9 @@ def _softmax_predict(layer, x: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _avgpool_predict(layer, x: np.ndarray) -> np.ndarray:
-    return x.mean(axis=(2, 3))
-
-
-def _dropout_predict(layer, x: np.ndarray) -> np.ndarray:
-    return x
-
-
 _PREDICT = {
     "connected": _connected_predict,
     "softmax": _softmax_predict,
-    "avgpool": _avgpool_predict,
-    "dropout": _dropout_predict,
 }
 
 

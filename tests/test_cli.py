@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,34 +31,42 @@ class TestParser:
         assert not args.full
 
 
+#: sha256 of each quick figure's whole stdout: every simulated number
+#: the figure prints.  A change that moves one must say why and
+#: re-record the file.
+FIGURES = json.loads(
+    (Path(__file__).parent / "fixtures" / "golden" / "figures.json").read_text()
+)
+
+
+def _figure(capsys, name: str) -> str:
+    assert main([name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIGURES[name], name
+    return out
+
+
 class TestCommands:
     def test_fig2(self, capsys):
-        assert main(["fig2"]) == 0
-        out = capsys.readouterr().out
+        out = _figure(capsys, "fig2")
         assert "pm-dax" in out and "seqread" in out
 
     def test_fig6(self, capsys):
-        assert main(["fig6"]) == 0
-        out = capsys.readouterr().out
+        out = _figure(capsys, "fig6")
         assert "sgx-romulus" in out and "scone" in out
 
     def test_fig7_quick(self, capsys):
-        assert main(["fig7"]) == 0
-        out = capsys.readouterr().out
-        assert "save x" in out
+        assert "save x" in _figure(capsys, "fig7")
 
     def test_fig8(self, capsys):
-        assert main(["fig8"]) == 0
-        assert "overhead" in capsys.readouterr().out
+        assert "overhead" in _figure(capsys, "fig8")
 
     def test_fig9_quick(self, capsys):
-        assert main(["fig9"]) == 0
-        out = capsys.readouterr().out
+        out = _figure(capsys, "fig9")
         assert "resilient" in out and "non-resilient" in out
 
     def test_fig10_quick(self, capsys):
-        assert main(["fig10"]) == 0
-        assert "state:" in capsys.readouterr().out
+        assert "state:" in _figure(capsys, "fig10")
 
     def test_tcb(self, capsys):
         assert main(["tcb"]) == 0

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import Cluster, installed_cluster
+from repro.cluster import Cluster
 from repro.cluster.loop import EventLoop
 from repro.core.models import build_mnist_cnn
 from repro.core.serving import InferenceClient
@@ -173,38 +173,6 @@ class TestGatewayEquivalence:
         _, _, gateway, _ = _deployment(recorder)
         assert isinstance(gateway.loop, EventLoop)
 
-    def test_gateway_rides_ambient_cluster_loop(self):
-        """An installed cluster sharing the clock donates its loop."""
-        recorder = TraceRecorder()
-        clock = SimClock()
-        clock.recorder = recorder
-        cluster = Cluster(clock)
-        with installed_cluster(cluster):
-            system = PliniusSystem.create(
-                server="emlSGX-PM",
-                seed=SEED,
-                pm_size=4 << 20,
-                recorder=recorder,
-            )
-            _seed_mirror(system)
-            # Different clock: the gateway must NOT adopt the ambient
-            # loop (events would interleave across unrelated clocks).
-            pool = ReplicaPool(
-                system.mirror,
-                system.quoting_enclave,
-                system.clock,
-                system.profile,
-                _factory(),
-                n_replicas=1,
-            )
-            gateway = InferenceGateway(pool, system.clock)
-            assert gateway.loop is not cluster.loop
-            # Same clock: the ambient cluster's loop is adopted.
-            cluster2 = Cluster(system.clock)
-            with installed_cluster(cluster2):
-                gateway2 = InferenceGateway(pool, system.clock)
-                assert gateway2.loop is cluster2.loop
-
 
 def _seed_mirror(system) -> bool:
     net = _factory()()
@@ -296,21 +264,20 @@ class TestWorkerEquivalence:
 
 
 class TestConftestGuard:
-    def test_leaked_cluster_topology_is_reported_and_restored(self):
-        """The process-default guard names a leaked cluster install."""
-        from repro.cluster.runtime import get_active_cluster, install_cluster
+    def test_leaked_fault_plan_is_reported_and_restored(self):
+        """The process-default guard names a leaked fault-plan install."""
+        from repro.faults.plan import NullFaultPlan, get_active_plan, install_plan
         from tests.conftest import (
             restore_and_diff_process_defaults,
             snapshot_process_defaults,
         )
 
         before = snapshot_process_defaults()
-        original = get_active_cluster()
-        install_cluster(Cluster())  # deliberate leak
+        original = get_active_plan()
+        install_plan(NullFaultPlan())  # deliberate leak
         leaked = restore_and_diff_process_defaults(before)
-        assert any("cluster topology" in item for item in leaked)
-        assert get_active_cluster() is original
-
+        assert any("fault plan" in item for item in leaked)
+        assert get_active_plan() is original
 
 if __name__ == "__main__":
     from tests.test_mirror_parallel import mirror_sim_totals

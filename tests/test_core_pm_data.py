@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pm_data import PmDataError, PmDataModule
+from repro.core.pm_data import DATA_ROOT, PmDataError, PmDataModule
+from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine, SEAL_OVERHEAD
+from repro.crypto.records import DATA_HEADER
 from repro.darknet.data import DataMatrix
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.romulus.alloc import PersistentHeap
@@ -173,3 +175,44 @@ class TestSecurity:
         # Other rows still fine.
         module.fetch_batch(np.array([2, 4]))
         assert stored != module.stored_row(3)
+
+
+class TestOsTamper:
+    """Bytes the OS writes into the PM image (``device.write``), read
+    back by trusted code.  Both are accepted today: a row's AAD carries
+    no position and the data header carries no MAC (ROADMAP 17).  Item
+    17(b) makes both fail closed and removes the markers."""
+
+    @staticmethod
+    def _header(device, region):
+        at = region.main_base + region.root(DATA_ROOT)
+        return at, DATA_HEADER.unpack(device.read(at, DATA_HEADER.size))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 17(b): no row position in the AAD")
+    def test_sealed_row_moved_to_another_index_rejected(self):
+        device, region, module = make_module()
+        data = small_matrix()
+        module.load(data)
+        _, (*_, row_stored, rows_offset, _) = self._header(device, region)
+        rows = region.main_base + rows_offset
+        device.write(rows + 3 * row_stored, device.read(rows + 7 * row_stored, row_stored))
+        with pytest.raises(IntegrityError):
+            x, _ = module.fetch_batch(np.array([3]))
+            # What is returned instead: row 7's features as row 3.
+            np.testing.assert_array_equal(x[0], data.x[7])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 17(b): the data header has no MAC")
+    def test_header_switched_to_plaintext_rejected(self):
+        device, region, module = make_module()
+        module.load(small_matrix())
+        at, header = self._header(device, region)
+        rows, features, classes, row_plain, _, rows_offset, _ = header
+        device.write(at, DATA_HEADER.pack(
+            rows, features, classes, row_plain, row_plain, rows_offset, 0,
+        ))
+        forged = np.full(features + classes, 7.0, dtype=np.float32)
+        device.write(region.main_base + rows_offset, forged.tobytes())
+        with pytest.raises(IntegrityError):
+            x, _ = module.fetch_batch(np.array([0]))
+            # What is returned instead: the attacker's floats.
+            np.testing.assert_array_equal(x[0], forged[:features])

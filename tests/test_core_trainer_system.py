@@ -185,7 +185,6 @@ class TestSystemFacade:
         system.kill()
         assert system.pm.crash_count == 1
         assert system.ssd.crash_count == 1
-        assert system.dram.crash_count == 1
 
     def test_checkpoint_baseline_available(self, system):
         net = build_small(system)

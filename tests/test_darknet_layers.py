@@ -9,10 +9,8 @@ from repro.darknet.activations import get_activation
 from repro.darknet.arena import TensorArena
 from repro.darknet.im2col import col2im, conv_output_size, im2col
 from repro.darknet.layers import (
-    AvgPoolLayer,
     ConnectedLayer,
     ConvolutionalLayer,
-    DropoutLayer,
     MaxPoolLayer,
     SoftmaxLayer,
 )
@@ -29,20 +27,11 @@ class TestActivations:
         y = act.forward(np.array([-2.0, 0.5]))
         np.testing.assert_allclose(act.gradient(y), [0.1, 1.0])
 
-    def test_relu(self):
-        act = get_activation("relu")
-        np.testing.assert_allclose(act.forward(np.array([-1.0, 2.0])), [0, 2])
-
-    def test_logistic_range(self):
-        act = get_activation("logistic")
-        y = act.forward(np.linspace(-5, 5, 11))
-        assert np.all((y > 0) & (y < 1))
-
     def test_unknown_activation(self):
         with pytest.raises(KeyError, match="unknown activation"):
             get_activation("swish")
 
-    @pytest.mark.parametrize("name", ["leaky", "relu", "linear", "logistic", "tanh"])
+    @pytest.mark.parametrize("name", ["leaky", "linear"])
     def test_gradient_matches_finite_difference(self, name):
         act = get_activation(name)
         x = np.linspace(-2, 2, 41)
@@ -279,52 +268,6 @@ class TestPooling:
     def test_maxpool_collapse_rejected(self):
         with pytest.raises(ValueError):
             MaxPoolLayer((1, 2, 2), size=4, stride=4)
-
-    def test_avgpool_global(self):
-        layer = AvgPoolLayer((2, 3, 3))
-        x = np.ones((4, 2, 3, 3), dtype=np.float32)
-        x[:, 1] = 5.0
-        out = layer.forward(x)
-        np.testing.assert_allclose(out, [[1.0, 5.0]] * 4)
-
-    def test_avgpool_backward_spreads_evenly(self):
-        layer = AvgPoolLayer((1, 2, 2))
-        layer.forward(np.zeros((1, 1, 2, 2), dtype=np.float32))
-        dx = layer.backward(np.array([[4.0]], dtype=np.float32))
-        np.testing.assert_allclose(dx[0, 0], np.ones((2, 2)))
-
-
-class TestDropout:
-    def test_identity_at_inference(self):
-        layer = DropoutLayer((10,), probability=0.5)
-        x = np.ones((4, 10), dtype=np.float32)
-        np.testing.assert_array_equal(
-            layer.infer(x, TensorArena().workspace(0)), x
-        )
-
-    def test_expected_scale_preserved(self):
-        layer = DropoutLayer((1000,), probability=0.3,
-                             rng=np.random.default_rng(0))
-        x = np.ones((8, 1000), dtype=np.float32)
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_backward_uses_same_mask(self):
-        layer = DropoutLayer((100,), probability=0.5,
-                             rng=np.random.default_rng(1))
-        x = np.ones((2, 100), dtype=np.float32)
-        out = layer.forward(x)
-        dx = layer.backward(np.ones_like(out))
-        np.testing.assert_array_equal((out == 0), (dx == 0))
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            DropoutLayer((4,), probability=1.0)
-
-    def test_zero_probability_is_identity(self):
-        layer = DropoutLayer((4,), probability=0.0)
-        x = np.ones((2, 4), dtype=np.float32)
-        np.testing.assert_array_equal(layer.forward(x), x)
 
 
 class TestSoftmax:

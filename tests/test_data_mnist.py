@@ -16,6 +16,7 @@ from repro.data import (
     to_data_matrix,
 )
 from repro.data.mnist import IMAGE_SIZE, NUM_CLASSES
+from tests.conftest import train_in_dram
 
 
 class TestSynthetic:
@@ -73,7 +74,7 @@ class TestSynthetic:
 
     def test_learnable_by_simple_model(self):
         """The task shape holds: a linear softmax model learns it."""
-        from repro.darknet import DataMatrix, Network, train
+        from repro.darknet import Network
         from repro.darknet.inference import accuracy
         from repro.darknet.layers import ConnectedLayer, SoftmaxLayer
 
@@ -87,7 +88,7 @@ class TestSynthetic:
             ],
             learning_rate=0.5, momentum=0.9, decay=0.0, batch=64,
         )
-        train(net, dtr, iterations=300, rng=np.random.default_rng(1))
+        train_in_dram(net, dtr, iterations=300, rng=np.random.default_rng(1))
         assert accuracy(net, dte) > 0.8
 
 

@@ -1,10 +1,9 @@
-"""Volatile memory + the FIO characterization (Fig. 2 substrate)."""
+"""The FIO characterization (Fig. 2 substrate)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.hw.dram import VolatileMemory
 from repro.hw.fio import (
     FioBackend,
     FioJob,
@@ -16,39 +15,6 @@ from repro.hw.fio import (
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import KIB, MIB
 from repro.simtime.profiles import EMLSGX_PM, SGX_EMLPM
-
-
-class TestVolatileMemory:
-    def make(self) -> VolatileMemory:
-        return VolatileMemory(SimClock(), EMLSGX_PM.dram)
-
-    def test_store_load_roundtrip(self):
-        mem = self.make()
-        mem.store("buf", b"hello")
-        assert mem.load("buf") == b"hello"
-
-    def test_missing_buffer(self):
-        with pytest.raises(KeyError, match="no volatile buffer"):
-            self.make().load("nope")
-
-    def test_exists_and_discard(self):
-        mem = self.make()
-        mem.store("buf", b"x")
-        assert mem.exists("buf")
-        mem.discard("buf")
-        assert not mem.exists("buf")
-
-    def test_crash_loses_everything(self):
-        mem = self.make()
-        mem.store("buf", b"x")
-        mem.crash()
-        assert not mem.exists("buf")
-        assert mem.crash_count == 1
-
-    def test_costs_charged(self):
-        mem = self.make()
-        mem.store("buf", b"x" * (1 << 20))
-        assert mem.clock.now() > 0
 
 
 class TestFio:

@@ -102,14 +102,6 @@ class TestBasics:
         assert s.overlap(7, 7) == []
         assert s.overlap_total(5, 9) == 0
 
-    def test_copy_is_independent(self):
-        s = IntervalSet()
-        s.add(0, 5)
-        t = s.copy()
-        t.add(10, 15)
-        assert list(s) == [(0, 5)]
-        assert list(t) == [(0, 5), (10, 15)]
-
     def test_equality(self):
         a, b = IntervalSet(), IntervalSet()
         a.add(0, 5)

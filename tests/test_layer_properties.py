@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.darknet.activations import get_activation
 from repro.darknet.arena import TensorArena
 from repro.darknet.layers import (
-    AvgPoolLayer,
     ConnectedLayer,
     ConvolutionalLayer,
     MaxPoolLayer,
@@ -55,26 +54,6 @@ def test_maxpool_output_is_subset_of_input(dims, seed):
     assert np.isin(out, x).all()
     # And is >= every element of its window (spot check via global max).
     assert out.max() == x.max()
-
-
-@given(_dims, st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_avgpool_preserves_mean(dims, seed):
-    n, c, h = dims
-    layer = AvgPoolLayer((c, h, h))
-    x = np.random.default_rng(seed).normal(size=(n, c, h, h)).astype(
-        np.float32
-    )
-    out = layer.forward(x)
-    np.testing.assert_allclose(out, x.mean(axis=(2, 3)), rtol=1e-5)
-    # Backward conserves the total gradient mass per channel.
-    delta = np.random.default_rng(seed + 1).normal(size=out.shape).astype(
-        np.float32
-    )
-    dx = layer.backward(delta)
-    np.testing.assert_allclose(
-        dx.sum(axis=(2, 3)), delta, rtol=1e-4, atol=1e-5
-    )
 
 
 @given(
@@ -208,7 +187,7 @@ def test_maxpool_is_layout_independent(dims, size_stride, seed):
 
 
 @given(
-    st.sampled_from(["leaky", "relu", "linear", "logistic", "tanh"]),
+    st.sampled_from(["leaky", "linear"]),
     _layout_dims, st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=40, deadline=None)

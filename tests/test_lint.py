@@ -30,6 +30,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.tcb import TRUSTED_MODULES, UNTRUSTED_MODULES
 from repro.cli import main
+from tests.reach import functions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 SRC = Path(__file__).parent.parent / "src"
@@ -213,10 +214,17 @@ def test_every_module_is_classified_exactly_once():
 #: Modules nothing under the roots imports yet, each with the open item
 #: that decides it.  They count as roots (so what only they import is
 #: reached) and must be dropped from here once a real caller exists.
-#: Below them, the symbol census's waivers: each public name, defaulted
-#: keyword or config field nothing outside tests/ uses, with one of
-#: WAIVER_REASONS.  A waiver whose symbol gains a caller, or goes, is
-#: stale and fails test_every_symbol_has_a_caller.
+#: Below them, the waivers of both symbol censuses, with one of
+#: WAIVER_REASONS each: a public name, defaulted keyword or config field
+#: nothing outside tests/ uses (the static census,
+#: test_every_symbol_has_a_caller), or a function the reach map's job set
+#: never runs (the dynamic census, tests/test_reach.py).  A waiver
+#: neither census needs is stale and fails one of them.
+_PURE_AES_GCM = "(b) the pure AES-GCM reference the wheel is held to"
+_SEND_PATH = (
+    "(d) the asynchronous send path: PATCHES names send; only "
+    "test_cluster_properties drives it (ROADMAP 10)"
+)
 CALLER_WAIVERS = {
     "repro.core.workflow":
         "(c) the Fig. 5 workflow examples/full_workflow.py runs; "
@@ -230,12 +238,15 @@ CALLER_WAIVERS = {
     # (a) fault, tamper and impostor injection
     "repro.hw.pmem.PersistentMemoryDevice.load_image":
         "(a) tests replay an older or tampered PM image",
+    "repro.hw.undo.Holds.clear": "(a) load_image drops every hold",
     "repro.sgx.enclave.Enclave(code_identity=)":
         "(a) tests build impostor enclaves with another measurement",
     "repro.sgx.enclave.Enclave(heap_size=)":
         "(a) test_sgx shrinks the heap to 1 MiB to force EnclaveOOM",
     "repro.serving.gateway.InferenceGateway.schedule_crash":
         "(a) gateway tests crash a replica mid-run",
+    "repro.serving.gateway.InferenceGateway._on_crash":
+        "(a) the crash a gateway test schedules",
     "repro.serving.gateway.InferenceGateway.schedule_repair":
         "(a) gateway tests repair the replica they crashed",
     "repro.cluster.network.ClusterNetwork.partition(duplex=)":
@@ -255,8 +266,32 @@ CALLER_WAIVERS = {
         "(b) test_obs_integration compares two runs' sim events",
     "repro.obs.report.build_report_from_recorder":
         "(b) the report_sha256 values in twins.json are built with it",
+    "repro.obs.export.mirror_breakdown":
+        "(b) test_obs_integration holds the traced Table I split to the "
+        "harness's own; ROADMAP 9 retires it",
+    "repro.obs.export.mirror_breakdown.<locals>.sim":
+        "(b) mirror_breakdown's own lookup",
     "repro.crypto.engine.EncryptionEngine(backend=)":
         "(b) tests hold the wheel to the pure AES-GCM reference",
+    "repro.crypto.aes.AES._expand_key": _PURE_AES_GCM,
+    "repro.crypto.aes.AES.encrypt_block": _PURE_AES_GCM,
+    "repro.crypto.aes.AES.encrypt_block.<locals>.add_round_key": _PURE_AES_GCM,
+    "repro.crypto.gcm._auth_tag": _PURE_AES_GCM,
+    "repro.crypto.gcm._ctr_keystream": _PURE_AES_GCM,
+    "repro.crypto.gcm._derive_j0": _PURE_AES_GCM,
+    "repro.crypto.gcm._gf_mult": _PURE_AES_GCM,
+    "repro.crypto.gcm._inc32": _PURE_AES_GCM,
+    "repro.crypto.gcm._pad16": _PURE_AES_GCM,
+    "repro.crypto.gcm.gcm_decrypt": _PURE_AES_GCM,
+    "repro.crypto.gcm.gcm_encrypt": _PURE_AES_GCM,
+    "repro.crypto.gcm.ghash": _PURE_AES_GCM,
+    "repro.crypto.backend.PureBackend.bind": _PURE_AES_GCM,
+    "repro.crypto.backend._PureKeyed.decrypt": _PURE_AES_GCM,
+    "repro.crypto.backend._PureKeyed.encrypt": _PURE_AES_GCM,
+    "repro.crypto.backend.KeyedAead.decrypt_into":
+        "(b) the default the pure reference inherits; the wheel overrides it",
+    "repro.crypto.backend.KeyedAead.encrypt_into":
+        "(b) the default the pure reference inherits; the wheel overrides it",
     "repro.distributed.data_parallel.DataParallelPlinius(n_conv_layers=)":
         "(b) twins.json's data-parallel row is recorded at 2 conv layers",
     "repro.distributed.data_parallel.DataParallelPlinius(filters=)":
@@ -265,6 +300,9 @@ CALLER_WAIVERS = {
         "(b) twins.json's data-parallel row is recorded at batch 8",
     "repro.distributed.data_parallel.DataParallelPlinius(seed=)":
         "(b) twins.json's data-parallel row is recorded at its own seed",
+    "repro.distributed.data_parallel.DataParallelPlinius(builder=)":
+        "(b) test_equivalence_to_single_worker_bn_free holds W workers to "
+        "one on a batchnorm-free model built through it",
     "repro.distributed.pipeline.PipelinePlinius(seed=)":
         "(b) twins.json's pipeline row is recorded at its own seed",
     "repro.bench.fig7.measure_model_size(recorder=)":
@@ -274,49 +312,45 @@ CALLER_WAIVERS = {
     "repro.cli.main(argv=)": "(c) the CLI entry point; tests pass argv",
     "repro.core.checkpoint.SsdCheckpoint(path=)":
         "(c) where the checkpoint file lives is a deployment setting",
-    # (e) deleting it would remove test IDs (count given)
-    "repro.cluster.runtime.installed_cluster":
-        "(e) 1 ID: test_gateway_rides_ambient_cluster_loop",
-    "repro.core.models.mnist_cnn_config":
-        "(e) 1 ID: test_mnist_cnn_config_roundtrip",
-    "repro.darknet.cfg.render_cfg": "(e) 1 ID: TestCfg::test_render_roundtrip",
-    "repro.darknet.weights.weights_size":
-        "(e) 1 ID: TestWeights::test_size_accounting",
-    "repro.data.mnist.load_idx_images": "(e) 4 IDs: test_data_mnist's TestIdx",
-    "repro.data.mnist.load_idx_labels": "(e) 4 IDs: test_data_mnist's TestIdx",
-    "repro.faults.registry.crashable_sites":
-        "(e) 1 ID: test_crashable_sites_nonempty_and_consistent",
-    "repro.faults.registry.sites_for_layer":
-        "(e) 1 ID: test_registry_covers_every_layer",
-    "repro.hw.dram.VolatileMemory.store":
-        "(e) 4 IDs: test_dram_fio's TestVolatileMemory",
-    "repro.hw.pmem.PersistentMemoryDevice.persist":
-        "(e) 1 ID: test_persist_with_clflush_skips_fence; 7 more tests "
-        "use it to make state durable",
-    "repro.obs.export.mirror_breakdown":
-        "(e) 2 IDs: test_obs's test_mirror_breakdown*",
-    "repro.obs.hist.LogHistogram.from_dict":
-        "(e) 1 ID: test_to_dict_from_dict_roundtrip",
-    "repro.obs.hist.LogHistogram.merge": "(e) 2 IDs: test_obs_hist's TestMerge",
-    "repro.romulus.alloc.PersistentHeap.pmfree":
-        "(e) 4 IDs: three TestAllocator free-list tests and "
-        "test_allocator_never_overlaps_and_frees_are_reusable",
-    "repro.sgx.enclave.Enclave.free": "(e) 1 ID: test_malloc_free_ledger",
-    "repro.sgx.rand.sgx_read_rand": "(e) 1 ID: test_module_level_helper",
-    "repro.simtime.clock.SimClock.detach_recorder":
-        "(e) 1 ID: TestStopwatchShim::test_detach_recorder",
-    "repro.simtime.clock.SimClock.reset": "(e) 1 ID: TestSimClock::test_reset",
-    "repro.spot.traces.render_trace": "(e) 1 ID: TestTraces::test_csv_roundtrip",
-    "repro.spot.traces.synthetic_trace(n_intervals=)":
-        "(e) 1 ID: test_n_spikes_controls_interruptions needs 200 intervals",
-    "repro.spot.traces.synthetic_trace(n_spikes=)":
-        "(e) 1 ID: test_n_spikes_controls_interruptions",
-    "repro.distributed.data_parallel.DataParallelPlinius(builder=)":
-        "(e) 1 ID: test_equivalence_to_single_worker_bn_free",
+    "repro.data.mnist.load_idx_images":
+        "(c) the only path to the paper's real MNIST once its IDX files "
+        "are in the repository",
+    "repro.data.mnist.load_idx_labels":
+        "(c) the only path to the paper's real MNIST once its IDX files "
+        "are in the repository",
+    "repro.data.mnist._open_maybe_gzip": "(c) the IDX loaders' file opener",
+    "repro.bench.wallclock.WallclockReport.history_row":
+        "(c) bench_wallclock.py --label: a full run's history row",
+    "repro.bench.wallclock.WallclockReport.largest_mirror":
+        "(c) bench_wallclock.py --label: a full run's history row",
+    "repro.hw.undo.PreImages.release_landed":
+        "(c) a CLFLUSH flush, a platform setting no figure picks",
+    **{
+        f"repro.obs.flight.FlightRecorder.{method}":
+            "(c) the always-on recorder a deployment installs; the "
+            "overhead bench's mirror cycle only counts"
+        for method in ("gauge", "instant", "observe")
+    },
+    # (d) pinned by PATCHES or a tests/mutants.py row
+    "repro.cluster.network.ClusterNetwork.send": _SEND_PATH,
+    "repro.cluster.network.ClusterNetwork._deliver": _SEND_PATH,
+    "repro.cluster.network.ClusterNetwork._on_deliver": _SEND_PATH,
+    "repro.cluster.network.ClusterNetwork._on_heal": _SEND_PATH,
     # (f) read-only queries tests observe state through
     "repro.faults.plan.get_active_plan":
         "(f) tests and conftest check which fault plan is installed",
+    "repro.faults.plan.BaseFaultPlan.total_hits": "(f) hits a plan counted",
+    "repro.faults.protocol.ReplayOutcome.ok": "(f) whether a replay held",
     "repro.hw.intervals.IntervalSet.contains": "(f) interval membership",
+    "repro.hw.pmem.PersistentMemoryDevice.dirty_bytes":
+        "(f) bytes stored but not yet flushed",
+    "repro.hw.pmem.PersistentMemoryDevice.snapshot":
+        "(f) the durable image an OS-level attacker dumps",
+    "repro.core.pm_data.PmDataModule.encrypted":
+        "(f) whether the data matrix is sealed",
+    "repro.core.pm_data.PmDataModule.shape": "(f) the data matrix's shape",
+    "repro.crypto.engine.EncryptionEngine.sealed_size":
+        "(f) a sealed record's size",
     "repro.obs.flight.FlightRecorder.current_span": "(f) the open span",
     "repro.obs.recorder.NullRecorder.current_span": "(f) the open span",
     "repro.obs.recorder.TraceRecorder.current_span": "(f) the open span",
@@ -328,6 +362,51 @@ CALLER_WAIVERS = {
     "repro.romulus.alloc.PersistentHeap.allocation_size":
         "(f) one allocation's usable bytes",
     "repro.romulus.region.RomulusRegion.read_back": "(f) the back twin's bytes",
+    # (g) failure and fallback paths no clean run takes
+    "repro.faults.explorer._shrink": "(g) shrinks a violating schedule",
+    "repro.faults.explorer._dump_flight":
+        "(g) writes a violation's flight-recorder dump",
+    "repro.faults.explorer.Violation.to_dict": "(g) renders a violation",
+    "repro.faults.protocol.GoldenRun.flight":
+        "(g) the dump of a golden run that itself broke",
+    "repro.federated.coordinator.FederatedCoordinator._exclude":
+        "(g) drops a client that failed verification or timed out",
+    "repro.analysis.lint.framework.Finding.location":
+        "(g) renders a lint finding",
+    "repro.analysis.lint.framework.Finding.to_dict":
+        "(g) renders a lint finding",
+    "repro.darknet.layers.base.Layer.set_parameter":
+        "(g) records.open_param's fallback for a buffer that is not a "
+        "writeable float32 array",
+    # (h) abstract methods, base-class defaults and null-object stubs
+    "repro.analysis.lint.framework.Rule.check": "(h) abstract",
+    "repro.crypto.backend.AeadBackend.bind": "(h) abstract",
+    "repro.crypto.backend.KeyedAead.decrypt": "(h) abstract",
+    "repro.crypto.backend.KeyedAead.encrypt": "(h) abstract",
+    "repro.darknet.layers.base.Layer.forward": "(h) abstract",
+    "repro.darknet.layers.base.Layer.backward": "(h) abstract",
+    "repro.darknet.layers.base.Layer.infer": "(h) abstract",
+    "repro.darknet.layers.base.Layer.accumulate":
+        "(h) the base-class default; every model the figures build "
+        "starts with a convolution, which overrides it",
+    "repro.faults.plan.BaseFaultPlan._on_hit": "(h) abstract",
+    "repro.faults.plan.NullFaultPlan.check": "(h) null-object stub",
+    "repro.faults.plan.NullFaultPlan.mutate": "(h) null-object stub",
+    "repro.faults.protocol.Workload.boot": "(h) abstract",
+    "repro.faults.protocol.Workload.build": "(h) abstract",
+    "repro.faults.protocol.Workload.compare": "(h) abstract",
+    "repro.faults.protocol.Workload.observe": "(h) abstract",
+    **{
+        f"repro.obs.recorder.NullRecorder.{method}": "(h) null-object stub"
+        for method in (
+            "begin", "complete", "end", "gauge", "instant", "observe",
+            "span", "wall_now",
+        )
+    },
+    **{
+        f"repro.obs.flight.FlightRecorder.{method}": "(h) null-object stub"
+        for method in ("begin", "complete", "end", "span", "wall_now")
+    },
 }
 
 #: Scripts whose imports are callers: the wall-clock ledger and the
@@ -430,7 +509,7 @@ def test_every_module_has_a_caller():
     graph, roots = caller_census(SRC.parent)
     waived = set(CALLER_WAIVERS) & graph.modules
     assert graph.modules - graph.reachable(roots | waived) == set()
-    assert len(CALLER_WAIVERS) == 59
+    assert len(CALLER_WAIVERS) == 115
     # A waiver whose module has gained a caller is stale.
     assert not waived & graph.reachable(roots)
 
@@ -440,14 +519,15 @@ def test_every_module_has_a_caller():
 # dataclass config fields (docs/static-analysis.md, "Caller census")
 # ----------------------------------------------------------------------
 
-#: The closed list of reasons a symbol waiver may cite, by its prefix.
+#: The closed list of reasons a waiver may cite, by its prefix.
 WAIVER_REASONS = {
     "(a)": "a test injects a fault, tamper or impostor through it",
     "(b)": "tests compare against it as an oracle",
     "(c)": "an entry point or a deployment setting",
     "(d)": "pinned by PATCHES or by a tests/mutants.py row's source text",
-    "(e)": "deleting it would remove test IDs past the PR's budget",
     "(f)": "a read-only query tests use to observe state",
+    "(g)": "a failure or fallback path no clean run takes",
+    "(h)": "an abstract method, a base-class default or a null-object stub",
 }
 
 _MUTATORS = frozenset({
@@ -748,10 +828,13 @@ def _accepted(node):
 
 def symbol_census(repo: Path, waivers):
     """``(findings, stale)``: the census findings no waiver covers, and
-    the symbol waivers that cover no finding."""
+    the symbol waivers that cover no finding.  A waiver naming a function
+    is the dynamic census's to judge (tests/test_reach.py), so it is
+    stale here only once the function is gone."""
     found = SymbolCensus(repo).findings()
     unwaived = {k: v for k, v in found.items() if k not in waivers}
-    return unwaived, set(waivers) - _modules(repo) - set(found)
+    defined = _modules(repo) | set(functions(repo / "src"))
+    return unwaived, set(waivers) - defined - set(found)
 
 
 def _modules(repo: Path):
@@ -799,7 +882,7 @@ def test_symbol_census_on_a_toy_tree(tmp_path):
         "scale(2, 3)\n"
     )
     waivers = {
-        "repro.toy.waived": "(e) kept for a test",
+        "repro.toy.waived": "(b) kept as an oracle",
         "repro.toy.gone": "(f) names a function that no longer exists",
     }
     unwaived, stale = symbol_census(tmp_path, waivers)

@@ -15,12 +15,11 @@ from repro.obs import (
     install_default_recorder,
     mirror_breakdown,
     phase_totals,
-    summary,
     to_chrome_trace,
-    to_jsonl_lines,
     write_chrome_trace,
 )
 from repro.obs.export import SIM_LANE_TID_BASE, SIM_PID, WALL_PID
+from repro.obs.report import build_report_from_recorder, render_report_text
 from repro.simtime.clock import SimClock
 
 
@@ -50,14 +49,12 @@ class TestCounterRegistry:
         assert reg.get_gauge("serve.queue_depth") == 9
         assert reg.gauges_snapshot() == {"serve.queue_depth": 9}
 
-    def test_len_and_clear(self):
+    def test_len_counts_counters_and_gauges(self):
         reg = CounterRegistry()
+        assert len(reg) == 0
         reg.add("a")
         reg.set_gauge("g", 1.0)
         assert len(reg) == 2
-        reg.clear()
-        assert len(reg) == 0
-        assert reg.snapshot() == {}
 
     def test_concurrent_adds_do_not_drop(self):
         reg = CounterRegistry()
@@ -237,12 +234,6 @@ class TestStopwatchShim:
             clock.advance(2.0)
         assert span.elapsed == 2.0
 
-    def test_detach_recorder(self):
-        clock = SimClock()
-        clock.recorder = TraceRecorder()
-        clock.detach_recorder()
-        assert clock.recorder is NULL_RECORDER
-
 
 class TestExporters:
     def _populated(self):
@@ -291,15 +282,9 @@ class TestExporters:
         doc = write_chrome_trace(self._populated(), str(path))
         assert json.loads(path.read_text()) == doc
 
-    def test_jsonl_lines_parse(self):
-        lines = to_jsonl_lines(self._populated())
-        parsed = [json.loads(line) for line in lines]
-        types = {p["type"] for p in parsed}
-        assert types == {"span", "instant", "counter", "gauge"}
-
     def test_phase_totals_and_prefix(self):
         rec = self._populated()
-        totals = phase_totals(rec)
+        totals = phase_totals(rec, "")
         assert totals["mirror.encrypt"]["count"] == 1
         assert totals["mirror.encrypt"]["sim_seconds"] == pytest.approx(3.0)
         mirror_only = phase_totals(rec, prefix="mirror.")
@@ -316,7 +301,7 @@ class TestExporters:
             mirror_breakdown(TraceRecorder())
 
     def test_summary_renders(self):
-        text = summary(self._populated())
+        text = render_report_text(build_report_from_recorder(self._populated()))
         assert "mirror.encrypt" in text
         assert "pm.bytes_written" in text
         assert "romulus.recover" in text

@@ -1,8 +1,7 @@
 """Exporter edge cases and byte-level export determinism.
 
 Two fresh recorders fed the identical deterministic event stream must
-serialize byte-identically — Chrome trace, JSONL, and `repro report`
-alike.  The edge cases cover shapes the serving telemetry can actually
+serialize byte-identically — Chrome trace and `repro report` alike.  The edge cases cover shapes the serving telemetry can actually
 produce: empty traces, metric-only runs, lanes shared between serving
 replicas and other categories, and a wrapped flight ring.
 """
@@ -13,12 +12,7 @@ import json
 
 from repro.obs import TraceRecorder
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY
-from repro.obs.export import (
-    _lane_name,
-    summary,
-    to_chrome_trace,
-    to_jsonl_lines,
-)
+from repro.obs.export import _lane_name, to_chrome_trace
 from repro.obs.report import (
     build_report,
     build_report_from_recorder,
@@ -58,8 +52,9 @@ class TestByteIdenticalExports:
         b = deterministic_fill(TraceRecorder())
         dump = lambda doc: json.dumps(doc, indent=1, sort_keys=True)
         assert dump(to_chrome_trace(a)) == dump(to_chrome_trace(b))
-        assert to_jsonl_lines(a) == to_jsonl_lines(b)
-        assert summary(a) == summary(b)
+        assert render_report_text(
+            build_report_from_recorder(a)
+        ) == render_report_text(build_report_from_recorder(b))
         assert render_report_json(
             build_report_from_recorder(a)
         ) == render_report_json(build_report_from_recorder(b))
@@ -81,8 +76,6 @@ class TestEmptyAndSparseTraces:
         recorder = TraceRecorder()
         doc = to_chrome_trace(recorder)
         assert all(e["ph"] == "M" for e in doc["traceEvents"])
-        assert to_jsonl_lines(recorder) == []
-        assert "(no spans recorded)" in summary(recorder)
         report = build_report(doc)
         assert report["spans"] == {}
         assert report["traces"]["count"] == 0

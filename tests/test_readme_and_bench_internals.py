@@ -121,9 +121,7 @@ class TestModelZoo:
             cnn_cfg(n_conv_layers=0)
 
     def test_mnist_cnn_config_roundtrip(self):
-        from repro.core.models import mnist_cnn_config
-        from repro.darknet.cfg import build_network
+        from repro.core.models import build_mnist_cnn
 
-        config = mnist_cnn_config(n_conv_layers=2, filters=4)
-        net = build_network(config, np.random.default_rng(0))
+        net = build_mnist_cnn(n_conv_layers=2, filters=4)
         assert net.batch == 128

@@ -260,39 +260,12 @@ class TestAllocator:
             with region.begin_transaction() as tx:
                 heap.pmalloc(tx, 100_000)
 
-    def test_free_then_reuse(self):
-        _, region = make_region()
-        heap = PersistentHeap(region)
-        with region.begin_transaction() as tx:
-            a = heap.pmalloc(tx, 500)
-            heap.pmfree(tx, a)
-            b = heap.pmalloc(tx, 400)  # fits in the freed block
-        assert b == a
-
-    def test_free_list_split_leaves_remainder(self):
-        _, region = make_region()
-        heap = PersistentHeap(region)
-        with region.begin_transaction() as tx:
-            a = heap.pmalloc(tx, 1000)
-            heap.pmfree(tx, a)
-            small = heap.pmalloc(tx, 100)
-            rest = heap.pmalloc(tx, 700)
-        assert small == a
-        assert rest != small
-
     def test_allocation_size_reports_usable_bytes(self):
         _, region = make_region()
         heap = PersistentHeap(region)
         with region.begin_transaction() as tx:
             a = heap.pmalloc(tx, 100)
         assert heap.allocation_size(a) >= 100
-
-    def test_corrupt_free_rejected(self):
-        _, region = make_region()
-        heap = PersistentHeap(region)
-        with region.begin_transaction() as tx:
-            with pytest.raises(ValueError, match="corrupt"):
-                heap.pmfree(tx, 5000)  # never allocated; size header = 0
 
     def test_crash_mid_allocation_rolls_back_heap(self):
         device, region = make_region()

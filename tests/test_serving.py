@@ -8,12 +8,12 @@ import pytest
 from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import SEAL_OVERHEAD
-from repro.darknet.train import train
 from repro.data import synthetic_mnist, to_data_matrix
 from repro.sgx.attestation import AttestationError, QuotingEnclave
 from repro.sgx.enclave import Enclave
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+from tests.conftest import train_in_dram
 from tests.reference_kernels import reference_predict
 
 
@@ -28,7 +28,7 @@ def trained_setup():
     net = build_mnist_cnn(
         n_conv_layers=3, filters=8, batch=32, rng=np.random.default_rng(0)
     )
-    train(
+    train_in_dram(
         net,
         to_data_matrix(images, labels),
         iterations=120,

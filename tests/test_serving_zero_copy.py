@@ -26,15 +26,13 @@ from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.darknet.activations import get_activation
 from repro.darknet.arena import ArenaStats, TensorArena
 from repro.darknet.layers import (
-    AvgPoolLayer,
     ConnectedLayer,
     ConvolutionalLayer,
-    DropoutLayer,
     MaxPoolLayer,
     SoftmaxLayer,
 )
 from repro.darknet.network import Network
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sgx.attestation import QuotingEnclave
 from repro.sgx.enclave import Enclave
 from repro.simtime.clock import SimClock
@@ -97,7 +95,7 @@ def test_infer_matches_sequential_forward_bitwise(n):
         np.testing.assert_array_equal(batched[i : i + 1], single)
 
 
-ACTIVATIONS = ["leaky", "relu", "linear", "logistic", "tanh"]
+ACTIVATIONS = ["leaky", "linear"]
 
 
 def _layer(kind: str, activation: str, rng):
@@ -120,10 +118,6 @@ def _layer(kind: str, activation: str, rng):
         return MaxPoolLayer((3, 8, 8))
     if kind == "maxpool-overlapping":
         return MaxPoolLayer((3, 8, 8), size=3, stride=2)
-    if kind == "avgpool":
-        return AvgPoolLayer((3, 8, 8))
-    if kind == "dropout":
-        return DropoutLayer((3, 8, 8), probability=0.5, rng=rng)
     return SoftmaxLayer((12,))
 
 
@@ -134,7 +128,7 @@ LAYER_CASES = [
 ] + [
     (kind, None)
     for kind in (
-        "maxpool", "maxpool-overlapping", "avgpool", "dropout", "softmax"
+        "maxpool", "maxpool-overlapping", "softmax"
     )
 ]
 
@@ -293,7 +287,7 @@ def test_arena_counters_agree_with_arena_stats():
                 stats.bytes_allocated
             )
     finally:
-        service.enclave.clock.detach_recorder()
+        service.enclave.clock.recorder = NULL_RECORDER
 
 
 def test_serve_phase_spans_are_traced():
@@ -304,7 +298,7 @@ def test_serve_phase_spans_are_traced():
         seq, sealed = client.seal_request_seq(_images(3))
         service.handle_batch([(client.session_id, seq, sealed)])
     finally:
-        service.enclave.clock.detach_recorder()
+        service.enclave.clock.recorder = NULL_RECORDER
     names = [s.name for s in recorder.spans]
     for phase in ("serve.stack", "serve.forward", "serve.scatter"):
         assert phase in names, names

@@ -25,7 +25,6 @@ from repro.sgx import (
     attestation,
     establish_channel,
     seal_data,
-    sgx_read_rand,
     unseal_data,
 )
 from repro.sgx.attestation import (
@@ -63,10 +62,6 @@ class TestSgxRandom:
         with pytest.raises(ValueError):
             SgxRandom(b"s").read(-1)
 
-    def test_module_level_helper(self):
-        assert len(sgx_read_rand(12)) == 12
-        assert sgx_read_rand(8, SgxRandom(b"x")) == SgxRandom(b"x").read(8)
-
 
 def make_enclave(enabled: bool = True) -> Enclave:
     profile = SGX_EMLPM if enabled else EMLSGX_PM
@@ -80,14 +75,6 @@ class TestEnclave:
         b = Enclave(clock, SGX_EMLPM.sgx, code_identity=b"v2")
         assert a.measurement != b.measurement
         assert len(a.measurement) == 32
-
-    def test_malloc_free_ledger(self):
-        enc = make_enclave()
-        enc.malloc("model", 10 * MIB)
-        enc.malloc("buffer", 1 * MIB)
-        assert enc.allocated == 11 * MIB
-        enc.free("buffer")
-        assert enc.allocated == 10 * MIB
 
     def test_malloc_same_tag_resizes(self):
         enc = make_enclave()

@@ -36,12 +36,6 @@ class TestSimClock:
         clock.advance(0.0)
         assert clock.now() == 0.0
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(3.0)
-        clock.reset()
-        assert clock.now() == 0.0
-
     def test_stopwatch_measures_span(self):
         clock = SimClock()
         with clock.stopwatch("work") as span:

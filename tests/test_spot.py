@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.system import PliniusSystem
-from repro.spot import (
-    SpotSimulator,
-    SpotTrace,
-    load_trace,
-    render_trace,
-    synthetic_trace,
-)
+from repro.spot import SpotSimulator, SpotTrace, synthetic_trace
 from tests.conftest import make_system
 
 
@@ -28,7 +22,7 @@ class TestTraces:
         assert trace.interruptions(0.0955) == 2
 
     def test_timestamps_are_5_minute_intervals(self):
-        trace = synthetic_trace(n_intervals=10)
+        trace = synthetic_trace()
         diffs = np.diff(trace.timestamps)
         assert (diffs == 300).all()
 
@@ -40,20 +34,6 @@ class TestTraces:
     def test_low_bid_never_runs(self):
         trace = synthetic_trace()
         assert not any(trace.running_mask(0.0))
-
-    def test_n_spikes_controls_interruptions(self):
-        trace = synthetic_trace(n_spikes=4, n_intervals=200)
-        assert trace.interruptions(0.0955) == 4
-
-    def test_csv_roundtrip(self):
-        trace = synthetic_trace(n_intervals=12)
-        again = load_trace(render_trace(trace))
-        assert again.timestamps == trace.timestamps
-        np.testing.assert_allclose(again.prices, trace.prices, atol=1e-6)
-
-    def test_malformed_csv_rejected(self):
-        with pytest.raises(ValueError, match="line"):
-            load_trace("timestamp,price\n0,0.09\nbroken line\n")
 
     def test_too_short_trace_rejected(self):
         with pytest.raises(ValueError, match="two samples"):
@@ -141,8 +121,13 @@ class TestShippedArtifacts:
     def test_shipped_trace_loads_and_matches_generator(self):
         from pathlib import Path
 
-        text = Path("assets/traces/ec2_spot_trace.csv").read_text()
-        trace = load_trace(text)
+        rows = np.loadtxt(
+            Path("assets/traces/ec2_spot_trace.csv"), delimiter=",", skiprows=1
+        )
+        trace = SpotTrace(
+            timestamps=tuple(int(t) for t in rows[:, 0]),
+            prices=tuple(rows[:, 1]),
+        )
         assert trace.interruptions(0.0955) == 2
         regenerated = synthetic_trace()
         np.testing.assert_allclose(

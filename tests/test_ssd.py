@@ -33,8 +33,8 @@ class TestFiles:
 
     def test_append(self):
         ssd = make_ssd()
-        ssd.append("f", b"ab")
-        ssd.append("f", b"cd")
+        ssd.write("f", ssd.file_size("f"), b"ab")
+        ssd.write("f", ssd.file_size("f"), b"cd")
         assert ssd.read_all("f") == b"abcd"
 
     def test_overwrite_in_place(self):

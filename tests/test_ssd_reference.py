@@ -75,7 +75,7 @@ class DeviceAgainstOracle(RuleBasedStateMachine):
     def append(self, name, length):
         data = self._fresh(length)
         for dev in self.devices:
-            dev.append(name, data)
+            dev.write(name, dev.file_size(name), data)
 
     @rule(name=names)
     def fsync(self, name):

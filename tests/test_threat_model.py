@@ -47,8 +47,6 @@ def _surfaces(system):
     out = {"pm-image": system.pm.snapshot()}
     for name, f in system.ssd._files.items():
         out[f"ssd:{name}"] = bytes(f.data)
-    for name, buf in system.dram._buffers.items():
-        out[f"dram:{name}"] = bytes(buf)
     return out
 
 
