@@ -5,7 +5,8 @@ elapsed time: mirror save/restore on the Fig. 7 model sizes, the
 batched vs. per-request inference kernels, the flight recorder's
 overhead on the mirror hot path, one training step (whole and per
 layer), one Fig. 6 SPS point at two transaction sizes, and the fixed
-cost of one AEAD call through the engine and the inference session.
+cost of one AEAD call through the engine and the inference session
+and of one mutually attested session setup.
 Writes ``BENCH_wallclock.json`` at the repo root, carrying the
 committed file's append-only ``history`` forward.
 
@@ -142,6 +143,10 @@ def _print_report(report) -> None:
         f"open_request_into {session.open_request_into_us:.2f} us + "
         f"seal_response {session.seal_response_us:.2f} us = "
         f"{session.roundtrip_us:.2f} us per served request"
+    )
+    print(
+        f"establish_mutual_session (median of {per_call.attest_session_iters}): "
+        f"{per_call.attest_session_us:.1f} us per attested session"
     )
 
 

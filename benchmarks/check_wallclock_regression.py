@@ -16,7 +16,8 @@ Wall-clock numbers are host-dependent, so two tiers of checks apply:
   within tolerance of the baseline ratio; and the flight-recorder
   overhead keeps its 0.5% ceiling;
 * **absolute times** — the mirror save / restore seconds, the
-  ``train_step`` milliseconds and the ``crypto_per_call`` microseconds —
+  ``train_step`` milliseconds and the ``crypto_per_call`` microseconds
+  (the attested-session setup included) —
   are compared only like-for-like: same host signature (cpu count +
   crypto backend) and same measurement knobs (smoke flag, repeats /
   iters).  CI runners differ from the machine that wrote the committed
@@ -26,7 +27,7 @@ Every ``mirror`` row must carry positive ``out_seconds`` and
 ``in_seconds`` (schema 8's keys), every ``train_step`` entry a positive
 ``step_ms`` and its per-layer rows; from schema 7 on the
 ``crypto_per_call`` section must be present with a positive figure in
-every cell; and the ``history`` list is append-only: a report whose
+every cell (from schema 10 on, ``attest_session_us`` among them); and the ``history`` list is append-only: a report whose
 history does not start with every row of the baseline's fails.
 
 Usage::
@@ -78,11 +79,16 @@ def _crypto_call_cells(payload: dict) -> dict:
         (f"engine[{row.get('size')} B]", row, _ENGINE_CALL_KEYS)
         for row in section.get("engine", [])
     ] + [(f"session[{session.get('size')} B]", session, _SESSION_CALL_KEYS)]
-    return {
+    cells = {
         (f"{label}.{key}", row.get("iters")): row.get(key)
         for label, row, keys in rows
         for key in keys
     }
+    if payload.get("schema", 0) >= 10:
+        cells[("attest_session_us", section.get("attest_session_iters"))] = (
+            section.get("attest_session_us")
+        )
+    return cells
 
 
 def _host_signature(payload: dict) -> tuple:

@@ -75,6 +75,7 @@ UNTRUSTED_MODULES = (
     "repro.sgx.enclave",
     "repro.sgx.ecall",
     "repro.sgx.attestation",
+    "repro.crypto.x25519",
     "repro.romulus.runtime",
     "repro.romulus.sps",
     "repro.core.checkpoint",

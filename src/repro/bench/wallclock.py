@@ -19,7 +19,9 @@ Unlike every other harness in :mod:`repro.bench` (which report
 * one AEAD call through each of the engine's four entry points at
   message and bulk sizes, and one served request's worth of session
   work: absolute median microseconds — the fixed cost per call that
-  small messages pay and megabyte buffers hide.
+  small messages pay and megabyte buffers hide; and one mutually
+  attested session setup, the unit a federated aggregator's reboot
+  pays once per client.
 
 Every ratio compares two mechanisms that both exist in ``src/``; the
 ``mirror``, ``train_step``, ``sps`` and ``crypto_per_call`` sections and the
@@ -51,7 +53,14 @@ from repro.darknet.network import Network
 from repro.hw.pmem import FlushInstruction
 from repro.romulus.runtime import SGX_SDK
 from repro.romulus.sps import SpsConfig, run_sps
-from repro.sgx.attestation import InferenceSession
+from repro.sgx.attestation import (
+    InferenceSession,
+    QuotingEnclave,
+    establish_mutual_session,
+)
+from repro.sgx.enclave import Enclave
+from repro.sgx.rand import SgxRandom
+from repro.simtime.clock import SimClock
 from repro.simtime.profiles import get_profile
 
 #: Layer counts of the Fig. 7 sweep exercised by the full harness; the
@@ -81,7 +90,9 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: v9 adds the ``sps`` section (absolute seconds of one Fig. 6 point at
 #: two transaction sizes) and its ``sps_ms_tx*`` cells in new
 #: ``history`` rows.
-SCHEMA_VERSION = 9
+#: v10 adds ``crypto_per_call.attest_session_us`` (median µs per
+#: ``establish_mutual_session``) and its cell in new ``history`` rows.
+SCHEMA_VERSION = 10
 
 #: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
 #: section: the e2e benchmark's ``train_mnist`` model and the federated
@@ -99,6 +110,8 @@ CRYPTO_PER_CALL_POINTS = ((64, 2000), (3 << 10, 2000), (64 << 10, 500), (1 << 20
 #: Payload and iterations of its session row (a ``serve_poisson``
 #: request is 3 KB).
 CRYPTO_SESSION_POINT = (3 << 10, 2000)
+#: Iterations of its attested-session row.
+ATTEST_SESSION_ITERS = 200
 
 #: The CI-gated floor: batched forward at batch 32 must beat a loop of
 #: single-sample forwards by at least this factor.
@@ -580,6 +593,10 @@ class CryptoPerCallWallclock:
 
     engine: List[CryptoCallPoint]
     session: SessionCallPoint
+    attest_session_iters: int
+    #: Median µs per ``establish_mutual_session``: two quotes, two
+    #: key pairs, two exchanges and the key derivation.
+    attest_session_us: float
 
 
 def _median_us(iters: int, call: Callable[[int], object]) -> float:
@@ -632,6 +649,12 @@ def measure_crypto_per_call_wallclock(smoke: bool = False) -> CryptoPerCallWallc
     payload = bytes(size)
     requests = [session.seal_request(seq, payload) for seq in range(iters)]
     staged = bytearray(size)
+    attest_iters = ATTEST_SESSION_ITERS // scale
+    profile = get_profile("sgx-emlPM").sgx
+    aggregator = Enclave(SimClock(), profile)
+    client = Enclave(SimClock(), profile)
+    quoting = QuotingEnclave(b"platform-key")
+    rand_client, rand_aggregator = SgxRandom(b"c"), SgxRandom(b"a")
     return CryptoPerCallWallclock(
         engine=points,
         session=SessionCallPoint(
@@ -643,6 +666,20 @@ def measure_crypto_per_call_wallclock(smoke: bool = False) -> CryptoPerCallWallc
             open_request_into_us=_median_us(
                 iters,
                 lambda seq: session.open_request_into(seq, requests[seq], staged),
+            ),
+        ),
+        attest_session_iters=attest_iters,
+        attest_session_us=_median_us(
+            attest_iters,
+            lambda session_id: establish_mutual_session(
+                client,
+                aggregator,
+                quoting,
+                client.measurement,
+                aggregator.measurement,
+                rand_client,
+                rand_aggregator,
+                session_id,
             ),
         ),
     )
@@ -705,6 +742,7 @@ class WallclockReport:
         for point in self.sps:
             row[f"sps_ms_tx{point.tx_size}"] = round(point.seconds * 1e3, 3)
         row["session_roundtrip_us_3k"] = self.crypto_per_call.session.roundtrip_us
+        row["attest_session_us"] = self.crypto_per_call.attest_session_us
         return row
 
     def to_dict(self) -> dict:
@@ -743,6 +781,8 @@ class WallclockReport:
                     **asdict(self.crypto_per_call.session),
                     "roundtrip_us": self.crypto_per_call.session.roundtrip_us,
                 },
+                "attest_session_iters": self.crypto_per_call.attest_session_iters,
+                "attest_session_us": self.crypto_per_call.attest_session_us,
             },
         }
         payload["criteria"] = {

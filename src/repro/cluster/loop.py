@@ -63,11 +63,6 @@ class EventLoop:
         """Route every popped ``kind`` event to ``handler`` directly."""
         self._handlers[kind] = handler
 
-    def _advance_to(self, t: float) -> None:
-        now = self.clock.now()
-        if t > now:
-            self.clock.advance(t - now)
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -82,7 +77,7 @@ class EventLoop:
         """
         while self._events:
             t, _, kind, payload = heapq.heappop(self._events)
-            self._advance_to(t)
+            self.clock.advance_to(t)
             if self.kill_barrier:
                 active = faultplan.ACTIVE
                 if active.enabled:

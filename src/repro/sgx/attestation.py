@@ -14,17 +14,19 @@ parts of SGX EPID/DCAP attestation:
    the build she expects, completes the DH exchange, and sends the
    sealed data key over the derived channel.
 
-Diffie-Hellman runs over the RFC 3526 2048-bit MODP group; session keys
-come from HKDF-SHA256.  Message protection on the channel is AES-GCM.
+Diffie-Hellman runs over X25519 (RFC 7748); session keys come from
+HKDF-SHA256 over the raw 32-byte shared secret.  Message protection on
+the channel is AES-GCM.
 
-Every modular exponentiation goes through :func:`_modp_pow`, which runs
-it in OpenSSL (the ``cryptography`` wheel's DH exchange, ~10× faster
-than CPython's ``pow`` at 2048 bits) when the wheel is importable.
-Without the wheel it falls back to ``pow(base, exponent, p)`` — the
-same rule :func:`repro.crypto.backend.default_backend` applies to
-AES-GCM — and ``pow`` is also the oracle the tests hold the OpenSSL path
-to.  Both paths compute the same integer, so every session key is the
-same bytes either way.
+Each side draws its X25519 private key from one ``rand(32)`` call.  The
+exchange runs in OpenSSL (the ``cryptography`` wheel's ``X25519``) when
+the wheel is importable, and otherwise in the RFC 7748 ladder of
+:mod:`repro.crypto.x25519` — the same rule
+:func:`repro.crypto.backend.default_backend` applies to AES-GCM — and
+the ladder is also the reference the tests hold OpenSSL to.  Both paths
+compute the same bytes, so every session key is the same either way.
+A peer key of low order gives an all-zero shared secret, which fails
+closed with :class:`AttestationError` on both paths.
 """
 
 from __future__ import annotations
@@ -32,36 +34,25 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crypto import records
 from repro.crypto.engine import IV_SIZE, EncryptionEngine, RandomSource
 from repro.crypto.records import REQUEST, RESPONSE
+from repro.crypto.x25519 import BASE_POINT, x25519
 from repro.sgx.enclave import Enclave
 from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
 
-# RFC 3526 group 14 (2048-bit MODP); generator 2.
-_MODP_PRIME = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
-    "8A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B"
-    "302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9"
-    "A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE6"
-    "49286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8"
-    "FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3BE39E772C"
-    "180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFF"
-    "FFFFFFFF",
-    16,
-)
-_MODP_GENERATOR = 2
-
 try:
-    from cryptography.hazmat.primitives.asymmetric import dh as _dh
-except ImportError:  # no wheel: _modp_pow falls back to CPython's pow
-    _MODP_PARAMS = None
-else:
-    _MODP_PARAMS = _dh.DHParameterNumbers(_MODP_PRIME, _MODP_GENERATOR)
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey as _WheelPrivateKey,
+        X25519PublicKey as _WheelPublicKey,
+    )
+except ImportError:  # no wheel: the exchange runs the pure ladder
+    _WheelPrivateKey = None  # type: ignore[assignment,misc]
+
+#: What X25519 yields for a peer key of low order.
+_ZERO_SECRET = bytes(32)
 
 
 class AttestationError(Exception):
@@ -187,37 +178,36 @@ class InferenceSession(records.MuxRecords):
         return self.unseal(RESPONSE, seq, sealed)
 
 
-def _modp_pow(base: int, exponent: int) -> int:
-    """``pow(base, exponent, p)`` over the MODP group, in OpenSSL when
-    the wheel is importable.
-
-    A base outside 2..p−2 (a peer's public value of 0, 1 or −1 leaks
-    the shared secret) fails closed with :class:`AttestationError` on
-    both paths.
-    """
-    if not 1 < base < _MODP_PRIME - 1:
-        raise AttestationError("DH public value outside 2..p-2")
-    if _MODP_PARAMS is None:
-        return pow(base, exponent, _MODP_PRIME)
-    # ``exchange`` reads only the private value; the public half of the
-    # private numbers is a placeholder.
-    private = _dh.DHPrivateNumbers(
-        exponent, _dh.DHPublicNumbers(_MODP_GENERATOR, _MODP_PARAMS)
-    ).private_key()
-    peer = _dh.DHPublicNumbers(base, _MODP_PARAMS).public_key()
-    return int.from_bytes(private.exchange(peer), "big")
+def _dh_keypair(rand: RandomSource) -> Tuple[Any, bytes]:
+    """A private key and its 32-byte public key, from one ``rand(32)``:
+    the wheel's key object, or the raw scalar for the ladder."""
+    secret = rand(32)
+    if _WheelPrivateKey is None:
+        return secret, x25519(secret, BASE_POINT)
+    private = _WheelPrivateKey.from_private_bytes(secret)
+    return private, private.public_key().public_bytes_raw()
 
 
-def _dh_keypair(rand: RandomSource) -> Tuple[int, int]:
-    private = int.from_bytes(rand(32), "big") | 1
-    public = _modp_pow(_MODP_GENERATOR, private)
-    return private, public
+def _dh_shared(private: Any, peer_public: bytes) -> bytes:
+    """The 32-byte X25519 shared secret with ``peer_public``."""
+    if _WheelPrivateKey is None:
+        shared = x25519(private, peer_public)
+    else:
+        try:
+            shared = private.exchange(
+                _WheelPublicKey.from_public_bytes(peer_public)
+            )
+        except ValueError:  # OpenSSL refuses the all-zero secret itself
+            shared = _ZERO_SECRET
+    if shared == _ZERO_SECRET:
+        raise AttestationError("DH peer key is of low order")
+    return shared
+
 
 def _session_engine(
-    shared: int, rand: Optional[RandomSource]
+    shared: bytes, rand: Optional[RandomSource]
 ) -> EncryptionEngine:
-    secret = shared.to_bytes((_MODP_PRIME.bit_length() + 7) // 8, "big")
-    key = hkdf_sha256(secret, b"plinius-ra", b"session-key", 16)
+    key = hkdf_sha256(shared, b"plinius-ra", b"session-key", 16)
     return EncryptionEngine(key, rand=rand)
 
 
@@ -227,14 +217,12 @@ def _attested_exchange(
     expected_measurement: bytes,
     rand_enclave: RandomSource,
     rand_owner: RandomSource,
-) -> Tuple[int, int]:
+) -> Tuple[bytes, bytes]:
     """Quote-verified DH; returns (owner shared secret, enclave shared
-    secret) — equal integers computed independently by each side."""
+    secret) — equal bytes computed independently by each side."""
     # Enclave side: DH keypair, public key goes into the quote.
     enclave_priv, enclave_pub = _dh_keypair(rand_enclave)
-    report_data = hashlib.sha256(
-        enclave_pub.to_bytes(256, "big")
-    ).digest()
+    report_data = hashlib.sha256(enclave_pub).digest()
     quote = quoting_enclave.quote(enclave, report_data)
 
     # Owner side: verify quote and measurement.
@@ -248,13 +236,11 @@ def _attested_exchange(
     # The owner must check the quoted key hash matches what the enclave
     # later uses; in this in-process simulation both sides exchange public
     # keys directly.
-    if quote.report_data[:32] != hashlib.sha256(
-        enclave_pub.to_bytes(256, "big")
-    ).digest():
+    if quote.report_data[:32] != hashlib.sha256(enclave_pub).digest():
         raise AttestationError("quoted DH key does not match the exchange")
 
-    shared_owner = _modp_pow(enclave_pub, owner_priv)
-    shared_enclave = _modp_pow(owner_pub, enclave_priv)
+    shared_owner = _dh_shared(owner_priv, enclave_pub)
+    shared_enclave = _dh_shared(enclave_priv, owner_pub)
     return shared_owner, shared_enclave
 
 
@@ -281,10 +267,9 @@ def establish_channel(
     return owner_channel, enclave_channel
 
 
-def _mux_session_key(shared: int, session_id: int) -> bytes:
-    secret = shared.to_bytes((_MODP_PRIME.bit_length() + 7) // 8, "big")
+def _mux_session_key(shared: bytes, session_id: int) -> bytes:
     return hkdf_sha256(
-        secret,
+        shared,
         b"plinius-ra",
         b"mux-session-" + session_id.to_bytes(8, "big"),
         16,

@@ -103,6 +103,15 @@ class SimClock:
         self._now += seconds
         return self._now
 
+    def advance_to(self, t: float) -> None:
+        """Move the clock to ``t`` exactly, if ``t`` is ahead of it.
+
+        ``advance(t - now())`` can land one ulp short of ``t``: float
+        subtraction and addition do not round-trip.
+        """
+        if t > self._now:
+            self._now = t
+
     def stopwatch(self, label: str = "") -> StopwatchSpan:
         """Return a context manager measuring simulated time in a block."""
         return StopwatchSpan(self, label)

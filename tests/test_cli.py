@@ -454,6 +454,58 @@ class TestWallclockScripts:
         }
         assert checker.check(baseline, other_iters, tolerance=0.1) == []
 
+    def test_checker_knows_attest_session(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        session = {
+            "size": 3072, "iters": 400, "seal_response_us": 7.0,
+            "open_request_into_us": 5.0, "roundtrip_us": 12.0,
+        }
+        section = {
+            "engine": [{"size": 64, "iters": 400, "seal_us": 2.0,
+                        "unseal_us": 2.0, "seal_into_us": 2.0,
+                        "unseal_from_us": 2.0}],
+            "session": session,
+            "attest_session_iters": 40,
+            "attest_session_us": 200.0,
+        }
+        host = {"cpu_count": 2, "crypto_backend": "cryptography"}
+        baseline = {
+            "schema": 10, "smoke": True, "host": host,
+            "crypto_per_call": section,
+        }
+        assert checker.check(baseline, baseline, tolerance=0.1) == []
+
+        # From schema 10 on the cell is required ...
+        hollow = {
+            **baseline,
+            "crypto_per_call": {**section, "attest_session_us": None},
+        }
+        failures = checker.check(baseline, hollow, tolerance=0.1)
+        assert len(failures) == 1 and "attest_session_us" in failures[0]
+        older = {**baseline, "schema": 9}
+        assert checker.check(
+            older, {**hollow, "schema": 9}, tolerance=0.1
+        ) == []
+
+        # ... and gated like-for-like: same host, same iteration count.
+        slower = {
+            **baseline,
+            "crypto_per_call": {**section, "attest_session_us": 230.0},
+        }
+        failures = checker.check(baseline, slower, tolerance=0.1)
+        assert len(failures) == 1
+        assert "attest_session_us: 230.00 us > 200.00 us" in failures[0]
+        elsewhere = {**slower, "host": {**host, "cpu_count": 64}}
+        assert checker.check(baseline, elsewhere, tolerance=0.1) == []
+        other_iters = {
+            **baseline,
+            "crypto_per_call": {
+                **section, "attest_session_iters": 200,
+                "attest_session_us": 230.0,
+            },
+        }
+        assert checker.check(baseline, other_iters, tolerance=0.1) == []
+
     def test_label_is_refused_on_a_smoke_run(self, capsys):
         bench = _load_benchmark_script("bench_wallclock")
         with pytest.raises(SystemExit) as exc:

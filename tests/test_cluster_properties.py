@@ -69,6 +69,14 @@ PARTITION_HEAL_SAME_TICK = [
     (0, ("send", ("a", "b"), 1)),
 ]
 
+#: A delivery that lands exactly on a heal's tick: advancing the clock
+#: by ``t - now`` left it one ulp short of 1517e-6, inside the window.
+DELIVERY_AT_THE_HEAL = [
+    (0, ("partition", ("a", "b"))),
+    (280, ("send", ("a", "b"), 1)),
+    (1517, ("heal", ("a", "b"))),
+]
+
 
 def run_schedule(ops):
     """Execute a schedule; returns (sends, deliveries, end_time).
@@ -155,6 +163,7 @@ def test_per_link_fifo(ops):
 @settings(max_examples=60, deadline=None)
 @given(schedules)
 @example(PARTITION_HEAL_SAME_TICK)
+@example(DELIVERY_AT_THE_HEAL)
 def test_partition_blackout(ops):
     """Nothing arrives strictly inside a (partition, heal) window."""
     sends, deliveries, end = run_schedule(ops)

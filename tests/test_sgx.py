@@ -27,11 +27,11 @@ from repro.sgx import (
     seal_data,
     unseal_data,
 )
+from repro.crypto.x25519 import BASE_POINT, x25519
 from repro.sgx.attestation import (
-    _MODP_GENERATOR,
-    _MODP_PRIME,
     InferenceSession,
-    _modp_pow,
+    _dh_keypair,
+    _dh_shared,
     establish_mutual_session,
     establish_mux_session,
 )
@@ -361,77 +361,121 @@ class TestAttestation:
 
 
 # ---------------------------------------------------------------------------
-# The DH modexp: OpenSSL when the wheel is importable, ``pow`` otherwise
+# X25519: OpenSSL when the wheel is importable, the RFC 7748 ladder otherwise
 # ---------------------------------------------------------------------------
 
-# 2^E mod p for this exponent has a zero top byte, so the OpenSSL path
-# must not lose or misplace the leading zero of its fixed-width output.
-_LEADING_ZERO_EXPONENT = (
-    79561958727686922160883963160694760907688610487369762918876138284715028819277
+#: RFC 7748 §5.2: (scalar, u, X25519(scalar, u)).  The second u has its
+#: top bit set, which X25519 must mask.
+RFC7748_VECTORS = [
+    (
+        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+        "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
+    ),
+    (
+        "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+        "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+        "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
+    ),
+]
+
+#: RFC 7748 §6.1: Alice's and Bob's (private, public) and their secret.
+RFC7748_ALICE = (
+    "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+    "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
 )
-# Order of the prime-order subgroup (p = 2q + 1 is a safe prime).
-_MODP_ORDER = (_MODP_PRIME - 1) // 2
+RFC7748_BOB = (
+    "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+    "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+)
+RFC7748_SHARED = (
+    "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
+)
+
+#: Encodings of the points of order 1, 2, 4 and 8 (and the
+#: non-canonical p-1, p, p+1): each makes the shared secret all-zero.
+_P25519 = 2**255 - 19
+LOW_ORDER_KEYS = {
+    "0": 0,
+    "1": 1,
+    "order8-e0eb": int.from_bytes(bytes.fromhex(
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
+    ), "little"),
+    "order8-5f9c": int.from_bytes(bytes.fromhex(
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"
+    ), "little"),
+    "p-1": _P25519 - 1,
+    "p": _P25519,
+    "p+1": _P25519 + 1,
+}
 
 
-def _oracle_vectors():
-    rng = random.Random(26)
-    vectors = [
-        (_MODP_GENERATOR, 1),
-        (_MODP_GENERATOR, _MODP_ORDER - 1),
-        (3, 1),
-        (_MODP_PRIME - 2, 1),
-        (_MODP_PRIME - 2, 2),
-        (_MODP_GENERATOR, _LEADING_ZERO_EXPONENT),
-    ]
-    # Key generation: the generator under a private key as _dh_keypair
-    # draws it; the exchange: a random peer value under one.
-    vectors += [
-        (_MODP_GENERATOR, rng.getrandbits(256) | 1) for _ in range(32)
-    ]
-    vectors += [
-        (rng.randrange(2, _MODP_PRIME - 1), rng.getrandbits(256) | 1)
-        for _ in range(16)
-    ]
-    vectors += [
-        (rng.randrange(2, _MODP_PRIME - 1), rng.randrange(1, _MODP_ORDER))
-        for _ in range(16)
-    ]
-    return vectors
+def _keypair_from(secret_hex: str):
+    """``_dh_keypair`` under a DRNG that returns ``secret_hex``."""
+    return _dh_keypair(lambda n: bytes.fromhex(secret_hex))
 
 
-ORACLE_VECTORS = _oracle_vectors()
-
-
-@pytest.fixture(params=["openssl", "pow"])
-def modexp_path(request, monkeypatch):
-    """Run a test on the wheel path and on the no-wheel ``pow`` path."""
-    if request.param == "pow":
-        monkeypatch.setattr(attestation, "_MODP_PARAMS", None)
-    elif attestation._MODP_PARAMS is None:
+@pytest.fixture(params=["openssl", "ladder"])
+def dh_path(request, monkeypatch):
+    """Run a test on the wheel path and on the no-wheel ladder path."""
+    if request.param == "ladder":
+        monkeypatch.setattr(attestation, "_WheelPrivateKey", None)
+    elif attestation._WheelPrivateKey is None:
         pytest.skip("cryptography wheel not importable")
     return request.param
 
 
-class TestModpPow:
-    def test_vectors_cover_the_edges(self):
-        assert len(ORACLE_VECTORS) >= 64
-        assert (_MODP_GENERATOR, 1) in ORACLE_VECTORS
-        assert pow(_MODP_GENERATOR, _LEADING_ZERO_EXPONENT, _MODP_PRIME) < (
-            1 << (_MODP_PRIME.bit_length() - 8)
+class TestX25519:
+    def test_rfc7748_vectors(self, dh_path):
+        for scalar, u, out in RFC7748_VECTORS:
+            private, _ = _keypair_from(scalar)
+            assert _dh_shared(private, bytes.fromhex(u)).hex() == out
+
+    def test_rfc7748_key_agreement(self, dh_path):
+        alice, alice_pub = _keypair_from(RFC7748_ALICE[0])
+        bob, bob_pub = _keypair_from(RFC7748_BOB[0])
+        assert alice_pub.hex() == RFC7748_ALICE[1]
+        assert bob_pub.hex() == RFC7748_BOB[1]
+        assert _dh_shared(alice, bob_pub).hex() == RFC7748_SHARED
+        assert _dh_shared(bob, alice_pub).hex() == RFC7748_SHARED
+
+    def test_ladder_equals_openssl(self):
+        if attestation._WheelPrivateKey is None:
+            pytest.skip("cryptography wheel not importable")
+        rng = random.Random(26)
+        for _ in range(32):
+            secret = rng.randbytes(32)
+            peer = rng.randbytes(32)
+            private, public = _dh_keypair(lambda n: secret)
+            assert public == x25519(secret, BASE_POINT), secret.hex()
+            assert _dh_shared(private, peer) == x25519(secret, peer), (
+                secret.hex(), peer.hex()
+            )
+
+    @pytest.mark.parametrize("u", LOW_ORDER_KEYS.values(), ids=LOW_ORDER_KEYS)
+    def test_low_order_peer_key_fails_closed(self, dh_path, u):
+        private, _ = _keypair_from(RFC7748_ALICE[0])
+        with pytest.raises(AttestationError, match="low order"):
+            _dh_shared(private, u.to_bytes(32, "little"))
+
+
+class _RelayQuotingEnclave(QuotingEnclave):
+    """Signs genuine quotes, but over a public key other than the one
+    the enclave goes on to exchange: what a relay that swaps in its own
+    key presents."""
+
+    def quote(self, enclave, report_data):
+        _, relay_public = _dh_keypair(SgxRandom(b"relay"))
+        return super().quote(enclave, hashlib.sha256(relay_public).digest())
+
+
+def test_quote_over_another_key_is_refused(dh_path):
+    enclave = make_enclave()
+    qe = _RelayQuotingEnclave(b"platform-key")
+    with pytest.raises(AttestationError, match="quoted DH key"):
+        establish_channel(
+            enclave, qe, enclave.measurement, SgxRandom(b"e"), SgxRandom(b"o")
         )
-
-    def test_equals_pow(self, modexp_path):
-        for base, exponent in ORACLE_VECTORS:
-            assert _modp_pow(base, exponent) == pow(
-                base, exponent, _MODP_PRIME
-            ), (base, exponent)
-
-    @pytest.mark.parametrize(
-        "base", [0, 1, _MODP_PRIME - 1, _MODP_PRIME], ids=["0", "1", "p-1", "p"]
-    )
-    def test_degenerate_base_fails_closed(self, modexp_path, base):
-        with pytest.raises(AttestationError, match="public value"):
-            _modp_pow(base, 3)
 
 
 def _key_digest(a, b) -> str:
@@ -452,13 +496,16 @@ def _seeded_mux_pair():
 
 
 _SHORT_REQUEST = b"hello enclave"
+#: sha256 of ``seal_request(0, _SHORT_REQUEST)`` on the seeded mux pair.
+_SHORT_REQUEST_SEALED_SHA256 = (
+    "505ee7a2bc3a0f66f8b28e138d6f09775bb102aa78a47125c4a9aba9afe2c3c3"
+)
 
 
 class TestSessionKeysPinned:
-    """Session keys are the bytes they were under CPython ``pow``,
-    on both modexp paths."""
+    """Session keys are pinned bytes, the same on both X25519 paths."""
 
-    def test_channel(self, modexp_path):
+    def test_channel(self, dh_path):
         enclave = make_enclave()
         owner, enclave_side = establish_channel(
             enclave,
@@ -468,20 +515,18 @@ class TestSessionKeysPinned:
             SgxRandom(b"o"),
         )
         assert _key_digest(owner, enclave_side) == (
-            "b19ee39755cbaedd87e32cd72ef60dfb722c6b0e985fc1a0b8dfa8ae8c6d6d99"
+            "85642bcdb7551062b15d30289b598aa286608ba41cb111c1c4773a53aa0beda0"
         )
 
-    def test_mux_session(self, modexp_path):
+    def test_mux_session(self, dh_path):
         owner, enclave_side = _seeded_mux_pair()
         assert _key_digest(owner, enclave_side) == (
-            "4e15df919a33284db4c726fee98848d800bd7c9ef4d42fa96f749f3b1ee19d7c"
+            "e903e6da32016652968820cfc9d113076adc194129de7b6b73bdd5dc1190132b"
         )
         sealed = owner.seal_request(0, _SHORT_REQUEST)
-        assert hashlib.sha256(sealed).hexdigest() == (
-            "d4ab7b94e05af6bedf2e400b4a5009e3bd75c8a13407f579d7a564a168baafae"
-        )
+        assert hashlib.sha256(sealed).hexdigest() == _SHORT_REQUEST_SEALED_SHA256
 
-    def test_mutual_session(self, modexp_path):
+    def test_mutual_session(self, dh_path):
         aggregator = make_enclave()
         client = Enclave(
             SimClock(), SGX_EMLPM.sgx, code_identity=b"fed-client"
@@ -497,7 +542,7 @@ class TestSessionKeysPinned:
             3,
         )
         assert _key_digest(client_side, aggregator_side) == (
-            "85a6ac9311b2d217599e71dfd9f1bdf3fec05ddc82b27c6b2af31dd240f5d66c"
+            "f21a88b7302e74614a9ec711f9c2d8e92a6f583a1f0798d179322593c0a96385"
         )
 
 
@@ -523,7 +568,7 @@ from repro.simtime.clock import SimClock
 from repro.simtime.profiles import SGX_EMLPM
 
 assert isinstance(default_backend(), PureBackend), default_backend()
-assert attestation._MODP_PARAMS is None  # _modp_pow takes the pow path
+assert attestation._WheelPrivateKey is None  # the exchange runs the ladder
 enclave = Enclave(SimClock(), SGX_EMLPM.sgx)
 owner, _ = attestation.establish_mux_session(
     enclave, QuotingEnclave(b"platform-key"), enclave.measurement,
@@ -544,7 +589,7 @@ def test_no_wheel_configuration_seals_the_same_bytes():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    sealed = bytes.fromhex(result.stdout.strip())
+    assert hashlib.sha256(sealed).hexdigest() == _SHORT_REQUEST_SEALED_SHA256
     owner, _ = _seeded_mux_pair()
-    assert bytes.fromhex(result.stdout.strip()) == owner.seal_request(
-        0, _SHORT_REQUEST
-    )
+    assert sealed == owner.seal_request(0, _SHORT_REQUEST)
