@@ -142,11 +142,16 @@ def _print_report(report) -> None:
         f"InferenceSession at {session.size} B (median of {session.iters}): "
         f"open_request_into {session.open_request_into_us:.2f} us + "
         f"seal_response {session.seal_response_us:.2f} us = "
-        f"{session.roundtrip_us:.2f} us per served request"
+        f"{session.roundtrip_us:.2f} us per request, one record at a time"
     )
     print(
         f"establish_mutual_session (median of {per_call.attest_session_iters}): "
         f"{per_call.attest_session_us:.1f} us per attested session"
+    )
+    batch = report.serve_batch
+    print(
+        f"\nServed batch, {batch.requests} requests on serve_poisson's model "
+        f"(median of {batch.iters}): {batch.us_per_request:.2f} us per request"
     )
 
 

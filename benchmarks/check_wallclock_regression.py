@@ -16,8 +16,9 @@ Wall-clock numbers are host-dependent, so two tiers of checks apply:
   within tolerance of the baseline ratio; and the flight-recorder
   overhead keeps its 0.5% ceiling;
 * **absolute times** — the mirror save / restore seconds, the
-  ``train_step`` milliseconds and the ``crypto_per_call`` microseconds
-  (the attested-session setup included) —
+  ``train_step`` milliseconds, the ``crypto_per_call`` microseconds
+  (the attested-session setup included) and the ``serve_batch``
+  microseconds per request —
   are compared only like-for-like: same host signature (cpu count +
   crypto backend) and same measurement knobs (smoke flag, repeats /
   iters).  CI runners differ from the machine that wrote the committed
@@ -27,8 +28,10 @@ Every ``mirror`` row must carry positive ``out_seconds`` and
 ``in_seconds`` (schema 8's keys), every ``train_step`` entry a positive
 ``step_ms`` and its per-layer rows; from schema 7 on the
 ``crypto_per_call`` section must be present with a positive figure in
-every cell (from schema 10 on, ``attest_session_us`` among them); and the ``history`` list is append-only: a report whose
-history does not start with every row of the baseline's fails.
+every cell (from schema 10 on, ``attest_session_us`` among them); from
+schema 11 on ``serve_batch`` must carry a positive ``us_per_request``;
+and the ``history`` list is append-only: a report whose history does
+not start with every row of the baseline's fails.
 
 Usage::
 
@@ -70,9 +73,9 @@ _ENGINE_CALL_KEYS = ("seal_us", "unseal_us", "seal_into_us", "unseal_from_us")
 _SESSION_CALL_KEYS = ("seal_response_us", "open_request_into_us")
 
 
-def _crypto_call_cells(payload: dict) -> dict:
+def _microsecond_cells(payload: dict) -> dict:
     """``(label, iters) -> microseconds`` for every ``crypto_per_call``
-    cell; ``None`` where a cell is missing."""
+    cell and the ``serve_batch`` one; ``None`` where a cell is missing."""
     section = payload.get("crypto_per_call") or {}
     session = section.get("session") or {}
     rows = [
@@ -80,14 +83,18 @@ def _crypto_call_cells(payload: dict) -> dict:
         for row in section.get("engine", [])
     ] + [(f"session[{session.get('size')} B]", session, _SESSION_CALL_KEYS)]
     cells = {
-        (f"{label}.{key}", row.get("iters")): row.get(key)
+        (f"crypto_per_call {label}.{key}", row.get("iters")): row.get(key)
         for label, row, keys in rows
         for key in keys
     }
     if payload.get("schema", 0) >= 10:
-        cells[("attest_session_us", section.get("attest_session_iters"))] = (
-            section.get("attest_session_us")
-        )
+        cells[
+            ("crypto_per_call attest_session_us", section.get("attest_session_iters"))
+        ] = section.get("attest_session_us")
+    if payload.get("schema", 0) >= 11:
+        batch = payload.get("serve_batch") or {}
+        knobs = (batch.get("requests"), batch.get("iters"))
+        cells[("serve_batch.us_per_request", knobs)] = batch.get("us_per_request")
     return cells
 
 
@@ -171,9 +178,9 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
     if report.get("schema", 0) >= 7:
         if not report.get("crypto_per_call", {}).get("engine"):
             failures.append("crypto_per_call section lacks its engine rows")
-        for (label, _iters), got in _crypto_call_cells(report).items():
+        for (label, _iters), got in _microsecond_cells(report).items():
             if not (got or 0.0) > 0.0:
-                failures.append(f"crypto_per_call {label} is not a positive figure")
+                failures.append(f"{label} is not a positive figure")
 
     kept = baseline.get("history", [])
     if report.get("history", [])[: len(kept)] != kept:
@@ -216,12 +223,12 @@ def check(baseline: dict, report: dict, tolerance: float) -> list:
                 )
         # Cells are keyed by (label, iters): another iteration count is
         # another measurement and is not compared.
-        base_cells = _crypto_call_cells(baseline)
-        for cell, got in _crypto_call_cells(report).items():
+        base_cells = _microsecond_cells(baseline)
+        for cell, got in _microsecond_cells(report).items():
             want = base_cells.get(cell)
             if got and want and got > want * ceiling:
                 failures.append(
-                    f"crypto_per_call {cell[0]}: {got:.2f} us > "
+                    f"{cell[0]}: {got:.2f} us > "
                     f"{want:.2f} us * {ceiling:.2f}"
                 )
     return failures

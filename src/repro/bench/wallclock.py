@@ -22,10 +22,13 @@ Unlike every other harness in :mod:`repro.bench` (which report
   small messages pay and megabyte buffers hide; and one mutually
   attested session setup, the unit a federated aggregator's reboot
   pays once per client.
+* one 16-request ``handle_batch`` on ``serve_poisson``'s served model,
+  two sessions: absolute median microseconds per request — open,
+  batched forward and seal, as one replica serves a full batch.
 
 Every ratio compares two mechanisms that both exist in ``src/``; the
-``mirror``, ``train_step``, ``sps`` and ``crypto_per_call`` sections and the
-``history`` list are absolute, compared like-for-like only (same host
+``mirror``, ``train_step``, ``sps``, ``crypto_per_call`` and
+``serve_batch`` sections and the ``history`` list are absolute, compared like-for-like only (same host
 signature, same knobs).
 
 ``benchmarks/bench_wallclock.py`` drives this module and emits
@@ -47,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.models import build_mnist_cnn, build_sized_cnn
+from repro.core.serving import InferenceClient, SecureInferenceService
 from repro.core.system import PliniusSystem
 from repro.crypto.engine import SEAL_OVERHEAD, EncryptionEngine
 from repro.darknet.network import Network
@@ -92,7 +96,10 @@ BASELINE_FILENAME = "BENCH_wallclock.json"
 #: ``history`` rows.
 #: v10 adds ``crypto_per_call.attest_session_us`` (median µs per
 #: ``establish_mutual_session``) and its cell in new ``history`` rows.
-SCHEMA_VERSION = 10
+#: v11 adds the ``serve_batch`` section (median µs per request of one
+#: 16-request ``handle_batch``) and ``serve_batch_us_b16`` in new
+#: ``history`` rows.
+SCHEMA_VERSION = 11
 
 #: ``(n_conv_layers, filters, batch, iters)`` of the ``train_step``
 #: section: the e2e benchmark's ``train_mnist`` model and the federated
@@ -112,6 +119,11 @@ CRYPTO_PER_CALL_POINTS = ((64, 2000), (3 << 10, 2000), (64 << 10, 500), (1 << 20
 CRYPTO_SESSION_POINT = (3 << 10, 2000)
 #: Iterations of its attested-session row.
 ATTEST_SESSION_ITERS = 200
+
+#: ``(n_conv_layers, filters, requests, iters)`` of the ``serve_batch``
+#: section: ``serve_poisson``'s served model and batch bound, one
+#: sample per request.  ``--smoke`` runs a fifth of the iterations.
+SERVE_BATCH_SHAPE = (1, 4, 16, 1000)
 
 #: The CI-gated floor: batched forward at batch 32 must beat a loop of
 #: single-sample forwards by at least this factor.
@@ -573,9 +585,12 @@ class CryptoCallPoint:
 
 @dataclass(frozen=True)
 class SessionCallPoint:
-    """Median wall microseconds of the two session calls a served
-    request makes: ``open_request_into`` on the way in,
-    ``seal_response`` on the way out."""
+    """Median wall microseconds of a request's two single-record
+    session calls: ``open_request_into`` on the way in, ``seal_response``
+    on the way out.  Measured the same way since schema 7, so the
+    history column stays comparable; a served batch opens and seals
+    through ``MuxRecords.open_requests`` / ``seal_responses`` instead,
+    and ``serve_batch`` times that."""
 
     size: int
     iters: int
@@ -686,6 +701,46 @@ def measure_crypto_per_call_wallclock(smoke: bool = False) -> CryptoPerCallWallc
 
 
 # ----------------------------------------------------------------------
+# One served batch
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ServeBatchWallclock:
+    """Median wall microseconds per request of one served batch."""
+
+    requests: int
+    iters: int
+    us_per_request: float
+
+
+def measure_serve_batch_wallclock(smoke: bool = False) -> ServeBatchWallclock:
+    """Time ``handle_batch`` on the same sealed batch, arena warm: the
+    requests alternate between two sessions, as ``serve_poisson``'s do
+    (the same ``(session, seq)`` is opened and sealed every time, which
+    costs what a fresh one does)."""
+    conv, filters, requests, iters = SERVE_BATCH_SHAPE
+    iters //= 5 if smoke else 1
+    enclave = Enclave(SimClock(), get_profile("sgx-emlPM").sgx)
+    network = build_mnist_cnn(
+        n_conv_layers=conv, filters=filters, batch=requests,
+        rng=np.random.default_rng(0),
+    )
+    service = SecureInferenceService(network, enclave, QuotingEnclave(b"platform-key"))
+    clients = [InferenceClient(enclave.measurement, seed=sid) for sid in (1, 2)]
+    for sid, client in enumerate(clients, start=1):
+        service.open_session(client, sid)
+    images = np.random.default_rng(1).random((requests, 1, 28, 28), dtype=np.float32)
+    items = []
+    for i in range(requests):
+        client = clients[i % 2]
+        items.append((client.session_id, *client.seal_request_seq(images[i : i + 1])))
+    service.handle_batch(items)  # sizes the arena
+    batch_us = _median_us(iters, lambda _: service.handle_batch(items))
+    return ServeBatchWallclock(
+        requests=requests, iters=iters, us_per_request=round(batch_us / requests, 3)
+    )
+
+
+# ----------------------------------------------------------------------
 # SPS (Fig. 6)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -726,6 +781,7 @@ class WallclockReport:
     train_step: List[TrainStepWallclock]
     sps: List[SpsWallclock]
     crypto_per_call: CryptoPerCallWallclock
+    serve_batch: ServeBatchWallclock
 
     @property
     def largest_mirror(self) -> MirrorWallclock:
@@ -743,6 +799,9 @@ class WallclockReport:
             row[f"sps_ms_tx{point.tx_size}"] = round(point.seconds * 1e3, 3)
         row["session_roundtrip_us_3k"] = self.crypto_per_call.session.roundtrip_us
         row["attest_session_us"] = self.crypto_per_call.attest_session_us
+        row[f"serve_batch_us_b{self.serve_batch.requests}"] = (
+            self.serve_batch.us_per_request
+        )
         return row
 
     def to_dict(self) -> dict:
@@ -784,6 +843,7 @@ class WallclockReport:
                 "attest_session_iters": self.crypto_per_call.attest_session_iters,
                 "attest_session_us": self.crypto_per_call.attest_session_us,
             },
+            "serve_batch": asdict(self.serve_batch),
         }
         payload["criteria"] = {
             "forward_batch32_speedup": round(self.forward.speedup, 3),
@@ -836,6 +896,7 @@ def run_wallclock(
             for tx_size in SPS_TX_SIZES
         ],
         crypto_per_call=measure_crypto_per_call_wallclock(smoke),
+        serve_batch=measure_serve_batch_wallclock(smoke),
     )
 
 

@@ -75,14 +75,16 @@ class EventLoop:
         already passed (a reload pushed global time past a pending
         completion) simply completes "late".
         """
-        while self._events:
-            t, _, kind, payload = heapq.heappop(self._events)
-            self.clock.advance_to(t)
+        events, handlers, pop = self._events, self._handlers, heapq.heappop
+        advance_to = self.clock.advance_to
+        while events:
+            t, _, kind, payload = pop(events)
+            advance_to(t)
             if self.kill_barrier:
                 active = faultplan.ACTIVE
                 if active.enabled:
                     active.check("cluster.host_kill")
-            registered = self._handlers.get(kind)
+            registered = handlers.get(kind)
             if registered is not None:
                 registered(payload)
             elif handler is not None:

@@ -23,17 +23,17 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.mirror import MirrorModule
 from repro.core.models import MNIST_INPUT_SHAPE
 from repro.crypto.engine import SEAL_OVERHEAD
-from repro.crypto.records import REQUEST_HEADER
+from repro.crypto.records import REQUEST_HEADER, RESPONSE, MuxRecords
 from repro.darknet.arena import TensorArena
 from repro.darknet.network import Network
-from repro.obs.context import TraceContext, trace_scope
+from repro.obs.context import TraceContext
 from repro.sgx.attestation import (
     InferenceSession,
     QuotingEnclave,
@@ -81,6 +81,7 @@ class SecureInferenceService:
         self.stats = InferenceStats()
         self._lock = threading.Lock()
         self._sessions: Dict[int, InferenceSession] = {}
+        self._features = int(np.prod(self.input_shape))
         #: Preallocated buffers for the batched serve path: request
         #: staging, the stacked input tensor, every layer activation,
         #: and the prediction vector.  Sized on first use, reused on
@@ -149,39 +150,39 @@ class SecureInferenceService:
         with self._lock:
             self._sessions[session.session_id] = session
 
-    def _session(self, session_id: int) -> InferenceSession:
-        with self._lock:
-            session = self._sessions.get(session_id)
-        if session is None:
-            raise KeyError(
-                f"no session {session_id} provisioned on this replica"
-            )
-        return session
-
     def handle_batch(
         self,
         items: Sequence[BatchItem],
         traces: Optional[Sequence[object]] = None,
-    ) -> List[bytes]:
+    ) -> List[Union[bytes, Exception]]:
         """Classify a coalesced batch of sealed requests in one entry.
+
+        Returns one entry per item: the sealed response, or the typed
+        error that refused that request alone — ``ValueError`` for a
+        size or header that does not hold whole samples of the model's
+        shape, ``KeyError`` for a session not provisioned here,
+        :class:`~repro.crypto.backend.IntegrityError` for a failed MAC.
+        The other requests are served as if it had not been sent.
 
         ``traces`` (optional, same length as ``items``) carries each
         request's parent span from the gateway's causal tree; when
-        present, the per-request session open/seal work is wrapped in a
-        :func:`~repro.obs.context.trace_scope` so the SGX-session and
+        present, the per-request session open/seal work runs under a
+        :class:`~repro.obs.context.TraceContext` so the SGX-session and
         crypto-engine leaf spans attach under the right request.
 
         Three phases, each a ``serve.*`` span:
 
-        * **stack** — every sealed request is decrypted straight into an
-          arena staging buffer (:meth:`InferenceSession.open_request_into`,
-          no intermediate ``bytes``) and its samples land in one stacked
-          ``(N, C, H, W)`` tensor;
+        * **stack** — sizes are checked and sessions looked up in one
+          pass under the lock; every sealed request is then decrypted
+          into an arena staging buffer
+          (:meth:`~repro.crypto.records.MuxRecords.open_requests`) and
+          its samples land in one stacked ``(N, C, H, W)`` tensor;
         * **forward** — one batched pass (:meth:`Network.infer`): one
           im2col and one GEMM call per conv layer, one GEMM per
           connected layer, all operands arena-owned;
         * **scatter** — per-request slices of the prediction vector are
-          sealed in arrival order, each straight from the output buffer.
+          sealed in arrival order
+          (:meth:`~repro.crypto.records.MuxRecords.seal_responses`).
 
         Responses are sealed under each request's own session with the
         nonce derived from ``(session, seq)``, and the batched kernels
@@ -197,102 +198,94 @@ class SecureInferenceService:
         clock = self.enclave.clock
         arena = self._arena
         hits0, misses0 = arena.stats.hits, arena.stats.misses
+        features, sample_bytes = self._features, 4 * self._features
+        header = REQUEST_HEADER.size
 
         def span(name: str):
             if recorder.enabled:
                 return recorder.span(name, clock, category="serve")
             return contextlib.nullcontext()
 
-        def request_scope(i: int):
-            """Trace context for item ``i``'s session crypto, if any."""
-            parent = traces[i] if traces is not None else None
-            if parent is None or not recorder.enabled:
-                return contextlib.nullcontext()
-            return trace_scope(
-                TraceContext(
-                    getattr(parent, "trace_id", None),
-                    recorder,
-                    parent,
-                    clock.now(),
-                )
-            )
-
-        features = int(np.prod(self.input_shape))
-        header = REQUEST_HEADER.size
-        sample_bytes = features * 4  # float32 payload
-
+        outcomes: List[Union[bytes, Exception]] = [b""] * len(items)
         with span("serve.stack"):
             # Plaintext sizes are sealed sizes minus the AEAD overhead,
             # so the batch tensor is sized before any decryption.
-            sessions = []
-            counts = []
-            total = 0
-            max_plain = 0
-            for session_id, _seq, sealed in items:
-                plain = len(sealed) - SEAL_OVERHEAD
-                n, rem = divmod(plain - header, sample_bytes)
-                if plain < header or rem or n < 0:
-                    raise ValueError(
-                        f"sealed request of {len(sealed)} bytes does not "
-                        f"hold whole {features}-feature samples"
-                    )
-                sessions.append(self._session(session_id))
-                counts.append(n)
-                total += n
-                max_plain = max(max_plain, plain)
+            accepted, batch = [], []
+            total = max_plain = 0
+            with self._lock:
+                for i, (session_id, seq, sealed) in enumerate(items):
+                    plain = len(sealed) - SEAL_OVERHEAD
+                    n, rem = divmod(plain - header, sample_bytes)
+                    session = self._sessions.get(session_id)
+                    if plain < header or rem or n < 0:
+                        outcomes[i] = ValueError(
+                            f"sealed request of {len(sealed)} bytes does not "
+                            f"hold whole {features}-feature samples"
+                        )
+                    elif session is None:
+                        outcomes[i] = KeyError(
+                            f"no session {session_id} provisioned on this replica"
+                        )
+                    else:
+                        accepted.append(i)
+                        batch.append((session, seq, sealed, n))
+                        total += n
+                        max_plain = max(max_plain, plain)
 
+            contexts = None
+            if traces is not None and recorder.enabled:
+                now = clock.now()
+                contexts = [
+                    None if traces[i] is None else TraceContext(
+                        getattr(traces[i], "trace_id", None), recorder, traces[i], now
+                    )
+                    for i in accepted
+                ]
             x = arena.take("serve.x", (total,) + tuple(self.input_shape))
-            flat = x.reshape(total, features)
+            rows = x.reshape(-1).view(np.uint8).data
             staging = arena.take("serve.staging", (max_plain,), np.uint8)
-            offset = 0
-            for i, ((_, seq, sealed), session, n) in enumerate(
-                zip(items, sessions, counts)
+            served, landed = [], 0
+            for j, samples in MuxRecords.open_requests(
+                batch, staging.data, features, contexts
             ):
-                plain = len(sealed) - SEAL_OVERHEAD
-                buf = staging[:plain]
-                with request_scope(i):
-                    session.open_request_into(seq, sealed, buf.data)
-                got_n, got_features = REQUEST_HEADER.unpack_from(buf.data, 0)
-                if got_features != features:
-                    raise ValueError(
-                        f"request has {got_features} features; "
-                        f"model expects {features}"
-                    )
-                if got_n != n:
-                    raise ValueError(
-                        f"request header claims {got_n} samples, "
-                        f"payload holds {n}"
-                    )
-                flat[offset : offset + n] = (
-                    buf[header : header + n * sample_bytes]
-                    .view(np.float32)
-                    .reshape(n, features)
-                )
-                offset += n
+                if isinstance(samples, Exception):
+                    outcomes[accepted[j]] = samples
+                    continue
+                rows[landed : landed + len(samples)] = samples
+                landed += len(samples)
+                served.append(j)
+            got = landed // sample_bytes
 
         with span("serve.forward"):
             predictions = arena.take("serve.preds", (total,), np.int64)
-            if total:
+            if got < total:
+                x, predictions = x[:got], predictions[:got]
+            if got:
                 probs = self.network.infer(x, arena)
                 np.argmax(probs, axis=1, out=predictions)
 
         with span("serve.scatter"):
-            responses: List[bytes] = []
-            offset = 0
-            for i, ((_, seq, _), session, n) in enumerate(
-                zip(items, sessions, counts)
-            ):
-                payload = predictions[offset : offset + n].view(np.uint8)
-                with request_scope(i):
-                    responses.append(session.seal_response(seq, payload.data))
-                offset += n
+            labels = predictions.view(np.uint8).data
+            replies, offset = [], 0
+            for j in served:
+                session, seq, _, n = batch[j]
+                replies.append((
+                    session, seq, labels[offset : offset + 8 * n],
+                    session._iv(RESPONSE, seq),
+                ))
+                offset += 8 * n
+            sealed_replies = MuxRecords.seal_responses(
+                replies, None if contexts is None else [contexts[j] for j in served]
+            )
+            for j, reply in zip(served, sealed_replies):
+                outcomes[accepted[j]] = reply
 
-        self._record(requests=len(items), samples=total)
+        self._record(requests=len(served), samples=got)
         if recorder.enabled:
             recorder.count("arena.hit", arena.stats.hits - hits0)
             recorder.count("arena.miss", arena.stats.misses - misses0)
             recorder.gauge("arena.bytes", arena.stats.bytes_allocated)
-        return responses
+        return outcomes
 
 
 class InferenceClient:

@@ -123,13 +123,13 @@ class EncryptionEngine:
             raise ValueError(f"random source produced {len(iv)} bytes, not {IV_SIZE}")
         return iv
 
-    def _count(self, op: str, byte_op: str, nbytes: int) -> None:
+    def _count(self, op: str, byte_op: str, nbytes: int, calls: int = 1) -> None:
         with self._stats_lock:
-            self.stats[op] += 1
+            self.stats[op] += calls
             self.stats[byte_op] += nbytes
             observer = self.observer
             if observer.enabled:
-                observer.count(self._COUNTER_NAMES[op])
+                observer.count(self._COUNTER_NAMES[op], calls)
                 observer.count(self._COUNTER_NAMES[byte_op], nbytes)
         if observer.enabled:
             # Request-plane leaf: when a causal trace context is active

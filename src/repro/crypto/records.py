@@ -5,22 +5,25 @@ leaves an enclave with AES-GCM (:mod:`repro.crypto.engine`).  This
 module alone spells what surrounds the ciphertext: the AAD of a
 ``(domain, position)`` (:func:`aad`), the plain header layouts, the
 record frames (parameter buffers, checkpoint records, data rows and
-the dataset upload) and a mux session's traced seal/open path.  It
-charges no simulated time and touches no device; docs/architecture.md
-("Sealed records") tabulates every domain and header.
+the dataset upload) and a mux session's traced seal/open path, one
+record or one served batch at a time.  It charges no simulated time and
+touches no device; docs/architecture.md ("Sealed records") tabulates
+every domain and header.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import struct
-from typing import Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.crypto.backend import IntegrityError
-from repro.crypto.engine import SEAL_OVERHEAD, Buffer, EncryptionEngine
-from repro.obs.context import current_trace, trace_scope
+from repro.crypto.engine import IV_SIZE, SEAL_OVERHEAD, Buffer, EncryptionEngine
+from repro.faults import plan as faultplan
+from repro.obs.context import TraceContext, current_trace, trace_scope
 
 ROW = b""
 FINAL_MODEL = b"final-model"
@@ -167,7 +170,15 @@ class MuxRecords:
     ``(session, seq)``, the per-session prefix paid once.  Under an
     active trace context each seal and open runs in an
     ``sgx.session.*`` span pinned at the context's ``sim_now`` (the
-    batch cost model charges the crypto at the batch level)."""
+    batch cost model charges the crypto at the batch level).
+
+    :meth:`open_requests` and :meth:`seal_responses` handle a served
+    batch, whose records may belong to several sessions.  With no trace
+    context, no fault plan and no observer on, they call each session's
+    bound AEAD directly and book every engine's stats once per batch;
+    otherwise each record takes the traced single-record path, so the
+    spans, the counters and the ``crypto.*`` fault-site hits are those
+    of one call per record."""
 
     def __init__(self, engine: EncryptionEngine, session_id: int) -> None:
         self.engine = engine
@@ -210,3 +221,84 @@ class MuxRecords:
                 return call(*args)
         finally:
             ctx.recorder.end(span, ctx.sim_now)
+
+    @staticmethod
+    def open_requests(
+        batch: Sequence[Tuple["MuxRecords", int, Buffer, int]], staging: memoryview,
+        features: int, contexts: Contexts = None,
+    ) -> Iterator[Tuple[int, Union[memoryview, Exception]]]:
+        """Open each ``(records, seq, sealed, n_samples)`` request into
+        ``staging`` and yield ``(index, samples)``: the float32 payload
+        behind a ``REQUEST_HEADER`` that must claim ``(n_samples,
+        features)``, valid until the next request is opened.  A request
+        failing its MAC or its header yields its error instead.
+        ``contexts`` holds each request's trace context, if any."""
+        hooked, tally = _hooked(batch, contexts), {}
+        try:
+            for i, (rec, seq, sealed, n) in enumerate(batch):
+                plain = len(sealed) - SEAL_OVERHEAD
+                try:
+                    if hooked:
+                        with _scope(contexts, i):
+                            rec.unseal_from(REQUEST, seq, sealed, staging)
+                    else:
+                        iv, tag = sealed[plain : plain + IV_SIZE], sealed[plain + IV_SIZE :]
+                        rec.engine._aead.decrypt_into(
+                            iv, memoryview(sealed)[:plain], tag, staging, rec.aad(REQUEST, seq)
+                        )
+                        tally.setdefault(rec.engine, []).append(plain)
+                    claimed = REQUEST_HEADER.unpack_from(staging, 0)
+                    if claimed != (n, features):
+                        raise ValueError(
+                            f"request header claims {claimed[0]} samples of {claimed[1]} "
+                            f"features; the payload holds {n} of the model's {features}"
+                        )
+                except (IntegrityError, ValueError) as exc:
+                    yield i, exc
+                else:
+                    yield i, staging[REQUEST_HEADER.size : plain]
+        finally:
+            _book(tally, "unseals", "bytes_unsealed")
+
+    @staticmethod
+    def seal_responses(
+        batch: Sequence[Tuple["MuxRecords", int, Buffer, bytes]], contexts: Contexts = None
+    ) -> List[bytes]:
+        """Seal each ``(records, seq, payload, iv)`` response."""
+        hooked, tally, sealed = _hooked(batch, contexts), {}, []
+        for i, (rec, seq, payload, iv) in enumerate(batch):
+            if hooked:
+                with _scope(contexts, i):
+                    sealed.append(rec.seal(RESPONSE, seq, payload, iv))
+            else:
+                ciphertext, tag = rec.engine._aead.encrypt(
+                    iv, bytes(payload), rec.aad(RESPONSE, seq)
+                )
+                sealed.append(ciphertext + iv + tag)
+                tally.setdefault(rec.engine, []).append(len(payload))
+        _book(tally, "seals", "bytes_sealed")
+        return sealed
+
+
+#: Each record's trace context, if any, or ``None`` when untraced.
+Contexts = Optional[Sequence[Optional[TraceContext]]]
+
+
+def _hooked(batch, contexts: Contexts) -> bool:
+    """Whether a batch takes the single-record path: a trace context,
+    a fault plan or an engine observer is on."""
+    return (
+        contexts is not None or current_trace() is not None or faultplan.ACTIVE.enabled
+        or any(item[0].engine.observer.enabled for item in batch)
+    )
+
+
+def _scope(contexts: Contexts, i: int):
+    ctx = None if contexts is None else contexts[i]
+    return contextlib.nullcontext() if ctx is None else trace_scope(ctx)
+
+
+def _book(tally: Dict[EncryptionEngine, List[int]], op: str, byte_op: str) -> None:
+    """Book each engine's records of one batch in one stats update."""
+    for engine, sizes in tally.items():
+        engine._count(op, byte_op, sum(sizes), len(sizes))

@@ -808,7 +808,12 @@ class ServeWorkload(Workload):
         # A generation-2 mirror that committed before a crash must still
         # be published to the rebuilt pool (spawn already adopted it).
 
-        gateway.run()
+        refused = gateway.run().refused
+        if refused:
+            # The gateway refuses a tampered request alone and serves the
+            # rest; the scenario stays fail-stop on it (I7): the boot
+            # fails, and the next one resubmits what is unanswered.
+            raise next(iter(refused.values()))
         self._harvest(m, violations)
         m.stored_iteration = mirror.stored_iteration()
 

@@ -36,7 +36,7 @@ class BatchPolicy:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """One admitted, not-yet-dispatched sealed request."""
 
@@ -87,7 +87,8 @@ class RequestQueue:
 
     def take(self, n: int) -> List[PendingRequest]:
         """Pop the ``n`` oldest requests (fewer if the queue is shorter)."""
-        batch, self._items = self._items[:n], self._items[n:]
+        batch = self._items[:n]
+        del self._items[:n]
         return batch
 
 
@@ -99,12 +100,11 @@ class Batcher:
 
     def ready(self, queue: RequestQueue, now: float) -> bool:
         """Whether the queue holds a dispatchable batch at sim ``now``."""
-        oldest = queue.oldest()
-        if oldest is None:
-            return False
-        if len(queue) >= self.policy.max_requests:
-            return True
-        return now >= oldest.arrival + self.policy.max_delay
+        items = queue._items
+        return bool(items) and (
+            len(items) >= self.policy.max_requests
+            or now >= items[0].arrival + self.policy.max_delay
+        )
 
     def take(self, queue: RequestQueue) -> List[PendingRequest]:
         """Pop one batch (up to the size bound) in arrival order."""

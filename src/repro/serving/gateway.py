@@ -63,7 +63,7 @@ MAX_DISPATCH_ATTEMPTS = 2
 REPLICA_LANE_BASE = 200
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseRecord:
     """One delivered sealed reply plus its latency accounting."""
 
@@ -102,6 +102,10 @@ class GatewayResult:
 
     responses: Dict[int, ResponseRecord] = field(default_factory=dict)
     rejected: List[int] = field(default_factory=list)
+    #: Requests the enclave refused, each with its typed error (a bad
+    #: size or header, an unknown session, a failed MAC); every other
+    #: request of their batch was served.
+    refused: Dict[int, Exception] = field(default_factory=dict)
     batches: List[BatchRecord] = field(default_factory=list)
     redispatches: int = 0
 
@@ -143,12 +147,6 @@ class InferenceGateway:
         self._batch_records: Dict[int, BatchRecord] = {}
 
     # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-    def _push(self, at: float, kind: str, payload: object) -> None:
-        self.loop.push(at, kind, payload)
-
-    # ------------------------------------------------------------------
     # Submission API (all sim-time scheduled)
     # ------------------------------------------------------------------
     def submit(
@@ -171,20 +169,20 @@ class InferenceGateway:
             arrival=float(at),
             trace_id=trace_id_of(session_id, seq),
         )
-        self._push(at, "arrival", request)
+        self.loop.push(at, "arrival", request)
         return request_id
 
     def schedule_call(self, at: float, fn: Callable[[], object]) -> None:
         """Run ``fn`` at sim ``at`` (trainer steps, test choreography)."""
-        self._push(at, "call", fn)
+        self.loop.push(at, "call", fn)
 
     def schedule_crash(self, at: float, index: int) -> None:
         """Kill replica ``index`` at sim ``at`` (spot eviction)."""
-        self._push(at, "crash", index)
+        self.loop.push(at, "crash", index)
 
     def schedule_repair(self, at: float, index: int) -> None:
         """Respawn replica ``index`` from the mirror at sim ``at``."""
-        self._push(at, "repair", index)
+        self.loop.push(at, "repair", index)
 
     # ------------------------------------------------------------------
     # The drain loop
@@ -243,7 +241,7 @@ class InferenceGateway:
             )
         deadline = self.batcher.next_deadline(self.queue)
         if deadline is not None:
-            self._push(deadline, "deadline", None)
+            self.loop.push(deadline, "deadline", None)
 
     def _on_done(self, payload) -> None:
         index, epoch, batch_id, batch = payload
@@ -283,36 +281,40 @@ class InferenceGateway:
                 else None
                 for r in batch
             ]
-        responses = replica.service.handle_batch(
+        outcomes = replica.service.handle_batch(
             [(r.session_id, r.seq, r.sealed) for r in batch],
             traces=traces,
         )
         now = self.clock.now()
-        for request, sealed in zip(batch, responses):
-            if request.request_id in self.result.responses:
-                raise RuntimeError(
-                    f"duplicate response for request {request.request_id}"
-                )
-            self.result.responses[request.request_id] = ResponseRecord(
-                request_id=request.request_id,
-                session_id=request.session_id,
-                seq=request.seq,
-                sealed=sealed,
-                arrival=request.arrival,
-                completed=now,
-                replica=index,
-                generation=replica.generation,
-                batch_id=batch_id,
+        responses, refused = self.result.responses, self.result.refused
+        generation = replica.generation
+        for request, sealed in zip(batch, outcomes):
+            request_id = request.request_id
+            if request_id in responses or request_id in refused:
+                raise RuntimeError(f"duplicate response for request {request_id}")
+            if isinstance(sealed, Exception):
+                refused[request_id] = sealed
+                continue
+            responses[request_id] = ResponseRecord(
+                request_id, request.session_id, request.seq, sealed,
+                request.arrival, now, index, generation, batch_id,
             )
         record.completed_at = now
         replica.busy = False
         replica.inflight = None
         if recorder.enabled:
-            recorder.count("serve.responses", len(batch))
+            delivered = sum(not isinstance(o, Exception) for o in outcomes)
+            recorder.count("serve.responses", delivered)
+            if delivered < len(batch):
+                recorder.count("serve.refused", len(batch) - delivered)
             for request, enclave_span in zip(batch, traces or []):
                 if enclave_span is not None:
                     recorder.end(enclave_span, now)
                 if request.root is None:
+                    continue
+                if request.request_id in refused:
+                    recorder.end(request.root, now)
+                    request.root = None
                     continue
                 recorder.complete(
                     "serve.response",
@@ -368,31 +370,29 @@ class InferenceGateway:
         self, after: Optional[int] = None
     ) -> Optional[ServingReplica]:
         """Lowest-index healthy idle replica (rotated past ``after``)."""
-        candidates = [
-            r for r in self.pool.replicas if r.healthy and not r.busy
-        ]
-        if not candidates:
-            return None
-        if after is None:
-            return candidates[0]
-        rotated = [r for r in candidates if r.index != after]
-        return rotated[0] if rotated else candidates[0]
+        skipped = None
+        for replica in self.pool.replicas:
+            if replica.healthy and not replica.busy:
+                if replica.index != after:
+                    return replica
+                skipped = replica
+        return skipped
 
     def _dispatch_ready(self) -> None:
-        while True:
-            if not self.batcher.ready(self.queue, self.clock.now()):
-                return
+        """Runs after every event: most find no batch ready, or no
+        replica free, and return after one check."""
+        batcher, queue = self.batcher, self.queue
+        while batcher.ready(queue, self.clock.now()):
             replica = self._free_replica()
             if replica is None:
                 return
-            batch = self.batcher.take(self.queue)
-            self._dispatch(batch, replica)
+            self._dispatch(batcher.take(queue), replica)
             # Requests left behind by a partial take need their own
             # wake-up: their arrival-time deadline events pointed at the
             # (now dispatched) older head of the queue.
-            deadline = self.batcher.next_deadline(self.queue)
+            deadline = batcher.next_deadline(queue)
             if deadline is not None:
-                self._push(deadline, "deadline", None)
+                self.loop.push(deadline, "deadline", None)
 
     def _dispatch(
         self, batch: List[PendingRequest], replica: ServingReplica
@@ -518,7 +518,7 @@ class InferenceGateway:
         self.result.batches.append(record)
         replica.busy = True
         replica.inflight = batch
-        self._push(end, "done", (replica.index, replica.epoch, batch_id, batch))
+        self.loop.push(end, "done", (replica.index, replica.epoch, batch_id, batch))
         recorder = self.clock.recorder
         if recorder.enabled:
             recorder.count("serve.dispatched", len(batch))

@@ -41,7 +41,7 @@ from repro.crypto.engine import IV_SIZE, EncryptionEngine, RandomSource
 from repro.crypto.records import REQUEST, RESPONSE
 from repro.crypto.x25519 import BASE_POINT, x25519
 from repro.sgx.enclave import Enclave
-from repro.sgx.sealing import hkdf_expand, hkdf_extract, hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
+from repro.sgx.sealing import hkdf_extract, hkdf_sha256  # repro: noqa[SEC002] -- models both endpoints of the DH exchange; the enclave-side derivation is the in-enclave step of remote attestation
 
 try:
     from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -142,15 +142,20 @@ class InferenceSession(records.MuxRecords):
 
     def __init__(self, session_id: int, key: bytes) -> None:
         # Key, salt and session id are fixed for the session's life, so
-        # the HKDF extract and the AAD prefixes are paid here, once;
-        # a message then costs the expand alone — one HMAC.
+        # the HKDF extract, the AAD prefixes and the keyed HMAC state of
+        # the expand are paid here, once; a message then costs one copy
+        # of that state, one update and one digest.
         super().__init__(EncryptionEngine(key), session_id)
-        self._iv_prk = hkdf_extract(b"plinius-mux-iv", self.engine.key)
+        self._iv_hmac = hmac.new(
+            hkdf_extract(b"plinius-mux-iv", self.engine.key), digestmod="sha256"
+        )
 
     def _iv(self, direction: bytes, seq: int) -> bytes:
-        return hkdf_expand(
-            self._iv_prk, direction + seq.to_bytes(8, "big"), IV_SIZE
-        )
+        """The first HKDF-Expand block, ``HMAC(prk, direction ‖ seq ‖
+        0x01)``, cut to ``IV_SIZE``."""
+        block = self._iv_hmac.copy()
+        block.update(direction + seq.to_bytes(8, "big") + b"\x01")
+        return block.digest()[:IV_SIZE]
 
     # The name the mux-AAD pin in tests/test_sgx.py reads.
     _aad = records.MuxRecords.aad

@@ -181,8 +181,8 @@ MUTANTS = (
     Mutant(
         name="serve-batch-copies-rows",
         path="repro/core/serving.py",
-        old="                flat[offset : offset + n] = (\n",
-        new="                flat[offset : offset + n] = np.array(\n",
+        old="                rows[landed : landed + len(samples)] = samples\n",
+        new="                rows[landed : landed + len(samples)] = np.array(samples)\n",
         defect="handle_batch copies each request's rows into a fresh array "
         "before staging them: identical bytes and arena counters, one "
         "allocation per request on the hot path",

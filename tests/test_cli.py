@@ -506,6 +506,44 @@ class TestWallclockScripts:
         }
         assert checker.check(baseline, other_iters, tolerance=0.1) == []
 
+    def test_checker_knows_serve_batch(self):
+        checker = _load_benchmark_script("check_wallclock_regression")
+        section = {
+            "engine": [{"size": 64, "iters": 400, "seal_us": 2.0,
+                        "unseal_us": 2.0, "seal_into_us": 2.0,
+                        "unseal_from_us": 2.0}],
+            "session": {"size": 3072, "iters": 400, "seal_response_us": 7.0,
+                        "open_request_into_us": 5.0, "roundtrip_us": 12.0},
+            "attest_session_iters": 40,
+            "attest_session_us": 200.0,
+        }
+        batch = {"requests": 16, "iters": 200, "us_per_request": 24.0}
+        host = {"cpu_count": 2, "crypto_backend": "cryptography"}
+        baseline = {
+            "schema": 11, "smoke": True, "host": host,
+            "crypto_per_call": section, "serve_batch": batch,
+        }
+        assert checker.check(baseline, baseline, tolerance=0.1) == []
+
+        # From schema 11 on the section is required ...
+        absent = {k: v for k, v in baseline.items() if k != "serve_batch"}
+        failures = checker.check(baseline, absent, tolerance=0.1)
+        assert failures == ["serve_batch.us_per_request is not a positive figure"]
+        older = {**baseline, "schema": 10}
+        assert checker.check(older, {**absent, "schema": 10}, tolerance=0.1) == []
+
+        # ... and gated like-for-like: same host, same iteration count.
+        slower = {**baseline, "serve_batch": {**batch, "us_per_request": 27.0}}
+        failures = checker.check(baseline, slower, tolerance=0.1)
+        assert failures == ["serve_batch.us_per_request: 27.00 us > 24.00 us * 1.10"]
+        elsewhere = {**slower, "host": {**host, "cpu_count": 64}}
+        assert checker.check(baseline, elsewhere, tolerance=0.1) == []
+        other_iters = {
+            **baseline,
+            "serve_batch": {**batch, "iters": 1000, "us_per_request": 27.0},
+        }
+        assert checker.check(baseline, other_iters, tolerance=0.1) == []
+
     def test_label_is_refused_on_a_smoke_run(self, capsys):
         bench = _load_benchmark_script("bench_wallclock")
         with pytest.raises(SystemExit) as exc:

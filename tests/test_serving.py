@@ -91,8 +91,10 @@ class TestService:
         seq, wire = client.seal_request_seq(test_images[:2])
         wire = bytearray(wire)
         wire[20] ^= 0xFF
-        with pytest.raises(IntegrityError):
-            service.handle_batch([(client.session_id, seq, bytes(wire))])
+        # Refused alone, with its typed error: handle_batch returns it in
+        # the request's slot instead of raising for the whole batch.
+        (refused,) = service.handle_batch([(client.session_id, seq, bytes(wire))])
+        assert isinstance(refused, IntegrityError)
 
     def test_wrong_measurement_aborts_connection(self, trained_setup):
         service = make_service(trained_setup)
@@ -107,19 +109,22 @@ class TestService:
         # Not a whole number of 784-feature samples: refused by size,
         # before any decryption.
         seq, wire = client.seal_request_seq(np.zeros((2, 10, 10), np.float32))
+        (refused,) = service.handle_batch([(client.session_id, seq, wire)])
         with pytest.raises(ValueError, match="784-feature samples"):
-            service.handle_batch([(client.session_id, seq, wire)])
+            raise refused
         # Four 196-feature samples fill one 784-feature slot exactly:
         # refused by the sealed header.
         seq, wire = client.seal_request_seq(np.zeros((4, 14, 14), np.float32))
+        (refused,) = service.handle_batch([(client.session_id, seq, wire)])
         with pytest.raises(ValueError, match="196 features"):
-            service.handle_batch([(client.session_id, seq, wire)])
+            raise refused
 
     def test_requires_connection(self, trained_setup):
         service = make_service(trained_setup)
         one_sample = b"x" * (SEAL_OVERHEAD + 16 + 4 * 28 * 28)
+        (refused,) = service.handle_batch([(1, 0, one_sample)])
         with pytest.raises(KeyError, match="no session 1"):
-            service.handle_batch([(1, 0, one_sample)])
+            raise refused
         client = InferenceClient(b"\x00" * 32)
         with pytest.raises(RuntimeError, match="no multiplexed session"):
             client.seal_request_seq(np.zeros((1, 28, 28), np.float32))
