@@ -389,17 +389,17 @@ def measure_flight_overhead_wallclock() -> FlightOverheadWallclock:
     """Measure the always-on flight recorder's cost on the mirror path.
 
     A direct A/B timing of whole cycles cannot resolve this overhead:
-    one save+restore cycle emits ~150 ring events at ~200 ns each
-    (~0.3% of the cycle), while back-to-back cycle timings on a shared
-    host vary by several percent.  So the measurement is composed from
-    three quantities, each resolvable on its own:
+    one save+restore cycle emits one ring event, its Romulus commit
+    (``pm.*`` and ``crypto.*`` are read from ``stats``, not pushed),
+    while back-to-back cycle timings on a shared host vary by several
+    percent.  So the measurement is composed from three quantities:
 
     1. the null hot-path cycle time (best-of minima over multi-cycle
        blocks under ``NULL_RECORDER``);
     2. the number of ring events one cycle emits — a deterministic
        census under ``FlightRecorder``;
-    3. the per-call cost of one unguarded flight hook, timed over a
-       tight ``hook_calls`` loop (sub-nanosecond resolution).
+    3. the per-call cost of that counter hook, timed over a tight
+       ``hook_calls`` loop (sub-nanosecond resolution).
 
     ``flight_seconds = null_seconds + events_per_cycle * hook_seconds``,
     i.e. the flight path is the null path plus exactly the hook calls it
@@ -444,13 +444,13 @@ def measure_flight_overhead_wallclock() -> FlightOverheadWallclock:
     flight_events = flight.flight.total - before
     events_per_cycle = flight_events / census_cycles
 
-    # (3) per-call hook cost, over the hook the hot path hits most.
+    # (3) per-call cost of the counter hook a cycle calls.
     best_hook = float("inf")
     count = flight.count
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(hook_calls):
-            count("pm.bytes_written", 64)
+            count("romulus.commits")
         best_hook = min(best_hook, time.perf_counter() - start)
     hook_seconds = best_hook / hook_calls
 

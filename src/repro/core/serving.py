@@ -146,7 +146,7 @@ class SecureInferenceService:
             # Wire the session's crypto engine to this replica's
             # recorder so its seal/unseal leaf spans and byte counters
             # land in the same trace as the serve.* spans above them.
-            session.engine.observer = recorder
+            session.engine.attach(recorder)
         with self._lock:
             self._sessions[session.session_id] = session
 

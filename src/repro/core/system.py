@@ -32,7 +32,6 @@ from repro.darknet.data import DataMatrix
 from repro.darknet.network import Network
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.hw.ssd import BlockDevice
-from repro.obs.recorder import get_default_recorder
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import HEADER_SIZE, RomulusRegion
 from repro.sgx.attestation import QuotingEnclave
@@ -60,14 +59,12 @@ class PliniusSystem:
         rand: SgxRandom,
         key: bytes,
         seed: int,
-        recorder=None,
     ) -> None:
         self.profile = profile
         self.clock = clock
-        # One recorder observes the whole deployment; attaching it to
-        # the clock is what every component's ``clock.recorder`` sees.
-        self.recorder = recorder if recorder is not None else clock.recorder
-        clock.recorder = self.recorder
+        # One recorder observes the whole deployment: the clock's, which
+        # every component reads as ``clock.recorder``.
+        self.recorder = clock.recorder
         self.pm = pm
         self.ssd = ssd
         self.rand = rand
@@ -103,6 +100,9 @@ class PliniusSystem:
         """
         profile = get_profile(server)
         clock = SimClock()
+        if recorder is not None:
+            # Before any device is built: each registers its stats with it.
+            clock.recorder = recorder
         rand = SgxRandom(seed.to_bytes(8, "big"))
         pm = PersistentMemoryDevice(
             pm_size,
@@ -116,16 +116,7 @@ class PliniusSystem:
         )
         ssd = BlockDevice(clock, profile.ssd)
         key = EncryptionEngine.generate_key(rand)
-        return cls(
-            profile,
-            clock,
-            pm,
-            ssd,
-            rand,
-            key,
-            seed,
-            recorder=recorder if recorder is not None else get_default_recorder(),
-        )
+        return cls(profile, clock, pm, ssd, rand, key, seed)
 
     def _attach_enclave(self) -> None:
         self.enclave = Enclave(self.clock, self.profile.sgx)

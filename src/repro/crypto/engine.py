@@ -73,14 +73,13 @@ class EncryptionEngine:
     backend:
         AEAD backend; defaults to the fastest available.
     observer:
-        Trace recorder mirroring the engine's stats into the
-        ``crypto.*`` counters (``crypto.seals``, ``crypto.bytes_sealed``,
-        ...); defaults to the null recorder.  Both the ``stats`` dict
-        and the observer are updated under the same lock, so they cannot
-        drift even with concurrent seals.
+        Trace recorder whose ``crypto.*`` counters (``crypto.seals``,
+        ``crypto.bytes_sealed``, ...) read this engine's ``stats``, and
+        under whose request traces a call pins its leaf span; defaults
+        to the null recorder.
     """
 
-    #: stats key -> counter name mirrored to the observer.
+    #: stats key -> the trace counter read from it.
     _COUNTER_NAMES = {
         "seals": "crypto.seals",
         "unseals": "crypto.unseals",
@@ -106,9 +105,15 @@ class EncryptionEngine:
         self._rand = rand if rand is not None else os.urandom  # repro: noqa[DET001] -- GCM IVs must come from real entropy in production; tests inject a counter source
         self.backend = backend if backend is not None else default_backend()
         self._aead = self.backend.bind(self.key)
-        self.observer = observer if observer is not None else NULL_RECORDER
         self._stats_lock = threading.Lock()
         self.stats = {"seals": 0, "unseals": 0, "bytes_sealed": 0, "bytes_unsealed": 0}
+        self.attach(observer if observer is not None else NULL_RECORDER)
+
+    def attach(self, observer) -> None:
+        """Report to ``observer``: it reads this engine's stats as its
+        ``crypto.*`` counters from now on."""
+        self.observer = observer
+        observer.register(self.stats, self._COUNTER_NAMES)
 
     @classmethod
     def generate_key(cls, rand: Optional[RandomSource] = None) -> bytes:
@@ -127,11 +132,7 @@ class EncryptionEngine:
         with self._stats_lock:
             self.stats[op] += calls
             self.stats[byte_op] += nbytes
-            observer = self.observer
-            if observer.enabled:
-                observer.count(self._COUNTER_NAMES[op], calls)
-                observer.count(self._COUNTER_NAMES[byte_op], nbytes)
-        if observer.enabled:
+        if self.observer.enabled:
             # Request-plane leaf: when a causal trace context is active
             # (the batched serve path), pin a zero-width crypto span
             # under the request's sgx.session span so the tree reaches

@@ -174,11 +174,11 @@ class MuxRecords:
 
     :meth:`open_requests` and :meth:`seal_responses` handle a served
     batch, whose records may belong to several sessions.  With no trace
-    context, no fault plan and no observer on, they call each session's
-    bound AEAD directly and book every engine's stats once per batch;
+    context and no fault plan on, they call each session's bound AEAD
+    directly and book every engine's stats once per batch;
     otherwise each record takes the traced single-record path, so the
-    spans, the counters and the ``crypto.*`` fault-site hits are those
-    of one call per record."""
+    spans and the ``crypto.*`` fault-site hits are those of one call
+    per record."""
 
     def __init__(self, engine: EncryptionEngine, session_id: int) -> None:
         self.engine = engine
@@ -233,7 +233,7 @@ class MuxRecords:
         features)``, valid until the next request is opened.  A request
         failing its MAC or its header yields its error instead.
         ``contexts`` holds each request's trace context, if any."""
-        hooked, tally = _hooked(batch, contexts), {}
+        hooked, tally = _hooked(contexts), {}
         try:
             for i, (rec, seq, sealed, n) in enumerate(batch):
                 plain = len(sealed) - SEAL_OVERHEAD
@@ -265,7 +265,7 @@ class MuxRecords:
         batch: Sequence[Tuple["MuxRecords", int, Buffer, bytes]], contexts: Contexts = None
     ) -> List[bytes]:
         """Seal each ``(records, seq, payload, iv)`` response."""
-        hooked, tally, sealed = _hooked(batch, contexts), {}, []
+        hooked, tally, sealed = _hooked(contexts), {}, []
         for i, (rec, seq, payload, iv) in enumerate(batch):
             if hooked:
                 with _scope(contexts, i):
@@ -284,13 +284,10 @@ class MuxRecords:
 Contexts = Optional[Sequence[Optional[TraceContext]]]
 
 
-def _hooked(batch, contexts: Contexts) -> bool:
-    """Whether a batch takes the single-record path: a trace context,
-    a fault plan or an engine observer is on."""
-    return (
-        contexts is not None or current_trace() is not None or faultplan.ACTIVE.enabled
-        or any(item[0].engine.observer.enabled for item in batch)
-    )
+def _hooked(contexts: Contexts) -> bool:
+    """Whether a batch takes the single-record path: a trace context
+    or a fault plan is on."""
+    return contexts is not None or current_trace() is not None or faultplan.ACTIVE.enabled
 
 
 def _scope(contexts: Contexts, i: int):

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import mmap
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,11 +65,20 @@ from repro.hw.undo import Holds, PreImages
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CACHE_LINE, DeviceCostModel
 
-#: fault_hook op name -> fault-point registry site.
+#: op name -> fault-point registry site.
 _FAULT_SITES = {
     "store": "pm.store",
     "flush": "pm.flush",
     "fence": "pm.fence",
+}
+
+#: stats key -> the trace counter read from it.
+_COUNTERS = {
+    "bytes_written": "pm.bytes_written",
+    "bytes_read": "pm.bytes_read",
+    "flushes": "pm.flushes",
+    "media_bytes": "pm.bytes_flushed",
+    "fences": "pm.fences",
 }
 
 
@@ -165,20 +174,17 @@ class PersistentMemoryDevice:
         self.stats = {
             "stores": 0,
             "loads": 0,
+            "bytes_written": 0,
+            "bytes_read": 0,
             "flushes": 0,
             "fences": 0,
             # Bytes actually written back to the PM media — the
             # write-amplification numerator (logical bytes / media bytes).
             "media_bytes": 0,
         }
-        #: Optional fault-injection hook called before every mutating
-        #: operation with its name ("store"/"flush"/"fence").  Crash-point
-        #: property tests raise from here to crash mid-protocol.
-        self.fault_hook: Optional[Callable[[str], None]] = None
+        clock.recorder.register(self.stats, _COUNTERS)
 
     def _fault(self, op: str):
-        if self.fault_hook is not None:
-            self.fault_hook(op)
         active = faultplan.ACTIVE
         if active.enabled:
             # _FAULT_SITES is a static table of registered literals;
@@ -306,7 +312,7 @@ class PersistentMemoryDevice:
             self._staged.remove(addr, addr + length)
         self._hot.add(addr, addr + length)
         self.stats["stores"] += 1
-        self.clock.recorder.count("pm.bytes_written", length)
+        self.stats["bytes_written"] += length
         # Stores land in the cache hierarchy: cache-speed cost.  The PM
         # media write bandwidth is charged when the lines are flushed.
         self.clock.advance(
@@ -316,8 +322,7 @@ class PersistentMemoryDevice:
     def _charge_read(self, addr: int, length: int) -> None:
         """Bookkeeping + simulated cost of a load of ``length`` bytes."""
         self.stats["loads"] += 1
-        if length:
-            self.clock.recorder.count("pm.bytes_read", length)
+        self.stats["bytes_read"] += length
         hot = self._hot.overlap_total(addr, addr + length) if length else 0
         cold = length - hot
         cost = self.load_cost + hot / self.cache_read_bandwidth
@@ -484,10 +489,6 @@ class PersistentMemoryDevice:
         )
         self.stats["flushes"] += nlines
         self.stats["media_bytes"] += dirty_bytes
-        recorder = self.clock.recorder
-        recorder.count("pm.flushes", nlines)
-        if dirty_bytes:
-            recorder.count("pm.bytes_flushed", dirty_bytes)
         # Per-line instruction cost plus the media write for dirty bytes.
         self.clock.advance(
             nlines * per_line + dirty_bytes / self.cost.write_bandwidth
@@ -578,7 +579,6 @@ class PersistentMemoryDevice:
         if self._pending:
             self._drain()
         self.stats["fences"] += 1
-        self.clock.recorder.count("pm.fences")
         self.clock.advance(self.sfence_cost)
 
     def _drain(self) -> None:

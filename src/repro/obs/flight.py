@@ -13,8 +13,9 @@ Two deployment shapes share the ring:
 * :class:`FlightRecorder` — a drop-in for :data:`~repro.obs.recorder.NULL_RECORDER`
   with ``enabled = False``: call sites still skip every argument-dict
   and span allocation (the ``if recorder.enabled:`` guards hold), but
-  the unguarded hot-path hooks — counter bumps from PM/SGX/crypto,
-  instants, gauges — append one tuple each to a bounded deque.  This is
+  the unguarded hooks — pushed counters, instants, gauges — append one
+  tuple each to a bounded deque (``pm.*``, ``sgx.*`` and ``crypto.*``
+  are read from the components' ``stats`` and never reach it).  This is
   the "always on" production default.
 * :class:`~repro.obs.recorder.TraceRecorder` embeds a ring too (fed
   from its span/instant/counter paths), so the fault workloads — which
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
+
+from repro.obs.recorder import NullRecorder
 
 __all__ = ["FlightRing", "FlightRecorder", "DEFAULT_FLIGHT_CAPACITY"]
 
@@ -59,12 +62,6 @@ class FlightRing:
     def add(self, kind: str, name: str, value: float) -> None:
         """Append one event, evicting the oldest when full."""
         self._events.append((kind, name, value))
-        self.total += 1
-
-    def count(self, name: str, value: float = 1) -> None:
-        """``add("count", name, value)``: the hook the PM hot path calls
-        most, one call shallower."""
-        self._events.append(("count", name, value))
         self.total += 1
 
     @property
@@ -95,48 +92,24 @@ class FlightRing:
         return f"FlightRing({len(self)}/{self.capacity}, total={self.total})"
 
 
-class FlightRecorder:
+class FlightRecorder(NullRecorder):
     """Always-on bounded recorder: the null recorder plus a flight ring.
 
     ``enabled`` stays ``False`` so every ``if recorder.enabled:`` guard
     keeps the expensive span/argument machinery off; only the cheap
-    unguarded hooks (counters, gauges, instants, observations) feed the
-    ring.  Safe to install as the process default or a clock's recorder
-    in production: memory is bounded by the ring capacity and the
-    wall-clock regression gate holds its mirror-hot-path overhead
+    unguarded hooks (pushed counters, gauges, instants, observations)
+    feed the ring.  Safe to install as the process default or a clock's
+    recorder in production: memory is bounded by the ring capacity and
+    the wall-clock regression gate holds its mirror-hot-path overhead
     within the 0.5% null-recorder budget.
     """
 
-    enabled = False
-
     def __init__(self) -> None:
         self.flight = FlightRing(DEFAULT_FLIGHT_CAPACITY)
-        # The counter hook is the ring's own bound method: a hook call is
-        # one frame that touches only the ring.
-        self.count = self.flight.count
 
-    # -- span API (no-ops: callers guard span work on ``enabled``) -----
-    def begin(self, *args: Any, **kwargs: Any) -> None:
-        return None
+    def count(self, name: str, value: float = 1) -> None:
+        self.flight.add("count", name, value)
 
-    def end(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def span(self, *args: Any, **kwargs: Any) -> Any:
-        from repro.obs.recorder import _NULL_CONTEXT
-
-        return _NULL_CONTEXT
-
-    def complete(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def current_span(self) -> None:
-        return None
-
-    def wall_now(self) -> float:
-        return 0.0
-
-    # -- unguarded hot-path hooks: feed the ring -----------------------
     def instant(
         self,
         name: str,

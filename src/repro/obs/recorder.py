@@ -19,10 +19,10 @@ gateway's per-replica batches side by side in a Chrome trace while
 keeping sim-time fields deterministic.
 
 The module-level default recorder is :data:`NULL_RECORDER`, whose every
-method is an allocation-free no-op — instrumentation hooks on hot paths
-(PM stores, EPC touches, ecalls) stay effectively free when tracing is
-off.  Call sites that would allocate argument dicts guard on
-``recorder.enabled`` first.
+method is an allocation-free no-op.  Call sites that would allocate
+argument dicts guard on ``recorder.enabled`` first.  The ``pm.*``,
+``sgx.*`` and ``crypto.*`` counters cost no call per operation: their
+components keep ``stats`` dicts and :meth:`TraceRecorder.register` them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRing
 from repro.obs.metrics import CounterRegistry
 
 __all__ = [
@@ -178,6 +177,9 @@ class NullRecorder:
     def count(self, name: str, value: int = 1) -> None:
         return None
 
+    def register(self, stats: Any, names: Dict[str, str]) -> None:
+        return None
+
     def gauge(self, name: str, value: float) -> None:
         return None
 
@@ -209,6 +211,9 @@ class TraceRecorder:
     enabled = True
 
     def __init__(self) -> None:
+        # Not at module level: repro.obs.flight imports this module.
+        from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRing
+
         self.spans: List[Span] = []
         self.events: List[Dict[str, Any]] = []
         self.counters = CounterRegistry()
@@ -388,6 +393,10 @@ class TraceRecorder:
         self.counters.add(name, value)
         with self._lock:
             self.flight.add("count", name, value)
+
+    def register(self, stats: Any, names: Dict[str, str]) -> None:
+        """Read counter ``names[key]`` from the component's ``stats[key]``."""
+        self.counters.register(stats, names)
 
     def gauge(self, name: str, value: float) -> None:
         """Record the latest sample of gauge ``name``."""

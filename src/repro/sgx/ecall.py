@@ -18,6 +18,10 @@ from repro.faults import plan as faultplan
 from repro.sgx.enclave import Enclave
 
 
+#: stats key -> the trace counter read from it.
+_COUNTERS = {"ecalls": "sgx.ecalls", "ocalls": "sgx.ocalls", "crossings": "sgx.crossings"}
+
+
 class EnclaveCallError(RuntimeError):
     """Raised for calls to unregistered ecalls/ocalls."""
 
@@ -30,6 +34,7 @@ class EnclaveRuntime:
         self._ecalls: Dict[str, Callable[..., Any]] = {}
         self._ocalls: Dict[str, Callable[..., Any]] = {}
         self.stats = {"ecalls": 0, "ocalls": 0, "crossings": 0}
+        enclave.clock.recorder.register(self.stats, _COUNTERS)
 
     def register_ecall(self, name: str, fn: Callable[..., Any]) -> None:
         """Register a trusted entry point."""
@@ -50,7 +55,6 @@ class EnclaveRuntime:
             raise EnclaveCallError(f"no ecall registered as {name!r}") from None
         self._cross(2)  # enter + return
         self.stats["ecalls"] += 1
-        self.enclave.clock.recorder.count("sgx.ecalls")
         return fn(*args, **kwargs)
 
     def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
@@ -64,10 +68,8 @@ class EnclaveRuntime:
             raise EnclaveCallError(f"no ocall registered as {name!r}") from None
         self._cross(2)  # exit + re-enter
         self.stats["ocalls"] += 1
-        self.enclave.clock.recorder.count("sgx.ocalls")
         return fn(*args, **kwargs)
 
     def _cross(self, crossings: int) -> None:
         self.stats["crossings"] += crossings
-        self.enclave.clock.recorder.count("sgx.crossings", crossings)
         self.enclave.clock.advance(self.enclave.sgx.transition_time(crossings))

@@ -26,6 +26,10 @@ from repro.simtime.clock import SimClock
 from repro.simtime.costs import SgxCostModel
 
 
+#: stats key -> the trace counter read from it.
+_COUNTERS = {"paging_events": "sgx.epc_page_swaps", "paged_bytes": "sgx.epc_paged_bytes"}
+
+
 class EnclaveMemoryError(MemoryError):
     """Raised when a trusted allocation exceeds the configured heap."""
 
@@ -67,6 +71,7 @@ class Enclave:
         self._allocations: Dict[str, int] = {}
         self.destroyed = False
         self.stats = {"paging_events": 0, "paged_bytes": 0}
+        clock.recorder.register(self.stats, _COUNTERS)
 
     # ------------------------------------------------------------------
     # Trusted heap ledger
@@ -128,9 +133,6 @@ class Enclave:
             paged = self.sgx.paged_bytes(self.working_set, nbytes)
             self.stats["paging_events"] += 1
             self.stats["paged_bytes"] += paged
-            recorder = self.clock.recorder
-            recorder.count("sgx.epc_page_swaps")
-            recorder.count("sgx.epc_paged_bytes", paged)
             self.clock.advance(paging)
 
     def copy_in(self, nbytes: int) -> None:

@@ -62,6 +62,21 @@ def _no_leaked_process_defaults():
         )
 
 
+class PmOpPlan(faultplan.BaseFaultPlan):
+    """Calls ``hook(op)`` at every PM store, flush and fence fault point
+    (``op`` is ``"store"``, ``"flush"`` or ``"fence"``); install it with
+    ``faultplan.installed``.  A hook that raises aborts the operation
+    before it lands."""
+
+    def __init__(self, hook) -> None:
+        super().__init__()
+        self.hook = hook
+
+    def _on_hit(self, site, n, payload):
+        if site.startswith("pm."):
+            self.hook(site[len("pm."):])
+
+
 @pytest.fixture
 def clock() -> SimClock:
     return SimClock()

@@ -12,7 +12,7 @@ failure) must reproduce, store for store, charge for charge.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.hw.pmem import FlushInstruction
 from repro.simtime.clock import SimClock
 from repro.simtime.costs import CACHE_LINE, DeviceCostModel
 
-#: fault_hook op name -> fault-point registry site.
+#: op name -> fault-point registry site.
 _FAULT_SITES = {
     "store": "pm.store",
     "flush": "pm.flush",
@@ -82,20 +82,16 @@ class ReferencePmemDevice:
         self.stats = {
             "stores": 0,
             "loads": 0,
+            "bytes_written": 0,
+            "bytes_read": 0,
             "flushes": 0,
             "fences": 0,
             # Bytes actually written back to the PM media — the
             # write-amplification numerator (logical bytes / media bytes).
             "media_bytes": 0,
         }
-        #: Optional fault-injection hook called before every mutating
-        #: operation with its name ("store"/"flush"/"fence").  Crash-point
-        #: property tests raise from here to crash mid-protocol.
-        self.fault_hook: Optional[Callable[[str], None]] = None
 
     def _fault(self, op: str):
-        if self.fault_hook is not None:
-            self.fault_hook(op)
         active = faultplan.ACTIVE
         if active.enabled:
             # _FAULT_SITES is a static table of registered literals;
@@ -118,7 +114,7 @@ class ReferencePmemDevice:
         self._dirty.add(addr, addr + length)
         self._hot.add(addr, addr + length)
         self.stats["stores"] += 1
-        self.clock.recorder.count("pm.bytes_written", length)
+        self.stats["bytes_written"] += length
         # Stores land in the cache hierarchy: cache-speed cost.  The PM
         # media write bandwidth is charged when the lines are flushed.
         self.clock.advance(
@@ -128,8 +124,7 @@ class ReferencePmemDevice:
     def _charge_read(self, addr: int, length: int) -> None:
         """Bookkeeping + simulated cost of a load of ``length`` bytes."""
         self.stats["loads"] += 1
-        if length:
-            self.clock.recorder.count("pm.bytes_read", length)
+        self.stats["bytes_read"] += length
         hot = self._hot.overlap_total(addr, addr + length) if length else 0
         cold = length - hot
         cost = self.load_cost + hot / self.cache_read_bandwidth
@@ -265,10 +260,6 @@ class ReferencePmemDevice:
         )
         self.stats["flushes"] += nlines
         self.stats["media_bytes"] += dirty_bytes
-        recorder = self.clock.recorder
-        recorder.count("pm.flushes", nlines)
-        if dirty_bytes:
-            recorder.count("pm.bytes_flushed", dirty_bytes)
         # Per-line instruction cost plus the media write for dirty bytes.
         self.clock.advance(
             nlines * per_line + dirty_bytes / self.cost.write_bandwidth
@@ -304,7 +295,6 @@ class ReferencePmemDevice:
         already modelled as immediately reaching the ADR domain)."""
         self._fault("fence")
         self.stats["fences"] += 1
-        self.clock.recorder.count("pm.fences")
         self.clock.advance(self.sfence_cost)
 
     def persist(

@@ -14,6 +14,7 @@ from repro.core.system import PliniusSystem
 from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import EncryptionEngine, SEAL_OVERHEAD
 from repro.darknet.weights import save_weights
+from repro.faults import plan as faultplan
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.hw.undo import ZERO
 from repro.romulus.alloc import PersistentHeap
@@ -22,6 +23,8 @@ from repro.sgx.enclave import Enclave
 from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+
+from tests.conftest import PmOpPlan
 
 
 def mirror_over(region: RomulusRegion) -> MirrorModule:
@@ -153,10 +156,8 @@ class TestRoundTrip:
             if count["n"] > 25:  # somewhere inside the write transaction
                 raise Crash
 
-        device.fault_hook = hook
-        with pytest.raises(Crash):
+        with pytest.raises(Crash), faultplan.installed(PmOpPlan(hook)):
             mirror.mirror_out(net, 2)
-        device.fault_hook = None
         device.crash()
         region.recover()
 
@@ -263,10 +264,8 @@ class TestBorrowedStagingPreImage:
             if sum(stores) == 4 and stores[-1]:
                 raise Abort
 
-        device.fault_hook = hook
-        with pytest.raises(Abort):
+        with pytest.raises(Abort), faultplan.installed(PmOpPlan(hook)):
             mirror.mirror_out(net, 2)
-        device.fault_hook = None
         # The second slot was sealed in place but never logged: the
         # abort re-copies it from the back twin, so loads see the old
         # bytes too, not only the media.

@@ -22,12 +22,14 @@ from repro.crypto.engine import (
     EncryptionEngine,
 )
 from repro.faults.invariants import region_idle_and_twinned
-from repro.faults.plan import flip_bit
+from repro.faults.plan import flip_bit, installed
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.romulus.region import RomulusRegion
 from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+
+from tests.conftest import PmOpPlan
 
 
 def make_engine() -> EncryptionEngine:
@@ -138,14 +140,11 @@ def test_recovery_falls_back_cleanly_from_any_crash_point(
         if count["n"] >= crash_after:
             raise _Crash
 
-    device.fault_hook = hook
     try:
-        with region.begin_transaction() as tx:
+        with installed(PmOpPlan(hook)), region.begin_transaction() as tx:
             tx.write(base, payload)
     except _Crash:
         pass
-    finally:
-        device.fault_hook = None
     device.crash()
     region.recover()
     violation = region_idle_and_twinned(region)

@@ -353,7 +353,6 @@ CALLER_WAIVERS = {
     "repro.core.pm_data.PmDataModule.shape": "(f) the data matrix's shape",
     "repro.crypto.engine.EncryptionEngine.sealed_size":
         "(f) a sealed record's size",
-    "repro.obs.flight.FlightRecorder.current_span": "(f) the open span",
     "repro.obs.recorder.NullRecorder.current_span": "(f) the open span",
     "repro.obs.recorder.TraceRecorder.current_span": "(f) the open span",
     "repro.obs.recorder.TraceRecorder.find_spans": "(f) spans by name",
@@ -404,10 +403,6 @@ CALLER_WAIVERS = {
             "begin", "complete", "end", "gauge", "instant", "observe",
             "span", "wall_now",
         )
-    },
-    **{
-        f"repro.obs.flight.FlightRecorder.{method}": "(h) null-object stub"
-        for method in ("begin", "complete", "end", "span", "wall_now")
     },
 }
 
@@ -511,7 +506,7 @@ def test_every_module_has_a_caller():
     graph, roots = caller_census(SRC.parent)
     waived = set(CALLER_WAIVERS) & graph.modules
     assert graph.modules - graph.reachable(roots | waived) == set()
-    assert len(CALLER_WAIVERS) == 116
+    assert len(CALLER_WAIVERS) == 110
     # A waiver whose module has gained a caller is stale.
     assert not waived & graph.reachable(roots)
 

@@ -15,6 +15,7 @@ from repro.core.mirror import MirrorModule
 from repro.core.models import build_mnist_cnn
 from repro.crypto.engine import EncryptionEngine
 from repro.darknet.weights import save_weights
+from repro.faults import plan as faultplan
 from repro.hw.pmem import PersistentMemoryDevice
 from repro.romulus.alloc import PersistentHeap
 from repro.romulus.region import RomulusRegion
@@ -22,6 +23,8 @@ from repro.sgx.enclave import Enclave
 from repro.sgx.rand import SgxRandom
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+
+from tests.conftest import PmOpPlan
 
 #: Sim totals recorded from the deleted copy path at commit 2944023
 #: (regenerate: ``python -m tests.test_cluster_equivalence``).
@@ -115,10 +118,8 @@ class TestCrashAtomicity:
             if count["n"] > 25:  # somewhere inside the write transaction
                 raise Crash
 
-        device.fault_hook = hook
-        with pytest.raises(Crash):
+        with pytest.raises(Crash), faultplan.installed(PmOpPlan(hook)):
             mirror.mirror_out(net, 2)
-        device.fault_hook = None
         device.crash()
         region.recover()
 

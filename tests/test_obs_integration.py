@@ -11,7 +11,10 @@ The contracts under test:
   alone (``mirror_breakdown``) within 1% of the harness-computed
   values;
 * :class:`~repro.crypto.engine.EncryptionEngine` stats and the
-  ``crypto.*`` counters agree.
+  ``crypto.*`` counters agree;
+* every ``pm.*``, ``sgx.*`` and ``crypto.*`` counter is the sum of the
+  ``stats`` of the components built under the recorder, a dead enclave
+  included.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ import pytest
 
 from repro.bench.fig7 import measure_model_size
 from repro.core.system import PliniusSystem
+from repro.crypto.engine import EncryptionEngine
+from repro.hw.pmem import PersistentMemoryDevice
 from repro.obs import NULL_RECORDER, TraceRecorder, mirror_breakdown
+from repro.sgx.ecall import EnclaveRuntime
+from repro.sgx.enclave import Enclave
 
 from tests.conftest import make_system
 
@@ -172,6 +179,80 @@ class TestKillResume:
         assert recorder.counters.get("romulus.recoveries") == 1
         # The mirror_in restore reads sealed buffers back from PM.
         assert recorder.counters.get("pm.bytes_read") > read_before
+
+
+#: Each component's stats key -> the counter that must equal its sum.
+STATS_COUNTERS = {
+    PersistentMemoryDevice: {
+        "bytes_written": "pm.bytes_written",
+        "bytes_read": "pm.bytes_read",
+        "flushes": "pm.flushes",
+        "media_bytes": "pm.bytes_flushed",
+        "fences": "pm.fences",
+    },
+    Enclave: {
+        "paging_events": "sgx.epc_page_swaps",
+        "paged_bytes": "sgx.epc_paged_bytes",
+    },
+    EnclaveRuntime: {
+        "ecalls": "sgx.ecalls",
+        "ocalls": "sgx.ocalls",
+        "crossings": "sgx.crossings",
+    },
+    EncryptionEngine: {
+        "seals": "crypto.seals",
+        "unseals": "crypto.unseals",
+        "bytes_sealed": "crypto.bytes_sealed",
+        "bytes_unsealed": "crypto.bytes_unsealed",
+    },
+}
+
+
+class TestCountersAreComponentStats:
+    def test_counters_sum_the_stats_of_every_component(
+        self, tiny_dataset, monkeypatch
+    ):
+        built = {cls: [] for cls in STATS_COUNTERS}
+        for cls, instances in built.items():
+
+            def record(self, *args, _init=cls.__init__, _seen=instances, **kw):
+                _init(self, *args, **kw)
+                _seen.append(self)
+
+            monkeypatch.setattr(cls, "__init__", record)
+        system, recorder = traced_system()
+        system.load_data(tiny_dataset)
+        net = system.build_model(n_conv_layers=2, filters=4, batch=16)
+        system.checkpoint.save(net, 1)
+        system.train(net, iterations=2)
+        dead = system.enclave
+        system.kill()
+        system.resume()
+        net2 = system.build_model(n_conv_layers=2, filters=4, batch=16)
+        system.train(net2, iterations=2)
+
+        # Engines built with no observer (the key-sealing ones) report
+        # to no recorder.
+        built[EncryptionEngine] = [
+            e for e in built[EncryptionEngine] if e.observer is recorder
+        ]
+        assert dead.destroyed and dead in built[Enclave]
+        assert len(built[Enclave]) == len(built[EnclaveRuntime]) == 2
+        assert len(built[EncryptionEngine]) == 2
+        counters = recorder.counters.snapshot()
+        expected = {}
+        for cls, names in STATS_COUNTERS.items():
+            for key, name in names.items():
+                total = sum(c.stats[key] for c in built[cls])
+                assert counters.get(name, 0) == total, name
+                expected[name] = total
+        stats_named = {
+            n for n in counters if n.startswith(("pm.", "sgx.", "crypto."))
+        }
+        assert stats_named == {n for n, v in expected.items() if v}
+        for name in ("pm.bytes_written", "pm.bytes_read", "sgx.ocalls",
+                     "crypto.seals", "crypto.unseals"):
+            assert expected[name] > 0, name
 
 
 class TestNullRecorderDefault:

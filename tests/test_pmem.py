@@ -21,6 +21,8 @@ from repro.hw.undo import ZERO
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
 
+from tests.conftest import PmOpPlan
+
 
 def make_device(size: int = 1 << 16) -> PersistentMemoryDevice:
     return PersistentMemoryDevice(size, SimClock(), EMLSGX_PM.pm)
@@ -825,10 +827,10 @@ class TestFaultHook:
     def test_hook_fires_on_mutations(self):
         dev = make_device()
         ops = []
-        dev.fault_hook = ops.append
-        dev.write(0, b"x")
-        dev.flush(0, 1)
-        dev.fence()
+        with installed(PmOpPlan(ops.append)):
+            dev.write(0, b"x")
+            dev.flush(0, 1)
+            dev.fence()
         assert ops == ["store", "flush", "fence"]
 
     def test_hook_can_abort_operation(self):
@@ -840,10 +842,8 @@ class TestFaultHook:
         def hook(op):
             raise Boom
 
-        dev.fault_hook = hook
-        with pytest.raises(Boom):
+        with pytest.raises(Boom), installed(PmOpPlan(hook)):
             dev.write(0, b"x")
-        dev.fault_hook = None
         assert dev.read(0, 1) == b"\x00"  # store never happened
 
 

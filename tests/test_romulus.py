@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import plan as faultplan
 from repro.hw.pmem import FlushInstruction, PersistentMemoryDevice
 from repro.romulus import (
     AllocationError,
@@ -22,6 +23,8 @@ from repro.romulus import (
 )
 from repro.simtime.clock import SimClock
 from repro.simtime.profiles import EMLSGX_PM
+
+from tests.conftest import PmOpPlan
 
 
 def make_region(main_size: int = 64 * 1024, **kwargs):
@@ -312,16 +315,15 @@ def _run_with_crash(crash_after: int, payload: bytes, offsets):
         if counter["ops"] > crash_after:
             raise _CrashAt
 
-    device.fault_hook = hook
     interrupted = False
     try:
-        tx = region.begin_transaction()
-        for off in offsets:
-            tx.write(off, payload)
-        tx.commit()
+        with faultplan.installed(PmOpPlan(hook)):
+            tx = region.begin_transaction()
+            for off in offsets:
+                tx.write(off, payload)
+            tx.commit()
     except _CrashAt:
         interrupted = True
-    device.fault_hook = None
     device.crash()
     recovered = RomulusRegion.open(device)
     values = [recovered.read(off, len(payload)) for off in offsets]

@@ -2,8 +2,9 @@
 
 ``SecureInferenceService.handle_batch`` opens and seals a batch through
 ``MuxRecords.open_requests`` / ``seal_responses``: with no trace
-context, no fault plan and no engine observer on, each session's AEAD
-is called directly and its engine's stats are booked once per batch;
+context and no fault plan on, each session's AEAD is called directly
+and its engine's stats are booked once per batch (a recorder alone
+does not change that: the ``crypto.*`` counters read the stats);
 otherwise every record takes the traced single-record path.  These
 tests hold both paths to serving the same requests one at a time:
 
@@ -31,6 +32,7 @@ from repro.core.serving import InferenceClient
 from repro.core.system import PliniusSystem
 from repro.crypto.backend import IntegrityError
 from repro.crypto.engine import SEAL_OVERHEAD
+from repro.crypto.records import MuxRecords
 from repro.faults.plan import FLIP, CountingPlan, CrashSchedulePlan, FaultSpec, installed
 from repro.obs import TraceRecorder
 from repro.serving import AdmissionPolicy, BatchPolicy, InferenceGateway, ReplicaPool
@@ -138,6 +140,27 @@ class TestBatchMatchesRequestAtATime:
             for name in ("sgx.session.open", "sgx.session.seal",
                          "crypto.unseal", "crypto.seal"):
                 assert traced["trees"][(i, name)] == 1
+
+    def test_a_recorder_without_trace_contexts_takes_the_direct_path(
+        self, monkeypatch
+    ):
+        traced = _serve(batched=True, traced=True)
+        recorder = TraceRecorder()
+        _, pool, clients = _deploy(recorder)
+        service = pool.replicas[0].service
+        items = _mixed_items(clients)
+        before = {name: recorder.counters.get(name) for name in CRYPTO_COUNTERS}
+
+        def single_record(*args):
+            raise AssertionError("a record took the single-record path")
+
+        monkeypatch.setattr(MuxRecords, "unseal_from", single_record)
+        monkeypatch.setattr(MuxRecords, "seal", single_record)
+        assert service.handle_batch(items) == traced["responses"]
+        assert {
+            name: recorder.counters.get(name) - before[name]
+            for name in CRYPTO_COUNTERS
+        } == traced["counters"]
 
     def test_responses_open_to_each_requests_predictions(self):
         _, pool, clients = _deploy()
